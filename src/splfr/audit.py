@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .engine import Library, Mode, Randomness, deliver, place
+from .engine import Library, Mode, Randomness, decode, deliver, place
 from .field import FieldContext
 from .pda import PDA
 
@@ -191,20 +191,13 @@ def audit_correctness(cfg: AuditConfig) -> AuditReport:
                 atoms += 1
                 payload = deliver(state, demands)
                 for k in range(cfg.pda.k):
-                    got = decode_user(state, payload, k, demands[k])
+                    got = decode(state.user_view(k), payload, demands[k])
                     want = library.combine(demands[k])
                     if got != want:
                         detail = _atom_dict(library, randomness, demands)
                         detail["user"] = k + 1
                         return AuditReport(False, atoms, 1, detail)
     return AuditReport(True, atoms, 0)
-
-
-def decode_user(state, payload, k: int, demand) -> tuple[int, ...]:
-    # small indirection so a corrupted-payload test can reuse it
-    from .engine import decode
-
-    return decode(state.user_view(k), payload, demand)
 
 
 def audit_security(cfg: AuditConfig) -> AuditReport:

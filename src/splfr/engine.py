@@ -10,7 +10,8 @@ vector and pads each multicast block with its security key, so the signal
 is simultaneously one-time-pad secure and demand-hiding.
 
 States are immutable once placed; deliver/decode are pure, and update
-rounds produce a new state.
+rounds produce a new state.  Each block of each stage is one
+``FieldContext.lincomb`` call.
 """
 
 from __future__ import annotations
@@ -85,14 +86,16 @@ class Library:
 
     def combine(self, demand: Vector) -> Vector:
         """The demanded linear combination sum_n demand[n] * W_n, full length."""
-        if len(demand) != self.n_files:
-            raise EngineError(f"demand length {len(demand)} != N={self.n_files}")
-        ctx = self.ctx
-        out = (0,) * self.b
-        for coeff, file in zip(demand, self.files):
-            if coeff:
-                out = ctx.vec_add(out, ctx.vec_scale(coeff, file))
-        return out
+        check_demand(self.ctx, demand, self.n_files)
+        return self.ctx.lincomb(demand, self.files)
+
+
+def check_demand(ctx: FieldContext, demand: Vector, n: int) -> None:
+    """Reject a demand that is not a length-n vector over ``ctx``."""
+    if len(demand) != n:
+        raise EngineError(f"demand length {len(demand)} != N={n}")
+    for value in demand:
+        ctx.check(value)
 
 
 def split(file: Sequence[int], f: int) -> tuple[Vector, ...]:
@@ -102,6 +105,11 @@ def split(file: Sequence[int], f: int) -> tuple[Vector, ...]:
         raise NonDivisibleB(f"packet count {f} does not divide file length {b}")
     size = b // f
     return tuple(tuple(file[i * size : (i + 1) * size]) for i in range(f))
+
+
+def packet_rows(library: Library, f: int) -> tuple[tuple[Vector, ...], ...]:
+    """Row i holds the i-th packet of every file: rows[i][n] = W_{n,i}."""
+    return tuple(zip(*(split(file, f) for file in library.files)))
 
 
 @dataclass(frozen=True)
@@ -184,13 +192,14 @@ class UserView:
     """Everything user k may consult while decoding: its cache and the array.
 
     Deliberately excludes the library, the raw randomness, and every other
-    user's cache.
+    user's cache; the file count N is public.
     """
 
     pda: PDA
     ctx: FieldContext
     user: int  # 0-based column index
     cache: UserCache
+    n_files: int
 
 
 @dataclass(frozen=True)
@@ -208,7 +217,7 @@ class SchemeState:
     caches: tuple[UserCache, ...]
 
     def user_view(self, k: int) -> UserView:
-        return UserView(self.pda, self.library.ctx, k, self.caches[k])
+        return UserView(self.pda, self.library.ctx, k, self.caches[k], self.library.n_files)
 
     @property
     def block_size(self) -> int:
@@ -229,17 +238,6 @@ class Measure(NamedTuple):
     randomness_log2q_units: int  # randomness budget = this many times log2(q) bits
 
 
-def privacy_key(library: Library, pda: PDA, p_j: Vector, i: int) -> Vector:
-    """The block sum_n p_j[n] * W_{n,i} for packet row i (0-based)."""
-    ctx = library.ctx
-    packets = [split(file, pda.f)[i] for file in library.files]
-    block = (0,) * (library.b // pda.f)
-    for coeff, pkt in zip(p_j, packets):
-        if coeff:
-            block = ctx.vec_add(block, ctx.vec_scale(coeff, pkt))
-    return block
-
-
 def place(pda: PDA, library: Library, randomness: Randomness, mode: Mode) -> SchemeState:
     """Fill every cache: uncoded packets under stars, superposition keys elsewhere."""
     ctx = library.ctx
@@ -249,22 +247,18 @@ def place(pda: PDA, library: Library, randomness: Randomness, mode: Mode) -> Sch
     randomness.check_shapes(pda, n, b)
     effective = randomness.masked(mode)
 
-    packets = [split(file, pda.f) for file in library.files]  # [n][i] -> block
+    rows = packet_rows(library, pda.f)
     caches = []
     for k in range(pda.k):
         uncoded: dict[int, tuple[Vector, ...]] = {}
         coded: dict[int, Vector] = {}
-        for i in range(pda.f):
-            entry = pda.entries[i][k]
+        # coded record of row i: V_s + sum_n p_{k,n} W_{n,i}
+        coeffs = (1, *effective.privacy_vectors[k])
+        for i, entry in enumerate(pda.column(k)):
             if entry is STAR:
-                uncoded[i] = tuple(packets[nn][i] for nn in range(n))
+                uncoded[i] = rows[i]
             else:
-                t_block = (0,) * (b // pda.f)
-                p_k = effective.privacy_vectors[k]
-                for coeff, file_packets in zip(p_k, packets):
-                    if coeff:
-                        t_block = ctx.vec_add(t_block, ctx.vec_scale(coeff, file_packets[i]))
-                coded[i] = ctx.vec_add(effective.security_keys[entry - 1], t_block)
+                coded[i] = ctx.lincomb(coeffs, (effective.security_keys[entry - 1], *rows[i]))
         caches.append(UserCache(uncoded=uncoded, coded=coded))
 
     return SchemeState(
@@ -279,26 +273,19 @@ def deliver(state: SchemeState, demands: Sequence[Vector]) -> DeliveryPayload:
     if len(demands) != pda.k:
         raise EngineError(f"expected {pda.k} demand vectors, got {len(demands)}")
     for d in demands:
-        if len(d) != lib.n_files:
-            raise EngineError(f"demand length {len(d)} != N={lib.n_files}")
-        for value in d:
-            ctx.check(value)
+        check_demand(ctx, d, lib.n_files)
 
-    coeffs = tuple(
-        ctx.vec_add(state.randomness.privacy_vectors[k], demands[k])
-        for k in range(pda.k)
-    )
+    coeffs = tuple(map(ctx.vec_add, state.randomness.privacy_vectors, demands))
 
-    packets = [split(file, pda.f) for file in lib.files]
+    rows = packet_rows(lib, pda.f)
     blocks = []
     for s in range(1, pda.s + 1):
-        y = state.randomness.security_keys[s - 1]
+        # y_s = V_s + sum over the positions (i, j) of s of sum_n q_{j,n} W_{n,i}
+        c, v = [1], [state.randomness.security_keys[s - 1]]
         for i, j in pda.symbol_positions(s):
-            for nn in range(lib.n_files):
-                coeff = coeffs[j][nn]
-                if coeff:
-                    y = ctx.vec_add(y, ctx.vec_scale(coeff, packets[nn][i]))
-        blocks.append(y)
+            c += coeffs[j]
+            v += rows[i]
+        blocks.append(ctx.lincomb(c, v))
     return DeliveryPayload(coeff_vectors=coeffs, blocks=tuple(blocks))
 
 
@@ -308,38 +295,28 @@ def decode(view: UserView, payload: DeliveryPayload, demand: Vector) -> Vector:
     Consumes only the user's own cache, the broadcast, and the demand;
     returns the full-length B-symbol combination.
     """
-    pda, ctx, k = view.pda, view.ctx, view.user
+    pda, ctx, k, cache = view.pda, view.ctx, view.user, view.cache
     if len(payload.blocks) != pda.s or len(payload.coeff_vectors) != pda.k:
         raise EngineError("payload shape does not match the array")
-    out_packets: list[Vector] = []
-    for h in range(pda.f):
-        entry = pda.entries[h][k]
-        if entry is STAR:
+    check_demand(ctx, demand, view.n_files)
+    minus_q = [tuple(map(ctx.neg, q)) for q in payload.coeff_vectors]
+    out: list[int] = []
+    for h, s in enumerate(pda.column(k)):
+        if s is STAR:
             # direct computation from the cached uncoded packets
-            pkts = view.cache.uncoded[h]
-            block = (0,) * len(pkts[0])
-            for coeff, pkt in zip(demand, pkts):
-                if coeff:
-                    block = ctx.vec_add(block, ctx.vec_scale(coeff, pkt))
-            out_packets.append(block)
-        else:
-            s = entry
-            block = payload.blocks[s - 1]
-            # cancel the cached superposition key for this row
-            block = ctx.vec_sub(block, view.cache.coded[h])
-            # cancel the cross terms of the other users sharing symbol s;
-            # the defining conditions guarantee their rows are starred here
-            for i, j in pda.symbol_positions(s):
-                if j == k:
-                    continue
-                pkts = view.cache.uncoded[i]
-                q_j = payload.coeff_vectors[j]
-                for coeff, pkt in zip(q_j, pkts):
-                    if coeff:
-                        block = ctx.vec_sub(block, ctx.vec_scale(coeff, pkt))
-            # what is left is sum_n q_{k,n} W_{n,h} - sum_n p_{k,n} W_{n,h}
-            out_packets.append(block)
-    return tuple(sym for pkt in out_packets for sym in pkt)
+            out += ctx.lincomb(demand, cache.uncoded[h])
+            continue
+        # cancel the cached superposition key for this row and the cross
+        # terms of the other users sharing symbol s; the defining conditions
+        # guarantee their rows are starred here
+        c, v = [1, ctx.neg(1)], [payload.blocks[s - 1], cache.coded[h]]
+        for i, j in pda.symbol_positions(s):
+            if j != k:
+                c += minus_q[j]
+                v += cache.uncoded[i]
+        # what is left is sum_n q_{k,n} W_{n,h} - sum_n p_{k,n} W_{n,h}
+        out += ctx.lincomb(c, v)
+    return tuple(out)
 
 
 def measure(state: SchemeState) -> Measure:
@@ -396,22 +373,18 @@ def update_round(
     for k in range(pda.k):
         decoded = decode(state.user_view(k), payload, tuple(demands[k]))
         decoded_packets = split(decoded, pda.f)
-        coded = dict(state.caches[k].coded)
-        for i, old in coded.items():
-            entry = pda.entries[i][k]
-            delta = fresh[entry - 1]
-            if coeffs[k]:
-                delta = ctx.vec_add(delta, ctx.vec_scale(coeffs[k], decoded_packets[i]))
-            coded[i] = ctx.vec_add(old, delta)
+        coded = {
+            i: ctx.lincomb(
+                (1, 1, coeffs[k]), (old, fresh[pda.entries[i][k] - 1], decoded_packets[i])
+            )
+            for i, old in state.caches[k].coded.items()
+        }
         new_caches.append(UserCache(uncoded=state.caches[k].uncoded, coded=coded))
 
     new_randomness = Randomness(
-        security_keys=tuple(
-            ctx.vec_add(v, u)
-            for v, u in zip(state.randomness.security_keys, fresh)
-        ),
+        security_keys=tuple(map(ctx.vec_add, state.randomness.security_keys, fresh)),
         privacy_vectors=tuple(
-            ctx.vec_add(p, ctx.vec_scale(c, tuple(d)))
+            ctx.lincomb((1, c), (p, d))
             for p, c, d in zip(state.randomness.privacy_vectors, coeffs, demands)
         ),
     )

@@ -13,6 +13,7 @@ and overload the arithmetic operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -103,6 +104,7 @@ class FieldContext:
         self.poly = poly
         if kind == "binary":
             self._build_tables()
+            self._build_rows()
 
     # -- constructors -----------------------------------------------------
 
@@ -174,6 +176,16 @@ class FieldContext:
                 return
         raise FieldError(f"no generator found for poly {poly:#x}")  # pragma: no cover
 
+    def _build_rows(self) -> None:
+        # product rows for bytes.translate: _rows[c][x] == c * x for x < q.
+        # Row c looks up the logs of 1..q-1 in the exp table rotated by log(c).
+        logs, exp = bytes(self._log[1:]), bytes(self._exp)
+        rows = [bytes(256)]
+        for r in self._log[1:]:
+            rotated = (exp[r:] + exp[:r]).ljust(256, b"\0")
+            rows.append((b"\0" + logs.translate(rotated)).ljust(256, b"\0"))
+        self._rows = tuple(rows)
+
     # -- scalar arithmetic on bare ints ----------------------------------
 
     def check(self, a: int) -> int:
@@ -213,25 +225,43 @@ class FieldContext:
     # -- vector helpers --------------------------------------------------
 
     def dot(self, u: Sequence[int], w: Sequence[int]) -> int:
-        if len(u) != len(w):
-            raise FieldError(f"length mismatch: {len(u)} vs {len(w)}")
-        acc = 0
-        for a, b in zip(u, w):
-            acc = self.add(acc, self.mul(a, b))
-        return acc
+        return self.lincomb(u, [(b,) for b in w])[0] if u or w else 0
 
     def vec_add(self, u: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
         if len(u) != len(w):
             raise FieldError(f"length mismatch: {len(u)} vs {len(w)}")
         return tuple(self.add(a, b) for a, b in zip(u, w))
 
-    def vec_sub(self, u: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
-        if len(u) != len(w):
-            raise FieldError(f"length mismatch: {len(u)} vs {len(w)}")
-        return tuple(self.sub(a, b) for a, b in zip(u, w))
-
     def vec_scale(self, c: int, u: Sequence[int]) -> tuple[int, ...]:
         return tuple(self.mul(c, a) for a in u)
+
+    def lincomb(
+        self, coeffs: Sequence[int], vectors: Sequence[Sequence[int]]
+    ) -> tuple[int, ...]:
+        """The linear combination sum_i coeffs[i] * vectors[i]: the bulk kernel.
+
+        Coefficients and vector entries are field elements; the vectors must
+        be nonempty in number and of one common length.  Over GF(p) it
+        reduces once per output symbol; over GF(2^m) each term is one
+        ``bytes.translate`` through the coefficient's product row, added by
+        XOR into a single Python int.
+        """
+        if len(coeffs) != len(vectors):
+            raise FieldError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
+        lengths = set(map(len, vectors))
+        if len(lengths) != 1:
+            raise FieldError(
+                f"need one or more vectors of one length, got lengths {sorted(lengths)}"
+            )
+        if self.kind == "prime":
+            q = self.q
+            return tuple(sum(map(mul, coeffs, col)) % q for col in zip(*vectors))
+        rows = self._rows
+        acc = 0
+        for c, v in zip(coeffs, vectors):
+            if c:
+                acc ^= int.from_bytes(bytes(v).translate(rows[c]), "big")
+        return tuple(acc.to_bytes(lengths.pop(), "big"))
 
     def random_element(self, rng) -> int:
         return rng.randrange(self.q)

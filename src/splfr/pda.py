@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -64,12 +65,17 @@ class PDA:
 
     def symbol_positions(self, s: int) -> list[tuple[int, int]]:
         """0-based (row, col) positions where ordinary symbol s occurs."""
-        return [
-            (i, j)
-            for i, row in enumerate(self.entries)
-            for j, e in enumerate(row)
-            if e == s
-        ]
+        return list(self._positions.get(s, ()))
+
+    @cached_property
+    def _positions(self) -> dict[int, list[tuple[int, int]]]:
+        """Symbol -> positions in row-major order, built on first use."""
+        index: dict[int, list[tuple[int, int]]] = {}
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                if e is not STAR:
+                    index.setdefault(e, []).append((i, j))
+        return index
 
     @property
     def parameters(self) -> tuple[int, int, int, int]:
@@ -136,12 +142,7 @@ def regularity(pda: PDA) -> Optional[int]:
     """
     if pda.s == 0:
         return None
-    counts = {sym: 0 for sym in range(1, pda.s + 1)}
-    for row in pda.entries:
-        for e in row:
-            if e is not STAR:
-                counts[e] += 1
-    values = set(counts.values())
+    values = {len(pda.symbol_positions(sym)) for sym in range(1, pda.s + 1)}
     if len(values) == 1:
         return values.pop()
     return None

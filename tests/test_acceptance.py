@@ -19,7 +19,6 @@ from splfr.engine import (
     deliver,
     measure,
     place,
-    privacy_key,
     split,
     update_round,
 )
@@ -42,6 +41,8 @@ from splfr.tradeoff import (
     subpacketization_compare,
     scheme_curve,
 )
+
+from oracle import privacy_key
 
 GF2 = FieldContext.prime(2)
 

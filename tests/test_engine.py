@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splfr.engine import (
     DeliveryPayload,
@@ -16,12 +17,13 @@ from splfr.engine import (
     deliver,
     measure,
     place,
-    privacy_key,
     split,
     update_round,
 )
-from splfr.field import FieldContext
-from splfr.pda import STAR, man_pda, memory_load, validate
+from splfr.field import FieldContext, FieldError
+from splfr.pda import STAR, man_pda, memory_load, parse_pda, validate
+
+from oracle import combine as oracle_combine, privacy_key
 
 GF2 = FieldContext.prime(2)
 GF3 = FieldContext.prime(3)
@@ -260,6 +262,24 @@ class TestDecode:
         with pytest.raises(EngineError):
             decode(state.user_view(0), bad, demands[0])
 
+    def test_wrong_demand_length(self):
+        state = make_state(TOY, 4, 3, GF2, seed=7)
+        demands = unit_demands(3, 4)
+        payload = deliver(state, demands)
+        for demand in (demands[0][:3], demands[0] + (0,)):
+            with pytest.raises(EngineError):
+                decode(state.user_view(0), payload, demand)
+
+    def test_demand_outside_field(self):
+        state = make_state(TOY, 4, 3, GF3, seed=7)
+        demands = unit_demands(3, 4)
+        payload = deliver(state, demands)
+        for demand in ((3, 0, 0, 0), (0, -1, 0, 0)):
+            with pytest.raises(FieldError):
+                decode(state.user_view(0), payload, demand)
+            with pytest.raises(FieldError):
+                state.library.combine(demand)
+
 
 class TestMeasure:
     def test_toy(self):
@@ -344,3 +364,104 @@ class TestUpdateRound:
             update_round(state, demands, ((0,),), (0, 0, 0))
         with pytest.raises(EngineError):
             update_round(state, demands, tuple((0,) for _ in range(3)), (0, 0))
+
+
+# -- properties over arrays x modes x fields ------------------------------
+
+#: arrays given as files: a two-row array for K=4 that is not a t-subset
+#: array, and an irregular one with symbols that occur only once
+PARSED = tuple(
+    parse_pda(text)
+    for text in (
+        "PDA K=4 F=2\n* 1 * 2\n1 * 2 *\n",
+        "PDA K=3 F=3\n* 1 2\n1 * 3\n4 5 *\n",
+    )
+)
+FIELDS = tuple(
+    FieldContext.parse(spec) for spec in ("p:2", "p:3", "p:65521", "b:1", "b:2", "b:8")
+)
+
+
+@st.composite
+def permuted_man(draw):
+    """man_pda(k, t) with its rows, columns and symbol labels permuted."""
+    k = draw(st.integers(2, 4))
+    arr = man_pda(k, draw(st.integers(0, k)))
+    rows = draw(st.permutations(range(arr.f)))
+    cols = draw(st.permutations(range(k)))
+    labels = draw(st.permutations(range(1, arr.s + 1)))
+    return validate(
+        [
+            [STAR if arr.entries[i][j] is STAR else labels[arr.entries[i][j] - 1] for j in cols]
+            for i in rows
+        ]
+    )
+
+
+instances = st.tuples(
+    st.one_of(st.just(TOY), st.sampled_from(PARSED), permuted_man()),
+    st.sampled_from(FIELDS),
+    st.sampled_from(list(Mode)),
+    st.integers(2, 4),  # N
+    st.integers(1, 3),  # block length B/F
+    st.integers(0, 2**32 - 1),  # seed of the library, keys and demands
+)
+
+
+def build(instance):
+    arr, ctx, mode, n, block, seed = instance
+    rng = random.Random(seed)
+    b = arr.f * block
+    lib = Library.random(ctx, n, b, rng)
+    rnd = Randomness.generate(arr, n, b, ctx, rng)
+    demands = tuple(ctx.random_vector(n, rng) for _ in range(arr.k))
+    return place(arr, lib, rnd, mode), rnd, demands, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances)
+def test_property_decode_after_deliver_is_combine(instance):
+    state, _, demands, _ = build(instance)
+    payload = deliver(state, demands)
+    for k in range(state.pda.k):
+        got = decode(state.user_view(k), payload, demands[k])
+        assert got == state.library.combine(demands[k])
+        assert got == oracle_combine(state.library, demands[k])
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances)
+def test_property_cache_records_are_superposed_keys(instance):
+    state, _, _, _ = build(instance)
+    arr, keys = state.pda, state.randomness
+    packets = [split(f, arr.f) for f in state.library.files]
+    for k, cache in enumerate(state.caches):
+        for i, entry in enumerate(arr.column(k)):
+            if entry is STAR:
+                assert cache.uncoded[i] == tuple(p[i] for p in packets)
+            else:
+                t_block = privacy_key(state.library, arr, keys.privacy_vectors[k], i)
+                want = state.library.ctx.vec_add(keys.security_keys[entry - 1], t_block)
+                assert cache.coded[i] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances)
+def test_property_update_round_is_placement_with_accumulated_keys(instance):
+    state, rnd, demands, rng = build(instance)
+    arr, ctx = state.pda, state.library.ctx
+    fresh = tuple(ctx.random_vector(state.block_size, rng) for _ in range(arr.s))
+    coeffs = tuple(ctx.random_element(rng) for _ in range(arr.k))
+
+    updated = update_round(state, demands, fresh, coeffs)
+
+    accumulated = Randomness(
+        security_keys=tuple(ctx.vec_add(v, u) for v, u in zip(rnd.security_keys, fresh)),
+        privacy_vectors=tuple(
+            ctx.vec_add(p, ctx.vec_scale(c, d))
+            for p, c, d in zip(rnd.privacy_vectors, coeffs, demands)
+        ),
+    )
+    scratch = place(arr, state.library, accumulated, state.mode)
+    assert updated.caches == scratch.caches
+    assert updated.randomness == scratch.randomness

@@ -1,7 +1,7 @@
 """Tests for exact GF(q) arithmetic."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from splfr.field import (
     DEFAULT_POLYS,
@@ -25,9 +25,28 @@ def slow_gf2m_mul(a: int, b: int, poly: int, m: int) -> int:
     return prod
 
 
+def lincomb_oracle(ctx, coeffs, vectors):
+    """Independent oracle: the linear combination from scalar add and mul only."""
+    out = [0] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        for i, x in enumerate(v):
+            out[i] = ctx.add(out[i], ctx.mul(c, x))
+    return tuple(out)
+
+
 GF2 = FieldContext.prime(2)
 GF5 = FieldContext.prime(5)
 GF8 = FieldContext.binary(3)  # x^3 + x + 1
+
+#: the fields the kernel is checked over: small and large primes, every
+#: binary degree, and an irreducible but not primitive polynomial (x^8 + x^4
+#: + x^3 + x + 1), whose tables need a generator other than x
+KERNEL_FIELDS = [FieldContext.prime(p) for p in (2, 3, 5, 65521)] + [
+    FieldContext.binary(m) for m in range(1, 9)
+] + [FieldContext.binary(8, poly=0x11B)]
+
+#: the largest library of the benchmark workloads has 20 files
+MAX_VECTORS = 20
 
 
 class TestScalars:
@@ -127,6 +146,63 @@ class TestDot:
         lhs = GF5.dot(GF5.vec_add(u, v), w)
         rhs = GF5.add(GF5.dot(u, w), GF5.dot(v, w))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=lambda c: c.spec)
+class TestLincomb:
+    """The bulk kernel against the scalar oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_oracle(self, ctx, data):
+        count = data.draw(st.integers(1, MAX_VECTORS), label="count")
+        length = data.draw(st.integers(1, 8), label="length")
+        element = st.integers(0, ctx.q - 1)
+        # zero coefficients are skipped by one path and summed by the other
+        coeff = st.one_of(st.just(0), st.just(1), st.just(ctx.q - 1), element)
+        coeffs = data.draw(st.lists(coeff, min_size=count, max_size=count), label="coeffs")
+        vec = st.tuples(*[element] * length)
+        vectors = data.draw(st.lists(vec, min_size=count, max_size=count), label="vectors")
+        assert ctx.lincomb(coeffs, vectors) == lincomb_oracle(ctx, coeffs, vectors)
+
+    def test_zero_coefficients_give_zero_vector(self, ctx):
+        vectors = [(1, ctx.q - 1, 1), (ctx.q - 1, 0, 1)]
+        assert ctx.lincomb((0, 0), vectors) == (0, 0, 0)
+        assert ctx.lincomb((0, 1), vectors) == vectors[1]
+
+    def test_length_one_vectors(self, ctx):
+        top = ctx.q - 1
+        assert ctx.lincomb((top,), ((top,),)) == (ctx.mul(top, top),)
+
+    def test_one_vector_per_library_file(self, ctx):
+        vectors = [tuple((n * 7 + i) % ctx.q for i in range(5)) for n in range(MAX_VECTORS)]
+        coeffs = [(3 * n + 1) % ctx.q for n in range(MAX_VECTORS)]
+        assert ctx.lincomb(coeffs, vectors) == lincomb_oracle(ctx, coeffs, vectors)
+
+    def test_count_mismatch_raises(self, ctx):
+        with pytest.raises(FieldError):
+            ctx.lincomb((1, 1), ((0, 1),))
+        with pytest.raises(FieldError):
+            ctx.lincomb((1,), ((0, 1), (1, 0)))
+
+    def test_no_vectors_raises(self, ctx):
+        with pytest.raises(FieldError):
+            ctx.lincomb((), ())
+
+    def test_ragged_vectors_raise(self, ctx):
+        with pytest.raises(FieldError):
+            ctx.lincomb((1, 1), ((0, 1), (1,)))
+        with pytest.raises(FieldError):
+            ctx.lincomb((1, 1), ((1,), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "ctx", [c for c in KERNEL_FIELDS if c.q <= 256], ids=lambda c: c.spec
+)
+def test_lincomb_scaling_equals_mul_for_every_pair(ctx):
+    elements = tuple(range(ctx.q))
+    for c in elements:
+        assert ctx.lincomb((c,), (elements,)) == tuple(ctx.mul(c, x) for x in elements)
 
 
 class TestFieldElement:

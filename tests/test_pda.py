@@ -127,6 +127,23 @@ class TestManPda:
                 assert regularity(arr) == t + 1
 
 
+class TestSymbolPositions:
+    def test_toy(self):
+        arr = validate(TOY)
+        assert arr.symbol_positions(1) == [(0, 1), (1, 0)]
+        assert arr.symbol_positions(3) == [(1, 2), (2, 1)]
+
+    def test_absent_symbol(self):
+        arr = validate(TOY)
+        assert arr.symbol_positions(0) == []
+        assert arr.symbol_positions(4) == []
+
+    def test_result_is_a_fresh_list(self):
+        arr = validate(TOY)
+        arr.symbol_positions(1).clear()
+        assert arr.symbol_positions(1) == [(0, 1), (1, 0)]
+
+
 class TestMemoryLoad:
     def test_toy(self):
         assert memory_load(validate(TOY), 4) == (2, 1)
@@ -259,3 +276,17 @@ def test_fuzz_validate_consistency(grid):
         stars_per_row = {sum(1 for e in row if e is STAR) for row in arr.entries}
         if stars_per_row == {g - 1}:
             assert arr.f >= min_subpacketization(arr.k, g)
+
+
+@settings(max_examples=200)
+@given(grid_strategy)
+def test_fuzz_symbol_positions_match_grid_scan(grid):
+    try:
+        arr = validate(grid)
+    except PdaError:
+        return
+    for s in range(arr.s + 2):
+        scan = [
+            (i, j) for i, row in enumerate(arr.entries) for j, e in enumerate(row) if e == s
+        ]
+        assert arr.symbol_positions(s) == scan
