@@ -18,7 +18,6 @@ are involved, so a pass is a proof for the enumerated instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -117,7 +116,9 @@ def factorization_violations(
     """Count violated identities count(a,b)*total == count(a)*count(b).
 
     ``partition`` maps each outcome to an (a, b) pair.  All support pairs
-    are checked, including those with zero joint count.
+    are checked, including those with zero joint count.  No violation
+    means A and B are independent: their mutual information is exactly
+    zero, decided without logarithms.
     """
     joint: dict[tuple, int] = {}
     margin_a: dict = {}
@@ -136,19 +137,6 @@ def factorization_violations(
                 if first is None:
                     first = (a, b)
     return violations, first
-
-
-def mutual_information_bits(dist: ExactDistribution, partition: Callable):
-    """Exact-zero test for I(A; B) without logarithms.
-
-    Returns Fraction(0) when every factorization identity holds (mutual
-    information is exactly zero); otherwise returns the number of violated
-    identities as a nonzero-flag surrogate.
-    """
-    violations, _ = factorization_violations(dist, partition)
-    if violations == 0:
-        return Fraction(0)
-    return violations
 
 
 def _libraries(cfg: AuditConfig) -> Iterator[Library]:
@@ -282,5 +270,4 @@ __all__ = [
     "audit_privacy",
     "audit_security",
     "factorization_violations",
-    "mutual_information_bits",
 ]

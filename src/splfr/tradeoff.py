@@ -3,7 +3,8 @@
 Achievable curves (corner points plus lower convex envelopes), converse
 bounds, ratio/gap checks, subpacketization comparison, and CSV/SVG export.
 All curve math is exact over fractions.Fraction; decimals appear only at
-serialization time.
+serialization time.  Ratio and bound claims are certified over the whole
+continuum, one curve segment at a time, not sampled.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -46,9 +48,14 @@ class TradeoffCurve:
     corners: tuple[CurvePoint, ...]
 
     def __post_init__(self):
-        ms = [p.m for p in self.corners]
-        if ms != sorted(set(ms)):
+        ms = self.memories
+        if list(ms) != sorted(set(ms)):
             raise TradeoffError("corner memories must be strictly increasing")
+
+    @cached_property
+    def memories(self) -> tuple[Fraction, ...]:
+        """Corner memories, in increasing order."""
+        return tuple(p.m for p in self.corners)
 
     @property
     def m_min(self) -> Fraction:
@@ -63,7 +70,7 @@ class TradeoffCurve:
         m = _frac(m)
         if not self.m_min <= m <= self.m_max:
             raise TradeoffError(f"memory {m} outside [{self.m_min}, {self.m_max}]")
-        ms = [p.m for p in self.corners]
+        ms = self.memories
         idx = bisect_right(ms, m)
         if idx == len(ms):
             return self.corners[-1].r
@@ -235,27 +242,223 @@ def scheme_curve(scheme: str, n: int, k: int) -> TradeoffCurve:
     return lower_convex_envelope(scheme_points(scheme, n, k))
 
 
-# -- ratio and gap checks -------------------------------------------------
+# -- exact certification on curve segments ---------------------------------
+#
+# Every ratio and bound claim below is, on one linear piece of a curve, a
+# quadratic inequality in the memory M.  Each piece is parametrized by
+# theta in [0, 1] with integer coefficients, so the sign tests that decide a
+# claim over the whole continuum run in integers.
 
 
-def _grid(lo: Fraction, hi: Fraction, per_unit: int) -> list[Fraction]:
-    """Rational grid over [lo, hi] with per_unit points per unit interval."""
-    count = max(1, int((hi - lo) * per_unit))
-    return [lo + Fraction(i, per_unit) for i in range(count + 1) if lo + Fraction(i, per_unit) <= hi]
+class Supremum(NamedTuple):
+    """Supremum of a ratio over an interval.
+
+    Suprema order by value; of two equal values the exact one is larger.
+    """
+
+    value: Fraction  # the supremum, or its rational upper bracket
+    exact: bool  # False only for an irrational supremum bracketed from above
 
 
-def simple_converse_ratio_max(n: int, k: int, per_unit: int = 1000) -> Fraction:
-    """Max of R(M)(M-1)/(N-M) over corners and a rational grid of (1, N)."""
+#: scale of the math.isqrt bracket of an irrational supremum
+_BRACKET_SCALE = 1 << 64
+
+
+def quadratic_nonneg(c2, c1, c0, lo, hi, *, strict: bool = False) -> bool:
+    """Whether c2*x^2 + c1*x + c0 >= 0 (> 0 if strict) for every x in [lo, hi].
+
+    A quadratic is smallest over an interval at an endpoint or, when it
+    opens upward, at its vertex, so three exact sign tests decide the claim
+    over the whole interval.  Integer arguments keep the tests in integers.
+    """
+
+    def holds(value) -> bool:
+        return value > 0 if strict else value >= 0
+
+    if not (holds((c2 * lo + c1) * lo + c0) and holds((c2 * hi + c1) * hi + c0)):
+        return False
+    if c2 > 0 and 2 * c2 * lo < -c1 < 2 * c2 * hi:
+        # the vertex value is (4*c2*c0 - c1^2) / (4*c2)
+        return holds(4 * c2 * c0 - c1 * c1)
+    return True
+
+
+def ratio_sup(p: tuple[int, int, int], q: tuple[int, int, int]) -> Supremum:
+    """Supremum over 0 <= theta < 1 of P(theta)/Q(theta).
+
+    ``p`` and ``q`` are integer coefficients (c2, c1, c0).  Q must be
+    positive on [0, 1).  If Q(1) = 0, P(1) must be 0 too, and the open end
+    is the limit at theta = 1, found by dividing out the factor (1 - theta).
+
+    The supremum is the smallest U with U*Q - P >= 0 on [0, 1], which
+    ``quadratic_nonneg`` decides.  The larger endpoint value is tried first.
+    It fails only if an interior point beats both ends: a stationary point
+    theta* where P'Q - PQ' changes sign from + to -.  There U*Q - P has the
+    double root theta*, so U is a root of the discriminant
+    D(U) = (U*q1 - p1)^2 - 4(U*q2 - p2)(U*q0 - p0).  Its roots are tried in
+    increasing order, an irrational one as its upper bracket from
+    ``math.isqrt``, and the first that passes is returned.
+    """
+    (p2, p1, p0), (q2, q1, q0) = p, q
+    if q2 + q1 + q0 == 0:
+        if p2 + p1 + p0 != 0:
+            raise TradeoffError("ratio unbounded at the open end")
+        # P = (1 - theta)(-p2*theta - p2 - p1), and likewise Q
+        (p2, p1, p0), (q2, q1, q0) = (0, -p2, -p2 - p1), (0, -q2, -q2 - q1)
+    if not quadratic_nonneg(q2, q1, q0, 0, 1, strict=True):
+        raise TradeoffError("ratio denominator must be positive")
+
+    def bounds(u: Fraction) -> bool:
+        a, b = u.numerator, u.denominator
+        return quadratic_nonneg(a * q2 - b * p2, a * q1 - b * p1, a * q0 - b * p0, 0, 1)
+
+    best = max(Fraction(p0, q0), Fraction(p2 + p1 + p0, q2 + q1 + q0))
+    if bounds(best):
+        return Supremum(best, True)
+    roots = _upper_roots(
+        q1 * q1 - 4 * q2 * q0,
+        4 * (q2 * p0 + p2 * q0) - 2 * p1 * q1,
+        p1 * p1 - 4 * p2 * p0,
+    )
+    for cand in sorted(r for r in roots if r.value > best):
+        if bounds(cand.value):
+            return cand
+    raise TradeoffError("no certified supremum")
+
+
+def _upper_roots(a: int, b: int, c: int) -> list[Supremum]:
+    """Real roots of a*U^2 + b*U + c, each exact or as its upper bracket."""
+    if a == 0:
+        return [Supremum(Fraction(-c, b), True)] if b else []
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    root = math.isqrt(disc)
+    if root * root == disc:
+        return [Supremum(Fraction(-b + s * root, 2 * a), True) for s in (1, -1)]
+    # sqrt(disc) * scale lies in (low, low + 1); each root (-b + s*sqrt(disc))/(2a)
+    # takes the end of that interval that bounds it from above
+    scale = _BRACKET_SCALE
+    low = math.isqrt(disc * scale * scale)
+    return [
+        Supremum(Fraction(-b * scale + s * (low + (s * a > 0)), 2 * a * scale), False)
+        for s in (1, -1)
+    ]
+
+
+def _linear(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """(c0, c1, d) with a + theta*(b - a) = (c0 + c1*theta)/d and d > 0."""
+    d = math.lcm(a.denominator, b.denominator)
+    c0 = a.numerator * (d // a.denominator)
+    return c0, b.numerator * (d // b.denominator) - c0, d
+
+
+def _segments(curve: TradeoffCurve, lo: Fraction, hi: Fraction):
+    """The curve's linear pieces over [lo, hi], in integer theta forms.
+
+    Yields ((m0, m1, dm), (r0, r1, dr)) with M = (m0 + m1*theta)/dm and
+    R = (r0 + r1*theta)/dr for theta in [0, 1].
+    """
+    pts = [CurvePoint(lo, curve.evaluate(lo))]
+    pts += [p for p in curve.corners if lo < p.m < hi]
+    pts.append(CurvePoint(hi, curve.evaluate(hi)))
+    for a, b in zip(pts, pts[1:]):
+        yield _linear(a.m, b.m), _linear(a.r, b.r)
+
+
+def _cutset_pieces(n: int, k: int, lo: Fraction, hi: Fraction):
+    """Yield (u, a, b): on [a, b] the cut-set bound is (uN - u^2 M)/(N-1).
+
+    The lines of cut sizes u and u+1 cross at M = N/(2u+1); below the last
+    crossing the largest cut size wins.  The pieces tile [lo, hi] for
+    0 <= lo < hi <= N, where the bound's floor at zero never binds.
+    """
+    top = min(n // 2, k)
+    for u in range(1, top + 1):
+        a = max(lo, Fraction(n, 2 * u + 1)) if u < top else lo
+        b = min(hi, Fraction(n, 2 * u - 1))
+        if a < b:
+            yield u, a, b
+
+
+def _simple_converse_sup(n: int, k: int) -> Supremum:
+    """Supremum of R(M)(M-1)/(N-M) over [1, N)."""
+    pieces = []
+    for (m0, m1, dm), (r0, r1, dr) in _segments(man_curve(n, k), Fraction(1), Fraction(n)):
+        # R(M-1)/(N-M) = (r0 + r1*theta)(m0 - dm + m1*theta) / (dr (N dm - m0 - m1*theta))
+        e0 = m0 - dm
+        p = (r1 * m1, r0 * m1 + r1 * e0, r0 * e0)
+        pieces.append(ratio_sup(p, (0, -dr * m1, dr * (n * dm - m0))))
+    return max(pieces)
+
+
+def _smooth_bound_sup(n: int, k: int) -> Supremum:
+    if not (n < k and n >= 3):
+        raise TradeoffError(f"needs N < K and N >= 3, got N={n}, K={k}")
+    pieces = []  # of R(M)/f(M) over [2, N)
+    for (m0, m1, dm), (r0, r1, dr) in _segments(man_curve(n, k), Fraction(2), Fraction(n)):
+        # R/f = 4(N-1) M R / (N^2 - M^2), both sides times dr dm^2
+        c = 4 * (n - 1) * dm
+        p = (c * r1 * m1, c * (r0 * m1 + r1 * m0), c * r0 * m0)
+        q = (-dr * m1 * m1, -2 * dr * m0 * m1, dr * (n * n * dm * dm - m0 * m0))
+        pieces.append(ratio_sup(p, q))
+    return max(pieces)
+
+
+def _cutset_ratio_sup(n: int, k: int, lo: Fraction, hi: Fraction) -> Supremum:
+    """Supremum of R(M) over the cut-set bound on [lo, hi)."""
+    pieces = []
     curve = man_curve(n, k)
-    candidates = {p.m for p in curve.corners}
-    candidates.update(_grid(Fraction(1), Fraction(n), per_unit))
-    best = Fraction(0)
-    for m in candidates:
-        if not 1 <= m < n:
-            continue
-        value = curve.evaluate(m) * (m - 1) / (n - m)
-        best = max(best, value)
-    return best
+    for u, a, b in _cutset_pieces(n, k, lo, hi):
+        for (m0, m1, dm), (r0, r1, dr) in _segments(curve, a, b):
+            # R/line_u = (N-1) dm (r0 + r1*theta) / (dr (uN dm - u^2 (m0 + m1*theta)))
+            p = (0, (n - 1) * dm * r1, (n - 1) * dm * r0)
+            q = (0, -dr * u * u * m1, dr * (u * n * dm - u * u * m0))
+            pieces.append(ratio_sup(p, q))
+    return max(pieces)
+
+
+def achievable_above_converse(n: int, k: int) -> bool:
+    """Whether the t-subset curve stays on or above the array-class converse.
+
+    Certified over all of [1, N]: on each piece, R(M) >= K(N-M)/(N-1+K(M-1))
+    is R(M)(N-1+K(M-1)) - K(N-M) >= 0, a quadratic in M.
+    """
+    for (m0, m1, dm), (r0, r1, dr) in _segments(man_curve(n, k), Fraction(1), Fraction(n)):
+        # times dr dm: (r0 + r1*theta)(e0 + e1*theta) - K dr (N dm - m0 - m1*theta)
+        e0, e1 = dm * (n - 1 - k) + k * m0, k * m1
+        c2, c1, c0 = r1 * e1, r0 * e1 + r1 * e0 + k * dr * m1, r0 * e0 - k * dr * (n * dm - m0)
+        if not quadratic_nonneg(c2, c1, c0, 0, 1):
+            return False
+    return True
+
+
+def f_below_cutset(n: int, k: int) -> bool:
+    """Whether f(M) <= cutset_bound(M) over all of [1, N].
+
+    On the piece of cut size u, f <= (uN - u^2 M)/(N-1) is, times 4M(N-1),
+    (1 - 4u^2) M^2 + 4uN M - N^2 >= 0.
+    """
+    return all(
+        quadratic_nonneg(1 - 4 * u * u, 4 * u * n, -n * n, a, b)
+        for u, a, b in _cutset_pieces(n, k, Fraction(1), Fraction(n))
+    )
+
+
+# -- ratio and gap checks -------------------------------------------------
+#
+# ``per_unit`` (a sampling density) is accepted and ignored, so that callers
+# that still pass it keep working.
+
+
+def simple_converse_ratio_max(n: int, k: int, *, per_unit: int | None = None) -> Fraction:
+    """Supremum of R(M)(M-1)/(N-M) over [1, N), certified on each segment.
+
+    The value at the open end M = N is the limit.  An irrational supremum
+    is returned as its certified rational upper bracket.  ``per_unit`` is
+    ignored.
+    """
+    return _simple_converse_sup(n, k).value
 
 
 def coded_uncoded_ratio_max(n: int, k: int) -> Fraction:
@@ -288,23 +491,14 @@ def coded_uncoded_threshold(n: int, k: int) -> Fraction:
     return Fraction(3)  # N == K >= 3
 
 
-def smooth_bound_ratio_max(n: int, k: int, per_unit: int = 1000) -> Fraction:
-    """Max of R(M)/f(M) over corners, bound breakpoints, and a grid of [2, N)."""
-    if not (n < k and n >= 3):
-        raise TradeoffError(f"needs N < K and N >= 3, got N={n}, K={k}")
-    curve = man_curve(n, k)
-    candidates = {p.m for p in curve.corners}
-    # breakpoints N/(2u±1) of the piecewise cut-set envelope
-    for u in range(1, n // 2 + 1):
-        candidates.add(Fraction(n, 2 * u + 1))
-        candidates.add(Fraction(n, 2 * u - 1))
-    candidates.update(_grid(Fraction(2), Fraction(n), per_unit))
-    best = Fraction(0)
-    for m in candidates:
-        if not 2 <= m < n:
-            continue
-        best = max(best, curve.evaluate(m) / f_bound(n, m))
-    return best
+def smooth_bound_ratio_max(n: int, k: int, *, per_unit: int | None = None) -> Fraction:
+    """Supremum of R(M)/f(M) over [2, N), certified on each segment.
+
+    The value at the open end M = N is the limit.  An irrational supremum
+    is returned as its certified rational upper bracket.  ``per_unit`` is
+    ignored.
+    """
+    return _smooth_bound_sup(n, k).value
 
 
 #: Composed multiplicative-gap constants.  They inherit the external
@@ -322,37 +516,37 @@ COMPOSED_GAP_CONSTANTS = {
 }
 
 
-def ratio_checks(n: int, k: int, per_unit: int = 1000) -> dict:
-    """Run every ratio check that applies to (N, K); exact rational maxima."""
+def ratio_checks(n: int, k: int, *, per_unit: int | None = None) -> dict:
+    """Run every ratio check that applies to (N, K).
+
+    Each entry holds the supremum over its memory range under "max", with
+    "exact" false only when that supremum is irrational and "max" is its
+    certified upper bracket.  ``per_unit`` is ignored.
+    """
     report: dict = {"n": n, "k": k, "checks": {}}
     checks = report["checks"]
 
-    m5 = simple_converse_ratio_max(n, k, per_unit)
-    checks["simple_converse"] = {"max": m5, "bound": Fraction(1), "ok": m5 <= 1}
+    def add(name: str, sup: Supremum, bound: Fraction, ok: bool) -> None:
+        checks[name] = {"max": sup.value, "exact": sup.exact, "bound": bound, "ok": ok}
+
+    s5 = _simple_converse_sup(n, k)
+    add("simple_converse", s5, Fraction(1), s5.value <= 1)
 
     # the coded/uncoded ratio bound needs N >= K >= 2 but excludes N = K = 2,
     # which is covered by the dedicated ratio2 check below
     if n >= k >= 2 and (n, k) != (2, 2):
-        m6 = coded_uncoded_ratio_max(n, k)
+        s6 = Supremum(coded_uncoded_ratio_max(n, k), True)
         bound = coded_uncoded_threshold(n, k)
-        checks["coded_uncoded"] = {"max": m6, "bound": bound, "ok": m6 <= bound}
+        add("coded_uncoded", s6, bound, s6.value <= bound)
 
     if n < k and n >= 3:
-        m8 = smooth_bound_ratio_max(n, k, per_unit)
-        checks["smooth_bound"] = {"max": m8, "bound": Fraction(8), "ok": m8 < 8}
+        s8 = _smooth_bound_sup(n, k)
+        add("smooth_bound", s8, Fraction(8), s8.value < 8)
 
     if n == k == 2:
-        # piecewise closed form: max over [1, 3/2] of (5 - 3M)/(2 - M) is 2 at M=1
-        curve = man_curve(2, 2)
-        candidates = _grid(Fraction(1), Fraction(3, 2), per_unit) + [
-            p.m for p in curve.corners
-        ]
-        best = max(
-            curve.evaluate(m) / cutset_bound(2, 2, m)
-            for m in candidates
-            if 1 <= m <= Fraction(3, 2)
-        )
-        checks["ratio2"] = {"max": best, "bound": Fraction(2), "ok": best == 2}
+        # the ratio to the cut-set bound over [1, 3/2] peaks at exactly 2
+        s2 = _cutset_ratio_sup(2, 2, Fraction(1), Fraction(3, 2))
+        add("ratio2", s2, Fraction(2), s2.exact and s2.value == 2)
 
     report["ok"] = all(c["ok"] for c in checks.values())
     report["composed_gap_constants"] = COMPOSED_GAP_CONSTANTS
@@ -362,14 +556,24 @@ def ratio_checks(n: int, k: int, per_unit: int = 1000) -> dict:
 # -- subpacketization comparison ------------------------------------------
 
 
+#: Rational lower bound on e^(1/3) * 2*pi: a partial sum of the exponential
+#: series, whose terms are all positive, times pi truncated to 8 decimals.
+STIRLING_C_LOW = (
+    sum(Fraction(1, 3**j * math.factorial(j)) for j in range(12))
+    * 2
+    * Fraction(314159265, 10**8)
+)
+
+
 def subpacketization_compare(k: int, t: int) -> dict:
     """Compare the t-subset construction with the low-subpacketization one.
 
     Requires t | k and t in [2, k-1].  Verifies the exact load identity
     R_man = (t/(t+1)) R_lsub and certifies the Stirling-based inequality
     B_man >= B_lsub * (K/t)^{3/2} (K/A)^A / (e^{1/6} sqrt(2 pi (K-t)))
-    with A = max(t, K-t), by squaring and replacing e^{1/3} * 2 pi with a
-    rational lower bound (so a reported pass is a true inequality).
+    with A = max(t, K-t), by squaring and replacing e^{1/3} * 2 pi with the
+    rational lower bound STIRLING_C_LOW (so a reported pass is a true
+    inequality).
     """
     if k % t != 0 or not 2 <= t <= k - 1:
         raise TradeoffError(f"need t | k and t in [2, k-1], got k={k}, t={t}")
@@ -379,9 +583,7 @@ def subpacketization_compare(k: int, t: int) -> dict:
     identity_ok = r_man == Fraction(t, t + 1) * r_lsub
 
     a = max(t, k - t)
-    # rational lower bound on e^(1/3) * 2*pi, floored at 1e-6 granularity
-    c_low = Fraction(math.floor(math.e ** (1 / 3) * 2 * math.pi * 10**6), 10**6)
-    lhs = Fraction(b_man) ** 2 * c_low * (k - t)
+    lhs = Fraction(b_man) ** 2 * STIRLING_C_LOW * (k - t)
     rhs = Fraction(b_lsub) ** 2 * Fraction(k, t) ** 3 * Fraction(k, a) ** (2 * a)
     stirling_ok = lhs >= rhs
 

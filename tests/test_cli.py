@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -192,7 +193,7 @@ class TestCurvesBoundsGap:
         assert report["checks"]["corner_equality"] is True
 
     def test_bounds_report_helper(self):
-        report = bounds_report(6, 4, per_unit=20)
+        report = bounds_report(6, 4)
         assert report["ok"]
 
     def test_gap_check(self, capsys):
@@ -200,6 +201,17 @@ class TestCurvesBoundsGap:
         assert code == 0
         report = last_json(out)
         assert report["checks"]["ratio2"]["ok"] is True
+        assert report["checks"]["ratio2"]["exact"] is True
+
+    def test_gap_check_irrational_supremum(self, capsys):
+        code, out, err = run_cli(capsys, "gap", "check", "--n", "20", "--k", "24")
+        assert code == 0
+        entry = last_json(out)["checks"]["smooth_bound"]
+        # an interior maximum, reported as its certified upper bracket
+        assert entry["exact"] is False and entry["ok"] is True
+        assert Fraction(entry["max"]["exact"]) >= Fraction("3.99333")
+        assert "smooth_bound: sup<=" in err
+        assert "simple_converse: sup=1 " in err
 
 
 class TestConfigFile:
@@ -216,6 +228,14 @@ class TestConfigFile:
         cfg.write_text('{"n": 4, "b": 3, "seed": 7}')
         code, out, _ = run_cli(capsys, "sim", "run", "--pda", "man:3,1",
                                "--seed", "9", "--config", str(cfg))
+        assert code == 0
+        assert last_json(out)["seed"] == 9
+
+    def test_explicit_equals_flag_wins(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"n": 4, "b": 3, "seed": 7}')
+        code, out, _ = run_cli(capsys, "sim", "run", "--pda", "man:3,1",
+                               "--seed=9", "--config", str(cfg))
         assert code == 0
         assert last_json(out)["seed"] == 9
 

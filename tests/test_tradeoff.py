@@ -5,16 +5,27 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracle import (
+    bounds_grid_ok,
+    grid,
+    simple_converse_samples,
+    smooth_bound_samples,
+)
+from splfr.cli import bounds_report
 from splfr.pda import man_pda, memory_load
 from splfr.tradeoff import (
     COMPOSED_GAP_CONSTANTS,
     SCHEMES,
+    STIRLING_C_LOW,
     CurvePoint,
+    Supremum,
     TradeoffError,
     comb0,
     cutset_bound,
     emit_curves,
+    f_below_cutset,
     f_bound,
     smooth_bound_ratio_max,
     simple_converse_ratio_max,
@@ -24,7 +35,9 @@ from splfr.tradeoff import (
     man_curve,
     man_points,
     pda_lower_bound,
+    quadratic_nonneg,
     ratio_checks,
+    ratio_sup,
     subpacketization_compare,
     scheme_curve,
     scheme_points,
@@ -94,6 +107,11 @@ class TestEnvelope:
         for n, k in [(4, 3), (2, 2), (10, 6), (3, 8)]:
             curve = man_curve(n, k)
             assert curve.corners == tuple(man_points(n, k))
+
+    def test_memories(self):
+        curve = man_curve(4, 3)
+        assert curve.memories == tuple(p.m for p in curve.corners)
+        assert curve.memories is curve.memories
 
     def test_evaluate_interpolates(self):
         curve = man_curve(2, 2)
@@ -224,6 +242,121 @@ class TestRatios:
         assert COMPOSED_GAP_CONSTANTS["N=K>=3"] == pytest.approx(6.02652)
 
 
+class TestQuadraticNonneg:
+    def test_dip_between_grid_points(self):
+        # negative only on (1.0004, 1.0006): no point of a 1/1000 grid sees it
+        a, b = F(10004, 10000), F(10006, 10000)
+        c2, c1, c0 = 1, -(a + b), a * b
+        assert all(c2 * m * m + c1 * m + c0 >= 0 for m in grid(F(1), F(2), 1000))
+        assert not quadratic_nonneg(c2, c1, c0, 1, 2)
+        assert quadratic_nonneg(c2, c1, c0, 1, a)
+        assert quadratic_nonneg(c2, c1, c0, b, 2)
+
+    def test_strict_and_tangent(self):
+        # (2x - 3)^2 touches zero at 3/2
+        assert quadratic_nonneg(4, -12, 9, 1, 2)
+        assert not quadratic_nonneg(4, -12, 9, 1, 2, strict=True)
+        assert quadratic_nonneg(4, -12, 9, 0, 1, strict=True)
+
+    def test_endpoints_and_concave(self):
+        assert not quadratic_nonneg(0, 1, -1, 0, 2)  # x - 1 at x = 0
+        assert quadratic_nonneg(-1, 0, 1, -1, 1)  # 1 - x^2, zero at both ends
+        assert not quadratic_nonneg(-1, 0, 1, -1, 1, strict=True)
+
+
+class TestRatioSup:
+    def test_rational_interior_maximum(self):
+        # theta (1 - theta) peaks at 1/4, inside
+        assert ratio_sup((-1, 1, 0), (0, 0, 1)) == Supremum(F(1, 4), True)
+
+    def test_endpoint_maximum(self):
+        assert ratio_sup((0, 1, 1), (0, 0, 2)) == Supremum(F(1), True)
+
+    def test_irrational_bracket(self):
+        # 2 theta / (2 theta^2 + 1) peaks at 1/sqrt(2), theta = 1/sqrt(2)
+        sup = ratio_sup((0, 2, 0), (2, 0, 1))
+        assert not sup.exact
+        assert sup.value**2 > F(1, 2)
+        assert (sup.value - F(1, 2**60)) ** 2 < F(1, 2)
+
+    def test_open_end_limit(self):
+        # theta (1 - theta) / (1 - theta) tends to 1 at the open end
+        assert ratio_sup((-1, 1, 0), (0, -1, 1)) == Supremum(F(1), True)
+
+    def test_unbounded_at_open_end(self):
+        with pytest.raises(TradeoffError):
+            ratio_sup((0, 0, 1), (0, -1, 1))
+
+    def test_denominator_must_be_positive(self):
+        with pytest.raises(TradeoffError):
+            ratio_sup((0, 0, 1), (0, -2, 1))
+
+
+class TestExactChecks:
+    def test_smooth_bound_worst_case(self):
+        # the worst criterion-7(c) pair, attained at M = 2
+        assert smooth_bound_ratio_max(12, 40) == F(874, 175)
+        curve = man_curve(12, 40)
+        assert curve.evaluate(2) / f_bound(12, 2) == F(874, 175)
+
+    def test_simple_converse_is_one(self):
+        # a limit as M -> N, where R = (N - M)/(N - 1)
+        for n, k in ((30, 10), (20, 20), (10, 30)):
+            assert simple_converse_ratio_max(n, k) == 1
+            assert ratio_checks(n, k)["checks"]["simple_converse"]["exact"]
+
+    def test_interior_supremum_exceeds_grid(self):
+        report = ratio_checks(20, 24)
+        entry = report["checks"]["smooth_bound"]
+        assert entry["exact"] is False and entry["ok"]
+        assert F(399333, 100000) <= entry["max"] < F(399334, 100000)
+        assert entry["max"] > max(smooth_bound_samples(20, 24, 25).values())
+
+    def test_per_unit_is_ignored(self):
+        assert smooth_bound_ratio_max(5, 9, per_unit=3) == smooth_bound_ratio_max(5, 9)
+        assert ratio_checks(2, 2, per_unit=3) == ratio_checks(2, 2)
+
+    def test_ratio2_exact(self):
+        entry = ratio_checks(2, 2)["checks"]["ratio2"]
+        assert entry["max"] == 2 and entry["exact"] and entry["ok"]
+
+    def test_f_below_cutset_needs_enough_users(self):
+        # with K < N/2 the cut sizes are truncated and f exceeds the bound at M = 1
+        assert f_bound(10, 1) > cutset_bound(10, 2, 1)
+        assert not f_below_cutset(10, 2)
+        assert f_below_cutset(10, 5)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 25), st.integers(1, 30))
+    def test_simple_converse_against_grid(self, n, k):
+        samples = simple_converse_samples(n, k, 6)
+        sup = ratio_checks(n, k)["checks"]["simple_converse"]
+        assert all(v <= sup["max"] for v in samples.values())
+        corners = {samples[p.m] for p in man_curve(n, k).corners if p.m < n}
+        if sup["max"] in corners:
+            assert max(samples.values()) == sup["max"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(3, 20).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, 40))))
+    def test_smooth_bound_against_grid(self, nk):
+        n, k = nk
+        samples = smooth_bound_samples(n, k, 6)
+        sup = ratio_checks(n, k)["checks"]["smooth_bound"]
+        assert all(v <= sup["max"] for v in samples.values())
+        corners = {samples[m] for m in {F(2)} | set(man_curve(n, k).memories) if 2 <= m < n}
+        if sup["max"] in corners:
+            assert max(samples.values()) == sup["max"]
+        if not sup["exact"]:
+            assert sup["max"] > max(samples.values())
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 20), st.integers(1, 24))
+    def test_bounds_against_grid(self, n, k):
+        # every certified check holds, so every sampled one must too
+        assert bounds_report(n, k)["ok"]
+        assert bounds_grid_ok(n, k, 4)
+
+
 class TestSubpacketization:
     def test_k4_t2(self):
         out = subpacketization_compare(4, 2)
@@ -248,9 +381,23 @@ class TestSubpacketization:
             subpacketization_compare(4, 1)
 
     def test_stirling_constant_is_lower_bound(self):
-        # the floored rational must sit below e^(1/3) * 2 pi
-        c = Fraction(math.floor(math.e ** (1 / 3) * 2 * math.pi * 10**6), 10**6)
-        assert float(c) <= math.e ** (1 / 3) * 2 * math.pi
+        # the rational must sit below e^(1/3) * 2 pi
+        assert float(STIRLING_C_LOW) <= math.e ** (1 / 3) * 2 * math.pi
+        assert STIRLING_C_LOW < 2 * Fraction(314159266, 10**8) * F(1395612426, 10**9)
+
+    def test_stirling_constant_against_float_floor(self):
+        # e^(1/3) * 2 pi in floats, floored at 1e-6: not a proven bound
+        old = Fraction(math.floor(math.e ** (1 / 3) * 2 * math.pi * 10**6), 10**6)
+        assert old <= STIRLING_C_LOW < old + F(1, 10**6)
+        for k in range(3, 31):
+            for t in range(2, k):
+                if k % t == 0:
+                    # the verdict with the old constant, recomputed here
+                    out = subpacketization_compare(k, t)
+                    a = max(t, k - t)
+                    lhs = F(out["b_man"]) ** 2 * old * (k - t)
+                    rhs = F(out["b_lsub"]) ** 2 * F(k, t) ** 3 * F(k, a) ** (2 * a)
+                    assert out["stirling_ok"] == (lhs >= rhs)
 
 
 class TestEmit:
