@@ -1,7 +1,7 @@
 """Exact information-theoretic verification on small instances.
 
-Enumerates the full joint distribution of (library, randomness, demands)
-with uniform independent components and checks, by exact integer counting:
+Three claims are decided over the joint distribution of (library,
+randomness, demands) with uniform independent components:
 
 - correctness: every user's decoder output equals the demanded linear
   combination for every atom;
@@ -9,19 +9,50 @@ with uniform independent components and checks, by exact integer counting:
 - privacy: the demands of users outside a colluding subset are independent
   of everything the subset observes, conditioned on the files.
 
-Independence is certified through factorization identities
+Certificates come first.  Fix the files W.  The signal, every cache and
+every decoded output are then affine in the randomness r = (V, p) and the
+demands d: this is the premise, and the linear placement, delivery and
+decoding of the scheme satisfy it.  For each W, ``file_models`` runs the
+real ``place``/``deliver``/``decode`` at an affine basis of (r, d), about
+1 + S*L + K*N points, and reads off the linear part A_W and the demand
+differences C_W * delta of every observation.  Given (W, d), an
+observation is uniform on the coset offset + Im(A_W), so each claim is a
+rank test over GF(q):
+
+- security: the coset of the signal is the same for every (W, d);
+- privacy: rank([A_W | C_W * delta]) == rank(A_W) for every difference
+  delta of the other users' demands (e_a - e_b for unit demand spaces);
+- correctness: decoded minus ``Library.combine`` is zero at every basis
+  point.
+
+Under the premise each test holds iff the claim does, so a passing
+certificate reports the full atom count with no enumeration.  When a
+certificate fails, the enumeration runs: it visits every atom and decides
+independence through the factorization identities
 count(a, b) * total == count(a) * count(b), which hold for every pair iff
-the mutual information is exactly zero.  No logarithms or floating point
-are involved, so a pass is a proof for the enumerated instance.
+the mutual information is exactly zero.  It is the reference oracle and
+the only source of the exact violation count and the first witness.  No
+logarithms or floating point are involved, so a pass is a proof for the
+instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import chain, combinations, product
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .engine import Library, Mode, Randomness, decode, deliver, place
+from .engine import (
+    Library,
+    Mode,
+    Randomness,
+    SchemeState,
+    UserCache,
+    Vector,
+    decode,
+    deliver,
+    place,
+)
 from .field import FieldContext
 from .pda import PDA
 
@@ -100,6 +131,7 @@ class AuditReport:
     atoms: int
     violations: int
     counterexample: Optional[dict] = None
+    method: str = "enumeration"  # or "certificate": decided by rank tests
 
     def to_dict(self) -> dict:
         return {
@@ -107,6 +139,7 @@ class AuditReport:
             "atoms": self.atoms,
             "violations": self.violations,
             "counterexample": self.counterexample,
+            "method": self.method,
         }
 
 
@@ -167,7 +200,7 @@ def _atom_dict(library: Library, randomness: Randomness, demands) -> dict:
     }
 
 
-def audit_correctness(cfg: AuditConfig) -> AuditReport:
+def enumerate_correctness(cfg: AuditConfig) -> AuditReport:
     """Check decoder determinism and exactness for every atom and user."""
     cfg.check_budget()
     demand_tuples = _demand_tuples(cfg)
@@ -188,7 +221,7 @@ def audit_correctness(cfg: AuditConfig) -> AuditReport:
     return AuditReport(True, atoms, 0)
 
 
-def audit_security(cfg: AuditConfig) -> AuditReport:
+def enumerate_security(cfg: AuditConfig) -> AuditReport:
     """Certify that the signal is independent of files and demands."""
     cfg.check_budget()
     demand_tuples = _demand_tuples(cfg)
@@ -213,7 +246,7 @@ def audit_security(cfg: AuditConfig) -> AuditReport:
     return AuditReport(violations == 0, dist.total, violations, counterexample)
 
 
-def audit_privacy(cfg: AuditConfig, subset: Sequence[int]) -> AuditReport:
+def enumerate_privacy(cfg: AuditConfig, subset: Sequence[int]) -> AuditReport:
     """Check colluding-subset privacy, conditioned on the file realization.
 
     ``subset`` lists the colluding users (1-based, nonempty).  For every
@@ -221,10 +254,7 @@ def audit_privacy(cfg: AuditConfig, subset: Sequence[int]) -> AuditReport:
     independent of (signal, colluders' demands, colluders' caches).
     """
     cfg.check_budget()
-    subset = sorted(set(subset))
-    if not subset or any(not 1 <= u <= cfg.pda.k for u in subset):
-        raise AuditError(f"subset must be a nonempty subset of [1, {cfg.pda.k}]")
-    colluders = [u - 1 for u in subset]
+    colluders = [u - 1 for u in _subset(cfg, subset)]
     others = [k for k in range(cfg.pda.k) if k not in colluders]
 
     demand_tuples = _demand_tuples(cfg)
@@ -260,14 +290,253 @@ def audit_privacy(cfg: AuditConfig, subset: Sequence[int]) -> AuditReport:
     return AuditReport(violations == 0, atoms, violations, counterexample)
 
 
+# -- certificates ---------------------------------------------------------
+
+
+class Point(NamedTuple):
+    """What the engine outputs at one point (r, d), for fixed files."""
+
+    signal: Vector  # coefficient vectors, then multicast blocks
+    caches: tuple[Vector, ...]  # per user: uncoded packets, then coded records
+    errors: tuple[Vector, ...]  # per user: decoded minus demanded; () if not decoded
+
+
+@dataclass(frozen=True)
+class FileModel:
+    """The engine at one file realization, probed at an affine basis of (r, d).
+
+    ``base`` is the point r = 0, d = d0.  ``keys[i]`` moves r to its i-th
+    unit vector.  ``demands`` holds (user, point) pairs, each moving one
+    user's demand away from d0 (see ``_demand_moves``).
+    """
+
+    base: Point
+    keys: tuple[Point, ...]
+    demands: tuple[tuple[int, Point], ...]
+
+    @property
+    def points(self) -> Iterator[Point]:
+        return chain((self.base,), self.keys, (p for _, p in self.demands))
+
+
+def _flat(vectors: Iterable[Sequence[int]]) -> Vector:
+    return tuple(chain.from_iterable(vectors))
+
+
+def _cache_vector(cache: UserCache) -> Vector:
+    uncoded = (pkt for _, pkts in sorted(cache.uncoded.items()) for pkt in pkts)
+    coded = (v for _, v in sorted(cache.coded.items()))
+    return _flat(chain(uncoded, coded))
+
+
+def _sub(ctx: FieldContext, u: Vector, w: Vector) -> Vector:
+    return tuple(map(ctx.sub, u, w))
+
+
+def _key_basis(cfg: AuditConfig) -> list[Randomness]:
+    """Randomness at each unit vector of r: every symbol of V, then of p."""
+    zero = Randomness.zeros(cfg.pda, cfg.n, cfg.b)
+
+    def units(vectors: tuple[Vector, ...]) -> Iterator[tuple[Vector, ...]]:
+        for j, vec in enumerate(vectors):
+            for i in range(len(vec)):
+                one = vec[:i] + (1,) + vec[i + 1 :]
+                yield vectors[:j] + (one,) + vectors[j + 1 :]
+
+    v, p = zero.security_keys, zero.privacy_vectors
+    return [Randomness(u, p) for u in units(v)] + [Randomness(v, u) for u in units(p)]
+
+
+def _demand_moves(cfg: AuditConfig) -> tuple[tuple, list[tuple[int, tuple]]]:
+    """A base demand tuple d0 and the single-user moves away from it.
+
+    Every point is a demand tuple of the demand space, and their affine
+    hull contains all of it: for ``all``, d0 = 0 and each user moves to
+    each unit vector; for ``units``, d0 puts every user on file 1 and each
+    user moves to each other file, so the differences are e_a - e_1.
+    """
+    k, n = cfg.pda.k, cfg.n
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    if cfg.demand_space == "units":
+        start, targets = units[0], units[1:]
+    else:
+        start, targets = (0,) * n, units
+    base = (start,) * k
+    return base, [(j, base[:j] + (t,) + base[j + 1 :]) for j in range(k) for t in targets]
+
+
+def _point(state: SchemeState, demands: tuple, decoded: bool) -> Point:
+    payload = deliver(state, demands)
+    errors: tuple[Vector, ...] = ()
+    if decoded:
+        ctx, lib = state.library.ctx, state.library
+        errors = tuple(
+            _sub(ctx, decode(state.user_view(k), payload, d), lib.combine(d))
+            for k, d in enumerate(demands)
+        )
+    return Point(
+        signal=_flat(chain(payload.coeff_vectors, payload.blocks)),
+        caches=tuple(map(_cache_vector, state.caches)),
+        errors=errors,
+    )
+
+
+def file_models(cfg: AuditConfig, decoded: bool = False) -> Iterator[FileModel]:
+    """Probe the engine once per file realization: 1 + S*L + K*N placements.
+
+    ``decoded`` also runs every user's decoder at every point, for the
+    correctness certificate.
+    """
+    key_basis = _key_basis(cfg)
+    base_demands, moves = _demand_moves(cfg)
+    zero = Randomness.zeros(cfg.pda, cfg.n, cfg.b)
+    for library in _libraries(cfg):
+        state = place(cfg.pda, library, zero, cfg.mode)
+        yield FileModel(
+            base=_point(state, base_demands, decoded),
+            keys=tuple(
+                _point(place(cfg.pda, library, r, cfg.mode), base_demands, decoded)
+                for r in key_basis
+            ),
+            demands=tuple((j, _point(state, d, decoded)) for j, d in moves),
+        )
+
+
+def correctness_certificate(models: Iterable[FileModel]) -> bool:
+    """Every decoder is exact at every basis point of every file realization."""
+    return not any(any(map(any, p.errors)) for m in models for p in m.points)
+
+
+def security_certificate(cfg: AuditConfig, models: Iterable[FileModel]) -> bool:
+    """The signal's coset, offset + Im(A_W), is the same for every (W, d)."""
+    ctx = cfg.ctx
+    image = origin = None
+    for model in models:
+        base = model.base.signal
+        span = ctx.echelon(_sub(ctx, p.signal, base) for p in model.keys)
+        if image is None:
+            image, origin = span, base
+        elif span != image:
+            return False
+        # the base and every demand move stay in the first coset; with the
+        # moves spanning the demand differences, so does every (W, d)
+        if any(any(ctx.reduce(image, _sub(ctx, p.signal, origin))) for p in model.points):
+            return False
+    return True
+
+
+def privacy_certificate(
+    cfg: AuditConfig, models: Iterable[FileModel], subset: Sequence[int]
+) -> bool:
+    """Moving another user's demand shifts the colluders' view within Im(A_W).
+
+    The view is the signal and the colluders' caches.  Their own demands
+    are part of what they observe too, but are left out: no key or other
+    user's demand moves them, so they split the view into disjoint
+    cosets without changing the test.
+    """
+    ctx = cfg.ctx
+    colluders = [u - 1 for u in subset]
+
+    def view(p: Point) -> Vector:
+        return p.signal + _flat(p.caches[k] for k in colluders)
+
+    for model in models:
+        base = view(model.base)
+        image = ctx.echelon(_sub(ctx, view(p), base) for p in model.keys)
+        for j, p in model.demands:
+            if j not in colluders and any(ctx.reduce(image, _sub(ctx, view(p), base))):
+                return False
+    return True
+
+
+def _subset(cfg: AuditConfig, subset: Sequence[int]) -> list[int]:
+    subset = sorted(set(subset))
+    if not subset or any(not 1 <= u <= cfg.pda.k for u in subset):
+        raise AuditError(f"subset must be a nonempty subset of [1, {cfg.pda.k}]")
+    return subset
+
+
+def _certified(cfg: AuditConfig) -> AuditReport:
+    return AuditReport(True, cfg.atom_count, 0, method="certificate")
+
+
+def audit_correctness(cfg: AuditConfig) -> AuditReport:
+    """Decoder exactness: certificate first, enumeration when it fails."""
+    cfg.check_budget()
+    if correctness_certificate(file_models(cfg, decoded=True)):
+        return _certified(cfg)
+    return enumerate_correctness(cfg)
+
+
+def audit_security(cfg: AuditConfig) -> AuditReport:
+    """Signal independence: certificate first, enumeration when it fails."""
+    cfg.check_budget()
+    if security_certificate(cfg, file_models(cfg)):
+        return _certified(cfg)
+    return enumerate_security(cfg)
+
+
+def audit_privacy(
+    cfg: AuditConfig, subset: Optional[Sequence[int]] = None
+) -> AuditReport:
+    """Colluding-subset privacy: certificate first, enumeration when it fails.
+
+    ``subset`` lists the colluding users (1-based, nonempty).  Without
+    one, every nonempty subset is audited on one set of file models; the
+    report sums the atoms and violations, and its counterexample (the
+    first subset's that has one) names the subset.
+    """
+    cfg.check_budget()
+    users = range(1, cfg.pda.k + 1)
+    if subset is None:
+        subsets = list(chain.from_iterable(combinations(users, r) for r in users))
+    else:
+        subsets = [_subset(cfg, subset)]
+    models = list(file_models(cfg))
+    reports = [
+        _certified(cfg)
+        if privacy_certificate(cfg, models, sub)
+        else enumerate_privacy(cfg, sub)
+        for sub in subsets
+    ]
+    if subset is not None:
+        return reports[0]
+    counterexample = next(
+        (
+            dict(r.counterexample, subset=list(sub))
+            for sub, r in zip(subsets, reports)
+            if r.counterexample
+        ),
+        None,
+    )
+    certified = all(r.method == "certificate" for r in reports)
+    return AuditReport(
+        verdict=all(r.verdict for r in reports),
+        atoms=sum(r.atoms for r in reports),
+        violations=sum(r.violations for r in reports),
+        counterexample=counterexample,
+        method="certificate" if certified else "enumeration",
+    )
+
+
 __all__ = [
     "AuditConfig",
     "AuditError",
     "AuditReport",
     "BudgetExceeded",
     "ExactDistribution",
+    "FileModel",
+    "Point",
     "audit_correctness",
     "audit_privacy",
     "audit_security",
+    "correctness_certificate",
+    "enumerate_correctness",
+    "enumerate_privacy",
+    "enumerate_security",
     "factorization_violations",
+    "file_models",
+    "privacy_certificate",
+    "security_certificate",
 ]

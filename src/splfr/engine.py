@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .field import FieldContext
+from .field import FieldContext, FieldError
 from .pda import PDA, STAR
 
 
@@ -71,6 +71,7 @@ class Library:
         b = len(self.files[0])
         if any(len(f) != b for f in self.files):
             raise EngineError("all files must have the same length")
+        _check_symbols(self.ctx, self.files)
 
     @property
     def n_files(self) -> int:
@@ -88,6 +89,12 @@ class Library:
         """The demanded linear combination sum_n demand[n] * W_n, full length."""
         check_demand(self.ctx, demand, self.n_files)
         return self.ctx.lincomb(demand, self.files)
+
+
+def _check_symbols(ctx: FieldContext, vectors: Sequence[Vector]) -> None:
+    """Reject vectors holding a value outside the field."""
+    if any(v and (min(v) < 0 or max(v) >= ctx.q) for v in vectors):
+        raise FieldError(f"symbols outside [0, {ctx.q})")
 
 
 def check_demand(ctx: FieldContext, demand: Vector, n: int) -> None:
@@ -149,7 +156,8 @@ class Randomness:
             p = tuple(tuple(0 for _ in vec) for vec in p)
         return Randomness(v, p)
 
-    def check_shapes(self, pda: PDA, n: int, b: int) -> None:
+    def check_shapes(self, pda: PDA, n: int, b: int, ctx: FieldContext) -> None:
+        """Reject keys of the wrong count or length, or outside the field."""
         block = b // pda.f
         if len(self.security_keys) != pda.s or any(
             len(v) != block for v in self.security_keys
@@ -159,6 +167,7 @@ class Randomness:
             len(p) != n for p in self.privacy_vectors
         ):
             raise EngineError(f"expected {pda.k} privacy vectors of length {n}")
+        _check_symbols(ctx, (*self.security_keys, *self.privacy_vectors))
 
 
 @dataclass(frozen=True)
@@ -244,7 +253,7 @@ def place(pda: PDA, library: Library, randomness: Randomness, mode: Mode) -> Sch
     b, n = library.b, library.n_files
     if b % pda.f != 0:
         raise NonDivisibleB(f"F={pda.f} does not divide B={b}")
-    randomness.check_shapes(pda, n, b)
+    randomness.check_shapes(pda, n, b, ctx)
     effective = randomness.masked(mode)
 
     rows = packet_rows(library, pda.f)

@@ -5,24 +5,19 @@ GF(2^m) for 1 <= m <= 8.  Extension-field multiplication uses log/antilog
 tables built from a multiplicative generator.  All arithmetic is exact,
 over plain unsigned integers; no floating point is used anywhere.
 
-Elements are represented either as bare ints (via the FieldContext methods,
-used in inner loops) or as FieldElement wrappers that carry their context
-and overload the arithmetic operators.
+Elements are bare ints; a FieldContext supplies the arithmetic, the
+linear-combination kernel ``lincomb`` and Gaussian elimination
+(``echelon``, ``reduce``), on which the exact audits rest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Sequence
 
 
 class FieldError(ValueError):
     """Invalid field construction or an operation outside the field."""
-
-
-class ContextMismatchError(FieldError):
-    """Operands belong to different field contexts."""
 
 
 #: Default irreducible polynomials for GF(2^m), as bitmasks including the
@@ -53,6 +48,11 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _pivot(row: Sequence[int]) -> int | None:
+    """Index of the first nonzero entry, or None for a zero row."""
+    return next((i for i, x in enumerate(row) if x), None)
 
 
 def _poly_degree(p: int) -> int:
@@ -98,6 +98,22 @@ class FieldContext:
     """
 
     def __init__(self, q: int, *, kind: str, m: int = 0, poly: int = 0):
+        if kind == "prime":
+            if q > MAX_PRIME:
+                raise FieldError(f"prime field order {q} exceeds {MAX_PRIME}")
+            if not _is_prime(q):
+                raise FieldError(f"{q} is not prime")
+            if m or poly:
+                raise FieldError("a prime field takes no degree or polynomial")
+        elif kind == "binary":
+            if not 1 <= m <= MAX_BINARY_DEGREE:
+                raise FieldError(f"extension degree {m} out of range [1, {MAX_BINARY_DEGREE}]")
+            if q != 1 << m:
+                raise FieldError(f"GF(2^{m}) has order {1 << m}, not {q}")
+            if not _is_irreducible(poly, m):
+                raise FieldError(f"polynomial {poly:#x} is not irreducible of degree {m}")
+        else:
+            raise FieldError(f"unknown field kind {kind!r}")
         self.q = q
         self.kind = kind  # "prime" or "binary"
         self.m = m
@@ -110,10 +126,6 @@ class FieldContext:
 
     @classmethod
     def prime(cls, p: int) -> "FieldContext":
-        if p > MAX_PRIME:
-            raise FieldError(f"prime field order {p} exceeds {MAX_PRIME}")
-        if not _is_prime(p):
-            raise FieldError(f"{p} is not prime")
         return cls(p, kind="prime")
 
     @classmethod
@@ -122,8 +134,6 @@ class FieldContext:
             raise FieldError(f"extension degree {m} out of range [1, {MAX_BINARY_DEGREE}]")
         if poly is None:
             poly = DEFAULT_POLYS[m]
-        if not _is_irreducible(poly, m):
-            raise FieldError(f"polynomial {poly:#x} is not irreducible of degree {m}")
         return cls(1 << m, kind="binary", m=m, poly=poly)
 
     @classmethod
@@ -263,6 +273,45 @@ class FieldContext:
                 acc ^= int.from_bytes(bytes(v).translate(rows[c]), "big")
         return tuple(acc.to_bytes(lengths.pop(), "big"))
 
+    # -- Gaussian elimination --------------------------------------------
+
+    def echelon(self, rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+        """The reduced row echelon basis of the span of ``rows``.
+
+        Rows are ordered by pivot column; each pivot is 1 and the only
+        nonzero entry of its column.  The basis is canonical: two row sets
+        span the same subspace iff their bases are equal, and the rank is
+        the length of the basis.
+        """
+        basis: list[tuple[int, ...]] = []
+        for row in rows:
+            row = self.reduce(basis, row)
+            pivot = _pivot(row)
+            if pivot is None:
+                continue
+            row = self.vec_scale(self.inv(row[pivot]), row)
+            # clear the new pivot column from the rows already kept
+            basis = [
+                self.lincomb((1, self.neg(b[pivot])), (b, row)) if b[pivot] else b
+                for b in basis
+            ]
+            basis.append(row)
+        return tuple(sorted(basis, key=_pivot))
+
+    def reduce(
+        self, basis: Sequence[Sequence[int]], v: Sequence[int]
+    ) -> tuple[int, ...]:
+        """The residue of ``v`` against a reduced echelon ``basis``.
+
+        It is zero iff ``v`` lies in the span of the basis.
+        """
+        v = tuple(v)
+        for b in basis:
+            c = v[_pivot(b)]
+            if c:
+                v = self.lincomb((1, self.neg(c)), (v, b))
+        return v
+
     def random_element(self, rng) -> int:
         return rng.randrange(self.q)
 
@@ -281,53 +330,3 @@ class FieldContext:
 
     def __repr__(self) -> str:
         return f"FieldContext({self.spec})"
-
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(self.check(value), self)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single element of GF(q), carrying its field context."""
-
-    value: int
-    ctx: FieldContext
-
-    def _coerce(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.ctx != self.ctx:
-            raise ContextMismatchError(f"{self.ctx} vs {other.ctx}")
-        return other.value
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.ctx.add(self.value, self._coerce(other)), self.ctx)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.ctx.sub(self.value, self._coerce(other)), self.ctx)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.ctx.mul(self.value, self._coerce(other)), self.ctx)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.ctx.neg(self.value), self.ctx)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx.inv(self.value), self.ctx)
-
-    def __repr__(self) -> str:
-        return f"{self.value}@GF({self.ctx.q})"
-
-
-def dot(u: Iterable[FieldElement], w: Iterable[FieldElement]) -> FieldElement:
-    """Inner product of two equal-length FieldElement vectors."""
-    u, w = list(u), list(w)
-    if not u or not w:
-        raise FieldError("dot of empty vectors")
-    ctx = u[0].ctx
-    for e in u + w:
-        if e.ctx != ctx:
-            raise ContextMismatchError("mixed contexts in dot")
-    if len(u) != len(w):
-        raise FieldError(f"length mismatch: {len(u)} vs {len(w)}")
-    return FieldElement(ctx.dot([e.value for e in u], [e.value for e in w]), ctx)

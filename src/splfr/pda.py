@@ -173,27 +173,6 @@ def man_pda(k: int, t: int) -> PDA:
     return validate(grid)
 
 
-def canonical_relabel(pda: PDA) -> PDA:
-    """Relabel ordinary symbols by first occurrence in row-major order.
-
-    Two PDAs that differ only in the choice of the symbol-indexing bijection
-    compare equal after relabeling.
-    """
-    mapping: dict[int, int] = {}
-    grid = []
-    for row in pda.entries:
-        new_row: list[Entry] = []
-        for e in row:
-            if e is STAR:
-                new_row.append(STAR)
-            else:
-                if e not in mapping:
-                    mapping[e] = len(mapping) + 1
-                new_row.append(mapping[e])
-        grid.append(new_row)
-    return PDA(k=pda.k, f=pda.f, z=pda.z, s=pda.s, entries=_as_grid(grid))
-
-
 def memory_load(pda: PDA, n: int) -> tuple[Fraction, Fraction]:
     """Exact memory-load pair (M, R) = (1 + Z(N-1)/F, S/F) for N files."""
     if n < 2:

@@ -80,10 +80,6 @@ class TradeoffCurve:
         theta = (m - left.m) / (right.m - left.m)
         return left.r + theta * (right.r - left.r)
 
-    def restrict_corners(self, m_lo, m_hi) -> tuple[CurvePoint, ...]:
-        lo, hi = _frac(m_lo), _frac(m_hi)
-        return tuple(p for p in self.corners if lo <= p.m <= hi)
-
 
 def lower_convex_envelope(points: Iterable[CurvePoint]) -> TradeoffCurve:
     """Lower hull of a point set in the (memory, load) plane.

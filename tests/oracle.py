@@ -2,14 +2,117 @@
 
 The engine oracles use only the per-symbol field helpers (``vec_add``,
 ``vec_scale``), never the ``FieldContext.lincomb`` kernel the engine is
-built on, so they stay independent of the code under test.
+built on, so they stay independent of the code under test.  Helpers that
+only the tests use (``FieldElement``, ``canonical_relabel``,
+``restrict_corners``) live here too.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from splfr.engine import Library, Vector, split
-from splfr.pda import PDA
-from splfr.tradeoff import cutset_bound, f_bound, man_curve, pda_lower_bound
+from splfr.field import FieldContext, FieldError
+from splfr.pda import PDA, STAR, validate
+from splfr.tradeoff import (
+    CurvePoint,
+    TradeoffCurve,
+    cutset_bound,
+    f_bound,
+    man_curve,
+    pda_lower_bound,
+)
+
+
+# -- field elements with operators ---------------------------------------
+
+
+class ContextMismatchError(FieldError):
+    """Operands belong to different field contexts."""
+
+
+@dataclass(frozen=True)
+class FieldElement:
+    """A single element of GF(q), carrying its field context."""
+
+    value: int
+    ctx: FieldContext
+
+    @classmethod
+    def of(cls, ctx: FieldContext, value: int) -> "FieldElement":
+        return cls(ctx.check(value), ctx)
+
+    def _coerce(self, other: "FieldElement") -> int:
+        if not isinstance(other, FieldElement):
+            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
+        if other.ctx != self.ctx:
+            raise ContextMismatchError(f"{self.ctx} vs {other.ctx}")
+        return other.value
+
+    def __add__(self, other: "FieldElement") -> "FieldElement":
+        return FieldElement(self.ctx.add(self.value, self._coerce(other)), self.ctx)
+
+    def __sub__(self, other: "FieldElement") -> "FieldElement":
+        return FieldElement(self.ctx.sub(self.value, self._coerce(other)), self.ctx)
+
+    def __mul__(self, other: "FieldElement") -> "FieldElement":
+        return FieldElement(self.ctx.mul(self.value, self._coerce(other)), self.ctx)
+
+    def __neg__(self) -> "FieldElement":
+        return FieldElement(self.ctx.neg(self.value), self.ctx)
+
+    def inverse(self) -> "FieldElement":
+        return FieldElement(self.ctx.inv(self.value), self.ctx)
+
+    def __repr__(self) -> str:
+        return f"{self.value}@GF({self.ctx.q})"
+
+
+def dot(u: Iterable[FieldElement], w: Iterable[FieldElement]) -> FieldElement:
+    """Inner product of two equal-length FieldElement vectors."""
+    u, w = list(u), list(w)
+    if not u or not w:
+        raise FieldError("dot of empty vectors")
+    ctx = u[0].ctx
+    for e in u + w:
+        if e.ctx != ctx:
+            raise ContextMismatchError("mixed contexts in dot")
+    if len(u) != len(w):
+        raise FieldError(f"length mismatch: {len(u)} vs {len(w)}")
+    return FieldElement(ctx.dot([e.value for e in u], [e.value for e in w]), ctx)
+
+
+# -- arrays and curves ------------------------------------------------------
+
+
+def canonical_relabel(pda: PDA) -> PDA:
+    """Relabel ordinary symbols by first occurrence in row-major order.
+
+    Two PDAs that differ only in the choice of the symbol-indexing bijection
+    compare equal after relabeling.
+    """
+    mapping: dict[int, int] = {}
+    grid = []
+    for row in pda.entries:
+        new_row = []
+        for e in row:
+            if e is STAR:
+                new_row.append(STAR)
+            else:
+                if e not in mapping:
+                    mapping[e] = len(mapping) + 1
+                new_row.append(mapping[e])
+        grid.append(new_row)
+    return validate(grid)
+
+
+def restrict_corners(curve: TradeoffCurve, m_lo, m_hi) -> tuple[CurvePoint, ...]:
+    """The corners of ``curve`` with memory in [m_lo, m_hi]."""
+    lo, hi = Fraction(m_lo), Fraction(m_hi)
+    return tuple(p for p in curve.corners if lo <= p.m <= hi)
+
+
+# -- engine -------------------------------------------------------------------
 
 
 def privacy_key(library: Library, pda: PDA, p_j: Vector, i: int) -> Vector:

@@ -42,7 +42,7 @@ from splfr.tradeoff import (
     scheme_curve,
 )
 
-from oracle import privacy_key
+from oracle import privacy_key, restrict_corners
 
 GF2 = FieldContext.prime(2)
 
@@ -234,18 +234,18 @@ def test_07_ratio_suite(capsys):
 
 def test_08_curve_coincidences(capsys):
     n, k = 30, 10
-    base = scheme_curve("splfr", n, k).restrict_corners(1, n)
+    base = restrict_corners(scheme_curve("splfr", n, k), 1, n)
     same_high_n = all(
-        scheme_curve(scheme, n, k).restrict_corners(1, n) == base
+        restrict_corners(scheme_curve(scheme, n, k), 1, n) == base
         for scheme in ("seckey", "privkey-plfr", "privkey-pfr")
     )
 
     n, k = 10, 30
     threshold = 1 + Fraction((k - n + 1) * (n - 1), k)
     ok_threshold = threshold == Fraction(73, 10)
-    lo = scheme_curve("splfr", n, k).restrict_corners(threshold, n)
-    same_low_n = scheme_curve("privkey-plfr", n, k).restrict_corners(
-        threshold, n
+    lo = restrict_corners(scheme_curve("splfr", n, k), threshold, n)
+    same_low_n = restrict_corners(
+        scheme_curve("privkey-plfr", n, k), threshold, n
     ) == lo and len(lo) > 0
     ok = same_high_n and ok_threshold and same_low_n
     verdict(capsys, 8, "curve coincidences", ok,

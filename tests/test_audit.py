@@ -1,7 +1,10 @@
-"""Tests for the exact enumeration audits."""
+"""Tests for the exact audits: rank certificates and the enumeration oracle."""
+
+from itertools import combinations
 
 import pytest
 
+import splfr.audit
 from splfr.audit import (
     AuditConfig,
     AuditError,
@@ -10,7 +13,14 @@ from splfr.audit import (
     audit_correctness,
     audit_privacy,
     audit_security,
+    correctness_certificate,
+    enumerate_correctness,
+    enumerate_privacy,
+    enumerate_security,
     factorization_violations,
+    file_models,
+    privacy_certificate,
+    security_certificate,
 )
 from splfr.engine import DeliveryPayload, Mode, deliver, place
 from splfr.field import FieldContext
@@ -192,3 +202,122 @@ class TestPrivacy:
         report = audit_privacy(small(demand_space="units"), [2])
         assert report.verdict
         assert report.atoms == 2048
+
+    def test_every_subset_at_once(self):
+        report = audit_privacy(SMALL)
+        assert report.verdict and report.method == "certificate"
+        assert report.atoms == 3 * 8192 and report.violations == 0
+
+    def test_every_subset_counterexample_names_subset(self):
+        report = audit_privacy(small(mode=Mode.SLFR))
+        assert not report.verdict and report.method == "enumeration"
+        assert report.atoms == 3 * 8192
+        assert report.counterexample["subset"] == [1]
+        # the failing subsets are counted exactly, as when audited one by one
+        one_by_one = [audit_privacy(small(mode=Mode.SLFR), [u]) for u in (1, 2)]
+        assert report.violations == sum(r.violations for r in one_by_one)
+
+
+class TestReports:
+    def test_passing_audits_are_certified(self):
+        for report in (
+            audit_correctness(SMALL),
+            audit_security(SMALL),
+            audit_privacy(SMALL, [1]),
+        ):
+            assert report.to_dict() == {
+                "verdict": "pass",
+                "atoms": 8192,
+                "violations": 0,
+                "counterexample": None,
+                "method": "certificate",
+            }
+
+    def test_failures_are_counted_by_enumeration(self):
+        # the exact counts and witnesses of the enumeration, unchanged
+        lfr = audit_security(small(mode=Mode.LFR))
+        assert (lfr.verdict, lfr.atoms, lfr.violations, lfr.method) == (
+            False, 8192, 7936, "enumeration"
+        )
+        assert lfr == enumerate_security(small(mode=Mode.LFR))
+        slfr = audit_privacy(small(mode=Mode.SLFR), [1])
+        assert (slfr.verdict, slfr.atoms, slfr.violations) == (False, 8192, 2048)
+        assert slfr == enumerate_privacy(small(mode=Mode.SLFR), [1])
+        assert slfr.counterexample is not None
+
+    def test_certificate_probes_an_affine_basis(self, monkeypatch):
+        # 1 + S*L + K*N = 6 placements per file realization, not one per
+        # (files, randomness) pair
+        calls = []
+        place_ = splfr.audit.place
+
+        def counted(*args):
+            calls.append(1)
+            return place_(*args)
+
+        monkeypatch.setattr(splfr.audit, "place", counted)
+        assert audit_security(SMALL).method == "certificate"
+        assert len(calls) == 16 * 6
+
+
+# -- certificate against enumeration -----------------------------------------
+
+ALL_STAR = validate([[STAR, STAR]])
+GF3 = FieldContext.prime(3)
+
+#: name -> (field, array, N, B).  GF(3) runs on smaller libraries: the
+#: enumeration of man:2,1 with N = B = 2 over GF(3) has 1.6M atoms
+DIFFERENTIAL_INSTANCES = {
+    "p:2-man:2,1-N2B2": (GF2, man_pda(2, 1), 2, 2),
+    "p:2-allstar-N2B1": (GF2, ALL_STAR, 2, 1),
+    "p:3-man:2,1-N1B2": (GF3, man_pda(2, 1), 1, 2),
+    "p:3-allstar-N1B1": (GF3, ALL_STAR, 1, 1),
+}
+
+
+def differential_cases():
+    for name, instance in DIFFERENTIAL_INSTANCES.items():
+        for demand_space in ("all", "units"):
+            for mode in Mode:
+                yield pytest.param(
+                    *instance, demand_space, mode, id=f"{name}-{demand_space}-{mode.value}"
+                )
+    # unit demands keep N = 2 in reach over GF(3)
+    for mode in Mode:
+        yield pytest.param(
+            GF3, ALL_STAR, 2, 1, "units", mode, id=f"p:3-allstar-N2B1-units-{mode.value}"
+        )
+
+
+@pytest.mark.parametrize("ctx,arr,n,b,demand_space,mode", differential_cases())
+def test_certificate_verdict_equals_enumeration(ctx, arr, n, b, demand_space, mode):
+    cfg = AuditConfig(pda=arr, n=n, b=b, ctx=ctx, mode=mode, demand_space=demand_space)
+    models = list(file_models(cfg, decoded=True))
+    assert correctness_certificate(models) == enumerate_correctness(cfg).verdict
+    assert security_certificate(cfg, models) == enumerate_security(cfg).verdict
+    users = range(1, arr.k + 1)
+    for r in users:
+        for subset in combinations(users, r):
+            enumerated = enumerate_privacy(cfg, subset).verdict
+            assert privacy_certificate(cfg, models, subset) == enumerated, subset
+
+
+def test_dropped_security_key_is_caught(monkeypatch):
+    # a delivery that forgets to pad the first multicast block
+    deliver_ = splfr.audit.deliver
+
+    def leaky(state, demands):
+        payload = deliver_(state, demands)
+        ctx, key = state.library.ctx, state.randomness.security_keys[0]
+        first = tuple(map(ctx.sub, payload.blocks[0], key))
+        return payload._replace(blocks=(first,) + payload.blocks[1:])
+
+    monkeypatch.setattr(splfr.audit, "deliver", leaky)
+    assert not security_certificate(SMALL, file_models(SMALL))
+    report = audit_security(SMALL)
+    assert not report.verdict and report.method == "enumeration"
+    assert report.violations > 0 and report.counterexample is not None
+    # the decoders cancel a key that is no longer there
+    assert not correctness_certificate(file_models(SMALL, decoded=True))
+    report = audit_correctness(SMALL)
+    assert not report.verdict and report.counterexample is not None

@@ -121,6 +121,19 @@ class TestSim:
         assert code == 0
         assert last_json(out)["verdict"] == "pass"
 
+    def test_seeded_key_source(self, capsys):
+        _, out, _ = run_cli(capsys, *self.ARGS)
+        assert last_json(out)["key_source"] == "seeded"
+
+    def test_unseeded_run_uses_system_keys(self, capsys):
+        args = list(self.ARGS)
+        del args[args.index("--seed") : args.index("--seed") + 2]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        report = last_json(out)
+        assert report["verdict"] == "pass"
+        assert report["seed"] is None and report["key_source"] == "system"
+
     def test_non_divisible_b_fails_cleanly(self, capsys):
         args = list(self.ARGS)
         args[args.index("3")] = "4"  # b = 4 with F = 3
@@ -156,6 +169,11 @@ class TestAudit:
         assert code == 0
         # three nonempty subsets of two users, 8192 atoms each
         assert last_json(out)["atoms"] == 3 * 8192
+
+    def test_method_reported(self, capsys):
+        _, out, err = run_cli(capsys, "audit", "security", *self.BASE)
+        assert last_json(out)["method"] == "certificate"
+        assert "by certificate" in err
 
     def test_correctness(self, capsys):
         code, out, _ = run_cli(capsys, "audit", "correctness", *self.BASE,

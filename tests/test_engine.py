@@ -144,6 +144,25 @@ class TestPlace:
         with pytest.raises(NonDivisibleB):
             place(TOY, lib, rnd, Mode.SPLFR)
 
+    def test_keys_outside_field(self):
+        lib = Library.random(GF2, 4, 3, random.Random(0))
+        zero = Randomness.zeros(TOY, 4, 3)
+        bad_keys = (
+            Randomness(((2,),) + zero.security_keys[1:], zero.privacy_vectors),
+            Randomness(zero.security_keys, ((0, 0, -1, 0),) + zero.privacy_vectors[1:]),
+        )
+        for rnd in bad_keys:
+            with pytest.raises(FieldError):
+                place(TOY, lib, rnd, Mode.SPLFR)
+
+
+class TestLibrary:
+    def test_symbols_outside_field(self):
+        for files in (((5, 9), (0, 1)), ((0, 1), (1, -1))):
+            with pytest.raises(FieldError):
+                Library(GF2, files)
+        assert Library(GF3, ((2, 0), (1, 1))).b == 2
+
 
 class TestDeliver:
     def test_coeffs_mask_demands(self):

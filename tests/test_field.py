@@ -3,14 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splfr.field import (
-    DEFAULT_POLYS,
-    ContextMismatchError,
-    FieldContext,
-    FieldElement,
-    FieldError,
-    dot,
-)
+from splfr.field import DEFAULT_POLYS, FieldContext, FieldError
+
+from oracle import ContextMismatchError, FieldElement, dot
 
 
 def slow_gf2m_mul(a: int, b: int, poly: int, m: int) -> int:
@@ -207,7 +202,7 @@ def test_lincomb_scaling_equals_mul_for_every_pair(ctx):
 
 class TestFieldElement:
     def test_operators(self):
-        a, b = GF5(3), GF5(4)
+        a, b = FieldElement.of(GF5, 3), FieldElement.of(GF5, 4)
         assert (a + b).value == 2
         assert (a * b).value == 2
         assert (-a).value == 2
@@ -215,15 +210,15 @@ class TestFieldElement:
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatchError):
-            GF5(1) + GF2(1)
+            FieldElement.of(GF5, 1) + FieldElement.of(GF2, 1)
 
     def test_out_of_range(self):
         with pytest.raises(FieldError):
-            GF5(5)
+            FieldElement.of(GF5, 5)
 
     def test_dot_wrapper(self):
-        u = [GF2(1), GF2(0), GF2(1), GF2(1)]
-        w = [GF2(1), GF2(1), GF2(1), GF2(0)]
+        u = [FieldElement.of(GF2, x) for x in (1, 0, 1, 1)]
+        w = [FieldElement.of(GF2, x) for x in (1, 1, 1, 0)]
         assert dot(u, w).value == 0
 
 
@@ -255,3 +250,75 @@ class TestConstruction:
     def test_degree_bounds(self):
         with pytest.raises(FieldError):
             FieldContext.binary(9)
+
+    def test_direct_construction_is_validated(self):
+        # the constructor is a public boundary too, not only prime()/binary()
+        for q, kwargs in (
+            (4, dict(kind="prime")),  # not prime
+            (5, dict(kind="prime", poly=7)),  # would compare unequal to GF(5)
+            (7, dict(kind="trinary")),  # unknown kind
+            (8, dict(kind="binary", m=2, poly=0b111)),  # order is not 2^m
+            (8, dict(kind="binary", m=3, poly=0b1111)),  # reducible polynomial
+            (1 << 10, dict(kind="binary", m=10, poly=0b10000001001)),  # degree too high
+        ):
+            with pytest.raises(FieldError):
+                FieldContext(q, **kwargs)
+        assert FieldContext(5, kind="prime") == GF5
+        assert FieldContext(8, kind="binary", m=3, poly=0b1011) == GF8
+
+
+# -- Gaussian elimination ------------------------------------------------------
+
+ELIMINATION_FIELDS = [FieldContext.prime(2), FieldContext.prime(3), GF5, FieldContext.binary(2)]
+
+
+def brute_span(ctx, rows, length):
+    """Every linear combination of ``rows``, by enumerating the coefficients."""
+    span = {(0,) * length}
+    for row in rows:
+        span = {
+            tuple(ctx.add(x, ctx.mul(c, y)) for x, y in zip(v, row))
+            for v in span
+            for c in range(ctx.q)
+        }
+    return span
+
+
+@pytest.mark.parametrize("ctx", ELIMINATION_FIELDS, ids=lambda c: c.spec)
+class TestElimination:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_against_brute_force_span(self, ctx, data):
+        length = data.draw(st.integers(0, 4), label="length")
+        element = st.integers(0, ctx.q - 1)
+        rows = data.draw(st.lists(st.tuples(*[element] * length), max_size=5), label="rows")
+        span = brute_span(ctx, rows, length)
+        basis = ctx.echelon(rows)
+        # the rank is the dimension: the span has q^rank vectors
+        assert ctx.q ** len(basis) == len(span)
+        # the basis spans the same space and is in reduced echelon form
+        assert brute_span(ctx, basis, length) == span
+        pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+        assert pivots == sorted(set(pivots))
+        for b, c in zip(basis, pivots):
+            assert b[c] == 1
+            assert all(other[c] == 0 for other in basis if other is not b)
+        # a vector reduces to zero iff it lies in the span
+        v = data.draw(st.tuples(*[element] * length), label="v")
+        assert (not any(ctx.reduce(basis, v))) == (v in span)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_basis_is_canonical(self, ctx, data):
+        element = st.integers(0, ctx.q - 1)
+        rows = data.draw(st.lists(st.tuples(*[element] * 3), max_size=4), label="rows")
+        # any reordering and any combination of the rows spans the same space
+        shuffled = data.draw(st.permutations(rows), label="order")
+        coeffs = data.draw(st.lists(element, min_size=len(rows), max_size=len(rows)))
+        extra = ctx.lincomb(coeffs, rows) if rows else (0, 0, 0)
+        assert ctx.echelon(shuffled + [extra]) == ctx.echelon(rows)
+
+    def test_full_rank_identity(self, ctx):
+        identity = [tuple(int(i == j) for i in range(3)) for j in range(3)]
+        assert ctx.echelon(reversed(identity)) == tuple(identity)
+        assert ctx.echelon([]) == () and ctx.echelon([(0, 0)]) == ()

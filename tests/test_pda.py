@@ -14,7 +14,6 @@ from splfr.pda import (
     ParseError,
     PdaError,
     UnequalStarCount,
-    canonical_relabel,
     lsub_parameters,
     man_pda,
     memory_load,
@@ -25,6 +24,8 @@ from splfr.pda import (
     symbol_count_bound,
     validate,
 )
+
+from oracle import canonical_relabel
 
 TOY = (
     (STAR, 1, 2),
