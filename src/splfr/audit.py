@@ -27,22 +27,28 @@ rank test over GF(q):
 
 Under the premise each test holds iff the claim does, so a passing
 certificate reports the full atom count with no enumeration.  When a
-certificate fails, the enumeration runs: it visits every atom and decides
-independence through the factorization identities
+certificate fails, the enumeration runs: one traversal visits every
+(files, keys, demands) atom, files outermost, and feeds the three
+oracles; the privacy oracle fills one count table per colluding subset,
+so every subset whose certificate fails is counted in the same pass.
+Independence is decided through the factorization identities
 count(a, b) * total == count(a) * count(b), which hold for every pair iff
-the mutual information is exactly zero.  It is the reference oracle and
-the only source of the exact violation count and the first witness.  No
-logarithms or floating point are involved, so a pass is a proof for the
-instance.
+the mutual information is exactly zero.  The enumeration is the reference
+oracle and the only source of the exact violation count and the first
+witness.  No logarithms or floating point are involved, so a pass is a
+proof for the instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain, combinations, product
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from itertools import chain, combinations, groupby, product
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .engine import (
+    DeliveryPayload,
     Library,
     Mode,
     Randomness,
@@ -80,6 +86,8 @@ class AuditConfig:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
+        if self.n < 1 or self.b < 1:
+            raise AuditError(f"need N >= 1 and B >= 1, got N={self.n}, B={self.b}")
         if self.b % self.pda.f != 0:
             raise AuditError(f"F={self.pda.f} must divide B={self.b}")
         if self.demand_space not in ("all", "units"):
@@ -94,6 +102,10 @@ class AuditConfig:
         if self.demand_space == "units":
             return [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
         return [tuple(v) for v in product(range(q), repeat=n)]
+
+    def demand_tuples(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Every joint demand: one demand vector per user."""
+        return list(product(self.demand_vectors(), repeat=self.pda.k))
 
     @property
     def atom_count(self) -> int:
@@ -114,18 +126,6 @@ class AuditConfig:
 
 
 @dataclass
-class ExactDistribution:
-    """Integer counts over outcome tuples; probabilities are count/total."""
-
-    counts: dict = field(default_factory=dict)
-    total: int = 0
-
-    def record(self, outcome) -> None:
-        self.counts[outcome] = self.counts.get(outcome, 0) + 1
-        self.total += 1
-
-
-@dataclass
 class AuditReport:
     verdict: bool
     atoms: int
@@ -143,29 +143,26 @@ class AuditReport:
         }
 
 
-def factorization_violations(
-    dist: ExactDistribution, partition: Callable
-) -> tuple[int, Optional[tuple]]:
+def factorization_violations(counts: Counter) -> tuple[int, Optional[tuple]]:
     """Count violated identities count(a,b)*total == count(a)*count(b).
 
-    ``partition`` maps each outcome to an (a, b) pair.  All support pairs
-    are checked, including those with zero joint count.  No violation
-    means A and B are independent: their mutual information is exactly
-    zero, decided without logarithms.
+    ``counts`` maps each outcome pair (a, b) to its count.  All support
+    pairs are checked, including those with zero joint count.  No
+    violation means A and B are independent: their mutual information is
+    exactly zero, decided without logarithms.
     """
-    joint: dict[tuple, int] = {}
+    total = counts.total()
     margin_a: dict = {}
     margin_b: dict = {}
-    for outcome, c in dist.counts.items():
-        a, b = partition(outcome)
-        joint[(a, b)] = joint.get((a, b), 0) + c
+    for (a, b), c in counts.items():
         margin_a[a] = margin_a.get(a, 0) + c
         margin_b[b] = margin_b.get(b, 0) + c
+    joint = counts.get
     violations = 0
     first = None
     for a, ca in margin_a.items():
         for b, cb in margin_b.items():
-            if joint.get((a, b), 0) * dist.total != ca * cb:
+            if joint((a, b), 0) * total != ca * cb:
                 violations += 1
                 if first is None:
                     first = (a, b)
@@ -178,17 +175,26 @@ def _libraries(cfg: AuditConfig) -> Iterator[Library]:
         yield Library(cfg.ctx, tuple(combo))
 
 
-def _randomness(cfg: AuditConfig) -> Iterator[Randomness]:
-    q = cfg.ctx.q
-    v_space = list(product(range(q), repeat=cfg.block))
-    p_space = list(product(range(q), repeat=cfg.n))
-    for v_combo in product(v_space, repeat=cfg.pda.s):
-        for p_combo in product(p_space, repeat=cfg.pda.k):
-            yield Randomness(security_keys=v_combo, privacy_vectors=p_combo)
+def _atoms(
+    cfg: AuditConfig,
+) -> Iterator[tuple[Library, Randomness, SchemeState, tuple, DeliveryPayload]]:
+    """Every (files, keys, demands) atom, with its placement and its signal.
 
-
-def _demand_tuples(cfg: AuditConfig) -> list[tuple[tuple[int, ...], ...]]:
-    return list(product(cfg.demand_vectors(), repeat=cfg.pda.k))
+    The files are outermost and the demands innermost, so the atoms of one
+    file realization, and of one placement, are consecutive.
+    """
+    cfg.check_budget()
+    q, pda = cfg.ctx.q, cfg.pda
+    blocks = list(product(range(q), repeat=cfg.block))
+    vectors = list(product(range(q), repeat=cfg.n))
+    demand_tuples = cfg.demand_tuples()
+    for library in _libraries(cfg):
+        for keys in product(blocks, repeat=pda.s):
+            for privacy in product(vectors, repeat=pda.k):
+                randomness = Randomness(security_keys=keys, privacy_vectors=privacy)
+                state = place(pda, library, randomness, cfg.mode)
+                for demands in demand_tuples:
+                    yield library, randomness, state, demands, deliver(state, demands)
 
 
 def _atom_dict(library: Library, randomness: Randomness, demands) -> dict:
@@ -202,39 +208,23 @@ def _atom_dict(library: Library, randomness: Randomness, demands) -> dict:
 
 def enumerate_correctness(cfg: AuditConfig) -> AuditReport:
     """Check decoder determinism and exactness for every atom and user."""
-    cfg.check_budget()
-    demand_tuples = _demand_tuples(cfg)
     atoms = 0
-    for library in _libraries(cfg):
-        for randomness in _randomness(cfg):
-            state = place(cfg.pda, library, randomness, cfg.mode)
-            for demands in demand_tuples:
-                atoms += 1
-                payload = deliver(state, demands)
-                for k in range(cfg.pda.k):
-                    got = decode(state.user_view(k), payload, demands[k])
-                    want = library.combine(demands[k])
-                    if got != want:
-                        detail = _atom_dict(library, randomness, demands)
-                        detail["user"] = k + 1
-                        return AuditReport(False, atoms, 1, detail)
+    for atoms, (library, randomness, state, demands, payload) in enumerate(_atoms(cfg), 1):
+        for k, demand in enumerate(demands):
+            if decode(state.user_view(k), payload, demand) != library.combine(demand):
+                detail = _atom_dict(library, randomness, demands)
+                detail["user"] = k + 1
+                return AuditReport(False, atoms, 1, detail)
     return AuditReport(True, atoms, 0)
 
 
 def enumerate_security(cfg: AuditConfig) -> AuditReport:
     """Certify that the signal is independent of files and demands."""
-    cfg.check_budget()
-    demand_tuples = _demand_tuples(cfg)
-    dist = ExactDistribution()
-    for library in _libraries(cfg):
-        for randomness in _randomness(cfg):
-            state = place(cfg.pda, library, randomness, cfg.mode)
-            for demands in demand_tuples:
-                payload = deliver(state, demands)
-                hidden = (library.files, demands)
-                observed = (payload.coeff_vectors, payload.blocks)
-                dist.record((hidden, observed))
-    violations, first = factorization_violations(dist, lambda o: o)
+    counts = Counter(
+        ((library.files, demands), (payload.coeff_vectors, payload.blocks))
+        for library, _, _, demands, payload in _atoms(cfg)
+    )
+    violations, first = factorization_violations(counts)
     counterexample = None
     if first is not None:
         (files, demands), observed = first
@@ -243,51 +233,57 @@ def enumerate_security(cfg: AuditConfig) -> AuditReport:
             "demands": [list(d) for d in demands],
             "signal": repr(observed),
         }
-    return AuditReport(violations == 0, dist.total, violations, counterexample)
+    return AuditReport(violations == 0, counts.total(), violations, counterexample)
 
 
-def enumerate_privacy(cfg: AuditConfig, subset: Sequence[int]) -> AuditReport:
+def enumerate_privacy(
+    cfg: AuditConfig, subsets: Sequence[Sequence[int]]
+) -> list[AuditReport]:
     """Check colluding-subset privacy, conditioned on the file realization.
 
-    ``subset`` lists the colluding users (1-based, nonempty).  For every
-    file realization, the demands of the remaining users must be
-    independent of (signal, colluders' demands, colluders' caches).
+    Each subset lists colluding users (1-based, nonempty).  For every file
+    realization, the demands of the remaining users must be independent
+    of (signal, colluders' demands, colluders' caches).  One traversal
+    fills a count table per subset and returns one report per subset.
     """
-    cfg.check_budget()
-    colluders = [u - 1 for u in _subset(cfg, subset)]
-    others = [k for k in range(cfg.pda.k) if k not in colluders]
-
-    demand_tuples = _demand_tuples(cfg)
-    atoms = 0
-    violations = 0
-    counterexample = None
-    # conditioning on the files keeps each slice's count table small
-    for library in _libraries(cfg):
-        dist = ExactDistribution()
-        for randomness in _randomness(cfg):
-            state = place(cfg.pda, library, randomness, cfg.mode)
-            cache_keys = tuple(state.caches[k].key() for k in colluders)
-            for demands in demand_tuples:
-                payload = deliver(state, demands)
-                hidden = tuple(demands[k] for k in others)
-                observed = (
-                    payload.coeff_vectors,
-                    payload.blocks,
-                    tuple(demands[k] for k in colluders),
-                    cache_keys,
-                )
-                dist.record((hidden, observed))
-        atoms += dist.total
-        slice_violations, first = factorization_violations(dist, lambda o: o)
-        violations += slice_violations
-        if first is not None and counterexample is None:
-            hidden, observed = first
-            counterexample = {
-                "files": [list(f) for f in library.files],
-                "hidden_demands": [list(d) for d in hidden],
-                "observed": repr(observed),
-            }
-    return AuditReport(violations == 0, atoms, violations, counterexample)
+    cuts = []  # per subset: the colluders, and each demand tuple split
+    for subset in subsets:
+        colluders = [u - 1 for u in _subset(cfg, subset)]
+        others = [k for k in range(cfg.pda.k) if k not in colluders]
+        split = {
+            d: (tuple(d[k] for k in others), tuple(d[k] for k in colluders))
+            for d in cfg.demand_tuples()
+        }
+        cuts.append((colluders, split))
+    reports = [AuditReport(True, 0, 0) for _ in cuts]
+    # conditioning on the files keeps each slice's count tables small
+    for library, atoms in groupby(_atoms(cfg), itemgetter(0)):
+        tables = [Counter() for _ in cuts]
+        placed = None
+        for _, _, state, demands, payload in atoms:
+            if state is not placed:
+                placed = state
+                slots = [
+                    (split, tuple(state.caches[k].key() for k in colluders), table)
+                    for (colluders, split), table in zip(cuts, tables)
+                ]
+            for split, caches, table in slots:
+                hidden, seen = split[demands]
+                outcome = (hidden, (payload.coeff_vectors, payload.blocks, seen, caches))
+                table[outcome] = table.get(outcome, 0) + 1
+        for report, table in zip(reports, tables):
+            violations, first = factorization_violations(table)
+            report.atoms += table.total()
+            report.violations += violations
+            report.verdict = report.violations == 0
+            if first is not None and report.counterexample is None:
+                hidden, observed = first
+                report.counterexample = {
+                    "files": [list(f) for f in library.files],
+                    "hidden_demands": [list(d) for d in hidden],
+                    "observed": repr(observed),
+                }
+    return reports
 
 
 # -- certificates ---------------------------------------------------------
@@ -483,9 +479,10 @@ def audit_privacy(
     """Colluding-subset privacy: certificate first, enumeration when it fails.
 
     ``subset`` lists the colluding users (1-based, nonempty).  Without
-    one, every nonempty subset is audited on one set of file models; the
-    report sums the atoms and violations, and its counterexample (the
-    first subset's that has one) names the subset.
+    one, every nonempty subset is audited on one set of file models, and
+    the subsets whose certificates fail are enumerated together in one
+    traversal; the report sums the atoms and violations, and its
+    counterexample (the first subset's that has one) names the subset.
     """
     cfg.check_budget()
     users = range(1, cfg.pda.k + 1)
@@ -494,29 +491,24 @@ def audit_privacy(
     else:
         subsets = [_subset(cfg, subset)]
     models = list(file_models(cfg))
-    reports = [
-        _certified(cfg)
-        if privacy_certificate(cfg, models, sub)
-        else enumerate_privacy(cfg, sub)
-        for sub in subsets
-    ]
+    failing = [sub for sub in subsets if not privacy_certificate(cfg, models, sub)]
+    if not failing:
+        return AuditReport(True, len(subsets) * cfg.atom_count, 0, method="certificate")
+    reports = enumerate_privacy(cfg, failing)
     if subset is not None:
         return reports[0]
-    counterexample = next(
-        (
-            dict(r.counterexample, subset=list(sub))
-            for sub, r in zip(subsets, reports)
-            if r.counterexample
-        ),
-        None,
-    )
-    certified = all(r.method == "certificate" for r in reports)
     return AuditReport(
         verdict=all(r.verdict for r in reports),
-        atoms=sum(r.atoms for r in reports),
+        atoms=(len(subsets) - len(failing)) * cfg.atom_count + sum(r.atoms for r in reports),
         violations=sum(r.violations for r in reports),
-        counterexample=counterexample,
-        method="certificate" if certified else "enumeration",
+        counterexample=next(
+            (
+                dict(r.counterexample, subset=list(sub))
+                for sub, r in zip(failing, reports)
+                if r.counterexample
+            ),
+            None,
+        ),
     )
 
 
@@ -525,7 +517,6 @@ __all__ = [
     "AuditError",
     "AuditReport",
     "BudgetExceeded",
-    "ExactDistribution",
     "FileModel",
     "Point",
     "audit_correctness",

@@ -112,7 +112,11 @@ def _parse_demands(spec: str, k: int, n: int, ctx: FieldContext, rng: random.Ran
     for row in rows:
         if len(row) != n:
             raise engine.EngineError(f"each demand needs {n} values, got {len(row)}")
-        demands.append(tuple(ctx.check(int(v)) for v in row))
+        try:
+            values = [int(v) for v in row]
+        except ValueError:
+            raise engine.EngineError(f"demand values must be integers, got {' '.join(row)!r}")
+        demands.append(tuple(ctx.check(v) for v in values))
     return tuple(demands)
 
 

@@ -69,6 +69,8 @@ class Library:
         if not self.files:
             raise EngineError("library must contain at least one file")
         b = len(self.files[0])
+        if b == 0:
+            raise EngineError("files must hold at least one symbol")
         if any(len(f) != b for f in self.files):
             raise EngineError("all files must have the same length")
         _check_symbols(self.ctx, self.files)

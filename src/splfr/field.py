@@ -234,9 +234,6 @@ class FieldContext:
 
     # -- vector helpers --------------------------------------------------
 
-    def dot(self, u: Sequence[int], w: Sequence[int]) -> int:
-        return self.lincomb(u, [(b,) for b in w])[0] if u or w else 0
-
     def vec_add(self, u: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
         if len(u) != len(w):
             raise FieldError(f"length mismatch: {len(u)} vs {len(w)}")

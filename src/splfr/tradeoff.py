@@ -183,6 +183,16 @@ SCHEMES = (
 )
 
 
+def _coded_load(k: int, r: int, t: int) -> Fraction:
+    """(C(K, t+1) - C(K-r, t+1)) / C(K, t): coded delivery to K users, r leaders.
+
+    Each (t+1)-subset of the users gets one multicast symbol, except the
+    subsets without one of the r leaders; a file is split into C(K, t)
+    packets.
+    """
+    return Fraction(comb0(k, t + 1) - comb0(k - r, t + 1), comb0(k, t))
+
+
 def scheme_points(scheme: str, n: int, k: int) -> list[CurvePoint]:
     """Corner points of a known achievable scheme, before the envelope.
 
@@ -194,42 +204,20 @@ def scheme_points(scheme: str, n: int, k: int) -> list[CurvePoint]:
     if scheme in ("yma", "wsjtc"):
         # identical load formulas; wsjtc serves linear-combination demands
         return [
-            CurvePoint(
-                Fraction(t * n, k),
-                Fraction(comb0(k, t + 1) - comb0(k - min(n, k), t + 1), comb0(k, t)),
-            )
+            CurvePoint(Fraction(t * n, k), _coded_load(k, min(n, k), t))
             for t in range(k + 1)
         ]
-    if scheme == "privkey-plfr":
+    if scheme in ("privkey-plfr", "privkey-pfr"):
+        r = min(n if scheme == "privkey-plfr" else n - 1, k)
         pts = [
-            CurvePoint(
-                1 + Fraction(t * (n - 1), k),
-                Fraction(comb0(k, t + 1) - comb0(k - min(n, k), t + 1), comb0(k, t)),
-            )
-            for t in range(k + 1)
-        ]
-        return [CurvePoint(Fraction(0), Fraction(n))] + pts
-    if scheme == "privkey-pfr":
-        pts = [
-            CurvePoint(
-                1 + Fraction(t * (n - 1), k),
-                Fraction(
-                    comb0(k, t + 1) - comb0(k - min(n - 1, k), t + 1), comb0(k, t)
-                ),
-            )
+            CurvePoint(1 + Fraction(t * (n - 1), k), _coded_load(k, r, t))
             for t in range(k + 1)
         ]
         return [CurvePoint(Fraction(0), Fraction(n))] + pts
     if scheme == "virtual":
         # note: guarantees a weaker per-user privacy notion than the rest
         return [
-            CurvePoint(
-                Fraction(t, k),
-                Fraction(
-                    comb0(k * n, t + 1) - comb0((k - 1) * n, t + 1), comb0(k * n, t)
-                ),
-            )
-            for t in range(k * n + 1)
+            CurvePoint(Fraction(t, k), _coded_load(k * n, n, t)) for t in range(k * n + 1)
         ]
     raise TradeoffError(f"unknown scheme {scheme!r}")
 

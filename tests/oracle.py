@@ -3,13 +3,13 @@
 The engine oracles use only the per-symbol field helpers (``vec_add``,
 ``vec_scale``), never the ``FieldContext.lincomb`` kernel the engine is
 built on, so they stay independent of the code under test.  Helpers that
-only the tests use (``FieldElement``, ``canonical_relabel``,
+only the tests use (``FieldElement``, ``field_dot``, ``canonical_relabel``,
 ``restrict_corners``) live here too.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from splfr.engine import Library, Vector, split
 from splfr.field import FieldContext, FieldError
@@ -68,6 +68,11 @@ class FieldElement:
         return f"{self.value}@GF({self.ctx.q})"
 
 
+def field_dot(ctx: FieldContext, u: Sequence[int], w: Sequence[int]) -> int:
+    """Inner product of two equal-length vectors of field values."""
+    return ctx.lincomb(u, [(b,) for b in w])[0] if u or w else 0
+
+
 def dot(u: Iterable[FieldElement], w: Iterable[FieldElement]) -> FieldElement:
     """Inner product of two equal-length FieldElement vectors."""
     u, w = list(u), list(w)
@@ -79,7 +84,7 @@ def dot(u: Iterable[FieldElement], w: Iterable[FieldElement]) -> FieldElement:
             raise ContextMismatchError("mixed contexts in dot")
     if len(u) != len(w):
         raise FieldError(f"length mismatch: {len(u)} vs {len(w)}")
-    return FieldElement(ctx.dot([e.value for e in u], [e.value for e in w]), ctx)
+    return FieldElement(field_dot(ctx, [e.value for e in u], [e.value for e in w]), ctx)
 
 
 # -- arrays and curves ------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the exact audits: rank certificates and the enumeration oracle."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,6 @@ from splfr.audit import (
     AuditConfig,
     AuditError,
     BudgetExceeded,
-    ExactDistribution,
     audit_correctness,
     audit_privacy,
     audit_security,
@@ -40,42 +40,27 @@ def small(**overrides) -> AuditConfig:
 class TestFactorization:
     def test_independent_pair(self):
         # uniform product distribution on {0,1} x {0,1}
-        dist = ExactDistribution()
-        for a in (0, 1):
-            for b in (0, 1):
-                dist.record((a, b))
-        violations, first = factorization_violations(dist, lambda o: o)
+        dist = Counter((a, b) for a in (0, 1) for b in (0, 1))
+        violations, first = factorization_violations(dist)
         assert violations == 0 and first is None
 
     def test_correlated_pair(self):
         # perfectly correlated bits: every identity fails
-        dist = ExactDistribution()
-        dist.record((0, 0))
-        dist.record((1, 1))
-        violations, first = factorization_violations(dist, lambda o: o)
+        dist = Counter([(0, 0), (1, 1)])
+        violations, first = factorization_violations(dist)
         assert violations == 4
         assert first is not None
 
     def test_zero_joint_count_checked(self):
         # a and b independent on the support actually seen, but the missing
         # (1, 1) cell breaks the product form
-        dist = ExactDistribution()
-        dist.record((0, 0))
-        dist.record((0, 1))
-        dist.record((1, 0))
-        violations, _ = factorization_violations(dist, lambda o: o)
+        dist = Counter([(0, 0), (0, 1), (1, 0)])
+        violations, _ = factorization_violations(dist)
         assert violations > 0
 
     def test_weighted_independent(self):
-        dist = ExactDistribution()
-        for _ in range(2):
-            dist.record((0, 0))
-        for _ in range(4):
-            dist.record((0, 1))
-        dist.record((1, 0))
-        for _ in range(2):
-            dist.record((1, 1))
-        violations, _ = factorization_violations(dist, lambda o: o)
+        dist = Counter({(0, 0): 2, (0, 1): 4, (1, 0): 1, (1, 1): 2})
+        violations, _ = factorization_violations(dist)
         assert violations == 0
 
 
@@ -100,6 +85,12 @@ class TestConfig:
     def test_non_divisible_b(self):
         with pytest.raises(AuditError):
             small(b=3)
+
+    def test_non_positive_sizes(self):
+        # B = 0 would pass vacuously over 256 atoms; B = -2 divides F = 2
+        for sizes in (dict(b=0), dict(b=-2), dict(n=0), dict(n=-1)):
+            with pytest.raises(AuditError):
+                small(**sizes)
 
 
 class TestCorrectness:
@@ -242,7 +233,7 @@ class TestReports:
         assert lfr == enumerate_security(small(mode=Mode.LFR))
         slfr = audit_privacy(small(mode=Mode.SLFR), [1])
         assert (slfr.verdict, slfr.atoms, slfr.violations) == (False, 8192, 2048)
-        assert slfr == enumerate_privacy(small(mode=Mode.SLFR), [1])
+        assert [slfr] == enumerate_privacy(small(mode=Mode.SLFR), [[1]])
         assert slfr.counterexample is not None
 
     def test_certificate_probes_an_affine_basis(self, monkeypatch):
@@ -258,6 +249,34 @@ class TestReports:
         monkeypatch.setattr(splfr.audit, "place", counted)
         assert audit_security(SMALL).method == "certificate"
         assert len(calls) == 16 * 6
+
+    def test_failing_subsets_share_one_traversal(self, monkeypatch):
+        # SLFR fails for the subsets {1} and {2}: after the certificate
+        # probes (6 placements and 10 deliveries per file realization), both
+        # are counted from one pass over the 512 placements and 8192 atoms
+        calls = count_calls(monkeypatch, "place", "deliver")
+        report = audit_privacy(small(mode=Mode.SLFR))
+        assert not report.verdict and report.method == "enumeration"
+        assert calls == {"place": 16 * 6 + 512, "deliver": 16 * 10 + 8192}
+
+    def test_passing_subsets_are_not_enumerated(self, monkeypatch):
+        calls = count_calls(monkeypatch, "place", "deliver")
+        assert audit_privacy(SMALL).method == "certificate"
+        assert calls == {"place": 16 * 6, "deliver": 16 * 10}
+
+
+def count_calls(monkeypatch, *names: str) -> Counter:
+    """Count the calls the audit makes to each named engine function."""
+    calls = Counter()
+    for name in names:
+        fn = getattr(splfr.audit, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(splfr.audit, name, counted)
+    return calls
 
 
 # -- certificate against enumeration -----------------------------------------
@@ -296,10 +315,10 @@ def test_certificate_verdict_equals_enumeration(ctx, arr, n, b, demand_space, mo
     assert correctness_certificate(models) == enumerate_correctness(cfg).verdict
     assert security_certificate(cfg, models) == enumerate_security(cfg).verdict
     users = range(1, arr.k + 1)
-    for r in users:
-        for subset in combinations(users, r):
-            enumerated = enumerate_privacy(cfg, subset).verdict
-            assert privacy_certificate(cfg, models, subset) == enumerated, subset
+    subsets = [s for r in users for s in combinations(users, r)]
+    for subset, report in zip(subsets, enumerate_privacy(cfg, subsets)):
+        enumerated = report.verdict
+        assert privacy_certificate(cfg, models, subset) == enumerated, subset
 
 
 def test_dropped_security_key_is_caught(monkeypatch):

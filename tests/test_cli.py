@@ -141,6 +141,24 @@ class TestSim:
         assert code == 1
         assert last_json(out)["verdict"] == "fail"
 
+    @pytest.mark.parametrize("b", ["0", "-3"])
+    def test_non_positive_b_fails_cleanly(self, capsys, b):
+        args = list(self.ARGS)
+        args[args.index("3")] = b
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 1
+        assert "at least one symbol" in last_json(out)["error"]
+
+    def test_non_integer_demand_fails_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "demands.txt"
+        path.write_text("1 0 1 0\n0 1 x 1\n1 1 1 1\n")
+        args = list(self.ARGS)
+        args[args.index("units")] = str(path)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 1
+        report = last_json(out)
+        assert report["verdict"] == "fail" and "integers" in report["error"]
+
 
 class TestAudit:
     BASE = ("--pda", "man:2,1", "--n", "2", "--b", "2", "--field", "p:2")
@@ -186,6 +204,90 @@ class TestAudit:
                                "--budget", "100")
         assert code == 1
         assert "exceed" in last_json(out)["error"]
+
+    @pytest.mark.parametrize("flag,value", [("--b", "0"), ("--b", "-2"), ("--n", "0")])
+    def test_non_positive_sizes_fail_cleanly(self, capsys, flag, value):
+        args = list(self.BASE)
+        args[args.index(flag) + 1] = value
+        code, out, _ = run_cli(capsys, "audit", "security", *args)
+        assert code == 1
+        report = last_json(out)
+        assert report["verdict"] == "fail" and "B >= 1" in report["error"]
+
+
+ZERO_FILES = [[0, 0], [0, 0]]
+#: the first witness of a failing privacy audit, with colluders {1} and {2}
+WITNESS_1 = {
+    "files": ZERO_FILES,
+    "hidden_demands": [[0, 0]],
+    "observed": "(((0, 0), (0, 0)), ((0,),), ((0, 0),), "
+    "((((0, ((0,), (0,))),), ((1, (0,)),)),))",
+}
+WITNESS_2 = {
+    "files": ZERO_FILES,
+    "hidden_demands": [[0, 0]],
+    "observed": "(((0, 0), (0, 0)), ((0,),), ((0, 0),), "
+    "((((1, ((0,), (0,))),), ((0, (0,)),)),))",
+}
+#: arguments after "audit" -> (verdict, atoms, violations, method, counterexample),
+#: on man:2,1 with N = B = 2 over GF(2) unless the arguments say otherwise
+PINNED_AUDITS = {
+    ("security", "--mode", "lfr"): ("fail", 8192, 7936, "enumeration", {
+        "demands": [[0, 0], [0, 0]], "files": ZERO_FILES,
+        "signal": "(((0, 0), (0, 0)), ((0,),))",
+    }),
+    ("security", "--mode", "plfr"): ("fail", 8192, 7680, "enumeration", {
+        "demands": [[0, 0], [0, 0]], "files": ZERO_FILES,
+        "signal": "(((0, 0), (0, 1)), ((0,),))",
+    }),
+    ("security", "--mode", "slfr"): ("fail", 8192, 8192, "enumeration", {
+        "demands": [[0, 0], [0, 0]], "files": ZERO_FILES,
+        "signal": "(((0, 0), (0, 0)), ((0,),))",
+    }),
+    ("privacy", "--mode", "slfr", "--subset", "1"): (
+        "fail", 8192, 2048, "enumeration", WITNESS_1
+    ),
+    ("privacy", "--mode", "slfr"): (
+        "fail", 24576, 4096, "enumeration", dict(WITNESS_1, subset=[1])
+    ),
+    ("privacy", "--mode", "lfr"): (
+        "fail", 24576, 2048, "enumeration", dict(WITNESS_1, subset=[1])
+    ),
+    ("privacy", "--mode", "lfr", "--subset", "2"): (
+        "fail", 8192, 1024, "enumeration", WITNESS_2
+    ),
+    ("correctness",): ("pass", 8192, 0, "certificate", None),
+    ("security",): ("pass", 8192, 0, "certificate", None),
+    ("privacy",): ("pass", 24576, 0, "certificate", None),
+    ("security", "--field", "p:3", "--demand-space", "units"): (
+        "pass", 78732, 0, "certificate", None
+    ),
+    ("privacy", "--mode", "plfr", "--demand-space", "units"): (
+        "pass", 6144, 0, "certificate", None
+    ),
+    ("security", "--mode", "lfr", "--demand-space", "units"): (
+        "fail", 2048, 512, "enumeration", {
+            "demands": [[1, 0], [1, 0]], "files": ZERO_FILES,
+            "signal": "(((1, 0), (1, 0)), ((0,),))",
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "args", PINNED_AUDITS, ids=lambda args: "_".join(a.lstrip("-") for a in args)
+)
+def test_pinned_audit_reports(capsys, args):
+    # every figure and witness of the audits, certificate and enumeration alike
+    instance = ("--pda", "man:2,1", "--n", "2", "--b", "2")
+    code, out, _ = run_cli(capsys, "audit", *args, *instance)
+    report = last_json(out)
+    verdict, atoms, violations, method, counterexample = PINNED_AUDITS[args]
+    assert code == (0 if verdict == "pass" else 1)
+    assert (report["verdict"], report["atoms"], report["violations"], report["method"]) == (
+        verdict, atoms, violations, method
+    )
+    assert report["counterexample"] == counterexample
 
 
 class TestCurvesBoundsGap:

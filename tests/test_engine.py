@@ -163,6 +163,12 @@ class TestLibrary:
                 Library(GF2, files)
         assert Library(GF3, ((2, 0), (1, 1))).b == 2
 
+    def test_zero_length_files(self):
+        with pytest.raises(EngineError):
+            Library(GF2, ((), ()))
+        with pytest.raises(EngineError):
+            Library.random(GF2, 2, 0, random.Random(1))
+
 
 class TestDeliver:
     def test_coeffs_mask_demands(self):

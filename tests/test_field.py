@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from splfr.field import DEFAULT_POLYS, FieldContext, FieldError
 
-from oracle import ContextMismatchError, FieldElement, dot
+from oracle import ContextMismatchError, FieldElement, dot, field_dot
 
 
 def slow_gf2m_mul(a: int, b: int, poly: int, m: int) -> int:
@@ -120,17 +120,17 @@ class TestDot:
         w = (3, 1, 4, 2)
         for n in range(4):
             e = tuple(1 if i == n else 0 for i in range(4))
-            assert GF5.dot(e, w) == w[n]
+            assert field_dot(GF5, e, w) == w[n]
 
     def test_zero_vector(self):
-        assert GF5.dot((0, 0, 0), (1, 2, 3)) == 0
+        assert field_dot(GF5, (0, 0, 0), (1, 2, 3)) == 0
 
     def test_gf2_hand_example(self):
-        assert GF2.dot((1, 0, 1, 1), (1, 1, 1, 0)) == 0
+        assert field_dot(GF2, (1, 0, 1, 1), (1, 1, 1, 0)) == 0
 
     def test_length_mismatch(self):
         with pytest.raises(FieldError):
-            GF5.dot((1, 2), (1, 2, 3))
+            field_dot(GF5, (1, 2), (1, 2, 3))
 
     @given(st.data())
     def test_bilinear(self, data):
@@ -138,8 +138,8 @@ class TestDot:
         n = data.draw(st.integers(1, 6))
         vec = st.tuples(*[st.integers(0, q - 1)] * n)
         u, v, w = data.draw(vec), data.draw(vec), data.draw(vec)
-        lhs = GF5.dot(GF5.vec_add(u, v), w)
-        rhs = GF5.add(GF5.dot(u, w), GF5.dot(v, w))
+        lhs = field_dot(GF5, GF5.vec_add(u, v), w)
+        rhs = GF5.add(field_dot(GF5, u, w), field_dot(GF5, v, w))
         assert lhs == rhs
 
 

@@ -185,6 +185,12 @@ class TestSchemePoints:
             pts = scheme_points(scheme, 3, 4)
             assert pts[0] == CurvePoint(F(0), F(3))
 
+    def test_privkey_loads(self):
+        # (C(K,t+1) - C(K-r,t+1)) / C(K,t) with r = min(N, K) for PLFR and
+        # r = min(N-1, K) for PFR; N = 3, K = 4, t = 1
+        assert scheme_points("privkey-plfr", 3, 4)[2] == CurvePoint(F(3, 2), F(3, 2))
+        assert scheme_points("privkey-pfr", 3, 4)[2] == CurvePoint(F(3, 2), F(5, 4))
+
     def test_virtual_endpoint(self):
         pts = scheme_points("virtual", 3, 2)
         assert pts[-1] == CurvePoint(F(3), F(0))
