@@ -110,7 +110,7 @@ class AuditConfig:
     @property
     def atom_count(self) -> int:
         q = self.ctx.q
-        per_user_demands = len(self.demand_vectors())
+        per_user_demands = self.n if self.demand_space == "units" else q**self.n
         return (
             q ** (self.n * self.b)
             * q ** (self.pda.s * self.block)

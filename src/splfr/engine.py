@@ -17,7 +17,7 @@ rounds produce a new state.  Each block of each stage is one
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -116,11 +116,6 @@ def split(file: Sequence[int], f: int) -> tuple[Vector, ...]:
     return tuple(tuple(file[i * size : (i + 1) * size]) for i in range(f))
 
 
-def packet_rows(library: Library, f: int) -> tuple[tuple[Vector, ...], ...]:
-    """Row i holds the i-th packet of every file: rows[i][n] = W_{n,i}."""
-    return tuple(zip(*(split(file, f) for file in library.files)))
-
-
 @dataclass(frozen=True)
 class Randomness:
     """Server randomness: S security key blocks and K privacy vectors."""
@@ -217,12 +212,14 @@ class UserView:
 class SchemeState:
     """A placed system: array, library, effective randomness, and all caches.
 
+    ``rows[i][n]`` is packet i of file n, split once at placement.
     ``randomness`` is already masked for ``mode``, so the stored key values
     are exactly the ones the caches were built from.
     """
 
     pda: PDA
     library: Library
+    rows: tuple[tuple[Vector, ...], ...]
     randomness: Randomness
     mode: Mode
     caches: tuple[UserCache, ...]
@@ -258,7 +255,7 @@ def place(pda: PDA, library: Library, randomness: Randomness, mode: Mode) -> Sch
     randomness.check_shapes(pda, n, b, ctx)
     effective = randomness.masked(mode)
 
-    rows = packet_rows(library, pda.f)
+    rows = tuple(zip(*(split(file, pda.f) for file in library.files)))
     caches = []
     for k in range(pda.k):
         uncoded: dict[int, tuple[Vector, ...]] = {}
@@ -273,7 +270,12 @@ def place(pda: PDA, library: Library, randomness: Randomness, mode: Mode) -> Sch
         caches.append(UserCache(uncoded=uncoded, coded=coded))
 
     return SchemeState(
-        pda=pda, library=library, randomness=effective, mode=mode, caches=tuple(caches)
+        pda=pda,
+        library=library,
+        rows=rows,
+        randomness=effective,
+        mode=mode,
+        caches=tuple(caches),
     )
 
 
@@ -288,14 +290,13 @@ def deliver(state: SchemeState, demands: Sequence[Vector]) -> DeliveryPayload:
 
     coeffs = tuple(map(ctx.vec_add, state.randomness.privacy_vectors, demands))
 
-    rows = packet_rows(lib, pda.f)
     blocks = []
     for s in range(1, pda.s + 1):
         # y_s = V_s + sum over the positions (i, j) of s of sum_n q_{j,n} W_{n,i}
         c, v = [1], [state.randomness.security_keys[s - 1]]
         for i, j in pda.symbol_positions(s):
             c += coeffs[j]
-            v += rows[i]
+            v += state.rows[i]
         blocks.append(ctx.lincomb(c, v))
     return DeliveryPayload(coeff_vectors=coeffs, blocks=tuple(blocks))
 
@@ -353,56 +354,44 @@ def update_round(
 ) -> SchemeState:
     """Refresh the superposition keys after a delivery round.
 
-    Each user k adds V^u to its coded records through the public fresh keys
-    and shifts its privacy component by c_k times its decoded combination,
-    both computable from the user's own view.  The security keys become
-    V + V^u and the privacy vectors p_k + c_k * d_k.  Key families disabled
-    by the state's mode stay zero: their updates are masked the same way.
+    The round's key shift is the fresh security keys V^u and the privacy
+    shifts c_k * d_k, checked and masked for the state's mode like
+    placement keys; the new keys are the old keys plus the shift.  Each
+    user k adds V^u to its coded records through the public fresh keys and
+    c_k times its own decoded packets, both computable from its own view.
     """
     pda, lib = state.pda, state.library
     ctx = lib.ctx
-    block = state.block_size
-    if len(fresh_security_keys) != pda.s or any(
-        len(v) != block for v in fresh_security_keys
-    ):
-        raise EngineError(f"expected {pda.s} fresh keys of length {block}")
     if len(local_coeffs) != pda.k:
         raise EngineError(f"expected {pda.k} local coefficients")
-    if len(demands) != pda.k:
-        raise EngineError(f"expected {pda.k} demand vectors")
+    payload = deliver(state, demands)  # also validates the demands
+    shift = Randomness(
+        security_keys=tuple(fresh_security_keys),
+        privacy_vectors=tuple(
+            ctx.vec_scale(ctx.check(c), d) for c, d in zip(local_coeffs, demands)
+        ),
+    )
+    shift.check_shapes(pda, lib.n_files, lib.b, ctx)
+    shift = shift.masked(state.mode)
+    fresh = shift.security_keys
 
-    mode = state.mode
-    fresh = list(fresh_security_keys)
-    coeffs = list(local_coeffs)
-    if not mode.security_keys_active:
-        fresh = [(0,) * block for _ in fresh]
-    if not mode.privacy_keys_active:
-        coeffs = [0 for _ in coeffs]
-
-    payload = deliver(state, demands)
     new_caches = []
     for k in range(pda.k):
+        c = local_coeffs[k] if state.mode.privacy_keys_active else 0
         decoded = decode(state.user_view(k), payload, tuple(demands[k]))
         decoded_packets = split(decoded, pda.f)
         coded = {
-            i: ctx.lincomb(
-                (1, 1, coeffs[k]), (old, fresh[pda.entries[i][k] - 1], decoded_packets[i])
-            )
+            i: ctx.lincomb((1, 1, c), (old, fresh[pda.entries[i][k] - 1], decoded_packets[i]))
             for i, old in state.caches[k].coded.items()
         }
         new_caches.append(UserCache(uncoded=state.caches[k].uncoded, coded=coded))
 
-    new_randomness = Randomness(
-        security_keys=tuple(map(ctx.vec_add, state.randomness.security_keys, fresh)),
-        privacy_vectors=tuple(
-            ctx.lincomb((1, c), (p, d))
-            for p, c, d in zip(state.randomness.privacy_vectors, coeffs, demands)
+    keys = state.randomness
+    return replace(
+        state,
+        randomness=Randomness(
+            security_keys=tuple(map(ctx.vec_add, keys.security_keys, fresh)),
+            privacy_vectors=tuple(map(ctx.vec_add, keys.privacy_vectors, shift.privacy_vectors)),
         ),
-    )
-    return SchemeState(
-        pda=pda,
-        library=lib,
-        randomness=new_randomness,
-        mode=mode,
         caches=tuple(new_caches),
     )

@@ -8,7 +8,6 @@ signal).  Stars are represented by ``STAR`` (None); ordinary symbols are
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -202,17 +201,6 @@ def symbol_count_bound(pda: PDA) -> tuple[Fraction, bool]:
     counts = {sym: len(pda.symbol_positions(sym)) for sym in range(1, s + 1)}
     tight = all(c == per_symbol for c in counts.values())
     return bound, tight
-
-
-def min_subpacketization(k: int, g: int) -> int:
-    """Smallest row count C(k, g-1) of a g-regular array with g-1 stars per row.
-
-    The combinatorial argument needs g >= 2; g = 1 and g = k + 1 are accepted
-    as degenerate endpoints where the bound C(k, g-1) is trivially valid.
-    """
-    if not 1 <= g <= k + 1:
-        raise PdaError(f"need 1 <= g <= k+1, got k={k}, g={g}")
-    return math.comb(k, g - 1)
 
 
 def lsub_parameters(k: int, t: int) -> tuple[Fraction, Fraction, int]:

@@ -161,15 +161,6 @@ def cutset_bound(n: int, k: int, m) -> Fraction:
     return best
 
 
-def f_bound(n: int, m) -> Fraction:
-    """Smooth envelope (1/4)(N/(N-1))(N/M - M/N) of the cut-set lines."""
-    m = _frac(m)
-    lo = Fraction(n, 2 * (n // 2) + 1)
-    if not lo <= m <= n:
-        raise TradeoffError(f"memory {m} outside [{lo}, {n}]")
-    return Fraction(1, 4) * Fraction(n, n - 1) * (Fraction(n, 1) / m - m / Fraction(n))
-
-
 # -- known-scheme curves (comparison table) -------------------------------
 
 SCHEMES = (
@@ -590,17 +581,15 @@ def _dec(x: Fraction) -> str:
     return f"{x.numerator / x.denominator:.12f}"
 
 
-def emit_curves(
-    n: int,
-    k: int,
-    schemes: Sequence[str],
-    out_dir: str,
-    bound_samples: int = 200,
-) -> dict:
+#: intervals of the uniform grid of [1, N] the reference bounds are drawn on
+BOUND_SAMPLES = 200
+
+
+def emit_curves(n: int, k: int, schemes: Sequence[str], out_dir: str) -> dict:
     """Write corner-point CSV and an SVG chart for the selected schemes.
 
     The array-class converse and the cut-set bound are included as
-    reference series, sampled on a uniform grid of [1, N].
+    reference series, sampled at BOUND_SAMPLES + 1 points of [1, N].
     """
     os.makedirs(out_dir, exist_ok=True)
     series: list[tuple[str, list[CurvePoint]]] = []
@@ -613,8 +602,8 @@ def emit_curves(
         ("cutset-bound", lambda m: cutset_bound(n, k, m)),
     ):
         pts = []
-        for i in range(bound_samples + 1):
-            m = 1 + Fraction(i * (n - 1), bound_samples)
+        for i in range(BOUND_SAMPLES + 1):
+            m = 1 + Fraction(i * (n - 1), BOUND_SAMPLES)
             pts.append(CurvePoint(m, fn(m)))
         series.append((name, pts))
 

@@ -4,21 +4,22 @@ The engine oracles use only the per-symbol field helpers (``vec_add``,
 ``vec_scale``), never the ``FieldContext.lincomb`` kernel the engine is
 built on, so they stay independent of the code under test.  Helpers that
 only the tests use (``FieldElement``, ``field_dot``, ``canonical_relabel``,
-``restrict_corners``) live here too.
+``min_subpacketization``, ``restrict_corners``, ``f_bound``) live here too.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from splfr.engine import Library, Vector, split
 from splfr.field import FieldContext, FieldError
-from splfr.pda import PDA, STAR, validate
+from splfr.pda import PDA, STAR, PdaError, validate
 from splfr.tradeoff import (
     CurvePoint,
     TradeoffCurve,
+    TradeoffError,
     cutset_bound,
-    f_bound,
     man_curve,
     pda_lower_bound,
 )
@@ -109,6 +110,26 @@ def canonical_relabel(pda: PDA) -> PDA:
                 new_row.append(mapping[e])
         grid.append(new_row)
     return validate(grid)
+
+
+def min_subpacketization(k: int, g: int) -> int:
+    """Smallest row count C(k, g-1) of a g-regular array with g-1 stars per row.
+
+    The combinatorial argument needs g >= 2; g = 1 and g = k + 1 are accepted
+    as degenerate endpoints where the bound C(k, g-1) is trivially valid.
+    """
+    if not 1 <= g <= k + 1:
+        raise PdaError(f"need 1 <= g <= k+1, got k={k}, g={g}")
+    return math.comb(k, g - 1)
+
+
+def f_bound(n: int, m) -> Fraction:
+    """Smooth envelope (1/4)(N/(N-1))(N/M - M/N) of the cut-set lines."""
+    m = Fraction(m)
+    lo = Fraction(n, 2 * (n // 2) + 1)
+    if not lo <= m <= n:
+        raise TradeoffError(f"memory {m} outside [{lo}, {n}]")
+    return Fraction(1, 4) * Fraction(n, n - 1) * (Fraction(n, 1) / m - m / Fraction(n))
 
 
 def restrict_corners(curve: TradeoffCurve, m_lo, m_hi) -> tuple[CurvePoint, ...]:

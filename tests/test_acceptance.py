@@ -26,7 +26,6 @@ from splfr.field import FieldContext
 from splfr.pda import (
     STAR,
     man_pda,
-    min_subpacketization,
     symbol_count_bound,
     validate,
 )
@@ -42,7 +41,7 @@ from splfr.tradeoff import (
     scheme_curve,
 )
 
-from oracle import privacy_key, restrict_corners
+from oracle import min_subpacketization, privacy_key, restrict_corners
 
 GF2 = FieldContext.prime(2)
 

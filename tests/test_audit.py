@@ -73,6 +73,18 @@ class TestConfig:
         assert cfg.demand_vectors() == [(1, 0), (0, 1)]
         assert cfg.atom_count == 16 * 2 * 16 * 4
 
+    def test_atom_count_builds_no_demand_vectors(self, monkeypatch):
+        # over GF(65521) with N = 2 the list would hold 65521^2 vectors
+        def refuse(cfg):
+            raise AssertionError("atom_count must not build the demand vectors")
+
+        monkeypatch.setattr(AuditConfig, "demand_vectors", refuse)
+        wide = small(ctx=FieldContext.prime(65521))
+        assert wide.atom_count == 65521**13
+        with pytest.raises(BudgetExceeded):
+            wide.check_budget()
+        assert small(demand_space="units").atom_count == 16 * 2 * 16 * 4
+
     def test_budget_exceeded(self):
         cfg = small(budget=100)
         with pytest.raises(BudgetExceeded):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import splfr.engine
 from splfr.engine import (
     DeliveryPayload,
     EngineError,
@@ -63,6 +64,28 @@ class TestSplit:
         file = tuple(range(12))
         packets = split(file, 4)
         assert tuple(x for pkt in packets for x in pkt) == file
+
+
+class TestSplitOnce:
+    def test_place_splits_each_file_once_and_deliver_never(self, monkeypatch):
+        calls = []
+
+        def counting_split(file, f):
+            calls.append(file)
+            return split(file, f)
+
+        monkeypatch.setattr(splfr.engine, "split", counting_split)
+        arr = man_pda(3, 1)
+        state = make_state(arr, 4, 6, GF2, seed=61)
+        assert len(calls) == 4
+        for i, row in enumerate(state.rows):
+            for n, packet in enumerate(row):
+                assert packet == split(state.library.files[n], arr.f)[i]
+        demands = unit_demands(3, 4)
+        deliver(state, demands)
+        assert len(calls) == 4
+        zeros = tuple((0, 0) for _ in range(arr.s))
+        assert update_round(state, demands, zeros, (0, 0, 0)).rows is state.rows
 
 
 class TestPrivacyKey:
@@ -381,6 +404,22 @@ class TestUpdateRound:
             fresh = tuple(ctx.random_vector(2, rng) for _ in range(arr.s))
             coeffs = tuple(ctx.random_element(rng) for _ in range(3))
             state = update_round(state, demands, fresh, coeffs)
+
+    @pytest.mark.parametrize("spec", ["b:4", "p:5"])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_out_of_field_input(self, spec, mode):
+        # checked before masking, as placement checks its keys
+        ctx = FieldContext.parse(spec)
+        arr = man_pda(3, 1)
+        state = make_state(arr, 3, 3, ctx, seed=51, mode=mode)
+        demands = unit_demands(3, 3)
+        fresh = tuple((0,) for _ in range(arr.s))
+        for bad in (ctx.q, ctx.q + 3, -1):
+            with pytest.raises(FieldError):
+                update_round(state, demands, ((bad,), *fresh[1:]), (1, 1, 1))
+        for bad in (ctx.q + 1, -1):
+            with pytest.raises(FieldError):
+                update_round(state, demands, fresh, (1, bad, 1))
 
     def test_shape_errors(self):
         state = make_state(TOY, 4, 3, GF2, seed=21)

@@ -17,7 +17,6 @@ from splfr.pda import (
     lsub_parameters,
     man_pda,
     memory_load,
-    min_subpacketization,
     parse_pda,
     regularity,
     render_pda,
@@ -25,7 +24,7 @@ from splfr.pda import (
     validate,
 )
 
-from oracle import canonical_relabel
+from oracle import canonical_relabel, min_subpacketization
 
 TOY = (
     (STAR, 1, 2),

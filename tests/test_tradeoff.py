@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracle import (
     bounds_grid_ok,
+    f_bound,
     grid,
     simple_converse_samples,
     smooth_bound_samples,
@@ -26,7 +27,6 @@ from splfr.tradeoff import (
     cutset_bound,
     emit_curves,
     f_below_cutset,
-    f_bound,
     smooth_bound_ratio_max,
     simple_converse_ratio_max,
     coded_uncoded_ratio_max,
@@ -408,7 +408,7 @@ class TestSubpacketization:
 
 class TestEmit:
     def test_csv_and_svg(self, tmp_path):
-        out = emit_curves(4, 3, ["splfr", "yma"], str(tmp_path), bound_samples=10)
+        out = emit_curves(4, 3, ["splfr", "yma"], str(tmp_path))
         with open(out["csv"]) as fh:
             rows = list(csv.DictReader(fh))
         by_scheme = {}
@@ -416,7 +416,7 @@ class TestEmit:
             by_scheme.setdefault(row["scheme"], []).append(row)
         assert len(by_scheme["splfr"]) == len(scheme_curve("splfr", 4, 3).corners)
         assert len(by_scheme["yma"]) == len(scheme_curve("yma", 4, 3).corners)
-        assert len(by_scheme["pda-bound"]) == 11
+        assert len(by_scheme["pda-bound"]) == 201
         # exact columns round-trip as fractions
         for row in by_scheme["splfr"]:
             assert abs(float(Fraction(row["M_exact"])) - float(row["M"])) < 1e-9
