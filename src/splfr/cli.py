@@ -206,7 +206,7 @@ def cmd_audit(args) -> int:
         report = audit.audit_security(cfg)
     else:
         # no subset given: audit every nonempty colluding subset
-        subset = [int(x) for x in args.subset.split(",")] if args.subset else None
+        subset = None if args.subset is None else _parse_subset(args.subset)
         report = audit.audit_privacy(cfg, subset)
 
     emit_report(report.to_dict(), seed=None, config=config)
@@ -215,6 +215,13 @@ def cmd_audit(args) -> int:
         f"({report.atoms} atoms, {report.violations} violations, by {report.method})"
     )
     return 0 if report.verdict else 1
+
+
+def _parse_subset(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise audit.AuditError(f"--subset must list user numbers like 1,2, got {text!r}") from None
 
 
 # -- curves / bounds / gap -------------------------------------------------

@@ -227,10 +227,6 @@ class SchemeState:
     def user_view(self, k: int) -> UserView:
         return UserView(self.pda, self.library.ctx, k, self.caches[k], self.library.n_files)
 
-    @property
-    def block_size(self) -> int:
-        return self.library.b // self.pda.f
-
 
 class DeliveryPayload(NamedTuple):
     """The broadcast signal: K coefficient vectors and S multicast blocks."""
@@ -256,38 +252,47 @@ def place(pda: PDA, library: Library, randomness: Randomness, mode: Mode) -> Sch
     effective = randomness.masked(mode)
 
     rows = tuple(zip(*(split(file, pda.f) for file in library.files)))
-    caches = []
-    for k in range(pda.k):
-        uncoded: dict[int, tuple[Vector, ...]] = {}
-        coded: dict[int, Vector] = {}
-        # coded record of row i: V_s + sum_n p_{k,n} W_{n,i}
-        coeffs = (1, *effective.privacy_vectors[k])
-        for i, entry in enumerate(pda.column(k)):
-            if entry is STAR:
-                uncoded[i] = rows[i]
-            else:
-                coded[i] = ctx.lincomb(coeffs, (effective.security_keys[entry - 1], *rows[i]))
-        caches.append(UserCache(uncoded=uncoded, coded=coded))
-
     return SchemeState(
         pda=pda,
         library=library,
         rows=rows,
         randomness=effective,
         mode=mode,
-        caches=tuple(caches),
+        caches=_fill_caches(pda, ctx, rows, effective),
     )
+
+
+def _fill_caches(
+    pda: PDA, ctx: FieldContext, rows: tuple[tuple[Vector, ...], ...], keys: Randomness
+) -> tuple[UserCache, ...]:
+    """Every user's cache from the packet rows and the (masked) keys."""
+    caches = []
+    for k in range(pda.k):
+        uncoded: dict[int, tuple[Vector, ...]] = {}
+        coded: dict[int, Vector] = {}
+        # coded record of row i: V_s + sum_n p_{k,n} W_{n,i}
+        coeffs = (1, *keys.privacy_vectors[k])
+        for i, entry in enumerate(pda.column(k)):
+            if entry is STAR:
+                uncoded[i] = rows[i]
+            else:
+                coded[i] = ctx.lincomb(coeffs, (keys.security_keys[entry - 1], *rows[i]))
+        caches.append(UserCache(uncoded=uncoded, coded=coded))
+    return tuple(caches)
+
+
+def _check_demands(state: SchemeState, demands: Sequence[Vector]) -> None:
+    """Reject a round's demands unless they are K field vectors of length N."""
+    if len(demands) != state.pda.k:
+        raise EngineError(f"expected {state.pda.k} demand vectors, got {len(demands)}")
+    for d in demands:
+        check_demand(state.library.ctx, d, state.library.n_files)
 
 
 def deliver(state: SchemeState, demands: Sequence[Vector]) -> DeliveryPayload:
     """Build the broadcast signal for one demand tuple."""
-    pda, lib = state.pda, state.library
-    ctx = lib.ctx
-    if len(demands) != pda.k:
-        raise EngineError(f"expected {pda.k} demand vectors, got {len(demands)}")
-    for d in demands:
-        check_demand(ctx, d, lib.n_files)
-
+    pda, ctx = state.pda, state.library.ctx
+    _check_demands(state, demands)
     coeffs = tuple(map(ctx.vec_add, state.randomness.privacy_vectors, demands))
 
     blocks = []
@@ -356,15 +361,18 @@ def update_round(
 
     The round's key shift is the fresh security keys V^u and the privacy
     shifts c_k * d_k, checked and masked for the state's mode like
-    placement keys; the new keys are the old keys plus the shift.  Each
-    user k adds V^u to its coded records through the public fresh keys and
-    c_k times its own decoded packets, both computable from its own view.
+    placement keys; the new keys are the old keys plus the shift.  The
+    caches are refilled from the stored packet rows at the new keys, so the
+    result is the placement at the accumulated keys.  Each user k can apply
+    the same refresh from its own view, adding the public fresh keys and
+    c_k times its own decoded packets to its coded records; that locality
+    is a tested property, not a step of this function.
     """
     pda, lib = state.pda, state.library
     ctx = lib.ctx
     if len(local_coeffs) != pda.k:
         raise EngineError(f"expected {pda.k} local coefficients")
-    payload = deliver(state, demands)  # also validates the demands
+    _check_demands(state, demands)
     shift = Randomness(
         security_keys=tuple(fresh_security_keys),
         privacy_vectors=tuple(
@@ -373,25 +381,9 @@ def update_round(
     )
     shift.check_shapes(pda, lib.n_files, lib.b, ctx)
     shift = shift.masked(state.mode)
-    fresh = shift.security_keys
-
-    new_caches = []
-    for k in range(pda.k):
-        c = local_coeffs[k] if state.mode.privacy_keys_active else 0
-        decoded = decode(state.user_view(k), payload, tuple(demands[k]))
-        decoded_packets = split(decoded, pda.f)
-        coded = {
-            i: ctx.lincomb((1, 1, c), (old, fresh[pda.entries[i][k] - 1], decoded_packets[i]))
-            for i, old in state.caches[k].coded.items()
-        }
-        new_caches.append(UserCache(uncoded=state.caches[k].uncoded, coded=coded))
-
-    keys = state.randomness
-    return replace(
-        state,
-        randomness=Randomness(
-            security_keys=tuple(map(ctx.vec_add, keys.security_keys, fresh)),
-            privacy_vectors=tuple(map(ctx.vec_add, keys.privacy_vectors, shift.privacy_vectors)),
-        ),
-        caches=tuple(new_caches),
+    old = state.randomness
+    keys = Randomness(
+        security_keys=tuple(map(ctx.vec_add, old.security_keys, shift.security_keys)),
+        privacy_vectors=tuple(map(ctx.vec_add, old.privacy_vectors, shift.privacy_vectors)),
     )
+    return replace(state, randomness=keys, caches=_fill_caches(pda, ctx, state.rows, keys))

@@ -188,6 +188,14 @@ class TestAudit:
         # three nonempty subsets of two users, 8192 atoms each
         assert last_json(out)["atoms"] == 3 * 8192
 
+    @pytest.mark.parametrize("subset", ["1,x", ",1", ""])
+    def test_bad_subset_fails_cleanly(self, capsys, subset):
+        code, out, _ = run_cli(capsys, "audit", "privacy", *self.BASE,
+                               "--subset", subset)
+        assert code == 1
+        report = last_json(out)
+        assert report["verdict"] == "fail" and "--subset" in report["error"]
+
     def test_method_reported(self, capsys):
         _, out, err = run_cli(capsys, "audit", "security", *self.BASE)
         assert last_json(out)["method"] == "certificate"

@@ -429,6 +429,31 @@ class TestUpdateRound:
         with pytest.raises(EngineError):
             update_round(state, demands, tuple((0,) for _ in range(3)), (0, 0))
 
+    def test_bad_demands_rejected_even_with_zero_coefficients(self):
+        state = make_state(TOY, 4, 3, GF3, seed=21)
+        zeros = tuple((0,) for _ in range(3))
+        with pytest.raises(EngineError):
+            update_round(state, unit_demands(2, 4), zeros, (0, 0, 0))
+        with pytest.raises(EngineError):
+            update_round(state, unit_demands(3, 3), zeros, (0, 0, 0))
+        with pytest.raises(FieldError):
+            update_round(state, ((3, 0, 0, 0), *unit_demands(2, 4)), zeros, (0, 0, 0))
+
+    def test_refills_caches_without_delivering_or_decoding(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("update_round must not deliver, decode or split")
+
+        state = make_state(man_pda(3, 1), 3, 6, GF3, seed=71)
+        rng = random.Random(72)
+        demands = tuple(GF3.random_vector(3, rng) for _ in range(3))
+        fresh = tuple(GF3.random_vector(2, rng) for _ in range(state.pda.s))
+        for name in ("deliver", "decode", "split"):
+            monkeypatch.setattr(splfr.engine, name, forbidden)
+        updated = update_round(state, demands, fresh, (1, 2, 0))
+        monkeypatch.undo()
+        scratch = place(state.pda, state.library, updated.randomness, state.mode)
+        assert updated.caches == scratch.caches
+
 
 # -- properties over arrays x modes x fields ------------------------------
 
@@ -514,7 +539,7 @@ def test_property_cache_records_are_superposed_keys(instance):
 def test_property_update_round_is_placement_with_accumulated_keys(instance):
     state, rnd, demands, rng = build(instance)
     arr, ctx = state.pda, state.library.ctx
-    fresh = tuple(ctx.random_vector(state.block_size, rng) for _ in range(arr.s))
+    fresh = tuple(ctx.random_vector(state.library.b // arr.f, rng) for _ in range(arr.s))
     coeffs = tuple(ctx.random_element(rng) for _ in range(arr.k))
 
     updated = update_round(state, demands, fresh, coeffs)
@@ -529,3 +554,30 @@ def test_property_update_round_is_placement_with_accumulated_keys(instance):
     scratch = place(arr, state.library, accumulated, state.mode)
     assert updated.caches == scratch.caches
     assert updated.randomness == scratch.randomness
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances)
+def test_property_update_round_is_local_to_each_user(instance):
+    # each user refreshes its coded records from its own view: the public
+    # fresh keys, the broadcast, its own demand and its own c_k
+    state, _, demands, rng = build(instance)
+    arr, ctx, mode = state.pda, state.library.ctx, state.mode
+    block = state.library.b // arr.f
+    fresh = tuple(ctx.random_vector(block, rng) for _ in range(arr.s))
+    coeffs = tuple(ctx.random_element(rng) for _ in range(arr.k))
+    updated = update_round(state, demands, fresh, coeffs)
+
+    payload = deliver(state, demands)
+    if not mode.security_keys_active:
+        fresh = tuple((0,) * block for _ in fresh)
+    for k in range(arr.k):
+        view = state.user_view(k)
+        c = coeffs[k] if mode.privacy_keys_active else 0
+        packets = split(decode(view, payload, demands[k]), view.pda.f)
+        new = updated.caches[k]
+        assert new.uncoded == view.cache.uncoded
+        assert new.coded.keys() == view.cache.coded.keys()
+        for i, old in view.cache.coded.items():
+            pad = ctx.vec_add(old, fresh[view.pda.entries[i][k] - 1])
+            assert new.coded[i] == ctx.vec_add(pad, ctx.vec_scale(c, packets[i]))
