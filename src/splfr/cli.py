@@ -120,6 +120,29 @@ def _parse_demands(spec: str, k: int, n: int, ctx: FieldContext, rng: random.Ran
     return tuple(demands)
 
 
+def _analytic_checks(arr: pda_mod.PDA, n: int, b: int, meas: engine.Measure) -> dict:
+    """Measured memory, load and transmitted symbols against the array's values.
+
+    The analytic values are M = 1 + Z(N-1)/F, R = S/F and tx = S*B/F + K*N.
+    M is the formula of ``pda.memory_load``, which refuses N < 2; at N = 1 it
+    is one file's worth of symbols, which is what a cache then holds.
+    """
+    analytic = {
+        "memory": 1 + Fraction(arr.z * (n - 1), arr.f),
+        "load": Fraction(arr.s, arr.f),
+        "tx_symbols": arr.s * b // arr.f + arr.k * n,
+    }
+    measured = {
+        "memory": meas.m_exact,
+        "load": meas.r_asymptotic,
+        "tx_symbols": meas.tx_symbols,
+    }
+    return {
+        name: {"measured": measured[name], "analytic": value, "ok": measured[name] == value}
+        for name, value in analytic.items()
+    }
+
+
 def cmd_sim(args) -> int:
     arr = _load_pda(args.pda)
     ctx = FieldContext.parse(args.field)
@@ -154,11 +177,14 @@ def cmd_sim(args) -> int:
         all_ok = all_ok and ok
         digest = hashlib.sha256(",".join(map(str, decoded)).encode()).hexdigest()
         users.append({"user": k + 1, "decode_sha256": digest, "correct": ok})
+    checks = _analytic_checks(arr, args.n, args.b, meas)
+    checks_ok = all(check["ok"] for check in checks.values())
 
     emit_report(
         {
-            "verdict": "pass" if all_ok else "fail",
+            "verdict": "pass" if all_ok and checks_ok else "fail",
             "users": users,
+            "checks": checks,
             "memory": meas.m_exact,
             "load": meas.r_asymptotic,
             "tx_symbols": meas.tx_symbols,
@@ -170,9 +196,9 @@ def cmd_sim(args) -> int:
     )
     _summary(
         f"M={meas.m_exact} R={meas.r_asymptotic} tx={meas.tx_symbols} "
-        f"decode={'ok' if all_ok else 'FAIL'}"
+        f"decode={'ok' if all_ok else 'FAIL'} checks={'ok' if checks_ok else 'FAIL'}"
     )
-    return 0 if all_ok else 1
+    return 0 if all_ok and checks_ok else 1
 
 
 # -- audit ----------------------------------------------------------------

@@ -11,7 +11,10 @@ is simultaneously one-time-pad secure and demand-hiding.
 
 States are immutable once placed; deliver/decode are pure, and update
 rounds produce a new state.  Each block of each stage is one
-``FieldContext.lincomb`` call.
+``FieldContext.lincomb`` call.  Over GF(2^m), placement packs each packet
+and security key once (``FieldContext.pack``), and the coded records and
+multicast blocks come out of the kernel packed, so no stage converts a
+stored vector again.
 """
 
 from __future__ import annotations
@@ -212,7 +215,8 @@ class UserView:
 class SchemeState:
     """A placed system: array, library, effective randomness, and all caches.
 
-    ``rows[i][n]`` is packet i of file n, split once at placement.
+    ``rows[i][n]`` is packet i of file n, split (and over GF(2^m) packed)
+    once at placement.
     ``randomness`` is already masked for ``mode``, so the stored key values
     are exactly the ones the caches were built from.
     """
@@ -249,9 +253,11 @@ def place(pda: PDA, library: Library, randomness: Randomness, mode: Mode) -> Sch
     if b % pda.f != 0:
         raise NonDivisibleB(f"F={pda.f} does not divide B={b}")
     randomness.check_shapes(pda, n, b, ctx)
-    effective = randomness.masked(mode)
+    effective = _pack_keys(ctx, randomness.masked(mode))
 
     rows = tuple(zip(*(split(file, pda.f) for file in library.files)))
+    if ctx.kind == "binary":
+        rows = tuple(tuple(map(ctx.pack, row)) for row in rows)
     return SchemeState(
         pda=pda,
         library=library,
@@ -260,6 +266,17 @@ def place(pda: PDA, library: Library, randomness: Randomness, mode: Mode) -> Sch
         mode=mode,
         caches=_fill_caches(pda, ctx, rows, effective),
     )
+
+
+def _pack_keys(ctx: FieldContext, keys: Randomness) -> Randomness:
+    """``keys`` with each security key packed for the kernel over GF(2^m).
+
+    The privacy vectors are coefficients and stay plain; over GF(p) nothing
+    is packed and ``keys`` is returned as it is.
+    """
+    if ctx.kind != "binary":
+        return keys
+    return replace(keys, security_keys=tuple(map(ctx.pack, keys.security_keys)))
 
 
 def _fill_caches(
@@ -386,4 +403,5 @@ def update_round(
         security_keys=tuple(map(ctx.vec_add, old.security_keys, shift.security_keys)),
         privacy_vectors=tuple(map(ctx.vec_add, old.privacy_vectors, shift.privacy_vectors)),
     )
+    keys = _pack_keys(ctx, keys)
     return replace(state, randomness=keys, caches=_fill_caches(pda, ctx, state.rows, keys))

@@ -8,6 +8,14 @@ over plain unsigned integers; no floating point is used anywhere.
 Elements are bare ints; a FieldContext supplies the arithmetic, the
 linear-combination kernel ``lincomb`` and Gaussian elimination
 (``echelon``, ``reduce``), on which the exact audits rest.
+
+Vectors are tuples of ints.  Over GF(2^m) the kernel works on bytes, one
+byte per symbol, so ``FieldContext.pack`` checks a vector once and returns
+it as a ``Packed``: a tuple that also carries that packing.  A ``Packed``
+compares, hashes, slices and prints exactly like its plain tuple, so
+callers never see the difference, and ``lincomb`` uses its packing without
+converting it again.  ``lincomb`` packs (and checks) plain tuples on the
+fly and returns a ``Packed`` over GF(2^m).  Over GF(p) nothing is packed.
 """
 
 from __future__ import annotations
@@ -18,6 +26,21 @@ from typing import Iterable, Sequence
 
 class FieldError(ValueError):
     """Invalid field construction or an operation outside the field."""
+
+
+class Packed(tuple):
+    """A GF(2^m) vector: a tuple of ints that carries its bytes packing.
+
+    Built only by ``FieldContext.pack`` and ``lincomb``, from symbols that
+    are checked to lie in the field.  Equality, hashing, slicing and
+    ``repr`` are the plain tuple's; a slice or a concatenation is a plain
+    tuple again.
+    """
+
+    def __new__(cls, packed: bytes) -> "Packed":
+        self = super().__new__(cls, packed)
+        self.packed = bytes(packed)
+        return self
 
 
 #: Default irreducible polynomials for GF(2^m), as bitmasks including the
@@ -187,14 +210,16 @@ class FieldContext:
         raise FieldError(f"no generator found for poly {poly:#x}")  # pragma: no cover
 
     def _build_rows(self) -> None:
-        # product rows for bytes.translate: _rows[c][x] == c * x for x < q.
+        # product rows for bytes.translate: _rows[c][x] == c * x for x < q,
+        # keyed by the coefficients 2..q-1 only, so that a lookup also
+        # rejects a coefficient outside the field (0 and 1 need no row).
         # Row c looks up the logs of 1..q-1 in the exp table rotated by log(c).
         logs, exp = bytes(self._log[1:]), bytes(self._exp)
-        rows = [bytes(256)]
-        for r in self._log[1:]:
+        self._rows = {}
+        for c in range(2, self.q):
+            r = self._log[c]
             rotated = (exp[r:] + exp[:r]).ljust(256, b"\0")
-            rows.append((b"\0" + logs.translate(rotated)).ljust(256, b"\0"))
-        self._rows = tuple(rows)
+            self._rows[c] = (b"\0" + logs.translate(rotated)).ljust(256, b"\0")
 
     # -- scalar arithmetic on bare ints ----------------------------------
 
@@ -242,6 +267,25 @@ class FieldContext:
     def vec_scale(self, c: int, u: Sequence[int]) -> tuple[int, ...]:
         return tuple(self.mul(c, a) for a in u)
 
+    def pack(self, v: Sequence[int]) -> Sequence[int]:
+        """``v`` ready for the kernel: a checked ``Packed`` over GF(2^m).
+
+        Over GF(p) it returns ``v`` itself, unchecked and unconverted.
+        """
+        if self.kind == "prime" or type(v) is Packed:
+            return v
+        return Packed(self._packing(v))
+
+    def _packing(self, v: Sequence[int]) -> bytes:
+        """The bytes of a vector over GF(2^m), one per symbol, checked."""
+        try:
+            packed = bytes(v)  # raises ValueError for a symbol outside [0, 256)
+            if self.q < 256 and packed and max(packed) >= self.q:
+                raise ValueError
+        except ValueError:
+            raise FieldError(f"symbols outside [0, {self.q})") from None
+        return packed
+
     def lincomb(
         self, coeffs: Sequence[int], vectors: Sequence[Sequence[int]]
     ) -> tuple[int, ...]:
@@ -249,9 +293,12 @@ class FieldContext:
 
         Coefficients and vector entries are field elements; the vectors must
         be nonempty in number and of one common length.  Over GF(p) it
-        reduces once per output symbol; over GF(2^m) each term is one
-        ``bytes.translate`` through the coefficient's product row, added by
-        XOR into a single Python int.
+        reduces once per output symbol.  Over GF(2^m) it rejects
+        coefficients and symbols outside the field, and each term is one
+        ``bytes.translate`` of the vector's packing through the coefficient's
+        product row (none for a coefficient of 1), added by XOR into a single
+        Python int; the result is a ``Packed``.  A ``Packed`` operand's
+        symbols were checked when it was made.
         """
         if len(coeffs) != len(vectors):
             raise FieldError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
@@ -265,10 +312,16 @@ class FieldContext:
             return tuple(sum(map(mul, coeffs, col)) % q for col in zip(*vectors))
         rows = self._rows
         acc = 0
-        for c, v in zip(coeffs, vectors):
-            if c:
-                acc ^= int.from_bytes(bytes(v).translate(rows[c]), "big")
-        return tuple(acc.to_bytes(lengths.pop(), "big"))
+        try:
+            for c, v in zip(coeffs, vectors):
+                packed = v.packed if type(v) is Packed else self._packing(v)
+                if c:
+                    if c != 1:
+                        packed = packed.translate(rows[c])
+                    acc ^= int.from_bytes(packed, "big")
+        except KeyError:
+            raise FieldError(f"coefficient outside [0, {self.q})") from None
+        return Packed(acc.to_bytes(lengths.pop(), "big"))
 
     # -- Gaussian elimination --------------------------------------------
 

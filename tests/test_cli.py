@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from splfr import engine
 from splfr.cli import bounds_report, golden_toy, main
 from splfr.pda import parse_pda
 
@@ -120,6 +121,46 @@ class TestSim:
         code, out, _ = run_cli(capsys, *args)
         assert code == 0
         assert last_json(out)["verdict"] == "pass"
+
+    def test_measured_matches_analytic(self, capsys):
+        _, out, err = run_cli(capsys, *self.ARGS)
+        checks = last_json(out)["checks"]
+        assert checks["memory"] == {
+            "measured": {"exact": "2", "decimal": "2.000000000000"},
+            "analytic": {"exact": "2", "decimal": "2.000000000000"},
+            "ok": True,
+        }
+        assert checks["load"]["ok"] is True
+        assert checks["tx_symbols"] == {"measured": 15, "analytic": 15, "ok": True}
+        assert "checks=ok" in err
+
+    def test_single_file_checks_pass(self, capsys):
+        args = list(self.ARGS)
+        args[args.index("--n") + 1] = "1"
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        report = last_json(out)
+        assert report["verdict"] == "pass"
+        assert report["checks"]["memory"]["analytic"]["exact"] == "1"
+        assert all(check["ok"] for check in report["checks"].values())
+
+    @pytest.mark.parametrize("spec, n, b", [("man:3,1", 4, 3), ("man:4,2", 3, 12)])
+    def test_measure_mismatch_fails(self, capsys, monkeypatch, spec, n, b):
+        measure = engine.measure
+
+        def wrong_tx(state):
+            return measure(state)._replace(tx_symbols=measure(state).tx_symbols + 1)
+
+        monkeypatch.setattr(engine, "measure", wrong_tx)
+        code, out, err = run_cli(capsys, "sim", "run", "--pda", spec, "--n", str(n),
+                                 "--b", str(b), "--field", "b:8", "--seed", "3")
+        assert code == 1
+        report = last_json(out)
+        assert report["verdict"] == "fail"
+        assert all(user["correct"] for user in report["users"])
+        assert report["checks"]["tx_symbols"]["ok"] is False
+        assert report["checks"]["memory"]["ok"] and report["checks"]["load"]["ok"]
+        assert "checks=FAIL" in err
 
     def test_seeded_key_source(self, capsys):
         _, out, _ = run_cli(capsys, *self.ARGS)

@@ -21,13 +21,14 @@ from splfr.engine import (
     split,
     update_round,
 )
-from splfr.field import FieldContext, FieldError
+from splfr.field import FieldContext, FieldError, Packed
 from splfr.pda import STAR, man_pda, memory_load, parse_pda, validate
 
 from oracle import combine as oracle_combine, privacy_key
 
 GF2 = FieldContext.prime(2)
 GF3 = FieldContext.prime(3)
+GF256 = FieldContext.binary(8)
 
 TOY = validate(
     (
@@ -86,6 +87,48 @@ class TestSplitOnce:
         assert len(calls) == 4
         zeros = tuple((0, 0) for _ in range(arr.s))
         assert update_round(state, demands, zeros, (0, 0, 0)).rows is state.rows
+
+    def test_place_packs_each_packet_once_and_deliver_decode_never(self, monkeypatch):
+        # over GF(2^8) the kernel reads each vector's bytes packing; every
+        # packing goes through FieldContext._packing, whether asked for with
+        # pack or made on the fly by lincomb for a plain tuple
+        packs, packings = [], []
+        pack, packing = FieldContext.pack, FieldContext._packing
+
+        def counting_pack(self, v):
+            packs.append(v)
+            return pack(self, v)
+
+        def counting_packing(self, v):
+            packings.append(v)
+            return packing(self, v)
+
+        monkeypatch.setattr(FieldContext, "pack", counting_pack)
+        monkeypatch.setattr(FieldContext, "_packing", counting_packing)
+        arr, n = man_pda(3, 1), 4
+        state = make_state(arr, n, 6, GF256, seed=62)
+        packets = [packet for row in state.rows for packet in row]
+        keys = list(state.randomness.security_keys)
+        # once per packet (N*F) and once per security key (S)
+        assert len(packets) == n * arr.f
+        assert sorted(packs) == sorted(packets + keys) == sorted(packings)
+        assert all(isinstance(v, Packed) for v in packets + keys)
+        for cache in state.caches:
+            assert all(isinstance(v, Packed) for v in cache.coded.values())
+        demands = tuple(GF256.random_vector(n, random.Random(k)) for k in range(arr.k))
+        expected = [state.library.combine(d) for d in demands]
+        del packs[:], packings[:]
+
+        payload = deliver(state, demands)
+        assert all(isinstance(block, Packed) for block in payload.blocks)
+        for k in range(arr.k):
+            assert decode(state.user_view(k), payload, demands[k]) == expected[k]
+        assert packs == packings == []
+
+        fresh = tuple(GF256.random_vector(2, random.Random(s)) for s in range(arr.s))
+        new = update_round(state, demands, fresh, (1, 2, 3))
+        assert len(packs) == len(packings) == arr.s  # the refreshed keys only
+        assert all(isinstance(v, Packed) for v in new.randomness.security_keys)
 
 
 class TestPrivacyKey:

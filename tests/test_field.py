@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splfr.field import DEFAULT_POLYS, FieldContext, FieldError
+from splfr.field import DEFAULT_POLYS, FieldContext, FieldError, Packed
 
 from oracle import ContextMismatchError, FieldElement, dot, field_dot
 
@@ -158,7 +158,12 @@ class TestLincomb:
         coeffs = data.draw(st.lists(coeff, min_size=count, max_size=count), label="coeffs")
         vec = st.tuples(*[element] * length)
         vectors = data.draw(st.lists(vec, min_size=count, max_size=count), label="vectors")
-        assert ctx.lincomb(coeffs, vectors) == lincomb_oracle(ctx, coeffs, vectors)
+        # each operand is passed either packed or as a plain tuple
+        packed = data.draw(
+            st.lists(st.booleans(), min_size=count, max_size=count), label="packed"
+        )
+        operands = [ctx.pack(v) if p else v for v, p in zip(vectors, packed)]
+        assert ctx.lincomb(coeffs, operands) == lincomb_oracle(ctx, coeffs, vectors)
 
     def test_zero_coefficients_give_zero_vector(self, ctx):
         vectors = [(1, ctx.q - 1, 1), (ctx.q - 1, 0, 1)]
@@ -189,6 +194,55 @@ class TestLincomb:
             ctx.lincomb((1, 1), ((0, 1), (1,)))
         with pytest.raises(FieldError):
             ctx.lincomb((1, 1), ((1,), (0, 1)))
+
+
+BINARY_KERNEL_FIELDS = [c for c in KERNEL_FIELDS if c.kind == "binary"]
+
+
+@pytest.mark.parametrize("ctx", BINARY_KERNEL_FIELDS, ids=lambda c: c.spec)
+class TestPacked:
+    def test_pack_is_its_tuple(self, ctx):
+        v = tuple(range(ctx.q))
+        packed = ctx.pack(v)
+        assert isinstance(packed, Packed) and packed.packed == bytes(v)
+        assert packed == v and v == packed and not packed != v
+        assert hash(packed) == hash(v) and {packed: 1}[v] == 1
+        assert repr(packed) == repr(v) and str(packed) == str(v)
+        assert packed < v + (0,) and sorted([packed, v]) == [v, v]
+        assert type(packed[1:]) is tuple and packed[1:] == v[1:]
+        assert type(packed[:]) is tuple and type(packed + (0,)) is tuple
+        assert ctx.pack(packed) is packed
+
+    def test_lincomb_returns_packed(self, ctx):
+        out = ctx.lincomb((1, ctx.q - 1), ((1, 0), (1, 1)))
+        assert isinstance(out, Packed) and out.packed == bytes(out)
+
+    def test_pack_rejects_symbols_outside_field(self, ctx):
+        for v in ((ctx.q,), (0, -1), (256, 0)):
+            with pytest.raises(FieldError):
+                ctx.pack(v)
+
+    def test_lincomb_rejects_input_outside_field(self, ctx):
+        q, packed = ctx.q, ctx.pack((1, 0))
+        for coeffs, vectors in (
+            ((1,), ((q, 3),)),  # a symbol just outside the field
+            ((1,), ((256,),)),
+            ((1,), ((-1, 0),)),
+            ((0, 1), ((q,), (1,))),  # checked even with a zero coefficient
+            ((q,), ((1,),)),  # a coefficient just outside the field
+            ((-1,), ((1,),)),
+            ((256,), ((1,),)),
+            ((1, -1), (packed, packed)),  # with packed operands too
+        ):
+            with pytest.raises(FieldError):
+                ctx.lincomb(coeffs, vectors)
+
+
+@pytest.mark.parametrize("ctx", [c for c in KERNEL_FIELDS if c.kind == "prime"],
+                         ids=lambda c: c.spec)
+def test_pack_is_identity_over_prime_fields(ctx):
+    v = (0, ctx.q - 1)
+    assert ctx.pack(v) is v
 
 
 @pytest.mark.parametrize(
