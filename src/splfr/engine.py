@@ -19,6 +19,7 @@ stored vector again.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -63,7 +64,11 @@ Vector = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Library:
-    """N files of B symbols each over a common field."""
+    """N files of B symbols each over a common field.
+
+    Over GF(2^m) the files are held packed (``FieldContext.pack``), so that
+    ``combine`` converts none of them again.
+    """
 
     ctx: FieldContext
     files: tuple[Vector, ...]
@@ -76,7 +81,11 @@ class Library:
             raise EngineError("files must hold at least one symbol")
         if any(len(f) != b for f in self.files):
             raise EngineError("all files must have the same length")
-        _check_symbols(self.ctx, self.files)
+        if self.ctx.kind == "binary":
+            # packing checks every symbol
+            object.__setattr__(self, "files", tuple(map(self.ctx.pack, self.files)))
+        else:
+            _check_symbols(self.ctx, self.files)
 
     @property
     def n_files(self) -> int:
@@ -333,7 +342,14 @@ def decode(view: UserView, payload: DeliveryPayload, demand: Vector) -> Vector:
     if len(payload.blocks) != pda.s or len(payload.coeff_vectors) != pda.k:
         raise EngineError("payload shape does not match the array")
     check_demand(ctx, demand, view.n_files)
-    minus_q = [tuple(map(ctx.neg, q)) for q in payload.coeff_vectors]
+    if ctx.kind == "binary":
+        # negation is the identity
+        minus_one, minus_q = 1, payload.coeff_vectors.__getitem__
+    else:
+        # -q_j is needed only for the users j sharing a symbol with user k;
+        # each is negated once, when first met
+        minus_one = ctx.neg(1)
+        minus_q = functools.cache(lambda j: tuple(map(ctx.neg, payload.coeff_vectors[j])))
     out: list[int] = []
     for h, s in enumerate(pda.column(k)):
         if s is STAR:
@@ -343,10 +359,10 @@ def decode(view: UserView, payload: DeliveryPayload, demand: Vector) -> Vector:
         # cancel the cached superposition key for this row and the cross
         # terms of the other users sharing symbol s; the defining conditions
         # guarantee their rows are starred here
-        c, v = [1, ctx.neg(1)], [payload.blocks[s - 1], cache.coded[h]]
+        c, v = [1, minus_one], [payload.blocks[s - 1], cache.coded[h]]
         for i, j in pda.symbol_positions(s):
             if j != k:
-                c += minus_q[j]
+                c += minus_q(j)
                 v += cache.uncoded[i]
         # what is left is sum_n q_{k,n} W_{n,h} - sum_n p_{k,n} W_{n,h}
         out += ctx.lincomb(c, v)

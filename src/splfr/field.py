@@ -14,8 +14,10 @@ byte per symbol, so ``FieldContext.pack`` checks a vector once and returns
 it as a ``Packed``: a tuple that also carries that packing.  A ``Packed``
 compares, hashes, slices and prints exactly like its plain tuple, so
 callers never see the difference, and ``lincomb`` uses its packing without
-converting it again.  ``lincomb`` packs (and checks) plain tuples on the
-fly and returns a ``Packed`` over GF(2^m).  Over GF(p) nothing is packed.
+converting it again.  A ``Packed`` records the context that checked it;
+another context checks it again.  ``lincomb`` packs (and checks) plain
+tuples on the fly and returns a ``Packed`` over GF(2^m).  Over GF(p)
+nothing is packed.
 """
 
 from __future__ import annotations
@@ -32,10 +34,14 @@ class Packed(tuple):
     """A GF(2^m) vector: a tuple of ints that carries its bytes packing.
 
     Built only by ``FieldContext.pack`` and ``lincomb``, from symbols that
-    are checked to lie in the field.  Equality, hashing, slicing and
-    ``repr`` are the plain tuple's; a slice or a concatenation is a plain
-    tuple again.
+    are checked to lie in ``field``, the context that made it.  Each
+    GF(2^m) context makes its vectors as its own subclass, so that the
+    kernel can tell them from another context's, which it checks again,
+    by their type alone.  Equality, hashing, slicing and ``repr`` are the
+    plain tuple's; a slice or a concatenation is a plain tuple again.
     """
+
+    field: "FieldContext"
 
     def __new__(cls, packed: bytes) -> "Packed":
         self = super().__new__(cls, packed)
@@ -144,6 +150,7 @@ class FieldContext:
         if kind == "binary":
             self._build_tables()
             self._build_rows()
+            self._packed = type("Packed", (Packed,), {"field": self})
 
     # -- constructors -----------------------------------------------------
 
@@ -272,9 +279,9 @@ class FieldContext:
 
         Over GF(p) it returns ``v`` itself, unchecked and unconverted.
         """
-        if self.kind == "prime" or type(v) is Packed:
+        if self.kind == "prime" or type(v) is self._packed:
             return v
-        return Packed(self._packing(v))
+        return self._packed(self._packing(v))
 
     def _packing(self, v: Sequence[int]) -> bytes:
         """The bytes of a vector over GF(2^m), one per symbol, checked."""
@@ -297,8 +304,9 @@ class FieldContext:
         coefficients and symbols outside the field, and each term is one
         ``bytes.translate`` of the vector's packing through the coefficient's
         product row (none for a coefficient of 1), added by XOR into a single
-        Python int; the result is a ``Packed``.  A ``Packed`` operand's
-        symbols were checked when it was made.
+        Python int; the result is a ``Packed``.  A ``Packed`` operand made by
+        this context was checked when it was made; one made by another
+        context is checked again.
         """
         if len(coeffs) != len(vectors):
             raise FieldError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
@@ -310,18 +318,18 @@ class FieldContext:
         if self.kind == "prime":
             q = self.q
             return tuple(sum(map(mul, coeffs, col)) % q for col in zip(*vectors))
-        rows = self._rows
+        rows, own = self._rows, self._packed
         acc = 0
         try:
             for c, v in zip(coeffs, vectors):
-                packed = v.packed if type(v) is Packed else self._packing(v)
+                packed = v.packed if type(v) is own else self._packing(v)
                 if c:
                     if c != 1:
                         packed = packed.translate(rows[c])
                     acc ^= int.from_bytes(packed, "big")
         except KeyError:
             raise FieldError(f"coefficient outside [0, {self.q})") from None
-        return Packed(acc.to_bytes(lengths.pop(), "big"))
+        return own(acc.to_bytes(lengths.pop(), "big"))
 
     # -- Gaussian elimination --------------------------------------------
 

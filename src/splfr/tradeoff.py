@@ -1,10 +1,13 @@
 """Exact-rational memory-load analytics.
 
-Achievable curves (corner points plus lower convex envelopes), converse
-bounds, ratio/gap checks, subpacketization comparison, and CSV/SVG export.
-All curve math is exact over fractions.Fraction; decimals appear only at
-serialization time.  Ratio and bound claims are certified over the whole
-continuum, one curve segment at a time, not sampled.
+Achievable curves, converse bounds, ratio/gap checks, subpacketization
+comparison, and CSV/SVG export.  The t-subset curve is closed-form: its
+corners are all vertices, so it needs no hull, and its linear pieces come
+straight from t in integers.  Lower convex envelopes are built only for
+the comparison schemes.  All curve math is exact, over integers or
+fractions.Fraction; decimals appear only at serialization time.  Ratio and
+bound claims are certified over the whole continuum, one curve segment at
+a time, not sampled.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .pda import lsub_parameters
@@ -49,7 +53,7 @@ class TradeoffCurve:
 
     def __post_init__(self):
         ms = self.memories
-        if list(ms) != sorted(set(ms)):
+        if any(a >= b for a, b in zip(ms, ms[1:])):
             raise TradeoffError("corner memories must be strictly increasing")
 
     @cached_property
@@ -124,19 +128,13 @@ def man_points(n: int, k: int) -> list[CurvePoint]:
     ]
 
 
-def uncoded_points(n: int, k: int) -> list[CurvePoint]:
-    """Corner points (tN/K, (K-t)/(t+1)) of the uncoded-placement optimum."""
-    return [
-        CurvePoint(Fraction(t * n, k), Fraction(k - t, t + 1)) for t in range(k + 1)
-    ]
-
-
 def man_curve(n: int, k: int) -> TradeoffCurve:
-    return lower_convex_envelope(man_points(n, k))
+    """The t-subset curve, whose corners are all of ``man_points``.
 
-
-def uncoded_curve(n: int, k: int) -> TradeoffCurve:
-    return lower_convex_envelope(uncoded_points(n, k))
+    M is affine in t and R = (K+1)/(t+1) - 1 is strictly convex in t, so
+    every point is a vertex of its own lower convex envelope.
+    """
+    return TradeoffCurve(tuple(man_points(n, k)))
 
 
 # -- converse bounds ------------------------------------------------------
@@ -214,6 +212,8 @@ def scheme_points(scheme: str, n: int, k: int) -> list[CurvePoint]:
 
 
 def scheme_curve(scheme: str, n: int, k: int) -> TradeoffCurve:
+    if scheme in ("splfr", "seckey"):
+        return man_curve(n, k)
     return lower_convex_envelope(scheme_points(scheme, n, k))
 
 
@@ -321,24 +321,62 @@ def _upper_roots(a: int, b: int, c: int) -> list[Supremum]:
     ]
 
 
-def _linear(a: Fraction, b: Fraction) -> tuple[int, int, int]:
-    """(c0, c1, d) with a + theta*(b - a) = (c0 + c1*theta)/d and d > 0."""
-    d = math.lcm(a.denominator, b.denominator)
-    c0 = a.numerator * (d // a.denominator)
-    return c0, b.numerator * (d // b.denominator) - c0, d
+def _man_corner(n: int, k: int, t: int):
+    """Corner t of the t-subset curve as reduced (numerator, denominator) pairs."""
+    x = k + t * (n - 1)  # M = x/K
+    g, h = math.gcd(x, k), math.gcd(k - t, t + 1)
+    return (x // g, k // g), ((k - t) // h, (t + 1) // h)
 
 
-def _segments(curve: TradeoffCurve, lo: Fraction, hi: Fraction):
-    """The curve's linear pieces over [lo, hi], in integer theta forms.
+def _man_point(n: int, k: int, m: Fraction):
+    """The t-subset curve's point at memory m in [1, N], reduced like a corner."""
+    # corner t sits at (M - 1)K = t(N - 1)
+    t, rest = divmod((m - 1) * k, n - 1)
+    if not rest:
+        return _man_corner(n, k, t)
+    r = Fraction(*_load_between(k, t, rest, n - 1))
+    return (m.numerator, m.denominator), (r.numerator, r.denominator)
+
+
+def _load_between(k: int, t: int, a, step: int):
+    """(p, q) with p/q the load a/step of the way from corner t to t+1.
+
+    R falls by (K+1)/((t+1)(t+2)) from corner t to corner t+1, so this is
+    (K-t)/(t+1) - (a/step)(K+1)/((t+1)(t+2)), for 0 <= t < K.
+    """
+    return (k - t) * (t + 2) * step - a * (k + 1), (t + 1) * (t + 2) * step
+
+
+def _theta_form(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int, int]:
+    """(c0, c1, d) with a + theta*(b - a) = (c0 + c1*theta)/d and d > 0.
+
+    ``a`` and ``b`` are reduced fractions as (numerator, denominator), and d
+    is the lcm of their denominators.
+    """
+    d = math.lcm(a[1], b[1])
+    c0 = a[0] * (d // a[1])
+    return c0, b[0] * (d // b[1]) - c0, d
+
+
+def _man_segments(n: int, k: int, lo, hi):
+    """The t-subset curve's linear pieces over [lo, hi], in integer theta forms.
 
     Yields ((m0, m1, dm), (r0, r1, dr)) with M = (m0 + m1*theta)/dm and
-    R = (r0 + r1*theta)/dr for theta in [0, 1].
+    R = (r0 + r1*theta)/dr for theta in [0, 1].  Each form is taken over
+    the lcm of the piece's reduced end denominators; ``ratio_sup`` brackets
+    an irrational supremum at a fixed scale of these coefficients, so that
+    scaling is part of every reported bracket.  The corners inside (lo, hi)
+    come from t in integers; only an end that is not a corner is evaluated
+    as a Fraction.
     """
-    pts = [CurvePoint(lo, curve.evaluate(lo))]
-    pts += [p for p in curve.corners if lo < p.m < hi]
-    pts.append(CurvePoint(hi, curve.evaluate(hi)))
-    for a, b in zip(pts, pts[1:]):
-        yield _linear(a.m, b.m), _linear(a.r, b.r)
+    lo, hi = _frac(lo), _frac(hi)
+    first = (lo - 1) * k // (n - 1) + 1  # the first corner above lo
+    last = -((1 - hi) * k // (n - 1)) - 1  # the last corner below hi
+    pts = [_man_point(n, k, lo)]
+    pts += [_man_corner(n, k, t) for t in range(first, last + 1)]
+    pts.append(_man_point(n, k, hi))
+    for (am, ar), (bm, br) in zip(pts, pts[1:]):
+        yield _theta_form(am, bm), _theta_form(ar, br)
 
 
 def _cutset_pieces(n: int, k: int, lo: Fraction, hi: Fraction):
@@ -359,7 +397,7 @@ def _cutset_pieces(n: int, k: int, lo: Fraction, hi: Fraction):
 def _simple_converse_sup(n: int, k: int) -> Supremum:
     """Supremum of R(M)(M-1)/(N-M) over [1, N)."""
     pieces = []
-    for (m0, m1, dm), (r0, r1, dr) in _segments(man_curve(n, k), Fraction(1), Fraction(n)):
+    for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, 1, n):
         # R(M-1)/(N-M) = (r0 + r1*theta)(m0 - dm + m1*theta) / (dr (N dm - m0 - m1*theta))
         e0 = m0 - dm
         p = (r1 * m1, r0 * m1 + r1 * e0, r0 * e0)
@@ -371,7 +409,7 @@ def _smooth_bound_sup(n: int, k: int) -> Supremum:
     if not (n < k and n >= 3):
         raise TradeoffError(f"needs N < K and N >= 3, got N={n}, K={k}")
     pieces = []  # of R(M)/f(M) over [2, N)
-    for (m0, m1, dm), (r0, r1, dr) in _segments(man_curve(n, k), Fraction(2), Fraction(n)):
+    for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, 2, n):
         # R/f = 4(N-1) M R / (N^2 - M^2), both sides times dr dm^2
         c = 4 * (n - 1) * dm
         p = (c * r1 * m1, c * (r0 * m1 + r1 * m0), c * r0 * m0)
@@ -383,9 +421,8 @@ def _smooth_bound_sup(n: int, k: int) -> Supremum:
 def _cutset_ratio_sup(n: int, k: int, lo: Fraction, hi: Fraction) -> Supremum:
     """Supremum of R(M) over the cut-set bound on [lo, hi)."""
     pieces = []
-    curve = man_curve(n, k)
     for u, a, b in _cutset_pieces(n, k, lo, hi):
-        for (m0, m1, dm), (r0, r1, dr) in _segments(curve, a, b):
+        for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, a, b):
             # R/line_u = (N-1) dm (r0 + r1*theta) / (dr (uN dm - u^2 (m0 + m1*theta)))
             p = (0, (n - 1) * dm * r1, (n - 1) * dm * r0)
             q = (0, -dr * u * u * m1, dr * (u * n * dm - u * u * m0))
@@ -399,7 +436,7 @@ def achievable_above_converse(n: int, k: int) -> bool:
     Certified over all of [1, N]: on each piece, R(M) >= K(N-M)/(N-1+K(M-1))
     is R(M)(N-1+K(M-1)) - K(N-M) >= 0, a quadratic in M.
     """
-    for (m0, m1, dm), (r0, r1, dr) in _segments(man_curve(n, k), Fraction(1), Fraction(n)):
+    for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, 1, n):
         # times dr dm: (r0 + r1*theta)(e0 + e1*theta) - K dr (N dm - m0 - m1*theta)
         e0, e1 = dm * (n - 1 - k) + k * m0, k * m1
         c2, c1, c0 = r1 * e1, r0 * e1 + r1 * e0 + k * dr * m1, r0 * e0 - k * dr * (n * dm - m0)
@@ -441,21 +478,22 @@ def coded_uncoded_ratio_max(n: int, k: int) -> Fraction:
 
     Both curves are piecewise linear, so the ratio is monotone between
     breakpoints and the maximum is attained at a corner of either curve.
+    Both have the loads (K-t)/(t+1) at their corners t; in units of 1/K
+    file, the coded corners sit at memory K + t(N-1) and the uncoded ones
+    at tN, so one pass over these integers finds it.
     """
     if not n >= k >= 2:
         raise TradeoffError(f"need N >= K >= 2, got N={n}, K={k}")
-    coded = man_curve(n, k)
-    uncoded = uncoded_curve(n, k)
-    candidates = {p.m for p in coded.corners} | {p.m for p in uncoded.corners}
-    candidates.add(Fraction(1))
-    best = Fraction(0)
-    for m in candidates:
-        if not 1 <= m < n:
-            continue
-        denom = uncoded.evaluate(m)
-        if denom > 0:
-            best = max(best, coded.evaluate(m) / denom)
-    return best
+    best_p, best_q = 0, 1
+    # the corners in [1, N): the coded ones from t = 0, and the uncoded ones
+    # from t = 1, which is at or above M = 1 because N >= K
+    for x in chain(range(k, k * n, n - 1), range(n, k * n, n)):
+        coded_p, coded_q = _load_between(k, *divmod(x - k, n - 1), n - 1)
+        uncoded_p, uncoded_q = _load_between(k, *divmod(x, n), n)
+        p, q = coded_p * uncoded_q, coded_q * uncoded_p
+        if p * best_q > best_p * q:
+            best_p, best_q = p, q
+    return Fraction(best_p, best_q)
 
 
 def coded_uncoded_threshold(n: int, k: int) -> Fraction:

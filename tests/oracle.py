@@ -4,7 +4,10 @@ The engine oracles use only the per-symbol field helpers (``vec_add``,
 ``vec_scale``), never the ``FieldContext.lincomb`` kernel the engine is
 built on, so they stay independent of the code under test.  Helpers that
 only the tests use (``FieldElement``, ``field_dot``, ``canonical_relabel``,
-``min_subpacketization``, ``restrict_corners``, ``f_bound``) live here too.
+``min_subpacketization``, ``restrict_corners``, ``f_bound``,
+``uncoded_points``) live here too.  The tradeoff oracles build the t-subset
+curve as a lower convex envelope and read its pieces through
+``TradeoffCurve.evaluate``, the generic path the closed form replaces.
 """
 
 import math
@@ -20,7 +23,9 @@ from splfr.tradeoff import (
     TradeoffCurve,
     TradeoffError,
     cutset_bound,
+    lower_convex_envelope,
     man_curve,
+    man_points,
     pda_lower_bound,
 )
 
@@ -136,6 +141,61 @@ def restrict_corners(curve: TradeoffCurve, m_lo, m_hi) -> tuple[CurvePoint, ...]
     """The corners of ``curve`` with memory in [m_lo, m_hi]."""
     lo, hi = Fraction(m_lo), Fraction(m_hi)
     return tuple(p for p in curve.corners if lo <= p.m <= hi)
+
+
+def uncoded_points(n: int, k: int) -> list[CurvePoint]:
+    """Corner points (tN/K, (K-t)/(t+1)) of the uncoded-placement optimum."""
+    return [
+        CurvePoint(Fraction(t * n, k), Fraction(k - t, t + 1)) for t in range(k + 1)
+    ]
+
+
+def uncoded_curve(n: int, k: int) -> TradeoffCurve:
+    return lower_convex_envelope(uncoded_points(n, k))
+
+
+def hull_man_curve(n: int, k: int) -> TradeoffCurve:
+    """The t-subset curve as the lower convex envelope of its points."""
+    return lower_convex_envelope(man_points(n, k))
+
+
+def linear(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """(c0, c1, d) with a + theta*(b - a) = (c0 + c1*theta)/d and d > 0."""
+    d = math.lcm(a.denominator, b.denominator)
+    c0 = a.numerator * (d // a.denominator)
+    return c0, b.numerator * (d // b.denominator) - c0, d
+
+
+def segments(curve: TradeoffCurve, lo, hi):
+    """The curve's linear pieces over [lo, hi], in integer theta forms.
+
+    Yields ((m0, m1, dm), (r0, r1, dr)) with M = (m0 + m1*theta)/dm and
+    R = (r0 + r1*theta)/dr for theta in [0, 1].
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    pts = [CurvePoint(lo, curve.evaluate(lo))]
+    pts += [p for p in curve.corners if lo < p.m < hi]
+    pts.append(CurvePoint(hi, curve.evaluate(hi)))
+    for a, b in zip(pts, pts[1:]):
+        yield linear(a.m, b.m), linear(a.r, b.r)
+
+
+def hull_man_segments(n: int, k: int, lo, hi):
+    """``segments`` of ``hull_man_curve``: the generic form of the pieces."""
+    return segments(hull_man_curve(n, k), lo, hi)
+
+
+def evaluated_coded_uncoded_ratio_max(n: int, k: int) -> Fraction:
+    """Max of the coded-over-uncoded load ratio over the corners in [1, N).
+
+    Evaluates both hull curves at every corner memory of either.
+    """
+    coded = hull_man_curve(n, k)
+    uncoded = uncoded_curve(n, k)
+    candidates = {p.m for p in coded.corners} | {p.m for p in uncoded.corners}
+    return max(
+        coded.evaluate(m) / uncoded.evaluate(m) for m in candidates if 1 <= m < n
+    )
 
 
 # -- engine -------------------------------------------------------------------

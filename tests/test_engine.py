@@ -107,12 +107,14 @@ class TestSplitOnce:
         monkeypatch.setattr(FieldContext, "_packing", counting_packing)
         arr, n = man_pda(3, 1), 4
         state = make_state(arr, n, 6, GF256, seed=62)
+        files = list(state.library.files)
         packets = [packet for row in state.rows for packet in row]
         keys = list(state.randomness.security_keys)
-        # once per packet (N*F) and once per security key (S)
+        # once per file (N, as the library is built), once per packet (N*F)
+        # and once per security key (S)
         assert len(packets) == n * arr.f
-        assert sorted(packs) == sorted(packets + keys) == sorted(packings)
-        assert all(isinstance(v, Packed) for v in packets + keys)
+        assert sorted(packs) == sorted(files + packets + keys) == sorted(packings)
+        assert all(isinstance(v, Packed) for v in files + packets + keys)
         for cache in state.caches:
             assert all(isinstance(v, Packed) for v in cache.coded.values())
         demands = tuple(GF256.random_vector(n, random.Random(k)) for k in range(arr.k))
@@ -129,6 +131,25 @@ class TestSplitOnce:
         new = update_round(state, demands, fresh, (1, 2, 3))
         assert len(packs) == len(packings) == arr.s  # the refreshed keys only
         assert all(isinstance(v, Packed) for v in new.randomness.security_keys)
+
+
+    def test_library_packs_each_file_once_and_combine_never(self, monkeypatch):
+        packings = []
+        packing = FieldContext._packing
+
+        def counting_packing(self, v):
+            packings.append(v)
+            return packing(self, v)
+
+        monkeypatch.setattr(FieldContext, "_packing", counting_packing)
+        lib = Library.random(GF256, 5, 8, random.Random(63))
+        assert sorted(packings) == sorted(lib.files)
+        assert all(isinstance(f, Packed) for f in lib.files)
+        del packings[:]
+        for seed in range(4):
+            demand = GF256.random_vector(5, random.Random(seed))
+            assert lib.combine(demand) == oracle_combine(lib, demand)
+        assert packings == []
 
 
 class TestPrivacyKey:
@@ -335,6 +356,37 @@ class TestDecode:
             for k in range(3):
                 got = decode(state.user_view(k), payload, demands[k])
                 assert got == state.library.combine(demands[k])
+
+    def test_negates_only_the_coefficients_of_sharing_users(self, monkeypatch):
+        # users 0 and 1 share symbol 1, users 2 and 3 share symbol 2
+        arr = validate(((STAR, 1, STAR, 2), (1, STAR, 2, STAR)))
+        negs = []
+        neg = FieldContext.neg
+
+        def counting_neg(self, a):
+            negs.append(a)
+            return neg(self, a)
+
+        monkeypatch.setattr(FieldContext, "neg", counting_neg)
+        n = 3
+        for ctx in (GF256, FieldContext.prime(5)):
+            state = make_state(arr, n, 4, ctx, seed=17)
+            demands = tuple(ctx.random_vector(n, random.Random(j)) for j in range(arr.k))
+            payload = deliver(state, demands)
+            for k in range(arr.k):
+                symbols = {row[k] for row in arr.entries} - {STAR}
+                sharers = {
+                    j
+                    for row in arr.entries
+                    for j, e in enumerate(row)
+                    if e in symbols and j != k
+                }
+                assert len(sharers) == 1
+                del negs[:]
+                got = decode(state.user_view(k), payload, demands[k])
+                assert got == state.library.combine(demands[k])
+                # none over GF(2^m); over GF(p), -1 and -q_j for each sharer j
+                assert len(negs) == (0 if ctx.kind == "binary" else 1 + n * len(sharers))
 
     def test_view_withholds_global_state(self):
         # decoder isolation: the view exposes only the array, field, and

@@ -238,6 +238,18 @@ class TestPacked:
                 ctx.lincomb(coeffs, vectors)
 
 
+def test_packed_from_another_field_is_checked_again():
+    gf16, gf256 = FieldContext.binary(4), FieldContext.binary(8)
+    foreign = gf256.pack((200, 3))
+    with pytest.raises(FieldError):
+        gf16.lincomb((1,), (foreign,))
+    with pytest.raises(FieldError):
+        gf16.pack(foreign)
+    fits = gf256.pack((9, 3))
+    assert gf16.lincomb((1,), (fits,)).field is gf16
+    assert gf16.pack(fits).field is gf16 and gf16.pack(fits) == fits
+
+
 @pytest.mark.parametrize("ctx", [c for c in KERNEL_FIELDS if c.kind == "prime"],
                          ids=lambda c: c.spec)
 def test_pack_is_identity_over_prime_fields(ctx):

@@ -7,12 +7,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import splfr.tradeoff
 from oracle import (
     bounds_grid_ok,
+    evaluated_coded_uncoded_ratio_max,
     f_bound,
     grid,
+    hull_man_curve,
+    hull_man_segments,
+    segments,
     simple_converse_samples,
     smooth_bound_samples,
+    uncoded_points,
 )
 from splfr.cli import bounds_report
 from splfr.pda import man_pda, memory_load
@@ -22,7 +28,10 @@ from splfr.tradeoff import (
     STIRLING_C_LOW,
     CurvePoint,
     Supremum,
+    TradeoffCurve,
     TradeoffError,
+    _cutset_pieces,
+    _man_segments,
     comb0,
     cutset_bound,
     emit_curves,
@@ -41,7 +50,6 @@ from splfr.tradeoff import (
     subpacketization_compare,
     scheme_curve,
     scheme_points,
-    uncoded_points,
 )
 
 F = Fraction
@@ -204,6 +212,12 @@ class TestSchemePoints:
             curve = scheme_curve(scheme, 4, 3)
             assert curve.corners[-1].r == 0
 
+    def test_curves_are_the_envelopes_of_their_points(self):
+        for scheme in SCHEMES:
+            for n, k in ((4, 3), (3, 5), (30, 10)):
+                points = scheme_points(scheme, n, k)
+                assert scheme_curve(scheme, n, k) == lower_convex_envelope(points)
+
 
 class TestRatios:
     def test_simple_converse_examples(self):
@@ -361,6 +375,75 @@ class TestExactChecks:
         # every certified check holds, so every sampled one must too
         assert bounds_report(n, k)["ok"]
         assert bounds_grid_ok(n, k, 4)
+
+
+#: every (N, K) with N, K <= 40 that the t-subset curve is defined for
+SMALL_PAIRS = [(n, k) for n in range(2, 41) for k in range(1, 41)]
+
+
+class TestClosedForm:
+    """The closed-form t-subset curve against the generic hull path."""
+
+    def test_man_curve_is_the_envelope_of_its_points(self):
+        for n, k in SMALL_PAIRS:
+            assert man_curve(n, k).corners == lower_convex_envelope(man_points(n, k)).corners
+
+    def test_segments_match_the_generic_pieces(self):
+        for n, k in SMALL_PAIRS:
+            hull = hull_man_curve(n, k)
+            intervals = [(1, n)] + [(2, n)] * (n > 2)
+            intervals += [(a, b) for _, a, b in _cutset_pieces(n, k, F(1), F(n))]
+            for lo, hi in intervals:
+                assert list(_man_segments(n, k, lo, hi)) == list(segments(hull, lo, hi))
+
+    def test_coded_uncoded_matches_evaluation(self):
+        for n, k in SMALL_PAIRS:
+            if n >= k >= 2:
+                assert coded_uncoded_ratio_max(n, k) == evaluated_coded_uncoded_ratio_max(n, k)
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_reports_match_the_generic_path(self, n, monkeypatch):
+        def reports():
+            return [(ratio_checks(n, k), bounds_report(n, k)) for k in range(1, 41)]
+
+        closed = reports()
+        monkeypatch.setattr(splfr.tradeoff, "man_curve", hull_man_curve)
+        monkeypatch.setattr(splfr.tradeoff, "_man_segments", hull_man_segments)
+        monkeypatch.setattr(
+            splfr.tradeoff, "coded_uncoded_ratio_max", evaluated_coded_uncoded_ratio_max
+        )
+        assert closed == reports()
+
+    def test_pinned_suprema(self):
+        # an irrational supremum's bracket depends on the coefficient scale
+        entry = ratio_checks(20, 24)["checks"]["smooth_bound"]
+        assert entry["exact"] is False
+        assert entry["max"] == F(
+            225165903408421585777185871921, 56385409982949779074921267200
+        )
+        entry = ratio_checks(12, 40)["checks"]["smooth_bound"]
+        assert entry["exact"] and entry["max"] == F(874, 175)
+
+    def test_ratio_checks_build_no_hull_and_evaluate_nothing(self, monkeypatch):
+        calls = []
+        envelope, evaluate = lower_convex_envelope, TradeoffCurve.evaluate
+
+        def counting_envelope(points):
+            calls.append("lower_convex_envelope")
+            return envelope(points)
+
+        def counting_evaluate(self, m):
+            calls.append("evaluate")
+            return evaluate(self, m)
+
+        monkeypatch.setattr(splfr.tradeoff, "lower_convex_envelope", counting_envelope)
+        monkeypatch.setattr(TradeoffCurve, "evaluate", counting_evaluate)
+        assert smooth_bound_ratio_max(12, 40) == F(874, 175)
+        assert coded_uncoded_ratio_max(20, 7) <= coded_uncoded_threshold(20, 7)
+        assert calls == []
+        man_curve(3, 2).evaluate(2)
+        scheme_curve("yma", 3, 2)
+        assert calls == ["evaluate", "lower_convex_envelope"]
 
 
 class TestSubpacketization:
