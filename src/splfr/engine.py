@@ -11,10 +11,12 @@ is simultaneously one-time-pad secure and demand-hiding.
 
 States are immutable once placed; deliver/decode are pure, and update
 rounds produce a new state.  Each block of each stage is one
-``FieldContext.lincomb`` call.  Over GF(2^m), placement packs each packet
-and security key once (``FieldContext.pack``), and the coded records and
-multicast blocks come out of the kernel packed, so no stage converts a
-stored vector again.
+``FieldContext.lincomb`` call.  The field owns the vector representation,
+so every stage has one path over every field: the library checks its files
+once and placement checks each security key once, both with
+``FieldContext.pack``; placement cuts the files into packets with
+``FieldContext.split``, which checks and converts nothing again; and the
+coded records and multicast blocks come out of the kernel ready for it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .field import FieldContext, FieldError
+from .field import FieldContext
 from .pda import PDA, STAR
 
 
@@ -66,8 +68,8 @@ Vector = tuple[int, ...]
 class Library:
     """N files of B symbols each over a common field.
 
-    Over GF(2^m) the files are held packed (``FieldContext.pack``), so that
-    ``combine`` converts none of them again.
+    The files are checked and held ready for the kernel
+    (``FieldContext.pack``), so that ``combine`` converts none of them again.
     """
 
     ctx: FieldContext
@@ -81,11 +83,7 @@ class Library:
             raise EngineError("files must hold at least one symbol")
         if any(len(f) != b for f in self.files):
             raise EngineError("all files must have the same length")
-        if self.ctx.kind == "binary":
-            # packing checks every symbol
-            object.__setattr__(self, "files", tuple(map(self.ctx.pack, self.files)))
-        else:
-            _check_symbols(self.ctx, self.files)
+        object.__setattr__(self, "files", tuple(map(self.ctx.pack, self.files)))
 
     @property
     def n_files(self) -> int:
@@ -105,27 +103,12 @@ class Library:
         return self.ctx.lincomb(demand, self.files)
 
 
-def _check_symbols(ctx: FieldContext, vectors: Sequence[Vector]) -> None:
-    """Reject vectors holding a value outside the field."""
-    if any(v and (min(v) < 0 or max(v) >= ctx.q) for v in vectors):
-        raise FieldError(f"symbols outside [0, {ctx.q})")
-
-
 def check_demand(ctx: FieldContext, demand: Vector, n: int) -> None:
     """Reject a demand that is not a length-n vector over ``ctx``."""
     if len(demand) != n:
         raise EngineError(f"demand length {len(demand)} != N={n}")
     for value in demand:
         ctx.check(value)
-
-
-def split(file: Sequence[int], f: int) -> tuple[Vector, ...]:
-    """Split a file into f contiguous equal-size packets."""
-    b = len(file)
-    if f <= 0 or b % f != 0:
-        raise NonDivisibleB(f"packet count {f} does not divide file length {b}")
-    size = b // f
-    return tuple(tuple(file[i * size : (i + 1) * size]) for i in range(f))
 
 
 @dataclass(frozen=True)
@@ -155,18 +138,15 @@ class Randomness:
             privacy_vectors=tuple((0,) * n for _ in range(pda.k)),
         )
 
-    def masked(self, mode: Mode) -> "Randomness":
-        """Zero out the key families that the mode disables."""
-        v = self.security_keys
-        p = self.privacy_vectors
-        if not mode.security_keys_active:
-            v = tuple(tuple(0 for _ in key) for key in v)
-        if not mode.privacy_keys_active:
-            p = tuple(tuple(0 for _ in vec) for vec in p)
-        return Randomness(v, p)
+    def effective(
+        self, pda: PDA, n: int, b: int, ctx: FieldContext, mode: Mode
+    ) -> "Randomness":
+        """The keys the caches are built from: checked, masked for ``mode``.
 
-    def check_shapes(self, pda: PDA, n: int, b: int, ctx: FieldContext) -> None:
-        """Reject keys of the wrong count or length, or outside the field."""
+        A key of the wrong count or length, or outside the field, is rejected
+        before masking, so it fails in every mode.  The security keys come
+        back ready for the kernel (``FieldContext.pack``).
+        """
         block = b // pda.f
         if len(self.security_keys) != pda.s or any(
             len(v) != block for v in self.security_keys
@@ -176,7 +156,13 @@ class Randomness:
             len(p) != n for p in self.privacy_vectors
         ):
             raise EngineError(f"expected {pda.k} privacy vectors of length {n}")
-        _check_symbols(ctx, (*self.security_keys, *self.privacy_vectors))
+        v = tuple(map(ctx.pack, self.security_keys))
+        p = tuple(tuple(map(ctx.check, vec)) for vec in self.privacy_vectors)
+        if not mode.security_keys_active:
+            v = (ctx.pack((0,) * block),) * pda.s
+        if not mode.privacy_keys_active:
+            p = ((0,) * n,) * pda.k
+        return Randomness(v, p)
 
 
 @dataclass(frozen=True)
@@ -224,8 +210,8 @@ class UserView:
 class SchemeState:
     """A placed system: array, library, effective randomness, and all caches.
 
-    ``rows[i][n]`` is packet i of file n, split (and over GF(2^m) packed)
-    once at placement.
+    ``rows[i][n]`` is packet i of file n, split once at placement and ready
+    for the kernel.
     ``randomness`` is already masked for ``mode``, so the stored key values
     are exactly the ones the caches were built from.
     """
@@ -261,31 +247,16 @@ def place(pda: PDA, library: Library, randomness: Randomness, mode: Mode) -> Sch
     b, n = library.b, library.n_files
     if b % pda.f != 0:
         raise NonDivisibleB(f"F={pda.f} does not divide B={b}")
-    randomness.check_shapes(pda, n, b, ctx)
-    effective = _pack_keys(ctx, randomness.masked(mode))
-
-    rows = tuple(zip(*(split(file, pda.f) for file in library.files)))
-    if ctx.kind == "binary":
-        rows = tuple(tuple(map(ctx.pack, row)) for row in rows)
+    keys = randomness.effective(pda, n, b, ctx, mode)
+    rows = tuple(zip(*(ctx.split(file, pda.f) for file in library.files)))
     return SchemeState(
         pda=pda,
         library=library,
         rows=rows,
-        randomness=effective,
+        randomness=keys,
         mode=mode,
-        caches=_fill_caches(pda, ctx, rows, effective),
+        caches=_fill_caches(pda, ctx, rows, keys),
     )
-
-
-def _pack_keys(ctx: FieldContext, keys: Randomness) -> Randomness:
-    """``keys`` with each security key packed for the kernel over GF(2^m).
-
-    The privacy vectors are coefficients and stay plain; over GF(p) nothing
-    is packed and ``keys`` is returned as it is.
-    """
-    if ctx.kind != "binary":
-        return keys
-    return replace(keys, security_keys=tuple(map(ctx.pack, keys.security_keys)))
 
 
 def _fill_caches(
@@ -342,14 +313,10 @@ def decode(view: UserView, payload: DeliveryPayload, demand: Vector) -> Vector:
     if len(payload.blocks) != pda.s or len(payload.coeff_vectors) != pda.k:
         raise EngineError("payload shape does not match the array")
     check_demand(ctx, demand, view.n_files)
-    if ctx.kind == "binary":
-        # negation is the identity
-        minus_one, minus_q = 1, payload.coeff_vectors.__getitem__
-    else:
-        # -q_j is needed only for the users j sharing a symbol with user k;
-        # each is negated once, when first met
-        minus_one = ctx.neg(1)
-        minus_q = functools.cache(lambda j: tuple(map(ctx.neg, payload.coeff_vectors[j])))
+    # -q_j is needed only for the users j sharing a symbol with user k;
+    # each is negated once, when first met
+    minus_one = ctx.neg(1)
+    minus_q = functools.cache(lambda j: ctx.vec_neg(payload.coeff_vectors[j]))
     out: list[int] = []
     for h, s in enumerate(pda.column(k)):
         if s is STAR:
@@ -411,13 +378,12 @@ def update_round(
         privacy_vectors=tuple(
             ctx.vec_scale(ctx.check(c), d) for c, d in zip(local_coeffs, demands)
         ),
-    )
-    shift.check_shapes(pda, lib.n_files, lib.b, ctx)
-    shift = shift.masked(state.mode)
+    ).effective(pda, lib.n_files, lib.b, ctx, state.mode)
     old = state.randomness
     keys = Randomness(
-        security_keys=tuple(map(ctx.vec_add, old.security_keys, shift.security_keys)),
+        security_keys=tuple(
+            ctx.lincomb((1, 1), pair) for pair in zip(old.security_keys, shift.security_keys)
+        ),
         privacy_vectors=tuple(map(ctx.vec_add, old.privacy_vectors, shift.privacy_vectors)),
     )
-    keys = _pack_keys(ctx, keys)
     return replace(state, randomness=keys, caches=_fill_caches(pda, ctx, state.rows, keys))

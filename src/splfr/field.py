@@ -9,15 +9,16 @@ Elements are bare ints; a FieldContext supplies the arithmetic, the
 linear-combination kernel ``lincomb`` and Gaussian elimination
 (``echelon``, ``reduce``), on which the exact audits rest.
 
-Vectors are tuples of ints.  Over GF(2^m) the kernel works on bytes, one
-byte per symbol, so ``FieldContext.pack`` checks a vector once and returns
-it as a ``Packed``: a tuple that also carries that packing.  A ``Packed``
-compares, hashes, slices and prints exactly like its plain tuple, so
-callers never see the difference, and ``lincomb`` uses its packing without
-converting it again.  A ``Packed`` records the context that checked it;
-another context checks it again.  ``lincomb`` packs (and checks) plain
-tuples on the fly and returns a ``Packed`` over GF(2^m).  Over GF(p)
-nothing is packed.
+Vectors are tuples of ints, and the context owns their representation, so
+callers never branch on the field kind: ``pack`` checks a vector and makes
+it ready for the kernel, ``split`` cuts one into ready packets, and
+``vec_neg`` negates one.  Over GF(p) a ready vector is the vector itself.
+Over GF(2^m) the kernel works on bytes, one per symbol, and a ready vector
+is a ``Packed``: a tuple that carries that packing, compares, hashes,
+slices and prints like its plain tuple, and is neither converted nor
+checked again by ``lincomb`` or ``split``.  A ``Packed`` records the
+context that checked it; another context checks it again.  ``lincomb``
+packs (and checks) plain tuples on the fly and returns a ``Packed``.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ class FieldError(ValueError):
 class Packed(tuple):
     """A GF(2^m) vector: a tuple of ints that carries its bytes packing.
 
-    Built only by ``FieldContext.pack`` and ``lincomb``, from symbols that
-    are checked to lie in ``field``, the context that made it.  Each
-    GF(2^m) context makes its vectors as its own subclass, so that the
-    kernel can tell them from another context's, which it checks again,
-    by their type alone.  Equality, hashing, slicing and ``repr`` are the
+    Built only by ``FieldContext.pack``, ``split`` and ``lincomb``, from
+    symbols that are checked to lie in ``field``, the context that made it.
+    Each GF(2^m) context makes its vectors as its own subclass, so that the
+    kernel can tell them from another context's, which it checks again, by
+    their type alone.  Equality, hashing, slicing and ``repr`` are the
     plain tuple's; a slice or a concatenation is a plain tuple again.
     """
 
@@ -274,14 +275,38 @@ class FieldContext:
     def vec_scale(self, c: int, u: Sequence[int]) -> tuple[int, ...]:
         return tuple(self.mul(c, a) for a in u)
 
-    def pack(self, v: Sequence[int]) -> Sequence[int]:
-        """``v`` ready for the kernel: a checked ``Packed`` over GF(2^m).
+    def vec_neg(self, u: Sequence[int]) -> Sequence[int]:
+        """-u; over GF(2^m), where negation is the identity, ``u`` itself."""
+        if self.kind == "binary":
+            return u
+        return tuple(map(self.neg, u))
 
-        Over GF(p) it returns ``v`` itself, unchecked and unconverted.
+    def pack(self, v: Sequence[int]) -> Sequence[int]:
+        """``v`` checked and ready for the kernel.
+
+        That is a ``Packed`` over GF(2^m), and ``v`` itself over GF(p).
         """
-        if self.kind == "prime" or type(v) is self._packed:
-            return v
-        return self._packed(self._packing(v))
+        if self.kind == "binary":
+            return v if type(v) is self._packed else self._packed(self._packing(v))
+        if v and (min(v) < 0 or max(v) >= self.q):
+            raise FieldError(f"symbols outside [0, {self.q})")
+        return v
+
+    def split(self, v: Sequence[int], f: int) -> tuple[Sequence[int], ...]:
+        """``v`` checked and cut into f equal packets, each ready as from ``pack``.
+
+        Over GF(2^m) they slice the packing of ``v``, so that the packets of
+        a ``Packed`` are neither checked nor packed again.
+        """
+        b = len(v)
+        if f <= 0 or b % f:
+            raise FieldError(f"packet count {f} does not divide vector length {b}")
+        size = b // f
+        if self.kind == "binary":
+            packed = v.packed if type(v) is self._packed else self._packing(v)
+            return tuple(self._packed(packed[i * size : (i + 1) * size]) for i in range(f))
+        v = self.pack(v)
+        return tuple(tuple(v[i * size : (i + 1) * size]) for i in range(f))
 
     def _packing(self, v: Sequence[int]) -> bytes:
         """The bytes of a vector over GF(2^m), one per symbol, checked."""

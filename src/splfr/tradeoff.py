@@ -369,6 +369,8 @@ def _man_segments(n: int, k: int, lo, hi):
     come from t in integers; only an end that is not a corner is evaluated
     as a Fraction.
     """
+    if n < 2 or k < 1:
+        raise TradeoffError(f"need N >= 2 and K >= 1, got N={n}, K={k}")
     lo, hi = _frac(lo), _frac(hi)
     first = (lo - 1) * k // (n - 1) + 1  # the first corner above lo
     last = -((1 - hi) * k // (n - 1)) - 1  # the last corner below hi

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from splfr.engine import Library, Vector, split
+from splfr.engine import Library, NonDivisibleB, Vector
 from splfr.field import FieldContext, FieldError
 from splfr.pda import PDA, STAR, PdaError, validate
 from splfr.tradeoff import (
@@ -199,6 +199,15 @@ def evaluated_coded_uncoded_ratio_max(n: int, k: int) -> Fraction:
 
 
 # -- engine -------------------------------------------------------------------
+
+
+def split(file: Sequence[int], f: int) -> tuple[Vector, ...]:
+    """A file cut into f contiguous equal-size packets, as plain tuples."""
+    b = len(file)
+    if f <= 0 or b % f != 0:
+        raise NonDivisibleB(f"packet count {f} does not divide file length {b}")
+    size = b // f
+    return tuple(tuple(file[i * size : (i + 1) * size]) for i in range(f))
 
 
 def privacy_key(library: Library, pda: PDA, p_j: Vector, i: int) -> Vector:

@@ -19,7 +19,6 @@ from splfr.engine import (
     deliver,
     measure,
     place,
-    split,
     update_round,
 )
 from splfr.field import FieldContext
@@ -41,7 +40,7 @@ from splfr.tradeoff import (
     scheme_curve,
 )
 
-from oracle import min_subpacketization, privacy_key, restrict_corners
+from oracle import min_subpacketization, privacy_key, restrict_corners, split
 
 GF2 = FieldContext.prime(2)
 

@@ -372,6 +372,15 @@ class TestCurvesBoundsGap:
         assert report["checks"]["ratio2"]["ok"] is True
         assert report["checks"]["ratio2"]["exact"] is True
 
+    @pytest.mark.parametrize("n, k", [(1, 5), (3, 0), (0, 3)])
+    def test_gap_check_outside_the_curve_domain(self, capsys, n, k):
+        code, out, err = run_cli(capsys, "gap", "check", "--n", str(n), "--k", str(k))
+        assert code == 1
+        report = last_json(out)
+        assert report["verdict"] == "fail"
+        assert report["error"] == f"need N >= 2 and K >= 1, got N={n}, K={k}"
+        assert "Traceback" not in err
+
     def test_gap_check_irrational_supremum(self, capsys):
         code, out, err = run_cli(capsys, "gap", "check", "--n", "20", "--k", "24")
         assert code == 0

@@ -18,13 +18,12 @@ from splfr.engine import (
     deliver,
     measure,
     place,
-    split,
     update_round,
 )
 from splfr.field import FieldContext, FieldError, Packed
 from splfr.pda import STAR, man_pda, memory_load, parse_pda, validate
 
-from oracle import combine as oracle_combine, privacy_key
+from oracle import combine as oracle_combine, privacy_key, split
 
 GF2 = FieldContext.prime(2)
 GF3 = FieldContext.prime(3)
@@ -70,15 +69,16 @@ class TestSplit:
 class TestSplitOnce:
     def test_place_splits_each_file_once_and_deliver_never(self, monkeypatch):
         calls = []
+        field_split = FieldContext.split
 
-        def counting_split(file, f):
-            calls.append(file)
-            return split(file, f)
+        def counting_split(self, v, f):
+            calls.append(v)
+            return field_split(self, v, f)
 
-        monkeypatch.setattr(splfr.engine, "split", counting_split)
+        monkeypatch.setattr(FieldContext, "split", counting_split)
         arr = man_pda(3, 1)
         state = make_state(arr, 4, 6, GF2, seed=61)
-        assert len(calls) == 4
+        assert calls == list(state.library.files)
         for i, row in enumerate(state.rows):
             for n, packet in enumerate(row):
                 assert packet == split(state.library.files[n], arr.f)[i]
@@ -87,6 +87,7 @@ class TestSplitOnce:
         assert len(calls) == 4
         zeros = tuple((0, 0) for _ in range(arr.s))
         assert update_round(state, demands, zeros, (0, 0, 0)).rows is state.rows
+        assert len(calls) == 4
 
     def test_place_packs_each_packet_once_and_deliver_decode_never(self, monkeypatch):
         # over GF(2^8) the kernel reads each vector's bytes packing; every
@@ -110,10 +111,11 @@ class TestSplitOnce:
         files = list(state.library.files)
         packets = [packet for row in state.rows for packet in row]
         keys = list(state.randomness.security_keys)
-        # once per file (N, as the library is built), once per packet (N*F)
-        # and once per security key (S)
+        # once per file (N, as the library is built) and once per security
+        # key (S); the packets are slices of the files' packings, never
+        # packed or checked again
         assert len(packets) == n * arr.f
-        assert sorted(packs) == sorted(files + packets + keys) == sorted(packings)
+        assert sorted(packs) == sorted(files + keys) == sorted(packings)
         assert all(isinstance(v, Packed) for v in files + packets + keys)
         for cache in state.caches:
             assert all(isinstance(v, Packed) for v in cache.coded.values())
@@ -360,14 +362,20 @@ class TestDecode:
     def test_negates_only_the_coefficients_of_sharing_users(self, monkeypatch):
         # users 0 and 1 share symbol 1, users 2 and 3 share symbol 2
         arr = validate(((STAR, 1, STAR, 2), (1, STAR, 2, STAR)))
-        negs = []
-        neg = FieldContext.neg
+        negs, vec_negs = [], []
+        neg, vec_neg = FieldContext.neg, FieldContext.vec_neg
 
         def counting_neg(self, a):
             negs.append(a)
             return neg(self, a)
 
+        def counting_vec_neg(self, u):
+            out = vec_neg(self, u)
+            vec_negs.append((u, out))
+            return out
+
         monkeypatch.setattr(FieldContext, "neg", counting_neg)
+        monkeypatch.setattr(FieldContext, "vec_neg", counting_vec_neg)
         n = 3
         for ctx in (GF256, FieldContext.prime(5)):
             state = make_state(arr, n, 4, ctx, seed=17)
@@ -382,11 +390,20 @@ class TestDecode:
                     if e in symbols and j != k
                 }
                 assert len(sharers) == 1
-                del negs[:]
+                del negs[:], vec_negs[:]
                 got = decode(state.user_view(k), payload, demands[k])
                 assert got == state.library.combine(demands[k])
-                # none over GF(2^m); over GF(p), -1 and -q_j for each sharer j
-                assert len(negs) == (0 if ctx.kind == "binary" else 1 + n * len(sharers))
+                # the coefficient vector of each sharer j, once
+                assert [u for u, _ in vec_negs] == [payload.coeff_vectors[j] for j in sharers]
+                if ctx.kind == "binary":
+                    # negation is the identity: each vector comes back as it
+                    # is, and the only scalar negated is the cached record's
+                    # coefficient 1, so no symbol of a vector is negated
+                    assert all(out is u for u, out in vec_negs)
+                    assert negs == [1]
+                else:
+                    # -1 and -q_j for each sharer j
+                    assert len(negs) == 1 + n * len(sharers)
 
     def test_view_withholds_global_state(self):
         # decoder isolation: the view exposes only the array, field, and
@@ -542,8 +559,9 @@ class TestUpdateRound:
         rng = random.Random(72)
         demands = tuple(GF3.random_vector(3, rng) for _ in range(3))
         fresh = tuple(GF3.random_vector(2, rng) for _ in range(state.pda.s))
-        for name in ("deliver", "decode", "split"):
+        for name in ("deliver", "decode"):
             monkeypatch.setattr(splfr.engine, name, forbidden)
+        monkeypatch.setattr(FieldContext, "split", forbidden)
         updated = update_round(state, demands, fresh, (1, 2, 0))
         monkeypatch.undo()
         scratch = place(state.pda, state.library, updated.randomness, state.mode)

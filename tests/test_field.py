@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from splfr.field import DEFAULT_POLYS, FieldContext, FieldError, Packed
 
-from oracle import ContextMismatchError, FieldElement, dot, field_dot
+from oracle import ContextMismatchError, FieldElement, dot, field_dot, split
 
 
 def slow_gf2m_mul(a: int, b: int, poly: int, m: int) -> int:
@@ -222,6 +222,23 @@ class TestPacked:
             with pytest.raises(FieldError):
                 ctx.pack(v)
 
+    def test_split_slices_a_packed_without_packing(self, ctx, monkeypatch):
+        packings = []
+        packing = FieldContext._packing
+
+        def counting_packing(self, v):
+            packings.append(v)
+            return packing(self, v)
+
+        v = tuple(i % ctx.q for i in range(12))
+        packed = ctx.pack(v)
+        monkeypatch.setattr(FieldContext, "_packing", counting_packing)
+        assert ctx.split(packed, 4) == split(v, 4)
+        assert packings == []
+        # a plain vector is checked and packed once, not once per packet
+        assert ctx.split(v, 4) == split(v, 4)
+        assert packings == [v]
+
     def test_lincomb_rejects_input_outside_field(self, ctx):
         q, packed = ctx.q, ctx.pack((1, 0))
         for coeffs, vectors in (
@@ -255,6 +272,57 @@ def test_packed_from_another_field_is_checked_again():
 def test_pack_is_identity_over_prime_fields(ctx):
     v = (0, ctx.q - 1)
     assert ctx.pack(v) is v
+
+
+@pytest.mark.parametrize("ctx", [c for c in KERNEL_FIELDS if c.kind == "prime"],
+                         ids=lambda c: c.spec)
+def test_pack_checks_symbols_over_prime_fields(ctx):
+    for v in ((ctx.q,), (0, -1), (1, ctx.q, 0)):
+        with pytest.raises(FieldError):
+            ctx.pack(v)
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=lambda c: c.spec)
+class TestSplit:
+    """``split`` against the plain slicer, with plain and packed input."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_slicer(self, ctx, data):
+        f = data.draw(st.integers(1, 6), label="f")
+        size = data.draw(st.integers(1, 5), label="size")
+        v = data.draw(st.tuples(*[st.integers(0, ctx.q - 1)] * (f * size)), label="v")
+        want = split(v, f)
+        ready = type(ctx.pack(v))  # the context's own Packed over GF(2^m)
+        for operand in (v, ctx.pack(v)):
+            packets = ctx.split(operand, f)
+            assert packets == want
+            assert all(type(packet) is ready for packet in packets)
+            # the kernel reads each packet's packing, not its tuple
+            assert ctx.lincomb((1,) * f, packets) == lincomb_oracle(ctx, (1,) * f, want)
+
+    def test_rejects_a_count_that_does_not_divide(self, ctx):
+        v = (0, 1, 0, 1)
+        for f in (3, 5, 0, -1, -4):
+            with pytest.raises(FieldError):
+                ctx.split(v, f)
+            with pytest.raises(FieldError):
+                ctx.split(ctx.pack(v), f)
+
+    def test_rejects_symbols_outside_field(self, ctx):
+        for v in ((ctx.q, 0), (0, -1), (1, 0, 0, ctx.q)):
+            with pytest.raises(FieldError):
+                ctx.split(v, 2)
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=lambda c: c.spec)
+def test_vec_neg_is_the_additive_inverse(ctx):
+    v = tuple(range(min(ctx.q, 9))) + (ctx.q - 1,)
+    minus = ctx.vec_neg(v)
+    assert minus == tuple(map(ctx.neg, v))
+    assert ctx.vec_add(v, minus) == (0,) * len(v)
+    if ctx.kind == "binary":
+        assert minus is v  # the identity, with no copy
 
 
 @pytest.mark.parametrize(

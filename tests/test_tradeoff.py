@@ -32,6 +32,7 @@ from splfr.tradeoff import (
     TradeoffError,
     _cutset_pieces,
     _man_segments,
+    achievable_above_converse,
     comb0,
     cutset_bound,
     emit_curves,
@@ -237,6 +238,17 @@ class TestRatios:
     def test_coded_uncoded_domain(self):
         with pytest.raises(TradeoffError):
             coded_uncoded_ratio_max(2, 3)
+
+    def test_curve_domain(self):
+        for check, n, k in (
+            (simple_converse_ratio_max, 1, 5),
+            (simple_converse_ratio_max, 4, 0),
+            (simple_converse_ratio_max, 0, 3),
+            (achievable_above_converse, 1, 3),
+            (ratio_checks, 3, 0),
+        ):
+            with pytest.raises(TradeoffError, match=r"need N >= 2 and K >= 1"):
+                check(n, k)
 
     def test_smooth_bound_small(self):
         assert smooth_bound_ratio_max(3, 5, per_unit=100) < 8
