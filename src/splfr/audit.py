@@ -10,33 +10,34 @@ randomness, demands) with uniform independent components:
   of everything the subset observes, conditioned on the files.
 
 Certificates come first.  Fix the files W.  The signal, every cache and
-every decoded output are then affine in the randomness r = (V, p) and the
-demands d: this is the premise, and the linear placement, delivery and
-decoding of the scheme satisfy it.  For each W, ``file_models`` runs the
-real ``place``/``deliver``/``decode`` at an affine basis of (r, d), about
-1 + S*L + K*N points, and reads off the linear part A_W and the demand
-differences C_W * delta of every observation.  Given (W, d), an
-observation is uniform on the coset offset + Im(A_W), so each claim is a
-rank test over GF(q):
+every decoded-minus-demanded error are then affine in the randomness
+r = (V, p) and the demands d: this is the premise, and the linear
+placement, delivery and decoding of the scheme satisfy it.  For each W,
+``file_models`` runs the real ``place``/``deliver``/``decode`` at an
+affine basis of (r, d) and keeps three parts: the offset at r = 0, d = d0;
+the key part A_W per symbol of r; and the demand part C_W * delta per
+single-user demand move.  Given (W, d), an observation is uniform on the
+coset offset + Im(A_W), so each claim is a span test over GF(q):
 
-- security: the coset of the signal is the same for every (W, d);
-- privacy: rank([A_W | C_W * delta]) == rank(A_W) for every difference
-  delta of the other users' demands (e_a - e_b for unit demand spaces);
-- correctness: decoded minus ``Library.combine`` is zero at every basis
-  point.
+- security: every W has the same image and coset, and no demand part
+  leaves the image;
+- privacy: the demand parts of the users outside the subset lie in the
+  image of the keys in the subset's view;
+- correctness: the errors of the offset and of every part are zero.
 
 Under the premise each test holds iff the claim does, so a passing
-certificate reports the full atom count with no enumeration.  When a
-certificate fails, the enumeration runs: one traversal visits every
-(files, keys, demands) atom, files outermost, and feeds the three
-oracles; the privacy oracle fills one count table per colluding subset,
-so every subset whose certificate fails is counted in the same pass.
+certificate reports the full atom count with no enumeration.  The budget
+bounds the certificates' deliveries (``AuditConfig.probe_count``), and the
+atoms of the enumeration, which runs when a certificate fails: one
+traversal visits every (files, keys, demands) atom and feeds the three
+oracles; the privacy oracle fills one count table per colluding subset, so
+every subset whose certificate fails is counted in the same pass.
 Independence is decided through the factorization identities
 count(a, b) * total == count(a) * count(b), which hold for every pair iff
 the mutual information is exactly zero.  The enumeration is the reference
-oracle and the only source of the exact violation count and the first
-witness.  No logarithms or floating point are involved, so a pass is a
-proof for the instance.
+oracle, the only source of the violation count and the first witness.  No
+logarithms or floating point are involved: a pass is a proof for the
+instance.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class AuditError(ValueError):
 
 
 class BudgetExceeded(AuditError):
-    """The joint atom space is larger than the configured budget."""
+    """The audit would run more probe points or atoms than the budget."""
 
 
 @dataclass(frozen=True)
@@ -118,11 +119,18 @@ class AuditConfig:
             * per_user_demands ** self.pda.k
         )
 
-    def check_budget(self) -> None:
-        if self.atom_count > self.budget:
-            raise BudgetExceeded(
-                f"{self.atom_count} atoms exceed budget {self.budget}"
-            )
+    @property
+    def probe_count(self) -> int:
+        """Deliveries of the certificates: q^(N*B) * (1 + S*L + K*N + demand moves)."""
+        k, n = self.pda.k, self.n
+        moves = k * (n - 1) if self.demand_space == "units" else k * n
+        return self.ctx.q ** (n * self.b) * (1 + self.pda.s * self.block + k * n + moves)
+
+    def check_budget(self, count: Optional[int] = None, unit: str = "atoms") -> None:
+        """Refuse an audit that would run more than the budget, by default atoms."""
+        count = self.atom_count if count is None else count
+        if count > self.budget:
+            raise BudgetExceeded(f"{count} {unit} exceed budget {self.budget}")
 
 
 @dataclass
@@ -246,6 +254,7 @@ def enumerate_privacy(
     of (signal, colluders' demands, colluders' caches).  One traversal
     fills a count table per subset and returns one report per subset.
     """
+    cfg.check_budget()  # before the demand tuples are listed
     cuts = []  # per subset: the colluders, and each demand tuple split
     for subset in subsets:
         colluders = [u - 1 for u in _subset(cfg, subset)]
@@ -299,20 +308,16 @@ class Point(NamedTuple):
 
 @dataclass(frozen=True)
 class FileModel:
-    """The engine at one file realization, probed at an affine basis of (r, d).
+    """The engine at one file realization W, as an affine map of (r, d).
 
-    ``base`` is the point r = 0, d = d0.  ``keys[i]`` moves r to its i-th
-    unit vector.  ``demands`` holds (user, point) pairs, each moving one
-    user's demand away from d0 (see ``_demand_moves``).
+    ``offset`` is the point r = 0, d = d0.  ``keys[i]`` is what A_W adds per
+    unit of the i-th symbol of r.  ``demands`` holds (user, C_W * delta) pairs,
+    one per single-user demand move away from d0 (see ``_demand_moves``).
     """
 
-    base: Point
+    offset: Point
     keys: tuple[Point, ...]
     demands: tuple[tuple[int, Point], ...]
-
-    @property
-    def points(self) -> Iterator[Point]:
-        return chain((self.base,), self.keys, (p for _, p in self.demands))
 
 
 def _flat(vectors: Iterable[Sequence[int]]) -> Vector:
@@ -361,62 +366,68 @@ def _demand_moves(cfg: AuditConfig) -> tuple[tuple, list[tuple[int, tuple]]]:
     return base, [(j, base[:j] + (t,) + base[j + 1 :]) for j in range(k) for t in targets]
 
 
-def _point(state: SchemeState, demands: tuple, decoded: bool) -> Point:
+def _point(
+    state: SchemeState, demands: tuple, decoded: bool, offset: Optional[Point] = None
+) -> Point:
+    """The engine's outputs at (r, d), less the ``offset`` point if one is given."""
     payload = deliver(state, demands)
-    errors: tuple[Vector, ...] = ()
-    if decoded:
-        ctx, lib = state.library.ctx, state.library
-        errors = tuple(
-            _sub(ctx, decode(state.user_view(k), payload, d), lib.combine(d))
-            for k, d in enumerate(demands)
-        )
-    return Point(
-        signal=_flat(chain(payload.coeff_vectors, payload.blocks)),
-        caches=tuple(map(_cache_vector, state.caches)),
-        errors=errors,
+    ctx, lib = state.library.ctx, state.library
+    signal = _flat(chain(payload.coeff_vectors, payload.blocks))
+    caches = tuple(map(_cache_vector, state.caches))
+    errors = tuple(
+        _sub(ctx, decode(state.user_view(k), payload, d), lib.combine(d))
+        for k, d in enumerate(demands) if decoded
+    )
+    if offset is not None:
+        signal = _sub(ctx, signal, offset.signal)
+        caches = tuple(_sub(ctx, u, w) for u, w in zip(caches, offset.caches))
+        errors = tuple(_sub(ctx, u, w) for u, w in zip(errors, offset.errors))
+    return Point(signal, caches, errors)
+
+
+def file_model(cfg: AuditConfig, library: Library, decoded: bool = False) -> FileModel:
+    """Probe the engine at one W: 1 + S*L + K*N placements; decoders if ``decoded``."""
+    base_demands, moves = _demand_moves(cfg)
+    state = place(cfg.pda, library, Randomness.zeros(cfg.pda, cfg.n, cfg.b), cfg.mode)
+    offset = _point(state, base_demands, decoded)
+    return FileModel(
+        offset=offset,
+        keys=tuple(
+            _point(place(cfg.pda, library, r, cfg.mode), base_demands, decoded, offset)
+            for r in _key_basis(cfg)
+        ),
+        demands=tuple((j, _point(state, d, decoded, offset)) for j, d in moves),
     )
 
 
 def file_models(cfg: AuditConfig, decoded: bool = False) -> Iterator[FileModel]:
-    """Probe the engine once per file realization: 1 + S*L + K*N placements.
+    """The model of every file realization, if the probe budget allows them all."""
+    cfg.check_budget(cfg.probe_count, "probe points")
+    return (file_model(cfg, library, decoded) for library in _libraries(cfg))
 
-    ``decoded`` also runs every user's decoder at every point, for the
-    correctness certificate.
-    """
-    key_basis = _key_basis(cfg)
-    base_demands, moves = _demand_moves(cfg)
-    zero = Randomness.zeros(cfg.pda, cfg.n, cfg.b)
-    for library in _libraries(cfg):
-        state = place(cfg.pda, library, zero, cfg.mode)
-        yield FileModel(
-            base=_point(state, base_demands, decoded),
-            keys=tuple(
-                _point(place(cfg.pda, library, r, cfg.mode), base_demands, decoded)
-                for r in key_basis
-            ),
-            demands=tuple((j, _point(state, d, decoded)) for j, d in moves),
-        )
+
+def _in_span(ctx: FieldContext, basis: Sequence[Vector], vectors: Iterable[Vector]) -> bool:
+    """Whether every vector lies in the span of the reduced echelon ``basis``."""
+    return not any(any(ctx.reduce(basis, v)) for v in vectors)
 
 
 def correctness_certificate(models: Iterable[FileModel]) -> bool:
-    """Every decoder is exact at every basis point of every file realization."""
-    return not any(any(map(any, p.errors)) for m in models for p in m.points)
+    """Every decoder is exact at the offset and along every part, for every W."""
+    parts = (p for m in models for p in (m.offset, *m.keys, *(p for _, p in m.demands)))
+    return not any(any(map(any, p.errors)) for p in parts)
 
 
 def security_certificate(cfg: AuditConfig, models: Iterable[FileModel]) -> bool:
-    """The signal's coset, offset + Im(A_W), is the same for every (W, d)."""
-    ctx = cfg.ctx
-    image = origin = None
+    """The signal's coset, offset + Im(A_W), is the same for every (W, d).
+
+    Equal cosets have equal images, and equal offset residues against them.
+    """
+    ctx, first = cfg.ctx, None
     for model in models:
-        base = model.base.signal
-        span = ctx.echelon(_sub(ctx, p.signal, base) for p in model.keys)
-        if image is None:
-            image, origin = span, base
-        elif span != image:
-            return False
-        # the base and every demand move stay in the first coset; with the
-        # moves spanning the demand differences, so does every (W, d)
-        if any(any(ctx.reduce(image, _sub(ctx, p.signal, origin))) for p in model.points):
+        image = ctx.echelon(p.signal for p in model.keys)
+        coset = image, ctx.reduce(image, model.offset.signal)
+        first = first or coset
+        if coset != first or not _in_span(ctx, image, (p.signal for _, p in model.demands)):
             return False
     return True
 
@@ -431,18 +442,15 @@ def privacy_certificate(
     user's demand moves them, so they split the view into disjoint
     cosets without changing the test.
     """
-    ctx = cfg.ctx
-    colluders = [u - 1 for u in subset]
+    ctx, colluders = cfg.ctx, [u - 1 for u in subset]
 
     def view(p: Point) -> Vector:
         return p.signal + _flat(p.caches[k] for k in colluders)
 
     for model in models:
-        base = view(model.base)
-        image = ctx.echelon(_sub(ctx, view(p), base) for p in model.keys)
-        for j, p in model.demands:
-            if j not in colluders and any(ctx.reduce(image, _sub(ctx, view(p), base))):
-                return False
+        moves = (view(p) for j, p in model.demands if j not in colluders)
+        if not _in_span(ctx, ctx.echelon(map(view, model.keys)), moves):
+            return False
     return True
 
 
@@ -459,7 +467,6 @@ def _certified(cfg: AuditConfig) -> AuditReport:
 
 def audit_correctness(cfg: AuditConfig) -> AuditReport:
     """Decoder exactness: certificate first, enumeration when it fails."""
-    cfg.check_budget()
     if correctness_certificate(file_models(cfg, decoded=True)):
         return _certified(cfg)
     return enumerate_correctness(cfg)
@@ -467,7 +474,6 @@ def audit_correctness(cfg: AuditConfig) -> AuditReport:
 
 def audit_security(cfg: AuditConfig) -> AuditReport:
     """Signal independence: certificate first, enumeration when it fails."""
-    cfg.check_budget()
     if security_certificate(cfg, file_models(cfg)):
         return _certified(cfg)
     return enumerate_security(cfg)
@@ -484,14 +490,17 @@ def audit_privacy(
     traversal; the report sums the atoms and violations, and its
     counterexample (the first subset's that has one) names the subset.
     """
-    cfg.check_budget()
     users = range(1, cfg.pda.k + 1)
     if subset is None:
+        # every subset's certificate reads the view at every probe point
+        cfg.check_budget((2**cfg.pda.k - 1) * cfg.probe_count, "subset-probe points")
         subsets = list(chain.from_iterable(combinations(users, r) for r in users))
     else:
         subsets = [_subset(cfg, subset)]
-    models = list(file_models(cfg))
-    failing = [sub for sub in subsets if not privacy_certificate(cfg, models, sub)]
+    ok = [True] * len(subsets)
+    for model in file_models(cfg):  # one at a time: the models are never all held
+        ok = [o and privacy_certificate(cfg, (model,), s) for o, s in zip(ok, subsets)]
+    failing = [sub for sub, o in zip(subsets, ok) if not o]
     if not failing:
         return AuditReport(True, len(subsets) * cfg.atom_count, 0, method="certificate")
     reports = enumerate_privacy(cfg, failing)
@@ -527,6 +536,7 @@ __all__ = [
     "enumerate_privacy",
     "enumerate_security",
     "factorization_violations",
+    "file_model",
     "file_models",
     "privacy_certificate",
     "security_certificate",

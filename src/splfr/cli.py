@@ -120,13 +120,18 @@ def _parse_demands(spec: str, k: int, n: int, ctx: FieldContext, rng: random.Ran
     return tuple(demands)
 
 
-def _analytic_checks(arr: pda_mod.PDA, n: int, b: int, meas: engine.Measure) -> dict:
+def _analytic_checks(
+    arr: pda_mod.PDA, n: int, b: int, meas: engine.Measure, payload: engine.DeliveryPayload
+) -> dict:
     """Measured memory, load and transmitted symbols against the array's values.
 
     The analytic values are M = 1 + Z(N-1)/F, R = S/F and tx = S*B/F + K*N.
     M is the formula of ``pda.memory_load``, which refuses N < 2; at N = 1 it
-    is one file's worth of symbols, which is what a cache then holds.
+    is one file's worth of symbols, which is what a cache then holds.  The
+    load and tx are counted in the delivered payload: its block symbols per
+    file symbol, and its symbols in all.
     """
+    block_symbols = sum(map(len, payload.blocks))
     analytic = {
         "memory": 1 + Fraction(arr.z * (n - 1), arr.f),
         "load": Fraction(arr.s, arr.f),
@@ -134,8 +139,8 @@ def _analytic_checks(arr: pda_mod.PDA, n: int, b: int, meas: engine.Measure) -> 
     }
     measured = {
         "memory": meas.m_exact,
-        "load": meas.r_asymptotic,
-        "tx_symbols": meas.tx_symbols,
+        "load": Fraction(block_symbols, b),
+        "tx_symbols": block_symbols + sum(map(len, payload.coeff_vectors)),
     }
     return {
         name: {"measured": measured[name], "analytic": value, "ok": measured[name] == value}
@@ -177,7 +182,7 @@ def cmd_sim(args) -> int:
         all_ok = all_ok and ok
         digest = hashlib.sha256(",".join(map(str, decoded)).encode()).hexdigest()
         users.append({"user": k + 1, "decode_sha256": digest, "correct": ok})
-    checks = _analytic_checks(arr, args.n, args.b, meas)
+    checks = _analytic_checks(arr, args.n, args.b, meas, payload)
     checks_ok = all(check["ok"] for check in checks.values())
 
     emit_report(

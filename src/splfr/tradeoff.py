@@ -118,10 +118,15 @@ def lower_convex_envelope(points: Iterable[CurvePoint]) -> TradeoffCurve:
 # -- achievable corner points --------------------------------------------
 
 
-def man_points(n: int, k: int) -> list[CurvePoint]:
-    """Corner points (1 + t(N-1)/K, (K-t)/(t+1)) for t = 0..K."""
+def _check_sizes(n: int, k: int) -> None:
+    """Refuse a file or user count for which the curves are not defined."""
     if n < 2 or k < 1:
         raise TradeoffError(f"need N >= 2 and K >= 1, got N={n}, K={k}")
+
+
+def man_points(n: int, k: int) -> list[CurvePoint]:
+    """Corner points (1 + t(N-1)/K, (K-t)/(t+1)) for t = 0..K."""
+    _check_sizes(n, k)
     return [
         CurvePoint(1 + Fraction(t * (n - 1), k), Fraction(k - t, t + 1))
         for t in range(k + 1)
@@ -188,6 +193,7 @@ def scheme_points(scheme: str, n: int, k: int) -> list[CurvePoint]:
     The privacy-key rows additionally include the trivial point (0, N)
     achievable with unit subpacketization.
     """
+    _check_sizes(n, k)
     if scheme in ("splfr", "seckey"):
         return man_points(n, k)
     if scheme in ("yma", "wsjtc"):
@@ -369,8 +375,7 @@ def _man_segments(n: int, k: int, lo, hi):
     come from t in integers; only an end that is not a corner is evaluated
     as a Fraction.
     """
-    if n < 2 or k < 1:
-        raise TradeoffError(f"need N >= 2 and K >= 1, got N={n}, K={k}")
+    _check_sizes(n, k)
     lo, hi = _frac(lo), _frac(hi)
     first = (lo - 1) * k // (n - 1) + 1  # the first corner above lo
     last = -((1 - hi) * k // (n - 1)) - 1  # the last corner below hi
@@ -631,6 +636,7 @@ def emit_curves(n: int, k: int, schemes: Sequence[str], out_dir: str) -> dict:
     The array-class converse and the cut-set bound are included as
     reference series, sampled at BOUND_SAMPLES + 1 points of [1, N].
     """
+    _check_sizes(n, k)
     os.makedirs(out_dir, exist_ok=True)
     series: list[tuple[str, list[CurvePoint]]] = []
     for scheme in schemes:

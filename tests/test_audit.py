@@ -1,9 +1,11 @@
 """Tests for the exact audits: rank certificates and the enumeration oracle."""
 
+import random
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import splfr.audit
 from splfr.audit import (
@@ -18,11 +20,13 @@ from splfr.audit import (
     enumerate_privacy,
     enumerate_security,
     factorization_violations,
+    file_model,
     file_models,
     privacy_certificate,
     security_certificate,
 )
-from splfr.engine import DeliveryPayload, Mode, deliver, place
+from splfr.cli import TOY_GRID
+from splfr.engine import DeliveryPayload, Library, Mode, Randomness, deliver, place
 from splfr.field import FieldContext
 from splfr.pda import STAR, man_pda, validate
 
@@ -89,6 +93,41 @@ class TestConfig:
         cfg = small(budget=100)
         with pytest.raises(BudgetExceeded):
             audit_security(cfg)
+
+    def test_probe_count(self):
+        # per file realization: the offset, S*L + K*N = 5 key moves and K*N = 4
+        # demand moves, or K*(N-1) = 2 over unit demands
+        assert SMALL.probe_count == 16 * 10
+        assert small(demand_space="units").probe_count == 16 * 8
+
+    def test_certificates_are_budgeted_by_their_probe_points(self):
+        # 8192 atoms, but 160 probe points, and 3 x 160 for every subset
+        cfg = small(budget=200)
+        assert audit_security(cfg).method == "certificate"
+        assert audit_privacy(cfg, [1]).method == "certificate"
+        with pytest.raises(BudgetExceeded, match="480 subset-probe points exceed budget 200"):
+            audit_privacy(cfg)
+
+    def test_enumeration_is_refused_before_it_lists_the_demands(self, monkeypatch):
+        # 10 probe points, within the budget; the certificate fails (SLFR shows
+        # user 2's demand), and its 32 atoms are refused before the demand
+        # tuples, which grow as q^(N*K), are listed
+        def refuse(cfg):
+            raise AssertionError("the demand tuples are listed before the budget check")
+
+        cfg = AuditConfig(pda=ALL_STAR, n=1, b=1, ctx=GF2, mode=Mode.SLFR, budget=20)
+        monkeypatch.setattr(AuditConfig, "demand_tuples", refuse)
+        with pytest.raises(BudgetExceeded, match="32 atoms exceed budget 20"):
+            audit_privacy(cfg, [1])
+
+    def test_failing_certificate_is_refused_before_enumeration(self, monkeypatch):
+        # LFR fails at the first file realization, whose 13 placements and 22
+        # deliveries are all that run: the 2^30 atoms are refused unvisited
+        cfg = AuditConfig(pda=man_pda(3, 1), n=3, b=3, ctx=GF2, mode=Mode.LFR)
+        calls = count_calls(monkeypatch, "place", "deliver")
+        with pytest.raises(BudgetExceeded, match="1073741824 atoms exceed budget"):
+            audit_security(cfg)
+        assert calls == {"place": 13, "deliver": 22}
 
     def test_bad_demand_space(self):
         with pytest.raises(AuditError):
@@ -352,3 +391,50 @@ def test_dropped_security_key_is_caught(monkeypatch):
     assert not correctness_certificate(file_models(SMALL, decoded=True))
     report = audit_correctness(SMALL)
     assert not report.verdict and report.counterexample is not None
+
+
+# -- the bi-affine premise ---------------------------------------------------
+
+PREMISE_ARRAYS = {"man:2,1": man_pda(2, 1), "toy-grid": validate(TOY_GRID)}
+PREMISE_FIELDS = [FieldContext.parse(spec) for spec in ("p:2", "p:3", "b:2")]
+
+
+@settings(max_examples=160, deadline=None)
+@given(
+    st.sampled_from(sorted(PREMISE_ARRAYS)),
+    st.sampled_from(PREMISE_FIELDS),
+    st.sampled_from(list(Mode)),
+    st.sampled_from(["all", "units"]),
+    st.integers(1, 3),  # N
+    st.integers(1, 2),  # block length B/F
+    st.integers(0, 2**32 - 1),  # seed of the files, keys and demands
+)
+def test_engine_is_the_affine_model(name, ctx, mode, demand_space, n, block, seed):
+    # what the certificates rest on: for fixed files, the engine at (r, d) is
+    # the offset, plus r_i times key part i, plus d_j[t] times the part of
+    # user j's move to file t
+    arr, rng = PREMISE_ARRAYS[name], random.Random(seed)
+    cfg = AuditConfig(
+        pda=arr, n=n, b=arr.f * block, ctx=ctx, mode=mode, demand_space=demand_space
+    )
+    library = Library.random(ctx, n, cfg.b, rng)
+    keys = Randomness.generate(arr, n, cfg.b, ctx, rng)
+    demands = tuple(rng.choice(cfg.demand_vectors()) for _ in range(arr.k))
+    model = file_model(cfg, library, decoded=True)
+    engine = splfr.audit._point(place(arr, library, keys, mode), demands, decoded=True)
+
+    moved = range(1, n) if demand_space == "units" else range(n)
+    coeffs = [
+        *chain.from_iterable(keys.security_keys),
+        *chain.from_iterable(keys.privacy_vectors),
+        *(d[t] for d in demands for t in moved),
+    ]
+    parts = [*model.keys, *(part for _, part in model.demands)]
+
+    def affine(read):
+        return ctx.lincomb([1, *coeffs], [read(model.offset), *map(read, parts)])
+
+    assert engine.signal == affine(lambda p: p.signal)
+    for k in range(arr.k):
+        assert engine.caches[k] == affine(lambda p: p.caches[k])
+        assert engine.errors[k] == affine(lambda p: p.errors[k])

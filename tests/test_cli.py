@@ -1,13 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from splfr import engine
-from splfr.cli import bounds_report, golden_toy, main
-from splfr.pda import parse_pda
+from splfr.cli import _analytic_checks, bounds_report, golden_toy, main
+from splfr.field import FieldContext
+from splfr.pda import man_pda, parse_pda
 
 
 def run_cli(capsys, *argv):
@@ -148,19 +151,39 @@ class TestSim:
     def test_measure_mismatch_fails(self, capsys, monkeypatch, spec, n, b):
         measure = engine.measure
 
-        def wrong_tx(state):
-            return measure(state)._replace(tx_symbols=measure(state).tx_symbols + 1)
+        def wrong_memory(state):
+            return measure(state)._replace(m_exact=measure(state).m_exact + 1)
 
-        monkeypatch.setattr(engine, "measure", wrong_tx)
+        monkeypatch.setattr(engine, "measure", wrong_memory)
         code, out, err = run_cli(capsys, "sim", "run", "--pda", spec, "--n", str(n),
                                  "--b", str(b), "--field", "b:8", "--seed", "3")
         assert code == 1
         report = last_json(out)
         assert report["verdict"] == "fail"
         assert all(user["correct"] for user in report["users"])
-        assert report["checks"]["tx_symbols"]["ok"] is False
-        assert report["checks"]["memory"]["ok"] and report["checks"]["load"]["ok"]
+        assert report["checks"]["memory"]["ok"] is False
+        assert report["checks"]["load"]["ok"] and report["checks"]["tx_symbols"]["ok"]
         assert "checks=FAIL" in err
+
+    @pytest.mark.parametrize(
+        "part, load, tx", [("blocks", Fraction(4, 3), 16), ("coeff_vectors", Fraction(1), 14)]
+    )
+    def test_mis_sized_payload_fails_the_checks(self, part, load, tx):
+        # load and tx are counted in the delivered payload, not taken from the
+        # array: a payload one symbol off shows in them
+        arr, ctx = man_pda(3, 1), FieldContext.prime(2)
+        rng = random.Random(5)
+        library = engine.Library.random(ctx, 4, 3, rng)
+        keys = engine.Randomness.generate(arr, 4, 3, ctx, rng)
+        state = engine.place(arr, library, keys, engine.Mode.SPLFR)
+        payload = engine.deliver(state, ((1, 0, 0, 0),) * 3)
+        first, *rest = getattr(payload, part)
+        first = first + (0,) if part == "blocks" else first[:-1]
+        payload = payload._replace(**{part: (first, *rest)})
+        checks = _analytic_checks(arr, 4, 3, engine.measure(state), payload)
+        assert checks["memory"]["ok"] is True
+        assert checks["load"] == {"measured": load, "analytic": 1, "ok": load == 1}
+        assert checks["tx_symbols"] == {"measured": tx, "analytic": 15, "ok": False}
 
     def test_seeded_key_source(self, capsys):
         _, out, _ = run_cli(capsys, *self.ARGS)
@@ -339,6 +362,36 @@ def test_pinned_audit_reports(capsys, args):
     assert report["counterexample"] == counterexample
 
 
+class TestAuditBudget:
+    """The certificates are budgeted by their probe points, enumeration by atoms."""
+
+    MAN31 = ("--pda", "man:3,1", "--n", "3", "--b", "3")
+
+    @pytest.mark.parametrize("audit, atoms", [("security", 2**30), ("privacy", 7 * 2**30)])
+    def test_certificates_run_past_the_atom_budget(self, capsys, audit, atoms):
+        # 512 file realizations x 22 probe points, 11,264 deliveries in all
+        code, out, _ = run_cli(capsys, "audit", audit, *self.MAN31)
+        assert code == 0
+        report = last_json(out)
+        assert (report["verdict"], report["method"], report["atoms"]) == (
+            "pass", "certificate", atoms
+        )
+        assert report["atoms"] > report["config"]["budget"]
+
+    def test_failing_certificate_is_refused_by_the_atom_budget(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "audit", "security", "--mode", "lfr", *self.MAN31)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert last_json(out)["error"] == "1073741824 atoms exceed budget 67108864"
+
+    def test_probe_points_over_the_budget_are_refused(self, capsys):
+        code, out, _ = run_cli(capsys, "audit", "security", "--pda", "man:2,1",
+                               "--n", "2", "--b", "2", "--budget", "100")
+        assert code == 1
+        assert last_json(out)["error"] == "160 probe points exceed budget 100"
+
+
 class TestCurvesBoundsGap:
     def test_curves_emit(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "curves", "emit", "--n", "4", "--k", "3",
@@ -353,6 +406,19 @@ class TestCurvesBoundsGap:
         code, out, _ = run_cli(capsys, "curves", "emit", "--n", "4", "--k", "3",
                                "--schemes", "nope", "--out", str(tmp_path))
         assert code == 1
+
+    @pytest.mark.parametrize("schemes", ["yma", "privkey-plfr,virtual"])
+    @pytest.mark.parametrize("n, k", [(1, 2), (3, 0)])
+    def test_curves_emit_outside_the_curve_domain(self, capsys, tmp_path, schemes, n, k):
+        out_dir = tmp_path / "curves"
+        code, out, err = run_cli(capsys, "curves", "emit", "--n", str(n), "--k", str(k),
+                                 "--schemes", schemes, "--out", str(out_dir))
+        assert code == 1
+        report = last_json(out)
+        assert report["verdict"] == "fail"
+        assert report["error"] == f"need N >= 2 and K >= 1, got N={n}, K={k}"
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_bounds_check(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "check", "--n", "4", "--k", "3")

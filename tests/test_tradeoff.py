@@ -208,6 +208,12 @@ class TestSchemePoints:
         with pytest.raises(TradeoffError):
             scheme_points("nope", 2, 2)
 
+    @pytest.mark.parametrize("scheme", ["splfr", "yma", "privkey-plfr", "privkey-pfr", "virtual"])
+    @pytest.mark.parametrize("n, k", [(1, 2), (3, 0), (0, 3)])
+    def test_curve_domain(self, scheme, n, k):
+        with pytest.raises(TradeoffError, match=r"need N >= 2 and K >= 1"):
+            scheme_points(scheme, n, k)
+
     def test_all_schemes_build_curves(self):
         for scheme in SCHEMES:
             curve = scheme_curve(scheme, 4, 3)
@@ -517,3 +523,11 @@ class TestEmit:
             assert abs(float(Fraction(row["M_exact"])) - float(row["M"])) < 1e-9
         svg = open(out["svg"]).read()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (3, 0)])
+    def test_curve_domain_is_checked_first(self, tmp_path, n, k):
+        # refused before the output directory is made or any series is drawn
+        out = tmp_path / "curves"
+        with pytest.raises(TradeoffError, match=r"need N >= 2 and K >= 1"):
+            emit_curves(n, k, ["yma"], str(out))
+        assert not out.exists()
