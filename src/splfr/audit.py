@@ -14,10 +14,11 @@ every decoded-minus-demanded error are then affine in the randomness
 r = (V, p) and the demands d: this is the premise, and the linear
 placement, delivery and decoding of the scheme satisfy it.  For each W,
 ``file_models`` runs the real ``place``/``deliver``/``decode`` at an
-affine basis of (r, d) and keeps three parts: the offset at r = 0, d = d0;
-the key part A_W per symbol of r; and the demand part C_W * delta per
-single-user demand move.  Given (W, d), an observation is uniform on the
-coset offset + Im(A_W), so each claim is a span test over GF(q):
+affine basis of (r, d), built once per config, and keeps three parts:
+the offset at r = 0, d = d0; the key part A_W per symbol of r; and the
+demand part C_W * delta per single-user demand move.  Given (W, d), an
+observation is uniform on the coset offset + Im(A_W), so each claim is a
+span test over GF(q):
 
 - security: every W has the same image and coset, and no demand part
   leaves the image;
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, groupby, product
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -121,10 +123,13 @@ class AuditConfig:
 
     @property
     def probe_count(self) -> int:
-        """Deliveries of the certificates: q^(N*B) * (1 + S*L + K*N + demand moves)."""
-        k, n = self.pda.k, self.n
-        moves = k * (n - 1) if self.demand_space == "units" else k * n
-        return self.ctx.q ** (n * self.b) * (1 + self.pda.s * self.block + k * n + moves)
+        """Deliveries of the certificates: q^(N*B) * (1 + key-basis points + demand moves).
+
+        Too many file realizations are refused before the bases are built.
+        """
+        realizations = self.ctx.q ** (self.n * self.b)
+        self.check_budget(realizations, "file realizations")
+        return realizations * (1 + len(_key_basis(self)) + len(_demand_moves(self)[1]))
 
     def check_budget(self, count: Optional[int] = None, unit: str = "atoms") -> None:
         """Refuse an audit that would run more than the budget, by default atoms."""
@@ -334,8 +339,9 @@ def _sub(ctx: FieldContext, u: Vector, w: Vector) -> Vector:
     return tuple(map(ctx.sub, u, w))
 
 
-def _key_basis(cfg: AuditConfig) -> list[Randomness]:
-    """Randomness at each unit vector of r: every symbol of V, then of p."""
+@lru_cache(maxsize=16)
+def _key_basis(cfg: AuditConfig) -> tuple[Randomness, ...]:
+    """Randomness at each unit vector of r (every symbol of V, then of p), once per config."""
     zero = Randomness.zeros(cfg.pda, cfg.n, cfg.b)
 
     def units(vectors: tuple[Vector, ...]) -> Iterator[tuple[Vector, ...]]:
@@ -345,16 +351,18 @@ def _key_basis(cfg: AuditConfig) -> list[Randomness]:
                 yield vectors[:j] + (one,) + vectors[j + 1 :]
 
     v, p = zero.security_keys, zero.privacy_vectors
-    return [Randomness(u, p) for u in units(v)] + [Randomness(v, u) for u in units(p)]
+    return tuple(Randomness(u, p) for u in units(v)) + tuple(Randomness(v, u) for u in units(p))
 
 
-def _demand_moves(cfg: AuditConfig) -> tuple[tuple, list[tuple[int, tuple]]]:
+@lru_cache(maxsize=16)
+def _demand_moves(cfg: AuditConfig) -> tuple[tuple, tuple[tuple[int, tuple], ...]]:
     """A base demand tuple d0 and the single-user moves away from it.
 
     Every point is a demand tuple of the demand space, and their affine
     hull contains all of it: for ``all``, d0 = 0 and each user moves to
     each unit vector; for ``units``, d0 puts every user on file 1 and each
     user moves to each other file, so the differences are e_a - e_1.
+    Built once per config.
     """
     k, n = cfg.pda.k, cfg.n
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
@@ -363,7 +371,7 @@ def _demand_moves(cfg: AuditConfig) -> tuple[tuple, list[tuple[int, tuple]]]:
     else:
         start, targets = (0,) * n, units
     base = (start,) * k
-    return base, [(j, base[:j] + (t,) + base[j + 1 :]) for j in range(k) for t in targets]
+    return base, tuple((j, base[:j] + (t,) + base[j + 1 :]) for j in range(k) for t in targets)
 
 
 def _point(

@@ -9,6 +9,7 @@ to stderr.  Exit codes: 0 = success / verdict pass, 1 = verdict fail,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -110,13 +111,12 @@ def _parse_demands(spec: str, k: int, n: int, ctx: FieldContext, rng: random.Ran
         raise engine.EngineError(f"demands file must have {k} lines, got {len(rows)}")
     demands = []
     for row in rows:
-        if len(row) != n:
-            raise engine.EngineError(f"each demand needs {n} values, got {len(row)}")
         try:
-            values = [int(v) for v in row]
+            demand = tuple(map(int, row))
         except ValueError:
             raise engine.EngineError(f"demand values must be integers, got {' '.join(row)!r}")
-        demands.append(tuple(ctx.check(v) for v in values))
+        engine.check_demand(ctx, demand, n)
+        demands.append(demand)
     return tuple(demands)
 
 
@@ -259,11 +259,7 @@ def _parse_subset(text: str) -> list[int]:
 
 
 def cmd_curves(args) -> int:
-    schemes = args.schemes.split(",")
-    for scheme in schemes:
-        if scheme not in tradeoff.SCHEMES:
-            raise tradeoff.TradeoffError(f"unknown scheme {scheme!r}")
-    result = tradeoff.emit_curves(args.n, args.k, schemes, args.out)
+    result = tradeoff.emit_curves(args.n, args.k, args.schemes.split(","), args.out)
     emit_report(dict(result, verdict="pass"), config={"n": args.n, "k": args.k})
     _summary(f"wrote {result['csv']} and {result['svg']}")
     return 0
@@ -370,7 +366,9 @@ def cmd_toy(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="splfr",
         description="secure and private cache-aided linear function retrieval",
@@ -485,7 +483,6 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(argv)
@@ -493,7 +490,7 @@ def main(argv=None) -> int:
         emit_report({"verdict": "fail", "error": str(exc)})
         _summary(f"error: {exc}")
         return 1
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (pda_mod.PdaError, engine.EngineError, audit.AuditError,

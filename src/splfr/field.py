@@ -379,18 +379,19 @@ class FieldContext:
                 for b in basis
             ]
             basis.append(row)
-        return tuple(sorted(basis, key=_pivot))
+        return tuple(sorted(basis, key=lambda b: b.index(1)))
 
     def reduce(
         self, basis: Sequence[Sequence[int]], v: Sequence[int]
     ) -> tuple[int, ...]:
         """The residue of ``v`` against a reduced echelon ``basis``.
 
-        It is zero iff ``v`` lies in the span of the basis.
+        It is zero iff ``v`` lies in the span of the basis.  Each basis row's
+        pivot, its first nonzero entry, is 1, so ``index(1)`` finds it.
         """
         v = tuple(v)
         for b in basis:
-            c = v[_pivot(b)]
+            c = v[b.index(1)]
             if c:
                 v = self.lincomb((1, self.neg(c)), (v, b))
         return v

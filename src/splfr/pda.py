@@ -8,9 +8,8 @@ signal).  Stars are represented by ``STAR`` (None); ordinary symbols are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -49,7 +48,8 @@ class PDA:
     """A validated (K, F, Z, S) placement delivery array.
 
     Immutable; construct through :func:`validate`, :func:`man_pda`, or
-    :func:`parse_pda`.
+    :func:`parse_pda`.  ``index`` is the symbol -> positions map, row-major,
+    that ``validate`` builds; equality, hashing and ``repr`` leave it out.
     """
 
     k: int
@@ -57,6 +57,7 @@ class PDA:
     z: int
     s: int
     entries: Grid
+    index: dict[int, list[tuple[int, int]]] = field(compare=False, repr=False)
 
     def column(self, j: int) -> tuple[Entry, ...]:
         """Entries of column j (0-based user index)."""
@@ -64,17 +65,7 @@ class PDA:
 
     def symbol_positions(self, s: int) -> list[tuple[int, int]]:
         """0-based (row, col) positions where ordinary symbol s occurs."""
-        return list(self._positions.get(s, ()))
-
-    @cached_property
-    def _positions(self) -> dict[int, list[tuple[int, int]]]:
-        """Symbol -> positions in row-major order, built on first use."""
-        index: dict[int, list[tuple[int, int]]] = {}
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                if e is not STAR:
-                    index.setdefault(e, []).append((i, j))
-        return index
+        return list(self.index.get(s, ()))
 
     @property
     def parameters(self) -> tuple[int, int, int, int]:
@@ -130,7 +121,7 @@ def validate(rows: Sequence[Sequence[Entry]]) -> PDA:
                     f"symbol {symbol} at ({i},{j}) and ({i2},{j2})"
                 )
 
-    return PDA(k=k, f=f, z=z, s=s, entries=grid)
+    return PDA(k=k, f=f, z=z, s=s, entries=grid, index=positions)
 
 
 def regularity(pda: PDA) -> Optional[int]:
@@ -225,7 +216,8 @@ def lsub_parameters(k: int, t: int) -> tuple[Fraction, Fraction, int]:
 # -- text format ---------------------------------------------------------
 #
 # Line 1: "PDA K=<k> F=<f>"; then F lines of K whitespace-separated tokens,
-# each "*" or a positive decimal symbol.  Z and S are derived on parse.
+# each "*" or a positive symbol in ASCII decimal digits.  Z and S are derived
+# on parse.
 
 
 def render_pda(pda: PDA) -> str:
@@ -236,6 +228,11 @@ def render_pda(pda: PDA) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_decimal(tok: str) -> bool:
+    """ASCII digits only, as ``render_pda`` writes; ``isdigit`` alone takes "²"."""
+    return tok.isascii() and tok.isdigit()
+
+
 def parse_pda(text: str) -> PDA:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -243,11 +240,11 @@ def parse_pda(text: str) -> PDA:
     header = lines[0].split()
     if len(header) != 3 or header[0] != "PDA":
         raise ParseError(f"bad header: {lines[0]!r}")
-    try:
-        fields = dict(part.split("=", 1) for part in header[1:])
-        k, f = int(fields["K"]), int(fields["F"])
-    except (ValueError, KeyError) as exc:
-        raise ParseError(f"bad header: {lines[0]!r}") from exc
+    fields = dict(part.partition("=")[::2] for part in header[1:])
+    k, f = fields.get("K", ""), fields.get("F", "")
+    if not (_is_decimal(k) and _is_decimal(f)):
+        raise ParseError(f"bad header: {lines[0]!r}")
+    k, f = int(k), int(f)
     if len(lines) - 1 != f:
         raise ParseError(f"expected {f} rows, got {len(lines) - 1}")
     grid: list[list[Entry]] = []
@@ -259,7 +256,7 @@ def parse_pda(text: str) -> PDA:
         for tok in tokens:
             if tok == "*":
                 row.append(STAR)
-            elif tok.isdigit() and int(tok) >= 1:
+            elif _is_decimal(tok) and int(tok) >= 1:
                 row.append(int(tok))
             else:
                 raise ParseError(f"bad token {tok!r}")

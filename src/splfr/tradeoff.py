@@ -634,25 +634,21 @@ def emit_curves(n: int, k: int, schemes: Sequence[str], out_dir: str) -> dict:
     """Write corner-point CSV and an SVG chart for the selected schemes.
 
     The array-class converse and the cut-set bound are included as
-    reference series, sampled at BOUND_SAMPLES + 1 points of [1, N].
+    reference series, sampled at BOUND_SAMPLES + 1 points of [1, N].  Every
+    series is built before ``out_dir`` is made, so an unknown scheme leaves
+    no directory behind.
     """
     _check_sizes(n, k)
-    os.makedirs(out_dir, exist_ok=True)
-    series: list[tuple[str, list[CurvePoint]]] = []
-    for scheme in schemes:
-        curve = scheme_curve(scheme, n, k)
-        series.append((scheme, list(curve.corners)))
+    series = [(scheme, list(scheme_curve(scheme, n, k).corners)) for scheme in schemes]
 
+    grid = [1 + Fraction(i * (n - 1), BOUND_SAMPLES) for i in range(BOUND_SAMPLES + 1)]
     for name, fn in (
         ("pda-bound", lambda m: pda_lower_bound(n, k, m)),
         ("cutset-bound", lambda m: cutset_bound(n, k, m)),
     ):
-        pts = []
-        for i in range(BOUND_SAMPLES + 1):
-            m = 1 + Fraction(i * (n - 1), BOUND_SAMPLES)
-            pts.append(CurvePoint(m, fn(m)))
-        series.append((name, pts))
+        series.append((name, [CurvePoint(m, fn(m)) for m in grid]))
 
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"curves_n{n}_k{k}.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)

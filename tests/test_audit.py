@@ -100,6 +100,23 @@ class TestConfig:
         assert SMALL.probe_count == 16 * 10
         assert small(demand_space="units").probe_count == 16 * 8
 
+    def test_probe_bases_are_built_once_per_config(self):
+        # the 16 file realizations share one key basis and one set of demand moves
+        splfr.audit._key_basis.cache_clear()
+        splfr.audit._demand_moves.cache_clear()
+        assert len(list(file_models(SMALL))) == 16
+        assert splfr.audit._key_basis.cache_info().misses == 1
+        assert splfr.audit._demand_moves.cache_info().misses == 1
+
+    def test_too_many_file_realizations_are_refused_before_the_bases(self):
+        # 2^9000 file realizations: refused without a basis of 9,009 points
+        # each holding a 3,000-symbol unit vector
+        cfg = AuditConfig(pda=man_pda(3, 1), n=3, b=3000, ctx=GF2)
+        splfr.audit._key_basis.cache_clear()
+        with pytest.raises(BudgetExceeded, match="file realizations exceed budget"):
+            audit_security(cfg)
+        assert splfr.audit._key_basis.cache_info().misses == 0
+
     def test_certificates_are_budgeted_by_their_probe_points(self):
         # 8192 atoms, but 160 probe points, and 3 x 160 for every subset
         cfg = small(budget=200)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import random
 import time
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from splfr import engine
-from splfr.cli import _analytic_checks, bounds_report, golden_toy, main
+from splfr.cli import _analytic_checks, bounds_report, build_parser, golden_toy, main
 from splfr.field import FieldContext
 from splfr.pda import man_pda, parse_pda
 
@@ -46,6 +47,21 @@ class TestPda:
         code, out, _ = run_cli(capsys, "pda", "validate", str(path))
         assert code == 1
         assert last_json(out)["verdict"] == "fail"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("pda", "validate", "{}"), ("sim", "run", "--pda", "{}", "--n", "2", "--b", "1")],
+        ids=["validate", "sim"],
+    )
+    def test_non_ascii_digit_fails_cleanly(self, capsys, tmp_path, argv):
+        # "\u00b2".isdigit() holds, but int("\u00b2") raises
+        path = tmp_path / "sup.pda"
+        path.write_text("PDA K=2 F=1\n* \u00b2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, *(a.format(path) for a in argv))
+        assert code == 1
+        report = last_json(out)
+        assert report["verdict"] == "fail" and "bad token" in report["error"]
+        assert "Traceback" not in err
 
     def test_info_reports_memory_load(self, capsys):
         code, out, _ = run_cli(capsys, "pda", "info", "man:3,1", "--n", "4")
@@ -390,6 +406,52 @@ class TestAuditBudget:
                                "--n", "2", "--b", "2", "--budget", "100")
         assert code == 1
         assert last_json(out)["error"] == "160 probe points exceed budget 100"
+
+
+class TestInputErrors:
+    """A bad demands file or config flag gives a JSON error and exit code 1."""
+
+    SIM = ("sim", "run", "--pda", "man:3,1", "--n", "4", "--b", "3", "--seed", "7")
+
+    @pytest.mark.parametrize(
+        "text, flags, error",
+        [
+            ("1 0 0 0\n0 1 0 0\n", ("--demands", "{}"),
+             "demands file must have 3 lines, got 2"),
+            # the engine's own check of a demand
+            ("1 0 0 0\n0 1 0\n0 0 1 0\n", ("--demands", "{}"), "demand length 3 != N=4"),
+            ("1 0 0 0\n0 1 0 2\n0 0 1 0\n", ("--demands", "{}"), "value 2 outside [0, 2)"),
+            (None, ("--config",), "--config requires a file path"),
+            ("[4, 3]", ("--config", "{}"), "config file {} must hold a JSON object"),
+        ],
+        ids=["demand-lines", "demand-length", "demand-value", "config-last", "config-list"],
+    )
+    def test_rejected(self, capsys, tmp_path, text, flags, error):
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run_cli(capsys, *self.SIM, *(f.format(path) for f in flags))
+        assert code == 1
+        report = last_json(out)
+        assert (report["verdict"], report["error"]) == ("fail", error.format(path))
+        assert "Traceback" not in err
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run_cli(capsys, "bounds", "check", "--n", "4", "--k", "2")[0] == 0
+    tree = len(built)
+    assert tree > 1
+    assert run_cli(capsys, "bounds", "check", "--n", "6", "--k", "3")[0] == 0
+    assert len(built) == tree
 
 
 class TestCurvesBoundsGap:

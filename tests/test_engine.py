@@ -259,6 +259,27 @@ class TestLibrary:
             Library.random(GF2, 2, 0, random.Random(1))
 
 
+def toy_keys(privacy_vectors):
+    """Zero security keys for TOY with N = 4, B = 3, and the given privacy vectors."""
+    keys = Randomness(Randomness.zeros(TOY, 4, 3).security_keys, privacy_vectors)
+    return keys.effective(TOY, 4, 3, GF2, Mode.SPLFR)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Library(GF2, ()), "at least one file"),
+        (lambda: Library(GF2, ((0, 1), (1,))), "same length"),
+        (lambda: toy_keys(((0,) * 4,) * 2), "expected 3 privacy vectors of length 4"),
+        (lambda: toy_keys(((0,) * 3,) * 3), "expected 3 privacy vectors of length 4"),
+    ],
+    ids=["no-files", "unequal-files", "privacy-count", "privacy-length"],
+)
+def test_malformed_input_is_rejected(make, message):
+    with pytest.raises(EngineError, match=message):
+        make()
+
+
 class TestDeliver:
     def test_coeffs_mask_demands(self):
         state = make_state(TOY, 4, 3, GF2, seed=4)

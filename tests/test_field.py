@@ -401,6 +401,21 @@ class TestConstruction:
         assert FieldContext(8, kind="binary", m=3, poly=0b1011) == GF8
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: FieldContext.prime(1), "1 is not prime"),
+        (lambda: FieldContext.prime(65537), "order 65537 exceeds 65536"),
+        (lambda: FieldContext.binary(3, poly=0b111), "not irreducible of degree 3"),
+        (lambda: GF5.vec_add((1, 2), (3,)), "length mismatch: 2 vs 1"),
+    ],
+    ids=["prime-1", "prime-too-large", "poly-of-wrong-degree", "vec-add-lengths"],
+)
+def test_bad_input_is_rejected(make, message):
+    with pytest.raises(FieldError, match=message):
+        make()
+
+
 # -- Gaussian elimination ------------------------------------------------------
 
 ELIMINATION_FIELDS = [FieldContext.prime(2), FieldContext.prime(3), GF5, FieldContext.binary(2)]

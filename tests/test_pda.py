@@ -250,6 +250,31 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_pda("PDA K=2 F=1\n* 0\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty input"),
+            (" \n\t\n", "empty input"),
+            ("PDA K=x F=1\n* 1\n", "bad header"),
+            ("PDA K=2 F=1.0\n* 1\n", "bad header"),
+            ("PDA F=1 F=1\n* 1\n", "bad header"),  # no K
+            ("PDA K=2 G=1\n* 1\n", "bad header"),  # no F
+            ("PDA K=3 F=2\n* 1 2\n", "expected 2 rows, got 1"),
+            ("PDA K=3 F=1\n* 1 2\n1 * 3\n", "expected 1 rows, got 2"),
+            # str.isdigit() takes ², ٣ and ３, and int() all but ²; render_pda
+            # writes ASCII digits only
+            ("PDA K=2 F=1\n* \u00b2\n", "bad token"),
+            ("PDA K=2 F=1\n* \u0663\n", "bad token"),
+            ("PDA K=2 F=1\n* \uff13\n", "bad token"),
+            ("PDA K=\u0662 F=1\n* 1\n", "bad header"),
+            ("PDA K=2 F=\uff11\n* 1\n", "bad header"),
+            ("PDA K=+2 F=1\n* 1\n", "bad header"),
+        ],
+    )
+    def test_malformed_file(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_pda(text)
+
 
 entry_strategy = st.one_of(st.none(), st.integers(1, 3))
 grid_strategy = st.integers(1, 4).flatmap(

@@ -130,6 +130,12 @@ class TestEnvelope:
         with pytest.raises(TradeoffError):
             curve.evaluate(F(1, 2))
 
+    @pytest.mark.parametrize("memories", [(1, 1), (2, 1), (1, 3, 2)])
+    def test_corner_memories_must_increase(self, memories):
+        corners = tuple(CurvePoint(F(m), F(1)) for m in memories)
+        with pytest.raises(TradeoffError, match="strictly increasing"):
+            TradeoffCurve(corners)
+
     def test_empty(self):
         with pytest.raises(TradeoffError):
             lower_convex_envelope([])
@@ -523,6 +529,13 @@ class TestEmit:
             assert abs(float(Fraction(row["M_exact"])) - float(row["M"])) < 1e-9
         svg = open(out["svg"]).read()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_unknown_scheme_makes_no_directory(self, tmp_path):
+        # every series is built before the output directory is made
+        out = tmp_path / "curves"
+        with pytest.raises(TradeoffError, match="unknown scheme 'bogus'"):
+            emit_curves(3, 2, ["splfr", "bogus"], str(out))
+        assert not out.exists()
 
     @pytest.mark.parametrize("n, k", [(1, 2), (3, 0)])
     def test_curve_domain_is_checked_first(self, tmp_path, n, k):
