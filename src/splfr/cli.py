@@ -454,19 +454,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Expand ``--config file.json`` into default flag values.
+    """Expand ``--config file.json`` (or ``--config=file.json``) into flags.
 
-    The file maps flag names (without dashes) to values; explicit
-    command-line flags win, whether given as ``--flag value`` or
-    ``--flag=value``.
+    The file maps flag names (without dashes) to values.  Its flags go
+    before the first command-line option, so that argparse, where the last
+    of a repeated flag wins, lets every explicit flag win, in any form it
+    accepts: ``--flag value``, ``--flag=value`` or an abbreviation.
     """
-    if "--config" not in argv:
+    idx = next((i for i, arg in enumerate(argv) if arg.partition("=")[0] == "--config"), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise OSError("--config requires a file path")
-    path = argv[idx + 1]
-    argv = argv[:idx] + argv[idx + 2 :]
+    _, eq, path = argv.pop(idx).partition("=")
+    if not eq:
+        if idx >= len(argv):
+            raise OSError("--config requires a file path")
+        path = argv.pop(idx)
     with open(path) as fh:
         try:
             defaults = json.load(fh)
@@ -474,12 +476,11 @@ def _apply_config(argv: list[str]) -> list[str]:
             raise OSError(f"bad config file {path}: {exc}")
     if not isinstance(defaults, dict):
         raise OSError(f"config file {path} must hold a JSON object")
-    given = {arg.partition("=")[0] for arg in argv}
+    flags = []
     for key, value in defaults.items():
-        flag = "--" + str(key).replace("_", "-").lstrip("-")
-        if flag not in given:
-            argv += [flag, str(value)]
-    return argv
+        flags += ["--" + str(key).replace("_", "-").lstrip("-"), str(value)]
+    first = next((i for i, arg in enumerate(argv) if arg.startswith("-")), len(argv))
+    return argv[:first] + flags + argv[first:]
 
 
 def main(argv=None) -> int:

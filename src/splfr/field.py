@@ -1,9 +1,11 @@
 """Exact finite-field arithmetic in GF(q).
 
 Supports prime fields GF(p) for p up to 2^16 and binary extension fields
-GF(2^m) for 1 <= m <= 8.  Extension-field multiplication uses log/antilog
-tables built from a multiplicative generator.  All arithmetic is exact,
-over plain unsigned integers; no floating point is used anywhere.
+GF(2^m) for 1 <= m <= 8.  Extension-field arithmetic reads one product
+table, built from the polynomial alone: the kernel's rows, one per
+coefficient, which ``mul``, ``inv`` and the irreducibility check read too,
+so no generator is needed.  All arithmetic is exact, over plain unsigned
+integers; no floating point is used anywhere.
 
 Elements are bare ints; a FieldContext supplies the arithmetic, the
 linear-combination kernel ``lincomb`` and Gaussian elimination
@@ -85,39 +87,25 @@ def _pivot(row: Sequence[int]) -> int | None:
     return next((i for i, x in enumerate(row) if x), None)
 
 
-def _poly_degree(p: int) -> int:
-    return p.bit_length() - 1
+def _build_rows(m: int, poly: int) -> dict[int, bytes]:
+    """The GF(2^m) product table: row c maps each x < 2^m to c * x mod poly.
 
-
-def _poly_mod(a: int, m: int) -> int:
-    """Remainder of polynomial a modulo m over GF(2)."""
-    dm = _poly_degree(m)
-    while a.bit_length() - 1 >= dm and a:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
-
-
-def _poly_mulmod(a: int, b: int, m: int) -> int:
-    """Carry-less product of a and b, reduced modulo m."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-    return _poly_mod(r, m)
-
-
-def _is_irreducible(poly: int, m: int) -> bool:
-    """Brute-force irreducibility test for a degree-m polynomial over GF(2)."""
-    if _poly_degree(poly) != m:
-        return False
-    # any nontrivial factorization has a factor of degree <= m // 2
-    for d in range(1, m // 2 + 1):
-        for cand in range(1 << d, 1 << (d + 1)):
-            if _poly_mod(poly, cand) == 0:
-                return False
-    return True
+    Each row is padded with zeros to the 256 bytes that ``bytes.translate``
+    needs, and the rows are keyed by the coefficients 0..2^m - 1, so that a
+    lookup also rejects a coefficient outside the field.  The product is
+    linear in c: row 2c is row c doubled through the table of x -> 2x mod
+    poly, and row 2c + 1 adds row 1 to that.  ``poly`` must have degree m.
+    """
+    q = 1 << m
+    double = bytes((x << 1) ^ (poly if x >> (m - 1) else 0) for x in range(q)).ljust(256, b"\0")
+    rows = {0: bytes(256), 1: bytes(range(q)).ljust(256, b"\0")}
+    one = int.from_bytes(rows[1], "big")
+    for c in range(2, q):
+        row = rows[c >> 1].translate(double)
+        if c & 1:
+            row = (int.from_bytes(row, "big") ^ one).to_bytes(256, "big")
+        rows[c] = row
+    return rows
 
 
 class FieldContext:
@@ -140,8 +128,13 @@ class FieldContext:
                 raise FieldError(f"extension degree {m} out of range [1, {MAX_BINARY_DEGREE}]")
             if q != 1 << m:
                 raise FieldError(f"GF(2^{m}) has order {1 << m}, not {q}")
-            if not _is_irreducible(poly, m):
+            # the degree first, as the rows are built only for degree m; then
+            # GF(2)[x]/(poly) is a field iff every nonzero element has an
+            # inverse, that is iff each of the rows 1..q-1 holds a 1
+            rows = poly >> m == 1 and _build_rows(m, poly)
+            if not rows or not all(1 in rows[c] for c in range(1, q)):
                 raise FieldError(f"polynomial {poly:#x} is not irreducible of degree {m}")
+            self._rows = rows
         else:
             raise FieldError(f"unknown field kind {kind!r}")
         self.q = q
@@ -149,8 +142,6 @@ class FieldContext:
         self.m = m
         self.poly = poly
         if kind == "binary":
-            self._build_tables()
-            self._build_rows()
             self._packed = type("Packed", (Packed,), {"field": self})
 
     # -- constructors -----------------------------------------------------
@@ -193,42 +184,6 @@ class FieldContext:
             return f"p:{self.q}"
         return f"b:{self.m}:poly={self.poly:#x}"
 
-    # -- table construction ----------------------------------------------
-
-    def _build_tables(self) -> None:
-        q, poly = self.q, self.poly
-        if q == 2:
-            self._exp, self._log = [1], [0, 0]
-            return
-        for g in range(2, q):
-            exp = [0] * (q - 1)
-            log = [0] * q
-            x = 1
-            ok = True
-            for i in range(q - 1):
-                if i > 0 and x == 1:
-                    ok = False  # order of g is less than q - 1
-                    break
-                exp[i] = x
-                log[x] = i
-                x = _poly_mulmod(x, g, poly)
-            if ok and x == 1:
-                self._exp, self._log = exp, log
-                return
-        raise FieldError(f"no generator found for poly {poly:#x}")  # pragma: no cover
-
-    def _build_rows(self) -> None:
-        # product rows for bytes.translate: _rows[c][x] == c * x for x < q,
-        # keyed by the coefficients 2..q-1 only, so that a lookup also
-        # rejects a coefficient outside the field (0 and 1 need no row).
-        # Row c looks up the logs of 1..q-1 in the exp table rotated by log(c).
-        logs, exp = bytes(self._log[1:]), bytes(self._exp)
-        self._rows = {}
-        for c in range(2, self.q):
-            r = self._log[c]
-            rotated = (exp[r:] + exp[:r]).ljust(256, b"\0")
-            self._rows[c] = (b"\0" + logs.translate(rotated)).ljust(256, b"\0")
-
     # -- scalar arithmetic on bare ints ----------------------------------
 
     def check(self, a: int) -> int:
@@ -254,16 +209,14 @@ class FieldContext:
     def mul(self, a: int, b: int) -> int:
         if self.kind == "prime":
             return (a * b) % self.q
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._rows[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise FieldError("zero has no multiplicative inverse")
         if self.kind == "prime":
             return pow(a, self.q - 2, self.q)
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._rows[a].index(1)
 
     # -- vector helpers --------------------------------------------------
 

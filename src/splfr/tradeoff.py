@@ -504,6 +504,9 @@ def coded_uncoded_ratio_max(n: int, k: int) -> Fraction:
 
 
 def coded_uncoded_threshold(n: int, k: int) -> Fraction:
+    """The bound on ``coded_uncoded_ratio_max`` for N >= K >= 2, (N, K) != (2, 2)."""
+    if not n >= k >= 2 or n == k == 2:
+        raise TradeoffError(f"need N >= K >= 2 and (N, K) != (2, 2), got N={n}, K={k}")
     if n >= k + 2:
         return Fraction(2)
     if n == k + 1:

@@ -2,7 +2,9 @@
 
 The engine oracles use only the per-symbol field helpers (``vec_add``,
 ``vec_scale``), never the ``FieldContext.lincomb`` kernel the engine is
-built on, so they stay independent of the code under test.  Helpers that
+built on, so they stay independent of the code under test.  The GF(2)
+polynomial helpers (``poly_mulmod``, ``is_irreducible``) check the field's
+product table by carry-less multiplication and trial division.  Helpers that
 only the tests use (``FieldElement``, ``field_dot``, ``canonical_relabel``,
 ``min_subpacketization``, ``restrict_corners``, ``f_bound``,
 ``uncoded_points``) live here too.  The tradeoff oracles build the t-subset
@@ -91,6 +93,40 @@ def dot(u: Iterable[FieldElement], w: Iterable[FieldElement]) -> FieldElement:
     if len(u) != len(w):
         raise FieldError(f"length mismatch: {len(u)} vs {len(w)}")
     return FieldElement(field_dot(ctx, [e.value for e in u], [e.value for e in w]), ctx)
+
+
+# -- polynomials over GF(2), as bitmasks ----------------------------------
+
+
+def poly_mod(a: int, m: int) -> int:
+    """Remainder of polynomial a modulo m over GF(2)."""
+    dm = m.bit_length() - 1
+    while a.bit_length() - 1 >= dm and a:
+        a ^= m << (a.bit_length() - 1 - dm)
+    return a
+
+
+def poly_mulmod(a: int, b: int, m: int) -> int:
+    """Carry-less product of a and b, reduced modulo m."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+    return poly_mod(r, m)
+
+
+def is_irreducible(poly: int, m: int) -> bool:
+    """Brute-force irreducibility test for a degree-m polynomial over GF(2)."""
+    if poly.bit_length() - 1 != m:
+        return False
+    # any nontrivial factorization has a factor of degree <= m // 2
+    for d in range(1, m // 2 + 1):
+        for cand in range(1 << d, 1 << (d + 1)):
+            if poly_mod(poly, cand) == 0:
+                return False
+    return True
 
 
 # -- arrays and curves ------------------------------------------------------

@@ -545,6 +545,24 @@ class TestConfigFile:
         assert code == 0
         assert last_json(out)["seed"] == 9
 
+    def test_explicit_abbreviated_flag_wins(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"n": 4, "b": 3, "seed": 7}')
+        # argparse takes --se for --seed, so the explicit flag must win here too
+        code, out, _ = run_cli(capsys, "sim", "run", "--pda", "man:3,1",
+                               "--se", "9", "--config", str(cfg))
+        assert code == 0
+        assert last_json(out)["seed"] == 9
+
+    def test_equals_form_of_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"n": 4, "b": 3, "seed": 7}')
+        code, out, _ = run_cli(capsys, "sim", "run", "--pda", "man:3,1",
+                               f"--config={cfg}")
+        assert code == 0
+        report = last_json(out)
+        assert (report["verdict"], report["seed"]) == ("pass", 7)
+
     def test_missing_file(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "sim", "run", "--pda", "man:3,1",
                                "--config", str(tmp_path / "nope.json"))

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splfr.field import DEFAULT_POLYS, FieldContext, FieldError, Packed
+from splfr.field import MAX_BINARY_DEGREE
 
 from oracle import ContextMismatchError, FieldElement, dot, field_dot, split
+from oracle import is_irreducible, poly_mulmod
 
 
 def slow_gf2m_mul(a: int, b: int, poly: int, m: int) -> int:
@@ -35,7 +37,7 @@ GF8 = FieldContext.binary(3)  # x^3 + x + 1
 
 #: the fields the kernel is checked over: small and large primes, every
 #: binary degree, and an irreducible but not primitive polynomial (x^8 + x^4
-#: + x^3 + x + 1), whose tables need a generator other than x
+#: + x^3 + x + 1), in which x does not generate the nonzero elements
 KERNEL_FIELDS = [FieldContext.prime(p) for p in (2, 3, 5, 65521)] + [
     FieldContext.binary(m) for m in range(1, 9)
 ] + [FieldContext.binary(8, poly=0x11B)]
@@ -414,6 +416,45 @@ class TestConstruction:
 def test_bad_input_is_rejected(make, message):
     with pytest.raises(FieldError, match=message):
         make()
+
+
+@pytest.mark.parametrize("ctx", BINARY_KERNEL_FIELDS, ids=lambda c: c.spec)
+def test_products_and_inverses_match_carryless_multiplication(ctx):
+    elements = range(ctx.q)
+    for a in elements:
+        assert [ctx.mul(a, b) for b in elements] == [
+            poly_mulmod(a, b, ctx.poly) for b in elements
+        ]
+        if a:
+            assert ctx.mul(a, ctx.inv(a)) == 1
+
+
+def test_every_polynomial_is_accepted_iff_irreducible():
+    accepted = 0
+    for m in range(1, MAX_BINARY_DEGREE + 1):
+        for poly in range(1 << m, 1 << (m + 1)):
+            if is_irreducible(poly, m):
+                assert FieldContext.binary(m, poly).poly == poly
+                accepted += 1
+            else:
+                message = f"polynomial {poly:#x} is not irreducible of degree {m}"
+                with pytest.raises(FieldError, match=f"^{message}$"):
+                    FieldContext.binary(m, poly)
+    assert accepted == 71  # the irreducible polynomials of degree 1..8 over GF(2)
+
+
+@pytest.mark.parametrize(
+    "m, poly", [(8, 0x1FFFF), (2, -0b101), (8, 0)], ids=["too-high", "negative", "zero"]
+)
+def test_polynomial_of_another_degree_is_a_field_error(m, poly):
+    # the degree is checked before any product row is built: -0b101 has the
+    # bit length of a degree-2 polynomial, but is none
+    spec = f"b:{m}:poly={poly:x}"
+    message = f"polynomial {poly:#x} is not irreducible of degree {m}"
+    with pytest.raises(FieldError, match=f"^{message}$"):
+        FieldContext.binary(m, poly)
+    with pytest.raises(FieldError, match=f"^bad field spec '{spec}': {message}$"):
+        FieldContext.parse(spec)
 
 
 # -- Gaussian elimination ------------------------------------------------------

@@ -251,6 +251,12 @@ class TestRatios:
         with pytest.raises(TradeoffError):
             coded_uncoded_ratio_max(2, 3)
 
+    @pytest.mark.parametrize("n, k", [(2, 5), (5, 1), (2, 2), (1, 1)])
+    def test_coded_uncoded_threshold_domain(self, n, k):
+        # N = K = 2 is the dedicated ratio2 check, not this threshold's
+        with pytest.raises(TradeoffError, match=f"got N={n}, K={k}"):
+            coded_uncoded_threshold(n, k)
+
     def test_curve_domain(self):
         for check, n, k in (
             (simple_converse_ratio_max, 1, 5),
