@@ -29,10 +29,11 @@ span test over GF(q):
 Under the premise each test holds iff the claim does, so a passing
 certificate reports the full atom count with no enumeration.  The budget
 bounds the certificates' deliveries (``AuditConfig.probe_count``), and the
-atoms of the enumeration, which runs when a certificate fails: one
-traversal visits every (files, keys, demands) atom and feeds the three
-oracles; the privacy oracle fills one count table per colluding subset, so
-every subset whose certificate fails is counted in the same pass.
+atoms of the enumeration, which runs when a certificate fails: each
+enumeration walks every (files, keys, demands) atom once, for its own
+oracle.  The privacy oracle fills one count table per colluding subset, so
+an audit of every subset counts all those whose certificates fail in one
+walk.
 Independence is decided through the factorization identities
 count(a, b) * total == count(a) * count(b), which hold for every pair iff
 the mutual information is exactly zero.  The enumeration is the reference
@@ -96,10 +97,6 @@ class AuditConfig:
         if self.demand_space not in ("all", "units"):
             raise AuditError(f"unknown demand space {self.demand_space!r}")
 
-    @property
-    def block(self) -> int:
-        return self.b // self.pda.f
-
     def demand_vectors(self) -> list[tuple[int, ...]]:
         q, n = self.ctx.q, self.n
         if self.demand_space == "units":
@@ -114,12 +111,8 @@ class AuditConfig:
     def atom_count(self) -> int:
         q = self.ctx.q
         per_user_demands = self.n if self.demand_space == "units" else q**self.n
-        return (
-            q ** (self.n * self.b)
-            * q ** (self.pda.s * self.block)
-            * q ** (self.pda.k * self.n)
-            * per_user_demands ** self.pda.k
-        )
+        r = Randomness.symbols(self.pda, self.n, self.b)
+        return q ** (self.n * self.b + r) * per_user_demands ** self.pda.k
 
     @property
     def probe_count(self) -> int:
@@ -197,17 +190,14 @@ def _atoms(
     file realization, and of one placement, are consecutive.
     """
     cfg.check_budget()
-    q, pda = cfg.ctx.q, cfg.pda
-    blocks = list(product(range(q), repeat=cfg.block))
-    vectors = list(product(range(q), repeat=cfg.n))
+    pda, n, b = cfg.pda, cfg.n, cfg.b
     demand_tuples = cfg.demand_tuples()
     for library in _libraries(cfg):
-        for keys in product(blocks, repeat=pda.s):
-            for privacy in product(vectors, repeat=pda.k):
-                randomness = Randomness(security_keys=keys, privacy_vectors=privacy)
-                state = place(pda, library, randomness, cfg.mode)
-                for demands in demand_tuples:
-                    yield library, randomness, state, demands, deliver(state, demands)
+        for r in product(range(cfg.ctx.q), repeat=Randomness.symbols(pda, n, b)):
+            randomness = Randomness.of(pda, n, b, r)
+            state = place(pda, library, randomness, cfg.mode)
+            for demands in demand_tuples:
+                yield library, randomness, state, demands, deliver(state, demands)
 
 
 def _atom_dict(library: Library, randomness: Randomness, demands) -> dict:
@@ -342,16 +332,11 @@ def _sub(ctx: FieldContext, u: Vector, w: Vector) -> Vector:
 @lru_cache(maxsize=16)
 def _key_basis(cfg: AuditConfig) -> tuple[Randomness, ...]:
     """Randomness at each unit vector of r (every symbol of V, then of p), once per config."""
-    zero = Randomness.zeros(cfg.pda, cfg.n, cfg.b)
-
-    def units(vectors: tuple[Vector, ...]) -> Iterator[tuple[Vector, ...]]:
-        for j, vec in enumerate(vectors):
-            for i in range(len(vec)):
-                one = vec[:i] + (1,) + vec[i + 1 :]
-                yield vectors[:j] + (one,) + vectors[j + 1 :]
-
-    v, p = zero.security_keys, zero.privacy_vectors
-    return tuple(Randomness(u, p) for u in units(v)) + tuple(Randomness(v, u) for u in units(p))
+    size = Randomness.symbols(cfg.pda, cfg.n, cfg.b)
+    return tuple(
+        Randomness.of(cfg.pda, cfg.n, cfg.b, [int(i == j) for i in range(size)])
+        for j in range(size)
+    )
 
 
 @lru_cache(maxsize=16)

@@ -113,10 +113,29 @@ def check_demand(ctx: FieldContext, demand: Vector, n: int) -> None:
 
 @dataclass(frozen=True)
 class Randomness:
-    """Server randomness: S security key blocks and K privacy vectors."""
+    """Server randomness r = (V, p): S security key blocks and K privacy vectors.
+
+    As one flat vector, r is the S blocks of B/F symbols, then the K vectors
+    of N symbols; ``symbols`` and ``of`` own that layout.
+    """
 
     security_keys: tuple[Vector, ...]  # S vectors of length B/F
     privacy_vectors: tuple[Vector, ...]  # K vectors of length N
+
+    @staticmethod
+    def symbols(pda: PDA, n: int, b: int) -> int:
+        """The length of r: S * (B/F) + K * N."""
+        return pda.s * (b // pda.f) + pda.k * n
+
+    @classmethod
+    def of(cls, pda: PDA, n: int, b: int, r: Sequence[int]) -> "Randomness":
+        """The randomness whose flat vector is ``r``, of length ``symbols``."""
+        block, r = b // pda.f, tuple(r)
+        v = pda.s * block
+        return cls(
+            security_keys=tuple([r[j * block : (j + 1) * block] for j in range(pda.s)]),
+            privacy_vectors=tuple([r[v + j * n : v + (j + 1) * n] for j in range(pda.k)]),
+        )
 
     @classmethod
     def generate(
@@ -124,19 +143,11 @@ class Randomness:
     ) -> "Randomness":
         if b % pda.f != 0:
             raise NonDivisibleB(f"F={pda.f} does not divide B={b}")
-        block = b // pda.f
-        return cls(
-            security_keys=tuple(ctx.random_vector(block, rng) for _ in range(pda.s)),
-            privacy_vectors=tuple(ctx.random_vector(n, rng) for _ in range(pda.k)),
-        )
+        return cls.of(pda, n, b, ctx.random_vector(cls.symbols(pda, n, b), rng))
 
     @classmethod
     def zeros(cls, pda: PDA, n: int, b: int) -> "Randomness":
-        block = b // pda.f
-        return cls(
-            security_keys=tuple((0,) * block for _ in range(pda.s)),
-            privacy_vectors=tuple((0,) * n for _ in range(pda.k)),
-        )
+        return cls.of(pda, n, b, (0,) * cls.symbols(pda, n, b))
 
     def effective(
         self, pda: PDA, n: int, b: int, ctx: FieldContext, mode: Mode
@@ -341,13 +352,11 @@ def measure(state: SchemeState) -> Measure:
     pda, lib = state.pda, state.library
     b = lib.b
     cached = state.caches[0].symbols if state.caches else 0
-    block = b // pda.f
-    tx = pda.s * block + pda.k * lib.n_files
     return Measure(
         m_exact=Fraction(cached, b),
         r_asymptotic=Fraction(pda.s, pda.f),
-        tx_symbols=tx,
-        randomness_log2q_units=pda.s * block + lib.n_files * pda.k,
+        tx_symbols=pda.s * (b // pda.f) + pda.k * lib.n_files,
+        randomness_log2q_units=Randomness.symbols(pda, lib.n_files, b),
     )
 
 

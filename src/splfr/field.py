@@ -25,6 +25,7 @@ packs (and checks) plain tuples on the fly and returns a ``Packed``.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -187,8 +188,8 @@ class FieldContext:
     # -- scalar arithmetic on bare ints ----------------------------------
 
     def check(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            raise FieldError(f"value {a} outside [0, {self.q})")
+        if not (isinstance(a, int) and 0 <= a < self.q):
+            raise FieldError(f"value {a!r} outside [0, {self.q})")
         return a
 
     def add(self, a: int, b: int) -> int:
@@ -241,7 +242,8 @@ class FieldContext:
         """
         if self.kind == "binary":
             return v if type(v) is self._packed else self._packed(self._packing(v))
-        if v and (min(v) < 0 or max(v) >= self.q):
+        ints = all(map(isinstance, v, repeat(int)))
+        if not ints or v and (min(v) < 0 or max(v) >= self.q):
             raise FieldError(f"symbols outside [0, {self.q})")
         return v
 
@@ -264,10 +266,10 @@ class FieldContext:
     def _packing(self, v: Sequence[int]) -> bytes:
         """The bytes of a vector over GF(2^m), one per symbol, checked."""
         try:
-            packed = bytes(v)  # raises ValueError for a symbol outside [0, 256)
+            packed = bytes(v)  # raises for a non-int or a symbol outside [0, 256)
             if self.q < 256 and packed and max(packed) >= self.q:
                 raise ValueError
-        except ValueError:
+        except (TypeError, ValueError):
             raise FieldError(f"symbols outside [0, {self.q})") from None
         return packed
 

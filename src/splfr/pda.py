@@ -101,7 +101,7 @@ def validate(rows: Sequence[Sequence[Entry]]) -> PDA:
         for j, e in enumerate(row):
             if e is STAR:
                 continue
-            if not isinstance(e, int) or e < 1:
+            if not isinstance(e, int) or isinstance(e, bool) or e < 1:
                 raise PdaError(f"ordinary symbol must be a positive int, got {e!r}")
             positions.setdefault(e, []).append((i, j))
 
@@ -192,25 +192,6 @@ def symbol_count_bound(pda: PDA) -> tuple[Fraction, bool]:
     counts = {sym: len(pda.symbol_positions(sym)) for sym in range(1, s + 1)}
     tight = all(c == per_symbol for c in counts.values())
     return bound, tight
-
-
-def lsub_parameters(k: int, t: int) -> tuple[Fraction, Fraction, int]:
-    """Memory coefficient, load, and subpacketization of the low-F construction.
-
-    Valid for k > 2 and t in [2, k-1] with t | k or (k-t) | k.  Returns
-    (t/k, (k-t)/t, F) where F = (t/k) * (k / min(t, k-t)) ** min(t, k-t);
-    memory is M = 1 + (t/k)(N-1).
-    """
-    if k <= 2 or not 2 <= t <= k - 1:
-        raise PdaError(f"need k > 2 and t in [2, k-1], got k={k}, t={t}")
-    if k % t != 0 and k % (k - t) != 0:
-        raise PdaError(f"need t | k or (k-t) | k, got k={k}, t={t}")
-    mcoeff = Fraction(t, k)
-    r = Fraction(k - t, t)
-    base = min(t, k - t)
-    f = Fraction(t, k) * Fraction(k, base) ** base
-    assert f.denominator == 1
-    return mcoeff, r, int(f)
 
 
 # -- text format ---------------------------------------------------------

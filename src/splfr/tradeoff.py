@@ -1,13 +1,12 @@
 """Exact-rational memory-load analytics.
 
-Achievable curves, converse bounds, ratio/gap checks, subpacketization
-comparison, and CSV/SVG export.  The t-subset curve is closed-form: its
-corners are all vertices, so it needs no hull, and its linear pieces come
-straight from t in integers.  Lower convex envelopes are built only for
-the comparison schemes.  All curve math is exact, over integers or
-fractions.Fraction; decimals appear only at serialization time.  Ratio and
-bound claims are certified over the whole continuum, one curve segment at
-a time, not sampled.
+Achievable curves, converse bounds, ratio/gap checks, and CSV/SVG export.
+The t-subset curve is closed-form: its corners are all vertices, so it
+needs no hull, and its linear pieces come straight from t in integers.
+Lower convex envelopes are built only for the comparison schemes.  All
+curve math is exact, over integers or fractions.Fraction; decimals appear
+only at serialization time.  Ratio and bound claims are certified over the
+whole continuum, one curve segment at a time, not sampled.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
-
-from .pda import lsub_parameters
 
 
 class TradeoffError(ValueError):
@@ -94,13 +91,10 @@ def lower_convex_envelope(points: Iterable[CurvePoint]) -> TradeoffCurve:
     pts = sorted((_frac(m), _frac(r)) for m, r in points)
     if not pts:
         raise TradeoffError("no points")
-    # keep only the lowest load at each memory
+    # keep only the lowest load at each memory: the first, as pts is sorted
     dedup: list[tuple[Fraction, Fraction]] = []
     for m, r in pts:
-        if dedup and dedup[-1][0] == m:
-            if r < dedup[-1][1]:
-                dedup[-1] = (m, r)
-        else:
+        if not dedup or dedup[-1][0] != m:
             dedup.append((m, r))
     hull: list[tuple[Fraction, Fraction]] = []
     for p in dedup:
@@ -528,7 +522,6 @@ def smooth_bound_ratio_max(n: int, k: int, *, per_unit: int | None = None) -> Fr
 #: uncoded-placement-versus-optimal factor 2.00884, which is used as a
 #: literal and not re-derived here; the computable factors are the
 #: ratio checks above.
-EXTERNAL_OPTIMALITY_FACTOR = 2.00884
 COMPOSED_GAP_CONSTANTS = {
     "K=1": 1.0,
     "N=K=2": 2.0,
@@ -574,52 +567,6 @@ def ratio_checks(n: int, k: int, *, per_unit: int | None = None) -> dict:
     report["ok"] = all(c["ok"] for c in checks.values())
     report["composed_gap_constants"] = COMPOSED_GAP_CONSTANTS
     return report
-
-
-# -- subpacketization comparison ------------------------------------------
-
-
-#: Rational lower bound on e^(1/3) * 2*pi: a partial sum of the exponential
-#: series, whose terms are all positive, times pi truncated to 8 decimals.
-STIRLING_C_LOW = (
-    sum(Fraction(1, 3**j * math.factorial(j)) for j in range(12))
-    * 2
-    * Fraction(314159265, 10**8)
-)
-
-
-def subpacketization_compare(k: int, t: int) -> dict:
-    """Compare the t-subset construction with the low-subpacketization one.
-
-    Requires t | k and t in [2, k-1].  Verifies the exact load identity
-    R_man = (t/(t+1)) R_lsub and certifies the Stirling-based inequality
-    B_man >= B_lsub * (K/t)^{3/2} (K/A)^A / (e^{1/6} sqrt(2 pi (K-t)))
-    with A = max(t, K-t), by squaring and replacing e^{1/3} * 2 pi with the
-    rational lower bound STIRLING_C_LOW (so a reported pass is a true
-    inequality).
-    """
-    if k % t != 0 or not 2 <= t <= k - 1:
-        raise TradeoffError(f"need t | k and t in [2, k-1], got k={k}, t={t}")
-    b_man = math.comb(k, t)
-    _, r_lsub, b_lsub = lsub_parameters(k, t)
-    r_man = Fraction(k - t, t + 1)
-    identity_ok = r_man == Fraction(t, t + 1) * r_lsub
-
-    a = max(t, k - t)
-    lhs = Fraction(b_man) ** 2 * STIRLING_C_LOW * (k - t)
-    rhs = Fraction(b_lsub) ** 2 * Fraction(k, t) ** 3 * Fraction(k, a) ** (2 * a)
-    stirling_ok = lhs >= rhs
-
-    return {
-        "k": k,
-        "t": t,
-        "b_man": b_man,
-        "b_lsub": b_lsub,
-        "r_man": r_man,
-        "r_lsub": r_lsub,
-        "identity_ok": identity_ok,
-        "stirling_ok": stirling_ok,
-    }
 
 
 # -- CSV / SVG export -----------------------------------------------------

@@ -6,8 +6,8 @@ built on, so they stay independent of the code under test.  The GF(2)
 polynomial helpers (``poly_mulmod``, ``is_irreducible``) check the field's
 product table by carry-less multiplication and trial division.  Helpers that
 only the tests use (``FieldElement``, ``field_dot``, ``canonical_relabel``,
-``min_subpacketization``, ``restrict_corners``, ``f_bound``,
-``uncoded_points``) live here too.  The tradeoff oracles build the t-subset
+``min_subpacketization``, ``lsub_parameters``, ``subpacketization_compare``,
+``restrict_corners``, ``f_bound``, ``uncoded_points``) live here too.  The tradeoff oracles build the t-subset
 curve as a lower convex envelope and read its pieces through
 ``TradeoffCurve.evaluate``, the generic path the closed form replaces.
 """
@@ -162,6 +162,68 @@ def min_subpacketization(k: int, g: int) -> int:
     if not 1 <= g <= k + 1:
         raise PdaError(f"need 1 <= g <= k+1, got k={k}, g={g}")
     return math.comb(k, g - 1)
+
+
+def lsub_parameters(k: int, t: int) -> tuple[Fraction, Fraction, int]:
+    """Memory coefficient, load, and subpacketization of the low-F construction.
+
+    Valid for k > 2 and t in [2, k-1] with t | k or (k-t) | k.  Returns
+    (t/k, (k-t)/t, F) where F = (t/k) * (k / min(t, k-t)) ** min(t, k-t);
+    memory is M = 1 + (t/k)(N-1).
+    """
+    if k <= 2 or not 2 <= t <= k - 1:
+        raise PdaError(f"need k > 2 and t in [2, k-1], got k={k}, t={t}")
+    if k % t != 0 and k % (k - t) != 0:
+        raise PdaError(f"need t | k or (k-t) | k, got k={k}, t={t}")
+    mcoeff = Fraction(t, k)
+    r = Fraction(k - t, t)
+    base = min(t, k - t)
+    f = Fraction(t, k) * Fraction(k, base) ** base
+    assert f.denominator == 1
+    return mcoeff, r, int(f)
+
+
+#: Rational lower bound on e^(1/3) * 2*pi: a partial sum of the exponential
+#: series, whose terms are all positive, times pi truncated to 8 decimals.
+STIRLING_C_LOW = (
+    sum(Fraction(1, 3**j * math.factorial(j)) for j in range(12))
+    * 2
+    * Fraction(314159265, 10**8)
+)
+
+
+def subpacketization_compare(k: int, t: int) -> dict:
+    """Compare the t-subset construction with the low-subpacketization one.
+
+    Requires t | k and t in [2, k-1].  Verifies the exact load identity
+    R_man = (t/(t+1)) R_lsub and certifies the Stirling-based inequality
+    B_man >= B_lsub * (K/t)^{3/2} (K/A)^A / (e^{1/6} sqrt(2 pi (K-t)))
+    with A = max(t, K-t), by squaring and replacing e^{1/3} * 2 pi with the
+    rational lower bound STIRLING_C_LOW (so a reported pass is a true
+    inequality).
+    """
+    if k % t != 0 or not 2 <= t <= k - 1:
+        raise TradeoffError(f"need t | k and t in [2, k-1], got k={k}, t={t}")
+    b_man = math.comb(k, t)
+    _, r_lsub, b_lsub = lsub_parameters(k, t)
+    r_man = Fraction(k - t, t + 1)
+    identity_ok = r_man == Fraction(t, t + 1) * r_lsub
+
+    a = max(t, k - t)
+    lhs = Fraction(b_man) ** 2 * STIRLING_C_LOW * (k - t)
+    rhs = Fraction(b_lsub) ** 2 * Fraction(k, t) ** 3 * Fraction(k, a) ** (2 * a)
+    stirling_ok = lhs >= rhs
+
+    return {
+        "k": k,
+        "t": t,
+        "b_man": b_man,
+        "b_lsub": b_lsub,
+        "r_man": r_man,
+        "r_lsub": r_lsub,
+        "identity_ok": identity_ok,
+        "stirling_ok": stirling_ok,
+    }
 
 
 def f_bound(n: int, m) -> Fraction:

@@ -36,11 +36,16 @@ from splfr.tradeoff import (
     man_points,
     pda_lower_bound,
     ratio_checks,
-    subpacketization_compare,
     scheme_curve,
 )
 
-from oracle import min_subpacketization, privacy_key, restrict_corners, split
+from oracle import (
+    min_subpacketization,
+    privacy_key,
+    restrict_corners,
+    split,
+    subpacketization_compare,
+)
 
 GF2 = FieldContext.prime(2)
 

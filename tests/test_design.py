@@ -8,14 +8,22 @@ GF(p) and GF(2^m), so each of them has one path for every field.
 The audit's affine model owns the differencing: ``file_models`` takes the
 differences against the offset once, when a model is built, and the
 certificates only read its parts.
+
+``Randomness`` owns the layout of the randomness r: the audit builds every
+value of r through ``Randomness.of``, never through the constructor.
+
+No code in the package serves only the tests: every name a module defines
+is referenced from another line of the package or of the benchmark.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "splfr"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "splfr"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "field.py")
 
 
@@ -52,3 +60,50 @@ def test_the_certificates_take_no_differences():
     }
     assert len(differences) == 3
     assert not any(differences.values()), f"certificates take differences: {differences}"
+
+
+def test_the_audit_never_constructs_randomness():
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse((PACKAGE / "audit.py").read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Randomness"
+    ]
+    assert calls == [], f"audit.py calls the Randomness constructor on lines {calls}"
+
+
+def defined_names(path: Path):
+    """(line, name) of each top-level name and each method that ``path`` defines."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                (item.lineno, item.name)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            )
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((node.lineno, t.id) for t in targets if isinstance(t, ast.Name))
+
+
+def test_every_defined_name_is_used_outside_the_tests():
+    sources = {path: path.read_text().splitlines() for path in sorted(PACKAGE.glob("*.py"))}
+    bench = "\n".join(path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py")))
+    unused = []
+    for path in sources:
+        for lineno, name in defined_names(path):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            elsewhere = (
+                line
+                for other, lines in sources.items()
+                for i, line in enumerate(lines, 1)
+                if (other, i) != (path, lineno)
+            )
+            if not word.search(bench) and not any(map(word.search, elsewhere)):
+                unused.append(f"{path.name}:{lineno} {name}")
+    assert unused == [], f"defined but used by no other line of src/ or perfbench/: {unused}"

@@ -245,7 +245,32 @@ class TestPlace:
                 place(TOY, lib, rnd, Mode.SPLFR)
 
 
+class TestRandomnessLayout:
+    """r as one flat vector: S key blocks of B/F symbols, then K vectors of N."""
+
+    def test_of_cuts_the_flat_vector(self):
+        arr = man_pda(3, 1)  # K = 3, F = 3, S = 3
+        r = tuple(range(3 * 2 + 3 * 4))
+        assert Randomness.symbols(arr, 4, 6) == len(r)
+        rnd = Randomness.of(arr, 4, 6, list(r))
+        assert rnd.security_keys == ((0, 1), (2, 3), (4, 5))
+        assert rnd.privacy_vectors == ((6, 7, 8, 9), (10, 11, 12, 13), (14, 15, 16, 17))
+        assert Randomness.of(arr, 0, 6, r[:6]).privacy_vectors == ((), (), ())
+
+    def test_generate_and_zeros_read_the_layout(self):
+        arr = man_pda(4, 2)
+        rnd = Randomness.generate(arr, 3, 12, GF3, random.Random(5))
+        flat = GF3.random_vector(Randomness.symbols(arr, 3, 12), random.Random(5))
+        assert rnd == Randomness.of(arr, 3, 12, flat)
+        assert Randomness.zeros(arr, 3, 12) == Randomness.of(arr, 3, 12, (0,) * len(flat))
+        assert Randomness.generate(arr, 0, 6, GF3, random.Random(5)).privacy_vectors == ((),) * 4
+
+
 class TestLibrary:
+    def test_non_integer_symbols(self):
+        with pytest.raises(FieldError):
+            Library(FieldContext.prime(5), ((1.5, 2.0),))
+
     def test_symbols_outside_field(self):
         for files in (((5, 9), (0, 1)), ((0, 1), (1, -1))):
             with pytest.raises(FieldError):

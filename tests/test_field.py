@@ -220,7 +220,7 @@ class TestPacked:
         assert isinstance(out, Packed) and out.packed == bytes(out)
 
     def test_pack_rejects_symbols_outside_field(self, ctx):
-        for v in ((ctx.q,), (0, -1), (256, 0)):
+        for v in ((ctx.q,), (0, -1), (256, 0), (1.5, 0), ("1", 0)):
             with pytest.raises(FieldError):
                 ctx.pack(v)
 
@@ -312,9 +312,28 @@ class TestSplit:
                 ctx.split(ctx.pack(v), f)
 
     def test_rejects_symbols_outside_field(self, ctx):
-        for v in ((ctx.q, 0), (0, -1), (1, 0, 0, ctx.q)):
+        for v in ((ctx.q, 0), (0, -1), (1, 0, 0, ctx.q), (1.5, 0), ("1", 0)):
             with pytest.raises(FieldError):
                 ctx.split(v, 2)
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=lambda c: c.spec)
+def test_non_integers_are_field_errors(ctx):
+    for value in (1.5, 2.0, "1", None):
+        with pytest.raises(FieldError):
+            ctx.check(value)
+        with pytest.raises(FieldError):
+            ctx.pack((value, 0))
+    if ctx.kind == "binary":  # the kernel packs and checks plain operands
+        with pytest.raises(FieldError):
+            ctx.lincomb((1,), ((1.5, 2),))
+
+
+def test_a_context_equals_no_other_kind_of_object():
+    ctx = FieldContext.prime(5)
+    assert ctx.__eq__(5) is NotImplemented and ctx.__eq__("p:5") is NotImplemented
+    assert ctx != 5 and ctx != "p:5" and ctx != None  # noqa: E711
+    assert ctx == FieldContext.parse("p:5")
 
 
 @pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=lambda c: c.spec)

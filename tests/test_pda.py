@@ -14,7 +14,6 @@ from splfr.pda import (
     ParseError,
     PdaError,
     UnequalStarCount,
-    lsub_parameters,
     man_pda,
     memory_load,
     parse_pda,
@@ -24,7 +23,7 @@ from splfr.pda import (
     validate,
 )
 
-from oracle import canonical_relabel, min_subpacketization
+from oracle import canonical_relabel, lsub_parameters, min_subpacketization
 
 TOY = (
     (STAR, 1, 2),
@@ -76,6 +75,11 @@ class TestValidate:
     def test_ragged_grid(self):
         with pytest.raises(PdaError):
             validate([[STAR, 1], [1]])
+
+    @pytest.mark.parametrize("symbol", [0, -1, 1.5, "a", True], ids=repr)
+    def test_symbol_that_is_not_a_positive_int(self, symbol):
+        with pytest.raises(PdaError):
+            validate([[STAR, symbol], [symbol, STAR]])
 
 
 class TestRegularity:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import splfr.tradeoff
 from oracle import (
+    STIRLING_C_LOW,
     bounds_grid_ok,
     evaluated_coded_uncoded_ratio_max,
     f_bound,
@@ -18,6 +19,7 @@ from oracle import (
     segments,
     simple_converse_samples,
     smooth_bound_samples,
+    subpacketization_compare,
     uncoded_points,
 )
 from splfr.cli import bounds_report
@@ -25,7 +27,6 @@ from splfr.pda import man_pda, memory_load
 from splfr.tradeoff import (
     COMPOSED_GAP_CONSTANTS,
     SCHEMES,
-    STIRLING_C_LOW,
     CurvePoint,
     Supremum,
     TradeoffCurve,
@@ -48,7 +49,6 @@ from splfr.tradeoff import (
     quadratic_nonneg,
     ratio_checks,
     ratio_sup,
-    subpacketization_compare,
     scheme_curve,
     scheme_points,
 )
