@@ -29,11 +29,12 @@ span test over GF(q):
 Under the premise each test holds iff the claim does, so a passing
 certificate reports the full atom count with no enumeration.  The budget
 bounds the certificates' deliveries (``AuditConfig.probe_count``), and the
-atoms of the enumeration, which runs when a certificate fails: each
-enumeration walks every (files, keys, demands) atom once, for its own
-oracle.  The privacy oracle fills one count table per colluding subset, so
-an audit of every subset counts all those whose certificates fail in one
-walk.
+nominal atoms of the enumeration, which runs when a certificate fails.  Each
+enumeration visits each effective placement once, for its own oracle: a
+symbol of r that the mode masks is held at 0, and each atom walked is
+weighted by the q^(masked) raw atoms that share its outcome.  The privacy
+oracle fills one count table per colluding subset, so an audit of every
+subset counts all those whose certificates fail in one walk.
 Independence is decided through the factorization identities
 count(a, b) * total == count(a) * count(b), which hold for every pair iff
 the mutual information is exactly zero.  The enumeration is the reference
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, combinations, groupby, product
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -181,23 +182,43 @@ def _libraries(cfg: AuditConfig) -> Iterator[Library]:
         yield Library(cfg.ctx, tuple(combo))
 
 
+@lru_cache(maxsize=16)
+def _active_symbols(cfg: AuditConfig) -> tuple[bool, ...]:
+    """Per symbol of r, whether the engine's masking for the mode lets it through."""
+    args = cfg.pda, cfg.n, cfg.b, cfg.ctx, cfg.mode
+    zero = Randomness.zeros(cfg.pda, cfg.n, cfg.b).effective(*args)
+    return tuple(r.effective(*args) != zero for r in _key_basis(cfg))
+
+
 def _atoms(
     cfg: AuditConfig,
-) -> Iterator[tuple[Library, Randomness, SchemeState, tuple, DeliveryPayload]]:
-    """Every (files, keys, demands) atom, with its placement and its signal.
+) -> Iterator[tuple[Library, Randomness, SchemeState, tuple, DeliveryPayload, int]]:
+    """Each effective atom once: files, keys, demands, placement, signal, weight.
 
-    The files are outermost and the demands innermost, so the atoms of one
-    file realization, and of one placement, are consecutive.
+    A symbol of r that the mode masks reaches no cache and no signal, so the
+    walk holds it at 0 and weighs the atom by the q^(masked) raw atoms it
+    stands for, of which it is the first.  The files are outermost and the
+    demands innermost, so the atoms of one file realization, and of one
+    placement, are consecutive.
     """
     cfg.check_budget()
-    pda, n, b = cfg.pda, cfg.n, cfg.b
+    pda, n, b, q = cfg.pda, cfg.n, cfg.b, cfg.ctx.q
+    active = _active_symbols(cfg)
+    weight = q ** active.count(False)
     demand_tuples = cfg.demand_tuples()
     for library in _libraries(cfg):
-        for r in product(range(cfg.ctx.q), repeat=Randomness.symbols(pda, n, b)):
+        for r in product(*(range(q) if a else (0,) for a in active)):
             randomness = Randomness.of(pda, n, b, r)
             state = place(pda, library, randomness, cfg.mode)
             for demands in demand_tuples:
-                yield library, randomness, state, demands, deliver(state, demands)
+                yield library, randomness, state, demands, deliver(state, demands), weight
+
+
+def _raw_position(cfg: AuditConfig, library: Library, randomness: Randomness, demands) -> int:
+    """The 1-based position of an atom in the walk over every raw atom."""
+    q, tuples = cfg.ctx.q, cfg.demand_tuples()
+    digits = chain(*library.files, *randomness.security_keys, *randomness.privacy_vectors)
+    return reduce(lambda i, x: i * q + x, digits, 0) * len(tuples) + tuples.index(demands) + 1
 
 
 def _atom_dict(library: Library, randomness: Randomness, demands) -> dict:
@@ -212,21 +233,22 @@ def _atom_dict(library: Library, randomness: Randomness, demands) -> dict:
 def enumerate_correctness(cfg: AuditConfig) -> AuditReport:
     """Check decoder determinism and exactness for every atom and user."""
     atoms = 0
-    for atoms, (library, randomness, state, demands, payload) in enumerate(_atoms(cfg), 1):
+    for library, randomness, state, demands, payload, weight in _atoms(cfg):
+        atoms += weight
         for k, demand in enumerate(demands):
             if decode(state.user_view(k), payload, demand) != library.combine(demand):
                 detail = _atom_dict(library, randomness, demands)
                 detail["user"] = k + 1
-                return AuditReport(False, atoms, 1, detail)
+                raw = _raw_position(cfg, library, randomness, demands)
+                return AuditReport(False, raw, 1, detail)
     return AuditReport(True, atoms, 0)
 
 
 def enumerate_security(cfg: AuditConfig) -> AuditReport:
     """Certify that the signal is independent of files and demands."""
-    counts = Counter(
-        ((library.files, demands), (payload.coeff_vectors, payload.blocks))
-        for library, _, _, demands, payload in _atoms(cfg)
-    )
+    counts = Counter()
+    for library, _, _, demands, payload, weight in _atoms(cfg):
+        counts[(library.files, demands), (payload.coeff_vectors, payload.blocks)] += weight
     violations, first = factorization_violations(counts)
     counterexample = None
     if first is not None:
@@ -264,7 +286,7 @@ def enumerate_privacy(
     for library, atoms in groupby(_atoms(cfg), itemgetter(0)):
         tables = [Counter() for _ in cuts]
         placed = None
-        for _, _, state, demands, payload in atoms:
+        for _, _, state, demands, payload, weight in atoms:
             if state is not placed:
                 placed = state
                 slots = [
@@ -274,7 +296,7 @@ def enumerate_privacy(
             for split, caches, table in slots:
                 hidden, seen = split[demands]
                 outcome = (hidden, (payload.coeff_vectors, payload.blocks, seen, caches))
-                table[outcome] = table.get(outcome, 0) + 1
+                table[outcome] = table.get(outcome, 0) + weight
         for report, table in zip(reports, tables):
             violations, first = factorization_violations(table)
             report.atoms += table.total()

@@ -10,14 +10,18 @@ only the tests use (``FieldElement``, ``field_dot``, ``canonical_relabel``,
 ``restrict_corners``, ``f_bound``, ``uncoded_points``) live here too.  The tradeoff oracles build the t-subset
 curve as a lower convex envelope and read its pieces through
 ``TradeoffCurve.evaluate``, the generic path the closed form replaces.
+``raw_atoms`` walks every atom of an audit, each with weight 1, the
+reference for the audit's walk over effective placements.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
-from splfr.engine import Library, NonDivisibleB, Vector
+import splfr.audit as audit
+from splfr.engine import Library, NonDivisibleB, Randomness, Vector
 from splfr.field import FieldContext, FieldError
 from splfr.pda import PDA, STAR, PdaError, validate
 from splfr.tradeoff import (
@@ -327,6 +331,28 @@ def combine(library: Library, demand: Vector) -> Vector:
         if coeff:
             out = ctx.vec_add(out, ctx.vec_scale(coeff, file))
     return out
+
+
+# -- audit -------------------------------------------------------------------
+
+
+def raw_atoms(cfg: audit.AuditConfig):
+    """Every (files, keys, demands) atom, with its placement, its signal and weight 1.
+
+    The files are outermost and the demands innermost, so the atoms of one
+    file realization, and of one placement, are consecutive.  The engine is
+    called through ``splfr.audit``, so that a fault patched in there reaches
+    this walk as it reaches the audit's own.
+    """
+    cfg.check_budget()
+    pda, n, b = cfg.pda, cfg.n, cfg.b
+    demand_tuples = cfg.demand_tuples()
+    for library in audit._libraries(cfg):
+        for r in product(range(cfg.ctx.q), repeat=Randomness.symbols(pda, n, b)):
+            randomness = Randomness.of(pda, n, b, r)
+            state = audit.place(pda, library, randomness, cfg.mode)
+            for demands in demand_tuples:
+                yield library, randomness, state, demands, audit.deliver(state, demands), 1
 
 
 # -- grid samplers for the tradeoff checks -------------------------------

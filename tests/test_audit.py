@@ -30,6 +30,8 @@ from splfr.engine import DeliveryPayload, Library, Mode, Randomness, deliver, pl
 from splfr.field import FieldContext
 from splfr.pda import STAR, man_pda, validate
 
+from oracle import raw_atoms
+
 GF2 = FieldContext.prime(2)
 
 SMALL = AuditConfig(pda=man_pda(2, 1), n=2, b=2, ctx=GF2)
@@ -321,11 +323,21 @@ class TestReports:
     def test_failing_subsets_share_one_traversal(self, monkeypatch):
         # SLFR fails for the subsets {1} and {2}: after the certificate
         # probes (6 placements and 10 deliveries per file realization), both
-        # are counted from one pass over the 512 placements and 8192 atoms
+        # are counted from one pass over the 32 effective placements (the
+        # security key; the 4 privacy symbols are masked) and their 512 atoms
         calls = count_calls(monkeypatch, "place", "deliver")
         report = audit_privacy(small(mode=Mode.SLFR))
         assert not report.verdict and report.method == "enumeration"
-        assert calls == {"place": 16 * 6 + 512, "deliver": 16 * 10 + 8192}
+        assert calls == {"place": 16 * 6 + 32, "deliver": 16 * 10 + 512}
+
+    def test_masked_keys_are_placed_once(self, monkeypatch):
+        # LFR masks all 5 key symbols: its certificate fails at the first file
+        # realization (6 placements, 10 deliveries), then the enumeration
+        # places each file realization once and delivers its 16 demand tuples
+        calls = count_calls(monkeypatch, "place", "deliver")
+        report = audit_security(small(mode=Mode.LFR))
+        assert not report.verdict and report.method == "enumeration"
+        assert calls == {"place": 6 + 16, "deliver": 10 + 16 * 16}
 
     def test_passing_subsets_are_not_enumerated(self, monkeypatch):
         calls = count_calls(monkeypatch, "place", "deliver")
@@ -387,6 +399,50 @@ def test_certificate_verdict_equals_enumeration(ctx, arr, n, b, demand_space, mo
     for subset, report in zip(subsets, enumerate_privacy(cfg, subsets)):
         enumerated = report.verdict
         assert privacy_certificate(cfg, models, subset) == enumerated, subset
+
+
+@pytest.mark.parametrize("ctx,arr,n,b,demand_space,mode", differential_cases())
+def test_weighted_walk_equals_the_raw_walk(monkeypatch, ctx, arr, n, b, demand_space, mode):
+    # each effective placement once, weighted by the raw atoms it stands for,
+    # gives every count and witness of the walk over every raw atom
+    cfg = AuditConfig(pda=arr, n=n, b=b, ctx=ctx, mode=mode, demand_space=demand_space)
+    users = range(1, arr.k + 1)
+    subsets = [s for r in users for s in combinations(users, r)]
+
+    def reports():
+        return (
+            enumerate_correctness(cfg),
+            enumerate_security(cfg),
+            enumerate_privacy(cfg, subsets),
+        )
+
+    weighted = reports()
+    monkeypatch.setattr(splfr.audit, "_atoms", raw_atoms)
+    assert reports() == weighted
+
+
+@pytest.mark.parametrize("mode,position", [(Mode.PLFR, 33 * 16 + 2), (Mode.SLFR, 48 * 16 + 2)])
+def test_failure_behind_a_nonzero_key_is_placed_in_the_raw_walk(monkeypatch, mode, position):
+    # a delivery that breaks the first block only at a nonzero effective key,
+    # files past the first and a second user's nonzero demand.  The first
+    # failure is at file realization 1, demand tuple 1 and the first r with
+    # an active symbol set, r = e_5 in PLFR (rank 1) and e_1 in SLFR (rank
+    # 16 of 32): raw position (32 * 1 + rank) * 16 + 1 + 1, not the walk's own
+    deliver_ = splfr.audit.deliver
+
+    def faulty(state, demands):
+        payload = deliver_(state, demands)
+        keys = chain(*state.randomness.security_keys, *state.randomness.privacy_vectors)
+        if any(keys) and any(state.library.files[-1]) and any(demands[-1]):
+            flipped = tuple(GF2.add(x, 1) for x in payload.blocks[0])
+            payload = payload._replace(blocks=(flipped,) + payload.blocks[1:])
+        return payload
+
+    monkeypatch.setattr(splfr.audit, "deliver", faulty)
+    weighted = enumerate_correctness(small(mode=mode))
+    assert (weighted.verdict, weighted.atoms) == (False, position)
+    monkeypatch.setattr(splfr.audit, "_atoms", raw_atoms)
+    assert enumerate_correctness(small(mode=mode)) == weighted
 
 
 def test_dropped_security_key_is_caught(monkeypatch):

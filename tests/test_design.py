@@ -11,6 +11,8 @@ certificates only read its parts.
 
 ``Randomness`` owns the layout of the randomness r: the audit builds every
 value of r through ``Randomness.of``, never through the constructor.
+``Randomness.effective`` owns the masking of r by mode: the audit's walk
+follows what it masks and reads no mode's key flags.
 
 No code in the package serves only the tests: every name a module defines
 is referenced from another line of the package or of the benchmark.
@@ -71,6 +73,16 @@ def test_the_audit_never_constructs_randomness():
         and node.func.id == "Randomness"
     ]
     assert calls == [], f"audit.py calls the Randomness constructor on lines {calls}"
+
+
+def test_the_audit_reads_no_key_flags():
+    reads = [
+        node.lineno
+        for node in ast.walk(ast.parse((PACKAGE / "audit.py").read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("security_keys_active", "privacy_keys_active")
+    ]
+    assert reads == [], f"audit.py reads a mode's key flags on lines {reads}"
 
 
 def defined_names(path: Path):

@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import splfr.audit
 import splfr.engine
+from splfr.audit import AuditConfig
+from splfr.cli import TOY_GRID
 from splfr.engine import (
     DeliveryPayload,
     EngineError,
@@ -740,3 +743,26 @@ def test_property_update_round_is_local_to_each_user(instance):
         for i, old in view.cache.coded.items():
             pad = ctx.vec_add(old, fresh[view.pda.entries[i][k] - 1])
             assert new.coded[i] == ctx.vec_add(pad, ctx.vec_scale(c, packets[i]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([man_pda(2, 1), validate(TOY_GRID)]),
+    st.sampled_from([FieldContext.parse(spec) for spec in ("p:2", "p:3", "b:2")]),
+    st.sampled_from(list(Mode)),
+    st.integers(1, 3),  # N
+    st.integers(1, 2),  # block length B/F
+    st.integers(0, 2**32 - 1),  # seed of the files, keys and demands
+)
+def test_property_inactive_key_symbols_change_nothing(arr, ctx, mode, n, block, seed):
+    # what the audit's weights rest on: zeroing the symbols of r that the
+    # audit finds inactive leaves the placement and the signal as they are
+    rng, b = random.Random(seed), arr.f * block
+    active = splfr.audit._active_symbols(AuditConfig(pda=arr, n=n, b=b, ctx=ctx, mode=mode))
+    lib = Library.random(ctx, n, b, rng)
+    r = ctx.random_vector(Randomness.symbols(arr, n, b), rng)
+    zeroed = [x if a else 0 for x, a in zip(r, active)]
+    demands = tuple(ctx.random_vector(n, rng) for _ in range(arr.k))
+    raw, rep = (place(arr, lib, Randomness.of(arr, n, b, v), mode) for v in (r, zeroed))
+    assert raw.caches == rep.caches and raw.randomness == rep.randomness
+    assert deliver(raw, demands) == deliver(rep, demands)
