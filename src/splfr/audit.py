@@ -9,38 +9,34 @@ randomness, demands) with uniform independent components:
 - privacy: the demands of users outside a colluding subset are independent
   of everything the subset observes, conditioned on the files.
 
-Certificates come first.  Fix the files W.  The signal, every cache and
-every decoded-minus-demanded error are then affine in the randomness
-r = (V, p) and the demands d: this is the premise, and the linear
-placement, delivery and decoding of the scheme satisfy it.  For each W,
-``file_models`` runs the real ``place``/``deliver``/``decode`` at an
-affine basis of (r, d), built once per config, and keeps three parts:
-the offset at r = 0, d = d0; the key part A_W per symbol of r; and the
-demand part C_W * delta per single-user demand move.  Given (W, d), an
-observation is uniform on the coset offset + Im(A_W), so each claim is a
-span test over GF(q):
+Certificates come first.  Their premise is that the engine is bi-affine:
+the signal, every cache and every decoded-minus-demanded error are affine
+in the randomness r = (V, p) and the demands d for fixed files W, and in W
+for fixed (r, d), as the records V_s + sum p*W, the blocks V_s + sum q*W
+and the linear decoders are.  So the engine runs only at the 1 + N*B probe
+files W = 0, e_1, ..., e_(N*B), each at an affine basis of (r, d): the
+offset r = 0, d = d0, each unit vector of r, each single-user demand
+move.  The key part A_W, demand part C_W * delta and offset of
+``file_model`` are affine in W, so the probe files decide for every W:
 
-- security: every W has the same image and coset, and no demand part
-  leaves the image;
-- privacy: the demand parts of the users outside the subset lie in the
-  image of the keys in the subset's view;
-- correctness: the errors of the offset and of every part are zero.
+- correctness: every error is zero at every probe file and probe point;
+- security: pivoting the signal rows only on key columns constant in W
+  leaves rows with no key or demand part and an offset constant in W;
+- privacy: one key change Delta r, the same for every W, moves the
+  colluders' view as each other user's demand move does.
 
-Under the premise each test holds iff the claim does, so a passing
-certificate reports the full atom count with no enumeration.  The budget
-bounds the certificates' deliveries (``AuditConfig.probe_count``), and the
-nominal atoms of the enumeration, which runs when a certificate fails.  Each
-enumeration visits each effective placement once, for its own oracle: a
-symbol of r that the mode masks is held at 0, and each atom walked is
-weighted by the q^(masked) raw atoms that share its outcome.  The privacy
-oracle fills one count table per colluding subset, so an audit of every
-subset counts all those whose certificates fail in one walk.
-Independence is decided through the factorization identities
-count(a, b) * total == count(a) * count(b), which hold for every pair iff
-the mutual information is exactly zero.  The enumeration is the reference
-oracle, the only source of the violation count and the first witness.  No
-logarithms or floating point are involved: a pass is a proof for the
-instance.
+A pass reports the full atom count.  A test stops at the first probe file
+that breaks it, and the enumeration decides.  The budget bounds the
+certificates' deliveries, (1 + N*B) * (1 + S*L + K*N + demand moves), and
+the enumeration's nominal atoms.  Each enumeration visits each effective
+placement once, weighted by the q^(masked) raw atoms that share its
+outcome (a symbol of r that the mode masks is held at 0); the privacy
+oracle counts every failing subset in one walk.  Independence is decided
+through the factorization identities count(a, b) * total ==
+count(a) * count(b), which hold for every pair iff the mutual information
+is exactly zero; the enumeration is the only source of the violation count
+and the first witness.  No logarithms or floating point are involved: a
+pass is a proof for the instance.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, combinations, groupby, product
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .engine import (
     DeliveryPayload,
@@ -117,13 +113,9 @@ class AuditConfig:
 
     @property
     def probe_count(self) -> int:
-        """Deliveries of the certificates: q^(N*B) * (1 + key-basis points + demand moves).
-
-        Too many file realizations are refused before the bases are built.
-        """
-        realizations = self.ctx.q ** (self.n * self.b)
-        self.check_budget(realizations, "file realizations")
-        return realizations * (1 + len(_key_basis(self)) + len(_demand_moves(self)[1]))
+        """Deliveries of the certificates: (1 + N*B) * (1 + S*L + K*N + demand moves)."""
+        moves = self.pda.k * (self.n - (self.demand_space == "units"))
+        return (1 + self.n * self.b) * (1 + Randomness.symbols(self.pda, self.n, self.b) + moves)
 
     def check_budget(self, count: Optional[int] = None, unit: str = "atoms") -> None:
         """Refuse an audit that would run more than the budget, by default atoms."""
@@ -315,26 +307,19 @@ def enumerate_privacy(
 # -- certificates ---------------------------------------------------------
 
 
-class Point(NamedTuple):
-    """What the engine outputs at one point (r, d), for fixed files."""
-
-    signal: Vector  # coefficient vectors, then multicast blocks
-    caches: tuple[Vector, ...]  # per user: uncoded packets, then coded records
-    errors: tuple[Vector, ...]  # per user: decoded minus demanded; () if not decoded
-
-
 @dataclass(frozen=True)
 class FileModel:
     """The engine at one file realization W, as an affine map of (r, d).
 
-    ``offset`` is the point r = 0, d = d0.  ``keys[i]`` is what A_W adds per
-    unit of the i-th symbol of r.  ``demands`` holds (user, C_W * delta) pairs,
-    one per single-user demand move away from d0 (see ``_demand_moves``).
+    A point is the signal, then each user's cache if the caches are read.
+    ``offset`` is the point r = 0, d = d0; ``keys[i]`` is what A_W adds per
+    unit of symbol i of r; ``demands`` holds (user, C_W * delta) per
+    single-user demand move away from d0 (see ``_demand_moves``).
     """
 
-    offset: Point
-    keys: tuple[Point, ...]
-    demands: tuple[tuple[int, Point], ...]
+    offset: tuple[Vector, ...]
+    keys: tuple[tuple[Vector, ...], ...]
+    demands: tuple[tuple[int, tuple[Vector, ...]], ...]
 
 
 def _flat(vectors: Iterable[Sequence[int]]) -> Vector:
@@ -345,10 +330,6 @@ def _cache_vector(cache: UserCache) -> Vector:
     uncoded = (pkt for _, pkts in sorted(cache.uncoded.items()) for pkt in pkts)
     coded = (v for _, v in sorted(cache.coded.items()))
     return _flat(chain(uncoded, coded))
-
-
-def _sub(ctx: FieldContext, u: Vector, w: Vector) -> Vector:
-    return tuple(map(ctx.sub, u, w))
 
 
 @lru_cache(maxsize=16)
@@ -369,7 +350,6 @@ def _demand_moves(cfg: AuditConfig) -> tuple[tuple, tuple[tuple[int, tuple], ...
     hull contains all of it: for ``all``, d0 = 0 and each user moves to
     each unit vector; for ``units``, d0 puts every user on file 1 and each
     user moves to each other file, so the differences are e_a - e_1.
-    Built once per config.
     """
     k, n = cfg.pda.k, cfg.n
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
@@ -381,44 +361,36 @@ def _demand_moves(cfg: AuditConfig) -> tuple[tuple, tuple[tuple[int, tuple], ...
     return base, tuple((j, base[:j] + (t,) + base[j + 1 :]) for j in range(k) for t in targets)
 
 
-def _point(
-    state: SchemeState, demands: tuple, decoded: bool, offset: Optional[Point] = None
-) -> Point:
-    """The engine's outputs at (r, d), less the ``offset`` point if one is given."""
-    payload = deliver(state, demands)
-    ctx, lib = state.library.ctx, state.library
-    signal = _flat(chain(payload.coeff_vectors, payload.blocks))
-    caches = tuple(map(_cache_vector, state.caches))
-    errors = tuple(
-        _sub(ctx, decode(state.user_view(k), payload, d), lib.combine(d))
-        for k, d in enumerate(demands) if decoded
-    )
-    if offset is not None:
-        signal = _sub(ctx, signal, offset.signal)
-        caches = tuple(_sub(ctx, u, w) for u, w in zip(caches, offset.caches))
-        errors = tuple(_sub(ctx, u, w) for u, w in zip(errors, offset.errors))
-    return Point(signal, caches, errors)
+def _probe_libraries(cfg: AuditConfig) -> Iterator[Library]:
+    """W = 0, then each unit vector e_i of the N*B file symbols, within the probe budget."""
+    cfg.check_budget(cfg.probe_count, "probe points")  # before the bases are built
+    n, b = cfg.n, cfg.b
+    for i in range(-1, n * b):
+        yield Library(cfg.ctx, tuple(tuple(int(i == f * b + j) for j in range(b)) for f in range(n)))
 
 
-def file_model(cfg: AuditConfig, library: Library, decoded: bool = False) -> FileModel:
-    """Probe the engine at one W: 1 + S*L + K*N placements; decoders if ``decoded``."""
-    base_demands, moves = _demand_moves(cfg)
+def _probes(cfg: AuditConfig, library: Library) -> Iterator[tuple[SchemeState, tuple]]:
+    """(placement, demands) at r = 0 and d0, at each key-basis point, at each demand move."""
+    base, moves = _demand_moves(cfg)
     state = place(cfg.pda, library, Randomness.zeros(cfg.pda, cfg.n, cfg.b), cfg.mode)
-    offset = _point(state, base_demands, decoded)
-    return FileModel(
-        offset=offset,
-        keys=tuple(
-            _point(place(cfg.pda, library, r, cfg.mode), base_demands, decoded, offset)
-            for r in _key_basis(cfg)
-        ),
-        demands=tuple((j, _point(state, d, decoded, offset)) for j, d in moves),
-    )
+    yield state, base
+    for r in _key_basis(cfg):
+        yield place(cfg.pda, library, r, cfg.mode), base
+    for _, demands in moves:
+        yield state, demands
 
 
-def file_models(cfg: AuditConfig, decoded: bool = False) -> Iterator[FileModel]:
-    """The model of every file realization, if the probe budget allows them all."""
-    cfg.check_budget(cfg.probe_count, "probe points")
-    return (file_model(cfg, library, decoded) for library in _libraries(cfg))
+def file_model(cfg: AuditConfig, library: Library, caches: bool = False) -> FileModel:
+    """Probe the engine at one W: 1 + S*L + K*N placements, a delivery per point."""
+    points = []
+    for state, demands in _probes(cfg, library):
+        payload = deliver(state, demands)
+        signal = _flat(chain(payload.coeff_vectors, payload.blocks))
+        points.append((signal, *map(_cache_vector, state.caches)) if caches else (signal,))
+    offset, *points = points
+    parts = [tuple(tuple(map(cfg.ctx.sub, u, w)) for u, w in zip(p, offset)) for p in points]
+    keys, users = len(_key_basis(cfg)), (j for j, _ in _demand_moves(cfg)[1])
+    return FileModel(offset, tuple(parts[:keys]), tuple(zip(users, parts[keys:])))
 
 
 def _in_span(ctx: FieldContext, basis: Sequence[Vector], vectors: Iterable[Vector]) -> bool:
@@ -426,47 +398,79 @@ def _in_span(ctx: FieldContext, basis: Sequence[Vector], vectors: Iterable[Vecto
     return not any(any(ctx.reduce(basis, v)) for v in vectors)
 
 
-def correctness_certificate(models: Iterable[FileModel]) -> bool:
-    """Every decoder is exact at the offset and along every part, for every W."""
-    parts = (p for m in models for p in (m.offset, *m.keys, *(p for _, p in m.demands)))
-    return not any(any(map(any, p.errors)) for p in parts)
-
-
-def security_certificate(cfg: AuditConfig, models: Iterable[FileModel]) -> bool:
-    """The signal's coset, offset + Im(A_W), is the same for every (W, d).
-
-    Equal cosets have equal images, and equal offset residues against them.
-    """
-    ctx, first = cfg.ctx, None
-    for model in models:
-        image = ctx.echelon(p.signal for p in model.keys)
-        coset = image, ctx.reduce(image, model.offset.signal)
-        first = first or coset
-        if coset != first or not _in_span(ctx, image, (p.signal for _, p in model.demands)):
-            return False
+def correctness_certificate(cfg: AuditConfig, libraries: Iterable[Library]) -> bool:
+    """Every decoder is exact at every probe point, for each of ``libraries``."""
+    for library in libraries:
+        for state, demands in _probes(cfg, library):
+            payload = deliver(state, demands)
+            for k, demand in enumerate(demands):
+                if decode(state.user_view(k), payload, demand) != library.combine(demand):
+                    return False
     return True
+
+
+def security_certificate(cfg: AuditConfig, libraries: Iterable[Library]) -> bool:
+    """The signal's coset, offset + C_W * delta + Im(A_W), is one for every (W, d).
+
+    Each signal symbol is a row [key parts | offset | demand parts] at each
+    probe file.  A key column that is one constant at every probe file, in
+    every row left, pivots a row: its symbol pads that row, and constant
+    multipliers keep the rows affine in W.  The rows left at the end must
+    have no key or demand part and one offset at every probe file.
+    """
+    ctx, keys, columns = cfg.ctx, Randomness.symbols(cfg.pda, cfg.n, cfg.b), []
+    for model in (file_model(cfg, library) for library in libraries):
+        moves = [p[0] for _, p in model.demands]
+        if not _in_span(ctx, ctx.echelon(p[0] for p in model.keys), moves):
+            return False  # the demands show at this W: build no more models
+        columns.append(zip(*(p[0] for p in model.keys), model.offset[0], *moves))
+    width = keys + 1 + len(_demand_moves(cfg)[1])
+    rows, pivoted = [_flat(row) for row in zip(*columns)], True
+    while pivoted:
+        pivoted = False
+        for c in range(keys):
+            pivot = next((row for row in rows if row[c]), None)
+            if pivot is None or any(len(set(row[c::width])) > 1 for row in rows):
+                continue
+            rows.remove(pivot)
+            scale, pivoted = ctx.neg(ctx.inv(pivot[c])), True
+            rows = [
+                ctx.lincomb((1, ctx.mul(scale, row[c])), (row, pivot)) if row[c] else row
+                for row in rows
+            ]
+    # each row left must be one constant: no key or demand part, one offset, at every W
+    blank = (0,) * (width - keys - 1)
+    return all(row == ((0,) * keys + (row[keys],) + blank) * len(columns) for row in rows)
 
 
 def privacy_certificate(
-    cfg: AuditConfig, models: Iterable[FileModel], subset: Sequence[int]
-) -> bool:
-    """Moving another user's demand shifts the colluders' view within Im(A_W).
+    cfg: AuditConfig, libraries: Iterable[Library], subsets: Sequence[Sequence[int]]
+) -> list[bool]:
+    """Per colluding subset: one key change Delta r moves the view as each other user's move does.
 
-    The view is the signal and the colluders' caches.  Their own demands
-    are part of what they observe too, but are left out: no key or other
-    user's demand moves them, so they split the view into disjoint
-    cosets without changing the test.
+    The view is the signal and the colluders' caches, stacked over the probe
+    files so that one Delta r serves every W.  The colluders' own demands
+    are left out: no key or other user's demand moves them, so they split
+    the view into disjoint cosets without changing the test.
     """
-    ctx, colluders = cfg.ctx, [u - 1 for u in subset]
-
-    def view(p: Point) -> Vector:
-        return p.signal + _flat(p.caches[k] for k in colluders)
-
-    for model in models:
-        moves = (view(p) for j, p in model.demands if j not in colluders)
-        if not _in_span(ctx, ctx.echelon(map(view, model.keys)), moves):
-            return False
-    return True
+    ctx, cuts = cfg.ctx, [[u - 1 for u in subset] for subset in subsets]
+    stacks = [([], []) for _ in cuts]  # per subset and probe file: key views, move views
+    ok = [True] * len(cuts)
+    for model in (file_model(cfg, library, caches=True) for library in libraries):
+        for i, colluders in enumerate(cuts):
+            if ok[i]:
+                view = itemgetter(0, *(k + 1 for k in colluders))  # signal, colluders' caches
+                keys = [_flat(view(p)) for p in model.keys]
+                moves = [_flat(view(p)) for j, p in model.demands if j not in colluders]
+                ok[i] = _in_span(ctx, ctx.echelon(keys), moves)  # or fail at this W
+                stacks[i][0].append(keys)
+                stacks[i][1].append(moves)
+        if not any(ok):
+            break
+    return [
+        o and _in_span(ctx, ctx.echelon(map(_flat, zip(*keys))), map(_flat, zip(*moves)))
+        for o, (keys, moves) in zip(ok, stacks)
+    ]
 
 
 def _subset(cfg: AuditConfig, subset: Sequence[int]) -> list[int]:
@@ -482,14 +486,14 @@ def _certified(cfg: AuditConfig) -> AuditReport:
 
 def audit_correctness(cfg: AuditConfig) -> AuditReport:
     """Decoder exactness: certificate first, enumeration when it fails."""
-    if correctness_certificate(file_models(cfg, decoded=True)):
+    if correctness_certificate(cfg, _probe_libraries(cfg)):
         return _certified(cfg)
     return enumerate_correctness(cfg)
 
 
 def audit_security(cfg: AuditConfig) -> AuditReport:
     """Signal independence: certificate first, enumeration when it fails."""
-    if security_certificate(cfg, file_models(cfg)):
+    if security_certificate(cfg, _probe_libraries(cfg)):
         return _certified(cfg)
     return enumerate_security(cfg)
 
@@ -512,9 +516,7 @@ def audit_privacy(
         subsets = list(chain.from_iterable(combinations(users, r) for r in users))
     else:
         subsets = [_subset(cfg, subset)]
-    ok = [True] * len(subsets)
-    for model in file_models(cfg):  # one at a time: the models are never all held
-        ok = [o and privacy_certificate(cfg, (model,), s) for o, s in zip(ok, subsets)]
+    ok = privacy_certificate(cfg, _probe_libraries(cfg), subsets)
     failing = [sub for sub, o in zip(subsets, ok) if not o]
     if not failing:
         return AuditReport(True, len(subsets) * cfg.atom_count, 0, method="certificate")
@@ -542,7 +544,6 @@ __all__ = [
     "AuditReport",
     "BudgetExceeded",
     "FileModel",
-    "Point",
     "audit_correctness",
     "audit_privacy",
     "audit_security",
@@ -552,7 +553,6 @@ __all__ = [
     "enumerate_security",
     "factorization_violations",
     "file_model",
-    "file_models",
     "privacy_certificate",
     "security_certificate",
 ]

@@ -11,12 +11,19 @@ only the tests use (``FieldElement``, ``field_dot``, ``canonical_relabel``,
 curve as a lower convex envelope and read its pieces through
 ``TradeoffCurve.evaluate``, the generic path the closed form replaces.
 ``raw_atoms`` walks every atom of an audit, each with weight 1, the
-reference for the audit's walk over effective placements.
+reference for the audit's walk over effective placements.  ``file_models``
+builds the audit's affine model at every file realization W, and
+``per_file_security`` and ``per_file_privacy`` decide the certificates W by
+W on them (correctness W by W is ``correctness_certificate`` over
+``audit._libraries``): the reference for the symbolic tests at the probe
+files.  ``outputs`` and ``affine_combination`` read and interpolate the
+engine's outputs for the tests of the premise the certificates rest on.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -353,6 +360,69 @@ def raw_atoms(cfg: audit.AuditConfig):
             state = audit.place(pda, library, randomness, cfg.mode)
             for demands in demand_tuples:
                 yield library, randomness, state, demands, audit.deliver(state, demands), 1
+
+
+def file_models(cfg: audit.AuditConfig):
+    """The model at every file realization W, caches included: q^(N*B) of them."""
+    return (audit.file_model(cfg, library, caches=True) for library in audit._libraries(cfg))
+
+
+def per_file_security(cfg: audit.AuditConfig, models) -> bool:
+    """The signal's coset, offset + Im(A_W), is the same for every (W, d), W by W.
+
+    Equal cosets have equal images, and equal offset residues against them.
+    """
+    ctx, first = cfg.ctx, None
+    for model in models:
+        image = ctx.echelon(p[0] for p in model.keys)
+        coset = image, ctx.reduce(image, model.offset[0])
+        first = first or coset
+        if coset != first or not audit._in_span(ctx, image, (p[0] for _, p in model.demands)):
+            return False
+    return True
+
+
+def per_file_privacy(cfg: audit.AuditConfig, models, subset: Sequence[int]) -> bool:
+    """Moving another user's demand shifts the colluders' view within Im(A_W), W by W."""
+    ctx, colluders = cfg.ctx, [u - 1 for u in subset]
+
+    def view(point) -> Vector:
+        return tuple(x for v in (point[0], *(point[k + 1] for k in colluders)) for x in v)
+
+    for model in models:
+        moves = (view(p) for j, p in model.demands if j not in colluders)
+        if not audit._in_span(ctx, ctx.echelon(map(view, model.keys)), moves):
+            return False
+    return True
+
+
+def outputs(state, demands) -> tuple[Vector, ...]:
+    """Signal, each user's cache and each user's decoding error, at one placement."""
+    ctx, library = state.library.ctx, state.library
+    payload = audit.deliver(state, demands)
+    signal = tuple(x for v in (*payload.coeff_vectors, *payload.blocks) for x in v)
+    caches = tuple(
+        tuple(x for _, pkts in sorted(c.uncoded.items()) for pkt in pkts for x in pkt)
+        + tuple(x for _, v in sorted(c.coded.items()) for x in v)
+        for c in state.caches
+    )
+    errors = tuple(
+        tuple(map(ctx.sub, audit.decode(state.user_view(k), payload, d), combine(library, d)))
+        for k, d in enumerate(demands)
+    )
+    return (signal, *caches, *errors)
+
+
+def affine_combination(ctx: FieldContext, coeffs: Sequence[int], points) -> tuple[Vector, ...]:
+    """points[0] + sum_i coeffs[i] * (points[i + 1] - points[0]), vector by vector."""
+    weights = [ctx.sub(1, reduce(ctx.add, coeffs, 0)), *coeffs]
+    combined = []
+    for vectors in zip(*points):
+        acc = (0,) * len(vectors[0])
+        for w, v in zip(weights, vectors):
+            acc = ctx.vec_add(acc, ctx.vec_scale(w, v))
+        combined.append(acc)
+    return tuple(combined)
 
 
 # -- grid samplers for the tradeoff checks -------------------------------

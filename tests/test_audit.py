@@ -21,7 +21,6 @@ from splfr.audit import (
     enumerate_security,
     factorization_violations,
     file_model,
-    file_models,
     privacy_certificate,
     security_certificate,
 )
@@ -30,7 +29,14 @@ from splfr.engine import DeliveryPayload, Library, Mode, Randomness, deliver, pl
 from splfr.field import FieldContext
 from splfr.pda import STAR, man_pda, validate
 
-from oracle import raw_atoms
+from oracle import (
+    affine_combination,
+    file_models,
+    outputs,
+    per_file_privacy,
+    per_file_security,
+    raw_atoms,
+)
 
 GF2 = FieldContext.prime(2)
 
@@ -92,15 +98,15 @@ class TestConfig:
         assert small(demand_space="units").atom_count == 16 * 2 * 16 * 4
 
     def test_budget_exceeded(self):
-        cfg = small(budget=100)
+        cfg = small(budget=40)  # below the 50 probe points
         with pytest.raises(BudgetExceeded):
             audit_security(cfg)
 
     def test_probe_count(self):
-        # per file realization: the offset, S*L + K*N = 5 key moves and K*N = 4
-        # demand moves, or K*(N-1) = 2 over unit demands
-        assert SMALL.probe_count == 16 * 10
-        assert small(demand_space="units").probe_count == 16 * 8
+        # per probe file, 1 + N*B = 5 of them: the offset, S*L + K*N = 5 key
+        # moves and K*N = 4 demand moves, or K*(N-1) = 2 over unit demands
+        assert SMALL.probe_count == 5 * 10
+        assert small(demand_space="units").probe_count == 5 * 8
 
     def test_probe_bases_are_built_once_per_config(self):
         # the 16 file realizations share one key basis and one set of demand moves
@@ -110,21 +116,24 @@ class TestConfig:
         assert splfr.audit._key_basis.cache_info().misses == 1
         assert splfr.audit._demand_moves.cache_info().misses == 1
 
-    def test_too_many_file_realizations_are_refused_before_the_bases(self):
-        # 2^9000 file realizations: refused without a basis of 9,009 points
-        # each holding a 3,000-symbol unit vector
-        cfg = AuditConfig(pda=man_pda(3, 1), n=3, b=3000, ctx=GF2)
+    def test_too_many_probe_points_are_refused_before_the_bases(self):
+        # 90,001 probe files x 30,019 probe points: refused without a basis
+        # of 30,009 points each holding a 30,009-symbol unit vector
+        cfg = AuditConfig(pda=man_pda(3, 1), n=3, b=30000, ctx=GF2)
         splfr.audit._key_basis.cache_clear()
-        with pytest.raises(BudgetExceeded, match="file realizations exceed budget"):
-            audit_security(cfg)
+        splfr.audit._demand_moves.cache_clear()
+        for audit in (audit_correctness, audit_security, lambda c: audit_privacy(c, [1])):
+            with pytest.raises(BudgetExceeded, match="^2701740019 probe points exceed budget"):
+                audit(cfg)
         assert splfr.audit._key_basis.cache_info().misses == 0
+        assert splfr.audit._demand_moves.cache_info().misses == 0
 
     def test_certificates_are_budgeted_by_their_probe_points(self):
-        # 8192 atoms, but 160 probe points, and 3 x 160 for every subset
-        cfg = small(budget=200)
+        # 8192 atoms, but 50 probe points, and 3 x 50 for every subset
+        cfg = small(budget=100)
         assert audit_security(cfg).method == "certificate"
         assert audit_privacy(cfg, [1]).method == "certificate"
-        with pytest.raises(BudgetExceeded, match="480 subset-probe points exceed budget 200"):
+        with pytest.raises(BudgetExceeded, match="150 subset-probe points exceed budget 100"):
             audit_privacy(cfg)
 
     def test_enumeration_is_refused_before_it_lists_the_demands(self, monkeypatch):
@@ -140,7 +149,7 @@ class TestConfig:
             audit_privacy(cfg, [1])
 
     def test_failing_certificate_is_refused_before_enumeration(self, monkeypatch):
-        # LFR fails at the first file realization, whose 13 placements and 22
+        # LFR fails at the first probe file, whose 13 placements and 22
         # deliveries are all that run: the 2^30 atoms are refused unvisited
         cfg = AuditConfig(pda=man_pda(3, 1), n=3, b=3, ctx=GF2, mode=Mode.LFR)
         calls = count_calls(monkeypatch, "place", "deliver")
@@ -307,8 +316,8 @@ class TestReports:
         assert slfr.counterexample is not None
 
     def test_certificate_probes_an_affine_basis(self, monkeypatch):
-        # 1 + S*L + K*N = 6 placements per file realization, not one per
-        # (files, randomness) pair
+        # 1 + S*L + K*N = 6 placements at each of the 1 + N*B = 5 probe files,
+        # not one per (files, randomness) pair
         calls = []
         place_ = splfr.audit.place
 
@@ -318,21 +327,22 @@ class TestReports:
 
         monkeypatch.setattr(splfr.audit, "place", counted)
         assert audit_security(SMALL).method == "certificate"
-        assert len(calls) == 16 * 6
+        assert len(calls) == 5 * 6
 
     def test_failing_subsets_share_one_traversal(self, monkeypatch):
         # SLFR fails for the subsets {1} and {2}: after the certificate
-        # probes (6 placements and 10 deliveries per file realization), both
-        # are counted from one pass over the 32 effective placements (the
-        # security key; the 4 privacy symbols are masked) and their 512 atoms
+        # probes (6 placements and 10 deliveries per probe file, all 5 of
+        # them for the subset {1, 2}), both are counted from one pass over
+        # the 32 effective placements (the security key; the 4 privacy
+        # symbols are masked) and their 512 atoms
         calls = count_calls(monkeypatch, "place", "deliver")
         report = audit_privacy(small(mode=Mode.SLFR))
         assert not report.verdict and report.method == "enumeration"
-        assert calls == {"place": 16 * 6 + 32, "deliver": 16 * 10 + 512}
+        assert calls == {"place": 5 * 6 + 32, "deliver": 5 * 10 + 512}
 
     def test_masked_keys_are_placed_once(self, monkeypatch):
-        # LFR masks all 5 key symbols: its certificate fails at the first file
-        # realization (6 placements, 10 deliveries), then the enumeration
+        # LFR masks all 5 key symbols: its certificate fails at the first probe
+        # file (6 placements, 10 deliveries), then the enumeration
         # places each file realization once and delivers its 16 demand tuples
         calls = count_calls(monkeypatch, "place", "deliver")
         report = audit_security(small(mode=Mode.LFR))
@@ -342,7 +352,7 @@ class TestReports:
     def test_passing_subsets_are_not_enumerated(self, monkeypatch):
         calls = count_calls(monkeypatch, "place", "deliver")
         assert audit_privacy(SMALL).method == "certificate"
-        assert calls == {"place": 16 * 6, "deliver": 16 * 10}
+        assert calls == {"place": 5 * 6, "deliver": 5 * 10}
 
 
 def count_calls(monkeypatch, *names: str) -> Counter:
@@ -388,17 +398,51 @@ def differential_cases():
         )
 
 
+def symbolic_verdicts(cfg: AuditConfig, subsets) -> list[bool]:
+    """Correctness, security, then privacy per subset, decided at the probe files."""
+    probes = splfr.audit._probe_libraries
+    return [
+        correctness_certificate(cfg, probes(cfg)),
+        security_certificate(cfg, probes(cfg)),
+        *privacy_certificate(cfg, probes(cfg), subsets),
+    ]
+
+
+def enumerated_verdicts(cfg: AuditConfig, subsets) -> list[bool]:
+    return [
+        enumerate_correctness(cfg).verdict,
+        enumerate_security(cfg).verdict,
+        *(report.verdict for report in enumerate_privacy(cfg, subsets)),
+    ]
+
+
 @pytest.mark.parametrize("ctx,arr,n,b,demand_space,mode", differential_cases())
 def test_certificate_verdict_equals_enumeration(ctx, arr, n, b, demand_space, mode):
     cfg = AuditConfig(pda=arr, n=n, b=b, ctx=ctx, mode=mode, demand_space=demand_space)
-    models = list(file_models(cfg, decoded=True))
-    assert correctness_certificate(models) == enumerate_correctness(cfg).verdict
-    assert security_certificate(cfg, models) == enumerate_security(cfg).verdict
     users = range(1, arr.k + 1)
     subsets = [s for r in users for s in combinations(users, r)]
-    for subset, report in zip(subsets, enumerate_privacy(cfg, subsets)):
-        enumerated = report.verdict
-        assert privacy_certificate(cfg, models, subset) == enumerated, subset
+    assert symbolic_verdicts(cfg, subsets) == enumerated_verdicts(cfg, subsets)
+
+
+@pytest.mark.parametrize("ctx,arr,n,b,demand_space,mode", differential_cases())
+def test_symbolic_pass_implies_per_file_pass_implies_enumeration_pass(
+    ctx, arr, n, b, demand_space, mode
+):
+    # the probe files decide for every W: a pass there is a pass at each W,
+    # which the per-W certificates check on the models of every W
+    cfg = AuditConfig(pda=arr, n=n, b=b, ctx=ctx, mode=mode, demand_space=demand_space)
+    users = range(1, arr.k + 1)
+    subsets = [s for r in users for s in combinations(users, r)]
+    models = list(file_models(cfg))
+    per_file = [
+        correctness_certificate(cfg, splfr.audit._libraries(cfg)),
+        per_file_security(cfg, models),
+        *(per_file_privacy(cfg, models, subset) for subset in subsets),
+    ]
+    claims = zip(symbolic_verdicts(cfg, subsets), per_file, enumerated_verdicts(cfg, subsets))
+    for i, (symbolic, per_w, enumerated) in enumerate(claims):
+        assert per_w or not symbolic, i
+        assert enumerated or not per_w, i
 
 
 @pytest.mark.parametrize("ctx,arr,n,b,demand_space,mode", differential_cases())
@@ -456,14 +500,40 @@ def test_dropped_security_key_is_caught(monkeypatch):
         return payload._replace(blocks=(first,) + payload.blocks[1:])
 
     monkeypatch.setattr(splfr.audit, "deliver", leaky)
-    assert not security_certificate(SMALL, file_models(SMALL))
+    assert not security_certificate(SMALL, splfr.audit._probe_libraries(SMALL))
+    assert not per_file_security(SMALL, file_models(SMALL))
     report = audit_security(SMALL)
     assert not report.verdict and report.method == "enumeration"
     assert report.violations > 0 and report.counterexample is not None
     # the decoders cancel a key that is no longer there
-    assert not correctness_certificate(file_models(SMALL, decoded=True))
+    assert not correctness_certificate(SMALL, splfr.audit._probe_libraries(SMALL))
     report = audit_correctness(SMALL)
     assert not report.verdict and report.counterexample is not None
+
+
+def test_a_key_that_some_files_cancel_is_caught(monkeypatch):
+    # user 2's coefficient vector carries f(W) * p_2 + d_2, f(W) = 1 + W_1 + W_2
+    # over GF(3).  f is nonzero at every probe file, so the per-W tests pass
+    # there, but at W = (1, 1) it is 0 and user 2's demand shows
+    cfg = AuditConfig(pda=ALL_STAR, n=2, b=1, ctx=GF3, demand_space="units")
+    deliver_ = splfr.audit.deliver
+
+    def scaled(state, demands):
+        payload = deliver_(state, demands)
+        (w1,), (w2,) = state.library.files
+        first, second = payload.coeff_vectors
+        f_less_1, p_2 = GF3.add(w1, w2), state.randomness.privacy_vectors[1]
+        second = tuple(GF3.add(x, GF3.mul(f_less_1, p)) for x, p in zip(second, p_2))
+        return payload._replace(coeff_vectors=(first, second))
+
+    monkeypatch.setattr(splfr.audit, "deliver", scaled)
+    probes = splfr.audit._probe_libraries
+    models = [file_model(cfg, w, caches=True) for w in probes(cfg)]
+    assert all(per_file_security(cfg, [m]) and per_file_privacy(cfg, [m], [1]) for m in models)
+    assert not security_certificate(cfg, probes(cfg))
+    assert privacy_certificate(cfg, probes(cfg), [[1]]) == [False]
+    for report in (audit_security(cfg), audit_privacy(cfg, [1])):
+        assert not report.verdict and report.method == "enumeration"
 
 
 # -- the bi-affine premise ---------------------------------------------------
@@ -472,8 +542,7 @@ PREMISE_ARRAYS = {"man:2,1": man_pda(2, 1), "toy-grid": validate(TOY_GRID)}
 PREMISE_FIELDS = [FieldContext.parse(spec) for spec in ("p:2", "p:3", "b:2")]
 
 
-@settings(max_examples=160, deadline=None)
-@given(
+PREMISE = (
     st.sampled_from(sorted(PREMISE_ARRAYS)),
     st.sampled_from(PREMISE_FIELDS),
     st.sampled_from(list(Mode)),
@@ -482,10 +551,10 @@ PREMISE_FIELDS = [FieldContext.parse(spec) for spec in ("p:2", "p:3", "b:2")]
     st.integers(1, 2),  # block length B/F
     st.integers(0, 2**32 - 1),  # seed of the files, keys and demands
 )
-def test_engine_is_the_affine_model(name, ctx, mode, demand_space, n, block, seed):
-    # what the certificates rest on: for fixed files, the engine at (r, d) is
-    # the offset, plus r_i times key part i, plus d_j[t] times the part of
-    # user j's move to file t
+
+
+def premise_instance(name, ctx, mode, demand_space, n, block, seed):
+    """A config and a random (files, keys, demands) point of it."""
     arr, rng = PREMISE_ARRAYS[name], random.Random(seed)
     cfg = AuditConfig(
         pda=arr, n=n, b=arr.f * block, ctx=ctx, mode=mode, demand_space=demand_space
@@ -493,21 +562,45 @@ def test_engine_is_the_affine_model(name, ctx, mode, demand_space, n, block, see
     library = Library.random(ctx, n, cfg.b, rng)
     keys = Randomness.generate(arr, n, cfg.b, ctx, rng)
     demands = tuple(rng.choice(cfg.demand_vectors()) for _ in range(arr.k))
-    model = file_model(cfg, library, decoded=True)
-    engine = splfr.audit._point(place(arr, library, keys, mode), demands, decoded=True)
+    return cfg, library, keys, demands
 
+
+@settings(max_examples=160, deadline=None)
+@given(*PREMISE)
+def test_engine_is_the_affine_model(name, ctx, mode, demand_space, n, block, seed):
+    # what the certificates rest on: for fixed files, the engine at (r, d) is
+    # the offset, plus r_i times key part i, plus d_j[t] times the part of
+    # user j's move to file t
+    cfg, library, keys, demands = premise_instance(name, ctx, mode, demand_space, n, block, seed)
+    probes = [outputs(state, d) for state, d in splfr.audit._probes(cfg, library)]
     moved = range(1, n) if demand_space == "units" else range(n)
     coeffs = [
         *chain.from_iterable(keys.security_keys),
         *chain.from_iterable(keys.privacy_vectors),
         *(d[t] for d in demands for t in moved),
     ]
+    engine = outputs(place(cfg.pda, library, keys, mode), demands)
+    assert engine == affine_combination(ctx, coeffs, probes)
+    # the model holds the signal and caches of those probe points, less the offset's
+    model = file_model(cfg, library, caches=True)
+    seen = 1 + cfg.pda.k
+    assert model.offset == probes[0][:seen]
     parts = [*model.keys, *(part for _, part in model.demands)]
+    assert parts == [
+        tuple(tuple(map(ctx.sub, u, w)) for u, w in zip(p[:seen], probes[0])) for p in probes[1:]
+    ]
 
-    def affine(read):
-        return ctx.lincomb([1, *coeffs], [read(model.offset), *map(read, parts)])
 
-    assert engine.signal == affine(lambda p: p.signal)
-    for k in range(arr.k):
-        assert engine.caches[k] == affine(lambda p: p.caches[k])
-        assert engine.errors[k] == affine(lambda p: p.errors[k])
+@settings(max_examples=160, deadline=None)
+@given(*PREMISE)
+def test_engine_is_affine_in_the_files(name, ctx, mode, demand_space, n, block, seed):
+    # the other half of the premise: for fixed (r, d), the engine at files W
+    # is its value at W = 0 plus W_i times its change at the probe file e_i
+    cfg, library, keys, demands = premise_instance(name, ctx, mode, demand_space, n, block, seed)
+
+    def at(files: Library):
+        return outputs(place(cfg.pda, files, keys, mode), demands)
+
+    probes = [at(files) for files in splfr.audit._probe_libraries(cfg)]
+    assert len(probes) == 1 + n * cfg.b
+    assert at(library) == affine_combination(ctx, list(chain(*library.files)), probes)

@@ -288,8 +288,9 @@ class TestAudit:
         assert last_json(out)["verdict"] == "pass"
 
     def test_budget_exceeded(self, capsys):
+        # below the 50 probe points of the certificate
         code, out, _ = run_cli(capsys, "audit", "security", *self.BASE,
-                               "--budget", "100")
+                               "--budget", "40")
         assert code == 1
         assert "exceed" in last_json(out)["error"]
 
@@ -385,7 +386,7 @@ class TestAuditBudget:
 
     @pytest.mark.parametrize("audit, atoms", [("security", 2**30), ("privacy", 7 * 2**30)])
     def test_certificates_run_past_the_atom_budget(self, capsys, audit, atoms):
-        # 512 file realizations x 22 probe points, 11,264 deliveries in all
+        # 10 probe files x 22 probe points, 220 deliveries in all
         code, out, _ = run_cli(capsys, "audit", audit, *self.MAN31)
         assert code == 0
         report = last_json(out)
@@ -394,18 +395,32 @@ class TestAuditBudget:
         )
         assert report["atoms"] > report["config"]["budget"]
 
+    @pytest.mark.parametrize("audit", ["correctness", "security", "privacy"])
+    @pytest.mark.parametrize("field", ["p:2", "b:8"])
+    def test_every_audit_certifies_at_the_probe_files(self, capsys, audit, field):
+        # 2^72 file realizations over GF(2^8), and the same 220 deliveries
+        code, out, _ = run_cli(capsys, "audit", audit, "--field", field, *self.MAN31)
+        assert code == 0
+        report = last_json(out)
+        assert (report["verdict"], report["method"], report["violations"]) == (
+            "pass", "certificate", 0
+        )
+
     def test_failing_certificate_is_refused_by_the_atom_budget(self, capsys):
-        start = time.perf_counter()
-        code, out, _ = run_cli(capsys, "audit", "security", "--mode", "lfr", *self.MAN31)
-        assert time.perf_counter() - start < 1
-        assert code == 1
-        assert last_json(out)["error"] == "1073741824 atoms exceed budget 67108864"
+        for field, atoms in (("p:2", 2**30), ("b:8", 2**240)):
+            start = time.perf_counter()
+            code, out, _ = run_cli(
+                capsys, "audit", "security", "--mode", "lfr", "--field", field, *self.MAN31
+            )
+            assert time.perf_counter() - start < 1
+            assert code == 1
+            assert last_json(out)["error"] == f"{atoms} atoms exceed budget 67108864"
 
     def test_probe_points_over_the_budget_are_refused(self, capsys):
         code, out, _ = run_cli(capsys, "audit", "security", "--pda", "man:2,1",
-                               "--n", "2", "--b", "2", "--budget", "100")
+                               "--n", "2", "--b", "2", "--budget", "40")
         assert code == 1
-        assert last_json(out)["error"] == "160 probe points exceed budget 100"
+        assert last_json(out)["error"] == "50 probe points exceed budget 40"
 
 
 class TestInputErrors:

@@ -5,9 +5,11 @@ on the kind of a field.  Every other module checks, packs, splits and
 negates vectors through ``FieldContext`` methods, which behave alike over
 GF(p) and GF(2^m), so each of them has one path for every field.
 
-The audit's affine model owns the differencing: ``file_models`` takes the
-differences against the offset once, when a model is built, and the
-certificates only read its parts.
+The audit's affine model owns the differencing: ``file_model`` takes the
+differences against the offset once, when a model is built, and only of
+what a certificate reads: the signal, and the caches for privacy.  The
+certificates only read its parts; correctness reads the decoders at the
+probe points and takes no differences at all.
 
 ``Randomness`` owns the layout of the randomness r: the audit builds every
 value of r through ``Randomness.of``, never through the constructor.
