@@ -381,12 +381,20 @@ def _probes(cfg: AuditConfig, library: Library) -> Iterator[tuple[SchemeState, t
 
 
 def file_model(cfg: AuditConfig, library: Library, caches: bool = False) -> FileModel:
-    """Probe the engine at one W: 1 + S*L + K*N placements, a delivery per point."""
-    points = []
+    """Probe the engine at one W: 1 + S*L + K*N placements, a delivery per point.
+
+    The demand moves reuse the zero-key placement, so their cache parts are
+    zero: the caches are read once per placement.
+    """
+    points, zero = [], None
     for state, demands in _probes(cfg, library):
         payload = deliver(state, demands)
-        signal = _flat(chain(payload.coeff_vectors, payload.blocks))
-        points.append((signal, *map(_cache_vector, state.caches)) if caches else (signal,))
+        point = (_flat(chain(payload.coeff_vectors, payload.blocks)),)
+        if caches:
+            point += points[0][1:] if state is zero else tuple(map(_cache_vector, state.caches))
+        if zero is None:
+            zero = state
+        points.append(point)
     offset, *points = points
     parts = [tuple(tuple(map(cfg.ctx.sub, u, w)) for u, w in zip(p, offset)) for p in points]
     keys, users = len(_key_basis(cfg)), (j for j, _ in _demand_moves(cfg)[1])
@@ -465,8 +473,8 @@ def privacy_certificate(
                 ok[i] = _in_span(ctx, ctx.echelon(keys), moves)  # or fail at this W
                 stacks[i][0].append(keys)
                 stacks[i][1].append(moves)
-        if not any(ok):
-            break
+        if not any(o and len(c) < cfg.pda.k for o, c in zip(ok, cuts)):
+            break  # the subsets still holding have no other user: they hold at every W
     return [
         o and _in_span(ctx, ctx.echelon(map(_flat, zip(*keys))), map(_flat, zip(*moves)))
         for o, (keys, moves) in zip(ok, stacks)

@@ -6,7 +6,12 @@ needs no hull, and its linear pieces come straight from t in integers.
 Lower convex envelopes are built only for the comparison schemes.  All
 curve math is exact, over integers or fractions.Fraction; decimals appear
 only at serialization time.  Ratio and bound claims are certified over the
-whole continuum, one curve segment at a time, not sampled.
+whole continuum, one curve segment at a time, not sampled.  A supremum over
+all the segments of an (N, K) starts from one candidate, the largest ratio
+at a segment end, which one integer test per segment certifies; only the
+segments that fail it are searched for an interior maximum.  The converse
+bounds are computed in integers from the memory's numerator and
+denominator, with one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -139,23 +144,27 @@ def man_curve(n: int, k: int) -> TradeoffCurve:
 # -- converse bounds ------------------------------------------------------
 
 
-def pda_lower_bound(n: int, k: int, m) -> Fraction:
-    """Load lower bound K(N-M)/(N-1+K(M-1)) for any array-based scheme."""
+def _memory(n: int, m) -> tuple[int, int]:
+    """The memory m in [1, N] as its reduced (numerator, denominator)."""
     m = _frac(m)
     if not 1 <= m <= n:
         raise TradeoffError(f"memory {m} outside [1, {n}]")
-    return Fraction(k * (n - m), (n - 1) + k * (m - 1))
+    return m.numerator, m.denominator
+
+
+def pda_lower_bound(n: int, k: int, m) -> Fraction:
+    """Load lower bound K(N-M)/(N-1+K(M-1)) for any array-based scheme."""
+    a, b = _memory(n, m)  # M = a/b; times b above and below
+    return Fraction(k * (n * b - a), (n - 1) * b + k * (a - b))
 
 
 def cutset_bound(n: int, k: int, m) -> Fraction:
     """Cut-set load bound max_u (uN - u^2 M)/(N-1), floored at zero."""
-    m = _frac(m)
-    if not 1 <= m <= n:
-        raise TradeoffError(f"memory {m} outside [1, {n}]")
-    best = Fraction(0)
+    a, b = _memory(n, m)  # M = a/b: the cut u gives u(Nb - ua)/(b(N-1))
+    best = 0
     for u in range(1, min(n // 2, k) + 1):
-        best = max(best, Fraction(u * n - u * u * m, n - 1))
-    return best
+        best = max(best, u * (n * b - u * a))
+    return Fraction(best, b * (n - 1))
 
 
 # -- known-scheme curves (comparison table) -------------------------------
@@ -222,7 +231,9 @@ def scheme_curve(scheme: str, n: int, k: int) -> TradeoffCurve:
 # Every ratio and bound claim below is, on one linear piece of a curve, a
 # quadratic inequality in the memory M.  Each piece is parametrized by
 # theta in [0, 1] with integer coefficients, so the sign tests that decide a
-# claim over the whole continuum run in integers.
+# claim over the whole continuum run in integers.  A ratio's supremum over
+# all the pieces is ``_pieces_sup``: one candidate for every piece, and
+# ``ratio_sup`` only on the pieces whose supremum lies above it.
 
 
 class Supremum(NamedTuple):
@@ -258,12 +269,36 @@ def quadratic_nonneg(c2, c1, c0, lo, hi, *, strict: bool = False) -> bool:
     return True
 
 
+def _open_end(p: tuple[int, int, int], q: tuple[int, int, int]):
+    """The forms of P/Q to test on [0, 1], with the open end's limit at theta = 1.
+
+    If Q(1) = 0, P(1) must be 0 too, and the factor (1 - theta) is divided
+    out of both.  The Q returned must be positive on all of [0, 1].
+    """
+    (p2, p1, p0), (q2, q1, q0) = p, q
+    if q2 + q1 + q0 == 0:
+        if p2 + p1 + p0 != 0:
+            raise TradeoffError("ratio unbounded at the open end")
+        # P = (1 - theta)(-p2*theta - p2 - p1), and likewise Q
+        p, q = (0, -p2, -p2 - p1), (0, -q2, -q2 - q1)
+    if not quadratic_nonneg(*q, 0, 1, strict=True):
+        raise TradeoffError("ratio denominator must be positive")
+    return p, q
+
+
+def _at_most(p, q, u: Fraction) -> bool:
+    """Whether P/Q <= u on all of [0, 1], for Q positive there."""
+    (p2, p1, p0), (q2, q1, q0) = p, q
+    a, b = u.numerator, u.denominator
+    return quadratic_nonneg(a * q2 - b * p2, a * q1 - b * p1, a * q0 - b * p0, 0, 1)
+
+
 def ratio_sup(p: tuple[int, int, int], q: tuple[int, int, int]) -> Supremum:
     """Supremum over 0 <= theta < 1 of P(theta)/Q(theta).
 
     ``p`` and ``q`` are integer coefficients (c2, c1, c0).  Q must be
     positive on [0, 1).  If Q(1) = 0, P(1) must be 0 too, and the open end
-    is the limit at theta = 1, found by dividing out the factor (1 - theta).
+    is the limit at theta = 1 (see ``_open_end``).
 
     The supremum is the smallest U with U*Q - P >= 0 on [0, 1], which
     ``quadratic_nonneg`` decides.  The larger endpoint value is tried first.
@@ -274,21 +309,10 @@ def ratio_sup(p: tuple[int, int, int], q: tuple[int, int, int]) -> Supremum:
     increasing order, an irrational one as its upper bracket from
     ``math.isqrt``, and the first that passes is returned.
     """
+    p, q = _open_end(p, q)
     (p2, p1, p0), (q2, q1, q0) = p, q
-    if q2 + q1 + q0 == 0:
-        if p2 + p1 + p0 != 0:
-            raise TradeoffError("ratio unbounded at the open end")
-        # P = (1 - theta)(-p2*theta - p2 - p1), and likewise Q
-        (p2, p1, p0), (q2, q1, q0) = (0, -p2, -p2 - p1), (0, -q2, -q2 - q1)
-    if not quadratic_nonneg(q2, q1, q0, 0, 1, strict=True):
-        raise TradeoffError("ratio denominator must be positive")
-
-    def bounds(u: Fraction) -> bool:
-        a, b = u.numerator, u.denominator
-        return quadratic_nonneg(a * q2 - b * p2, a * q1 - b * p1, a * q0 - b * p0, 0, 1)
-
     best = max(Fraction(p0, q0), Fraction(p2 + p1 + p0, q2 + q1 + q0))
-    if bounds(best):
+    if _at_most(p, q, best):
         return Supremum(best, True)
     roots = _upper_roots(
         q1 * q1 - 4 * q2 * q0,
@@ -296,9 +320,29 @@ def ratio_sup(p: tuple[int, int, int], q: tuple[int, int, int]) -> Supremum:
         p1 * p1 - 4 * p2 * p0,
     )
     for cand in sorted(r for r in roots if r.value > best):
-        if bounds(cand.value):
+        if _at_most(p, q, cand.value):
             return cand
     raise TradeoffError("no certified supremum")
+
+
+def _pieces_sup(pieces: Sequence[tuple]) -> Supremum:
+    """The largest ``ratio_sup`` over ``pieces``, (p, q) pairs, from one candidate.
+
+    The candidate U is the largest ratio at a piece end, the open ends'
+    limits included, found by integer cross-multiplication.  A piece with
+    U*Q - P >= 0 on [0, 1] has its supremum at or below U, so ``ratio_sup``
+    runs only on the pieces that fail that one ``quadratic_nonneg`` test,
+    and each of those returns a supremum above U.
+    """
+    forms = [_open_end(p, q) for p, q in pieces]
+    a, b = forms[0][0][2], forms[0][1][2]  # P(0)/Q(0) of the first piece; Q(0) > 0
+    for (p2, p1, p0), (q2, q1, q0) in forms:
+        for x, y in ((p0, q0), (p2 + p1 + p0, q2 + q1 + q0)):
+            if x * b > a * y:
+                a, b = x, y
+    top = Fraction(a, b)
+    failures = [ratio_sup(*pc) for pc, form in zip(pieces, forms) if not _at_most(*form, top)]
+    return max([Supremum(top, True), *failures])
 
 
 def _upper_roots(a: int, b: int, c: int) -> list[Supremum]:
@@ -396,39 +440,39 @@ def _cutset_pieces(n: int, k: int, lo: Fraction, hi: Fraction):
 
 
 def _simple_converse_sup(n: int, k: int) -> Supremum:
-    """Supremum of R(M)(M-1)/(N-M) over [1, N)."""
+    """Supremum of R(M)(M-1)/(N-M) over [1, N), by ``_pieces_sup``."""
     pieces = []
     for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, 1, n):
         # R(M-1)/(N-M) = (r0 + r1*theta)(m0 - dm + m1*theta) / (dr (N dm - m0 - m1*theta))
         e0 = m0 - dm
         p = (r1 * m1, r0 * m1 + r1 * e0, r0 * e0)
-        pieces.append(ratio_sup(p, (0, -dr * m1, dr * (n * dm - m0))))
-    return max(pieces)
+        pieces.append((p, (0, -dr * m1, dr * (n * dm - m0))))
+    return _pieces_sup(pieces)
 
 
 def _smooth_bound_sup(n: int, k: int) -> Supremum:
     if not (n < k and n >= 3):
         raise TradeoffError(f"needs N < K and N >= 3, got N={n}, K={k}")
-    pieces = []  # of R(M)/f(M) over [2, N)
+    pieces = []  # of R(M)/f(M) over [2, N), for ``_pieces_sup``
     for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, 2, n):
         # R/f = 4(N-1) M R / (N^2 - M^2), both sides times dr dm^2
         c = 4 * (n - 1) * dm
         p = (c * r1 * m1, c * (r0 * m1 + r1 * m0), c * r0 * m0)
         q = (-dr * m1 * m1, -2 * dr * m0 * m1, dr * (n * n * dm * dm - m0 * m0))
-        pieces.append(ratio_sup(p, q))
-    return max(pieces)
+        pieces.append((p, q))
+    return _pieces_sup(pieces)
 
 
 def _cutset_ratio_sup(n: int, k: int, lo: Fraction, hi: Fraction) -> Supremum:
-    """Supremum of R(M) over the cut-set bound on [lo, hi)."""
+    """Supremum of R(M) over the cut-set bound on [lo, hi), by ``_pieces_sup``."""
     pieces = []
     for u, a, b in _cutset_pieces(n, k, lo, hi):
         for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, a, b):
             # R/line_u = (N-1) dm (r0 + r1*theta) / (dr (uN dm - u^2 (m0 + m1*theta)))
             p = (0, (n - 1) * dm * r1, (n - 1) * dm * r0)
             q = (0, -dr * u * u * m1, dr * (u * n * dm - u * u * m0))
-            pieces.append(ratio_sup(p, q))
-    return max(pieces)
+            pieces.append((p, q))
+    return _pieces_sup(pieces)
 
 
 def achievable_above_converse(n: int, k: int) -> bool:
@@ -465,7 +509,7 @@ def f_below_cutset(n: int, k: int) -> bool:
 
 
 def simple_converse_ratio_max(n: int, k: int, *, per_unit: int | None = None) -> Fraction:
-    """Supremum of R(M)(M-1)/(N-M) over [1, N), certified on each segment.
+    """Supremum of R(M)(M-1)/(N-M) over [1, N), certified on every segment.
 
     The value at the open end M = N is the limit.  An irrational supremum
     is returned as its certified rational upper bracket.  ``per_unit`` is
@@ -509,7 +553,7 @@ def coded_uncoded_threshold(n: int, k: int) -> Fraction:
 
 
 def smooth_bound_ratio_max(n: int, k: int, *, per_unit: int | None = None) -> Fraction:
-    """Supremum of R(M)/f(M) over [2, N), certified on each segment.
+    """Supremum of R(M)/f(M) over [2, N), certified on every segment.
 
     The value at the open end M = N is the limit.  An irrational supremum
     is returned as its certified rational upper bracket.  ``per_unit`` is
@@ -628,8 +672,9 @@ _SVG_COLORS = (
 
 def _render_svg(n: int, k: int, series) -> str:
     width, height, pad = 720, 480, 60
-    max_m = max(float(p.m) for _, pts in series for p in pts)
-    max_r = max(float(p.r) for _, pts in series for p in pts) or 1.0
+    series = [(name, [(float(p.m), float(p.r)) for p in pts]) for name, pts in series]
+    max_m = max(m for _, pts in series for m, _ in pts)
+    max_r = max(r for _, pts in series for _, r in pts) or 1.0
 
     def sx(m: float) -> float:
         return pad + (width - 2 * pad) * m / max_m
@@ -649,7 +694,7 @@ def _render_svg(n: int, k: int, series) -> str:
     ]
     for idx, (name, pts) in enumerate(series):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        coords = " ".join(f"{sx(float(p.m)):.2f},{sy(float(p.r)):.2f}" for p in pts)
+        coords = " ".join(f"{sx(m):.2f},{sy(r):.2f}" for m, r in pts)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
         )

@@ -10,6 +10,10 @@ only the tests use (``FieldElement``, ``field_dot``, ``canonical_relabel``,
 ``restrict_corners``, ``f_bound``, ``uncoded_points``) live here too.  The tradeoff oracles build the t-subset
 curve as a lower convex envelope and read its pieces through
 ``TradeoffCurve.evaluate``, the generic path the closed form replaces.
+``per_piece_sup`` runs ``ratio_sup`` on every piece of a certified ratio,
+the path that one candidate per (N, K) replaces, and
+``fraction_pda_lower_bound`` and ``fraction_cutset_bound`` are the converse
+bounds in Fraction arithmetic, the references for their integer forms.
 ``raw_atoms`` walks every atom of an audit, each with weight 1, the
 reference for the audit's walk over effective placements.  ``file_models``
 builds the audit's affine model at every file realization W, and
@@ -33,13 +37,17 @@ from splfr.field import FieldContext, FieldError
 from splfr.pda import PDA, STAR, PdaError, validate
 from splfr.tradeoff import (
     CurvePoint,
+    Supremum,
     TradeoffCurve,
     TradeoffError,
+    _cutset_pieces,
+    _man_segments,
     cutset_bound,
     lower_convex_envelope,
     man_curve,
     man_points,
     pda_lower_bound,
+    ratio_sup,
 )
 
 
@@ -305,6 +313,74 @@ def evaluated_coded_uncoded_ratio_max(n: int, k: int) -> Fraction:
     return max(
         coded.evaluate(m) / uncoded.evaluate(m) for m in candidates if 1 <= m < n
     )
+
+
+# -- per-piece suprema and Fraction bounds -----------------------------------
+#
+# The certified suprema as ``ratio_sup`` over every piece, the path that one
+# candidate per (N, K) replaces, and the converse bounds in Fraction
+# arithmetic: the references for the integer paths of ``splfr.tradeoff``.
+
+
+def simple_converse_pieces(n: int, k: int):
+    """(p, q) per piece of R(M)(M-1)/(N-M) over [1, N)."""
+    for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, 1, n):
+        # R(M-1)/(N-M) = (r0 + r1*theta)(m0 - dm + m1*theta) / (dr (N dm - m0 - m1*theta))
+        e0 = m0 - dm
+        p = (r1 * m1, r0 * m1 + r1 * e0, r0 * e0)
+        yield p, (0, -dr * m1, dr * (n * dm - m0))
+
+
+def smooth_bound_pieces(n: int, k: int):
+    """(p, q) per piece of R(M)/f(M) over [2, N)."""
+    for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, 2, n):
+        # R/f = 4(N-1) M R / (N^2 - M^2), both sides times dr dm^2
+        c = 4 * (n - 1) * dm
+        p = (c * r1 * m1, c * (r0 * m1 + r1 * m0), c * r0 * m0)
+        q = (-dr * m1 * m1, -2 * dr * m0 * m1, dr * (n * n * dm * dm - m0 * m0))
+        yield p, q
+
+
+def cutset_ratio_pieces(n: int, k: int, lo: Fraction, hi: Fraction):
+    """(p, q) per piece of R(M) over the cut-set bound on [lo, hi)."""
+    for u, a, b in _cutset_pieces(n, k, lo, hi):
+        for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, a, b):
+            # R/line_u = (N-1) dm (r0 + r1*theta) / (dr (uN dm - u^2 (m0 + m1*theta)))
+            p = (0, (n - 1) * dm * r1, (n - 1) * dm * r0)
+            q = (0, -dr * u * u * m1, dr * (u * n * dm - u * u * m0))
+            yield p, q
+
+
+def per_piece_sup(pieces) -> Supremum:
+    """The largest ``ratio_sup`` of the pieces, each run in full."""
+    return max(ratio_sup(p, q) for p, q in pieces)
+
+
+def end_ratios(p, q) -> tuple[Fraction, Fraction]:
+    """P/Q at theta = 0 and at theta = 1, the latter as P'(1)/Q'(1) where Q(1) = 0."""
+    (p2, p1, p0), (q2, q1, q0) = p, q
+    if q2 + q1 + q0:
+        return Fraction(p0, q0), Fraction(p2 + p1 + p0, q2 + q1 + q0)
+    return Fraction(p0, q0), Fraction(2 * p2 + p1, 2 * q2 + q1)
+
+
+def fraction_pda_lower_bound(n: int, k: int, m) -> Fraction:
+    """K(N-M)/(N-1+K(M-1)), in Fraction arithmetic."""
+    m = Fraction(m)
+    if not 1 <= m <= n:
+        raise TradeoffError(f"memory {m} outside [1, {n}]")
+    return Fraction(k * (n - m), (n - 1) + k * (m - 1))
+
+
+def fraction_cutset_bound(n: int, k: int, m) -> Fraction:
+    """max_u (uN - u^2 M)/(N-1), floored at zero, one Fraction per cut size."""
+    m = Fraction(m)
+    if not 1 <= m <= n:
+        raise TradeoffError(f"memory {m} outside [1, {n}]")
+    best = Fraction(0)
+    for u in range(1, min(n // 2, k) + 1):
+        best = max(best, Fraction(u * n - u * u * m, n - 1))
+    return best
 
 
 # -- engine -------------------------------------------------------------------

@@ -330,15 +330,22 @@ class TestReports:
         assert len(calls) == 5 * 6
 
     def test_failing_subsets_share_one_traversal(self, monkeypatch):
-        # SLFR fails for the subsets {1} and {2}: after the certificate
-        # probes (6 placements and 10 deliveries per probe file, all 5 of
-        # them for the subset {1, 2}), both are counted from one pass over
-        # the 32 effective placements (the security key; the 4 privacy
-        # symbols are masked) and their 512 atoms
+        # SLFR fails for the subsets {1} and {2} at the first probe file (6
+        # placements, 10 deliveries); the subset {1, 2} has no other user, so
+        # it holds at every W and probes no further.  Both failing subsets are
+        # counted from one pass over the 32 effective placements (the security
+        # key; the 4 privacy symbols are masked) and their 512 atoms
         calls = count_calls(monkeypatch, "place", "deliver")
         report = audit_privacy(small(mode=Mode.SLFR))
         assert not report.verdict and report.method == "enumeration"
-        assert calls == {"place": 5 * 6 + 32, "deliver": 5 * 10 + 512}
+        assert calls == {"place": 6 + 32, "deliver": 10 + 512}
+
+    def test_demand_moves_read_no_caches(self, monkeypatch):
+        # each of the 5 probe files reads the K = 2 caches of its 6
+        # placements, not of all 10 probe points: 60 cache vectors, not 100
+        calls = count_calls(monkeypatch, "_cache_vector")
+        assert audit_privacy(SMALL).method == "certificate"
+        assert calls == {"_cache_vector": 5 * 6 * 2}
 
     def test_masked_keys_are_placed_once(self, monkeypatch):
         # LFR masks all 5 key symbols: its certificate fails at the first probe

@@ -1,6 +1,7 @@
 """Tests for the exact memory-load tradeoff analytics."""
 
 import csv
+import hashlib
 import math
 from fractions import Fraction
 
@@ -11,13 +12,20 @@ import splfr.tradeoff
 from oracle import (
     STIRLING_C_LOW,
     bounds_grid_ok,
+    cutset_ratio_pieces,
+    end_ratios,
     evaluated_coded_uncoded_ratio_max,
     f_bound,
+    fraction_cutset_bound,
+    fraction_pda_lower_bound,
     grid,
     hull_man_curve,
     hull_man_segments,
+    per_piece_sup,
     segments,
+    simple_converse_pieces,
     simple_converse_samples,
+    smooth_bound_pieces,
     smooth_bound_samples,
     subpacketization_compare,
     uncoded_points,
@@ -25,6 +33,7 @@ from oracle import (
 from splfr.cli import bounds_report
 from splfr.pda import man_pda, memory_load
 from splfr.tradeoff import (
+    BOUND_SAMPLES,
     COMPOSED_GAP_CONSTANTS,
     SCHEMES,
     CurvePoint,
@@ -32,6 +41,7 @@ from splfr.tradeoff import (
     TradeoffCurve,
     TradeoffError,
     _cutset_pieces,
+    _cutset_ratio_sup,
     _man_segments,
     achievable_above_converse,
     comb0,
@@ -474,6 +484,71 @@ class TestClosedForm:
         man_curve(3, 2).evaluate(2)
         scheme_curve("yma", 3, 2)
         assert calls == ["evaluate", "lower_convex_envelope"]
+
+
+#: criterion 7(c)'s pairs: 3 <= N <= 20 and N < K <= 40
+PAIRS_7C = [(n, k) for n in range(3, 21) for k in range(n + 1, 41)]
+
+
+class TestOneCandidate:
+    """One candidate per (N, K) against ``ratio_sup`` on every piece."""
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_suprema_match_the_per_piece_path(self, n):
+        # value and exactness, irrational brackets such as (20, 24)'s included
+        def reported(check: dict) -> Supremum:
+            return Supremum(check["max"], check["exact"])
+
+        for k in range(1, 41):
+            checks = ratio_checks(n, k)["checks"]
+            want = per_piece_sup(simple_converse_pieces(n, k))
+            assert reported(checks["simple_converse"]) == want
+            if 3 <= n < k:
+                want = per_piece_sup(smooth_bound_pieces(n, k))
+                assert reported(checks["smooth_bound"]) == want
+            for lo, hi in [(F(1), F(n))] + [(F(1), F(3, 2))] * (n == k == 2):
+                assert _cutset_ratio_sup(n, k, lo, hi) == per_piece_sup(
+                    cutset_ratio_pieces(n, k, lo, hi)
+                )
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_bounds_match_the_fraction_path(self, n):
+        # at every grid point that emit_curves draws, with and without truncated cut sizes
+        for k in sorted({max(1, n // 2 - 1), 40}):
+            for i in range(BOUND_SAMPLES + 1):
+                m = 1 + F(i * (n - 1), BOUND_SAMPLES)
+                assert pda_lower_bound(n, k, m) == fraction_pda_lower_bound(n, k, m)
+                assert cutset_bound(n, k, m) == fraction_cutset_bound(n, k, m)
+
+    def test_ratio_sup_runs_only_on_failing_pieces(self, monkeypatch):
+        # a piece fails the candidate, the largest end ratio of its pair,
+        # exactly when its own supremum exceeds it
+        failing = 0
+        for n, k in PAIRS_7C:
+            pieces = list(smooth_bound_pieces(n, k))
+            top = max(end for p, q in pieces for end in end_ratios(p, q))
+            failing += sum(ratio_sup(p, q).value > top for p, q in pieces)
+        calls = []
+
+        def counting_ratio_sup(p, q):
+            calls.append((p, q))
+            return ratio_sup(p, q)
+
+        monkeypatch.setattr(splfr.tradeoff, "ratio_sup", counting_ratio_sup)
+        for n, k in PAIRS_7C:
+            smooth_bound_ratio_max(n, k)
+        assert len(calls) == failing == 24
+
+    def test_curves_emit_is_pinned(self, tmp_path):
+        # the exact bytes of the CSV and SVG of every scheme at N = 30, K = 10
+        out = emit_curves(30, 10, list(SCHEMES), str(tmp_path))
+        digests = {
+            "csv": "d71aaa169ae2bdf923716cad13af47e74c6baa891fcee34aa757c46a8948df5e",
+            "svg": "9e8fcf9c545d86f0b8caed3178df79117fbaf7da008c514153960245bbb47661",
+        }
+        for ext, digest in digests.items():
+            with open(out[ext], "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 class TestSubpacketization:
