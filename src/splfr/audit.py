@@ -25,10 +25,13 @@ move.  The key part A_W, demand part C_W * delta and offset of
 - privacy: one key change Delta r, the same for every W, moves the
   colluders' view as each other user's demand move does.
 
-A pass reports the full atom count.  A test stops at the first probe file
-that breaks it, and the enumeration decides.  The budget bounds the
-certificates' deliveries, (1 + N*B) * (1 + S*L + K*N + demand moves), and
-the enumeration's nominal atoms.  Each enumeration visits each effective
+A pass reports the full atom count.  Correctness is decided by its
+certificate alone: every probe point is itself an atom, so a failing
+decoder names its atom (files, keys as placed, demands, user) at any size.
+A security or privacy test stops at the first probe file that breaks it,
+and the enumeration decides.  The budget bounds the certificates'
+deliveries, (1 + N*B) * (1 + S*L + K*N + demand moves), and the
+enumeration's nominal atoms.  Each enumeration visits each effective
 placement once, weighted by the q^(masked) raw atoms that share its
 outcome (a symbol of r that the mode masks is held at 0); the privacy
 oracle counts every failing subset in one walk.  Independence is decided
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, combinations, groupby, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -184,14 +187,13 @@ def _active_symbols(cfg: AuditConfig) -> tuple[bool, ...]:
 
 def _atoms(
     cfg: AuditConfig,
-) -> Iterator[tuple[Library, Randomness, SchemeState, tuple, DeliveryPayload, int]]:
-    """Each effective atom once: files, keys, demands, placement, signal, weight.
+) -> Iterator[tuple[Library, SchemeState, tuple, DeliveryPayload, int]]:
+    """Each effective atom once: files, placement, demands, signal, weight.
 
     A symbol of r that the mode masks reaches no cache and no signal, so the
     walk holds it at 0 and weighs the atom by the q^(masked) raw atoms it
-    stands for, of which it is the first.  The files are outermost and the
-    demands innermost, so the atoms of one file realization, and of one
-    placement, are consecutive.
+    stands for.  The files are outermost and the demands innermost, so the
+    atoms of one file realization, and of one placement, are consecutive.
     """
     cfg.check_budget()
     pda, n, b, q = cfg.pda, cfg.n, cfg.b, cfg.ctx.q
@@ -200,17 +202,9 @@ def _atoms(
     demand_tuples = cfg.demand_tuples()
     for library in _libraries(cfg):
         for r in product(*(range(q) if a else (0,) for a in active)):
-            randomness = Randomness.of(pda, n, b, r)
-            state = place(pda, library, randomness, cfg.mode)
+            state = place(pda, library, Randomness.of(pda, n, b, r), cfg.mode)
             for demands in demand_tuples:
-                yield library, randomness, state, demands, deliver(state, demands), weight
-
-
-def _raw_position(cfg: AuditConfig, library: Library, randomness: Randomness, demands) -> int:
-    """The 1-based position of an atom in the walk over every raw atom."""
-    q, tuples = cfg.ctx.q, cfg.demand_tuples()
-    digits = chain(*library.files, *randomness.security_keys, *randomness.privacy_vectors)
-    return reduce(lambda i, x: i * q + x, digits, 0) * len(tuples) + tuples.index(demands) + 1
+                yield library, state, demands, deliver(state, demands), weight
 
 
 def _atom_dict(library: Library, randomness: Randomness, demands) -> dict:
@@ -222,24 +216,10 @@ def _atom_dict(library: Library, randomness: Randomness, demands) -> dict:
     }
 
 
-def enumerate_correctness(cfg: AuditConfig) -> AuditReport:
-    """Check decoder determinism and exactness for every atom and user."""
-    atoms = 0
-    for library, randomness, state, demands, payload, weight in _atoms(cfg):
-        atoms += weight
-        for k, demand in enumerate(demands):
-            if decode(state.user_view(k), payload, demand) != library.combine(demand):
-                detail = _atom_dict(library, randomness, demands)
-                detail["user"] = k + 1
-                raw = _raw_position(cfg, library, randomness, demands)
-                return AuditReport(False, raw, 1, detail)
-    return AuditReport(True, atoms, 0)
-
-
 def enumerate_security(cfg: AuditConfig) -> AuditReport:
     """Certify that the signal is independent of files and demands."""
     counts = Counter()
-    for library, _, _, demands, payload, weight in _atoms(cfg):
+    for library, _, demands, payload, weight in _atoms(cfg):
         counts[(library.files, demands), (payload.coeff_vectors, payload.blocks)] += weight
     violations, first = factorization_violations(counts)
     counterexample = None
@@ -278,7 +258,7 @@ def enumerate_privacy(
     for library, atoms in groupby(_atoms(cfg), itemgetter(0)):
         tables = [Counter() for _ in cuts]
         placed = None
-        for _, _, state, demands, payload, weight in atoms:
+        for _, state, demands, payload, weight in atoms:
             if state is not placed:
                 placed = state
                 slots = [
@@ -406,15 +386,19 @@ def _in_span(ctx: FieldContext, basis: Sequence[Vector], vectors: Iterable[Vecto
     return not any(any(ctx.reduce(basis, v)) for v in vectors)
 
 
-def correctness_certificate(cfg: AuditConfig, libraries: Iterable[Library]) -> bool:
-    """Every decoder is exact at every probe point, for each of ``libraries``."""
+def correctness_certificate(cfg: AuditConfig, libraries: Iterable[Library]) -> Optional[dict]:
+    """None if every decoder is exact at every probe point, for each of ``libraries``.
+
+    Otherwise the first failing probe point, with the keys as placed and the
+    user that decodes wrongly: a raw atom at which that user fails.
+    """
     for library in libraries:
         for state, demands in _probes(cfg, library):
             payload = deliver(state, demands)
             for k, demand in enumerate(demands):
                 if decode(state.user_view(k), payload, demand) != library.combine(demand):
-                    return False
-    return True
+                    return dict(_atom_dict(library, state.randomness, demands), user=k + 1)
+    return None
 
 
 def security_certificate(cfg: AuditConfig, libraries: Iterable[Library]) -> bool:
@@ -493,10 +477,11 @@ def _certified(cfg: AuditConfig) -> AuditReport:
 
 
 def audit_correctness(cfg: AuditConfig) -> AuditReport:
-    """Decoder exactness: certificate first, enumeration when it fails."""
-    if correctness_certificate(cfg, _probe_libraries(cfg)):
+    """Decoder exactness, decided by the certificate, which names a failing atom."""
+    witness = correctness_certificate(cfg, _probe_libraries(cfg))
+    if witness is None:
         return _certified(cfg)
-    return enumerate_correctness(cfg)
+    return AuditReport(False, cfg.atom_count, 1, witness, method="certificate")
 
 
 def audit_security(cfg: AuditConfig) -> AuditReport:
@@ -556,7 +541,6 @@ __all__ = [
     "audit_privacy",
     "audit_security",
     "correctness_certificate",
-    "enumerate_correctness",
     "enumerate_privacy",
     "enumerate_security",
     "factorization_violations",

@@ -373,9 +373,17 @@ def update_round(
     placement keys; the new keys are the old keys plus the shift.  The
     caches are refilled from the stored packet rows at the new keys, so the
     result is the placement at the accumulated keys.  Each user k can apply
-    the same refresh from its own view, adding the public fresh keys and
+    the same refresh from its own view, adding the fresh security keys and
     c_k times its own decoded packets to its coded records; that locality
     is a tested property, not a step of this function.
+
+    What a refresh keeps over rounds: decoding stays correct, since the
+    result is a placement.  The files stay secret against both rounds'
+    signals only if the fresh security keys reach the users privately; in
+    public they let the signals be differenced into file combinations.
+    The demands do not stay private: user k's coefficient vector moves by
+    (c_k - 1) * d_k + d_k' from one round to the next, and no local refresh
+    makes a privacy vector fresh.
     """
     pda, lib = state.pda, state.library
     ctx = lib.ctx

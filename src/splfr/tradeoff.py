@@ -254,19 +254,15 @@ def quadratic_nonneg(c2, c1, c0, lo, hi, *, strict: bool = False) -> bool:
     """Whether c2*x^2 + c1*x + c0 >= 0 (> 0 if strict) for every x in [lo, hi].
 
     A quadratic is smallest over an interval at an endpoint or, when it
-    opens upward, at its vertex, so three exact sign tests decide the claim
-    over the whole interval.  Integer arguments keep the tests in integers.
+    opens upward, at its vertex.  So the sign of the least of the two end
+    values and, for a vertex inside, 4*c2 times the vertex value decides the
+    claim over the whole interval.  Integer arguments keep it in integers.
     """
-
-    def holds(value) -> bool:
-        return value > 0 if strict else value >= 0
-
-    if not (holds((c2 * lo + c1) * lo + c0) and holds((c2 * hi + c1) * hi + c0)):
-        return False
+    least = min((c2 * lo + c1) * lo + c0, (c2 * hi + c1) * hi + c0)
     if c2 > 0 and 2 * c2 * lo < -c1 < 2 * c2 * hi:
-        # the vertex value is (4*c2*c0 - c1^2) / (4*c2)
-        return holds(4 * c2 * c0 - c1 * c1)
-    return True
+        # 4*c2 times the vertex value (4*c2*c0 - c1^2) / (4*c2), of the same sign
+        least = min(least, 4 * c2 * c0 - c1 * c1)
+    return least > 0 if strict else least >= 0
 
 
 def _open_end(p: tuple[int, int, int], q: tuple[int, int, int]):

@@ -15,13 +15,16 @@ the path that one candidate per (N, K) replaces, and
 ``fraction_pda_lower_bound`` and ``fraction_cutset_bound`` are the converse
 bounds in Fraction arithmetic, the references for their integer forms.
 ``raw_atoms`` walks every atom of an audit, each with weight 1, the
-reference for the audit's walk over effective placements.  ``file_models``
-builds the audit's affine model at every file realization W, and
-``per_file_security`` and ``per_file_privacy`` decide the certificates W by
-W on them (correctness W by W is ``correctness_certificate`` over
-``audit._libraries``): the reference for the symbolic tests at the probe
-files.  ``outputs`` and ``affine_combination`` read and interpolate the
-engine's outputs for the tests of the premise the certificates rest on.
+reference for the audit's walk over effective placements, and
+``enumerate_correctness`` decodes every raw atom for every user, the
+reference for the correctness certificate, which alone decides the audit.
+``file_models`` builds the audit's affine model at every file realization
+W, and ``per_file_security`` and ``per_file_privacy`` decide the
+certificates W by W on them (correctness W by W is
+``correctness_certificate`` over ``audit._libraries``): the reference for
+the symbolic tests at the probe files.  ``outputs`` and
+``affine_combination`` read and interpolate the engine's outputs for the
+tests of the premise the certificates rest on.
 """
 
 import math
@@ -420,7 +423,7 @@ def combine(library: Library, demand: Vector) -> Vector:
 
 
 def raw_atoms(cfg: audit.AuditConfig):
-    """Every (files, keys, demands) atom, with its placement, its signal and weight 1.
+    """Every (files, keys, demands) atom: files, placement, demands, signal, weight 1.
 
     The files are outermost and the demands innermost, so the atoms of one
     file realization, and of one placement, are consecutive.  The engine is
@@ -432,10 +435,24 @@ def raw_atoms(cfg: audit.AuditConfig):
     demand_tuples = cfg.demand_tuples()
     for library in audit._libraries(cfg):
         for r in product(range(cfg.ctx.q), repeat=Randomness.symbols(pda, n, b)):
-            randomness = Randomness.of(pda, n, b, r)
-            state = audit.place(pda, library, randomness, cfg.mode)
+            state = audit.place(pda, library, Randomness.of(pda, n, b, r), cfg.mode)
             for demands in demand_tuples:
-                yield library, randomness, state, demands, audit.deliver(state, demands), 1
+                yield library, state, demands, audit.deliver(state, demands), 1
+
+
+def enumerate_correctness(cfg: audit.AuditConfig) -> audit.AuditReport:
+    """Decoder exactness at every raw atom and user, the reference for the certificate.
+
+    A failure reports the 1-based position of its atom in ``raw_atoms`` and
+    the atom itself, its keys as placed, with the user that decodes wrongly.
+    """
+    atoms = 0
+    for atoms, (library, state, demands, payload, _) in enumerate(raw_atoms(cfg), 1):
+        for k, demand in enumerate(demands):
+            if audit.decode(state.user_view(k), payload, demand) != library.combine(demand):
+                detail = dict(audit._atom_dict(library, state.randomness, demands), user=k + 1)
+                return audit.AuditReport(False, atoms, 1, detail)
+    return audit.AuditReport(True, atoms, 0)
 
 
 def file_models(cfg: audit.AuditConfig):

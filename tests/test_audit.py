@@ -1,6 +1,7 @@
 """Tests for the exact audits: rank certificates and the enumeration oracle."""
 
 import random
+import time
 from collections import Counter
 from itertools import chain, combinations
 
@@ -16,7 +17,6 @@ from splfr.audit import (
     audit_privacy,
     audit_security,
     correctness_certificate,
-    enumerate_correctness,
     enumerate_privacy,
     enumerate_security,
     factorization_violations,
@@ -25,12 +25,13 @@ from splfr.audit import (
     security_certificate,
 )
 from splfr.cli import TOY_GRID
-from splfr.engine import DeliveryPayload, Library, Mode, Randomness, deliver, place
+from splfr.engine import DeliveryPayload, Library, Mode, Randomness, decode, deliver, place
 from splfr.field import FieldContext
 from splfr.pda import STAR, man_pda, validate
 
 from oracle import (
     affine_combination,
+    enumerate_correctness,
     file_models,
     outputs,
     per_file_privacy,
@@ -409,7 +410,7 @@ def symbolic_verdicts(cfg: AuditConfig, subsets) -> list[bool]:
     """Correctness, security, then privacy per subset, decided at the probe files."""
     probes = splfr.audit._probe_libraries
     return [
-        correctness_certificate(cfg, probes(cfg)),
+        correctness_certificate(cfg, probes(cfg)) is None,
         security_certificate(cfg, probes(cfg)),
         *privacy_certificate(cfg, probes(cfg), subsets),
     ]
@@ -442,7 +443,7 @@ def test_symbolic_pass_implies_per_file_pass_implies_enumeration_pass(
     subsets = [s for r in users for s in combinations(users, r)]
     models = list(file_models(cfg))
     per_file = [
-        correctness_certificate(cfg, splfr.audit._libraries(cfg)),
+        correctness_certificate(cfg, splfr.audit._libraries(cfg)) is None,
         per_file_security(cfg, models),
         *(per_file_privacy(cfg, models, subset) for subset in subsets),
     ]
@@ -461,11 +462,7 @@ def test_weighted_walk_equals_the_raw_walk(monkeypatch, ctx, arr, n, b, demand_s
     subsets = [s for r in users for s in combinations(users, r)]
 
     def reports():
-        return (
-            enumerate_correctness(cfg),
-            enumerate_security(cfg),
-            enumerate_privacy(cfg, subsets),
-        )
+        return enumerate_security(cfg), enumerate_privacy(cfg, subsets)
 
     weighted = reports()
     monkeypatch.setattr(splfr.audit, "_atoms", raw_atoms)
@@ -478,7 +475,7 @@ def test_failure_behind_a_nonzero_key_is_placed_in_the_raw_walk(monkeypatch, mod
     # files past the first and a second user's nonzero demand.  The first
     # failure is at file realization 1, demand tuple 1 and the first r with
     # an active symbol set, r = e_5 in PLFR (rank 1) and e_1 in SLFR (rank
-    # 16 of 32): raw position (32 * 1 + rank) * 16 + 1 + 1, not the walk's own
+    # 16 of 32): raw position (32 * 1 + rank) * 16 + 1 + 1
     deliver_ = splfr.audit.deliver
 
     def faulty(state, demands):
@@ -490,14 +487,12 @@ def test_failure_behind_a_nonzero_key_is_placed_in_the_raw_walk(monkeypatch, mod
         return payload
 
     monkeypatch.setattr(splfr.audit, "deliver", faulty)
-    weighted = enumerate_correctness(small(mode=mode))
-    assert (weighted.verdict, weighted.atoms) == (False, position)
-    monkeypatch.setattr(splfr.audit, "_atoms", raw_atoms)
-    assert enumerate_correctness(small(mode=mode)) == weighted
+    report = enumerate_correctness(small(mode=mode))
+    assert (report.verdict, report.atoms) == (False, position)
 
 
-def test_dropped_security_key_is_caught(monkeypatch):
-    # a delivery that forgets to pad the first multicast block
+def drop_first_key(monkeypatch):
+    """Patch the audit's delivery to forget to pad the first multicast block."""
     deliver_ = splfr.audit.deliver
 
     def leaky(state, demands):
@@ -507,15 +502,64 @@ def test_dropped_security_key_is_caught(monkeypatch):
         return payload._replace(blocks=(first,) + payload.blocks[1:])
 
     monkeypatch.setattr(splfr.audit, "deliver", leaky)
+    return leaky
+
+
+def test_dropped_security_key_is_caught(monkeypatch):
+    drop_first_key(monkeypatch)
     assert not security_certificate(SMALL, splfr.audit._probe_libraries(SMALL))
     assert not per_file_security(SMALL, file_models(SMALL))
     report = audit_security(SMALL)
     assert not report.verdict and report.method == "enumeration"
     assert report.violations > 0 and report.counterexample is not None
-    # the decoders cancel a key that is no longer there
-    assert not correctness_certificate(SMALL, splfr.audit._probe_libraries(SMALL))
+    # the decoders cancel a key that is no longer there: user 1 fails at the
+    # first key-basis point of the first probe file, the first failing raw atom
     report = audit_correctness(SMALL)
-    assert not report.verdict and report.counterexample is not None
+    assert report.to_dict() == {
+        "verdict": "fail",
+        "atoms": 8192,
+        "violations": 1,
+        "counterexample": {
+            "files": [[0, 0], [0, 0]],
+            "security_keys": [[1]],
+            "privacy_vectors": [[0, 0], [0, 0]],
+            "demands": [[0, 0], [0, 0]],
+            "user": 1,
+        },
+        "method": "certificate",
+    }
+    assert report.counterexample == enumerate_correctness(SMALL).counterexample
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SMALL,
+        AuditConfig(pda=man_pda(3, 1), n=3, b=3, ctx=GF2),
+        AuditConfig(pda=man_pda(3, 1), n=3, b=3, ctx=FieldContext.parse("b:8")),
+    ],
+    ids=["man:2,1-p:2", "man:3,1-p:2", "man:3,1-b:8"],
+)
+def test_the_reported_atom_fails_when_replayed(monkeypatch, cfg):
+    # the certificate names its atom at any size: man:3,1 with N = B = 3 has
+    # 2^30 atoms over GF(2) and 2^240 over GF(2^8), past any atom budget
+    leaky = drop_first_key(monkeypatch)
+    start = time.perf_counter()
+    report = audit_correctness(cfg)
+    assert time.perf_counter() - start < 1
+    assert (report.verdict, report.atoms, report.violations, report.method) == (
+        False, cfg.atom_count, 1, "certificate"
+    )
+    # rebuild the atom outside the audit and decode it for the named user
+    atom = report.counterexample
+    library = Library(cfg.ctx, tuple(map(tuple, atom["files"])))
+    r = chain(*atom["security_keys"], *atom["privacy_vectors"])
+    state = place(cfg.pda, library, Randomness.of(cfg.pda, cfg.n, cfg.b, r), cfg.mode)
+    demands = tuple(map(tuple, atom["demands"]))
+    k = atom["user"] - 1
+    assert decode(state.user_view(k), leaky(state, demands), demands[k]) != library.combine(
+        demands[k]
+    )
 
 
 def test_a_key_that_some_files_cancel_is_caught(monkeypatch):

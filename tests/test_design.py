@@ -9,7 +9,9 @@ The audit's affine model owns the differencing: ``file_model`` takes the
 differences against the offset once, when a model is built, and only of
 what a certificate reads: the signal, and the caches for privacy.  The
 certificates only read its parts; correctness reads the decoders at the
-probe points and takes no differences at all.
+probe points and takes no differences at all.  Correctness is decided by its
+certificate alone: only ``correctness_certificate`` calls the decoders, so
+no per-atom correctness walk comes back to the package.
 
 ``Randomness`` owns the layout of the randomness r: the audit builds every
 value of r through ``Randomness.of``, never through the constructor.
@@ -64,6 +66,28 @@ def test_the_certificates_take_no_differences():
     }
     assert len(differences) == 3
     assert not any(differences.values()), f"certificates take differences: {differences}"
+
+
+def test_only_the_correctness_certificate_decodes():
+    tree = ast.parse((PACKAGE / "audit.py").read_text())
+    certificate = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "correctness_certificate"
+    )
+
+    def decodes(root):
+        return {
+            node
+            for node in ast.walk(root)
+            if (isinstance(node, ast.Name) and node.id == "decode")
+            or (isinstance(node, ast.Attribute) and node.attr == "decode")
+        }
+
+    inside = decodes(certificate)
+    outside = sorted(node.lineno for node in decodes(tree) - inside)
+    assert inside, "correctness_certificate no longer calls decode"
+    assert outside == [], f"audit.py references decode outside its certificate on lines {outside}"
 
 
 def test_the_audit_never_constructs_randomness():

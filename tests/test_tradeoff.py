@@ -323,6 +323,22 @@ class TestQuadraticNonneg:
         assert quadratic_nonneg(-1, 0, 1, -1, 1)  # 1 - x^2, zero at both ends
         assert not quadratic_nonneg(-1, 0, 1, -1, 1, strict=True)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-9, 9), st.integers(-40, 40), st.integers(-60, 60),
+        st.integers(-5, 5), st.integers(0, 6), st.booleans(),
+    )
+    def test_sign_of_the_exact_minimum(self, c2, c1, c0, lo, width, strict):
+        # the minimum over [lo, hi] in Fractions: at an end or at the vertex
+        hi = lo + width
+        at = [F(lo), F(hi)]
+        if c2 and lo < F(-c1, 2 * c2) < hi:
+            at.append(F(-c1, 2 * c2))
+        least = min(c2 * x * x + c1 * x + c0 for x in at)
+        assert quadratic_nonneg(c2, c1, c0, lo, hi, strict=strict) == (
+            least > 0 if strict else least >= 0
+        )
+
 
 class TestRatioSup:
     def test_rational_interior_maximum(self):
