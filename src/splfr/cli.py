@@ -1,9 +1,16 @@
 """Command-line entry point.
 
-Subcommands: pda, sim, audit, curves, bounds, gap, toy.  Machine-readable
-JSON reports go to stdout (one object per line); short human summaries go
-to stderr.  Exit codes: 0 = success / verdict pass, 1 = verdict fail,
-2 = usage error.
+Subcommands: pda, sim, audit, curves, bounds, gap, toy.  Each ``cmd_*``
+returns its JSON report and its short human summary; ``main`` alone
+prints them, the report to stdout (one object per line) and the summary to
+stderr, and maps the verdict to the exit code: 0 = success / verdict pass,
+1 = verdict fail, 2 = usage error.  An error of the program's inputs is a
+failing report with its message.  ``pda man`` without ``-o`` prints only
+the array.
+
+``sim run`` and the three audits share one instance spec, ``--pda``,
+``--n``, ``--b``, ``--field`` and ``--mode``, read by ``_instance``;
+``sim run`` and ``toy`` share one run of the scheme, ``_run``.
 """
 
 from __future__ import annotations
@@ -31,14 +38,10 @@ def _jsonable(obj):
     return obj
 
 
-def emit_report(payload: dict, *, seed=None, config=None) -> None:
-    report = {"version": __version__, "seed": seed, "config": config}
-    report.update(payload)
+def emit_report(payload: dict) -> None:
+    """Print one JSON report; its seed and config are null unless the payload has them."""
+    report = {"version": __version__, "seed": None, "config": None, **payload}
     print(json.dumps(_jsonable(report), sort_keys=True))
-
-
-def _summary(text: str) -> None:
-    print(text, file=sys.stderr)
 
 
 def _load_pda(spec: str) -> pda_mod.PDA:
@@ -53,30 +56,39 @@ def _load_pda(spec: str) -> pda_mod.PDA:
         return pda_mod.parse_pda(fh.read())
 
 
+def _instance(args, **extra):
+    """The array, field and mode of ``args``, and the report's config with ``extra``."""
+    arr = _load_pda(args.pda)
+    ctx = FieldContext.parse(args.field)
+    mode = engine.Mode(args.mode)
+    config = {"pda": args.pda, "n": args.n, "b": args.b, "field": ctx.spec,
+              "mode": mode.value, **extra}
+    return arr, ctx, mode, config
+
+
 # -- pda ------------------------------------------------------------------
 
 
-def cmd_pda(args) -> int:
+def cmd_pda(args):
     if args.pda_cmd == "man":
         arr = pda_mod.man_pda(args.k, args.t)
         text = pda_mod.render_pda(arr)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-            _summary(f"wrote ({arr.k},{arr.f},{arr.z},{arr.s}) array to {args.output}")
-        else:
+        if not args.output:
             sys.stdout.write(text)
-        return 0
+            return None, None
+        with open(args.output, "w") as fh:
+            fh.write(text)
+        return None, f"wrote ({arr.k},{arr.f},{arr.z},{arr.s}) array to {args.output}"
 
+    config = {"file": args.file}
     try:
         arr = _load_pda(args.file)
     except pda_mod.PdaError as exc:
-        emit_report({"verdict": "fail", "error": str(exc)}, config={"file": args.file})
-        _summary(f"invalid: {exc}")
-        return 1
+        return {"verdict": "fail", "error": str(exc), "config": config}, f"invalid: {exc}"
 
     info = {
         "verdict": "pass",
+        "config": config,
         "k": arr.k,
         "f": arr.f,
         "z": arr.z,
@@ -90,9 +102,7 @@ def cmd_pda(args) -> int:
         m, r = pda_mod.memory_load(arr, args.n)
         info["memory"] = m
         info["load"] = r
-    emit_report(info, config={"file": args.file})
-    _summary(f"valid ({arr.k},{arr.f},{arr.z},{arr.s}) array")
-    return 0
+    return info, f"valid ({arr.k},{arr.f},{arr.z},{arr.s}) array"
 
 
 # -- sim ------------------------------------------------------------------
@@ -148,89 +158,74 @@ def _analytic_checks(
     }
 
 
-def cmd_sim(args) -> int:
-    arr = _load_pda(args.pda)
-    ctx = FieldContext.parse(args.field)
-    mode = engine.Mode(args.mode)
+def _run(arr, ctx, mode, n, b, demands, rng, key_rng):
+    """One run of the scheme: draw the files, then the keys, then the demands,
+    then place, deliver and decode.
+
+    ``demands`` is a spec of ``_parse_demands``.  Returns the placement, the
+    payload, and each user's decoded function with whether it is correct.
+    """
+    library = engine.Library.random(ctx, n, b, rng)
+    randomness = engine.Randomness.generate(arr, n, b, ctx, key_rng)
+    demands = _parse_demands(demands, arr.k, n, ctx, rng)
+    state = engine.place(arr, library, randomness, mode)
+    payload = engine.deliver(state, demands)
+    decoded = [engine.decode(state.user_view(k), payload, demands[k]) for k in range(arr.k)]
+    correct = [d == library.combine(demand) for d, demand in zip(decoded, demands)]
+    return state, payload, decoded, correct
+
+
+def cmd_sim(args):
+    arr, ctx, mode, config = _instance(args, demands=args.demands)
     rng = random.Random(args.seed)
     # keys come from the OS's secure source unless the run asks to be
     # reproducible; a seeded run draws everything from one generator
     seeded = args.seed is not None
     key_rng = rng if seeded else secrets.SystemRandom()
-    library = engine.Library.random(ctx, args.n, args.b, rng)
-    randomness = engine.Randomness.generate(arr, args.n, args.b, ctx, key_rng)
-    demands = _parse_demands(args.demands, arr.k, args.n, ctx, rng)
-
-    state = engine.place(arr, library, randomness, mode)
-    payload = engine.deliver(state, demands)
+    state, payload, decoded, correct = _run(
+        arr, ctx, mode, args.n, args.b, args.demands, rng, key_rng
+    )
     meas = engine.measure(state)
-
-    config = {
-        "pda": args.pda,
-        "n": args.n,
-        "b": args.b,
-        "field": ctx.spec,
-        "mode": mode.value,
-        "demands": args.demands,
-    }
-    users = []
-    all_ok = True
-    for k in range(arr.k):
-        decoded = engine.decode(state.user_view(k), payload, demands[k])
-        expected = library.combine(demands[k])
-        ok = decoded == expected
-        all_ok = all_ok and ok
-        digest = hashlib.sha256(",".join(map(str, decoded)).encode()).hexdigest()
-        users.append({"user": k + 1, "decode_sha256": digest, "correct": ok})
+    users = [
+        {"user": k, "decode_sha256": hashlib.sha256(",".join(map(str, d)).encode()).hexdigest(),
+         "correct": ok}
+        for k, (d, ok) in enumerate(zip(decoded, correct), 1)
+    ]
+    all_ok = all(correct)
     checks = _analytic_checks(arr, args.n, args.b, meas, payload)
     checks_ok = all(check["ok"] for check in checks.values())
-
-    emit_report(
-        {
-            "verdict": "pass" if all_ok and checks_ok else "fail",
-            "users": users,
-            "checks": checks,
-            "memory": meas.m_exact,
-            "load": meas.r_asymptotic,
-            "tx_symbols": meas.tx_symbols,
-            "randomness_log2q_units": meas.randomness_log2q_units,
-            "key_source": "seeded" if seeded else "system",
-        },
-        seed=args.seed,
-        config=config,
-    )
-    _summary(
+    report = {
+        "verdict": "pass" if all_ok and checks_ok else "fail",
+        "seed": args.seed,
+        "config": config,
+        "users": users,
+        "checks": checks,
+        "memory": meas.m_exact,
+        "load": meas.r_asymptotic,
+        "tx_symbols": meas.tx_symbols,
+        "randomness_log2q_units": meas.randomness_log2q_units,
+        "key_source": "seeded" if seeded else "system",
+    }
+    return report, (
         f"M={meas.m_exact} R={meas.r_asymptotic} tx={meas.tx_symbols} "
         f"decode={'ok' if all_ok else 'FAIL'} checks={'ok' if checks_ok else 'FAIL'}"
     )
-    return 0 if all_ok and checks_ok else 1
 
 
 # -- audit ----------------------------------------------------------------
 
 
-def cmd_audit(args) -> int:
-    arr = _load_pda(args.pda)
-    ctx = FieldContext.parse(args.field)
+def cmd_audit(args):
+    arr, ctx, mode, config = _instance(args, demand_space=args.demand_space, budget=args.budget)
     cfg = audit.AuditConfig(
         pda=arr,
         n=args.n,
         b=args.b,
         ctx=ctx,
-        mode=engine.Mode(args.mode),
+        mode=mode,
         demand_space=args.demand_space,
         budget=args.budget,
     )
-    config = {
-        "pda": args.pda,
-        "n": args.n,
-        "b": args.b,
-        "field": ctx.spec,
-        "mode": args.mode,
-        "demand_space": args.demand_space,
-        "budget": args.budget,
-    }
-
     if args.audit_cmd == "correctness":
         report = audit.audit_correctness(cfg)
     elif args.audit_cmd == "security":
@@ -239,13 +234,10 @@ def cmd_audit(args) -> int:
         # no subset given: audit every nonempty colluding subset
         subset = None if args.subset is None else _parse_subset(args.subset)
         report = audit.audit_privacy(cfg, subset)
-
-    emit_report(report.to_dict(), seed=None, config=config)
-    _summary(
+    return dict(report.to_dict(), config=config), (
         f"{args.audit_cmd}: {'PASS' if report.verdict else 'FAIL'} "
         f"({report.atoms} atoms, {report.violations} violations, by {report.method})"
     )
-    return 0 if report.verdict else 1
 
 
 def _parse_subset(text: str) -> list[int]:
@@ -258,11 +250,10 @@ def _parse_subset(text: str) -> list[int]:
 # -- curves / bounds / gap -------------------------------------------------
 
 
-def cmd_curves(args) -> int:
+def cmd_curves(args):
     result = tradeoff.emit_curves(args.n, args.k, args.schemes.split(","), args.out)
-    emit_report(dict(result, verdict="pass"), config={"n": args.n, "k": args.k})
-    _summary(f"wrote {result['csv']} and {result['svg']}")
-    return 0
+    return (dict(result, verdict="pass", config={"n": args.n, "k": args.k}),
+            f"wrote {result['csv']} and {result['svg']}")
 
 
 def bounds_report(n: int, k: int) -> dict:
@@ -285,22 +276,23 @@ def bounds_report(n: int, k: int) -> dict:
     return {"n": n, "k": k, "checks": checks, "ok": all(checks.values())}
 
 
-def cmd_bounds(args) -> int:
-    report = bounds_report(args.n, args.k)
-    emit_report(dict(report, verdict="pass" if report["ok"] else "fail"))
-    _summary(f"bounds check: {'PASS' if report['ok'] else 'FAIL'}")
-    return 0 if report["ok"] else 1
+def _verdict(report: dict) -> dict:
+    return dict(report, verdict="pass" if report["ok"] else "fail")
 
 
-def cmd_gap(args) -> int:
-    report = tradeoff.ratio_checks(args.n, args.k)
-    emit_report(dict(report, verdict="pass" if report["ok"] else "fail"))
-    for name, check in report["checks"].items():
-        # an irrational supremum is shown as its certified upper bracket
-        sup = f"sup={check['max']}" if check["exact"] else f"sup<={check['max']}"
-        _summary(f"{name}: {sup} bound={check['bound']} "
-                 f"{'PASS' if check['ok'] else 'FAIL'}")
-    return 0 if report["ok"] else 1
+def cmd_bounds(args):
+    report = _verdict(bounds_report(args.n, args.k))
+    return report, f"bounds check: {report['verdict'].upper()}"
+
+
+def cmd_gap(args):
+    report = _verdict(tradeoff.ratio_checks(args.n, args.k))
+    # an irrational supremum is shown as its certified upper bracket
+    return report, "\n".join(
+        f"{name}: sup{'=' if check['exact'] else '<='}{check['max']} "
+        f"bound={check['bound']} {'PASS' if check['ok'] else 'FAIL'}"
+        for name, check in report["checks"].items()
+    )
 
 
 # -- golden toy walkthrough ------------------------------------------------
@@ -320,12 +312,10 @@ def golden_toy(seed: int = 7) -> dict:
     (M, R) = (2, 1) with 15 transmitted symbols at B = 3.
     """
     arr = pda_mod.validate(TOY_GRID)
-    ctx = FieldContext.prime(2)
     rng = random.Random(seed)
     n, b = 4, 3
-    library = engine.Library.random(ctx, n, b, rng)
-    randomness = engine.Randomness.generate(arr, n, b, ctx, rng)
-    state = engine.place(arr, library, randomness, engine.Mode.SPLFR)
+    state, _, _, correct = _run(arr, FieldContext.prime(2), engine.Mode.SPLFR, n, b, "units",
+                                rng, rng)
 
     checks: dict[str, bool] = {}
     checks["parameters"] = arr.parameters == (3, 3, 1, 3)
@@ -339,14 +329,7 @@ def golden_toy(seed: int = 7) -> dict:
         layout_ok = layout_ok and set(cache.coded) == set(range(3)) - {k}
         layout_ok = layout_ok and len(cache.uncoded[k]) == n
     checks["cache_layout"] = layout_ok
-
-    demands = tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(3))
-    payload = engine.deliver(state, demands)
-    checks["decode"] = all(
-        engine.decode(state.user_view(k), payload, demands[k])
-        == library.combine(demands[k])
-        for k in range(3)
-    )
+    checks["decode"] = all(correct)
     meas = engine.measure(state)
     checks["memory"] = meas.m_exact == 2
     checks["load"] = meas.r_asymptotic == 1
@@ -355,12 +338,9 @@ def golden_toy(seed: int = 7) -> dict:
     return {"seed": seed, "checks": checks, "ok": all(checks.values())}
 
 
-def cmd_toy(args) -> int:
-    report = golden_toy(args.seed)
-    emit_report(dict(report, verdict="pass" if report["ok"] else "fail"),
-                seed=args.seed)
-    _summary(f"toy walkthrough: {'PASS' if report['ok'] else 'FAIL'}")
-    return 0 if report["ok"] else 1
+def cmd_toy(args):
+    report = _verdict(golden_toy(args.seed))
+    return report, f"toy walkthrough: {report['verdict'].upper()}"
 
 
 # -- parser ---------------------------------------------------------------
@@ -374,6 +354,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="secure and private cache-aided linear function retrieval",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # the instance of ``sim run`` and the audits, and the sizes of the analytics
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--pda", required=True, help="array file or man:K,t")
+    instance.add_argument("--n", type=int, required=True)
+    instance.add_argument("--b", type=int, required=True)
+    instance.add_argument("--field", default="p:2")
+    instance.add_argument("--mode", choices=[m.value for m in engine.Mode], default="splfr")
+    sizes = argparse.ArgumentParser(add_help=False)
+    sizes.add_argument("--n", type=int, required=True)
+    sizes.add_argument("--k", type=int, required=True)
 
     p_pda = sub.add_parser("pda", help="array construction and validation")
     pda_sub = p_pda.add_subparsers(dest="pda_cmd", required=True)
@@ -390,16 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("sim", help="run the scheme end to end")
     sim_sub = p_sim.add_subparsers(dest="sim_cmd", required=True)
-    p_run = sim_sub.add_parser("run")
-    p_run.add_argument("--pda", required=True, help="array file or man:K,t")
-    p_run.add_argument("--n", type=int, required=True)
-    p_run.add_argument("--b", type=int, required=True)
-    p_run.add_argument("--field", default="p:2")
+    p_run = sim_sub.add_parser("run", parents=[instance])
     p_run.add_argument("--seed", type=int, default=None,
                        help="reproducible run; without it the keys come from "
                             "secrets.SystemRandom")
-    p_run.add_argument("--mode", choices=[m.value for m in engine.Mode],
-                       default="splfr")
     p_run.add_argument("--demands", default="units",
                        help="demands file, 'random', or 'units'")
     p_run.set_defaults(func=cmd_sim)
@@ -410,13 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit_sub = p_audit.add_subparsers(dest="audit_cmd", required=True)
     for name in ("correctness", "security", "privacy"):
-        p_a = audit_sub.add_parser(name)
-        p_a.add_argument("--pda", required=True)
-        p_a.add_argument("--n", type=int, required=True)
-        p_a.add_argument("--b", type=int, required=True)
-        p_a.add_argument("--field", default="p:2")
-        p_a.add_argument("--mode", choices=[m.value for m in engine.Mode],
-                         default="splfr")
+        p_a = audit_sub.add_parser(name, parents=[instance])
         p_a.add_argument("--demand-space", choices=["all", "units"], default="all")
         p_a.add_argument("--budget", type=int, default=audit.DEFAULT_BUDGET)
         if name == "privacy":
@@ -425,26 +404,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curves = sub.add_parser("curves", help="emit tradeoff curves")
     curves_sub = p_curves.add_subparsers(dest="curves_cmd", required=True)
-    p_emit = curves_sub.add_parser("emit")
-    p_emit.add_argument("--n", type=int, required=True)
-    p_emit.add_argument("--k", type=int, required=True)
+    p_emit = curves_sub.add_parser("emit", parents=[sizes])
     p_emit.add_argument("--schemes", default="splfr,seckey")
     p_emit.add_argument("--out", required=True)
     p_emit.set_defaults(func=cmd_curves)
 
     p_bounds = sub.add_parser("bounds", help="converse-bound consistency checks")
     bounds_sub = p_bounds.add_subparsers(dest="bounds_cmd", required=True)
-    p_bc = bounds_sub.add_parser("check")
-    p_bc.add_argument("--n", type=int, required=True)
-    p_bc.add_argument("--k", type=int, required=True)
-    p_bc.set_defaults(func=cmd_bounds)
+    bounds_sub.add_parser("check", parents=[sizes]).set_defaults(func=cmd_bounds)
 
     p_gap = sub.add_parser("gap", help="multiplicative-gap ratio checks")
     gap_sub = p_gap.add_subparsers(dest="gap_cmd", required=True)
-    p_gc = gap_sub.add_parser("check")
-    p_gc.add_argument("--n", type=int, required=True)
-    p_gc.add_argument("--k", type=int, required=True)
-    p_gc.set_defaults(func=cmd_gap)
+    gap_sub.add_parser("check", parents=[sizes]).set_defaults(func=cmd_gap)
 
     p_toy = sub.add_parser("toy", help="golden walkthrough on the 3x3 array")
     p_toy.add_argument("--seed", type=int, default=7)
@@ -484,21 +455,19 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: print its report and summary, return its exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
-    except OSError as exc:
-        emit_report({"verdict": "fail", "error": str(exc)})
-        _summary(f"error: {exc}")
-        return 1
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
+        args = build_parser().parse_args(_apply_config(argv))
+        report, summary = args.func(args)
     except (pda_mod.PdaError, engine.EngineError, audit.AuditError,
             tradeoff.TradeoffError, FieldError, OSError) as exc:
-        emit_report({"verdict": "fail", "error": str(exc)})
-        _summary(f"error: {exc}")
-        return 1
+        report, summary = {"verdict": "fail", "error": str(exc)}, f"error: {exc}"
+    if report is not None:
+        emit_report(report)
+    if summary is not None:
+        print(summary, file=sys.stderr)
+    return 0 if report is None or report["verdict"] == "pass" else 1
 
 
 if __name__ == "__main__":

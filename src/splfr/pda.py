@@ -145,6 +145,8 @@ def man_pda(k: int, t: int) -> PDA:
     lexicographic rank (1-based) of the (t+1)-subset formed by adjoining the
     column.  Parameters are (k, C(k,t), C(k-1,t-1), C(k,t+1)).
     """
+    if k < 1:
+        raise PdaError(f"need K >= 1, got K={k}")
     if not 0 <= t <= k:
         raise PdaError(f"t={t} out of range [0, {k}]")
     users = range(1, k + 1)

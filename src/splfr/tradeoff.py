@@ -368,14 +368,19 @@ def _man_corner(n: int, k: int, t: int):
     return (x // g, k // g), ((k - t) // h, (t + 1) // h)
 
 
-def _man_point(n: int, k: int, m: Fraction):
-    """The t-subset curve's point at memory m in [1, N], reduced like a corner."""
-    # corner t sits at (M - 1)K = t(N - 1)
-    t, rest = divmod((m - 1) * k, n - 1)
+def _man_point(n: int, k: int, a: int, b: int):
+    """The t-subset curve's point at memory M = a/b in [1, N], reduced like a corner.
+
+    a/b must be in lowest terms with b > 0.
+    """
+    # corner t sits at (M - 1)K = t(N - 1), that is (a - b)K = t b(N - 1)
+    step = b * (n - 1)
+    t, rest = divmod((a - b) * k, step)
     if not rest:
         return _man_corner(n, k, t)
-    r = Fraction(*_load_between(k, t, rest, n - 1))
-    return (m.numerator, m.denominator), (r.numerator, r.denominator)
+    p, q = _load_between(k, t, rest, step)
+    g = math.gcd(p, q)
+    return (a, b), (p // g, q // g)
 
 
 def _load_between(k: int, t: int, a, step: int):
@@ -405,17 +410,17 @@ def _man_segments(n: int, k: int, lo, hi):
     R = (r0 + r1*theta)/dr for theta in [0, 1].  Each form is taken over
     the lcm of the piece's reduced end denominators; ``ratio_sup`` brackets
     an irrational supremum at a fixed scale of these coefficients, so that
-    scaling is part of every reported bracket.  The corners inside (lo, hi)
-    come from t in integers; only an end that is not a corner is evaluated
-    as a Fraction.
+    scaling is part of every reported bracket.  ``lo`` and ``hi`` are ints or
+    Fractions; every end, corner or not, is computed in integers from their
+    numerators and denominators.
     """
     _check_sizes(n, k)
-    lo, hi = _frac(lo), _frac(hi)
-    first = (lo - 1) * k // (n - 1) + 1  # the first corner above lo
-    last = -((1 - hi) * k // (n - 1)) - 1  # the last corner below hi
-    pts = [_man_point(n, k, lo)]
+    (a, b), (c, d) = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+    first = (a - b) * k // (b * (n - 1)) + 1  # the first corner above lo
+    last = -((d - c) * k // (d * (n - 1))) - 1  # the last corner below hi
+    pts = [_man_point(n, k, a, b)]
     pts += [_man_corner(n, k, t) for t in range(first, last + 1)]
-    pts.append(_man_point(n, k, hi))
+    pts.append(_man_point(n, k, c, d))
     for (am, ar), (bm, br) in zip(pts, pts[1:]):
         yield _theta_form(am, bm), _theta_form(ar, br)
 

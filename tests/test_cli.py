@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from splfr import engine
+from splfr import __version__, engine
 from splfr.cli import _analytic_checks, bounds_report, build_parser, golden_toy, main
 from splfr.field import FieldContext
 from splfr.pda import man_pda, parse_pda
@@ -70,6 +70,16 @@ class TestPda:
         assert report["memory"]["exact"] == "2"
         assert report["load"]["exact"] == "1"
         assert report["symbol_count_tight"] is True
+
+    @pytest.mark.parametrize(
+        "argv", [("pda", "man", "--k", "-2", "--t", "0"), ("pda", "info", "man:0,0")]
+    )
+    def test_no_users_names_k(self, capsys, argv):
+        k = -2 if "-2" in argv else 0
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert last_json(out)["error"] == f"need K >= 1, got K={k}"
+        assert err.endswith(f"need K >= 1, got K={k}\n")
 
     def test_bad_construction_spec(self, capsys):
         code, out, _ = run_cli(capsys, "pda", "info", "man:3")
@@ -603,3 +613,210 @@ class TestToy:
     @pytest.mark.parametrize("seed", range(0, 100, 7))
     def test_many_seeds(self, seed):
         assert golden_toy(seed)["ok"]
+
+
+# -- what every subcommand prints -------------------------------------------
+
+#: input files of the table below, written under the test's tmp_path
+TABLE_FILES = {
+    "arr.pda": "PDA K=3 F=3\n* 1 2\n1 * 3\n2 3 *\n",
+    "bad.pda": "PDA K=2 F=1\n1 1\n",
+    "demands.txt": "1 0 1 0\n0 1 1 1\n1 1 1 1\n",
+    "short.txt": "1 0 0 0\n0 1 0 0\n",
+    "run.json": '{"n": 4, "b": 3, "seed": 7, "field": "p:2"}',
+    "list.json": "[4, 3]",
+    "bad.json": "not json",
+}
+
+#: decode_sha256 of the functions that the seed-7 runs on man:3,1 decode
+SHA_A = "d25bf250186f7eedaa276c208677e13ee176d1814cbf45bc13e286f9ac3318eb"
+SHA_B = "7c01691d53eb209bba1ea4ade72c86e6e85b6efbec920cc9ca5756e7c4e98c55"
+SHA_C = "acd79dc755e76938207b4e8387058da3e818519b2d8b9350edb4a8e2cb9de22d"
+SHA_D = "d7d89f8004eac51a32627458843cc54c569793313caab5beff91cb8779fd17c4"
+
+
+def whole(value: int) -> dict:
+    """A whole number as the reports write an exact value."""
+    return {"decimal": f"{value}.000000000000", "exact": str(value)}
+
+
+def error(text: str) -> dict:
+    return {"config": None, "error": text, "seed": None, "verdict": "fail",
+            "version": __version__}
+
+
+def sim_report(demands: str, n: int, memory: int, tx: int, digests) -> dict:
+    return {
+        "checks": {
+            "load": {"analytic": whole(1), "measured": whole(1), "ok": True},
+            "memory": {"analytic": whole(memory), "measured": whole(memory), "ok": True},
+            "tx_symbols": {"analytic": tx, "measured": tx, "ok": True},
+        },
+        "config": {"b": 3, "demands": demands, "field": "p:2", "mode": "splfr", "n": n,
+                   "pda": "man:3,1"},
+        "key_source": "seeded", "load": whole(1), "memory": whole(memory),
+        "randomness_log2q_units": tx, "seed": 7, "tx_symbols": tx,
+        "users": [{"correct": True, "decode_sha256": sha, "user": k}
+                  for k, sha in enumerate(digests, 1)],
+        "verdict": "pass", "version": __version__,
+    }
+
+
+def audit_report(mode: str, atoms: int, violations: int, method: str,
+                 counterexample=None) -> dict:
+    return {
+        "atoms": atoms,
+        "config": {"b": 2, "budget": 67108864, "demand_space": "all", "field": "p:2",
+                   "mode": mode, "n": 2, "pda": "man:2,1"},
+        "counterexample": counterexample, "method": method, "seed": None,
+        "verdict": "fail" if violations else "pass", "version": __version__,
+        "violations": violations,
+    }
+
+
+PDA_INFO = {"f": 3, "k": 3, "regularity": 2, "s": 3, "seed": None,
+            "symbol_count_bound": whole(3), "symbol_count_tight": True,
+            "verdict": "pass", "version": __version__, "z": 1}
+BAD_PDA = {"config": {"file": "{tmp}/bad.pda"}, "error": "symbol 1 at (0,0) and (0,1)",
+           "seed": None, "verdict": "fail", "version": __version__}
+SIM = "sim run --pda man:3,1 --n 4 --b 3 --seed 7"
+MAN21 = "--pda man:2,1 --n 2 --b 2"
+
+#: command line -> (exit code, stderr, stdout): the stdout is pinned whole
+#: where it is a string, and by its last line, the JSON report, where it is
+#: a dict; "{tmp}" stands for the test's tmp_path
+CLI_TABLE = {
+    "pda man --k 3 --t 1": (0, "", "PDA K=3 F=3\n* 1 2\n1 * 3\n2 3 *\n"),
+    "pda man --k 3 --t 1 -o {tmp}/out.pda": (0, "wrote (3,3,1,3) array to {tmp}/out.pda\n", ""),
+    "pda validate {tmp}/arr.pda": (
+        0, "valid (3,3,1,3) array\n", dict(PDA_INFO, config={"file": "{tmp}/arr.pda"})
+    ),
+    "pda validate {tmp}/bad.pda": (1, "invalid: symbol 1 at (0,0) and (0,1)\n", BAD_PDA),
+    "pda info man:3,1 --n 4": (
+        0, "valid (3,3,1,3) array\n",
+        dict(PDA_INFO, config={"file": "man:3,1"}, load=whole(1), memory=whole(2)),
+    ),
+    "pda info {tmp}/bad.pda": (1, "invalid: symbol 1 at (0,0) and (0,1)\n", BAD_PDA),
+    SIM: (
+        0, "M=2 R=1 tx=15 decode=ok checks=ok\n",
+        sim_report("units", 4, 2, 15, (SHA_A, SHA_B, SHA_C)),
+    ),
+    f"{SIM} --demands random": (
+        0, "M=2 R=1 tx=15 decode=ok checks=ok\n",
+        sim_report("random", 4, 2, 15, (SHA_C, SHA_D, SHA_B)),
+    ),
+    f"{SIM} --demands {{tmp}}/demands.txt": (
+        0, "M=2 R=1 tx=15 decode=ok checks=ok\n",
+        sim_report("{tmp}/demands.txt", 4, 2, 15, (SHA_D, SHA_A, SHA_B)),
+    ),
+    f"{SIM} --demands {{tmp}}/short.txt": (
+        1, "error: demands file must have 3 lines, got 2\n",
+        error("demands file must have 3 lines, got 2"),
+    ),
+    "sim run --pda man:3,1 --n 1 --b 3 --seed 7": (
+        0, "M=1 R=1 tx=6 decode=ok checks=ok\n",
+        sim_report("units", 1, 1, 6, (SHA_A, SHA_A, SHA_A)),
+    ),
+    f"audit correctness {MAN21}": (
+        0, "correctness: PASS (8192 atoms, 0 violations, by certificate)\n",
+        audit_report("splfr", 8192, 0, "certificate"),
+    ),
+    f"audit security {MAN21} --mode lfr": (
+        1, "security: FAIL (8192 atoms, 7936 violations, by enumeration)\n",
+        audit_report("lfr", 8192, 7936, "enumeration", {
+            "demands": [[0, 0], [0, 0]], "files": ZERO_FILES,
+            "signal": "(((0, 0), (0, 0)), ((0,),))",
+        }),
+    ),
+    f"audit privacy {MAN21}": (
+        0, "privacy: PASS (24576 atoms, 0 violations, by certificate)\n",
+        audit_report("splfr", 24576, 0, "certificate"),
+    ),
+    f"audit privacy {MAN21} --mode slfr": (
+        1, "privacy: FAIL (24576 atoms, 4096 violations, by enumeration)\n",
+        audit_report("slfr", 24576, 4096, "enumeration",
+                     dict(WITNESS_1, subset=[1])),
+    ),
+    f"audit security {MAN21} --budget 40": (
+        1, "error: 50 probe points exceed budget 40\n",
+        error("50 probe points exceed budget 40"),
+    ),
+    "curves emit --n 4 --k 3 --schemes splfr,yma --out {tmp}/curves": (
+        0, "wrote {tmp}/curves/curves_n4_k3.csv and {tmp}/curves/curves_n4_k3.svg\n", {
+            "config": {"k": 3, "n": 4}, "csv": "{tmp}/curves/curves_n4_k3.csv", "seed": None,
+            "series": ["splfr", "yma", "pda-bound", "cutset-bound"],
+            "svg": "{tmp}/curves/curves_n4_k3.svg", "verdict": "pass", "version": __version__,
+        },
+    ),
+    "bounds check --n 4 --k 3": (
+        0, "bounds check: PASS\n", {
+            "checks": {"achievable_above_converse": True, "corner_equality": True,
+                       "f_below_cutset": True},
+            "config": None, "k": 3, "n": 4, "ok": True, "seed": None, "verdict": "pass",
+            "version": __version__,
+        },
+    ),
+    "gap check --n 20 --k 24": (
+        0,
+        "simple_converse: sup=1 bound=1 PASS\n"
+        "smooth_bound: sup<=225165903408421585777185871921/56385409982949779074921267200 "
+        "bound=8 PASS\n",
+        {
+            "checks": {
+                "simple_converse": {"bound": whole(1), "exact": True, "max": whole(1),
+                                    "ok": True},
+                "smooth_bound": {
+                    "bound": whole(8), "exact": False,
+                    "max": {"decimal": "3.993336281079", "exact": "225165903408421585777185"
+                            "871921/56385409982949779074921267200"},
+                    "ok": True,
+                },
+            },
+            "composed_gap_constants": {"K=1": 1.0, "N<K, M in [2,N)": 8.0, "N=K+1": 5.0221,
+                                       "N=K=2": 2.0, "N=K>=3": 6.02652, "N>=K+2": 4.01768},
+            "config": None, "k": 24, "n": 20, "ok": True, "seed": None, "verdict": "pass",
+            "version": __version__,
+        },
+    ),
+    "toy": (
+        0, "toy walkthrough: PASS\n", {
+            "checks": dict.fromkeys(["cache_layout", "decode", "load", "memory", "parameters",
+                                     "regularity", "tx_symbols"], True),
+            "config": None, "ok": True, "seed": 7, "verdict": "pass", "version": __version__,
+        },
+    ),
+    "sim run --pda man:3,1 --config {tmp}/run.json": (
+        0, "M=2 R=1 tx=15 decode=ok checks=ok\n",
+        sim_report("units", 4, 2, 15, (SHA_A, SHA_B, SHA_C)),
+    ),
+    "sim run --pda man:3,1 --config": (
+        1, "error: --config requires a file path\n", error("--config requires a file path"),
+    ),
+    "sim run --pda man:3,1 --config {tmp}/list.json": (
+        1, "error: config file {tmp}/list.json must hold a JSON object\n",
+        error("config file {tmp}/list.json must hold a JSON object"),
+    ),
+    "sim run --pda man:3,1 --config {tmp}/bad.json": (
+        1, "error: bad config file {tmp}/bad.json: Expecting value: line 1 column 1 (char 0)\n",
+        error("bad config file {tmp}/bad.json: Expecting value: line 1 column 1 (char 0)"),
+    ),
+    "sim run --pda man:3,1 --config {tmp}/nope.json": (
+        1, "error: [Errno 2] No such file or directory: '{tmp}/nope.json'\n",
+        error("[Errno 2] No such file or directory: '{tmp}/nope.json'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", CLI_TABLE)
+def test_what_every_subcommand_prints(capsys, tmp_path, command):
+    for name, text in TABLE_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_cli(capsys, *command.format(tmp=tmp_path).split())
+    out, err = (text.replace(str(tmp_path), "{tmp}") for text in (out, err))
+    want_code, want_err, want_out = CLI_TABLE[command]
+    assert (code, err) == (want_code, want_err)
+    if isinstance(want_out, str):
+        assert out == want_out
+    else:
+        # byte for byte: the report is one sorted JSON object on the last line
+        assert out.splitlines()[-1] == json.dumps(want_out, sort_keys=True)

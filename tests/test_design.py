@@ -18,6 +18,10 @@ value of r through ``Randomness.of``, never through the constructor.
 ``Randomness.effective`` owns the masking of r by mode: the audit's walk
 follows what it masks and reads no mode's key flags.
 
+The command line has one report path: in ``cli.py`` only ``main`` emits a
+report or writes to stderr, so each subcommand returns its report and
+summary and none prints them itself.
+
 No code in the package serves only the tests: every name a module defines
 is referenced from another line of the package or of the benchmark.
 """
@@ -109,6 +113,27 @@ def test_the_audit_reads_no_key_flags():
         and node.attr in ("security_keys_active", "privacy_keys_active")
     ]
     assert reads == [], f"audit.py reads a mode's key flags on lines {reads}"
+
+
+def test_only_main_prints_reports_and_summaries():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+
+    def prints(root):
+        return {
+            node
+            for node in ast.walk(root)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "emit_report")
+            or (isinstance(node, ast.Attribute) and node.attr == "stderr")
+        }
+
+    inside = prints(main)
+    outside = sorted(node.lineno for node in prints(tree) - inside)
+    assert inside, "main no longer emits the report or the summary"
+    assert outside == [], f"cli.py emits a report or writes to stderr on lines {outside}"
 
 
 def defined_names(path: Path):

@@ -117,6 +117,11 @@ class TestManPda:
         with pytest.raises(PdaError):
             man_pda(3, 4)
 
+    @pytest.mark.parametrize("k, t", [(-2, 0), (0, 0), (0, 1), (-1, -1)])
+    def test_no_users_is_refused_before_t(self, k, t):
+        with pytest.raises(PdaError, match=rf"^need K >= 1, got K={k}$"):
+            man_pda(k, t)
+
     @pytest.mark.parametrize("k", range(1, 10))
     def test_parameters_and_regularity_all_t(self, k):
         for t in range(k + 1):
