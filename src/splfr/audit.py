@@ -31,28 +31,33 @@ decoder names its atom (files, keys as placed, demands, user) at any size.
 A security or privacy test stops at the first probe file that breaks it,
 and the enumeration decides.  The budget bounds the certificates'
 deliveries, (1 + N*B) * (1 + S*L + K*N + demand moves), and the
-enumeration's nominal atoms.  Each enumeration visits each effective
-placement once, weighted by the q^(masked) raw atoms that share its
-outcome (a symbol of r that the mode masks is held at 0); the privacy
-oracle counts every failing subset in one walk.  Independence is decided
-through the factorization identities count(a, b) * total ==
+enumeration's nominal atoms.  The enumeration counts from the model, on
+the certificates' bi-affine premise, with no engine call per atom: the
+engine runs at the probe files only, at r = 0, at each symbol of r that
+the mode lets through and at each demand move, and an atom's observation
+is the probe models' affine combination at its W plus its key and demand
+parts.  Each effective atom is counted once, weighted by the q^(masked)
+raw atoms that share its outcome (a symbol of r that the mode masks is
+held at 0), in the order of the walk over every atom; the privacy
+enumeration counts every failing subset in one pass.  Independence is
+decided through the factorization identities count(a, b) * total ==
 count(a) * count(b), which hold for every pair iff the mutual information
-is exactly zero; the enumeration is the only source of the violation count
-and the first witness.  No logarithms or floating point are involved: a
-pass is a proof for the instance.
+is exactly zero, checked in one pass over the joint table; the
+enumeration is the only source of the violation count and the first
+witness.  No logarithms or floating point are involved: a pass is a proof
+for the instance.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations, groupby, product
+from functools import lru_cache, reduce
+from itertools import chain, combinations, groupby, islice, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .engine import (
-    DeliveryPayload,
     Library,
     Mode,
     Randomness,
@@ -64,7 +69,7 @@ from .engine import (
     place,
 )
 from .field import FieldContext
-from .pda import PDA
+from .pda import PDA, STAR
 
 DEFAULT_BUDGET = 2**26
 
@@ -151,30 +156,31 @@ def factorization_violations(counts: Counter) -> tuple[int, Optional[tuple]]:
     ``counts`` maps each outcome pair (a, b) to its count.  All support
     pairs are checked, including those with zero joint count.  No
     violation means A and B are independent: their mutual information is
-    exactly zero, decided without logarithms.
+    exactly zero, decided without logarithms.  One pass over the joint
+    table: a breaks the identity with each b missing from its row when
+    count(a) * count(b) != 0, and with each b in its row whose identity
+    fails.  The first violation is the first a, in margin order, with one,
+    and the first b, in margin order, that breaks it.
     """
     total = counts.total()
-    margin_a: dict = {}
+    rows: dict = {}
     margin_b: dict = {}
     for (a, b), c in counts.items():
-        margin_a[a] = margin_a.get(a, 0) + c
+        rows.setdefault(a, {})[b] = c
         margin_b[b] = margin_b.get(b, 0) + c
-    joint = counts.get
+    nonzero = sum(map(bool, margin_b.values()))
     violations = 0
     first = None
-    for a, ca in margin_a.items():
-        for b, cb in margin_b.items():
-            if joint((a, b), 0) * total != ca * cb:
-                violations += 1
-                if first is None:
-                    first = (a, b)
+    for a, row in rows.items():
+        ca = sum(row.values())
+        broken = nonzero if ca else 0  # as if every b were missing from the row
+        for b, c in row.items():
+            cb = margin_b[b]
+            broken += (c * total != ca * cb) - bool(ca and cb)
+        if broken and first is None:
+            first = a, next(b for b, cb in margin_b.items() if row.get(b, 0) * total != ca * cb)
+        violations += broken
     return violations, first
-
-
-def _libraries(cfg: AuditConfig) -> Iterator[Library]:
-    files = list(product(range(cfg.ctx.q), repeat=cfg.b))
-    for combo in product(files, repeat=cfg.n):
-        yield Library(cfg.ctx, tuple(combo))
 
 
 @lru_cache(maxsize=16)
@@ -185,26 +191,62 @@ def _active_symbols(cfg: AuditConfig) -> tuple[bool, ...]:
     return tuple(r.effective(*args) != zero for r in _key_basis(cfg))
 
 
-def _atoms(
-    cfg: AuditConfig,
-) -> Iterator[tuple[Library, SchemeState, tuple, DeliveryPayload, int]]:
-    """Each effective atom once: files, placement, demands, signal, weight.
+def _placements(
+    cfg: AuditConfig, caches: bool = False
+) -> Iterator[tuple[tuple, Vector, Iterator[tuple[tuple, Vector]], int]]:
+    """Each effective placement once, from the model: files, caches, (demands, signal)s, weight.
 
-    A symbol of r that the mode masks reaches no cache and no signal, so the
-    walk holds it at 0 and weighs the atom by the q^(masked) raw atoms it
-    stands for.  The files are outermost and the demands innermost, so the
-    atoms of one file realization, and of one placement, are consecutive.
+    The engine runs only at the probe files, at r = 0, each active symbol
+    of r and each demand move (a symbol that the mode masks has a zero
+    part).  The model at files W combines the probe models with the
+    coefficients (1 - sum W, W_1, ..., W_(N*B)), as the engine is affine in
+    W; a demand tuple's signal is the offset plus its demand part, and r
+    adds its key parts.  The placements come as the per-atom walk has them:
+    files outermost, then the active symbols of r, each weighed by the
+    q^(masked) raw atoms it stands for, with the demand tuples innermost.
     """
     cfg.check_budget()
-    pda, n, b, q = cfg.pda, cfg.n, cfg.b, cfg.ctx.q
-    active = _active_symbols(cfg)
-    weight = q ** active.count(False)
+    ctx, q, n, b = cfg.ctx, cfg.ctx.q, cfg.n, cfg.b
+    basis = [r for r, a in zip(_key_basis(cfg), _active_symbols(cfg)) if a]
+    weight = q ** (len(_key_basis(cfg)) - len(basis))
     demand_tuples = cfg.demand_tuples()
-    for library in _libraries(cfg):
-        for r in product(*(range(q) if a else (0,) for a in active)):
-            state = place(pda, library, Randomness.of(pda, n, b, r), cfg.mode)
-            for demands in demand_tuples:
-                yield library, state, demands, deliver(state, demands), weight
+    moves = [(j, demands[j].index(1)) for j, demands in _demand_moves(cfg)[1]]  # (user, file)
+    coeffs = [(1, *(d[j][t] for j, t in moves)) for d in demand_tuples]
+    # per probe file, one row at r = 0 and one per active symbol: the signal
+    # at each demand tuple, then the caches (a key part is the same at every d)
+    stacked = []
+    for library in _probe_libraries(cfg):
+        model = file_model(cfg, library, caches, basis)
+        signals = (model.offset[0], *(p[0] for _, p in model.demands))
+        rows = [chain((ctx.lincomb(c, signals) for c in coeffs), model.offset[1:])]
+        rows += (chain((p[0],) * len(coeffs), p[1:]) for p in model.keys)
+        stacked.append(_flat(map(_flat, rows)))
+    width, span = len(model.offset[0]), len(stacked[0]) // (1 + len(basis))
+    for w in product(range(q), repeat=n * b):
+        at = ctx.lincomb((reduce(ctx.sub, w, 1), *w), stacked)
+        base, *keys = (at[i : i + span] for i in range(0, len(at), span))
+        files = tuple(w[f * b : (f + 1) * b] for f in range(n))
+        for r in product(range(q), repeat=len(keys)):
+            row = ctx.lincomb((1, *r), (base, *keys)) if any(r) else base
+            signals = (row[i : i + width] for i in range(0, len(coeffs) * width, width))
+            yield files, row[len(coeffs) * width :], zip(demand_tuples, signals), weight
+
+
+def _signal(cfg: AuditConfig, flat: Vector) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    """The signal's coefficient vectors and multicast blocks, cut from its flat vector."""
+    n, block, cut = cfg.n, cfg.b // cfg.pda.f, cfg.pda.k * cfg.n
+    return (
+        tuple(flat[i : i + n] for i in range(0, cut, n)),
+        tuple(flat[i : i + block] for i in range(cut, len(flat), block)),
+    )
+
+
+def _cache(cfg: AuditConfig, k: int, flat: Vector) -> tuple:
+    """User k's cache, cut from its flat vector: (row, packets) under stars, then (row, record)."""
+    block, column = cfg.b // cfg.pda.f, cfg.pda.column(k)
+    cut = iter([flat[i : i + block] for i in range(0, len(flat), block)])
+    uncoded = tuple((i, tuple(islice(cut, cfg.n))) for i, e in enumerate(column) if e is STAR)
+    return uncoded, tuple((i, next(cut)) for i, e in enumerate(column) if e is not STAR)
 
 
 def _atom_dict(library: Library, randomness: Randomness, demands) -> dict:
@@ -219,16 +261,17 @@ def _atom_dict(library: Library, randomness: Randomness, demands) -> dict:
 def enumerate_security(cfg: AuditConfig) -> AuditReport:
     """Certify that the signal is independent of files and demands."""
     counts = Counter()
-    for library, _, demands, payload, weight in _atoms(cfg):
-        counts[(library.files, demands), (payload.coeff_vectors, payload.blocks)] += weight
+    for files, _, atoms, weight in _placements(cfg):
+        for demands, signal in atoms:
+            counts[(files, demands), signal] += weight
     violations, first = factorization_violations(counts)
     counterexample = None
     if first is not None:
-        (files, demands), observed = first
+        (files, demands), signal = first
         counterexample = {
             "files": [list(f) for f in files],
             "demands": [list(d) for d in demands],
-            "signal": repr(observed),
+            "signal": repr(_signal(cfg, signal)),
         }
     return AuditReport(violations == 0, counts.total(), violations, counterexample)
 
@@ -255,31 +298,31 @@ def enumerate_privacy(
         cuts.append((colluders, split))
     reports = [AuditReport(True, 0, 0) for _ in cuts]
     # conditioning on the files keeps each slice's count tables small
-    for library, atoms in groupby(_atoms(cfg), itemgetter(0)):
+    for files, placements in groupby(_placements(cfg, caches=True), itemgetter(0)):
         tables = [Counter() for _ in cuts]
-        placed = None
-        for _, state, demands, payload, weight in atoms:
-            if state is not placed:
-                placed = state
-                slots = [
-                    (split, tuple(state.caches[k].key() for k in colluders), table)
-                    for (colluders, split), table in zip(cuts, tables)
-                ]
-            for split, caches, table in slots:
-                hidden, seen = split[demands]
-                outcome = (hidden, (payload.coeff_vectors, payload.blocks, seen, caches))
-                table[outcome] = table.get(outcome, 0) + weight
-        for report, table in zip(reports, tables):
+        for _, caches, atoms, weight in placements:
+            size = len(caches) // cfg.pda.k  # each column has Z stars: one cache length
+            slots = [
+                (split, tuple(caches[k * size : (k + 1) * size] for k in colluders), table)
+                for (colluders, split), table in zip(cuts, tables)
+            ]
+            for demands, signal in atoms:
+                for split, seen_caches, table in slots:
+                    hidden, seen = split[demands]
+                    outcome = (hidden, (signal, seen, seen_caches))
+                    table[outcome] = table.get(outcome, 0) + weight
+        for report, table, (colluders, _) in zip(reports, tables, cuts):
             violations, first = factorization_violations(table)
             report.atoms += table.total()
             report.violations += violations
             report.verdict = report.violations == 0
             if first is not None and report.counterexample is None:
-                hidden, observed = first
+                hidden, (signal, seen, seen_caches) = first
+                views = tuple(_cache(cfg, k, c) for k, c in zip(colluders, seen_caches))
                 report.counterexample = {
-                    "files": [list(f) for f in library.files],
+                    "files": [list(f) for f in files],
                     "hidden_demands": [list(d) for d in hidden],
-                    "observed": repr(observed),
+                    "observed": repr((*_signal(cfg, signal), seen, views)),
                 }
     return reports
 
@@ -293,7 +336,8 @@ class FileModel:
 
     A point is the signal, then each user's cache if the caches are read.
     ``offset`` is the point r = 0, d = d0; ``keys[i]`` is what A_W adds per
-    unit of symbol i of r; ``demands`` holds (user, C_W * delta) per
+    unit of symbol i of r (of the i-th probed one, if ``file_model`` was
+    given a basis); ``demands`` holds (user, C_W * delta) per
     single-user demand move away from d0 (see ``_demand_moves``).
     """
 
@@ -349,25 +393,35 @@ def _probe_libraries(cfg: AuditConfig) -> Iterator[Library]:
         yield Library(cfg.ctx, tuple(tuple(int(i == f * b + j) for j in range(b)) for f in range(n)))
 
 
-def _probes(cfg: AuditConfig, library: Library) -> Iterator[tuple[SchemeState, tuple]]:
-    """(placement, demands) at r = 0 and d0, at each key-basis point, at each demand move."""
+def _probes(
+    cfg: AuditConfig, library: Library, basis: Sequence[Randomness]
+) -> Iterator[tuple[SchemeState, tuple]]:
+    """(placement, demands) at r = 0 and d0, at each point of ``basis``, at each demand move."""
     base, moves = _demand_moves(cfg)
     state = place(cfg.pda, library, Randomness.zeros(cfg.pda, cfg.n, cfg.b), cfg.mode)
     yield state, base
-    for r in _key_basis(cfg):
+    for r in basis:
         yield place(cfg.pda, library, r, cfg.mode), base
     for _, demands in moves:
         yield state, demands
 
 
-def file_model(cfg: AuditConfig, library: Library, caches: bool = False) -> FileModel:
+def file_model(
+    cfg: AuditConfig,
+    library: Library,
+    caches: bool = False,
+    basis: Optional[Sequence[Randomness]] = None,
+) -> FileModel:
     """Probe the engine at one W: 1 + S*L + K*N placements, a delivery per point.
 
-    The demand moves reuse the zero-key placement, so their cache parts are
-    zero: the caches are read once per placement.
+    The key parts are those of the points of ``basis``, by default every
+    unit vector of r (a placement each).  The demand moves reuse the
+    zero-key placement, so their cache parts are zero: the caches are read
+    once per placement.
     """
+    basis = _key_basis(cfg) if basis is None else basis
     points, zero = [], None
-    for state, demands in _probes(cfg, library):
+    for state, demands in _probes(cfg, library, basis):
         payload = deliver(state, demands)
         point = (_flat(chain(payload.coeff_vectors, payload.blocks)),)
         if caches:
@@ -377,7 +431,7 @@ def file_model(cfg: AuditConfig, library: Library, caches: bool = False) -> File
         points.append(point)
     offset, *points = points
     parts = [tuple(tuple(map(cfg.ctx.sub, u, w)) for u, w in zip(p, offset)) for p in points]
-    keys, users = len(_key_basis(cfg)), (j for j, _ in _demand_moves(cfg)[1])
+    keys, users = len(basis), (j for j, _ in _demand_moves(cfg)[1])
     return FileModel(offset, tuple(parts[:keys]), tuple(zip(users, parts[keys:])))
 
 
@@ -393,7 +447,7 @@ def correctness_certificate(cfg: AuditConfig, libraries: Iterable[Library]) -> O
     user that decodes wrongly: a raw atom at which that user fails.
     """
     for library in libraries:
-        for state, demands in _probes(cfg, library):
+        for state, demands in _probes(cfg, library, _key_basis(cfg)):
             payload = deliver(state, demands)
             for k, demand in enumerate(demands):
                 if decode(state.user_view(k), payload, demand) != library.combine(demand):

@@ -98,7 +98,7 @@ def cmd_pda(args):
     bound, tight = pda_mod.symbol_count_bound(arr)
     info["symbol_count_bound"] = bound
     info["symbol_count_tight"] = tight
-    if args.pda_cmd == "info" and args.n:
+    if args.pda_cmd == "info" and args.n is not None:
         m, r = pda_mod.memory_load(arr, args.n)
         info["memory"] = m
         info["load"] = r

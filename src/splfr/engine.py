@@ -21,7 +21,6 @@ coded records and multicast blocks come out of the kernel ready for it.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -194,13 +193,6 @@ class UserCache:
         n_cod = sum(len(v) for v in self.coded.values())
         return n_unc + n_cod
 
-    def key(self) -> tuple:
-        """Hashable canonical form, used by the exact audits."""
-        return (
-            tuple(sorted(self.uncoded.items())),
-            tuple(sorted(self.coded.items())),
-        )
-
 
 @dataclass(frozen=True)
 class UserView:
@@ -327,7 +319,7 @@ def decode(view: UserView, payload: DeliveryPayload, demand: Vector) -> Vector:
     # -q_j is needed only for the users j sharing a symbol with user k;
     # each is negated once, when first met
     minus_one = ctx.neg(1)
-    minus_q = functools.cache(lambda j: ctx.vec_neg(payload.coeff_vectors[j]))
+    minus_q: dict[int, Sequence[int]] = {}
     out: list[int] = []
     for h, s in enumerate(pda.column(k)):
         if s is STAR:
@@ -340,7 +332,9 @@ def decode(view: UserView, payload: DeliveryPayload, demand: Vector) -> Vector:
         c, v = [1, minus_one], [payload.blocks[s - 1], cache.coded[h]]
         for i, j in pda.symbol_positions(s):
             if j != k:
-                c += minus_q(j)
+                if j not in minus_q:
+                    minus_q[j] = ctx.vec_neg(payload.coeff_vectors[j])
+                c += minus_q[j]
                 v += cache.uncoded[i]
         # what is left is sum_n q_{k,n} W_{n,h} - sum_n p_{k,n} W_{n,h}
         out += ctx.lincomb(c, v)

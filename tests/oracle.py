@@ -14,24 +14,31 @@ curve as a lower convex envelope and read its pieces through
 the path that one candidate per (N, K) replaces, and
 ``fraction_pda_lower_bound`` and ``fraction_cutset_bound`` are the converse
 bounds in Fraction arithmetic, the references for their integer forms.
-``raw_atoms`` walks every atom of an audit, each with weight 1, the
-reference for the audit's walk over effective placements, and
-``enumerate_correctness`` decodes every raw atom for every user, the
-reference for the correctness certificate, which alone decides the audit.
-``file_models`` builds the audit's affine model at every file realization
-W, and ``per_file_security`` and ``per_file_privacy`` decide the
-certificates W by W on them (correctness W by W is
-``correctness_certificate`` over ``audit._libraries``): the reference for
-the symbolic tests at the probe files.  ``outputs`` and
+``raw_atoms`` walks every atom of an audit over ``libraries`` (every file
+realization), each with weight 1, and ``weighted_atoms`` each effective
+atom once, weighed by the raw atoms it stands for; ``walk_security`` and
+``walk_privacy`` count either walk with an engine call per atom and test
+every identity pair with ``pairwise_violations``: the references for the
+audit's enumerations, which count from the probe-file model, and for the
+one-pass ``factorization_violations``.  ``cache_key`` is a cache as the
+walks observe it.  ``enumerate_correctness`` decodes every raw atom for
+every user, the reference for the correctness certificate, which alone
+decides the audit.  ``file_models`` builds the audit's affine model at
+every file realization W, and ``per_file_security`` and
+``per_file_privacy`` decide the certificates W by W on them (correctness
+W by W is ``correctness_certificate`` over ``libraries``): the reference
+for the symbolic tests at the probe files.  ``outputs`` and
 ``affine_combination`` read and interpolate the engine's outputs for the
 tests of the premise the certificates rest on.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import splfr.audit as audit
@@ -422,6 +429,13 @@ def combine(library: Library, demand: Vector) -> Vector:
 # -- audit -------------------------------------------------------------------
 
 
+def libraries(cfg: audit.AuditConfig):
+    """Every file realization W, in ``product`` order."""
+    files = list(product(range(cfg.ctx.q), repeat=cfg.b))
+    for combo in product(files, repeat=cfg.n):
+        yield Library(cfg.ctx, tuple(combo))
+
+
 def raw_atoms(cfg: audit.AuditConfig):
     """Every (files, keys, demands) atom: files, placement, demands, signal, weight 1.
 
@@ -430,14 +444,100 @@ def raw_atoms(cfg: audit.AuditConfig):
     called through ``splfr.audit``, so that a fault patched in there reaches
     this walk as it reaches the audit's own.
     """
+    return _walk(cfg, (True,) * Randomness.symbols(cfg.pda, cfg.n, cfg.b))
+
+
+def weighted_atoms(cfg: audit.AuditConfig):
+    """Each effective atom once, in the order of ``raw_atoms``, weighed by q^(masked).
+
+    A symbol of r that the mode masks reaches no cache and no signal, so the
+    walk holds it at 0 and weighs the atom by the q^(masked) raw atoms it
+    stands for.
+    """
+    return _walk(cfg, audit._active_symbols(cfg))
+
+
+def _walk(cfg: audit.AuditConfig, active: Sequence[bool]):
+    """The atoms with each symbol of r that ``active`` leaves out held at 0."""
     cfg.check_budget()
-    pda, n, b = cfg.pda, cfg.n, cfg.b
+    pda, n, b, q = cfg.pda, cfg.n, cfg.b, cfg.ctx.q
+    weight = q ** list(active).count(False)
     demand_tuples = cfg.demand_tuples()
-    for library in audit._libraries(cfg):
-        for r in product(range(cfg.ctx.q), repeat=Randomness.symbols(pda, n, b)):
+    for library in libraries(cfg):
+        for r in product(*(range(q) if a else (0,) for a in active)):
             state = audit.place(pda, library, Randomness.of(pda, n, b, r), cfg.mode)
             for demands in demand_tuples:
-                yield library, state, demands, audit.deliver(state, demands), 1
+                yield library, state, demands, audit.deliver(state, demands), weight
+
+
+def pairwise_violations(counts: Counter) -> tuple[int, tuple | None]:
+    """``factorization_violations`` by testing every (a, b) pair of the margins."""
+    total = counts.total()
+    margin_a: dict = {}
+    margin_b: dict = {}
+    for (a, b), c in counts.items():
+        margin_a[a] = margin_a.get(a, 0) + c
+        margin_b[b] = margin_b.get(b, 0) + c
+    violations, first = 0, None
+    for a, ca in margin_a.items():
+        for b, cb in margin_b.items():
+            if counts.get((a, b), 0) * total != ca * cb:
+                violations += 1
+                first = first or (a, b)
+    return violations, first
+
+
+def cache_key(cache) -> tuple:
+    """A cache as sorted (row, packets) pairs under stars, then (row, record) pairs."""
+    return tuple(sorted(cache.uncoded.items())), tuple(sorted(cache.coded.items()))
+
+
+def walk_security(cfg: audit.AuditConfig, atoms) -> audit.AuditReport:
+    """The security enumeration, one engine call per atom of ``atoms``."""
+    counts = Counter()
+    for library, _, demands, payload, weight in atoms:
+        counts[(library.files, demands), (payload.coeff_vectors, payload.blocks)] += weight
+    violations, first = pairwise_violations(counts)
+    counterexample = None
+    if first is not None:
+        (files, demands), observed = first
+        counterexample = {
+            "files": [list(f) for f in files],
+            "demands": [list(d) for d in demands],
+            "signal": repr(observed),
+        }
+    return audit.AuditReport(violations == 0, counts.total(), violations, counterexample)
+
+
+def walk_privacy(cfg: audit.AuditConfig, subsets, atoms) -> list:
+    """The privacy enumeration per subset, one engine call per atom of ``atoms``."""
+    cuts = []
+    for subset in subsets:
+        colluders = [u - 1 for u in audit._subset(cfg, subset)]
+        others = [k for k in range(cfg.pda.k) if k not in colluders]
+        cuts.append((colluders, others))
+    reports = [audit.AuditReport(True, 0, 0) for _ in cuts]
+    for library, group in groupby(atoms, itemgetter(0)):
+        tables = [Counter() for _ in cuts]
+        for _, state, demands, payload, weight in group:
+            for (colluders, others), table in zip(cuts, tables):
+                hidden = tuple(demands[k] for k in others)
+                seen = tuple(demands[k] for k in colluders)
+                caches = tuple(cache_key(state.caches[k]) for k in colluders)
+                table[hidden, (payload.coeff_vectors, payload.blocks, seen, caches)] += weight
+        for report, table in zip(reports, tables):
+            violations, first = pairwise_violations(table)
+            report.atoms += table.total()
+            report.violations += violations
+            report.verdict = report.violations == 0
+            if first is not None and report.counterexample is None:
+                hidden, observed = first
+                report.counterexample = {
+                    "files": [list(f) for f in library.files],
+                    "hidden_demands": [list(d) for d in hidden],
+                    "observed": repr(observed),
+                }
+    return reports
 
 
 def enumerate_correctness(cfg: audit.AuditConfig) -> audit.AuditReport:
@@ -457,7 +557,7 @@ def enumerate_correctness(cfg: audit.AuditConfig) -> audit.AuditReport:
 
 def file_models(cfg: audit.AuditConfig):
     """The model at every file realization W, caches included: q^(N*B) of them."""
-    return (audit.file_model(cfg, library, caches=True) for library in audit._libraries(cfg))
+    return (audit.file_model(cfg, library, caches=True) for library in libraries(cfg))
 
 
 def per_file_security(cfg: audit.AuditConfig, models) -> bool:

@@ -33,10 +33,15 @@ from oracle import (
     affine_combination,
     enumerate_correctness,
     file_models,
+    libraries,
     outputs,
+    pairwise_violations,
     per_file_privacy,
     per_file_security,
     raw_atoms,
+    walk_privacy,
+    walk_security,
+    weighted_atoms,
 )
 
 GF2 = FieldContext.prime(2)
@@ -75,6 +80,17 @@ class TestFactorization:
         dist = Counter({(0, 0): 2, (0, 1): 4, (1, 0): 1, (1, 1): 2})
         violations, _ = factorization_violations(dist)
         assert violations == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4),  # rows
+        st.integers(1, 4),  # columns
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 4)), max_size=16),
+    )
+    def test_one_pass_equals_every_pair(self, rows, columns, cells):
+        # single-row and single-column tables, and zero-count entries, included
+        dist = Counter({(a % rows, b % columns): c for a, b, c in cells})
+        assert factorization_violations(dist) == pairwise_violations(dist)
 
 
 class TestConfig:
@@ -334,12 +350,14 @@ class TestReports:
         # SLFR fails for the subsets {1} and {2} at the first probe file (6
         # placements, 10 deliveries); the subset {1, 2} has no other user, so
         # it holds at every W and probes no further.  Both failing subsets are
-        # counted from one pass over the 32 effective placements (the security
-        # key; the 4 privacy symbols are masked) and their 512 atoms
+        # counted in one pass over the 512 atoms of the model at the 5 probe
+        # files, each placed at r = 0 and at the one active symbol (the
+        # security key; the 4 privacy symbols are masked) and delivered at
+        # those 2 and at the 4 demand moves
         calls = count_calls(monkeypatch, "place", "deliver")
         report = audit_privacy(small(mode=Mode.SLFR))
         assert not report.verdict and report.method == "enumeration"
-        assert calls == {"place": 6 + 32, "deliver": 10 + 512}
+        assert calls == {"place": 6 + 5 * 2, "deliver": 10 + 5 * 6}
 
     def test_demand_moves_read_no_caches(self, monkeypatch):
         # each of the 5 probe files reads the K = 2 caches of its 6
@@ -350,12 +368,13 @@ class TestReports:
 
     def test_masked_keys_are_placed_once(self, monkeypatch):
         # LFR masks all 5 key symbols: its certificate fails at the first probe
-        # file (6 placements, 10 deliveries), then the enumeration
-        # places each file realization once and delivers its 16 demand tuples
+        # file (6 placements, 10 deliveries), then the enumeration's model
+        # places each of the 5 probe files once, at r = 0, and delivers there
+        # at d0 and at the 4 demand moves, whatever the atom count
         calls = count_calls(monkeypatch, "place", "deliver")
         report = audit_security(small(mode=Mode.LFR))
         assert not report.verdict and report.method == "enumeration"
-        assert calls == {"place": 6 + 16, "deliver": 10 + 16 * 16}
+        assert calls == {"place": 6 + 5, "deliver": 10 + 5 * 5}
 
     def test_passing_subsets_are_not_enumerated(self, monkeypatch):
         calls = count_calls(monkeypatch, "place", "deliver")
@@ -443,7 +462,7 @@ def test_symbolic_pass_implies_per_file_pass_implies_enumeration_pass(
     subsets = [s for r in users for s in combinations(users, r)]
     models = list(file_models(cfg))
     per_file = [
-        correctness_certificate(cfg, splfr.audit._libraries(cfg)) is None,
+        correctness_certificate(cfg, libraries(cfg)) is None,
         per_file_security(cfg, models),
         *(per_file_privacy(cfg, models, subset) for subset in subsets),
     ]
@@ -454,19 +473,17 @@ def test_symbolic_pass_implies_per_file_pass_implies_enumeration_pass(
 
 
 @pytest.mark.parametrize("ctx,arr,n,b,demand_space,mode", differential_cases())
-def test_weighted_walk_equals_the_raw_walk(monkeypatch, ctx, arr, n, b, demand_space, mode):
-    # each effective placement once, weighted by the raw atoms it stands for,
-    # gives every count and witness of the walk over every raw atom
+def test_model_counts_equal_the_per_atom_walks(ctx, arr, n, b, demand_space, mode):
+    # counted from the model at the probe files, the reports (verdict, atoms,
+    # violations, counterexample) are those of an engine call per raw atom,
+    # and per effective atom weighted by the raw atoms it stands for
     cfg = AuditConfig(pda=arr, n=n, b=b, ctx=ctx, mode=mode, demand_space=demand_space)
     users = range(1, arr.k + 1)
     subsets = [s for r in users for s in combinations(users, r)]
-
-    def reports():
-        return enumerate_security(cfg), enumerate_privacy(cfg, subsets)
-
-    weighted = reports()
-    monkeypatch.setattr(splfr.audit, "_atoms", raw_atoms)
-    assert reports() == weighted
+    model = enumerate_security(cfg), enumerate_privacy(cfg, subsets)
+    for atoms in (raw_atoms, weighted_atoms):
+        walked = walk_security(cfg, atoms(cfg)), walk_privacy(cfg, subsets, atoms(cfg))
+        assert model == walked, atoms.__name__
 
 
 @pytest.mark.parametrize("mode,position", [(Mode.PLFR, 33 * 16 + 2), (Mode.SLFR, 48 * 16 + 2)])
@@ -623,7 +640,7 @@ def test_engine_is_the_affine_model(name, ctx, mode, demand_space, n, block, see
     # the offset, plus r_i times key part i, plus d_j[t] times the part of
     # user j's move to file t
     cfg, library, keys, demands = premise_instance(name, ctx, mode, demand_space, n, block, seed)
-    probes = [outputs(state, d) for state, d in splfr.audit._probes(cfg, library)]
+    probes = [outputs(state, d) for state, d in splfr.audit._probes(cfg, library, splfr.audit._key_basis(cfg))]
     moved = range(1, n) if demand_space == "units" else range(n)
     coeffs = [
         *chain.from_iterable(keys.security_keys),

@@ -86,6 +86,15 @@ class TestPda:
         assert code == 1
         assert last_json(out)["verdict"] == "fail"
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_info_refuses_fewer_than_two_files(self, capsys, n):
+        # --n 0 is refused as --n 1 is, not read as "no --n given"
+        code, out, err = run_cli(capsys, "pda", "info", "man:3,1", "--n", n)
+        report = last_json(out)
+        assert code == 1 and report["verdict"] == "fail"
+        assert report["error"] == f"need at least 2 files, got {n}"
+        assert "memory" not in report and err.endswith(f"need at least 2 files, got {n}\n")
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):

@@ -11,7 +11,11 @@ what a certificate reads: the signal, and the caches for privacy.  The
 certificates only read its parts; correctness reads the decoders at the
 probe points and takes no differences at all.  Correctness is decided by its
 certificate alone: only ``correctness_certificate`` calls the decoders, so
-no per-atom correctness walk comes back to the package.
+no per-atom correctness walk comes back to the package.  The security and
+privacy enumerations count from the model at the probe files: only the
+probes, the model and the correctness certificate refer to ``place`` or
+``deliver``, so no ``enumerate_*`` function does, and no engine call per
+atom comes back either.
 
 ``Randomness`` owns the layout of the randomness r: the audit builds every
 value of r through ``Randomness.of``, never through the constructor.
@@ -92,6 +96,21 @@ def test_only_the_correctness_certificate_decodes():
     outside = sorted(node.lineno for node in decodes(tree) - inside)
     assert inside, "correctness_certificate no longer calls decode"
     assert outside == [], f"audit.py references decode outside its certificate on lines {outside}"
+
+
+def test_the_engine_runs_only_at_the_probe_points():
+    # so no enumerate_* function refers to place or deliver either
+    callers = sorted(
+        node.name
+        for node in ast.parse((PACKAGE / "audit.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            (isinstance(inner, ast.Name) and inner.id in ("place", "deliver"))
+            or (isinstance(inner, ast.Attribute) and inner.attr in ("place", "deliver"))
+            for inner in ast.walk(node)
+        )
+    )
+    assert callers == ["_probes", "correctness_certificate", "file_model"], callers
 
 
 def test_the_audit_never_constructs_randomness():
