@@ -9,43 +9,36 @@ randomness, demands) with uniform independent components:
 - privacy: the demands of users outside a colluding subset are independent
   of everything the subset observes, conditioned on the files.
 
-Certificates come first.  Their premise is that the engine is bi-affine:
-the signal, every cache and every decoded-minus-demanded error are affine
-in the randomness r = (V, p) and the demands d for fixed files W, and in W
-for fixed (r, d), as the records V_s + sum p*W, the blocks V_s + sum q*W
-and the linear decoders are.  So the engine runs only at the 1 + N*B probe
-files W = 0, e_1, ..., e_(N*B), each at an affine basis of (r, d): the
-offset r = 0, d = d0, each unit vector of r, each single-user demand
-move.  The key part A_W, demand part C_W * delta and offset of
-``file_model`` are affine in W, so the probe files decide for every W:
+The audit runs the unchanged ``place``, ``deliver`` and every ``decode``
+once over formal values: polynomials over GF(q) in the file symbols W, the
+key symbols r = (V, p) and the demand symbols d (d_(k,1) = 1 - sum_(n>1)
+d_(k,n) under unit demands).  A monomial of the signal, the caches or the
+decoding errors with two symbols of W or two of (r, d) refuses the
+instance by name, as a branch on a formal value does.  So the engine is
+bi-affine at the instance, and each monomial is one slot, or probe point:
+a W-monomial (1, W_1, ..., W_(N*B)) times an (r, d)-monomial (1, each
+symbol of r, each single-user demand move).  The certificates read the
+coefficients by slot:
 
-- correctness: every error is zero at every probe file and probe point;
-- security: pivoting the signal rows only on key columns constant in W
-  leaves rows with no key or demand part and an offset constant in W;
-- privacy: one key change Delta r, the same for every W, moves the
-  colluders' view as each other user's demand move does.
+- correctness: every error is the zero polynomial.  Else the first
+  nonzero slot, W outermost, is the first failing probe point, as the
+  order is closed under taking sub-monomials: its symbols at 1 and every
+  other at 0 are an atom at which the named user fails;
+- security: pivoting the signal rows only on key symbols with no W_i
+  coefficient leaves rows with no part but a constant;
+- privacy: one key change Delta r, the same at every W, moves the
+  colluders' view, stacked over the W-monomials, as each other user's
+  demand move does.
 
-A pass reports the full atom count.  Correctness is decided by its
-certificate alone: every probe point is itself an atom, so a failing
-decoder names its atom (files, keys as placed, demands, user) at any size.
-A security or privacy test stops at the first probe file that breaks it,
-and the enumeration decides.  The budget bounds the certificates'
-deliveries, (1 + N*B) * (1 + S*L + K*N + demand moves), and the
-enumeration's nominal atoms.  The enumeration counts from the model, on
-the certificates' bi-affine premise, with no engine call per atom: the
-engine runs at the probe files only, at r = 0, at each symbol of r that
-the mode lets through and at each demand move, and an atom's observation
-is the probe models' affine combination at its W plus its key and demand
-parts.  Each effective atom is counted once, weighted by the q^(masked)
-raw atoms that share its outcome (a symbol of r that the mode masks is
-held at 0), in the order of the walk over every atom; the privacy
-enumeration counts every failing subset in one pass.  Independence is
-decided through the factorization identities count(a, b) * total ==
-count(a) * count(b), which hold for every pair iff the mutual information
-is exactly zero, checked in one pass over the joint table; the
-enumeration is the only source of the violation count and the first
-witness.  No logarithms or floating point are involved: a pass is a proof
-for the instance.
+A pass is a proof for the instance, resting on the premise, read off the
+polynomials, and on ``FieldContext.lincomb`` equalling sum c*v, which
+``tests/test_field.py`` checks (the formal run reckons with the scalar
+``add`` and ``mul``).  A failing security or privacy certificate is
+decided by enumeration from the model, with no engine call per atom: each
+effective atom once, weighed by the q^(masked) raw atoms it stands for,
+through the factorization identities count(a, b) * total == count(a) *
+count(b), which hold for every pair iff the mutual information is exactly
+zero.  No logarithms or floating point are involved.
 """
 
 from __future__ import annotations
@@ -53,21 +46,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, combinations, groupby, islice, product
+from itertools import chain, combinations, count, groupby, islice, product
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .engine import (
-    Library,
-    Mode,
-    Randomness,
-    SchemeState,
-    UserCache,
-    Vector,
-    decode,
-    deliver,
-    place,
-)
+from .engine import Library, Mode, Randomness, SchemeState, Vector, decode, deliver, place
 from .field import FieldContext
 from .pda import PDA, STAR
 
@@ -121,9 +104,9 @@ class AuditConfig:
 
     @property
     def probe_count(self) -> int:
-        """Deliveries of the certificates: (1 + N*B) * (1 + S*L + K*N + demand moves)."""
-        moves = self.pda.k * (self.n - (self.demand_space == "units"))
-        return (1 + self.n * self.b) * (1 + Randomness.symbols(self.pda, self.n, self.b) + moves)
+        """The slots of the model: (1 + N*B) * (1 + S*L + K*N + demand moves)."""
+        nb, _, _, width = _layout(self)
+        return (1 + nb) * width
 
     def check_budget(self, count: Optional[int] = None, unit: str = "atoms") -> None:
         """Refuse an audit that would run more than the budget, by default atoms."""
@@ -183,53 +166,203 @@ def factorization_violations(counts: Counter) -> tuple[int, Optional[tuple]]:
     return violations, first
 
 
+# -- the formal run ---------------------------------------------------------
+
+
+class _Poly(dict):
+    """A formal value: each monomial, a sorted tuple of symbol numbers, to its coefficient.
+
+    It is no truth value and equals nothing, so a branch on one refuses the audit.
+    """
+
+    def __eq__(self, *_):
+        raise AuditError("the engine branches on a formal value, so no one model covers it")
+
+    __bool__ = __ne__ = __eq__
+
+
+class _Formal:
+    """GF(q) made formal: the engine's context for the audit's run.
+
+    A value is a ``_Poly``, or an int for a constant; the coefficients are
+    reckoned with the scalar ``add`` and ``mul`` of ``base``.
+    """
+
+    def __init__(self, base: FieldContext):
+        self.base = base
+
+    def lift(self, a) -> _Poly:
+        if isinstance(a, _Poly):
+            return a
+        return _Poly({(): a} if self.base.check(a) else {})
+
+    check = lift
+
+    def pack(self, v) -> tuple[_Poly, ...]:
+        return tuple(map(self.lift, v))
+
+    def split(self, v, f: int) -> tuple:
+        size = len(v) // f
+        return tuple(v[i * size : (i + 1) * size] for i in range(f))
+
+    def lincomb(self, coeffs, vectors) -> tuple[_Poly, ...]:
+        if len(coeffs) != len(vectors) or len(set(map(len, vectors))) != 1:
+            raise AuditError("the engine combines vectors of unequal count or length")
+        add, mul = self.base.add, self.base.mul
+        out = [_Poly() for _ in vectors[0]]
+        for c, v in zip(coeffs, vectors):
+            for acc, x in zip(out, v):
+                for (m1, a), (m2, b) in product(self.lift(c).items(), self.lift(x).items()):
+                    m = tuple(sorted(m1 + m2))
+                    s = add(acc.pop(m, 0), mul(a, b))
+                    if s:
+                        acc[m] = s
+        return tuple(out)
+
+    def vec_add(self, u, w) -> tuple[_Poly, ...]:
+        return self.lincomb((1, 1), (u, w))
+
+    def vec_neg(self, u) -> tuple[_Poly, ...]:
+        return self.lincomb((self.base.neg(1),), (u,))
+
+    def add(self, a, b) -> _Poly:
+        return self.vec_add((a,), (b,))[0]
+
+    def neg(self, a) -> _Poly:
+        return self.vec_neg((a,))[0]
+
+    def sub(self, a, b) -> _Poly:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b) -> _Poly:
+        return self.lincomb((a,), ((b,),))[0]
+
+
+class _Model(NamedTuple):
+    """The formal run's rows, each slot to its nonzero coefficient, and its formal inputs."""
+
+    signal: tuple[dict, ...]
+    caches: tuple[tuple[dict, ...], ...]  # per user
+    errors: tuple[tuple[dict, ...], ...]  # per user
+    state: SchemeState
+    demands: list
+
+
+def _layout(cfg: AuditConfig) -> tuple[int, int, int, int]:
+    """N*B, the S*L + K*N symbols of r, the demand moves per user, the slots per W-monomial."""
+    keys = Randomness.symbols(cfg.pda, cfg.n, cfg.b)
+    per_user = cfg.n - (cfg.demand_space == "units")
+    return cfg.n * cfg.b, keys, per_user, 1 + keys + cfg.pda.k * per_user
+
+
+def _name(cfg: AuditConfig, monomial: Sequence[int]) -> str:
+    """A monomial by its symbols, 1-based: W_i, V_i, p_(k,n) and d_(k,n)."""
+    (nb, keys, per_user, _), n, users = _layout(cfg), cfg.n, range(1, cfg.pda.k + 1)
+    names = [f"W_{i}" for i in range(1, nb + 1)]
+    names += [f"V_{i}" for i in range(1, keys - len(users) * n + 1)]
+    names += [f"p_({k},{i})" for k in users for i in range(1, n + 1)]
+    names += [f"d_({k},{i})" for k in users for i in range(n - per_user + 1, n + 1)]
+    return "*".join(names[v] for v in monomial)
+
+
+def _formal_run(cfg: AuditConfig) -> _Model:
+    """Run ``place``, ``deliver`` and every ``decode`` once, over formal symbols.
+
+    The symbols are numbered W, then r, then the demand moves, so that a
+    bi-affine monomial, at most one symbol below N*B and one above, is the
+    slot (W index) * width + (r, d) index, each index 1-based and 0 for
+    none.  Any other monomial is refused by name.
+    """
+    cfg.check_budget(cfg.probe_count, "probe points")  # before the formal run
+    (nb, keys, per_user, width), ctx = _layout(cfg), _Formal(cfg.ctx)
+    symbols = (_Poly({(i,): 1}) for i in count())
+    files = tuple(tuple(islice(symbols, cfg.b)) for _ in range(cfg.n))
+    randomness = Randomness.of(cfg.pda, cfg.n, cfg.b, list(islice(symbols, keys)))
+    moved = [tuple(islice(symbols, per_user)) for _ in range(cfg.pda.k)]
+    demands = [d if per_user == cfg.n else (reduce(ctx.sub, d, 1), *d) for d in moved]
+    state = place(cfg.pda, Library(ctx, files), randomness, cfg.mode)
+    payload = deliver(state, demands)
+
+    def rows(values: Iterable) -> tuple[dict, ...]:
+        out = []
+        for value in values:
+            out.append({})
+            for m, c in ctx.lift(value).items():
+                w, rd = [v + 1 for v in m if v < nb], [v - nb + 1 for v in m if v >= nb]
+                if len(w) > 1 or len(rd) > 1:
+                    name = _name(cfg, m)
+                    raise AuditError(f"the engine is not bi-affine: it yields the monomial {name}")
+                out[-1][sum(w) * width + sum(rd)] = c
+        return tuple(out)
+
+    signal, caches = rows(chain(*payload.coeff_vectors, *payload.blocks)), []
+    for c in state.caches:  # under stars each row's N packets, then the records, by row
+        uncoded = (pkt for _, pkts in sorted(c.uncoded.items()) for pkt in pkts)
+        caches.append(rows(chain(*uncoded, *(v for _, v in sorted(c.coded.items())))))
+    errors = tuple(
+        rows(map(ctx.sub, decode(state.user_view(k), payload, d), state.library.combine(d)))
+        for k, d in enumerate(demands)
+    )
+    return _Model(signal, tuple(caches), errors, state, demands)
+
+
+def _column(rows: Sequence[dict], slot: int) -> Vector:
+    """Each row's coefficient at ``slot``."""
+    return tuple(row.get(slot, 0) for row in rows)
+
+
+def _flat(vectors: Iterable[Sequence[int]]) -> Vector:
+    return tuple(chain.from_iterable(vectors))
+
+
+# -- enumeration --------------------------------------------------------------
+
+
 @lru_cache(maxsize=16)
 def _active_symbols(cfg: AuditConfig) -> tuple[bool, ...]:
     """Per symbol of r, whether the engine's masking for the mode lets it through."""
-    args = cfg.pda, cfg.n, cfg.b, cfg.ctx, cfg.mode
-    zero = Randomness.zeros(cfg.pda, cfg.n, cfg.b).effective(*args)
-    return tuple(r.effective(*args) != zero for r in _key_basis(cfg))
+    args = cfg.pda, cfg.n, cfg.b
+    ones = Randomness.of(*args, (1,) * Randomness.symbols(*args))
+    ones = ones.effective(*args, cfg.ctx, cfg.mode)
+    return tuple(map(bool, chain(*ones.security_keys, *ones.privacy_vectors)))
 
 
 def _placements(
-    cfg: AuditConfig, caches: bool = False
+    cfg: AuditConfig, model: _Model, caches: bool = False
 ) -> Iterator[tuple[tuple, Vector, Iterator[tuple[tuple, Vector]], int]]:
     """Each effective placement once, from the model: files, caches, (demands, signal)s, weight.
 
-    The engine runs only at the probe files, at r = 0, each active symbol
-    of r and each demand move (a symbol that the mode masks has a zero
-    part).  The model at files W combines the probe models with the
-    coefficients (1 - sum W, W_1, ..., W_(N*B)), as the engine is affine in
-    W; a demand tuple's signal is the offset plus its demand part, and r
-    adds its key parts.  The placements come as the per-atom walk has them:
-    files outermost, then the active symbols of r, each weighed by the
-    q^(masked) raw atoms it stands for, with the demand tuples innermost.
+    Per W-monomial, one row at r = 0 (the signal at each demand tuple, then
+    the caches) and one per active symbol of r; at files W the rows combine
+    with (1, W), and r adds its key parts.  The placements come as the
+    per-atom walk has them, each weighed by the q^(masked) raw atoms it
+    stands for, with the demand tuples innermost.
     """
-    cfg.check_budget()
-    ctx, q, n, b = cfg.ctx, cfg.ctx.q, cfg.n, cfg.b
-    basis = [r for r, a in zip(_key_basis(cfg), _active_symbols(cfg)) if a]
-    weight = q ** (len(_key_basis(cfg)) - len(basis))
+    ctx, q, (nb, keys, per_user, width) = cfg.ctx, cfg.ctx.q, _layout(cfg)
+    active = [1 + i for i, a in enumerate(_active_symbols(cfg)) if a]
+    weight = q ** (keys - len(active))
     demand_tuples = cfg.demand_tuples()
-    moves = [(j, demands[j].index(1)) for j, demands in _demand_moves(cfg)[1]]  # (user, file)
-    coeffs = [(1, *(d[j][t] for j, t in moves)) for d in demand_tuples]
-    # per probe file, one row at r = 0 and one per active symbol: the signal
-    # at each demand tuple, then the caches (a key part is the same at every d)
+    moved = range(cfg.n - per_user, cfg.n)  # the files a demand move reaches
+    coeffs = [(1, *(d[j][t] for j in range(cfg.pda.k) for t in moved)) for d in demand_tuples]
+    seen = _flat(model.caches) if caches else ()
     stacked = []
-    for library in _probe_libraries(cfg):
-        model = file_model(cfg, library, caches, basis)
-        signals = (model.offset[0], *(p[0] for _, p in model.demands))
-        rows = [chain((ctx.lincomb(c, signals) for c in coeffs), model.offset[1:])]
-        rows += (chain((p[0],) * len(coeffs), p[1:]) for p in model.keys)
+    for w in range(0, (1 + nb) * width, width):  # the first slot of each W-monomial
+        signals = [_column(model.signal, w + x) for x in (0, *range(1 + keys, width))]
+        rows = [chain((ctx.lincomb(c, signals) for c in coeffs), [_column(seen, w)])]
+        rows += (
+            chain((_column(model.signal, w + x),) * len(coeffs), [_column(seen, w + x)])
+            for x in active
+        )
         stacked.append(_flat(map(_flat, rows)))
-    width, span = len(model.offset[0]), len(stacked[0]) // (1 + len(basis))
-    for w in product(range(q), repeat=n * b):
-        at = ctx.lincomb((reduce(ctx.sub, w, 1), *w), stacked)
-        base, *keys = (at[i : i + span] for i in range(0, len(at), span))
-        files = tuple(w[f * b : (f + 1) * b] for f in range(n))
-        for r in product(range(q), repeat=len(keys)):
-            row = ctx.lincomb((1, *r), (base, *keys)) if any(r) else base
-            signals = (row[i : i + width] for i in range(0, len(coeffs) * width, width))
-            yield files, row[len(coeffs) * width :], zip(demand_tuples, signals), weight
+    size, span = len(model.signal), len(stacked[0]) // (1 + len(active))
+    for w in product(range(q), repeat=nb):
+        at = ctx.lincomb((1, *w), stacked)
+        base, *parts = (at[i : i + span] for i in range(0, len(at), span))
+        files = tuple(w[f * cfg.b : (f + 1) * cfg.b] for f in range(cfg.n))
+        for r in product(range(q), repeat=len(parts)):
+            row = ctx.lincomb((1, *r), (base, *parts)) if any(r) else base
+            signals = (row[i : i + size] for i in range(0, len(coeffs) * size, size))
+            yield files, row[len(coeffs) * size :], zip(demand_tuples, signals), weight
 
 
 def _signal(cfg: AuditConfig, flat: Vector) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
@@ -249,19 +382,11 @@ def _cache(cfg: AuditConfig, k: int, flat: Vector) -> tuple:
     return uncoded, tuple((i, next(cut)) for i, e in enumerate(column) if e is not STAR)
 
 
-def _atom_dict(library: Library, randomness: Randomness, demands) -> dict:
-    return {
-        "files": [list(f) for f in library.files],
-        "security_keys": [list(v) for v in randomness.security_keys],
-        "privacy_vectors": [list(p) for p in randomness.privacy_vectors],
-        "demands": [list(d) for d in demands],
-    }
-
-
-def enumerate_security(cfg: AuditConfig) -> AuditReport:
-    """Certify that the signal is independent of files and demands."""
+def enumerate_security(cfg: AuditConfig, model: Optional[_Model] = None) -> AuditReport:
+    """Count the signal against files and demands at every atom, from the model."""
+    cfg.check_budget()
     counts = Counter()
-    for files, _, atoms, weight in _placements(cfg):
+    for files, _, atoms, weight in _placements(cfg, model or _formal_run(cfg)):
         for demands, signal in atoms:
             counts[(files, demands), signal] += weight
     violations, first = factorization_violations(counts)
@@ -277,7 +402,7 @@ def enumerate_security(cfg: AuditConfig) -> AuditReport:
 
 
 def enumerate_privacy(
-    cfg: AuditConfig, subsets: Sequence[Sequence[int]]
+    cfg: AuditConfig, subsets: Sequence[Sequence[int]], model: Optional[_Model] = None
 ) -> list[AuditReport]:
     """Check colluding-subset privacy, conditioned on the file realization.
 
@@ -297,10 +422,11 @@ def enumerate_privacy(
         }
         cuts.append((colluders, split))
     reports = [AuditReport(True, 0, 0) for _ in cuts]
+    placements = _placements(cfg, model or _formal_run(cfg), caches=True)
     # conditioning on the files keeps each slice's count tables small
-    for files, placements in groupby(_placements(cfg, caches=True), itemgetter(0)):
+    for files, group in groupby(placements, itemgetter(0)):
         tables = [Counter() for _ in cuts]
-        for _, caches, atoms, weight in placements:
+        for _, caches, atoms, weight in group:
             size = len(caches) // cfg.pda.k  # each column has Z stars: one cache length
             slots = [
                 (split, tuple(caches[k * size : (k + 1) * size] for k in colluders), table)
@@ -330,193 +456,85 @@ def enumerate_privacy(
 # -- certificates ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FileModel:
-    """The engine at one file realization W, as an affine map of (r, d).
+def correctness_certificate(cfg: AuditConfig, model: _Model) -> Optional[dict]:
+    """None if every decoding error is the zero polynomial.
 
-    A point is the signal, then each user's cache if the caches are read.
-    ``offset`` is the point r = 0, d = d0; ``keys[i]`` is what A_W adds per
-    unit of symbol i of r (of the i-th probed one, if ``file_model`` was
-    given a basis); ``demands`` holds (user, C_W * delta) per
-    single-user demand move away from d0 (see ``_demand_moves``).
+    Otherwise the atom at the first nonzero slot, in probe order: its
+    symbols at 1 and every other at 0, keys as placed, with the first user
+    whose error has that slot, a raw atom at which that user fails.
     """
+    failing = [(min(chain(*e)), k) for k, e in enumerate(model.errors) if any(e)]
+    if not failing:
+        return None
+    (slot, k), (nb, _, _, width) = min(failing), _layout(cfg)
+    w, rd = divmod(slot, width)
+    ones = {v for v, used in ((w - 1, w), (nb + rd - 1, rd)) if used}
+    add, lift, keys = cfg.ctx.add, model.state.library.ctx.lift, model.state.randomness
 
-    offset: tuple[Vector, ...]
-    keys: tuple[tuple[Vector, ...], ...]
-    demands: tuple[tuple[int, tuple[Vector, ...]], ...]
+    def at(vectors) -> list[list[int]]:  # with the symbols of ``ones`` at 1, every other at 0
+        return [
+            [reduce(add, (c for m, c in lift(x).items() if ones.issuperset(m)), 0) for x in v]
+            for v in vectors
+        ]
 
-
-def _flat(vectors: Iterable[Sequence[int]]) -> Vector:
-    return tuple(chain.from_iterable(vectors))
-
-
-def _cache_vector(cache: UserCache) -> Vector:
-    uncoded = (pkt for _, pkts in sorted(cache.uncoded.items()) for pkt in pkts)
-    coded = (v for _, v in sorted(cache.coded.items()))
-    return _flat(chain(uncoded, coded))
-
-
-@lru_cache(maxsize=16)
-def _key_basis(cfg: AuditConfig) -> tuple[Randomness, ...]:
-    """Randomness at each unit vector of r (every symbol of V, then of p), once per config."""
-    size = Randomness.symbols(cfg.pda, cfg.n, cfg.b)
-    return tuple(
-        Randomness.of(cfg.pda, cfg.n, cfg.b, [int(i == j) for i in range(size)])
-        for j in range(size)
-    )
+    return {
+        "files": at(model.state.library.files),
+        "security_keys": at(keys.security_keys),
+        "privacy_vectors": at(keys.privacy_vectors),
+        "demands": at(model.demands),
+        "user": k + 1,
+    }
 
 
-@lru_cache(maxsize=16)
-def _demand_moves(cfg: AuditConfig) -> tuple[tuple, tuple[tuple[int, tuple], ...]]:
-    """A base demand tuple d0 and the single-user moves away from it.
-
-    Every point is a demand tuple of the demand space, and their affine
-    hull contains all of it: for ``all``, d0 = 0 and each user moves to
-    each unit vector; for ``units``, d0 puts every user on file 1 and each
-    user moves to each other file, so the differences are e_a - e_1.
-    """
-    k, n = cfg.pda.k, cfg.n
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    if cfg.demand_space == "units":
-        start, targets = units[0], units[1:]
-    else:
-        start, targets = (0,) * n, units
-    base = (start,) * k
-    return base, tuple((j, base[:j] + (t,) + base[j + 1 :]) for j in range(k) for t in targets)
-
-
-def _probe_libraries(cfg: AuditConfig) -> Iterator[Library]:
-    """W = 0, then each unit vector e_i of the N*B file symbols, within the probe budget."""
-    cfg.check_budget(cfg.probe_count, "probe points")  # before the bases are built
-    n, b = cfg.n, cfg.b
-    for i in range(-1, n * b):
-        yield Library(cfg.ctx, tuple(tuple(int(i == f * b + j) for j in range(b)) for f in range(n)))
-
-
-def _probes(
-    cfg: AuditConfig, library: Library, basis: Sequence[Randomness]
-) -> Iterator[tuple[SchemeState, tuple]]:
-    """(placement, demands) at r = 0 and d0, at each point of ``basis``, at each demand move."""
-    base, moves = _demand_moves(cfg)
-    state = place(cfg.pda, library, Randomness.zeros(cfg.pda, cfg.n, cfg.b), cfg.mode)
-    yield state, base
-    for r in basis:
-        yield place(cfg.pda, library, r, cfg.mode), base
-    for _, demands in moves:
-        yield state, demands
-
-
-def file_model(
-    cfg: AuditConfig,
-    library: Library,
-    caches: bool = False,
-    basis: Optional[Sequence[Randomness]] = None,
-) -> FileModel:
-    """Probe the engine at one W: 1 + S*L + K*N placements, a delivery per point.
-
-    The key parts are those of the points of ``basis``, by default every
-    unit vector of r (a placement each).  The demand moves reuse the
-    zero-key placement, so their cache parts are zero: the caches are read
-    once per placement.
-    """
-    basis = _key_basis(cfg) if basis is None else basis
-    points, zero = [], None
-    for state, demands in _probes(cfg, library, basis):
-        payload = deliver(state, demands)
-        point = (_flat(chain(payload.coeff_vectors, payload.blocks)),)
-        if caches:
-            point += points[0][1:] if state is zero else tuple(map(_cache_vector, state.caches))
-        if zero is None:
-            zero = state
-        points.append(point)
-    offset, *points = points
-    parts = [tuple(tuple(map(cfg.ctx.sub, u, w)) for u, w in zip(p, offset)) for p in points]
-    keys, users = len(basis), (j for j, _ in _demand_moves(cfg)[1])
-    return FileModel(offset, tuple(parts[:keys]), tuple(zip(users, parts[keys:])))
-
-
-def _in_span(ctx: FieldContext, basis: Sequence[Vector], vectors: Iterable[Vector]) -> bool:
-    """Whether every vector lies in the span of the reduced echelon ``basis``."""
-    return not any(any(ctx.reduce(basis, v)) for v in vectors)
-
-
-def correctness_certificate(cfg: AuditConfig, libraries: Iterable[Library]) -> Optional[dict]:
-    """None if every decoder is exact at every probe point, for each of ``libraries``.
-
-    Otherwise the first failing probe point, with the keys as placed and the
-    user that decodes wrongly: a raw atom at which that user fails.
-    """
-    for library in libraries:
-        for state, demands in _probes(cfg, library, _key_basis(cfg)):
-            payload = deliver(state, demands)
-            for k, demand in enumerate(demands):
-                if decode(state.user_view(k), payload, demand) != library.combine(demand):
-                    return dict(_atom_dict(library, state.randomness, demands), user=k + 1)
-    return None
-
-
-def security_certificate(cfg: AuditConfig, libraries: Iterable[Library]) -> bool:
+def security_certificate(cfg: AuditConfig, model: _Model) -> bool:
     """The signal's coset, offset + C_W * delta + Im(A_W), is one for every (W, d).
 
-    Each signal symbol is a row [key parts | offset | demand parts] at each
-    probe file.  A key column that is one constant at every probe file, in
-    every row left, pivots a row: its symbol pads that row, and constant
-    multipliers keep the rows affine in W.  The rows left at the end must
-    have no key or demand part and one offset at every probe file.
+    Each signal symbol is a row of coefficients by slot.  A key symbol with
+    no W_i coefficient in any row left pivots a row: its symbol pads that
+    row, and constant multipliers keep the rows affine in W.  The rows left
+    at the end must have no slot but the constant one.
     """
-    ctx, keys, columns = cfg.ctx, Randomness.symbols(cfg.pda, cfg.n, cfg.b), []
-    for model in (file_model(cfg, library) for library in libraries):
-        moves = [p[0] for _, p in model.demands]
-        if not _in_span(ctx, ctx.echelon(p[0] for p in model.keys), moves):
-            return False  # the demands show at this W: build no more models
-        columns.append(zip(*(p[0] for p in model.keys), model.offset[0], *moves))
-    width = keys + 1 + len(_demand_moves(cfg)[1])
-    rows, pivoted = [_flat(row) for row in zip(*columns)], True
+    ctx, (_, keys, _, width) = cfg.ctx, _layout(cfg)
+    rows, pivoted = list(model.signal), True
     while pivoted:
         pivoted = False
-        for c in range(keys):
-            pivot = next((row for row in rows if row[c]), None)
-            if pivot is None or any(len(set(row[c::width])) > 1 for row in rows):
+        for c in range(1, 1 + keys):
+            pivot = next((row for row in rows if c in row), None)
+            if pivot is None or any(s % width == c and s > c for row in rows for s in row):
                 continue
             rows.remove(pivot)
             scale, pivoted = ctx.neg(ctx.inv(pivot[c])), True
-            rows = [
-                ctx.lincomb((1, ctx.mul(scale, row[c])), (row, pivot)) if row[c] else row
-                for row in rows
-            ]
-    # each row left must be one constant: no key or demand part, one offset, at every W
-    blank = (0,) * (width - keys - 1)
-    return all(row == ((0,) * keys + (row[keys],) + blank) * len(columns) for row in rows)
+            for i, row in enumerate(rows):
+                if c in row:  # row + scale * row[c] * pivot, its zero coefficients dropped
+                    a, row = ctx.mul(scale, row[c]), dict(row)
+                    for s, x in pivot.items():
+                        row[s] = ctx.add(row.get(s, 0), ctx.mul(a, x))
+                    rows[i] = {s: x for s, x in row.items() if x}
+    return all(row.keys() <= {0} for row in rows)
 
 
 def privacy_certificate(
-    cfg: AuditConfig, libraries: Iterable[Library], subsets: Sequence[Sequence[int]]
+    cfg: AuditConfig, model: _Model, subsets: Sequence[Sequence[int]]
 ) -> list[bool]:
     """Per colluding subset: one key change Delta r moves the view as each other user's move does.
 
-    The view is the signal and the colluders' caches, stacked over the probe
-    files so that one Delta r serves every W.  The colluders' own demands
-    are left out: no key or other user's demand moves them, so they split
-    the view into disjoint cosets without changing the test.
+    The view is the signal and the colluders' caches; each part of (r, d)
+    moves it by its coefficients, stacked over the W-monomials, so that one
+    Delta r serves every W.  The colluders' own demands are left out: no key
+    or other user's demand moves them, so they split the view into disjoint
+    cosets without changing the test.
     """
-    ctx, cuts = cfg.ctx, [[u - 1 for u in subset] for subset in subsets]
-    stacks = [([], []) for _ in cuts]  # per subset and probe file: key views, move views
-    ok = [True] * len(cuts)
-    for model in (file_model(cfg, library, caches=True) for library in libraries):
-        for i, colluders in enumerate(cuts):
-            if ok[i]:
-                view = itemgetter(0, *(k + 1 for k in colluders))  # signal, colluders' caches
-                keys = [_flat(view(p)) for p in model.keys]
-                moves = [_flat(view(p)) for j, p in model.demands if j not in colluders]
-                ok[i] = _in_span(ctx, ctx.echelon(keys), moves)  # or fail at this W
-                stacks[i][0].append(keys)
-                stacks[i][1].append(moves)
-        if not any(o and len(c) < cfg.pda.k for o, c in zip(ok, cuts)):
-            break  # the subsets still holding have no other user: they hold at every W
-    return [
-        o and _in_span(ctx, ctx.echelon(map(_flat, zip(*keys))), map(_flat, zip(*moves)))
-        for o, (keys, moves) in zip(ok, stacks)
-    ]
+    ctx, (_, keys, per_user, width), ok = cfg.ctx, _layout(cfg), []
+    for colluders in ([u - 1 for u in subset] for subset in subsets):
+        view = model.signal + _flat(model.caches[k] for k in colluders)
+        # (W-monomial's first slot, view symbol) wherever some part has a coefficient
+        cells = sorted({(s - s % width, i) for i, row in enumerate(view) for s in row if s % width})
+        parts = [tuple(view[i].get(w + x, 0) for w, i in cells) for x in range(width)]
+        others = [k for k in range(cfg.pda.k) if k not in colluders]
+        moves = (parts[1 + keys + k * per_user + t] for k in others for t in range(per_user))
+        basis = ctx.echelon(parts[1 : 1 + keys])
+        ok.append(not any(any(ctx.reduce(basis, v)) for v in moves))
+    return ok
 
 
 def _subset(cfg: AuditConfig, subset: Sequence[int]) -> list[int]:
@@ -526,23 +544,19 @@ def _subset(cfg: AuditConfig, subset: Sequence[int]) -> list[int]:
     return subset
 
 
-def _certified(cfg: AuditConfig) -> AuditReport:
-    return AuditReport(True, cfg.atom_count, 0, method="certificate")
-
-
 def audit_correctness(cfg: AuditConfig) -> AuditReport:
     """Decoder exactness, decided by the certificate, which names a failing atom."""
-    witness = correctness_certificate(cfg, _probe_libraries(cfg))
-    if witness is None:
-        return _certified(cfg)
-    return AuditReport(False, cfg.atom_count, 1, witness, method="certificate")
+    witness = correctness_certificate(cfg, _formal_run(cfg))
+    failed = witness is not None
+    return AuditReport(not failed, cfg.atom_count, int(failed), witness, method="certificate")
 
 
 def audit_security(cfg: AuditConfig) -> AuditReport:
     """Signal independence: certificate first, enumeration when it fails."""
-    if security_certificate(cfg, _probe_libraries(cfg)):
-        return _certified(cfg)
-    return enumerate_security(cfg)
+    model = _formal_run(cfg)
+    if security_certificate(cfg, model):
+        return AuditReport(True, cfg.atom_count, 0, method="certificate")
+    return enumerate_security(cfg, model)
 
 
 def audit_privacy(
@@ -551,8 +565,8 @@ def audit_privacy(
     """Colluding-subset privacy: certificate first, enumeration when it fails.
 
     ``subset`` lists the colluding users (1-based, nonempty).  Without
-    one, every nonempty subset is audited on one set of file models, and
-    the subsets whose certificates fail are enumerated together in one
+    one, every nonempty subset is audited on the one model, and the
+    subsets whose certificates fail are enumerated together in one
     traversal; the report sums the atoms and violations, and its
     counterexample (the first subset's that has one) names the subset.
     """
@@ -563,11 +577,12 @@ def audit_privacy(
         subsets = list(chain.from_iterable(combinations(users, r) for r in users))
     else:
         subsets = [_subset(cfg, subset)]
-    ok = privacy_certificate(cfg, _probe_libraries(cfg), subsets)
+    model = _formal_run(cfg)
+    ok = privacy_certificate(cfg, model, subsets)
     failing = [sub for sub, o in zip(subsets, ok) if not o]
     if not failing:
         return AuditReport(True, len(subsets) * cfg.atom_count, 0, method="certificate")
-    reports = enumerate_privacy(cfg, failing)
+    reports = enumerate_privacy(cfg, failing, model)
     if subset is not None:
         return reports[0]
     return AuditReport(
@@ -575,30 +590,8 @@ def audit_privacy(
         atoms=(len(subsets) - len(failing)) * cfg.atom_count + sum(r.atoms for r in reports),
         violations=sum(r.violations for r in reports),
         counterexample=next(
-            (
-                dict(r.counterexample, subset=list(sub))
-                for sub, r in zip(failing, reports)
-                if r.counterexample
-            ),
+            (dict(r.counterexample, subset=list(sub)) for sub, r in zip(failing, reports)
+             if r.counterexample),
             None,
         ),
     )
-
-
-__all__ = [
-    "AuditConfig",
-    "AuditError",
-    "AuditReport",
-    "BudgetExceeded",
-    "FileModel",
-    "audit_correctness",
-    "audit_privacy",
-    "audit_security",
-    "correctness_certificate",
-    "enumerate_privacy",
-    "enumerate_security",
-    "factorization_violations",
-    "file_model",
-    "privacy_certificate",
-    "security_certificate",
-]

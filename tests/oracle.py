@@ -7,9 +7,10 @@ polynomial helpers (``poly_mulmod``, ``is_irreducible``) check the field's
 product table by carry-less multiplication and trial division.  Helpers that
 only the tests use (``FieldElement``, ``field_dot``, ``canonical_relabel``,
 ``min_subpacketization``, ``lsub_parameters``, ``subpacketization_compare``,
-``restrict_corners``, ``f_bound``, ``uncoded_points``) live here too.  The tradeoff oracles build the t-subset
-curve as a lower convex envelope and read its pieces through
-``TradeoffCurve.evaluate``, the generic path the closed form replaces.
+``restrict_corners``, ``f_bound``, ``uncoded_points``) live here too.
+The tradeoff oracles build the t-subset curve as a lower convex envelope
+and read its pieces through ``TradeoffCurve.evaluate``, the generic path
+the closed form replaces.
 ``per_piece_sup`` runs ``ratio_sup`` on every piece of a certified ratio,
 the path that one candidate per (N, K) replaces, and
 ``fraction_pda_lower_bound`` and ``fraction_cutset_bound`` are the converse
@@ -19,27 +20,28 @@ realization), each with weight 1, and ``weighted_atoms`` each effective
 atom once, weighed by the raw atoms it stands for; ``walk_security`` and
 ``walk_privacy`` count either walk with an engine call per atom and test
 every identity pair with ``pairwise_violations``: the references for the
-audit's enumerations, which count from the probe-file model, and for the
+audit's enumerations, which count from the formal model, and for the
 one-pass ``factorization_violations``.  ``cache_key`` is a cache as the
 walks observe it.  ``enumerate_correctness`` decodes every raw atom for
 every user, the reference for the correctness certificate, which alone
-decides the audit.  ``file_models`` builds the audit's affine model at
-every file realization W, and ``per_file_security`` and
-``per_file_privacy`` decide the certificates W by W on them (correctness
-W by W is ``correctness_certificate`` over ``libraries``): the reference
-for the symbolic tests at the probe files.  ``outputs`` and
-``affine_combination`` read and interpolate the engine's outputs for the
-tests of the premise the certificates rest on.
+decides the audit.  ``file_models`` builds the affine model of the
+concrete engine at every file realization W, from its probe points
+(``probe_points``: r = 0, each unit vector of r, each demand move), and
+``per_file_correctness``, ``per_file_security`` and ``per_file_privacy``
+decide the certificates W by W on them: the references for the
+certificates read off the formal model.  ``outputs`` reads the concrete
+engine's signal, caches and decoding errors at one point, and
+``evaluate`` the formal model's at the same point, the differential test
+of the premise the certificates rest on.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import groupby, product
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import splfr.audit as audit
 from splfr.engine import Library, NonDivisibleB, Randomness, Vector
@@ -550,14 +552,89 @@ def enumerate_correctness(cfg: audit.AuditConfig) -> audit.AuditReport:
     for atoms, (library, state, demands, payload, _) in enumerate(raw_atoms(cfg), 1):
         for k, demand in enumerate(demands):
             if audit.decode(state.user_view(k), payload, demand) != library.combine(demand):
-                detail = dict(audit._atom_dict(library, state.randomness, demands), user=k + 1)
+                detail = {
+                    "files": [list(f) for f in library.files],
+                    "security_keys": [list(v) for v in state.randomness.security_keys],
+                    "privacy_vectors": [list(p) for p in state.randomness.privacy_vectors],
+                    "demands": [list(d) for d in demands],
+                    "user": k + 1,
+                }
                 return audit.AuditReport(False, atoms, 1, detail)
     return audit.AuditReport(True, atoms, 0)
 
 
+class FileModel(NamedTuple):
+    """The engine at one file realization W, as an affine map of (r, d).
+
+    A point is the signal, then each user's cache.  ``offset`` is the point
+    r = 0, d = d0; ``keys[i]`` is what A_W adds per unit of symbol i of r;
+    ``demands`` holds (user, C_W * delta) per single-user demand move away
+    from d0 (see ``probe_points``).
+    """
+
+    offset: tuple[Vector, ...]
+    keys: tuple[tuple[Vector, ...], ...]
+    demands: tuple[tuple[int, tuple[Vector, ...]], ...]
+
+
+def probe_libraries(cfg: audit.AuditConfig):
+    """W = 0, then each unit vector e_i of the N*B file symbols."""
+    n, b = cfg.n, cfg.b
+    for i in range(-1, n * b):
+        files = tuple(tuple(int(i == f * b + j) for j in range(b)) for f in range(n))
+        yield Library(cfg.ctx, files)
+
+
+def probe_points(cfg: audit.AuditConfig, library: Library):
+    """(placement, demands, mover) at r = 0 and d0, at each unit vector of r, at each demand move.
+
+    Every point is a demand tuple of the demand space, and their affine
+    hull contains all of it: for ``all``, d0 = 0 and each user moves to
+    each unit vector; for ``units``, d0 puts every user on file 1 and each
+    user moves to each other file.  ``mover`` is the moving user, or None.
+    """
+    pda, n, b = cfg.pda, cfg.n, cfg.b
+    size = Randomness.symbols(pda, n, b)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    start, targets = (units[0], units[1:]) if cfg.demand_space == "units" else ((0,) * n, units)
+    base = (start,) * pda.k
+    state = audit.place(pda, library, Randomness.zeros(pda, n, b), cfg.mode)
+    yield state, base, None
+    for j in range(size):
+        r = Randomness.of(pda, n, b, [int(i == j) for i in range(size)])
+        yield audit.place(pda, library, r, cfg.mode), base, None
+    for j in range(pda.k):
+        for t in targets:
+            yield state, base[:j] + (t,) + base[j + 1 :], j
+
+
+def file_model(cfg: audit.AuditConfig, library: Library) -> FileModel:
+    """The engine at the probe points of one W, less its offset, caches included."""
+    ctx, points = cfg.ctx, list(probe_points(cfg, library))
+    seen = [(outputs(state, demands)[: 1 + cfg.pda.k], j) for state, demands, j in points]
+    (offset, _), *seen = seen
+    parts = [(tuple(tuple(map(ctx.sub, u, w)) for u, w in zip(p, offset)), j) for p, j in seen]
+    keys = [p for p, j in parts if j is None]
+    return FileModel(offset, tuple(keys), tuple((j, p) for p, j in parts if j is not None))
+
+
 def file_models(cfg: audit.AuditConfig):
-    """The model at every file realization W, caches included: q^(N*B) of them."""
-    return (audit.file_model(cfg, library, caches=True) for library in libraries(cfg))
+    """The model at every file realization W: q^(N*B) of them."""
+    return (file_model(cfg, library) for library in libraries(cfg))
+
+
+def per_file_correctness(cfg: audit.AuditConfig) -> bool:
+    """Every decoder is exact at every probe point of every W."""
+    return all(
+        not any(map(any, outputs(state, demands)[1 + cfg.pda.k :]))
+        for library in libraries(cfg)
+        for state, demands, _ in probe_points(cfg, library)
+    )
+
+
+def in_span(ctx: FieldContext, basis, vectors) -> bool:
+    """Whether every vector lies in the span of the reduced echelon ``basis``."""
+    return not any(any(ctx.reduce(basis, v)) for v in vectors)
 
 
 def per_file_security(cfg: audit.AuditConfig, models) -> bool:
@@ -570,7 +647,7 @@ def per_file_security(cfg: audit.AuditConfig, models) -> bool:
         image = ctx.echelon(p[0] for p in model.keys)
         coset = image, ctx.reduce(image, model.offset[0])
         first = first or coset
-        if coset != first or not audit._in_span(ctx, image, (p[0] for _, p in model.demands)):
+        if coset != first or not in_span(ctx, image, (p[0] for _, p in model.demands)):
             return False
     return True
 
@@ -584,7 +661,7 @@ def per_file_privacy(cfg: audit.AuditConfig, models, subset: Sequence[int]) -> b
 
     for model in models:
         moves = (view(p) for j, p in model.demands if j not in colluders)
-        if not audit._in_span(ctx, ctx.echelon(map(view, model.keys)), moves):
+        if not in_span(ctx, ctx.echelon(map(view, model.keys)), moves):
             return False
     return True
 
@@ -606,16 +683,35 @@ def outputs(state, demands) -> tuple[Vector, ...]:
     return (signal, *caches, *errors)
 
 
-def affine_combination(ctx: FieldContext, coeffs: Sequence[int], points) -> tuple[Vector, ...]:
-    """points[0] + sum_i coeffs[i] * (points[i + 1] - points[0]), vector by vector."""
-    weights = [ctx.sub(1, reduce(ctx.add, coeffs, 0)), *coeffs]
-    combined = []
-    for vectors in zip(*points):
-        acc = (0,) * len(vectors[0])
-        for w, v in zip(weights, vectors):
-            acc = ctx.vec_add(acc, ctx.vec_scale(w, v))
-        combined.append(acc)
-    return tuple(combined)
+def evaluate(cfg: audit.AuditConfig, model, library: Library, randomness: Randomness, demands):
+    """The audit's formal model at (W, r, d), laid out as ``outputs``.
+
+    Slot w * width + x holds the coefficient of the w-th W-monomial (1,
+    W_1, ..., W_(N*B)) times the x-th (r, d)-monomial (1, each symbol of r,
+    each demand move: d_(k,n) for every n, or for n > 1 under unit demands,
+    where d_(k,1) is 1 less the others).  A symbol of r that the mode masks
+    has no coefficient, so the raw r is read as it is.
+    """
+    ctx, k, n = cfg.ctx, cfg.pda.k, cfg.n
+    moved = range(1 if cfg.demand_space == "units" else 0, n)
+    w_values = (1, *(x for f in library.files for x in f))
+    r_values = (
+        1,
+        *(x for v in randomness.security_keys for x in v),
+        *(x for p in randomness.privacy_vectors for x in p),
+        *(demands[j][t] for j in range(k) for t in moved),
+    )
+    width = len(r_values)
+
+    def at(row) -> int:
+        value = 0
+        for slot, c in row.items():
+            w, x = divmod(slot, width)
+            value = ctx.add(value, ctx.mul(c, ctx.mul(w_values[w], r_values[x])))
+        return value
+
+    rows = (model.signal, *model.caches, *model.errors)
+    return tuple(tuple(map(at, vector)) for vector in rows)
 
 
 # -- grid samplers for the tradeoff checks -------------------------------

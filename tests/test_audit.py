@@ -1,6 +1,8 @@
 """Tests for the exact audits: rank certificates and the enumeration oracle."""
 
+import json
 import random
+import re
 import time
 from collections import Counter
 from itertools import chain, combinations
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import splfr.audit
+from splfr import cli
 from splfr.audit import (
     AuditConfig,
     AuditError,
@@ -20,24 +23,25 @@ from splfr.audit import (
     enumerate_privacy,
     enumerate_security,
     factorization_violations,
-    file_model,
     privacy_certificate,
     security_certificate,
 )
 from splfr.cli import TOY_GRID
 from splfr.engine import DeliveryPayload, Library, Mode, Randomness, decode, deliver, place
 from splfr.field import FieldContext
-from splfr.pda import STAR, man_pda, validate
+from splfr.pda import STAR, man_pda, parse_pda, validate
 
 from oracle import (
-    affine_combination,
     enumerate_correctness,
+    evaluate,
+    file_model,
     file_models,
-    libraries,
     outputs,
     pairwise_violations,
+    per_file_correctness,
     per_file_privacy,
     per_file_security,
+    probe_libraries,
     raw_atoms,
     walk_privacy,
     walk_security,
@@ -125,25 +129,24 @@ class TestConfig:
         assert SMALL.probe_count == 5 * 10
         assert small(demand_space="units").probe_count == 5 * 8
 
-    def test_probe_bases_are_built_once_per_config(self):
-        # the 16 file realizations share one key basis and one set of demand moves
-        splfr.audit._key_basis.cache_clear()
-        splfr.audit._demand_moves.cache_clear()
-        assert len(list(file_models(SMALL))) == 16
-        assert splfr.audit._key_basis.cache_info().misses == 1
-        assert splfr.audit._demand_moves.cache_info().misses == 1
+    def test_each_audit_runs_the_engine_once(self, monkeypatch):
+        # one formal run per audit: one placement, one delivery and K decodes,
+        # not one per probe point (the budget counts 50) or per atom
+        calls = count_calls(monkeypatch, "place", "deliver", "decode")
+        for audit in (audit_correctness, audit_security, audit_privacy):
+            calls.clear()
+            assert audit(SMALL).method == "certificate"
+            assert calls == {"place": 1, "deliver": 1, "decode": 2}, audit.__name__
 
-    def test_too_many_probe_points_are_refused_before_the_bases(self):
-        # 90,001 probe files x 30,019 probe points: refused without a basis
-        # of 30,009 points each holding a 30,009-symbol unit vector
+    def test_too_many_probe_points_are_refused_before_the_formal_run(self, monkeypatch):
+        # 90,001 W-monomials x 30,019 (r, d)-monomials: refused before the
+        # engine places a library of 90,000 formal symbols
         cfg = AuditConfig(pda=man_pda(3, 1), n=3, b=30000, ctx=GF2)
-        splfr.audit._key_basis.cache_clear()
-        splfr.audit._demand_moves.cache_clear()
+        calls = count_calls(monkeypatch, "place")
         for audit in (audit_correctness, audit_security, lambda c: audit_privacy(c, [1])):
             with pytest.raises(BudgetExceeded, match="^2701740019 probe points exceed budget"):
                 audit(cfg)
-        assert splfr.audit._key_basis.cache_info().misses == 0
-        assert splfr.audit._demand_moves.cache_info().misses == 0
+        assert calls == {}
 
     def test_certificates_are_budgeted_by_their_probe_points(self):
         # 8192 atoms, but 50 probe points, and 3 x 50 for every subset
@@ -166,13 +169,13 @@ class TestConfig:
             audit_privacy(cfg, [1])
 
     def test_failing_certificate_is_refused_before_enumeration(self, monkeypatch):
-        # LFR fails at the first probe file, whose 13 placements and 22
-        # deliveries are all that run: the 2^30 atoms are refused unvisited
+        # LFR fails on the one formal run, its one placement and delivery all
+        # that run: the 2^30 atoms are refused unvisited
         cfg = AuditConfig(pda=man_pda(3, 1), n=3, b=3, ctx=GF2, mode=Mode.LFR)
         calls = count_calls(monkeypatch, "place", "deliver")
         with pytest.raises(BudgetExceeded, match="1073741824 atoms exceed budget"):
             audit_security(cfg)
-        assert calls == {"place": 13, "deliver": 22}
+        assert calls == {"place": 1, "deliver": 1}
 
     def test_bad_demand_space(self):
         with pytest.raises(AuditError):
@@ -332,54 +335,34 @@ class TestReports:
         assert [slfr] == enumerate_privacy(small(mode=Mode.SLFR), [[1]])
         assert slfr.counterexample is not None
 
-    def test_certificate_probes_an_affine_basis(self, monkeypatch):
-        # 1 + S*L + K*N = 6 placements at each of the 1 + N*B = 5 probe files,
-        # not one per (files, randomness) pair
-        calls = []
-        place_ = splfr.audit.place
-
-        def counted(*args):
-            calls.append(1)
-            return place_(*args)
-
-        monkeypatch.setattr(splfr.audit, "place", counted)
-        assert audit_security(SMALL).method == "certificate"
-        assert len(calls) == 5 * 6
-
     def test_failing_subsets_share_one_traversal(self, monkeypatch):
-        # SLFR fails for the subsets {1} and {2} at the first probe file (6
-        # placements, 10 deliveries); the subset {1, 2} has no other user, so
-        # it holds at every W and probes no further.  Both failing subsets are
-        # counted in one pass over the 512 atoms of the model at the 5 probe
-        # files, each placed at r = 0 and at the one active symbol (the
-        # security key; the 4 privacy symbols are masked) and delivered at
-        # those 2 and at the 4 demand moves
+        # SLFR fails for the subsets {1} and {2}; the subset {1, 2} has no
+        # other user and holds.  Both failing subsets are counted in one pass
+        # over the 512 atoms of the certificates' model: the one formal run
+        # is all the engine does
         calls = count_calls(monkeypatch, "place", "deliver")
         report = audit_privacy(small(mode=Mode.SLFR))
         assert not report.verdict and report.method == "enumeration"
-        assert calls == {"place": 6 + 5 * 2, "deliver": 10 + 5 * 6}
+        assert calls == {"place": 1, "deliver": 1}
 
-    def test_demand_moves_read_no_caches(self, monkeypatch):
-        # each of the 5 probe files reads the K = 2 caches of its 6
-        # placements, not of all 10 probe points: 60 cache vectors, not 100
-        calls = count_calls(monkeypatch, "_cache_vector")
-        assert audit_privacy(SMALL).method == "certificate"
-        assert calls == {"_cache_vector": 5 * 6 * 2}
+    def test_a_patched_engine_is_seen_by_the_next_audit(self, monkeypatch):
+        # the model is run again for each audit, never kept from an earlier one
+        assert audit_security(SMALL).method == "certificate"
+        drop_first_key(monkeypatch)
+        assert audit_security(SMALL).method == "enumeration"
 
     def test_masked_keys_are_placed_once(self, monkeypatch):
-        # LFR masks all 5 key symbols: its certificate fails at the first probe
-        # file (6 placements, 10 deliveries), then the enumeration's model
-        # places each of the 5 probe files once, at r = 0, and delivers there
-        # at d0 and at the 4 demand moves, whatever the atom count
+        # LFR masks all 5 key symbols: its certificate fails, and the
+        # enumeration counts from the same model, whatever the atom count
         calls = count_calls(monkeypatch, "place", "deliver")
         report = audit_security(small(mode=Mode.LFR))
         assert not report.verdict and report.method == "enumeration"
-        assert calls == {"place": 6 + 5, "deliver": 10 + 5 * 5}
+        assert calls == {"place": 1, "deliver": 1}
 
     def test_passing_subsets_are_not_enumerated(self, monkeypatch):
         calls = count_calls(monkeypatch, "place", "deliver")
         assert audit_privacy(SMALL).method == "certificate"
-        assert calls == {"place": 5 * 6, "deliver": 5 * 10}
+        assert calls == {"place": 1, "deliver": 1}
 
 
 def count_calls(monkeypatch, *names: str) -> Counter:
@@ -426,12 +409,12 @@ def differential_cases():
 
 
 def symbolic_verdicts(cfg: AuditConfig, subsets) -> list[bool]:
-    """Correctness, security, then privacy per subset, decided at the probe files."""
-    probes = splfr.audit._probe_libraries
+    """Correctness, security, then privacy per subset, decided on the formal model."""
+    model = splfr.audit._formal_run(cfg)
     return [
-        correctness_certificate(cfg, probes(cfg)) is None,
-        security_certificate(cfg, probes(cfg)),
-        *privacy_certificate(cfg, probes(cfg), subsets),
+        correctness_certificate(cfg, model) is None,
+        security_certificate(cfg, model),
+        *privacy_certificate(cfg, model, subsets),
     ]
 
 
@@ -455,14 +438,15 @@ def test_certificate_verdict_equals_enumeration(ctx, arr, n, b, demand_space, mo
 def test_symbolic_pass_implies_per_file_pass_implies_enumeration_pass(
     ctx, arr, n, b, demand_space, mode
 ):
-    # the probe files decide for every W: a pass there is a pass at each W,
-    # which the per-W certificates check on the models of every W
+    # the polynomials decide for every W: a pass on them is a pass at each W,
+    # which the per-W certificates check on the concrete engine's models of
+    # every W
     cfg = AuditConfig(pda=arr, n=n, b=b, ctx=ctx, mode=mode, demand_space=demand_space)
     users = range(1, arr.k + 1)
     subsets = [s for r in users for s in combinations(users, r)]
     models = list(file_models(cfg))
     per_file = [
-        correctness_certificate(cfg, libraries(cfg)) is None,
+        per_file_correctness(cfg),
         per_file_security(cfg, models),
         *(per_file_privacy(cfg, models, subset) for subset in subsets),
     ]
@@ -524,7 +508,7 @@ def drop_first_key(monkeypatch):
 
 def test_dropped_security_key_is_caught(monkeypatch):
     drop_first_key(monkeypatch)
-    assert not security_certificate(SMALL, splfr.audit._probe_libraries(SMALL))
+    assert not security_certificate(SMALL, splfr.audit._formal_run(SMALL))
     assert not per_file_security(SMALL, file_models(SMALL))
     report = audit_security(SMALL)
     assert not report.verdict and report.method == "enumeration"
@@ -552,14 +536,16 @@ def test_dropped_security_key_is_caught(monkeypatch):
     "cfg",
     [
         SMALL,
+        small(demand_space="units"),
         AuditConfig(pda=man_pda(3, 1), n=3, b=3, ctx=GF2),
         AuditConfig(pda=man_pda(3, 1), n=3, b=3, ctx=FieldContext.parse("b:8")),
     ],
-    ids=["man:2,1-p:2", "man:3,1-p:2", "man:3,1-b:8"],
+    ids=["man:2,1-p:2", "man:2,1-p:2-units", "man:3,1-p:2", "man:3,1-b:8"],
 )
 def test_the_reported_atom_fails_when_replayed(monkeypatch, cfg):
     # the certificate names its atom at any size: man:3,1 with N = B = 3 has
-    # 2^30 atoms over GF(2) and 2^240 over GF(2^8), past any atom budget
+    # 2^30 atoms over GF(2) and 2^240 over GF(2^8), past any atom budget;
+    # under unit demands the atom's demands come through d_(k,1) = 1 - the rest
     leaky = drop_first_key(monkeypatch)
     start = time.perf_counter()
     report = audit_correctness(cfg)
@@ -573,10 +559,88 @@ def test_the_reported_atom_fails_when_replayed(monkeypatch, cfg):
     r = chain(*atom["security_keys"], *atom["privacy_vectors"])
     state = place(cfg.pda, library, Randomness.of(cfg.pda, cfg.n, cfg.b, r), cfg.mode)
     demands = tuple(map(tuple, atom["demands"]))
+    assert all(d in cfg.demand_vectors() for d in demands)
     k = atom["user"] - 1
     assert decode(state.user_view(k), leaky(state, demands), demands[k]) != library.combine(
         demands[k]
     )
+
+
+def branch_on_the_keys(state, demands) -> bool:
+    """A branch on data: a nonzero effective key, files past the first, a second user's demand."""
+    keys = chain(*state.randomness.security_keys, *state.randomness.privacy_vectors)
+    return any(keys) and any(state.library.files[-1]) and any(demands[-1])
+
+
+def branch_on_a_demand(state, demands) -> bool:
+    """A branch on data by equality: the second user's first demand symbol is 1."""
+    return demands[-1][0] == 1
+
+
+@pytest.mark.parametrize("branch", [branch_on_the_keys, branch_on_a_demand])
+def test_a_branch_on_data_is_refused(monkeypatch, capsys, branch):
+    # the delivery flips the first block behind a branch on data, which the
+    # raw walk fails.  No one polynomial models it, so the formal run refuses
+    # it: the first branch, a test of truth, is exact at every probe point
+    # (a zero key, zero files or a zero demand there) and so passed the
+    # probe-point certificates; the second, a test of equality, would take
+    # its untaken arm for every formal value if it were not refused too
+    deliver_ = splfr.audit.deliver
+
+    def faulty(state, demands):
+        payload = deliver_(state, demands)
+        if branch(state, demands):
+            flipped = tuple(GF2.add(x, 1) for x in payload.blocks[0])
+            payload = payload._replace(blocks=(flipped,) + payload.blocks[1:])
+        return payload
+
+    monkeypatch.setattr(splfr.audit, "deliver", faulty)
+    cfg = small(mode=Mode.PLFR)
+    assert not enumerate_correctness(cfg).verdict
+    for audit in (audit_correctness, audit_security, audit_privacy):
+        with pytest.raises(AuditError, match="branches on a formal value"):
+            audit(cfg)
+    args = ["audit", "correctness", "--pda", "man:2,1", "--n", "2", "--b", "2", "--mode", "plfr"]
+    assert cli.main(args) == 1
+    assert "branches on a formal value" in json.loads(capsys.readouterr().out)["error"]
+
+
+def _v1_p11(state, demands):
+    keys = state.randomness
+    return state.library.ctx.mul(keys.security_keys[0][0], keys.privacy_vectors[0][0])
+
+
+def _d11_p11(state, demands):
+    return state.library.ctx.mul(demands[0][0], state.randomness.privacy_vectors[0][0])
+
+
+def _w1_w2(state, demands):
+    (w1, w2), _ = state.library.files
+    return state.library.ctx.mul(w1, w2)
+
+
+@pytest.mark.parametrize(
+    "term, monomial",
+    [(_v1_p11, "V_1*p_(1,1)"), (_d11_p11, "p_(1,1)*d_(1,1)"), (_w1_w2, "W_1*W_2")],
+    ids=["r*r", "r*d", "W*W"],
+)
+def test_a_monomial_past_the_premise_is_refused(monkeypatch, term, monomial):
+    # a delivery that adds a product of two key symbols, of a key and a
+    # demand symbol, or of two file symbols to the first block: the engine
+    # is no longer bi-affine, and no audit certifies it
+    deliver_ = splfr.audit.deliver
+
+    def faulty(state, demands):
+        payload = deliver_(state, demands)
+        ctx, (first, *rest) = state.library.ctx, payload.blocks[0]
+        block = (ctx.add(first, term(state, demands)), *rest)
+        return payload._replace(blocks=(block,) + payload.blocks[1:])
+
+    monkeypatch.setattr(splfr.audit, "deliver", faulty)
+    for audit in (audit_correctness, audit_security, audit_privacy):
+        refusal = re.escape(f"not bi-affine: it yields the monomial {monomial}")
+        with pytest.raises(AuditError, match=refusal):
+            audit(SMALL)
 
 
 def test_a_key_that_some_files_cancel_is_caught(monkeypatch):
@@ -588,26 +652,32 @@ def test_a_key_that_some_files_cancel_is_caught(monkeypatch):
 
     def scaled(state, demands):
         payload = deliver_(state, demands)
-        (w1,), (w2,) = state.library.files
+        ctx, ((w1,), (w2,)) = state.library.ctx, state.library.files
         first, second = payload.coeff_vectors
-        f_less_1, p_2 = GF3.add(w1, w2), state.randomness.privacy_vectors[1]
-        second = tuple(GF3.add(x, GF3.mul(f_less_1, p)) for x, p in zip(second, p_2))
+        f_less_1, p_2 = ctx.add(w1, w2), state.randomness.privacy_vectors[1]
+        second = tuple(ctx.add(x, ctx.mul(f_less_1, p)) for x, p in zip(second, p_2))
         return payload._replace(coeff_vectors=(first, second))
 
     monkeypatch.setattr(splfr.audit, "deliver", scaled)
-    probes = splfr.audit._probe_libraries
-    models = [file_model(cfg, w, caches=True) for w in probes(cfg)]
+    models = [file_model(cfg, w) for w in probe_libraries(cfg)]
     assert all(per_file_security(cfg, [m]) and per_file_privacy(cfg, [m], [1]) for m in models)
-    assert not security_certificate(cfg, probes(cfg))
-    assert privacy_certificate(cfg, probes(cfg), [[1]]) == [False]
+    model = splfr.audit._formal_run(cfg)
+    assert not security_certificate(cfg, model)
+    assert privacy_certificate(cfg, model, [[1]]) == [False]
     for report in (audit_security(cfg), audit_privacy(cfg, [1])):
         assert not report.verdict and report.method == "enumeration"
 
 
-# -- the bi-affine premise ---------------------------------------------------
+# -- the bi-affine premise against the concrete engine -------------------------
 
-PREMISE_ARRAYS = {"man:2,1": man_pda(2, 1), "toy-grid": validate(TOY_GRID)}
-PREMISE_FIELDS = [FieldContext.parse(spec) for spec in ("p:2", "p:3", "b:2")]
+PARSED = parse_pda("PDA K=3 F=2\n* 1 2\n1 * *\n")
+PREMISE_ARRAYS = {
+    "man:2,1": man_pda(2, 1),
+    "toy-grid": validate(TOY_GRID),
+    "all-star": ALL_STAR,
+    "parsed": PARSED,
+}
+PREMISE_FIELDS = [FieldContext.parse(spec) for spec in ("p:2", "p:3", "p:65521", "b:1", "b:8")]
 
 
 PREMISE = (
@@ -629,46 +699,34 @@ def premise_instance(name, ctx, mode, demand_space, n, block, seed):
     )
     library = Library.random(ctx, n, cfg.b, rng)
     keys = Randomness.generate(arr, n, cfg.b, ctx, rng)
-    demands = tuple(rng.choice(cfg.demand_vectors()) for _ in range(arr.k))
+    if demand_space == "units":
+        demands = tuple(cfg.demand_vectors()[rng.randrange(n)] for _ in range(arr.k))
+    else:  # drawn, not listed: GF(65521)^3 has 2.8e14 vectors
+        demands = tuple(ctx.random_vector(n, rng) for _ in range(arr.k))
     return cfg, library, keys, demands
 
 
 @settings(max_examples=160, deadline=None)
 @given(*PREMISE)
 def test_engine_is_the_affine_model(name, ctx, mode, demand_space, n, block, seed):
-    # what the certificates rest on: for fixed files, the engine at (r, d) is
-    # the offset, plus r_i times key part i, plus d_j[t] times the part of
-    # user j's move to file t
+    # what the certificates read, against the engine they certify: the formal
+    # run's polynomials, evaluated at random files, keys and demands, are the
+    # signal, caches and decoding errors of the concrete engine there
     cfg, library, keys, demands = premise_instance(name, ctx, mode, demand_space, n, block, seed)
-    probes = [outputs(state, d) for state, d in splfr.audit._probes(cfg, library, splfr.audit._key_basis(cfg))]
-    moved = range(1, n) if demand_space == "units" else range(n)
-    coeffs = [
-        *chain.from_iterable(keys.security_keys),
-        *chain.from_iterable(keys.privacy_vectors),
-        *(d[t] for d in demands for t in moved),
-    ]
+    model = splfr.audit._formal_run(cfg)
     engine = outputs(place(cfg.pda, library, keys, mode), demands)
-    assert engine == affine_combination(ctx, coeffs, probes)
-    # the model holds the signal and caches of those probe points, less the offset's
-    model = file_model(cfg, library, caches=True)
-    seen = 1 + cfg.pda.k
-    assert model.offset == probes[0][:seen]
-    parts = [*model.keys, *(part for _, part in model.demands)]
-    assert parts == [
-        tuple(tuple(map(ctx.sub, u, w)) for u, w in zip(p[:seen], probes[0])) for p in probes[1:]
-    ]
+    assert evaluate(cfg, model, library, keys, demands) == engine
 
 
 @settings(max_examples=160, deadline=None)
 @given(*PREMISE)
 def test_engine_is_affine_in_the_files(name, ctx, mode, demand_space, n, block, seed):
-    # the other half of the premise: for fixed (r, d), the engine at files W
-    # is its value at W = 0 plus W_i times its change at the probe file e_i
+    # for fixed (r, d), the model is the engine at the random files and at
+    # each probe file W = 0, e_1, ..., e_(N*B), which span the files affinely
     cfg, library, keys, demands = premise_instance(name, ctx, mode, demand_space, n, block, seed)
-
-    def at(files: Library):
-        return outputs(place(cfg.pda, files, keys, mode), demands)
-
-    probes = [at(files) for files in splfr.audit._probe_libraries(cfg)]
+    model = splfr.audit._formal_run(cfg)
+    probes = list(probe_libraries(cfg))
     assert len(probes) == 1 + n * cfg.b
-    assert at(library) == affine_combination(ctx, list(chain(*library.files)), probes)
+    for files in (library, *probes):
+        engine = outputs(place(cfg.pda, files, keys, mode), demands)
+        assert evaluate(cfg, model, files, keys, demands) == engine

@@ -5,17 +5,12 @@ on the kind of a field.  Every other module checks, packs, splits and
 negates vectors through ``FieldContext`` methods, which behave alike over
 GF(p) and GF(2^m), so each of them has one path for every field.
 
-The audit's affine model owns the differencing: ``file_model`` takes the
-differences against the offset once, when a model is built, and only of
-what a certificate reads: the signal, and the caches for privacy.  The
-certificates only read its parts; correctness reads the decoders at the
-probe points and takes no differences at all.  Correctness is decided by its
-certificate alone: only ``correctness_certificate`` calls the decoders, so
-no per-atom correctness walk comes back to the package.  The security and
-privacy enumerations count from the model at the probe files: only the
-probes, the model and the correctness certificate refer to ``place`` or
-``deliver``, so no ``enumerate_*`` function does, and no engine call per
-atom comes back either.
+The audit's model is one formal run of the engine: only ``_formal_run``
+refers to ``place``, ``deliver`` or ``decode``, so no certificate and no
+``enumerate_*`` function calls the engine, and no engine call per probe
+point or per atom comes back.  The certificates read the run's
+coefficients and take no differences: the decoding errors are taken once,
+in the run.
 
 ``Randomness`` owns the layout of the randomness r: the audit builds every
 value of r through ``Randomness.of``, never through the constructor.
@@ -76,41 +71,19 @@ def test_the_certificates_take_no_differences():
     assert not any(differences.values()), f"certificates take differences: {differences}"
 
 
-def test_only_the_correctness_certificate_decodes():
-    tree = ast.parse((PACKAGE / "audit.py").read_text())
-    certificate = next(
-        node
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "correctness_certificate"
-    )
-
-    def decodes(root):
-        return {
-            node
-            for node in ast.walk(root)
-            if (isinstance(node, ast.Name) and node.id == "decode")
-            or (isinstance(node, ast.Attribute) and node.attr == "decode")
-        }
-
-    inside = decodes(certificate)
-    outside = sorted(node.lineno for node in decodes(tree) - inside)
-    assert inside, "correctness_certificate no longer calls decode"
-    assert outside == [], f"audit.py references decode outside its certificate on lines {outside}"
-
-
-def test_the_engine_runs_only_at_the_probe_points():
-    # so no enumerate_* function refers to place or deliver either
-    callers = sorted(
-        node.name
+def test_only_the_formal_run_runs_the_engine():
+    # so no certificate and no enumerate_* function calls the engine
+    engine = ("place", "deliver", "decode")
+    callers = [
+        getattr(node, "name", f"line {node.lineno}")
         for node in ast.parse((PACKAGE / "audit.py").read_text()).body
-        if isinstance(node, ast.FunctionDef)
-        and any(
-            (isinstance(inner, ast.Name) and inner.id in ("place", "deliver"))
-            or (isinstance(inner, ast.Attribute) and inner.attr in ("place", "deliver"))
+        if any(
+            (isinstance(inner, ast.Name) and inner.id in engine)
+            or (isinstance(inner, ast.Attribute) and inner.attr in engine)
             for inner in ast.walk(node)
         )
-    )
-    assert callers == ["_probes", "correctness_certificate", "file_model"], callers
+    ]
+    assert callers == ["_formal_run"], callers
 
 
 def test_the_audit_never_constructs_randomness():
