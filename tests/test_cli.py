@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import argparse
+import hashlib
+import itertools
 import json
 import random
 import time
@@ -396,6 +398,150 @@ def test_pinned_audit_reports(capsys, args):
         verdict, atoms, violations, method
     )
     assert report["counterexample"] == counterexample
+
+
+def audit_commands():
+    """(label, arguments after "audit") of each command ``AUDIT_DIGESTS`` pins.
+
+    man:2,1 with N = B = 2 in every mode, over GF(2) with every demand and
+    over GF(2), GF(2^1) and GF(3) with unit demands, each audit and every
+    privacy subset; man:3,1 with N = B = 3 over GF(2) and GF(2^8); a budget
+    refusal and a bad subset.
+    """
+    man21 = ("--pda", "man:2,1", "--n", "2", "--b", "2")
+    audits = {"correctness": ("correctness",), "security": ("security",),
+              "privacy": ("privacy",)}
+    audits.update({f"privacy {s}": ("privacy", "--subset", s) for s in ("1", "2", "1,2")})
+    spaces = (("p:2", "all"), ("p:2", "units"), ("b:1", "units"), ("p:3", "units"))
+    for (field, space), mode, (name, args) in itertools.product(
+        spaces, ("splfr", "plfr", "slfr", "lfr"), audits.items()
+    ):
+        flags = ("--field", field, "--demand-space", space, "--mode", mode)
+        yield f"{field} {space} {mode} {name}", (*args, *man21, *flags)
+    for field, audit in itertools.product(("p:2", "b:8"), ("correctness", "security", "privacy")):
+        yield f"man:3,1 {field} {audit}", (audit, "--pda", "man:3,1", "--n", "3", "--b", "3",
+                                            "--field", field)
+    yield "budget 100 privacy", ("privacy", *man21, "--budget", "100")
+    yield "bad subset 1,x", ("privacy", *man21, "--subset", "1,x")
+
+
+#: label -> the first 16 hex digits of the sha256 of [exit code, stdout, stderr] as JSON
+AUDIT_DIGESTS = {
+    "p:2 all splfr correctness": "e8dddf47941cbd9f",
+    "p:2 all splfr security": "fc75682dabf0ba9a",
+    "p:2 all splfr privacy": "b1a210b52acb3f81",
+    "p:2 all splfr privacy 1": "14b46354921b0ac4",
+    "p:2 all splfr privacy 2": "14b46354921b0ac4",
+    "p:2 all splfr privacy 1,2": "14b46354921b0ac4",
+    "p:2 all plfr correctness": "afaa0bce24d0cccf",
+    "p:2 all plfr security": "af724cc1115e5970",
+    "p:2 all plfr privacy": "52ca6717cb72c00b",
+    "p:2 all plfr privacy 1": "f9de515f5f847301",
+    "p:2 all plfr privacy 2": "f9de515f5f847301",
+    "p:2 all plfr privacy 1,2": "f9de515f5f847301",
+    "p:2 all slfr correctness": "e4ac9414c97a0523",
+    "p:2 all slfr security": "6f880dffe2f3add9",
+    "p:2 all slfr privacy": "6dd28310d2b8c5b6",
+    "p:2 all slfr privacy 1": "1c14ccf6027bd5c6",
+    "p:2 all slfr privacy 2": "f882e4fa3c71a873",
+    "p:2 all slfr privacy 1,2": "1b3e5a38030bfcee",
+    "p:2 all lfr correctness": "685e5ccd74f1ffeb",
+    "p:2 all lfr security": "68cb182939977ca7",
+    "p:2 all lfr privacy": "08679338da0870c2",
+    "p:2 all lfr privacy 1": "4c43dc36bcee97b6",
+    "p:2 all lfr privacy 2": "cad1babfdbc47ab7",
+    "p:2 all lfr privacy 1,2": "5678ad1410a4a307",
+    "p:2 units splfr correctness": "a67b58e1ae4e6f9e",
+    "p:2 units splfr security": "93f40d9a50f6d0cb",
+    "p:2 units splfr privacy": "a0649d75e15ea777",
+    "p:2 units splfr privacy 1": "3285e9ed033b2fb5",
+    "p:2 units splfr privacy 2": "3285e9ed033b2fb5",
+    "p:2 units splfr privacy 1,2": "3285e9ed033b2fb5",
+    "p:2 units plfr correctness": "0af0af04811d137c",
+    "p:2 units plfr security": "57ea48836794eeb2",
+    "p:2 units plfr privacy": "4d0ea26a69ff38f0",
+    "p:2 units plfr privacy 1": "fd523d82e64f2d39",
+    "p:2 units plfr privacy 2": "fd523d82e64f2d39",
+    "p:2 units plfr privacy 1,2": "fd523d82e64f2d39",
+    "p:2 units slfr correctness": "cf83e1ed72952d04",
+    "p:2 units slfr security": "25667b02f36fac15",
+    "p:2 units slfr privacy": "b42e77b8ff3c2b99",
+    "p:2 units slfr privacy 1": "8b481a768086704d",
+    "p:2 units slfr privacy 2": "c86df5103fc1ce71",
+    "p:2 units slfr privacy 1,2": "0e141e4c3a351156",
+    "p:2 units lfr correctness": "6ee1d4bd604eac0e",
+    "p:2 units lfr security": "9074381aa13f80d7",
+    "p:2 units lfr privacy": "085f049e42f525a0",
+    "p:2 units lfr privacy 1": "04c09975807897c2",
+    "p:2 units lfr privacy 2": "99a22400f58e1e3d",
+    "p:2 units lfr privacy 1,2": "a407b1a1e6ebbf39",
+    "b:1 units splfr correctness": "79f2fcd8c6fcec7e",
+    "b:1 units splfr security": "be4c089782ecd08d",
+    "b:1 units splfr privacy": "923cb77a063ad1e7",
+    "b:1 units splfr privacy 1": "1696225a7033bb5f",
+    "b:1 units splfr privacy 2": "1696225a7033bb5f",
+    "b:1 units splfr privacy 1,2": "1696225a7033bb5f",
+    "b:1 units plfr correctness": "29ff7dd78b18a179",
+    "b:1 units plfr security": "4e8543e088dda0c1",
+    "b:1 units plfr privacy": "48aa20357bdf7abd",
+    "b:1 units plfr privacy 1": "2bb777b9a58e6a0c",
+    "b:1 units plfr privacy 2": "2bb777b9a58e6a0c",
+    "b:1 units plfr privacy 1,2": "2bb777b9a58e6a0c",
+    "b:1 units slfr correctness": "58ead828f2667656",
+    "b:1 units slfr security": "4ce191f7a015d1cc",
+    "b:1 units slfr privacy": "d67ae2409d90d0ba",
+    "b:1 units slfr privacy 1": "910e729b144a12aa",
+    "b:1 units slfr privacy 2": "6ea3e047d0a7af11",
+    "b:1 units slfr privacy 1,2": "4e0cfd3e8e50b5b5",
+    "b:1 units lfr correctness": "65e76be1457efc95",
+    "b:1 units lfr security": "4badd0397aee7aae",
+    "b:1 units lfr privacy": "695be66ea46248f2",
+    "b:1 units lfr privacy 1": "eaba89ef6a432391",
+    "b:1 units lfr privacy 2": "9eb43bdcd26b07b1",
+    "b:1 units lfr privacy 1,2": "f522104139db7dee",
+    "p:3 units splfr correctness": "5cd2f35617277ea8",
+    "p:3 units splfr security": "8adfc1eafac50c87",
+    "p:3 units splfr privacy": "6465f176343c7bad",
+    "p:3 units splfr privacy 1": "f694c47751f687b9",
+    "p:3 units splfr privacy 2": "f694c47751f687b9",
+    "p:3 units splfr privacy 1,2": "f694c47751f687b9",
+    "p:3 units plfr correctness": "7edd15261f377106",
+    "p:3 units plfr security": "bf0243924f476b5e",
+    "p:3 units plfr privacy": "20c60b476c17972c",
+    "p:3 units plfr privacy 1": "b0880f1234d62ecb",
+    "p:3 units plfr privacy 2": "b0880f1234d62ecb",
+    "p:3 units plfr privacy 1,2": "b0880f1234d62ecb",
+    "p:3 units slfr correctness": "770d0bb24db6d419",
+    "p:3 units slfr security": "281e147d49d3574f",
+    "p:3 units slfr privacy": "c8aa52151189b421",
+    "p:3 units slfr privacy 1": "108eb8aa40dde122",
+    "p:3 units slfr privacy 2": "6a209660928bd282",
+    "p:3 units slfr privacy 1,2": "58b3e9679f563cc0",
+    "p:3 units lfr correctness": "5fe8b06308fcc1c0",
+    "p:3 units lfr security": "75dbee98ff98c208",
+    "p:3 units lfr privacy": "5ee32932ce5f49b3",
+    "p:3 units lfr privacy 1": "3b7b2fdabdb0f2da",
+    "p:3 units lfr privacy 2": "e81a6d22aa2fe6aa",
+    "p:3 units lfr privacy 1,2": "5ed03db311b2fca3",
+    "man:3,1 p:2 correctness": "f6acb7d4be4f30fa",
+    "man:3,1 p:2 security": "37447309a5816863",
+    "man:3,1 p:2 privacy": "61fd75b3065dff81",
+    "man:3,1 b:8 correctness": "9a2f4b956b005653",
+    "man:3,1 b:8 security": "0c3a1fdc2cb5f3ec",
+    "man:3,1 b:8 privacy": "0a506dfcb3860965",
+    "budget 100 privacy": "480a0cf359467f84",
+    "bad subset 1,x": "fde30f2a99d06af6",
+}
+
+
+def test_audit_output_is_byte_identical(capsys):
+    # each command's exit code, report and summary, byte for byte
+    digests = {}
+    for label, args in audit_commands():
+        text = json.dumps(run_cli(capsys, "audit", *args))
+        digests[label] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert len(digests) == 104
+    assert digests == AUDIT_DIGESTS
 
 
 class TestAuditBudget:
