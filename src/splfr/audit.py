@@ -10,15 +10,15 @@ randomness, demands) with uniform independent components:
   of everything the subset observes, conditioned on the files.
 
 The audit runs the unchanged ``place``, ``deliver`` and every ``decode``
-once over formal values: polynomials over GF(q) in the file symbols W, the
-key symbols r = (V, p) and the demand symbols d (d_(k,1) = 1 - sum_(n>1)
-d_(k,n) under unit demands).  A monomial of the signal, the caches or the
-decoding errors with two symbols of W or two of (r, d) refuses the
-instance by name, as a branch on a formal value does.  So the engine is
-bi-affine at the instance, and each monomial is one slot, or probe point:
-a W-monomial (1, W_1, ..., W_(N*B)) times an (r, d)-monomial (1, each
-symbol of r, each single-user demand move).  The certificates read the
-coefficients by slot:
+once over formal values in the file symbols W, the key symbols r = (V, p)
+and the demand symbols d (d_(k,1) = 1 - sum_(n>1) d_(k,n) under unit
+demands).  A value is its row of the model: a coefficient over GF(q) per
+slot, or probe point, a W-monomial (1, W_1, ..., W_(N*B)) times an
+(r, d)-monomial (1, each symbol of r, each single-user demand move).  The
+premise is checked at each product the engine forms: one of two symbols
+of W or of (r, d) refuses the instance by name, as a branch on a formal
+value or arithmetic outside the formal context does.  So the engine is
+bi-affine at the instance, and the certificates read its rows by slot:
 
 - correctness: every error is the zero polynomial.  Else the first
   nonzero slot, W outermost, is the first failing probe point, as the
@@ -30,12 +30,13 @@ coefficients by slot:
   colluders' view, stacked over the W-monomials, as each other user's
   demand move does.
 
-A pass is a proof for the instance, resting on the premise, read off the
-polynomials, and on ``FieldContext.lincomb`` equalling sum c*v, which
+A pass is a proof for the instance, resting on the premise, checked in
+the run, and on ``FieldContext.lincomb`` equalling sum c*v, which
 ``tests/test_field.py`` checks (the formal run reckons with the scalar
 ``add`` and ``mul``).  A failing security or privacy certificate is
 decided by enumeration from the model, with no engine call per atom: each
-effective atom once, weighed by the q^(masked) raw atoms it stands for,
+effective atom once, a symbol of r that the mode masks having no slot in
+any row, weighed by the q^(masked) raw atoms it stands for,
 through the factorization identities count(a, b) * total == count(a) *
 count(b), which hold for every pair iff the mutual information is exactly
 zero.  No logarithms or floating point are involved.
@@ -45,8 +46,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import chain, combinations, count, groupby, islice, product
+from functools import reduce
+from itertools import chain, combinations, groupby, islice, product
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -169,32 +170,52 @@ def factorization_violations(counts: Counter) -> tuple[int, Optional[tuple]]:
 # -- the formal run ---------------------------------------------------------
 
 
-class _Poly(dict):
-    """A formal value: each monomial, a sorted tuple of symbol numbers, to its coefficient.
+def _misuse(what: str):
+    """A method of ``_Poly`` that refuses the audit, saying what the engine does."""
 
-    It is no truth value and equals nothing, so a branch on one refuses the audit.
+    def refuse(self, *_):
+        raise AuditError(f"the engine {what}, so no one model covers it")
+
+    return refuse
+
+
+class _Poly(dict):
+    """A formal value, the model's row itself: each slot to its nonzero coefficient.
+
+    It is no truth value, equals and orders nothing and takes no arithmetic
+    but its context's, so a branch on one, or arithmetic outside the
+    context, refuses the audit.
     """
 
-    def __eq__(self, *_):
-        raise AuditError("the engine branches on a formal value, so no one model covers it")
-
-    __bool__ = __ne__ = __eq__
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _misuse("branches on a formal value")
+    __bool__ = __eq__
+    __add__ = __radd__ = _misuse("applies + to a formal value outside its context")
+    __sub__ = __rsub__ = _misuse("applies - to a formal value outside its context")
+    __mul__ = __rmul__ = _misuse("applies * to a formal value outside its context")
+    __xor__ = __rxor__ = _misuse("applies ^ to a formal value outside its context")
+    __mod__ = __rmod__ = _misuse("applies % to a formal value outside its context")
+    __neg__ = _misuse("applies unary - to a formal value outside its context")
+    __index__ = _misuse("uses a formal value as an integer")
+    __hash__ = _misuse("hashes a formal value")
 
 
 class _Formal:
     """GF(q) made formal: the engine's context for the audit's run.
 
     A value is a ``_Poly``, or an int for a constant; the coefficients are
-    reckoned with the scalar ``add`` and ``mul`` of ``base``.
+    reckoned with the scalar ``add`` and ``mul`` of the audit's field.  A
+    product of two slots, each a W-monomial times an (r, d)-monomial, is the
+    slot of their sum, allowed only when one of them has no W symbol and one
+    no symbol of (r, d): any other is refused where it is formed.
     """
 
-    def __init__(self, base: FieldContext):
-        self.base = base
+    def __init__(self, cfg: AuditConfig):
+        self.cfg, self.base, self.width = cfg, cfg.ctx, _layout(cfg)[3]
 
     def lift(self, a) -> _Poly:
         if isinstance(a, _Poly):
             return a
-        return _Poly({(): a} if self.base.check(a) else {})
+        return _Poly({0: a} if self.base.check(a) else {})
 
     check = lift
 
@@ -208,15 +229,17 @@ class _Formal:
     def lincomb(self, coeffs, vectors) -> tuple[_Poly, ...]:
         if len(coeffs) != len(vectors) or len(set(map(len, vectors))) != 1:
             raise AuditError("the engine combines vectors of unequal count or length")
-        add, mul = self.base.add, self.base.mul
+        add, mul, width = self.base.add, self.base.mul, self.width
         out = [_Poly() for _ in vectors[0]]
         for c, v in zip(coeffs, vectors):
             for acc, x in zip(out, v):
-                for (m1, a), (m2, b) in product(self.lift(c).items(), self.lift(x).items()):
-                    m = tuple(sorted(m1 + m2))
-                    s = add(acc.pop(m, 0), mul(a, b))
+                for (s1, a), (s2, b) in product(self.lift(c).items(), self.lift(x).items()):
+                    if (s1 >= width and s2 >= width) or (s1 % width and s2 % width):
+                        raise AuditError("the engine is not bi-affine: it yields the monomial "
+                                         + _name(self.cfg, (s1, s2)))
+                    s = add(acc.pop(s1 + s2, 0), mul(a, b))
                     if s:
-                        acc[m] = s
+                        acc[s1 + s2] = s
         return tuple(out)
 
     def vec_add(self, u, w) -> tuple[_Poly, ...]:
@@ -239,11 +262,11 @@ class _Formal:
 
 
 class _Model(NamedTuple):
-    """The formal run's rows, each slot to its nonzero coefficient, and its formal inputs."""
+    """The formal run's outputs, each a row by slot, and its formal inputs."""
 
-    signal: tuple[dict, ...]
-    caches: tuple[tuple[dict, ...], ...]  # per user
-    errors: tuple[tuple[dict, ...], ...]  # per user
+    signal: tuple[_Poly, ...]
+    caches: tuple[tuple[_Poly, ...], ...]  # per user
+    errors: tuple[tuple[_Poly, ...], ...]  # per user
     state: SchemeState
     demands: list
 
@@ -255,52 +278,39 @@ def _layout(cfg: AuditConfig) -> tuple[int, int, int, int]:
     return cfg.n * cfg.b, keys, per_user, 1 + keys + cfg.pda.k * per_user
 
 
-def _name(cfg: AuditConfig, monomial: Sequence[int]) -> str:
-    """A monomial by its symbols, 1-based: W_i, V_i, p_(k,n) and d_(k,n)."""
-    (nb, keys, per_user, _), n, users = _layout(cfg), cfg.n, range(1, cfg.pda.k + 1)
-    names = [f"W_{i}" for i in range(1, nb + 1)]
-    names += [f"V_{i}" for i in range(1, keys - len(users) * n + 1)]
+def _name(cfg: AuditConfig, slots: Sequence[int]) -> str:
+    """The product of ``slots`` by its symbols, 1-based: W_i, V_i, p_(k,n) and d_(k,n)."""
+    (_, keys, per_user, width), n, users = _layout(cfg), cfg.n, range(1, cfg.pda.k + 1)
+    names = [f"V_{i}" for i in range(1, keys - len(users) * n + 1)]
     names += [f"p_({k},{i})" for k in users for i in range(1, n + 1)]
     names += [f"d_({k},{i})" for k in users for i in range(n - per_user + 1, n + 1)]
-    return "*".join(names[v] for v in monomial)
+    w = [f"W_{s // width}" for s in sorted(slots) if s >= width]
+    return "*".join(w + [names[x - 1] for x in sorted(s % width for s in slots) if x])
 
 
 def _formal_run(cfg: AuditConfig) -> _Model:
     """Run ``place``, ``deliver`` and every ``decode`` once, over formal symbols.
 
-    The symbols are numbered W, then r, then the demand moves, so that a
-    bi-affine monomial, at most one symbol below N*B and one above, is the
-    slot (W index) * width + (r, d) index, each index 1-based and 0 for
-    none.  Any other monomial is refused by name.
+    W_i is slot i * width and the j-th symbol of (r, d) slot j (r, then the
+    demand moves), so that a bi-affine monomial is the slot (W index) *
+    width + (r, d) index, each index 1-based and 0 for none.
     """
     cfg.check_budget(cfg.probe_count, "probe points")  # before the formal run
-    (nb, keys, per_user, width), ctx = _layout(cfg), _Formal(cfg.ctx)
-    symbols = (_Poly({(i,): 1}) for i in count())
-    files = tuple(tuple(islice(symbols, cfg.b)) for _ in range(cfg.n))
-    randomness = Randomness.of(cfg.pda, cfg.n, cfg.b, list(islice(symbols, keys)))
-    moved = [tuple(islice(symbols, per_user)) for _ in range(cfg.pda.k)]
+    (nb, keys, per_user, width), ctx = _layout(cfg), _Formal(cfg)
+    w = [_Poly({s: 1}) for s in range(width, (1 + nb) * width, width)]
+    rd = [_Poly({s: 1}) for s in range(1, width)]
+    files = [w[i : i + cfg.b] for i in range(0, nb, cfg.b)]
+    randomness = Randomness.of(cfg.pda, cfg.n, cfg.b, rd[:keys])
+    moved = [rd[keys + k * per_user : keys + (k + 1) * per_user] for k in range(cfg.pda.k)]
     demands = [d if per_user == cfg.n else (reduce(ctx.sub, d, 1), *d) for d in moved]
     state = place(cfg.pda, Library(ctx, files), randomness, cfg.mode)
     payload = deliver(state, demands)
-
-    def rows(values: Iterable) -> tuple[dict, ...]:
-        out = []
-        for value in values:
-            out.append({})
-            for m, c in ctx.lift(value).items():
-                w, rd = [v + 1 for v in m if v < nb], [v - nb + 1 for v in m if v >= nb]
-                if len(w) > 1 or len(rd) > 1:
-                    name = _name(cfg, m)
-                    raise AuditError(f"the engine is not bi-affine: it yields the monomial {name}")
-                out[-1][sum(w) * width + sum(rd)] = c
-        return tuple(out)
-
-    signal, caches = rows(chain(*payload.coeff_vectors, *payload.blocks)), []
+    signal, caches = ctx.pack(chain(*payload.coeff_vectors, *payload.blocks)), []
     for c in state.caches:  # under stars each row's N packets, then the records, by row
         uncoded = (pkt for _, pkts in sorted(c.uncoded.items()) for pkt in pkts)
-        caches.append(rows(chain(*uncoded, *(v for _, v in sorted(c.coded.items())))))
+        caches.append(ctx.pack(chain(*uncoded, *(v for _, v in sorted(c.coded.items())))))
     errors = tuple(
-        rows(map(ctx.sub, decode(state.user_view(k), payload, d), state.library.combine(d)))
+        tuple(map(ctx.sub, decode(state.user_view(k), payload, d), state.library.combine(d)))
         for k, d in enumerate(demands)
     )
     return _Model(signal, tuple(caches), errors, state, demands)
@@ -318,15 +328,6 @@ def _flat(vectors: Iterable[Sequence[int]]) -> Vector:
 # -- enumeration --------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _active_symbols(cfg: AuditConfig) -> tuple[bool, ...]:
-    """Per symbol of r, whether the engine's masking for the mode lets it through."""
-    args = cfg.pda, cfg.n, cfg.b
-    ones = Randomness.of(*args, (1,) * Randomness.symbols(*args))
-    ones = ones.effective(*args, cfg.ctx, cfg.mode)
-    return tuple(map(bool, chain(*ones.security_keys, *ones.privacy_vectors)))
-
-
 def _placements(
     cfg: AuditConfig, model: _Model, caches: bool = False
 ) -> Iterator[tuple[tuple, Vector, Iterator[tuple[tuple, Vector]], int]]:
@@ -339,7 +340,8 @@ def _placements(
     stands for, with the demand tuples innermost.
     """
     ctx, q, (nb, keys, per_user, width) = cfg.ctx, cfg.ctx.q, _layout(cfg)
-    active = [1 + i for i, a in enumerate(_active_symbols(cfg)) if a]
+    slots = {s % width for row in chain(model.signal, *model.caches) for s in row}
+    active = [x for x in range(1, 1 + keys) if x in slots]  # a masked symbol has no slot
     weight = q ** (keys - len(active))
     demand_tuples = cfg.demand_tuples()
     moved = range(cfg.n - per_user, cfg.n)  # the files a demand move reaches
@@ -382,11 +384,11 @@ def _cache(cfg: AuditConfig, k: int, flat: Vector) -> tuple:
     return uncoded, tuple((i, next(cut)) for i, e in enumerate(column) if e is not STAR)
 
 
-def enumerate_security(cfg: AuditConfig, model: Optional[_Model] = None) -> AuditReport:
+def enumerate_security(cfg: AuditConfig, model: _Model) -> AuditReport:
     """Count the signal against files and demands at every atom, from the model."""
     cfg.check_budget()
     counts = Counter()
-    for files, _, atoms, weight in _placements(cfg, model or _formal_run(cfg)):
+    for files, _, atoms, weight in _placements(cfg, model):
         for demands, signal in atoms:
             counts[(files, demands), signal] += weight
     violations, first = factorization_violations(counts)
@@ -402,7 +404,7 @@ def enumerate_security(cfg: AuditConfig, model: Optional[_Model] = None) -> Audi
 
 
 def enumerate_privacy(
-    cfg: AuditConfig, subsets: Sequence[Sequence[int]], model: Optional[_Model] = None
+    cfg: AuditConfig, subsets: Sequence[Sequence[int]], model: _Model
 ) -> list[AuditReport]:
     """Check colluding-subset privacy, conditioned on the file realization.
 
@@ -422,7 +424,7 @@ def enumerate_privacy(
         }
         cuts.append((colluders, split))
     reports = [AuditReport(True, 0, 0) for _ in cuts]
-    placements = _placements(cfg, model or _formal_run(cfg), caches=True)
+    placements = _placements(cfg, model, caches=True)
     # conditioning on the files keeps each slice's count tables small
     for files, group in groupby(placements, itemgetter(0)):
         tables = [Counter() for _ in cuts]
@@ -463,19 +465,16 @@ def correctness_certificate(cfg: AuditConfig, model: _Model) -> Optional[dict]:
     symbols at 1 and every other at 0, keys as placed, with the first user
     whose error has that slot, a raw atom at which that user fails.
     """
-    failing = [(min(chain(*e)), k) for k, e in enumerate(model.errors) if any(e)]
+    failing = [(min(chain(*e)), k) for k, e in enumerate(model.errors) if any(map(len, e))]
     if not failing:
         return None
-    (slot, k), (nb, _, _, width) = min(failing), _layout(cfg)
-    w, rd = divmod(slot, width)
-    ones = {v for v, used in ((w - 1, w), (nb + rd - 1, rd)) if used}
+    (slot, k), width = min(failing), _layout(cfg)[3]
+    ones = {0, slot - slot % width, slot % width}  # the constant and the slot's symbols
     add, lift, keys = cfg.ctx.add, model.state.library.ctx.lift, model.state.randomness
 
-    def at(vectors) -> list[list[int]]:  # with the symbols of ``ones`` at 1, every other at 0
-        return [
-            [reduce(add, (c for m, c in lift(x).items() if ones.issuperset(m)), 0) for x in v]
-            for v in vectors
-        ]
+    def at(vectors) -> list[list[int]]:  # with the slot's symbols at 1, every other at 0
+        return [[reduce(add, (c for s, c in lift(x).items() if s in ones), 0) for x in v]
+                for v in vectors]
 
     return {
         "files": at(model.state.library.files),
@@ -499,10 +498,10 @@ def security_certificate(cfg: AuditConfig, model: _Model) -> bool:
     while pivoted:
         pivoted = False
         for c in range(1, 1 + keys):
-            pivot = next((row for row in rows if c in row), None)
+            pivot = next((i for i, row in enumerate(rows) if c in row), None)
             if pivot is None or any(s % width == c and s > c for row in rows for s in row):
                 continue
-            rows.remove(pivot)
+            pivot = rows.pop(pivot)
             scale, pivoted = ctx.neg(ctx.inv(pivot[c])), True
             for i, row in enumerate(rows):
                 if c in row:  # row + scale * row[c] * pivot, its zero coefficients dropped

@@ -144,10 +144,6 @@ class Randomness:
             raise NonDivisibleB(f"F={pda.f} does not divide B={b}")
         return cls.of(pda, n, b, ctx.random_vector(cls.symbols(pda, n, b), rng))
 
-    @classmethod
-    def zeros(cls, pda: PDA, n: int, b: int) -> "Randomness":
-        return cls.of(pda, n, b, (0,) * cls.symbols(pda, n, b))
-
     def effective(
         self, pda: PDA, n: int, b: int, ctx: FieldContext, mode: Mode
     ) -> "Randomness":

@@ -197,11 +197,6 @@ class FieldContext:
             return (a + b) % self.q
         return a ^ b
 
-    def sub(self, a: int, b: int) -> int:
-        if self.kind == "prime":
-            return (a - b) % self.q
-        return a ^ b
-
     def neg(self, a: int) -> int:
         if self.kind == "prime":
             return (-a) % self.q

@@ -7,7 +7,8 @@ polynomial helpers (``poly_mulmod``, ``is_irreducible``) check the field's
 product table by carry-less multiplication and trial division.  Helpers that
 only the tests use (``FieldElement``, ``field_dot``, ``canonical_relabel``,
 ``min_subpacketization``, ``lsub_parameters``, ``subpacketization_compare``,
-``restrict_corners``, ``f_bound``, ``uncoded_points``) live here too.
+``restrict_corners``, ``f_bound``, ``uncoded_points``, ``vec_sub``,
+``zero_randomness``) live here too.
 The tradeoff oracles build the t-subset curve as a lower convex envelope
 and read its pieces through ``TradeoffCurve.evaluate``, the generic path
 the closed form replaces.
@@ -17,7 +18,9 @@ the path that one candidate per (N, K) replaces, and
 bounds in Fraction arithmetic, the references for their integer forms.
 ``raw_atoms`` walks every atom of an audit over ``libraries`` (every file
 realization), each with weight 1, and ``weighted_atoms`` each effective
-atom once, weighed by the raw atoms it stands for; ``walk_security`` and
+atom once, weighed by the raw atoms it stands for, its active symbols of r
+those ``active_symbols`` reads off ``Randomness.effective``: the reference
+for the symbols the audit reads off its run.  ``walk_security`` and
 ``walk_privacy`` count either walk with an engine call per atom and test
 every identity pair with ``pairwise_violations``: the references for the
 audit's enumerations, which count from the formal model, and for the
@@ -39,7 +42,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import chain, groupby, product
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -92,7 +95,7 @@ class FieldElement:
         return FieldElement(self.ctx.add(self.value, self._coerce(other)), self.ctx)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.ctx.sub(self.value, self._coerce(other)), self.ctx)
+        return self + -other
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         return FieldElement(self.ctx.mul(self.value, self._coerce(other)), self.ctx)
@@ -418,6 +421,16 @@ def privacy_key(library: Library, pda: PDA, p_j: Vector, i: int) -> Vector:
     return block
 
 
+def vec_sub(ctx, u: Sequence[int], w: Sequence[int]) -> Vector:
+    """u - w, by the context's ``vec_add`` and ``vec_neg``."""
+    return ctx.vec_add(u, ctx.vec_neg(w))
+
+
+def zero_randomness(pda: PDA, n: int, b: int) -> Randomness:
+    """The randomness r = 0."""
+    return Randomness.of(pda, n, b, (0,) * Randomness.symbols(pda, n, b))
+
+
 def combine(library: Library, demand: Vector) -> Vector:
     """The full-length combination sum_n demand[n] * W_n."""
     ctx = library.ctx
@@ -456,7 +469,15 @@ def weighted_atoms(cfg: audit.AuditConfig):
     walk holds it at 0 and weighs the atom by the q^(masked) raw atoms it
     stands for.
     """
-    return _walk(cfg, audit._active_symbols(cfg))
+    return _walk(cfg, active_symbols(cfg))
+
+
+def active_symbols(cfg: audit.AuditConfig) -> tuple[bool, ...]:
+    """Per symbol of r, whether the engine's masking for the mode lets it through."""
+    args = cfg.pda, cfg.n, cfg.b
+    ones = Randomness.of(*args, (1,) * Randomness.symbols(*args))
+    ones = ones.effective(*args, cfg.ctx, cfg.mode)
+    return tuple(map(bool, chain(*ones.security_keys, *ones.privacy_vectors)))
 
 
 def _walk(cfg: audit.AuditConfig, active: Sequence[bool]):
@@ -598,7 +619,7 @@ def probe_points(cfg: audit.AuditConfig, library: Library):
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     start, targets = (units[0], units[1:]) if cfg.demand_space == "units" else ((0,) * n, units)
     base = (start,) * pda.k
-    state = audit.place(pda, library, Randomness.zeros(pda, n, b), cfg.mode)
+    state = audit.place(pda, library, zero_randomness(pda, n, b), cfg.mode)
     yield state, base, None
     for j in range(size):
         r = Randomness.of(pda, n, b, [int(i == j) for i in range(size)])
@@ -613,7 +634,7 @@ def file_model(cfg: audit.AuditConfig, library: Library) -> FileModel:
     ctx, points = cfg.ctx, list(probe_points(cfg, library))
     seen = [(outputs(state, demands)[: 1 + cfg.pda.k], j) for state, demands, j in points]
     (offset, _), *seen = seen
-    parts = [(tuple(tuple(map(ctx.sub, u, w)) for u, w in zip(p, offset)), j) for p, j in seen]
+    parts = [(tuple(vec_sub(ctx, u, w) for u, w in zip(p, offset)), j) for p, j in seen]
     keys = [p for p, j in parts if j is None]
     return FileModel(offset, tuple(keys), tuple((j, p) for p, j in parts if j is not None))
 
@@ -677,7 +698,7 @@ def outputs(state, demands) -> tuple[Vector, ...]:
         for c in state.caches
     )
     errors = tuple(
-        tuple(map(ctx.sub, audit.decode(state.user_view(k), payload, d), combine(library, d)))
+        vec_sub(ctx, audit.decode(state.user_view(k), payload, d), combine(library, d))
         for k, d in enumerate(demands)
     )
     return (signal, *caches, *errors)

@@ -32,6 +32,7 @@ from splfr.field import FieldContext
 from splfr.pda import STAR, man_pda, parse_pda, validate
 
 from oracle import (
+    active_symbols,
     enumerate_correctness,
     evaluate,
     file_model,
@@ -43,6 +44,7 @@ from oracle import (
     per_file_security,
     probe_libraries,
     raw_atoms,
+    vec_sub,
     walk_privacy,
     walk_security,
     weighted_atoms,
@@ -329,10 +331,12 @@ class TestReports:
         assert (lfr.verdict, lfr.atoms, lfr.violations, lfr.method) == (
             False, 8192, 7936, "enumeration"
         )
-        assert lfr == enumerate_security(small(mode=Mode.LFR))
+        cfg = small(mode=Mode.LFR)
+        assert lfr == enumerate_security(cfg, splfr.audit._formal_run(cfg))
         slfr = audit_privacy(small(mode=Mode.SLFR), [1])
         assert (slfr.verdict, slfr.atoms, slfr.violations) == (False, 8192, 2048)
-        assert [slfr] == enumerate_privacy(small(mode=Mode.SLFR), [[1]])
+        cfg = small(mode=Mode.SLFR)
+        assert [slfr] == enumerate_privacy(cfg, [[1]], splfr.audit._formal_run(cfg))
         assert slfr.counterexample is not None
 
     def test_failing_subsets_share_one_traversal(self, monkeypatch):
@@ -419,10 +423,11 @@ def symbolic_verdicts(cfg: AuditConfig, subsets) -> list[bool]:
 
 
 def enumerated_verdicts(cfg: AuditConfig, subsets) -> list[bool]:
+    model = splfr.audit._formal_run(cfg)
     return [
         enumerate_correctness(cfg).verdict,
-        enumerate_security(cfg).verdict,
-        *(report.verdict for report in enumerate_privacy(cfg, subsets)),
+        enumerate_security(cfg, model).verdict,
+        *(report.verdict for report in enumerate_privacy(cfg, subsets, model)),
     ]
 
 
@@ -464,10 +469,11 @@ def test_model_counts_equal_the_per_atom_walks(ctx, arr, n, b, demand_space, mod
     cfg = AuditConfig(pda=arr, n=n, b=b, ctx=ctx, mode=mode, demand_space=demand_space)
     users = range(1, arr.k + 1)
     subsets = [s for r in users for s in combinations(users, r)]
-    model = enumerate_security(cfg), enumerate_privacy(cfg, subsets)
+    model = splfr.audit._formal_run(cfg)
+    counted = enumerate_security(cfg, model), enumerate_privacy(cfg, subsets, model)
     for atoms in (raw_atoms, weighted_atoms):
         walked = walk_security(cfg, atoms(cfg)), walk_privacy(cfg, subsets, atoms(cfg))
-        assert model == walked, atoms.__name__
+        assert counted == walked, atoms.__name__
 
 
 @pytest.mark.parametrize("mode,position", [(Mode.PLFR, 33 * 16 + 2), (Mode.SLFR, 48 * 16 + 2)])
@@ -498,8 +504,7 @@ def drop_first_key(monkeypatch):
 
     def leaky(state, demands):
         payload = deliver_(state, demands)
-        ctx, key = state.library.ctx, state.randomness.security_keys[0]
-        first = tuple(map(ctx.sub, payload.blocks[0], key))
+        first = vec_sub(state.library.ctx, payload.blocks[0], state.randomness.security_keys[0])
         return payload._replace(blocks=(first,) + payload.blocks[1:])
 
     monkeypatch.setattr(splfr.audit, "deliver", leaky)
@@ -532,6 +537,21 @@ def test_dropped_security_key_is_caught(monkeypatch):
     assert report.counterexample == enumerate_correctness(SMALL).counterexample
 
 
+def add_w_times_d(monkeypatch):
+    """Patch the audit's delivery to add W_1 * d_(K,N) to the first multicast block."""
+    deliver_ = splfr.audit.deliver
+
+    def faulty(state, demands):
+        payload = deliver_(state, demands)
+        ctx, (first, *rest) = state.library.ctx, payload.blocks[0]
+        first = ctx.add(first, ctx.mul(state.library.files[0][0], demands[-1][-1]))
+        return payload._replace(blocks=((first, *rest),) + payload.blocks[1:])
+
+    monkeypatch.setattr(splfr.audit, "deliver", faulty)
+    return faulty
+
+
+@pytest.mark.parametrize("fault", [drop_first_key, add_w_times_d])
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -542,11 +562,13 @@ def test_dropped_security_key_is_caught(monkeypatch):
     ],
     ids=["man:2,1-p:2", "man:2,1-p:2-units", "man:3,1-p:2", "man:3,1-b:8"],
 )
-def test_the_reported_atom_fails_when_replayed(monkeypatch, cfg):
+def test_the_reported_atom_fails_when_replayed(monkeypatch, cfg, fault):
     # the certificate names its atom at any size: man:3,1 with N = B = 3 has
     # 2^30 atoms over GF(2) and 2^240 over GF(2^8), past any atom budget;
-    # under unit demands the atom's demands come through d_(k,1) = 1 - the rest
-    leaky = drop_first_key(monkeypatch)
+    # under unit demands the atom's demands come through d_(k,1) = 1 - the
+    # rest, which the W_1 * d_(K,N) fault sets at a slot with a symbol of W
+    # and one of d
+    leaky = fault(monkeypatch)
     start = time.perf_counter()
     report = audit_correctness(cfg)
     assert time.perf_counter() - start < 1
@@ -559,7 +581,8 @@ def test_the_reported_atom_fails_when_replayed(monkeypatch, cfg):
     r = chain(*atom["security_keys"], *atom["privacy_vectors"])
     state = place(cfg.pda, library, Randomness.of(cfg.pda, cfg.n, cfg.b, r), cfg.mode)
     demands = tuple(map(tuple, atom["demands"]))
-    assert all(d in cfg.demand_vectors() for d in demands)
+    if cfg.demand_space == "units":  # decode checks that a demand is a field vector of length N
+        assert all(d in cfg.demand_vectors() for d in demands)
     k = atom["user"] - 1
     assert decode(state.user_view(k), leaky(state, demands), demands[k]) != library.combine(
         demands[k]
@@ -603,6 +626,60 @@ def test_a_branch_on_data_is_refused(monkeypatch, capsys, branch):
     args = ["audit", "correctness", "--pda", "man:2,1", "--n", "2", "--b", "2", "--mode", "plfr"]
     assert cli.main(args) == 1
     assert "branches on a formal value" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("field, op", [("p:2", "+"), ("b:1", "^")])
+def test_arithmetic_outside_the_context_is_refused(monkeypatch, capsys, field, op):
+    # a delivery that flips the first symbol with a field context of its own,
+    # not the state's: the formal value refuses the operator that field's add
+    # applies, so the audit ends in a JSON error, not a traceback
+    deliver_, outside = splfr.audit.deliver, FieldContext.parse(field)
+
+    def faulty(state, demands):
+        payload = deliver_(state, demands)
+        (first, *rest), *others = payload.blocks
+        return payload._replace(blocks=((outside.add(first, 1), *rest), *others))
+
+    monkeypatch.setattr(splfr.audit, "deliver", faulty)
+    args = ["audit", "correctness", "--pda", "man:2,1", "--n", "2", "--b", "2", "--field", field]
+    assert cli.main(args) == 1
+    refusal = f"the engine applies {op} to a formal value outside its context"
+    assert json.loads(capsys.readouterr().out)["error"].startswith(refusal)
+
+
+@pytest.mark.parametrize(
+    "misuse, named",
+    [
+        (lambda x: x + 1, "applies \\+"),
+        (lambda x: 1 - x, "applies -"),
+        (lambda x: 2 * x, "applies \\*"),
+        (lambda x: x ^ 1, "applies \\^"),
+        (lambda x: x % 2, "applies %"),
+        (lambda x: -x, "applies unary -"),
+        (lambda x: (0, 1)[x], "uses a formal value as an integer"),
+        (hash, "hashes"),
+        (bool, "branches on"),
+        (lambda x: 1 != x, "branches on"),
+        (lambda x: x < 1, "branches on"),
+        (lambda x: 0 >= x, "branches on"),
+    ],
+    ids=["add", "rsub", "rmul", "xor", "mod", "neg", "index", "hash", "bool", "ne", "lt", "rge"],
+)
+def test_a_formal_value_refuses_its_misuse(misuse, named):
+    x = splfr.audit._formal_run(SMALL).signal[0]
+    with pytest.raises(AuditError, match=f"^the engine {named}"):
+        misuse(x)
+
+
+@pytest.mark.parametrize("ctx,arr,n,b,demand_space,mode", differential_cases())
+def test_the_run_masks_the_keys_effective_masks(ctx, arr, n, b, demand_space, mode):
+    # the walk takes the active symbols of r off the run: a symbol of r is
+    # active iff some signal or cache row has a slot in it
+    cfg = AuditConfig(pda=arr, n=n, b=b, ctx=ctx, mode=mode, demand_space=demand_space)
+    model, width = splfr.audit._formal_run(cfg), splfr.audit._layout(cfg)[3]
+    seen = {s % width for row in chain(model.signal, *model.caches) for s in row}
+    active = active_symbols(cfg)
+    assert [x in seen for x in range(1, 1 + len(active))] == list(active)
 
 
 def _v1_p11(state, demands):

@@ -14,8 +14,9 @@ in the run.
 
 ``Randomness`` owns the layout of the randomness r: the audit builds every
 value of r through ``Randomness.of``, never through the constructor.
-``Randomness.effective`` owns the masking of r by mode: the audit's walk
-follows what it masks and reads no mode's key flags.
+``Randomness.effective`` owns the masking of r by mode: the audit reads no
+mode's key flags, and its walk follows the run, in which a symbol of r that
+the mode masks has no slot.
 
 The command line has one report path: in ``cli.py`` only ``main`` emits a
 report or writes to stderr, so each subcommand returns its report and

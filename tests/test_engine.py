@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import splfr.audit
 import splfr.engine
 from splfr.audit import AuditConfig
 from splfr.cli import TOY_GRID
@@ -26,7 +25,7 @@ from splfr.engine import (
 from splfr.field import FieldContext, FieldError, Packed
 from splfr.pda import STAR, man_pda, memory_load, parse_pda, validate
 
-from oracle import combine as oracle_combine, privacy_key, split
+from oracle import active_symbols, combine as oracle_combine, privacy_key, split, zero_randomness
 
 GF2 = FieldContext.prime(2)
 GF3 = FieldContext.prime(3)
@@ -225,20 +224,20 @@ class TestPlace:
     def test_shape_mismatch(self):
         rng = random.Random(0)
         lib = Library.random(GF2, 4, 3, rng)
-        bad = Randomness.zeros(man_pda(4, 2), 4, 6)
+        bad = zero_randomness(man_pda(4, 2), 4, 6)
         with pytest.raises(EngineError):
             place(TOY, lib, bad, Mode.SPLFR)
 
     def test_non_divisible_b(self):
         rng = random.Random(0)
         lib = Library.random(GF2, 4, 4, rng)
-        rnd = Randomness.zeros(TOY, 4, 3)
+        rnd = zero_randomness(TOY, 4, 3)
         with pytest.raises(NonDivisibleB):
             place(TOY, lib, rnd, Mode.SPLFR)
 
     def test_keys_outside_field(self):
         lib = Library.random(GF2, 4, 3, random.Random(0))
-        zero = Randomness.zeros(TOY, 4, 3)
+        zero = zero_randomness(TOY, 4, 3)
         bad_keys = (
             Randomness(((2,),) + zero.security_keys[1:], zero.privacy_vectors),
             Randomness(zero.security_keys, ((0, 0, -1, 0),) + zero.privacy_vectors[1:]),
@@ -260,12 +259,11 @@ class TestRandomnessLayout:
         assert rnd.privacy_vectors == ((6, 7, 8, 9), (10, 11, 12, 13), (14, 15, 16, 17))
         assert Randomness.of(arr, 0, 6, r[:6]).privacy_vectors == ((), (), ())
 
-    def test_generate_and_zeros_read_the_layout(self):
+    def test_generate_reads_the_layout(self):
         arr = man_pda(4, 2)
         rnd = Randomness.generate(arr, 3, 12, GF3, random.Random(5))
         flat = GF3.random_vector(Randomness.symbols(arr, 3, 12), random.Random(5))
         assert rnd == Randomness.of(arr, 3, 12, flat)
-        assert Randomness.zeros(arr, 3, 12) == Randomness.of(arr, 3, 12, (0,) * len(flat))
         assert Randomness.generate(arr, 0, 6, GF3, random.Random(5)).privacy_vectors == ((),) * 4
 
 
@@ -289,7 +287,7 @@ class TestLibrary:
 
 def toy_keys(privacy_vectors):
     """Zero security keys for TOY with N = 4, B = 3, and the given privacy vectors."""
-    keys = Randomness(Randomness.zeros(TOY, 4, 3).security_keys, privacy_vectors)
+    keys = Randomness(zero_randomness(TOY, 4, 3).security_keys, privacy_vectors)
     return keys.effective(TOY, 4, 3, GF2, Mode.SPLFR)
 
 
@@ -758,7 +756,7 @@ def test_property_inactive_key_symbols_change_nothing(arr, ctx, mode, n, block, 
     # what the audit's weights rest on: zeroing the symbols of r that the
     # audit finds inactive leaves the placement and the signal as they are
     rng, b = random.Random(seed), arr.f * block
-    active = splfr.audit._active_symbols(AuditConfig(pda=arr, n=n, b=b, ctx=ctx, mode=mode))
+    active = active_symbols(AuditConfig(pda=arr, n=n, b=b, ctx=ctx, mode=mode))
     lib = Library.random(ctx, n, b, rng)
     r = ctx.random_vector(Randomness.symbols(arr, n, b), rng)
     zeroed = [x if a else 0 for x, a in zip(r, active)]
