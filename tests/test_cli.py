@@ -14,6 +14,7 @@ from splfr import __version__, engine
 from splfr.cli import _analytic_checks, bounds_report, build_parser, golden_toy, main
 from splfr.field import FieldContext
 from splfr.pda import man_pda, parse_pda
+from splfr.tradeoff import SCHEMES
 
 
 def run_cli(capsys, *argv):
@@ -542,6 +543,68 @@ def test_audit_output_is_byte_identical(capsys):
         digests[label] = hashlib.sha256(text.encode()).hexdigest()[:16]
     assert len(digests) == 104
     assert digests == AUDIT_DIGESTS
+
+
+def tradeoff_commands():
+    """(label, the argument lists) of each group of commands ``TRADEOFF_DIGESTS`` pins.
+
+    ``gap check`` on every pair of criterion 7(c), 3 <= N <= 20 and
+    N < K <= 40, grouped by N; on (2, 2) and on (30, 10); ``bounds check``
+    at (10, 5), (30, 10) and (20, 20).
+    """
+    for n in range(3, 21):
+        yield f"gap check N={n}", [("gap", "check", "--n", str(n), "--k", str(k))
+                                   for k in range(n + 1, 41)]
+    for cmd, n, k in (("gap", 2, 2), ("gap", 30, 10),
+                      ("bounds", 10, 5), ("bounds", 30, 10), ("bounds", 20, 20)):
+        yield f"{cmd} check {n},{k}", [(cmd, "check", "--n", str(n), "--k", str(k))]
+
+
+#: label -> the first 16 hex digits of the sha256 of the group's [exit code, stdout,
+#: stderr] as JSON; "curves emit 30,10" adds the CSV and SVG text
+TRADEOFF_DIGESTS = {
+    "gap check N=3": "fd7e5f70956c7061",
+    "gap check N=4": "391ac3c908cc3025",
+    "gap check N=5": "59d22b78da9d2811",
+    "gap check N=6": "810e9a0df0ed6c78",
+    "gap check N=7": "d125e3de3cf9644f",
+    "gap check N=8": "5c0e610773c6be76",
+    "gap check N=9": "34711f058f3188e9",
+    "gap check N=10": "40731258bb2b1df1",
+    "gap check N=11": "a8ba65c617dc9284",
+    "gap check N=12": "4c5a30a2e16bf524",
+    "gap check N=13": "1dacb4c452b61c88",
+    "gap check N=14": "2807f8985859b684",
+    "gap check N=15": "5b22d26863a9505c",
+    "gap check N=16": "13c45623e7c08d6e",
+    "gap check N=17": "98d9c32546cdc2c4",
+    "gap check N=18": "66a5ec295dffa72c",
+    "gap check N=19": "5f9d1c18dabbddbc",
+    "gap check N=20": "af0c327e2b5a1b13",
+    "gap check 2,2": "0bfd6a63b6c851f0",
+    "gap check 30,10": "f0342cf5408de74d",
+    "bounds check 10,5": "b1e58b5ca37d62e4",
+    "bounds check 30,10": "c585dbf4981aaecb",
+    "bounds check 20,20": "66847417b27918a3",
+    "curves emit 30,10": "07665aa13a78bb7a",
+}
+
+
+def test_tradeoff_output_is_byte_identical(capsys, tmp_path, monkeypatch):
+    # each command's exit code, report and summary, and the files curves emit writes
+    def digest(value) -> str:
+        return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+    digests = {label: digest([run_cli(capsys, *args) for args in group])
+               for label, group in tradeoff_commands()}
+    monkeypatch.chdir(tmp_path)  # the summary names the files by the relative --out
+    emitted = run_cli(capsys, "curves", "emit", "--n", "30", "--k", "10",
+                      "--schemes", ",".join(SCHEMES), "--out", "out")
+    files = [(tmp_path / "out" / f"curves_n30_k10.{ext}").read_bytes().decode()
+             for ext in ("csv", "svg")]
+    digests["curves emit 30,10"] = digest([*emitted, *files])
+    assert len(digests) == 24
+    assert digests == TRADEOFF_DIGESTS
 
 
 class TestAuditBudget:
