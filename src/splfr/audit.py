@@ -194,7 +194,18 @@ class _Poly(dict):
     __mul__ = __rmul__ = _misuse("applies * to a formal value outside its context")
     __xor__ = __rxor__ = _misuse("applies ^ to a formal value outside its context")
     __mod__ = __rmod__ = _misuse("applies % to a formal value outside its context")
+    __floordiv__ = __rfloordiv__ = _misuse("applies // to a formal value outside its context")
+    __truediv__ = __rtruediv__ = _misuse("applies / to a formal value outside its context")
+    __divmod__ = __rdivmod__ = _misuse("applies divmod() to a formal value outside its context")
+    __pow__ = __rpow__ = _misuse("applies ** to a formal value outside its context")
+    __and__ = __rand__ = _misuse("applies & to a formal value outside its context")
+    __or__ = __ror__ = __ior__ = _misuse("applies | to a formal value outside its context")
+    __lshift__ = __rlshift__ = _misuse("applies << to a formal value outside its context")
+    __rshift__ = __rrshift__ = _misuse("applies >> to a formal value outside its context")
     __neg__ = _misuse("applies unary - to a formal value outside its context")
+    __pos__ = _misuse("applies unary + to a formal value outside its context")
+    __invert__ = _misuse("applies ~ to a formal value outside its context")
+    __abs__ = _misuse("applies abs() to a formal value outside its context")
     __index__ = _misuse("uses a formal value as an integer")
     __hash__ = _misuse("hashes a formal value")
 

@@ -3,15 +3,16 @@
 Achievable curves, converse bounds, ratio/gap checks, and CSV/SVG export.
 The t-subset curve is closed-form: its corners are all vertices, so it
 needs no hull, and its linear pieces come straight from t in integers.
-Lower convex envelopes are built only for the comparison schemes.  All
+Lower convex envelopes are built only for the comparison schemes, by an
+integer cross-product test on each point's numerator and denominator.  All
 curve math is exact, over integers or fractions.Fraction; decimals appear
 only at serialization time.  Ratio and bound claims are certified over the
 whole continuum, one curve segment at a time, not sampled.  A supremum over
 all the segments of an (N, K) starts from one candidate, the largest ratio
-at a segment end, which one integer test per segment certifies; only the
-segments that fail it are searched for an interior maximum.  The converse
-bounds are computed in integers from the memory's numerator and
-denominator, with one Fraction at the end.
+at a segment end, kept as an integer pair, which one integer test per
+segment certifies; only the segments that fail it are reduced and searched
+for an interior maximum.  The converse bounds are computed in integers from
+the memory's numerator and denominator, with one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -63,20 +64,11 @@ class TradeoffCurve:
         """Corner memories, in increasing order."""
         return tuple(p.m for p in self.corners)
 
-    @property
-    def m_min(self) -> Fraction:
-        return self.corners[0].m
-
-    @property
-    def m_max(self) -> Fraction:
-        return self.corners[-1].m
-
     def evaluate(self, m) -> Fraction:
         """Linear interpolation between corners (memory sharing)."""
-        m = _frac(m)
-        if not self.m_min <= m <= self.m_max:
-            raise TradeoffError(f"memory {m} outside [{self.m_min}, {self.m_max}]")
-        ms = self.memories
+        m, ms = _frac(m), self.memories
+        if not ms[0] <= m <= ms[-1]:
+            raise TradeoffError(f"memory {m} outside [{ms[0]}, {ms[-1]}]")
         idx = bisect_right(ms, m)
         if idx == len(ms):
             return self.corners[-1].r
@@ -91,27 +83,30 @@ def lower_convex_envelope(points: Iterable[CurvePoint]) -> TradeoffCurve:
     """Lower hull of a point set in the (memory, load) plane.
 
     Between corners the curve is the linear interpolation, matching the
-    memory-sharing argument; collinear middle points are dropped.
+    memory-sharing argument; collinear middle points are dropped.  The test
+    runs in integers: memory x/L over the lcm L of the memories'
+    denominators, load c/d as the point's own numerator and denominator.
     """
-    pts = sorted((_frac(m), _frac(r)) for m, r in points)
+    pts = [(_frac(m), _frac(r)) for m, r in points]
     if not pts:
         raise TradeoffError("no points")
-    # keep only the lowest load at each memory: the first, as pts is sorted
-    dedup: list[tuple[Fraction, Fraction]] = []
-    for m, r in pts:
-        if not dedup or dedup[-1][0] != m:
-            dedup.append((m, r))
-    hull: list[tuple[Fraction, Fraction]] = []
-    for p in dedup:
+    scale = math.lcm(*(m.denominator for m, _ in pts))
+    hull: list[tuple] = []  # (x, c, d, point) with memory x/scale and load c/d
+    # sorted by memory, then load: the first point at a memory is its lowest
+    for x, r, m in sorted((m.numerator * (scale // m.denominator), r, m) for m, r in pts):
+        if hull and hull[-1][0] == x:
+            continue
+        c, d = r.numerator, r.denominator
         while len(hull) >= 2:
-            (m1, r1), (m2, r2) = hull[-2], hull[-1]
-            # pop while the middle point lies on or above segment (m1,r1)-(p)
-            if (r2 - r1) * (p[0] - m1) >= (p[1] - r1) * (m2 - m1):
+            (x1, c1, d1, _), (x2, c2, d2, _) = hull[-2], hull[-1]
+            # pop while the middle point lies on or above the segment from 1 to
+            # this point: (r2 - r1)(x - x1) >= (r - r1)(x2 - x1), times d d1 d2
+            if (c2 * d1 - c1 * d2) * d * (x - x1) >= (c * d1 - c1 * d) * d2 * (x2 - x1):
                 hull.pop()
             else:
                 break
-        hull.append(p)
-    return TradeoffCurve(tuple(CurvePoint(m, r) for m, r in hull))
+        hull.append((x, c, d, CurvePoint(m, r)))
+    return TradeoffCurve(tuple(p for *_, p in hull))
 
 
 # -- achievable corner points --------------------------------------------
@@ -126,10 +121,8 @@ def _check_sizes(n: int, k: int) -> None:
 def man_points(n: int, k: int) -> list[CurvePoint]:
     """Corner points (1 + t(N-1)/K, (K-t)/(t+1)) for t = 0..K."""
     _check_sizes(n, k)
-    return [
-        CurvePoint(1 + Fraction(t * (n - 1), k), Fraction(k - t, t + 1))
-        for t in range(k + 1)
-    ]
+    return [CurvePoint(1 + Fraction(t * (n - 1), k), Fraction(k - t, t + 1))
+            for t in range(k + 1)]
 
 
 def man_curve(n: int, k: int) -> TradeoffCurve:
@@ -169,15 +162,7 @@ def cutset_bound(n: int, k: int, m) -> Fraction:
 
 # -- known-scheme curves (comparison table) -------------------------------
 
-SCHEMES = (
-    "splfr",
-    "seckey",
-    "privkey-plfr",
-    "privkey-pfr",
-    "yma",
-    "wsjtc",
-    "virtual",
-)
+SCHEMES = ("splfr", "seckey", "privkey-plfr", "privkey-pfr", "yma", "wsjtc", "virtual")
 
 
 def _coded_load(k: int, r: int, t: int) -> Fraction:
@@ -201,22 +186,16 @@ def scheme_points(scheme: str, n: int, k: int) -> list[CurvePoint]:
         return man_points(n, k)
     if scheme in ("yma", "wsjtc"):
         # identical load formulas; wsjtc serves linear-combination demands
-        return [
-            CurvePoint(Fraction(t * n, k), _coded_load(k, min(n, k), t))
-            for t in range(k + 1)
-        ]
+        return [CurvePoint(Fraction(t * n, k), _coded_load(k, min(n, k), t))
+                for t in range(k + 1)]
     if scheme in ("privkey-plfr", "privkey-pfr"):
         r = min(n if scheme == "privkey-plfr" else n - 1, k)
-        pts = [
-            CurvePoint(1 + Fraction(t * (n - 1), k), _coded_load(k, r, t))
-            for t in range(k + 1)
-        ]
+        pts = [CurvePoint(1 + Fraction(t * (n - 1), k), _coded_load(k, r, t))
+               for t in range(k + 1)]
         return [CurvePoint(Fraction(0), Fraction(n))] + pts
     if scheme == "virtual":
         # note: guarantees a weaker per-user privacy notion than the rest
-        return [
-            CurvePoint(Fraction(t, k), _coded_load(k * n, n, t)) for t in range(k * n + 1)
-        ]
+        return [CurvePoint(Fraction(t, k), _coded_load(k * n, n, t)) for t in range(k * n + 1)]
     raise TradeoffError(f"unknown scheme {scheme!r}")
 
 
@@ -232,8 +211,8 @@ def scheme_curve(scheme: str, n: int, k: int) -> TradeoffCurve:
 # quadratic inequality in the memory M.  Each piece is parametrized by
 # theta in [0, 1] with integer coefficients, so the sign tests that decide a
 # claim over the whole continuum run in integers.  A ratio's supremum over
-# all the pieces is ``_pieces_sup``: one candidate for every piece, and
-# ``ratio_sup`` only on the pieces whose supremum lies above it.
+# all the pieces is ``_pieces_sup``: one integer candidate for every piece,
+# and ``ratio_sup`` only on the pieces whose supremum lies above it.
 
 
 class Supremum(NamedTuple):
@@ -265,27 +244,35 @@ def quadratic_nonneg(c2, c1, c0, lo, hi, *, strict: bool = False) -> bool:
     return least > 0 if strict else least >= 0
 
 
-def _open_end(p: tuple[int, int, int], q: tuple[int, int, int]):
-    """The forms of P/Q to test on [0, 1], with the open end's limit at theta = 1.
+def _open_ends(pieces: Sequence[tuple]) -> tuple[list, int, int]:
+    """The forms (p2, p1, p0, q2, q1, q0) of each piece's P/Q to test on [0, 1], and a, b.
 
     If Q(1) = 0, P(1) must be 0 too, and the factor (1 - theta) is divided
-    out of both.  The Q returned must be positive on all of [0, 1].
+    out of both.  Each Q must then be positive on all of [0, 1], as
+    ``quadratic_nonneg`` decides it, inline.  a/b is the largest ratio at a
+    piece end, the open ends' limits included, by cross-multiplication.
     """
-    (p2, p1, p0), (q2, q1, q0) = p, q
-    if q2 + q1 + q0 == 0:
-        if p2 + p1 + p0 != 0:
-            raise TradeoffError("ratio unbounded at the open end")
-        # P = (1 - theta)(-p2*theta - p2 - p1), and likewise Q
-        p, q = (0, -p2, -p2 - p1), (0, -q2, -q2 - q1)
-    if not quadratic_nonneg(*q, 0, 1, strict=True):
-        raise TradeoffError("ratio denominator must be positive")
-    return p, q
+    (_, _, a), (_, _, b) = pieces[0]  # P(0)/Q(0) of the first piece, Q(0) > 0
+    forms = []
+    for (p2, p1, p0), (q2, q1, q0) in pieces:
+        if q2 + q1 + q0 == 0:
+            if p2 + p1 + p0:
+                raise TradeoffError("ratio unbounded at the open end")
+            # P = (1 - theta)(-p2*theta - p2 - p1), and likewise Q
+            p2, p1, p0, q2, q1, q0 = 0, -p2, -p2 - p1, 0, -q2, -q2 - q1
+        if q0 <= 0 or q2 + q1 + q0 <= 0 or 0 < -q1 < 2 * q2 and 4 * q2 * q0 <= q1 * q1:
+            raise TradeoffError("ratio denominator must be positive")
+        if p0 * b > a * q0:
+            a, b = p0, q0
+        if (p2 + p1 + p0) * b > a * (q2 + q1 + q0):
+            a, b = p2 + p1 + p0, q2 + q1 + q0
+        forms.append((p2, p1, p0, q2, q1, q0))
+    return forms, a, b
 
 
-def _at_most(p, q, u: Fraction) -> bool:
-    """Whether P/Q <= u on all of [0, 1], for Q positive there."""
-    (p2, p1, p0), (q2, q1, q0) = p, q
-    a, b = u.numerator, u.denominator
+def _at_most(form: tuple, a: int, b: int) -> bool:
+    """Whether P/Q <= a/b on all of [0, 1], for Q positive there and b > 0."""
+    p2, p1, p0, q2, q1, q0 = form
     return quadratic_nonneg(a * q2 - b * p2, a * q1 - b * p1, a * q0 - b * p0, 0, 1)
 
 
@@ -294,7 +281,7 @@ def ratio_sup(p: tuple[int, int, int], q: tuple[int, int, int]) -> Supremum:
 
     ``p`` and ``q`` are integer coefficients (c2, c1, c0).  Q must be
     positive on [0, 1).  If Q(1) = 0, P(1) must be 0 too, and the open end
-    is the limit at theta = 1 (see ``_open_end``).
+    is the limit at theta = 1 (see ``_open_ends``).
 
     The supremum is the smallest U with U*Q - P >= 0 on [0, 1], which
     ``quadratic_nonneg`` decides.  The larger endpoint value is tried first.
@@ -305,40 +292,34 @@ def ratio_sup(p: tuple[int, int, int], q: tuple[int, int, int]) -> Supremum:
     increasing order, an irrational one as its upper bracket from
     ``math.isqrt``, and the first that passes is returned.
     """
-    p, q = _open_end(p, q)
-    (p2, p1, p0), (q2, q1, q0) = p, q
-    best = max(Fraction(p0, q0), Fraction(p2 + p1 + p0, q2 + q1 + q0))
-    if _at_most(p, q, best):
+    [form], a, b = _open_ends([(p, q)])
+    best = Fraction(a, b)
+    if _at_most(form, a, b):
         return Supremum(best, True)
-    roots = _upper_roots(
-        q1 * q1 - 4 * q2 * q0,
-        4 * (q2 * p0 + p2 * q0) - 2 * p1 * q1,
-        p1 * p1 - 4 * p2 * p0,
-    )
+    p2, p1, p0, q2, q1, q0 = form
+    roots = _upper_roots(q1 * q1 - 4 * q2 * q0, 4 * (q2 * p0 + p2 * q0) - 2 * p1 * q1,
+                         p1 * p1 - 4 * p2 * p0)
     for cand in sorted(r for r in roots if r.value > best):
-        if _at_most(p, q, cand.value):
+        if _at_most(form, cand.value.numerator, cand.value.denominator):
             return cand
     raise TradeoffError("no certified supremum")
 
 
-def _pieces_sup(pieces: Sequence[tuple]) -> Supremum:
+def _pieces_sup(pieces: Sequence[tuple], reduced) -> Supremum:
     """The largest ``ratio_sup`` over ``pieces``, (p, q) pairs, from one candidate.
 
-    The candidate U is the largest ratio at a piece end, the open ends'
-    limits included, found by integer cross-multiplication.  A piece with
-    U*Q - P >= 0 on [0, 1] has its supremum at or below U, so ``ratio_sup``
-    runs only on the pieces that fail that one ``quadratic_nonneg`` test,
-    and each of those returns a supremum above U.
+    A piece with U*Q - P >= 0 on [0, 1] (``_at_most``, inline), for the
+    candidate U = a/b of ``_open_ends``, has its supremum at or below U, so
+    ``ratio_sup`` runs only on the pieces that fail it, each on ``reduced(i)``,
+    piece i at the scale its bracket is reported at, and returns more than U.
     """
-    forms = [_open_end(p, q) for p, q in pieces]
-    a, b = forms[0][0][2], forms[0][1][2]  # P(0)/Q(0) of the first piece; Q(0) > 0
-    for (p2, p1, p0), (q2, q1, q0) in forms:
-        for x, y in ((p0, q0), (p2 + p1 + p0, q2 + q1 + q0)):
-            if x * b > a * y:
-                a, b = x, y
-    top = Fraction(a, b)
-    failures = [ratio_sup(*pc) for pc, form in zip(pieces, forms) if not _at_most(*form, top)]
-    return max([Supremum(top, True), *failures])
+    forms, a, b = _open_ends(pieces)
+    failures = []
+    for i, (p2, p1, p0, q2, q1, q0) in enumerate(forms):
+        c2, c1, c0 = a * q2 - b * p2, a * q1 - b * p1, a * q0 - b * p0
+        if c0 < 0 or c2 + c1 + c0 < 0 or 0 < -c1 < 2 * c2 and 4 * c2 * c0 < c1 * c1:
+            failures.append(ratio_sup(*reduced(i)))
+    return max([Supremum(Fraction(a, b), True), *failures])
 
 
 def _upper_roots(a: int, b: int, c: int) -> list[Supremum]:
@@ -355,10 +336,8 @@ def _upper_roots(a: int, b: int, c: int) -> list[Supremum]:
     # takes the end of that interval that bounds it from above
     scale = _BRACKET_SCALE
     low = math.isqrt(disc * scale * scale)
-    return [
-        Supremum(Fraction(-b * scale + s * (low + (s * a > 0)), 2 * a * scale), False)
-        for s in (1, -1)
-    ]
+    return [Supremum(Fraction(-b * scale + s * (low + (s * a > 0)), 2 * a * scale), False)
+            for s in (1, -1)]
 
 
 def _man_corner(n: int, k: int, t: int):
@@ -440,28 +419,53 @@ def _cutset_pieces(n: int, k: int, lo: Fraction, hi: Fraction):
             yield u, a, b
 
 
+def _man_sup(ratio, n: int, k: int, lo: int) -> Supremum:
+    """Supremum of ``ratio`` over the t-subset curve on [lo, N), lo = 1 or 2.
+
+    ``ratio(m0, m1, dm, r0, r1, dr)`` is the (p, q) of a piece with the theta
+    forms of ``_man_segments``.  Each piece comes straight from t: memory
+    x = MK from max(lo K, K + t(N-1)) to K + (t+1)(N-1) over dm = K, load
+    from ``_load_between``, over (t+1)(t+2)(N-1).  Only a piece that fails
+    the candidate is rebuilt in ``_man_segments``' reduced form.
+    """
+    _check_sizes(n, k)
+    ends, pieces, x0 = [], [], lo * k
+    for t in range((lo - 1) * k // (n - 1), k):
+        x1 = k + (t + 1) * (n - 1)
+        r0, dr = _load_between(k, t, x0 - k - t * (n - 1), n - 1)
+        ends.append((x0, x1))
+        pieces.append(ratio(x0, x1 - x0, k, r0, (x0 - x1) * (k + 1), dr))
+        x0 = x1
+
+    def reduced(i: int) -> tuple:
+        m, r = next(_man_segments(n, k, *(Fraction(x, k) for x in ends[i])))
+        return ratio(*m, *r)
+
+    return _pieces_sup(pieces, reduced)
+
+
 def _simple_converse_sup(n: int, k: int) -> Supremum:
     """Supremum of R(M)(M-1)/(N-M) over [1, N), by ``_pieces_sup``."""
-    pieces = []
-    for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, 1, n):
+
+    def ratio(m0, m1, dm, r0, r1, dr):
         # R(M-1)/(N-M) = (r0 + r1*theta)(m0 - dm + m1*theta) / (dr (N dm - m0 - m1*theta))
         e0 = m0 - dm
-        p = (r1 * m1, r0 * m1 + r1 * e0, r0 * e0)
-        pieces.append((p, (0, -dr * m1, dr * (n * dm - m0))))
-    return _pieces_sup(pieces)
+        return (r1 * m1, r0 * m1 + r1 * e0, r0 * e0), (0, -dr * m1, dr * (n * dm - m0))
+
+    return _man_sup(ratio, n, k, 1)
 
 
 def _smooth_bound_sup(n: int, k: int) -> Supremum:
     if not (n < k and n >= 3):
         raise TradeoffError(f"needs N < K and N >= 3, got N={n}, K={k}")
-    pieces = []  # of R(M)/f(M) over [2, N), for ``_pieces_sup``
-    for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, 2, n):
+
+    def ratio(m0, m1, dm, r0, r1, dr):
         # R/f = 4(N-1) M R / (N^2 - M^2), both sides times dr dm^2
         c = 4 * (n - 1) * dm
         p = (c * r1 * m1, c * (r0 * m1 + r1 * m0), c * r0 * m0)
-        q = (-dr * m1 * m1, -2 * dr * m0 * m1, dr * (n * n * dm * dm - m0 * m0))
-        pieces.append((p, q))
-    return _pieces_sup(pieces)
+        return p, (-dr * m1 * m1, -2 * dr * m0 * m1, dr * (n * n * dm * dm - m0 * m0))
+
+    return _man_sup(ratio, n, k, 2)
 
 
 def _cutset_ratio_sup(n: int, k: int, lo: Fraction, hi: Fraction) -> Supremum:
@@ -473,7 +477,7 @@ def _cutset_ratio_sup(n: int, k: int, lo: Fraction, hi: Fraction) -> Supremum:
             p = (0, (n - 1) * dm * r1, (n - 1) * dm * r0)
             q = (0, -dr * u * u * m1, dr * (u * n * dm - u * u * m0))
             pieces.append((p, q))
-    return _pieces_sup(pieces)
+    return _pieces_sup(pieces, pieces.__getitem__)
 
 
 def achievable_above_converse(n: int, k: int) -> bool:
@@ -505,8 +509,7 @@ def f_below_cutset(n: int, k: int) -> bool:
 
 # -- ratio and gap checks -------------------------------------------------
 #
-# ``per_unit`` (a sampling density) is accepted and ignored, so that callers
-# that still pass it keep working.
+# ``per_unit``, a sampling density, is accepted and ignored for old callers.
 
 
 def simple_converse_ratio_max(n: int, k: int, *, per_unit: int | None = None) -> Fraction:
@@ -563,17 +566,21 @@ def smooth_bound_ratio_max(n: int, k: int, *, per_unit: int | None = None) -> Fr
     return _smooth_bound_sup(n, k).value
 
 
-#: Composed multiplicative-gap constants.  They inherit the external
-#: uncoded-placement-versus-optimal factor 2.00884, which is used as a
-#: literal and not re-derived here; the computable factors are the
-#: ratio checks above.
+#: the uncoded-placement-versus-optimal factor of Yu, Maddah-Ali and Avestimehr
+#: (IEEE Trans. IT, 2019), an external result used as given, not re-derived here
+_YMA_FACTOR = Fraction("2.00884")
+_SMOOTH_BOUND, _RATIO2_BOUND = Fraction(8), Fraction(2)
+
+#: Composed multiplicative-gap constants: each the certified bound of a ratio
+#: check, times ``_YMA_FACTOR`` where the composition uses it.  The pairs
+#: (3, 3), (3, 2) and (4, 2) stand for N = K >= 3, N = K + 1 and N >= K + 2.
 COMPOSED_GAP_CONSTANTS = {
     "K=1": 1.0,
-    "N=K=2": 2.0,
-    "N=K>=3": 6.02652,
-    "N=K+1": 5.0221,
-    "N>=K+2": 4.01768,
-    "N<K, M in [2,N)": 8.0,
+    "N=K=2": float(_RATIO2_BOUND),
+    "N=K>=3": float(_YMA_FACTOR * coded_uncoded_threshold(3, 3)),
+    "N=K+1": float(_YMA_FACTOR * coded_uncoded_threshold(3, 2)),
+    "N>=K+2": float(_YMA_FACTOR * coded_uncoded_threshold(4, 2)),
+    "N<K, M in [2,N)": float(_SMOOTH_BOUND),
 }
 
 
@@ -602,12 +609,12 @@ def ratio_checks(n: int, k: int, *, per_unit: int | None = None) -> dict:
 
     if n < k and n >= 3:
         s8 = _smooth_bound_sup(n, k)
-        add("smooth_bound", s8, Fraction(8), s8.value < 8)
+        add("smooth_bound", s8, _SMOOTH_BOUND, s8.value < _SMOOTH_BOUND)
 
     if n == k == 2:
         # the ratio to the cut-set bound over [1, 3/2] peaks at exactly 2
         s2 = _cutset_ratio_sup(2, 2, Fraction(1), Fraction(3, 2))
-        add("ratio2", s2, Fraction(2), s2.exact and s2.value == 2)
+        add("ratio2", s2, _RATIO2_BOUND, s2.exact and s2.value == _RATIO2_BOUND)
 
     report["ok"] = all(c["ok"] for c in checks.values())
     report["composed_gap_constants"] = COMPOSED_GAP_CONSTANTS
@@ -658,17 +665,8 @@ def emit_curves(n: int, k: int, schemes: Sequence[str], out_dir: str) -> dict:
     return {"csv": csv_path, "svg": svg_path, "series": [s for s, _ in series]}
 
 
-_SVG_COLORS = (
-    "#1f77b4",
-    "#ff7f0e",
-    "#2ca02c",
-    "#d62728",
-    "#9467bd",
-    "#8c564b",
-    "#e377c2",
-    "#7f7f7f",
-    "#bcbd22",
-)
+_SVG_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2",
+               "#7f7f7f", "#bcbd22")
 
 
 def _render_svg(n: int, k: int, series) -> str:

@@ -11,7 +11,9 @@ only the tests use (``FieldElement``, ``field_dot``, ``canonical_relabel``,
 ``zero_randomness``) live here too.
 The tradeoff oracles build the t-subset curve as a lower convex envelope
 and read its pieces through ``TradeoffCurve.evaluate``, the generic path
-the closed form replaces.
+the closed form replaces; ``fraction_lower_convex_envelope``, the hull with
+its cross-product test in Fractions, builds those envelopes and is the
+reference for the integer test of ``lower_convex_envelope``.
 ``per_piece_sup`` runs ``ratio_sup`` on every piece of a certified ratio,
 the path that one candidate per (N, K) replaces, and
 ``fraction_pda_lower_bound`` and ``fraction_cutset_bound`` are the converse
@@ -58,7 +60,6 @@ from splfr.tradeoff import (
     _cutset_pieces,
     _man_segments,
     cutset_bound,
-    lower_convex_envelope,
     man_curve,
     man_points,
     pda_lower_bound,
@@ -282,13 +283,36 @@ def uncoded_points(n: int, k: int) -> list[CurvePoint]:
     ]
 
 
+def fraction_lower_convex_envelope(points) -> TradeoffCurve:
+    """Lower hull of a point set, with the cross-product test in Fractions."""
+    pts = sorted((Fraction(m), Fraction(r)) for m, r in points)
+    if not pts:
+        raise TradeoffError("no points")
+    # keep only the lowest load at each memory: the first, as pts is sorted
+    dedup: list[tuple[Fraction, Fraction]] = []
+    for m, r in pts:
+        if not dedup or dedup[-1][0] != m:
+            dedup.append((m, r))
+    hull: list[tuple[Fraction, Fraction]] = []
+    for p in dedup:
+        while len(hull) >= 2:
+            (m1, r1), (m2, r2) = hull[-2], hull[-1]
+            # pop while the middle point lies on or above segment (m1,r1)-(p)
+            if (r2 - r1) * (p[0] - m1) >= (p[1] - r1) * (m2 - m1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return TradeoffCurve(tuple(CurvePoint(m, r) for m, r in hull))
+
+
 def uncoded_curve(n: int, k: int) -> TradeoffCurve:
-    return lower_convex_envelope(uncoded_points(n, k))
+    return fraction_lower_convex_envelope(uncoded_points(n, k))
 
 
 def hull_man_curve(n: int, k: int) -> TradeoffCurve:
     """The t-subset curve as the lower convex envelope of its points."""
-    return lower_convex_envelope(man_points(n, k))
+    return fraction_lower_convex_envelope(man_points(n, k))
 
 
 def linear(a: Fraction, b: Fraction) -> tuple[int, int, int]:

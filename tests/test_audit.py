@@ -1,6 +1,7 @@
 """Tests for the exact audits: rank certificates and the enumeration oracle."""
 
 import json
+import operator
 import random
 import re
 import time
@@ -656,6 +657,27 @@ def test_arithmetic_outside_the_context_is_refused(monkeypatch, capsys, field, o
         (lambda x: x ^ 1, "applies \\^"),
         (lambda x: x % 2, "applies %"),
         (lambda x: -x, "applies unary -"),
+        (lambda x: x // 2, "applies //"),
+        (lambda x: 3 // x, "applies //"),
+        (lambda x: x / 2, "applies /"),
+        (lambda x: 1 / x, "applies /"),
+        (lambda x: divmod(x, 2), "applies divmod\\(\\)"),
+        (lambda x: divmod(2, x), "applies divmod\\(\\)"),
+        (lambda x: x ** 2, "applies \\*\\*"),
+        (lambda x: 2 ** x, "applies \\*\\*"),
+        (lambda x: pow(x, 2, 3), "applies \\*\\*"),
+        (lambda x: x & 1, "applies &"),
+        (lambda x: 1 & x, "applies &"),
+        (lambda x: x | {}, "applies \\|"),
+        (lambda x: {} | x, "applies \\|"),
+        (lambda x: operator.ior(x, {}), "applies \\|"),
+        (lambda x: x << 1, "applies <<"),
+        (lambda x: 1 << x, "applies <<"),
+        (lambda x: x >> 1, "applies >>"),
+        (lambda x: 1 >> x, "applies >>"),
+        (lambda x: ~x, "applies ~"),
+        (lambda x: +x, "applies unary \\+"),
+        (abs, "applies abs\\(\\)"),
         (lambda x: (0, 1)[x], "uses a formal value as an integer"),
         (hash, "hashes"),
         (bool, "branches on"),
@@ -663,7 +685,10 @@ def test_arithmetic_outside_the_context_is_refused(monkeypatch, capsys, field, o
         (lambda x: x < 1, "branches on"),
         (lambda x: 0 >= x, "branches on"),
     ],
-    ids=["add", "rsub", "rmul", "xor", "mod", "neg", "index", "hash", "bool", "ne", "lt", "rge"],
+    ids=["add", "rsub", "rmul", "xor", "mod", "neg", "floordiv", "rfloordiv", "truediv",
+         "rtruediv", "divmod", "rdivmod", "pow", "rpow", "pow3", "and", "rand", "or-dict",
+         "ror-dict", "ior-dict", "lshift", "rlshift", "rshift", "rrshift", "invert", "pos", "abs",
+         "index", "hash", "bool", "ne", "lt", "rge"],
 )
 def test_a_formal_value_refuses_its_misuse(misuse, named):
     x = splfr.audit._formal_run(SMALL).signal[0]

@@ -17,6 +17,7 @@ from oracle import (
     evaluated_coded_uncoded_ratio_max,
     f_bound,
     fraction_cutset_bound,
+    fraction_lower_convex_envelope,
     fraction_pda_lower_bound,
     grid,
     hull_man_curve,
@@ -146,9 +147,32 @@ class TestEnvelope:
         with pytest.raises(TradeoffError, match="strictly increasing"):
             TradeoffCurve(corners)
 
-    def test_empty(self):
-        with pytest.raises(TradeoffError):
-            lower_convex_envelope([])
+    @pytest.mark.parametrize("hull", [lower_convex_envelope, fraction_lower_convex_envelope])
+    def test_empty(self, hull):
+        with pytest.raises(TradeoffError, match="no points"):
+            hull([])
+
+    def test_single_point_and_collinear_run(self):
+        assert lower_convex_envelope([(F(3, 2), 4)]).corners == (CurvePoint(F(3, 2), F(4)),)
+        run = [(F(1, 3) * i, 5 - F(2, 7) * i) for i in range(6)]
+        curve = lower_convex_envelope(reversed(run))
+        assert curve.corners == (CurvePoint(*run[0]), CurvePoint(*run[-1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_integer_hull_matches_the_fraction_hull(self, data):
+        # small numerators and denominators, so that memories repeat, and a
+        # collinear run, shuffled in
+        small = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
+        points = data.draw(st.lists(st.tuples(small, small), max_size=10))
+        m0, r0, dm, dr = (data.draw(small) for _ in range(4))
+        points += [(m0 + i * abs(dm), r0 + i * dr) for i in range(data.draw(st.integers(0, 5)))]
+        points = data.draw(st.permutations(points))
+        if not points:
+            return
+        want = fraction_lower_convex_envelope(points)
+        assert lower_convex_envelope(points) == want
+        assert all(type(x) is F for p in want.corners for x in p)
 
 
 class TestConverseBounds:
@@ -301,6 +325,24 @@ class TestRatios:
         assert report["composed_gap_constants"] == COMPOSED_GAP_CONSTANTS
         assert COMPOSED_GAP_CONSTANTS["N=K>=3"] == pytest.approx(6.02652)
 
+    def test_composed_constants_are_their_bounds(self):
+        # each constant is the bound its ratio check certifies, times the
+        # external factor 2.00884 where the composition uses it
+        factor = F("2.00884")
+        regimes = {
+            "N=K=2": (2, 2, "ratio2", 1),
+            "N=K>=3": (5, 5, "coded_uncoded", factor),
+            "N=K+1": (6, 5, "coded_uncoded", factor),
+            "N>=K+2": (9, 5, "coded_uncoded", factor),
+            "N<K, M in [2,N)": (5, 9, "smooth_bound", 1),
+        }
+        for name, (n, k, check, times) in regimes.items():
+            bound = ratio_checks(n, k)["checks"][check]["bound"]
+            assert COMPOSED_GAP_CONSTANTS[name] == float(times * bound)
+        # one rounding of the exact product; 2.00884 * 3 in floats is 6.0265200000000005
+        printed = [repr(COMPOSED_GAP_CONSTANTS[name]) for name in ("N=K>=3", "N=K+1", "N>=K+2")]
+        assert printed == ["6.02652", "5.0221", "4.01768"]
+
 
 class TestQuadraticNonneg:
     def test_dip_between_grid_points(self):
@@ -363,9 +405,16 @@ class TestRatioSup:
         with pytest.raises(TradeoffError):
             ratio_sup((0, 0, 1), (0, -1, 1))
 
-    def test_denominator_must_be_positive(self):
-        with pytest.raises(TradeoffError):
-            ratio_sup((0, 0, 1), (0, -2, 1))
+    @pytest.mark.parametrize(
+        "p, q",
+        [((0, 0, 1), (0, -2, 1)), ((0, 0, 1), (0, 1, 0)), ((0, 0, 1), (4, -4, 1)),
+         ((0, -1, 1), (1, -2, 1))],
+        ids=["negative", "zero-at-0", "zero-at-vertex", "zero-after-the-open-end"],
+    )
+    def test_denominator_must_be_positive(self, p, q):
+        # Q must be positive, not just nonnegative, once an open end is divided out
+        with pytest.raises(TradeoffError, match="denominator must be positive"):
+            ratio_sup(p, q)
 
 
 class TestExactChecks:
