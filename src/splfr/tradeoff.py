@@ -8,11 +8,12 @@ integer cross-product test on each point's numerator and denominator.  All
 curve math is exact, over integers or fractions.Fraction; decimals appear
 only at serialization time.  Ratio and bound claims are certified over the
 whole continuum, one curve segment at a time, not sampled.  A supremum over
-all the segments of an (N, K) starts from one candidate, the largest ratio
-at a segment end, kept as an integer pair, which one integer test per
-segment certifies; only the segments that fail it are reduced and searched
-for an interior maximum.  The converse bounds are computed in integers from
-the memory's numerator and denominator, with one Fraction at the end.
+all the segments of an (N, K) takes one pass with a running candidate, the
+largest ratio at a segment end so far, as an integer pair; a segment that
+fails its integer test is retested against the final candidate, and only
+the segments that fail that are reduced and searched for an interior
+maximum.  The converse bounds are computed in integers from the memory's
+numerator and denominator, with one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class TradeoffCurve:
     corners: tuple[CurvePoint, ...]
 
     def __post_init__(self):
-        ms = self.memories
-        if any(a >= b for a, b in zip(ms, ms[1:])):
+        ms = [m.as_integer_ratio() for m in self.memories]  # a/b < c/d: ad < cb
+        if any(a * d >= c * b for (a, b), (c, d) in zip(ms, ms[1:])):
             raise TradeoffError("corner memories must be strictly increasing")
 
     @cached_property
@@ -140,7 +141,7 @@ def man_curve(n: int, k: int) -> TradeoffCurve:
 def _memory(n: int, m) -> tuple[int, int]:
     """The memory m in [1, N] as its reduced (numerator, denominator)."""
     m = _frac(m)
-    if not 1 <= m <= n:
+    if not m.denominator <= m.numerator <= n * m.denominator:
         raise TradeoffError(f"memory {m} outside [1, {n}]")
     return m.numerator, m.denominator
 
@@ -154,10 +155,11 @@ def pda_lower_bound(n: int, k: int, m) -> Fraction:
 def cutset_bound(n: int, k: int, m) -> Fraction:
     """Cut-set load bound max_u (uN - u^2 M)/(N-1), floored at zero."""
     a, b = _memory(n, m)  # M = a/b: the cut u gives u(Nb - ua)/(b(N-1))
-    best = 0
-    for u in range(1, min(n // 2, k) + 1):
-        best = max(best, u * (n * b - u * a))
-    return Fraction(best, b * (n - 1))
+    # concave in u: largest at the floor or ceiling of Nb/(2a), clamped, and >= 0 at u = 1
+    top = min(n // 2, k)
+    u = min(max(n * b // (2 * a), 1), top)
+    v = min(u + 1, top)
+    return Fraction(max(u * (n * b - u * a), v * (n * b - v * a)), b * (n - 1))
 
 
 # -- known-scheme curves (comparison table) -------------------------------
@@ -211,8 +213,8 @@ def scheme_curve(scheme: str, n: int, k: int) -> TradeoffCurve:
 # quadratic inequality in the memory M.  Each piece is parametrized by
 # theta in [0, 1] with integer coefficients, so the sign tests that decide a
 # claim over the whole continuum run in integers.  A ratio's supremum over
-# all the pieces is ``_pieces_sup``: one integer candidate for every piece,
-# and ``ratio_sup`` only on the pieces whose supremum lies above it.
+# all the pieces is ``_pieces_sup``: one pass with a running candidate, and
+# ``ratio_sup`` only on the pieces whose supremum lies above the final one.
 
 
 class Supremum(NamedTuple):
@@ -244,30 +246,38 @@ def quadratic_nonneg(c2, c1, c0, lo, hi, *, strict: bool = False) -> bool:
     return least > 0 if strict else least >= 0
 
 
-def _open_ends(pieces: Sequence[tuple]) -> tuple[list, int, int]:
-    """The forms (p2, p1, p0, q2, q1, q0) of each piece's P/Q to test on [0, 1], and a, b.
+def _candidate(forms: Iterable[tuple]) -> tuple[int, int, list]:
+    """Candidate a/b of forms (p2, p1, p0, q2, q1, q0), and (i, form) of each piece i failing it.
 
     If Q(1) = 0, P(1) must be 0 too, and the factor (1 - theta) is divided
     out of both.  Each Q must then be positive on all of [0, 1], as
-    ``quadratic_nonneg`` decides it, inline.  a/b is the largest ratio at a
-    piece end, the open ends' limits included, by cross-multiplication.
+    ``quadratic_nonneg`` decides it, inline.  The candidate a/b, the largest
+    end ratio, open ends' limits included, is raised by a piece's two ends
+    before the piece is tested, so only the vertex clause of U*Q - P >= 0 is
+    left, for U = a/b.  A piece failing it is retested against the final a/b:
+    U only grows, and a larger U only raises U*Q - P.
     """
-    (_, _, a), (_, _, b) = pieces[0]  # P(0)/Q(0) of the first piece, Q(0) > 0
-    forms = []
-    for (p2, p1, p0), (q2, q1, q0) in pieces:
-        if q2 + q1 + q0 == 0:
-            if p2 + p1 + p0:
+    a, b, kept = -1, 0, []  # -1/0: below every P/Q with Q > 0
+    for i, (p2, p1, p0, q2, q1, q0) in enumerate(forms):
+        p, q = p2 + p1 + p0, q2 + q1 + q0  # P(1), Q(1)
+        if not q:
+            if p:
                 raise TradeoffError("ratio unbounded at the open end")
             # P = (1 - theta)(-p2*theta - p2 - p1), and likewise Q
             p2, p1, p0, q2, q1, q0 = 0, -p2, -p2 - p1, 0, -q2, -q2 - q1
-        if q0 <= 0 or q2 + q1 + q0 <= 0 or 0 < -q1 < 2 * q2 and 4 * q2 * q0 <= q1 * q1:
+            p, q = p1 + p0, q1 + q0
+        if q0 <= 0 or q <= 0 or 0 < -q1 < 2 * q2 and 4 * q2 * q0 <= q1 * q1:
             raise TradeoffError("ratio denominator must be positive")
         if p0 * b > a * q0:
             a, b = p0, q0
-        if (p2 + p1 + p0) * b > a * (q2 + q1 + q0):
-            a, b = p2 + p1 + p0, q2 + q1 + q0
-        forms.append((p2, p1, p0, q2, q1, q0))
-    return forms, a, b
+        if p * b > a * q:
+            a, b = p, q
+        c1 = a * q1 - b * p1  # the vertex clause on U*Q - P = c2 theta^2 + c1 theta + c0
+        if c1 < 0:
+            c2 = a * q2 - b * p2
+            if -c1 < 2 * c2 and 4 * c2 * (a * q0 - b * p0) < c1 * c1:
+                kept.append((i, (p2, p1, p0, q2, q1, q0)))
+    return a, b, [(i, form) for i, form in kept if not _at_most(form, a, b)]
 
 
 def _at_most(form: tuple, a: int, b: int) -> bool:
@@ -281,7 +291,7 @@ def ratio_sup(p: tuple[int, int, int], q: tuple[int, int, int]) -> Supremum:
 
     ``p`` and ``q`` are integer coefficients (c2, c1, c0).  Q must be
     positive on [0, 1).  If Q(1) = 0, P(1) must be 0 too, and the open end
-    is the limit at theta = 1 (see ``_open_ends``).
+    is the limit at theta = 1 (see ``_candidate``).
 
     The supremum is the smallest U with U*Q - P >= 0 on [0, 1], which
     ``quadratic_nonneg`` decides.  The larger endpoint value is tried first.
@@ -292,10 +302,11 @@ def ratio_sup(p: tuple[int, int, int], q: tuple[int, int, int]) -> Supremum:
     increasing order, an irrational one as its upper bracket from
     ``math.isqrt``, and the first that passes is returned.
     """
-    [form], a, b = _open_ends([(p, q)])
+    a, b, failing = _candidate([(*p, *q)])
     best = Fraction(a, b)
-    if _at_most(form, a, b):
+    if not failing:
         return Supremum(best, True)
+    [(_, form)] = failing
     p2, p1, p0, q2, q1, q0 = form
     roots = _upper_roots(q1 * q1 - 4 * q2 * q0, 4 * (q2 * p0 + p2 * q0) - 2 * p1 * q1,
                          p1 * p1 - 4 * p2 * p0)
@@ -305,21 +316,14 @@ def ratio_sup(p: tuple[int, int, int], q: tuple[int, int, int]) -> Supremum:
     raise TradeoffError("no certified supremum")
 
 
-def _pieces_sup(pieces: Sequence[tuple], reduced) -> Supremum:
-    """The largest ``ratio_sup`` over ``pieces``, (p, q) pairs, from one candidate.
+def _pieces_sup(forms: Iterable[tuple], reduced) -> Supremum:
+    """The largest ``ratio_sup`` over the pieces with ``forms``, from ``_candidate``'s a/b.
 
-    A piece with U*Q - P >= 0 on [0, 1] (``_at_most``, inline), for the
-    candidate U = a/b of ``_open_ends``, has its supremum at or below U, so
-    ``ratio_sup`` runs only on the pieces that fail it, each on ``reduced(i)``,
-    piece i at the scale its bracket is reported at, and returns more than U.
+    A piece's supremum is at most a/b unless it fails a/b, so ``ratio_sup`` runs only on
+    such a piece i, on ``reduced(i)``: its (p, q) at the scale its bracket is reported at.
     """
-    forms, a, b = _open_ends(pieces)
-    failures = []
-    for i, (p2, p1, p0, q2, q1, q0) in enumerate(forms):
-        c2, c1, c0 = a * q2 - b * p2, a * q1 - b * p1, a * q0 - b * p0
-        if c0 < 0 or c2 + c1 + c0 < 0 or 0 < -c1 < 2 * c2 and 4 * c2 * c0 < c1 * c1:
-            failures.append(ratio_sup(*reduced(i)))
-    return max([Supremum(Fraction(a, b), True), *failures])
+    a, b, failing = _candidate(forms)
+    return max([Supremum(Fraction(a, b), True), *(ratio_sup(*reduced(i)) for i, _ in failing)])
 
 
 def _upper_roots(a: int, b: int, c: int) -> list[Supremum]:
@@ -357,18 +361,10 @@ def _man_point(n: int, k: int, a: int, b: int):
     t, rest = divmod((a - b) * k, step)
     if not rest:
         return _man_corner(n, k, t)
-    p, q = _load_between(k, t, rest, step)
+    # R falls linearly by (K+1)/((t+1)(t+2)) from (K-t)/(t+1) at corner t to corner t+1
+    p, q = (k - t) * (t + 2) * step - rest * (k + 1), (t + 1) * (t + 2) * step
     g = math.gcd(p, q)
     return (a, b), (p // g, q // g)
-
-
-def _load_between(k: int, t: int, a, step: int):
-    """(p, q) with p/q the load a/step of the way from corner t to t+1.
-
-    R falls by (K+1)/((t+1)(t+2)) from corner t to corner t+1, so this is
-    (K-t)/(t+1) - (a/step)(K+1)/((t+1)(t+2)), for 0 <= t < K.
-    """
-    return (k - t) * (t + 2) * step - a * (k + 1), (t + 1) * (t + 2) * step
 
 
 def _theta_form(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int, int]:
@@ -419,53 +415,57 @@ def _cutset_pieces(n: int, k: int, lo: Fraction, hi: Fraction):
             yield u, a, b
 
 
-def _man_sup(ratio, n: int, k: int, lo: int) -> Supremum:
-    """Supremum of ``ratio`` over the t-subset curve on [lo, N), lo = 1 or 2.
+def _man_sup(n: int, k: int, lo: int, weights) -> Supremum:
+    """Supremum over the t-subset curve on [lo, N), lo = 1 or 2, of a weighted R.
 
-    ``ratio(m0, m1, dm, r0, r1, dr)`` is the (p, q) of a piece with the theta
-    forms of ``_man_segments``.  Each piece comes straight from t: memory
-    x = MK from max(lo K, K + t(N-1)) to K + (t+1)(N-1) over dm = K, load
-    from ``_load_between``, over (t+1)(t+2)(N-1).  Only a piece that fails
-    the candidate is rebuilt in ``_man_segments``' reduced form.
+    With M = m/dm and R = r/dr, the ratio is r(u m + v) / (dr (N dm - m)(w m + z))
+    for (u, v, w, z) = ``weights(dm)``.  The pass runs on ``_man_forms``; only a
+    piece that fails the candidate is rebuilt in ``_man_segments``' reduced form.
     """
     _check_sizes(n, k)
-    ends, pieces, x0 = [], [], lo * k
-    for t in range((lo - 1) * k // (n - 1), k):
-        x1 = k + (t + 1) * (n - 1)
-        r0, dr = _load_between(k, t, x0 - k - t * (n - 1), n - 1)
-        ends.append((x0, x1))
-        pieces.append(ratio(x0, x1 - x0, k, r0, (x0 - x1) * (k + 1), dr))
+    t0 = (lo - 1) * k // (n - 1)
+
+    def reduced(i: int) -> tuple:  # piece i spans corners t0 + i and t0 + i + 1
+        x0, x1 = max(lo * k, k + (t0 + i) * (n - 1)), k + (t0 + i + 1) * (n - 1)
+        (m0, m1, dm), (r0, r1, dr) = next(_man_segments(n, k, Fraction(x0, k), Fraction(x1, k)))
+        u, v, w, z = weights(dm)
+        e0, e1, g0, h0, h1 = u * m0 + v, u * m1, n * dm - m0, w * m0 + z, w * m1
+        return ((r1 * e1, r0 * e1 + r1 * e0, r0 * e0),
+                (-dr * m1 * h1, dr * (g0 * h1 - m1 * h0), dr * g0 * h0))
+
+    return _pieces_sup(_man_forms(n, k, lo, *weights(k)), reduced)
+
+
+def _man_forms(n: int, k: int, lo: int, u, v, w, z):
+    """Yield the form of r(u m + v) / (dr (N dm - m)(w m + z)) on each t-subset piece over [lo, N).
+
+    Memory m = MK runs from max(lo K, K + t(N-1)) to K + (t+1)(N-1) over dm = K,
+    and load over dr = (t+1)(t+2)(N-1), as in ``_man_point``: the expansion of
+    ``_man_sup``'s ``reduced``, straight from t and inline for speed.
+    """
+    n1, k1, nk = n - 1, k + 1, n * k
+    x0 = lo * k
+    for t in range((lo - 1) * k // n1, k):
+        x1 = k + (t + 1) * n1
+        m1, s = x1 - x0, (t + 2) * n1
+        # x0 is n1 - m1 past corner t, which is nonzero only on the first piece
+        r0, r1, dr = (k - t) * s - (n1 - m1) * k1, -m1 * k1, (t + 1) * s
+        e0, e1, g0, h0, h1 = u * x0 + v, u * m1, nk - x0, w * x0 + z, w * m1
+        yield (r1 * e1, r0 * e1 + r1 * e0, r0 * e0,
+               -dr * m1 * h1, dr * (g0 * h1 - m1 * h0), dr * g0 * h0)
         x0 = x1
-
-    def reduced(i: int) -> tuple:
-        m, r = next(_man_segments(n, k, *(Fraction(x, k) for x in ends[i])))
-        return ratio(*m, *r)
-
-    return _pieces_sup(pieces, reduced)
 
 
 def _simple_converse_sup(n: int, k: int) -> Supremum:
-    """Supremum of R(M)(M-1)/(N-M) over [1, N), by ``_pieces_sup``."""
-
-    def ratio(m0, m1, dm, r0, r1, dr):
-        # R(M-1)/(N-M) = (r0 + r1*theta)(m0 - dm + m1*theta) / (dr (N dm - m0 - m1*theta))
-        e0 = m0 - dm
-        return (r1 * m1, r0 * m1 + r1 * e0, r0 * e0), (0, -dr * m1, dr * (n * dm - m0))
-
-    return _man_sup(ratio, n, k, 1)
+    """Supremum of R(M)(M-1)/(N-M) over [1, N): r(m - dm) / (dr (N dm - m))."""
+    return _man_sup(n, k, 1, lambda dm: (1, -dm, 0, 1))
 
 
 def _smooth_bound_sup(n: int, k: int) -> Supremum:
+    """Supremum of R/f = 4(N-1) M R / (N^2 - M^2) over [2, N), times dr dm^2 above and below."""
     if not (n < k and n >= 3):
         raise TradeoffError(f"needs N < K and N >= 3, got N={n}, K={k}")
-
-    def ratio(m0, m1, dm, r0, r1, dr):
-        # R/f = 4(N-1) M R / (N^2 - M^2), both sides times dr dm^2
-        c = 4 * (n - 1) * dm
-        p = (c * r1 * m1, c * (r0 * m1 + r1 * m0), c * r0 * m0)
-        return p, (-dr * m1 * m1, -2 * dr * m0 * m1, dr * (n * n * dm * dm - m0 * m0))
-
-    return _man_sup(ratio, n, k, 2)
+    return _man_sup(n, k, 2, lambda dm: (4 * (n - 1) * dm, 0, 1, n * dm))
 
 
 def _cutset_ratio_sup(n: int, k: int, lo: Fraction, hi: Fraction) -> Supremum:
@@ -473,11 +473,9 @@ def _cutset_ratio_sup(n: int, k: int, lo: Fraction, hi: Fraction) -> Supremum:
     pieces = []
     for u, a, b in _cutset_pieces(n, k, lo, hi):
         for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, a, b):
-            # R/line_u = (N-1) dm (r0 + r1*theta) / (dr (uN dm - u^2 (m0 + m1*theta)))
-            p = (0, (n - 1) * dm * r1, (n - 1) * dm * r0)
-            q = (0, -dr * u * u * m1, dr * (u * n * dm - u * u * m0))
-            pieces.append((p, q))
-    return _pieces_sup(pieces, pieces.__getitem__)
+            c = (n - 1) * dm  # R/line_u = c (r0 + r1*theta) / (dr u (N dm - u (m0 + m1*theta)))
+            pieces.append(((0, c * r1, c * r0), (0, -dr * u * u * m1, dr * u * (n * dm - u * m0))))
+    return _pieces_sup((p + q for p, q in pieces), pieces.__getitem__)
 
 
 def achievable_above_converse(n: int, k: int) -> bool:
@@ -537,8 +535,10 @@ def coded_uncoded_ratio_max(n: int, k: int) -> Fraction:
     # the corners in [1, N): the coded ones from t = 0, and the uncoded ones
     # from t = 1, which is at or above M = 1 because N >= K
     for x in chain(range(k, k * n, n - 1), range(n, k * n, n)):
-        coded_p, coded_q = _load_between(k, *divmod(x - k, n - 1), n - 1)
-        uncoded_p, uncoded_q = _load_between(k, *divmod(x, n), n)
+        t, a = divmod(x - k, n - 1)  # each load a/step past its corner t, as in _man_point
+        coded_p, coded_q = (k - t) * (t + 2) * (n - 1) - a * (k + 1), (t + 1) * (t + 2) * (n - 1)
+        t, a = divmod(x, n)
+        uncoded_p, uncoded_q = (k - t) * (t + 2) * n - a * (k + 1), (t + 1) * (t + 2) * n
         p, q = coded_p * uncoded_q, coded_q * uncoded_p
         if p * best_q > best_p * q:
             best_p, best_q = p, q
@@ -643,7 +643,7 @@ def emit_curves(n: int, k: int, schemes: Sequence[str], out_dir: str) -> dict:
     _check_sizes(n, k)
     series = [(scheme, list(scheme_curve(scheme, n, k).corners)) for scheme in schemes]
 
-    grid = [1 + Fraction(i * (n - 1), BOUND_SAMPLES) for i in range(BOUND_SAMPLES + 1)]
+    grid = [Fraction(BOUND_SAMPLES + i * (n - 1), BOUND_SAMPLES) for i in range(BOUND_SAMPLES + 1)]
     for name, fn in (
         ("pda-bound", lambda m: pda_lower_bound(n, k, m)),
         ("cutset-bound", lambda m: cutset_bound(n, k, m)),

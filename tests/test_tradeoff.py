@@ -44,6 +44,7 @@ from splfr.tradeoff import (
     _cutset_pieces,
     _cutset_ratio_sup,
     _man_segments,
+    _pieces_sup,
     achievable_above_converse,
     comb0,
     cutset_bound,
@@ -141,7 +142,7 @@ class TestEnvelope:
         with pytest.raises(TradeoffError):
             curve.evaluate(F(1, 2))
 
-    @pytest.mark.parametrize("memories", [(1, 1), (2, 1), (1, 3, 2)])
+    @pytest.mark.parametrize("memories", [(1, 1), (2, 1), (1, 3, 2), (F(2, 3), F(3, 5))])
     def test_corner_memories_must_increase(self, memories):
         corners = tuple(CurvePoint(F(m), F(1)) for m in memories)
         with pytest.raises(TradeoffError, match="strictly increasing"):
@@ -603,6 +604,41 @@ class TestOneCandidate:
         for n, k in PAIRS_7C:
             smooth_bound_ratio_max(n, k)
         assert len(calls) == failing == 24
+
+    @pytest.mark.parametrize(
+        "last, want, searched", [(F(1), F(1), 0), (F(1, 8), F(1, 4), 1)], ids=["covered", "searched"]
+    )
+    def test_a_deferred_piece_is_retested_against_the_final_candidate(
+        self, monkeypatch, last, want, searched
+    ):
+        # theta (1 - theta) peaks at 1/4 inside and is 0 at both ends, so it
+        # fails the running candidate 0 and is kept; the constant piece after
+        # it raises the candidate to `last`, which covers it at 1 and not at 1/8
+        pieces = [((-1, 1, 0), (0, 0, 1)), ((0, 0, last.numerator), (0, 0, last.denominator))]
+        calls = []
+
+        def counting_ratio_sup(p, q):
+            calls.append((p, q))
+            return ratio_sup(p, q)
+
+        monkeypatch.setattr(splfr.tradeoff, "ratio_sup", counting_ratio_sup)
+        assert _pieces_sup((p + q for p, q in pieces), pieces.__getitem__) == Supremum(want, True)
+        assert calls == pieces[:searched]
+
+    #: a piece unbounded at its open end, and one whose denominator turns negative
+    UNBOUNDED, NEGATIVE = ((0, 0, 1), (0, -1, 1)), ((0, 0, 1), (0, -2, 1))
+
+    @pytest.mark.parametrize(
+        "first, second, error",
+        [(UNBOUNDED, NEGATIVE, "ratio unbounded at the open end"),
+         (NEGATIVE, UNBOUNDED, "ratio denominator must be positive")],
+        ids=["unbounded-first", "negative-first"],
+    )
+    def test_the_pass_refuses_the_first_bad_piece(self, first, second, error):
+        good = ((0, 0, 1), (0, 0, 2))
+        pieces = [good, first, second, good]
+        with pytest.raises(TradeoffError, match=error):
+            _pieces_sup((p + q for p, q in pieces), pieces.__getitem__)
 
     def test_curves_emit_is_pinned(self, tmp_path):
         # the exact bytes of the CSV and SVG of every scheme at N = 30, K = 10
