@@ -36,10 +36,12 @@ the run, and on ``FieldContext.lincomb`` equalling sum c*v, which
 ``add`` and ``mul``).  A failing security or privacy certificate is
 decided by enumeration from the model, with no engine call per atom: each
 effective atom once, a symbol of r that the mode masks having no slot in
-any row, weighed by the q^(masked) raw atoms it stands for,
-through the factorization identities count(a, b) * total == count(a) *
-count(b), which hold for every pair iff the mutual information is exactly
-zero.  No logarithms or floating point are involved.
+any row, weighed by the q^(masked) raw atoms it stands for, through the
+factorization identities count(a, b) * total == count(a) * count(b),
+which hold for every pair iff the mutual information is exactly zero.  No
+logarithms or floating point are involved.  Only the columns of the
+observation that some W_i reaches are combined at each file realization;
+the others are combined once per key value.
 """
 
 from __future__ import annotations
@@ -243,12 +245,13 @@ class _Formal:
         add, mul, width = self.base.add, self.base.mul, self.width
         out = [_Poly() for _ in vectors[0]]
         for c, v in zip(coeffs, vectors):
+            terms = self.lift(c).items()
             for acc, x in zip(out, v):
-                for (s1, a), (s2, b) in product(self.lift(c).items(), self.lift(x).items()):
+                for (s1, a), (s2, b) in product(terms, self.lift(x).items()):
                     if (s1 >= width and s2 >= width) or (s1 % width and s2 % width):
                         raise AuditError("the engine is not bi-affine: it yields the monomial "
                                          + _name(self.cfg, (s1, s2)))
-                    s = add(acc.pop(s1 + s2, 0), mul(a, b))
+                    s = add(acc.pop(s1 + s2, 0), b if a == 1 else mul(a, b))
                     if s:
                         acc[s1 + s2] = s
         return tuple(out)
@@ -265,8 +268,8 @@ class _Formal:
     def neg(self, a) -> _Poly:
         return self.vec_neg((a,))[0]
 
-    def sub(self, a, b) -> _Poly:
-        return self.add(a, self.neg(b))
+    def sub(self, a, b) -> _Poly:  # b first: of two bad constants, b is the one named
+        return self.lincomb((1, self.base.neg(1)), ((a,), (self.lift(b),)))[0]
 
     def mul(self, a, b) -> _Poly:
         return self.lincomb((a,), ((b,),))[0]
@@ -344,11 +347,13 @@ def _placements(
 ) -> Iterator[tuple[tuple, Vector, Iterator[tuple[tuple, Vector]], int]]:
     """Each effective placement once, from the model: files, caches, (demands, signal)s, weight.
 
-    Per W-monomial, one row at r = 0 (the signal at each demand tuple, then
-    the caches) and one per active symbol of r; at files W the rows combine
-    with (1, W), and r adds its key parts.  The placements come as the
-    per-atom walk has them, each weighed by the q^(masked) raw atoms it
-    stands for, with the demand tuples innermost.
+    Per W-monomial, one row at r = 0 (the signal at each demand tuple, one
+    signal symbol at a time, then the caches) and one per active symbol of
+    r.  The columns that no W_i reaches are combined with (1, r) once per
+    key value r; at files W only the others combine with (1, W), and then
+    with (1, r).  The placements come as the per-atom walk has them, each
+    weighed by the q^(masked) raw atoms it stands for, with the demand
+    tuples innermost.
     """
     ctx, q, (nb, keys, per_user, width) = cfg.ctx, cfg.ctx.q, _layout(cfg)
     slots = {s % width for row in chain(model.signal, *model.caches) for s in row}
@@ -357,23 +362,32 @@ def _placements(
     demand_tuples = cfg.demand_tuples()
     moved = range(cfg.n - per_user, cfg.n)  # the files a demand move reaches
     coeffs = [(1, *(d[j][t] for j in range(cfg.pda.k) for t in moved)) for d in demand_tuples]
+    per_slot = [ctx.pack(c) for c in zip(*coeffs)]  # each demand slot's coefficient by tuple
     seen = _flat(model.caches) if caches else ()
     stacked = []
     for w in range(0, (1 + nb) * width, width):  # the first slot of each W-monomial
-        signals = [_column(model.signal, w + x) for x in (0, *range(1 + keys, width))]
-        rows = [chain((ctx.lincomb(c, signals) for c in coeffs), [_column(seen, w)])]
-        rows += (
-            chain((_column(model.signal, w + x),) * len(coeffs), [_column(seen, w + x)])
-            for x in active
-        )
-        stacked.append(_flat(map(_flat, rows)))
+        symbols = []
+        for row in model.signal:
+            at = [row.get(w + x, 0) for x in (0, *range(1 + keys, width))]
+            symbols.append(ctx.lincomb(at, per_slot) if any(at) else (0,) * len(coeffs))
+        rows = [chain(_flat(zip(*symbols)), _column(seen, w))]
+        rows += (chain(_column(model.signal, w + x) * len(coeffs), _column(seen, w + x))
+                 for x in active)
+        stacked.append(_flat(rows))
     size, span = len(model.signal), len(stacked[0]) // (1 + len(active))
+    varies = sorted({j % span for v in stacked[1:] for j, x in enumerate(v) if x})  # in some W_i
+    fixed, blocks = [j for j in range(span) if j not in varies], range(0, len(stacked[0]), span)
+    varying = [ctx.pack(tuple(v[b + j] for b in blocks for j in varies)) for v in stacked]
+    constant = [tuple(stacked[0][b + j] for j in fixed) for b in blocks]
+    keyed = list(product(range(q), repeat=len(active)))
+    fixed_rows = [ctx.lincomb((1, *r), constant) for r in keyed]
+    order = sorted(range(span), key=(fixed + varies).__getitem__)
+    pick = itemgetter(*order) if span > 1 else tuple  # a row from its fixed, then varying, values
     for w in product(range(q), repeat=nb):
-        at = ctx.lincomb((1, *w), stacked)
-        base, *parts = (at[i : i + span] for i in range(0, len(at), span))
+        parts = ctx.split(ctx.lincomb((1, *w), varying), 1 + len(active))
         files = tuple(w[f * cfg.b : (f + 1) * cfg.b] for f in range(cfg.n))
-        for r in product(range(q), repeat=len(parts)):
-            row = ctx.lincomb((1, *r), (base, *parts)) if any(r) else base
+        for r, at_fixed in zip(keyed, fixed_rows):
+            row = pick(at_fixed + (ctx.lincomb((1, *r), parts) if any(r) else parts[0]))
             signals = (row[i : i + size] for i in range(0, len(coeffs) * size, size))
             yield files, row[len(coeffs) * size :], zip(demand_tuples, signals), weight
 

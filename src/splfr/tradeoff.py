@@ -624,10 +624,6 @@ def ratio_checks(n: int, k: int, *, per_unit: int | None = None) -> dict:
 # -- CSV / SVG export -----------------------------------------------------
 
 
-def _dec(x: Fraction) -> str:
-    return f"{x.numerator / x.denominator:.12f}"
-
-
 #: intervals of the uniform grid of [1, N] the reference bounds are drawn on
 BOUND_SAMPLES = 200
 
@@ -650,18 +646,19 @@ def emit_curves(n: int, k: int, schemes: Sequence[str], out_dir: str) -> dict:
     ):
         series.append((name, [CurvePoint(m, fn(m)) for m in grid]))
 
+    plotted = [(name, [(float(p.m), float(p.r)) for p in pts]) for name, pts in series]
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"curves_n{n}_k{k}.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scheme", "M", "R", "M_exact", "R_exact"])
-        for name, pts in series:
-            for p in pts:
-                writer.writerow([name, _dec(p.m), _dec(p.r), str(p.m), str(p.r)])
+        for (name, pts), (_, xy) in zip(series, plotted):
+            for p, (m, r) in zip(pts, xy):
+                writer.writerow([name, f"{m:.12f}", f"{r:.12f}", str(p.m), str(p.r)])
 
     svg_path = os.path.join(out_dir, f"curves_n{n}_k{k}.svg")
     with open(svg_path, "w") as fh:
-        fh.write(_render_svg(n, k, series))
+        fh.write(_render_svg(n, k, plotted))
     return {"csv": csv_path, "svg": svg_path, "series": [s for s, _ in series]}
 
 
@@ -670,8 +667,8 @@ _SVG_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
 
 
 def _render_svg(n: int, k: int, series) -> str:
+    """The chart of ``series``: (name, [(M, R) as floats]) each."""
     width, height, pad = 720, 480, 60
-    series = [(name, [(float(p.m), float(p.r)) for p in pts]) for name, pts in series]
     max_m = max(m for _, pts in series for m, _ in pts)
     max_r = max(r for _, pts in series for _, r in pts) or 1.0
 

@@ -369,6 +369,27 @@ class TestReports:
         assert audit_privacy(SMALL).method == "certificate"
         assert calls == {"place": 1, "deliver": 1}
 
+    def test_each_file_realization_combines_only_the_columns_it_reaches(self, monkeypatch):
+        # LFR's signal at each demand tuple is its 4 coefficient symbols, in
+        # no W, and its one multicast block, in W at every tuple but the
+        # all-zero one: 15 of the 80 columns vary with W, and only they are
+        # combined at each file realization
+        combined = []
+        kernel = FieldContext.lincomb
+
+        def counted(self, coeffs, vectors):
+            combined.append(len(vectors[0]))
+            return kernel(self, coeffs, vectors)
+
+        monkeypatch.setattr(FieldContext, "lincomb", counted)
+        cfg = small(mode=Mode.LFR)
+        placements = splfr.audit._placements(cfg, splfr.audit._formal_run(cfg))
+        next(placements)  # the set-up and the first file realization
+        for _ in range(3):
+            combined.clear()
+            files, *_ = next(placements)
+            assert combined == [15], files
+
 
 def count_calls(monkeypatch, *names: str) -> Counter:
     """Count the calls the audit makes to each named engine function."""
@@ -388,14 +409,24 @@ def count_calls(monkeypatch, *names: str) -> Counter:
 
 ALL_STAR = validate([[STAR, STAR]])
 GF3 = FieldContext.prime(3)
+GF2_BYTES = FieldContext.binary(1)
 
 #: name -> (field, array, N, B).  GF(3) runs on smaller libraries: the
-#: enumeration of man:2,1 with N = B = 2 over GF(3) has 1.6M atoms
+#: enumeration of man:2,1 with N = B = 2 over GF(3) has 1.6M atoms.  The
+#: binary fields run the bytes kernel of GF(2^m), the others that of GF(p)
 DIFFERENTIAL_INSTANCES = {
     "p:2-man:2,1-N2B2": (GF2, man_pda(2, 1), 2, 2),
     "p:2-allstar-N2B1": (GF2, ALL_STAR, 2, 1),
     "p:3-man:2,1-N1B2": (GF3, man_pda(2, 1), 1, 2),
     "p:3-allstar-N1B1": (GF3, ALL_STAR, 1, 1),
+    "b:1-man:2,1-N1B2": (GF2_BYTES, man_pda(2, 1), 1, 2),
+    "b:2-allstar-N1B1": (FieldContext.binary(2), ALL_STAR, 1, 1),
+}
+#: name -> (field, array, N, B), on unit demands alone, which keep N = 2 in
+#: reach over GF(3) and, on man:2,1, over GF(2) through the bytes kernel
+UNIT_INSTANCES = {
+    "p:3-allstar-N2B1": (GF3, ALL_STAR, 2, 1),
+    "b:1-man:2,1-N2B2": (GF2_BYTES, man_pda(2, 1), 2, 2),
 }
 
 
@@ -406,11 +437,9 @@ def differential_cases():
                 yield pytest.param(
                     *instance, demand_space, mode, id=f"{name}-{demand_space}-{mode.value}"
                 )
-    # unit demands keep N = 2 in reach over GF(3)
-    for mode in Mode:
-        yield pytest.param(
-            GF3, ALL_STAR, 2, 1, "units", mode, id=f"p:3-allstar-N2B1-units-{mode.value}"
-        )
+    for name, instance in UNIT_INSTANCES.items():
+        for mode in Mode:
+            yield pytest.param(*instance, "units", mode, id=f"{name}-units-{mode.value}")
 
 
 def symbolic_verdicts(cfg: AuditConfig, subsets) -> list[bool]:
