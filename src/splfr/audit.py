@@ -49,7 +49,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, groupby, islice, product
+from itertools import chain, combinations, groupby, islice, product, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -235,6 +235,9 @@ class _Formal:
     def pack(self, v) -> tuple[_Poly, ...]:
         return tuple(map(self.lift, v))
 
+    def join(self, vectors) -> tuple:
+        return tuple(chain.from_iterable(vectors))
+
     def split(self, v, f: int) -> tuple:
         size = len(v) // f
         return tuple(v[i * size : (i + 1) * size] for i in range(f))
@@ -344,16 +347,17 @@ def _flat(vectors: Iterable[Sequence[int]]) -> Vector:
 
 def _placements(
     cfg: AuditConfig, model: _Model, caches: bool = False
-) -> Iterator[tuple[tuple, Vector, Iterator[tuple[tuple, Vector]], int]]:
-    """Each effective placement once, from the model: files, caches, (demands, signal)s, weight.
+) -> Iterator[tuple[tuple, Vector, list[Vector], int]]:
+    """Each effective placement once, from the model: files, caches, signals, weight.
 
     Per W-monomial, one row at r = 0 (the signal at each demand tuple, one
     signal symbol at a time, then the caches) and one per active symbol of
     r.  The columns that no W_i reaches are combined with (1, r) once per
     key value r; at files W only the others combine with (1, W), and then
     with (1, r).  The placements come as the per-atom walk has them, each
-    weighed by the q^(masked) raw atoms it stands for, with the demand
-    tuples innermost.
+    with its signal at every demand tuple, in ``demand_tuples`` order, and
+    the q^(masked) raw atoms that each of its atoms stands for, one weight
+    common to all.
     """
     ctx, q, (nb, keys, per_user, width) = cfg.ctx, cfg.ctx.q, _layout(cfg)
     slots = {s % width for row in chain(model.signal, *model.caches) for s in row}
@@ -388,8 +392,8 @@ def _placements(
         files = tuple(w[f * cfg.b : (f + 1) * cfg.b] for f in range(cfg.n))
         for r, at_fixed in zip(keyed, fixed_rows):
             row = pick(at_fixed + (ctx.lincomb((1, *r), parts) if any(r) else parts[0]))
-            signals = (row[i : i + size] for i in range(0, len(coeffs) * size, size))
-            yield files, row[len(coeffs) * size :], zip(demand_tuples, signals), weight
+            signals = [row[i : i + size] for i in range(0, len(coeffs) * size, size)]
+            yield files, row[len(coeffs) * size :], signals, weight
 
 
 def _signal(cfg: AuditConfig, flat: Vector) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
@@ -412,10 +416,9 @@ def _cache(cfg: AuditConfig, k: int, flat: Vector) -> tuple:
 def enumerate_security(cfg: AuditConfig, model: _Model) -> AuditReport:
     """Count the signal against files and demands at every atom, from the model."""
     cfg.check_budget()
-    counts = Counter()
-    for files, _, atoms, weight in _placements(cfg, model):
-        for demands, signal in atoms:
-            counts[(files, demands), signal] += weight
+    counts, demand_tuples = Counter(), cfg.demand_tuples()
+    for files, _, signals, weight in _placements(cfg, model):
+        counts.update(zip(zip(repeat(files), demand_tuples), signals))
     violations, first = factorization_violations(counts)
     counterexample = None
     if first is not None:
@@ -425,7 +428,8 @@ def enumerate_security(cfg: AuditConfig, model: _Model) -> AuditReport:
             "demands": [list(d) for d in demands],
             "signal": repr(_signal(cfg, signal)),
         }
-    return AuditReport(violations == 0, counts.total(), violations, counterexample)
+    # the common weight would scale every count alike and keep each identity
+    return AuditReport(violations == 0, counts.total() * weight, violations, counterexample)
 
 
 def enumerate_privacy(
@@ -439,34 +443,25 @@ def enumerate_privacy(
     fills a count table per subset and returns one report per subset.
     """
     cfg.check_budget()  # before the demand tuples are listed
-    cuts = []  # per subset: the colluders, and each demand tuple split
+    cuts, demand_tuples = [], cfg.demand_tuples()  # per subset: colluders, hidden and seen demands
     for subset in subsets:
         colluders = [u - 1 for u in _subset(cfg, subset)]
         others = [k for k in range(cfg.pda.k) if k not in colluders]
-        split = {
-            d: (tuple(d[k] for k in others), tuple(d[k] for k in colluders))
-            for d in cfg.demand_tuples()
-        }
-        cuts.append((colluders, split))
+        hidden = [tuple(d[k] for k in others) for d in demand_tuples]
+        cuts.append((colluders, hidden, [tuple(d[k] for k in colluders) for d in demand_tuples]))
     reports = [AuditReport(True, 0, 0) for _ in cuts]
     placements = _placements(cfg, model, caches=True)
     # conditioning on the files keeps each slice's count tables small
     for files, group in groupby(placements, itemgetter(0)):
         tables = [Counter() for _ in cuts]
-        for _, caches, atoms, weight in group:
+        for _, caches, signals, weight in group:
             size = len(caches) // cfg.pda.k  # each column has Z stars: one cache length
-            slots = [
-                (split, tuple(caches[k * size : (k + 1) * size] for k in colluders), table)
-                for (colluders, split), table in zip(cuts, tables)
-            ]
-            for demands, signal in atoms:
-                for split, seen_caches, table in slots:
-                    hidden, seen = split[demands]
-                    outcome = (hidden, (signal, seen, seen_caches))
-                    table[outcome] = table.get(outcome, 0) + weight
-        for report, table, (colluders, _) in zip(reports, tables, cuts):
-            violations, first = factorization_violations(table)
-            report.atoms += table.total()
+            for (colluders, hidden, seen), table in zip(cuts, tables):
+                seen_caches = tuple(caches[k * size : (k + 1) * size] for k in colluders)
+                table.update(zip(hidden, zip(signals, seen, repeat(seen_caches))))
+        for report, table, (colluders, *_) in zip(reports, tables, cuts):
+            violations, first = factorization_violations(table)  # unweighted, as in security
+            report.atoms += table.total() * weight
             report.violations += violations
             report.verdict = report.violations == 0
             if first is not None and report.counterexample is None:

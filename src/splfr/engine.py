@@ -10,8 +10,9 @@ vector and pads each multicast block with its security key, so the signal
 is simultaneously one-time-pad secure and demand-hiding.
 
 States are immutable once placed; deliver/decode are pure, and update
-rounds produce a new state.  Each block of each stage is one
-``FieldContext.lincomb`` call.  The field owns the vector representation,
+rounds produce a new state.  Each block of ``deliver`` and ``decode``, and
+each user's coded records, is one ``FieldContext.lincomb`` call; a refresh
+adds only the round's key shift.  The field owns the vector representation,
 so every stage has one path over every field: the library checks its files
 once and placement checks each security key once, both with
 ``FieldContext.pack``; placement cuts the files into packets with
@@ -254,25 +255,32 @@ def place(pda: PDA, library: Library, randomness: Randomness, mode: Mode) -> Sch
         rows=rows,
         randomness=keys,
         mode=mode,
-        caches=_fill_caches(pda, ctx, rows, keys),
+        caches=_fill_caches(pda, ctx, rows, library.files, keys),
     )
 
 
 def _fill_caches(
-    pda: PDA, ctx: FieldContext, rows: tuple[tuple[Vector, ...], ...], keys: Randomness
+    pda: PDA, ctx: FieldContext, rows: tuple, files: tuple, keys: Randomness, base: tuple = ()
 ) -> tuple[UserCache, ...]:
-    """Every user's cache from the packet rows and the (masked) keys."""
+    """Every user's cache from the packet rows, the files and the (masked) keys.
+
+    User k's records are one kernel call over whole files, cut into packets:
+    the keys laid at its packets, zero under stars, plus sum_n p_(k,n) W_n,
+    plus its old records from ``base``, the caches before a refresh.
+    """
+    zero = ctx.pack((0,) * (len(files[0]) // pda.f))
     caches = []
     for k in range(pda.k):
-        uncoded: dict[int, tuple[Vector, ...]] = {}
-        coded: dict[int, Vector] = {}
-        # coded record of row i: V_s + sum_n p_{k,n} W_{n,i}
-        coeffs = (1, *keys.privacy_vectors[k])
-        for i, entry in enumerate(pda.column(k)):
-            if entry is STAR:
-                uncoded[i] = rows[i]
-            else:
-                coded[i] = ctx.lincomb(coeffs, (keys.security_keys[entry - 1], *rows[i]))
+        column = pda.column(k)
+        uncoded = {i: rows[i] for i, s in enumerate(column) if s is STAR}
+        coded = {}
+        if len(uncoded) < pda.f:  # record of row i: V_s + sum_n p_(k,n) W_(n,i) [+ old]
+            laid = [ctx.join([zero if s is STAR else keys.security_keys[s - 1] for s in column])]
+            if base:
+                laid.append(ctx.join([base[k].coded.get(i, zero) for i in range(pda.f)]))
+            coeffs = (1,) * len(laid) + keys.privacy_vectors[k]
+            packets = ctx.split(ctx.lincomb(coeffs, (*laid, *files)), pda.f)
+            coded = {i: packets[i] for i, s in enumerate(column) if s is not STAR}
         caches.append(UserCache(uncoded=uncoded, coded=coded))
     return tuple(caches)
 
@@ -360,12 +368,13 @@ def update_round(
 
     The round's key shift is the fresh security keys V^u and the privacy
     shifts c_k * d_k, checked and masked for the state's mode like
-    placement keys; the new keys are the old keys plus the shift.  The
-    caches are refilled from the stored packet rows at the new keys, so the
-    result is the placement at the accumulated keys.  Each user k can apply
-    the same refresh from its own view, adding the fresh security keys and
-    c_k times its own decoded packets to its coded records; that locality
-    is a tested property, not a step of this function.
+    placement keys; the new keys are the old keys plus the shift.  Each
+    user's records get the records that the shift alone would place added,
+    in one kernel call, so by linearity the result is the placement at the
+    accumulated keys.  Each user k can apply the same refresh from its own
+    view, adding the fresh security keys and c_k times its own decoded
+    packets to its coded records; that locality is a tested property, not a
+    step of this function.
 
     What a refresh keeps over rounds: decoding stays correct, since the
     result is a placement.  The files stay secret against both rounds'
@@ -387,10 +396,10 @@ def update_round(
         ),
     ).effective(pda, lib.n_files, lib.b, ctx, state.mode)
     old = state.randomness
+    joined = ctx.lincomb((1, 1), (ctx.join(old.security_keys), ctx.join(shift.security_keys)))
     keys = Randomness(
-        security_keys=tuple(
-            ctx.lincomb((1, 1), pair) for pair in zip(old.security_keys, shift.security_keys)
-        ),
+        security_keys=ctx.split(joined, pda.s) if pda.s else (),
         privacy_vectors=tuple(map(ctx.vec_add, old.privacy_vectors, shift.privacy_vectors)),
     )
-    return replace(state, randomness=keys, caches=_fill_caches(pda, ctx, state.rows, keys))
+    caches = _fill_caches(pda, ctx, state.rows, lib.files, shift, state.caches)
+    return replace(state, randomness=keys, caches=caches)

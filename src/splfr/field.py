@@ -13,20 +13,23 @@ linear-combination kernel ``lincomb`` and Gaussian elimination
 
 Vectors are tuples of ints, and the context owns their representation, so
 callers never branch on the field kind: ``pack`` checks a vector and makes
-it ready for the kernel, ``split`` cuts one into ready packets, and
-``vec_neg`` negates one.  Over GF(p) a ready vector is the vector itself.
-Over GF(2^m) the kernel works on bytes, one per symbol, and a ready vector
-is a ``Packed``: a tuple that carries that packing, compares, hashes,
-slices and prints like its plain tuple, and is neither converted nor
-checked again by ``lincomb`` or ``split``.  A ``Packed`` records the
-context that checked it; another context checks it again.  ``lincomb``
-packs (and checks) plain tuples on the fly and returns a ``Packed``.
+it ready for the kernel, ``split`` cuts one into ready packets, ``join``
+joins them into one, and ``vec_neg`` negates one.  Over GF(p) a ready
+vector is the vector itself.  Over GF(2^m) the kernel works on bytes, one
+per symbol, and a ready vector is a ``Packed``: a tuple that carries that
+packing, compares, hashes, slices and prints like its plain tuple, and is
+neither converted nor checked again by ``lincomb``, ``split`` or ``join``.
+A ``Packed`` records the context that checked it; another context checks
+it again.  ``lincomb`` packs (and checks) plain tuples on the fly and
+returns a ``Packed``.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from array import array
+from itertools import chain, compress, repeat
 from operator import mul
+from sys import byteorder
 from typing import Iterable, Sequence
 
 
@@ -68,6 +71,7 @@ DEFAULT_POLYS = {
 
 MAX_PRIME = 1 << 16
 MAX_BINARY_DEGREE = 8
+PACK_FROM = 16  # GF(p) vectors of this many symbols or more are combined packed
 
 
 def _is_prime(n: int) -> bool:
@@ -256,7 +260,7 @@ class FieldContext:
             packed = v.packed if type(v) is self._packed else self._packing(v)
             return tuple(self._packed(packed[i * size : (i + 1) * size]) for i in range(f))
         v = self.pack(v)
-        return tuple(tuple(v[i * size : (i + 1) * size]) for i in range(f))
+        return tuple([tuple(v[i * size : (i + 1) * size]) for i in range(f)])
 
     def _packing(self, v: Sequence[int]) -> bytes:
         """The bytes of a vector over GF(2^m), one per symbol, checked."""
@@ -268,20 +272,31 @@ class FieldContext:
             raise FieldError(f"symbols outside [0, {self.q})") from None
         return packed
 
+    def join(self, vectors: Iterable[Sequence[int]]) -> Sequence[int]:
+        """The concatenation of ``vectors``, ready for the kernel (as unchecked
+        over GF(p) as ``pack``'s; over GF(2^m) this context's own not again)."""
+        if self.kind == "binary":
+            own = self._packed
+            return own(b"".join(v.packed if type(v) is own else self._packing(v) for v in vectors))
+        return tuple(chain.from_iterable(vectors))
+
     def lincomb(
         self, coeffs: Sequence[int], vectors: Sequence[Sequence[int]]
     ) -> tuple[int, ...]:
         """The linear combination sum_i coeffs[i] * vectors[i]: the bulk kernel.
 
-        Coefficients and vector entries are field elements; the vectors must
-        be nonempty in number and of one common length.  Over GF(p) it
-        reduces once per output symbol.  Over GF(2^m) it rejects
-        coefficients and symbols outside the field, and each term is one
-        ``bytes.translate`` of the vector's packing through the coefficient's
-        product row (none for a coefficient of 1), added by XOR into a single
-        Python int; the result is a ``Packed``.  A ``Packed`` operand made by
-        this context was checked when it was made; one made by another
-        context is checked again.
+        The vectors, zero terms included, must be nonempty in number and of
+        one length; then zero terms are dropped.  Over GF(p) it reduces once
+        per output symbol, unchecked, below ``PACK_FROM`` symbols, and else
+        packs each operand into one int, a 64-bit slot per symbol: a slot
+        holds T * (q - 1)^2 < 2^64 for any T < 2^32 terms if every coefficient
+        and symbol lies in the field, which it checks.  Over GF(2^m) it
+        rejects coefficients and symbols outside the field, and each term is
+        one ``bytes.translate`` of the vector's packing through the
+        coefficient's product row (none for a coefficient of 1), added by XOR
+        into a single Python int; the result is a ``Packed``.  A ``Packed``
+        operand made by this context was checked when it was made; one made
+        by another context is checked again.
         """
         if len(coeffs) != len(vectors):
             raise FieldError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
@@ -290,9 +305,26 @@ class FieldContext:
             raise FieldError(
                 f"need one or more vectors of one length, got lengths {sorted(lengths)}"
             )
+        length = lengths.pop()
         if self.kind == "prime":
             q = self.q
-            return tuple(sum(map(mul, coeffs, col)) % q for col in zip(*vectors))
+            if 0 in coeffs:
+                vectors, coeffs = [*compress(vectors, coeffs)], [*compress(coeffs, coeffs)]
+            if length < PACK_FROM:
+                out = [sum(map(mul, coeffs, col)) % q for col in zip(*vectors)]
+                return tuple(out or [0] * length)
+            # x_i >= q iff x_i >= 2^32 or x_i + 2^32 - q >= 2^32: a bit of 32-63 in its slot
+            ones = int.from_bytes(array("Q", [1]) * length, byteorder)
+            high, lift, acc = ones * (2**64 - 2**32), ones * (2**32 - q), 0
+            try:
+                for c, v in zip(coeffs, vectors):
+                    x = int.from_bytes(array("Q", v), byteorder)  # no non-int or negative symbol
+                    if not (isinstance(c, int) and 0 <= c < q) or (x | x + lift) & high:
+                        raise ValueError
+                    acc += c * x
+            except (TypeError, ValueError, OverflowError):
+                raise FieldError(f"coefficient or symbol outside [0, {q})") from None
+            return tuple([x % q for x in memoryview(acc.to_bytes(8 * length, byteorder)).cast("Q")])
         rows, own = self._rows, self._packed
         acc = 0
         try:
@@ -304,7 +336,7 @@ class FieldContext:
                     acc ^= int.from_bytes(packed, "big")
         except KeyError:
             raise FieldError(f"coefficient outside [0, {self.q})") from None
-        return own(acc.to_bytes(lengths.pop(), "big"))
+        return own(acc.to_bytes(length, "big"))
 
     # -- Gaussian elimination --------------------------------------------
 

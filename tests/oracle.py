@@ -29,8 +29,10 @@ audit's enumerations, which count from the formal model, and for the
 one-pass ``factorization_violations``.  ``cache_key`` is a cache as the
 walks observe it.  ``enumerate_correctness`` decodes every raw atom for
 every user, the reference for the correctness certificate, which alone
-decides the audit.  ``file_models`` builds the affine model of the
-concrete engine at every file realization W, from its probe points
+decides the audit.  ``walk_two_rounds`` counts the files against two
+rounds' signals around a key refresh, which no audit covers yet.
+``file_models`` builds the affine model of the concrete engine at every
+file realization W, from its probe points
 (``probe_points``: r = 0, each unit vector of r, each demand move), and
 ``per_file_correctness``, ``per_file_security`` and ``per_file_privacy``
 decide the certificates W by W on them: the references for the
@@ -49,7 +51,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import splfr.audit as audit
-from splfr.engine import Library, NonDivisibleB, Randomness, Vector
+from splfr.engine import Library, NonDivisibleB, Randomness, Vector, update_round
 from splfr.field import FieldContext, FieldError
 from splfr.pda import PDA, STAR, PdaError, validate
 from splfr.tradeoff import (
@@ -606,6 +608,28 @@ def enumerate_correctness(cfg: audit.AuditConfig) -> audit.AuditReport:
                 }
                 return audit.AuditReport(False, atoms, 1, detail)
     return audit.AuditReport(True, atoms, 0)
+
+
+def walk_two_rounds(cfg: audit.AuditConfig, demands, coeffs) -> tuple[Counter, Counter]:
+    """The files against both signals of ``place``, ``deliver``, ``update_round``, ``deliver``.
+
+    Every W, r and fresh security key, each once, with ``demands`` in both
+    rounds and the local coefficients ``coeffs``; one count table with the
+    fresh keys hidden from the observer, and one with them in its view.
+    """
+    pda, n, b, q = cfg.pda, cfg.n, cfg.b, cfg.ctx.q
+    block = b // pda.f
+    hidden, public = Counter(), Counter()
+    for library in libraries(cfg):
+        for r in product(range(q), repeat=Randomness.symbols(pda, n, b)):
+            state = audit.place(pda, library, Randomness.of(pda, n, b, r), cfg.mode)
+            first = audit.deliver(state, demands)
+            for fresh in product(range(q), repeat=pda.s * block):
+                keys = tuple(fresh[j * block : (j + 1) * block] for j in range(pda.s))
+                second = audit.deliver(update_round(state, demands, keys, coeffs), demands)
+                hidden[library.files, (first, second)] += 1
+                public[library.files, (first, second, keys)] += 1
+    return hidden, public
 
 
 class FileModel(NamedTuple):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import splfr.engine
-from splfr.audit import AuditConfig
+from splfr.audit import AuditConfig, factorization_violations
 from splfr.cli import TOY_GRID
 from splfr.engine import (
     DeliveryPayload,
@@ -25,7 +25,8 @@ from splfr.engine import (
 from splfr.field import FieldContext, FieldError, Packed
 from splfr.pda import STAR, man_pda, memory_load, parse_pda, validate
 
-from oracle import active_symbols, combine as oracle_combine, privacy_key, split, zero_randomness
+from oracle import active_symbols, combine as oracle_combine, privacy_key, split, walk_two_rounds
+from oracle import zero_randomness
 
 GF2 = FieldContext.prime(2)
 GF3 = FieldContext.prime(3)
@@ -80,16 +81,22 @@ class TestSplitOnce:
         monkeypatch.setattr(FieldContext, "split", counting_split)
         arr = man_pda(3, 1)
         state = make_state(arr, 4, 6, GF2, seed=61)
-        assert calls == list(state.library.files)
+        files = state.library.files
+
+        def file_splits():  # the calls that split a library file, told apart by identity
+            return [v for v in calls if any(v is f for f in files)]
+
+        assert file_splits() == list(files)
         for i, row in enumerate(state.rows):
             for n, packet in enumerate(row):
-                assert packet == split(state.library.files[n], arr.f)[i]
+                assert packet == split(files[n], arr.f)[i]
         demands = unit_demands(3, 4)
+        del calls[:]
         deliver(state, demands)
-        assert len(calls) == 4
+        assert calls == []
         zeros = tuple((0, 0) for _ in range(arr.s))
         assert update_round(state, demands, zeros, (0, 0, 0)).rows is state.rows
-        assert len(calls) == 4
+        assert file_splits() == []
 
     def test_place_packs_each_packet_once_and_deliver_decode_never(self, monkeypatch):
         # over GF(2^8) the kernel reads each vector's bytes packing; every
@@ -113,11 +120,13 @@ class TestSplitOnce:
         files = list(state.library.files)
         packets = [packet for row in state.rows for packet in row]
         keys = list(state.randomness.security_keys)
-        # once per file (N, as the library is built) and once per security
-        # key (S); the packets are slices of the files' packings, never
-        # packed or checked again
+        # once per file (N, as the library is built), once per security
+        # key (S) and once for the zero packet laid under the stars; the
+        # packets are slices of the files' packings, never packed or
+        # checked again
         assert len(packets) == n * arr.f
-        assert sorted(packs) == sorted(files + keys) == sorted(packings)
+        zero = (0,) * 2
+        assert sorted(packs) == sorted(files + keys + [zero]) == sorted(packings)
         assert all(isinstance(v, Packed) for v in files + packets + keys)
         for cache in state.caches:
             assert all(isinstance(v, Packed) for v in cache.coded.values())
@@ -133,7 +142,9 @@ class TestSplitOnce:
 
         fresh = tuple(GF256.random_vector(2, random.Random(s)) for s in range(arr.s))
         new = update_round(state, demands, fresh, (1, 2, 3))
-        assert len(packs) == len(packings) == arr.s  # the refreshed keys only
+        # the fresh keys, and the zero packet that lays them under the stars
+        assert len(packs) == len(packings) == arr.s + 1
+        assert packs[-1] == (0,) * 2
         assert all(isinstance(v, Packed) for v in new.randomness.security_keys)
 
 
@@ -154,6 +165,51 @@ class TestSplitOnce:
             demand = GF256.random_vector(5, random.Random(seed))
             assert lib.combine(demand) == oracle_combine(lib, demand)
         assert packings == []
+
+
+class TestKernelCalls:
+    """Every cache fill takes one kernel call per user, over whole files."""
+
+    @pytest.mark.parametrize("spec", ["p:65521", "b:8"])
+    def test_fills_take_one_kernel_call_per_user(self, monkeypatch, spec):
+        # over whole files, of B symbols: (1, *p_k) at placement, and
+        # (1, 1, *c_k d_k) over the shift's keys, the old records and the
+        # files at a refresh, plus one call that adds the joined keys
+        ctx, arr, n = FieldContext.parse(spec), man_pda(10, 3), 2
+        rng = random.Random(81)
+        lib = Library.random(ctx, n, arr.f, rng)
+        rnd = Randomness.generate(arr, n, arr.f, ctx, rng)
+        calls = []
+        kernel = FieldContext.lincomb
+
+        def counting_lincomb(self, coeffs, vectors):
+            calls.append((len(vectors), len(vectors[0])))
+            return kernel(self, coeffs, vectors)
+
+        monkeypatch.setattr(FieldContext, "lincomb", counting_lincomb)
+        state = place(arr, lib, rnd, Mode.SPLFR)
+        assert calls == [(1 + n, arr.f)] * arr.k  # one call per record would be 840
+        del calls[:]
+        fresh = tuple(ctx.random_vector(1, rng) for _ in range(arr.s))
+        update_round(state, unit_demands(arr.k, n), fresh, tuple(range(1, arr.k + 1)))
+        # 11 calls on man:10,3; one per record and per key sum would be 1,050
+        assert calls == [(2, arr.s)] + [(2 + n, arr.f)] * arr.k
+
+    def test_a_user_with_no_record_takes_no_kernel_call(self, monkeypatch):
+        arr = man_pda(3, 3)  # every entry a star: no record and no security key
+        state = make_state(arr, 2, 2, GF3, seed=82)
+        calls = []
+        kernel = FieldContext.lincomb
+
+        def counting_lincomb(self, coeffs, vectors):
+            calls.append(vectors)
+            return kernel(self, coeffs, vectors)
+
+        monkeypatch.setattr(FieldContext, "lincomb", counting_lincomb)
+        assert place(arr, state.library, state.randomness, Mode.SPLFR).caches == state.caches
+        assert calls == []
+        new = update_round(state, unit_demands(3, 2), (), (1, 2, 0))
+        assert new.caches == state.caches and len(calls) == 1  # the empty keys' sum
 
 
 class TestPrivacyKey:
@@ -600,19 +656,38 @@ class TestUpdateRound:
 
     def test_refills_caches_without_delivering_or_decoding(self, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("update_round must not deliver, decode or split")
+            raise AssertionError("update_round must not deliver, decode or split a file")
 
         state = make_state(man_pda(3, 1), 3, 6, GF3, seed=71)
         rng = random.Random(72)
         demands = tuple(GF3.random_vector(3, rng) for _ in range(3))
         fresh = tuple(GF3.random_vector(2, rng) for _ in range(state.pda.s))
+        field_split = FieldContext.split
+
+        def split_no_file(self, v, f):
+            if any(v is file for file in state.library.files):
+                forbidden()
+            return field_split(self, v, f)
+
         for name in ("deliver", "decode"):
             monkeypatch.setattr(splfr.engine, name, forbidden)
-        monkeypatch.setattr(FieldContext, "split", forbidden)
+        monkeypatch.setattr(FieldContext, "split", split_no_file)
         updated = update_round(state, demands, fresh, (1, 2, 0))
         monkeypatch.undo()
         scratch = place(state.pda, state.library, updated.randomness, state.mode)
         assert updated.caches == scratch.caches
+
+    def test_a_refresh_keeps_the_files_secret_only_with_the_fresh_keys_hidden(self):
+        # place, deliver, update_round, deliver on man:2,1, N = B = 2, SPLFR
+        # over GF(2), c = (1, 1): every W, r and fresh key, 1,024 atoms; in
+        # public the fresh keys let the two signals be differenced into the
+        # files.  Over GF(3) with c = (2, 2) the same walk, 59,049 atoms,
+        # gives 0 and 177,147 violations (4.8 s, left out of tier-1)
+        cfg = AuditConfig(pda=man_pda(2, 1), n=2, b=2, ctx=GF2)
+        hidden, public = walk_two_rounds(cfg, unit_demands(2, 2), (1, 1))
+        assert hidden.total() == public.total() == 1024
+        assert factorization_violations(hidden) == (0, None)
+        assert factorization_violations(public)[0] == 2048
 
 
 # -- properties over arrays x modes x fields ------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splfr.field import DEFAULT_POLYS, FieldContext, FieldError, Packed
-from splfr.field import MAX_BINARY_DEGREE
+from splfr.field import MAX_BINARY_DEGREE, PACK_FROM
 
 from oracle import ContextMismatchError, FieldElement, dot, field_dot, split
 from oracle import is_irreducible, poly_mulmod
@@ -44,6 +44,9 @@ KERNEL_FIELDS = [FieldContext.prime(p) for p in (2, 3, 5, 65521)] + [
 
 #: the largest library of the benchmark workloads has 20 files
 MAX_VECTORS = 20
+#: vector lengths on both sides of the packed GF(p) path's threshold
+MAX_LENGTH = 40
+PRIME_KERNEL_FIELDS = [c for c in KERNEL_FIELDS if c.kind == "prime"]
 
 
 class TestScalars:
@@ -153,7 +156,7 @@ class TestLincomb:
     @given(data=st.data())
     def test_matches_scalar_oracle(self, ctx, data):
         count = data.draw(st.integers(1, MAX_VECTORS), label="count")
-        length = data.draw(st.integers(1, 8), label="length")
+        length = data.draw(st.integers(1, MAX_LENGTH), label="length")
         element = st.integers(0, ctx.q - 1)
         # zero coefficients are skipped by one path and summed by the other
         coeff = st.one_of(st.just(0), st.just(1), st.just(ctx.q - 1), element)
@@ -196,6 +199,27 @@ class TestLincomb:
             ctx.lincomb((1, 1), ((0, 1), (1,)))
         with pytest.raises(FieldError):
             ctx.lincomb((1, 1), ((1,), (0, 1)))
+
+    def test_ragged_vector_with_a_zero_coefficient_raises(self, ctx):
+        # the lengths are checked before the zero terms are dropped
+        for short, long in ((1, 2), (PACK_FROM, PACK_FROM + 1), (3, MAX_LENGTH)):
+            a, b = (1,) * short, (1,) * long
+            for coeffs, vectors in (((1, 0), (a, b)), ((0, 1), (a, b)), ((0, 0), (b, a))):
+                with pytest.raises(FieldError):
+                    ctx.lincomb(coeffs, vectors)
+
+    @pytest.mark.parametrize("length", [1, PACK_FROM - 1, PACK_FROM, MAX_LENGTH])
+    def test_all_zero_coefficients_give_zero_vector_of_the_length(self, ctx, length):
+        vectors = [tuple(i % ctx.q for i in range(length))] * 3
+        assert ctx.lincomb((0, 0, 0), vectors) == (0,) * length
+
+    def test_join_is_the_concatenation_ready_for_the_kernel(self, ctx):
+        parts = [tuple((3 * i + j) % ctx.q for j in range(4)) for i in range(3)]
+        joined = ctx.join([parts[0], ctx.pack(parts[1]), parts[2]])
+        assert joined == parts[0] + parts[1] + parts[2]
+        assert type(joined) is type(ctx.pack(joined))
+        assert ctx.split(joined, 3) == tuple(parts)
+        assert ctx.lincomb((1,), (joined,)) == joined
 
 
 BINARY_KERNEL_FIELDS = [c for c in KERNEL_FIELDS if c.kind == "binary"]
@@ -241,6 +265,23 @@ class TestPacked:
         assert ctx.split(v, 4) == split(v, 4)
         assert packings == [v]
 
+    def test_join_checks_only_what_it_did_not_make(self, ctx, monkeypatch):
+        packings = []
+        packing = FieldContext._packing
+
+        def counting_packing(self, v):
+            packings.append(v)
+            return packing(self, v)
+
+        own, plain = ctx.pack((1, 0)), (0, ctx.q - 1)
+        monkeypatch.setattr(FieldContext, "_packing", counting_packing)
+        joined = ctx.join([own, plain, own])
+        assert isinstance(joined, Packed) and joined.packed == bytes(joined)
+        assert joined == own + plain + own and packings == [plain]
+        for bad in ((ctx.q, 0), (-1,), (1.5,)):
+            with pytest.raises(FieldError):
+                ctx.join([own, bad])
+
     def test_lincomb_rejects_input_outside_field(self, ctx):
         q, packed = ctx.q, ctx.pack((1, 0))
         for coeffs, vectors in (
@@ -269,15 +310,48 @@ def test_packed_from_another_field_is_checked_again():
     assert gf16.pack(fits).field is gf16 and gf16.pack(fits) == fits
 
 
-@pytest.mark.parametrize("ctx", [c for c in KERNEL_FIELDS if c.kind == "prime"],
-                         ids=lambda c: c.spec)
+@pytest.mark.parametrize("ctx", PRIME_KERNEL_FIELDS, ids=lambda c: c.spec)
+class TestPackedPrimeKernel:
+    """The GF(p) kernel from ``PACK_FROM`` symbols on: one int of 64-bit slots per operand."""
+
+    @pytest.mark.parametrize("length", [PACK_FROM, MAX_LENGTH])
+    def test_rejects_input_outside_field(self, ctx, length):
+        q, ok = ctx.q, (1,) * length
+
+        def bad(x):  # a vector of the field's symbols but one
+            return (x,) + ok[1:]
+
+        for coeffs, vectors in (
+            ((-1,), (ok,)),  # coefficients just outside the field
+            ((q,), (ok,)),
+            ((1, 1), (ok, bad(q))),  # a symbol just outside the field
+            ((1,), (bad(2**40),)),  # one that would carry into the next slot
+            ((1,), (bad(2**32 - 1),)),  # either side of the checks' 2^32
+            ((1,), (bad(2**32),)),
+            ((1,), (bad(2**64 - 1),)),  # the largest slot, and one past it
+            ((1,), (bad(2**64),)),
+            ((1,), (bad(-1),)),
+            ((1,), (bad(1.5),)),  # no int at all
+            ((1.5,), (ok,)),
+        ):
+            with pytest.raises(FieldError):
+                ctx.lincomb(coeffs, vectors)
+
+    def test_a_full_slot_reduces_exactly(self, ctx):
+        # T terms of (q - 1) * (q - 1) each fill a slot up to T * (q - 1)^2
+        top, terms = ctx.q - 1, 1000
+        vectors = [(top,) * PACK_FROM] * terms
+        want = (terms * top * top) % ctx.q
+        assert ctx.lincomb((top,) * terms, vectors) == (want,) * PACK_FROM
+
+
+@pytest.mark.parametrize("ctx", PRIME_KERNEL_FIELDS, ids=lambda c: c.spec)
 def test_pack_is_identity_over_prime_fields(ctx):
     v = (0, ctx.q - 1)
     assert ctx.pack(v) is v
 
 
-@pytest.mark.parametrize("ctx", [c for c in KERNEL_FIELDS if c.kind == "prime"],
-                         ids=lambda c: c.spec)
+@pytest.mark.parametrize("ctx", PRIME_KERNEL_FIELDS, ids=lambda c: c.spec)
 def test_pack_checks_symbols_over_prime_fields(ctx):
     for v in ((ctx.q,), (0, -1), (1, ctx.q, 0)):
         with pytest.raises(FieldError):
