@@ -34,14 +34,17 @@ A pass is a proof for the instance, resting on the premise, checked in
 the run, and on ``FieldContext.lincomb`` equalling sum c*v, which
 ``tests/test_field.py`` checks (the formal run reckons with the scalar
 ``add`` and ``mul``).  A failing security or privacy certificate is
-decided by enumeration from the model, with no engine call per atom: each
-effective atom once, a symbol of r that the mode masks having no slot in
-any row, weighed by the q^(masked) raw atoms it stands for, through the
-factorization identities count(a, b) * total == count(a) * count(b),
-which hold for every pair iff the mutual information is exactly zero.  No
-logarithms or floating point are involved.  Only the columns of the
-observation that some W_i reaches are combined at each file realization;
-the others are combined once per key value.
+decided from the model, with no engine call per atom and no logarithm, by
+the identities count(a, b) * total == count(a) * count(b) of conditions a
+and observations b, which hold for every pair iff the mutual information
+is exactly zero.  At (W, d) the observation is o(W, d) + A_W r.  Where no
+row has a slot W_i * r_x, A_W is one matrix, and each condition has a
+class: the coset of Im A_W that its observation is uniform on, named by a
+residue (with the seen demands, per files slice, in privacy).  A class of
+m of the |A| conditions breaks its q^rank * |A| identities iff m != |A|,
+so one point per (W, d), at r = 0, counts them.  Else, as for security
+under PLFR, each effective atom is counted once, a symbol of r that the
+mode masks having no slot in any row, and the identities tested in one pass.
 """
 
 from __future__ import annotations
@@ -346,39 +349,36 @@ def _flat(vectors: Iterable[Sequence[int]]) -> Vector:
 
 
 def _placements(
-    cfg: AuditConfig, model: _Model, caches: bool = False
-) -> Iterator[tuple[tuple, Vector, list[Vector], int]]:
-    """Each effective placement once, from the model: files, caches, signals, weight.
+    cfg: AuditConfig, signal: Sequence[dict], seen: Sequence[dict] = (), every_key: bool = False
+) -> Iterator[tuple[tuple, Vector, list[Vector]]]:
+    """Each file realization W, at r = 0 or at every key value: files, seen rows, signals.
 
-    Per W-monomial, one row at r = 0 (the signal at each demand tuple, one
-    signal symbol at a time, then the caches) and one per active symbol of
-    r.  The columns that no W_i reaches are combined with (1, r) once per
-    key value r; at files W only the others combine with (1, W), and then
-    with (1, r).  The placements come as the per-atom walk has them, each
-    with its signal at every demand tuple, in ``demand_tuples`` order, and
-    the q^(masked) raw atoms that each of its atoms stands for, one weight
-    common to all.
+    ``signal`` is read at every demand tuple, in ``demand_tuples`` order,
+    ``seen`` once.  With ``every_key``, each symbol of r with a slot in the
+    rows takes every value, r innermost, as the per-atom walk has it.  Per
+    W-monomial, one row at r = 0 (the signal at each demand tuple, one
+    signal symbol at a time, then the seen rows) and one per active symbol
+    of r.  The columns that no W_i reaches are combined with (1, r) once per
+    key value r; at files W only the others combine with (1, W), then (1, r).
     """
     ctx, q, (nb, keys, per_user, width) = cfg.ctx, cfg.ctx.q, _layout(cfg)
-    slots = {s % width for row in chain(model.signal, *model.caches) for s in row}
+    slots = {s % width for row in chain(signal, seen) for s in row} if every_key else ()
     active = [x for x in range(1, 1 + keys) if x in slots]  # a masked symbol has no slot
-    weight = q ** (keys - len(active))
     demand_tuples = cfg.demand_tuples()
     moved = range(cfg.n - per_user, cfg.n)  # the files a demand move reaches
     coeffs = [(1, *(d[j][t] for j in range(cfg.pda.k) for t in moved)) for d in demand_tuples]
     per_slot = [ctx.pack(c) for c in zip(*coeffs)]  # each demand slot's coefficient by tuple
-    seen = _flat(model.caches) if caches else ()
     stacked = []
     for w in range(0, (1 + nb) * width, width):  # the first slot of each W-monomial
         symbols = []
-        for row in model.signal:
+        for row in signal:
             at = [row.get(w + x, 0) for x in (0, *range(1 + keys, width))]
             symbols.append(ctx.lincomb(at, per_slot) if any(at) else (0,) * len(coeffs))
         rows = [chain(_flat(zip(*symbols)), _column(seen, w))]
-        rows += (chain(_column(model.signal, w + x) * len(coeffs), _column(seen, w + x))
+        rows += (chain(_column(signal, w + x) * len(coeffs), _column(seen, w + x))
                  for x in active)
         stacked.append(_flat(rows))
-    size, span = len(model.signal), len(stacked[0]) // (1 + len(active))
+    size, span = len(signal), len(stacked[0]) // (1 + len(active))
     varies = sorted({j % span for v in stacked[1:] for j, x in enumerate(v) if x})  # in some W_i
     fixed, blocks = [j for j in range(span) if j not in varies], range(0, len(stacked[0]), span)
     varying = [ctx.pack(tuple(v[b + j] for b in blocks for j in varies)) for v in stacked]
@@ -393,7 +393,26 @@ def _placements(
         for r, at_fixed in zip(keyed, fixed_rows):
             row = pick(at_fixed + (ctx.lincomb((1, *r), parts) if any(r) else parts[0]))
             signals = [row[i : i + size] for i in range(0, len(coeffs) * size, size)]
-            yield files, row[len(coeffs) * size :], signals, weight
+            yield files, row[len(coeffs) * size :], signals
+
+
+def _factored(cfg: AuditConfig, view: Sequence[dict]) -> Optional[tuple[list[dict], int]]:
+    """The residue naming the coset of the key image U, as rows in (W, d), and U's rank.
+
+    One row per non-pivot symbol of U's echelon basis, each (W, d) slot
+    reduced once; None if a row has a slot W_i * r_x, so that U moves.
+    """
+    ctx, (_, keys, _, width) = cfg.ctx, _layout(cfg)
+    slots = {s for row in view for s in row}
+    keyed = {s for s in slots if 0 < s % width <= keys}
+    if any(s >= width for s in keyed):
+        return None
+    basis = ctx.echelon(_column(view, s) for s in sorted(keyed))
+    residues = {s: ctx.reduce(basis, _column(view, s)) for s in sorted(slots - keyed)}
+    pivots = {b.index(1) for b in basis}
+    rows = [{s: v[i] for s, v in residues.items() if v[i]}
+            for i in range(len(view)) if i not in pivots]
+    return rows or [{}], len(basis)  # a zero row where U covers the view
 
 
 def _signal(cfg: AuditConfig, flat: Vector) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
@@ -414,12 +433,22 @@ def _cache(cfg: AuditConfig, k: int, flat: Vector) -> tuple:
 
 
 def enumerate_security(cfg: AuditConfig, model: _Model) -> AuditReport:
-    """Count the signal against files and demands at every atom, from the model."""
+    """Count the signal against files and demands, from the model, by class or by atom."""
     cfg.check_budget()
-    counts, demand_tuples = Counter(), cfg.demand_tuples()
-    for files, _, signals, weight in _placements(cfg, model):
-        counts.update(zip(zip(repeat(files), demand_tuples), signals))
-    violations, first = factorization_violations(counts)
+    demand_tuples, factored = cfg.demand_tuples(), _factored(cfg, model.signal)
+    if factored is None:  # the image moves with W
+        counts = Counter()
+        for files, _, signals in _placements(cfg, model.signal, every_key=True):
+            counts.update(zip(zip(repeat(files), demand_tuples), signals))
+        violations, first = factorization_violations(counts)
+    else:  # two classes or more: each condition breaks an identity with every signal
+        rows, rank = factored
+        placements = _placements(cfg, rows, model.signal)  # seen: the signal at tuple 0, r = 0
+        files, signal, signals = next(placements)
+        classes = {*signals, *(s for *_, signals in placements for s in signals)}
+        conditions = cfg.ctx.q ** (cfg.n * cfg.b) * len(demand_tuples)
+        violations = (len(classes) > 1) * len(classes) * cfg.ctx.q**rank * conditions
+        first = ((files, demand_tuples[0]), signal) if violations else None
     counterexample = None
     if first is not None:
         (files, demands), signal = first
@@ -428,8 +457,8 @@ def enumerate_security(cfg: AuditConfig, model: _Model) -> AuditReport:
             "demands": [list(d) for d in demands],
             "signal": repr(_signal(cfg, signal)),
         }
-    # the common weight would scale every count alike and keep each identity
-    return AuditReport(violations == 0, counts.total() * weight, violations, counterexample)
+    # the common weight q^(masked) would scale every count alike and keep each identity
+    return AuditReport(violations == 0, cfg.atom_count, violations, counterexample)
 
 
 def enumerate_privacy(
@@ -440,7 +469,7 @@ def enumerate_privacy(
     Each subset lists colluding users (1-based, nonempty).  For every file
     realization, the demands of the remaining users must be independent
     of (signal, colluders' demands, colluders' caches).  One traversal
-    fills a count table per subset and returns one report per subset.
+    counts every subset, by class, or by atom if an image moves with W.
     """
     cfg.check_budget()  # before the demand tuples are listed
     cuts, demand_tuples = [], cfg.demand_tuples()  # per subset: colluders, hidden and seen demands
@@ -448,25 +477,40 @@ def enumerate_privacy(
         colluders = [u - 1 for u in _subset(cfg, subset)]
         others = [k for k in range(cfg.pda.k) if k not in colluders]
         hidden = [tuple(d[k] for k in others) for d in demand_tuples]
-        cuts.append((colluders, hidden, [tuple(d[k] for k in colluders) for d in demand_tuples]))
-    reports = [AuditReport(True, 0, 0) for _ in cuts]
-    placements = _placements(cfg, model, caches=True)
-    # conditioning on the files keeps each slice's count tables small
+        seen = [tuple(d[k] for k in colluders) for d in demand_tuples]
+        view = model.signal + _flat(model.caches[k] for k in colluders)
+        cuts.append((colluders, hidden, seen, len(set(hidden)), _factored(cfg, view)))
+    reports = [AuditReport(True, cfg.atom_count, 0) for _ in cuts]
+    caches, walk = _flat(model.caches), any(f is None for *_, f in cuts)
+    size = len(caches) // cfg.pda.k  # each column has Z stars: one cache length
+    if walk:
+        placements = _placements(cfg, model.signal, caches, every_key=True)
+    else:  # seen: the caches, and the signal at demand tuple 0, at r = 0
+        residues = [row for *_, (rows, _) in cuts for row in rows]
+        placements = _placements(cfg, residues, caches + model.signal)
+    # conditioning on the files keeps each slice's count small
     for files, group in groupby(placements, itemgetter(0)):
-        tables = [Counter() for _ in cuts]
-        for _, caches, signals, weight in group:
-            size = len(caches) // cfg.pda.k  # each column has Z stars: one cache length
-            for (colluders, hidden, seen), table in zip(cuts, tables):
-                seen_caches = tuple(caches[k * size : (k + 1) * size] for k in colluders)
-                table.update(zip(hidden, zip(signals, seen, repeat(seen_caches))))
-        for report, table, (colluders, *_) in zip(reports, tables, cuts):
-            violations, first = factorization_violations(table)  # unweighted, as in security
-            report.atoms += table.total() * weight
+        group, end = list(group), 0
+        for report, (colluders, hidden, seen, reach, factored) in zip(reports, cuts):
+            if walk:
+                table = Counter()
+                for _, at, signals in group:
+                    cut = tuple(at[k * size : (k + 1) * size] for k in colluders)
+                    table.update(zip(hidden, zip(signals, seen, repeat(cut))))
+                violations, first = factorization_violations(table)
+            else:  # affine in d at one W: all classes break, or none, so tuple 0's does
+                (rows, rank), (_, at, signals), start = factored, group[0], end
+                end += len(rows)
+                classes = set(zip(seen, (s[start:end] for s in signals)))
+                broken = len(classes) * reach > len(demand_tuples)  # fewer than |A| in a class
+                violations = broken * len(classes) * cfg.ctx.q**rank * reach
+                cut = tuple(at[k * size : (k + 1) * size] for k in colluders)
+                first = (hidden[0], (at[len(caches) :], seen[0], cut)) if broken else None
             report.violations += violations
             report.verdict = report.violations == 0
             if first is not None and report.counterexample is None:
-                hidden, (signal, seen, seen_caches) = first
-                views = tuple(_cache(cfg, k, c) for k, c in zip(colluders, seen_caches))
+                hidden, (signal, seen, cut) = first
+                views = tuple(_cache(cfg, k, c) for k, c in zip(colluders, cut))
                 report.counterexample = {
                     "files": [list(f) for f in files],
                     "hidden_demands": [list(d) for d in hidden],

@@ -25,12 +25,14 @@ those ``active_symbols`` reads off ``Randomness.effective``: the reference
 for the symbols the audit reads off its run.  ``walk_security`` and
 ``walk_privacy`` count either walk with an engine call per atom and test
 every identity pair with ``pairwise_violations``: the references for the
-audit's enumerations, which count from the formal model, and for the
-one-pass ``factorization_violations``.  ``cache_key`` is a cache as the
-walks observe it.  ``enumerate_correctness`` decodes every raw atom for
-every user, the reference for the correctness certificate, which alone
-decides the audit.  ``walk_two_rounds`` counts the files against two
-rounds' signals around a key refresh, which no audit covers yet.
+audit's enumerations, which count from the formal model by class or by
+atom, and for the one-pass ``factorization_violations``.  ``cache_key``
+is a cache as the walks observe it.  ``enumerate_correctness`` decodes
+every raw atom for every user, the reference for the correctness
+certificate, which alone decides the audit.  ``walk_two_rounds`` counts
+the files against two rounds' signals around a key refresh, and
+``walk_two_rounds_privacy`` the other users' demands in both rounds
+against a colluding subset's view at one W, which no audit covers yet.
 ``file_models`` builds the affine model of the concrete engine at every
 file realization W, from its probe points
 (``probe_points``: r = 0, each unit vector of r, each demand move), and
@@ -629,6 +631,42 @@ def walk_two_rounds(cfg: audit.AuditConfig, demands, coeffs) -> tuple[Counter, C
                 second = audit.deliver(update_round(state, demands, keys, coeffs), demands)
                 hidden[library.files, (first, second)] += 1
                 public[library.files, (first, second, keys)] += 1
+    return hidden, public
+
+
+def walk_two_rounds_privacy(
+    cfg: audit.AuditConfig, library: Library, coeffs, colluders=(0,)
+) -> tuple[Counter, Counter]:
+    """The other users' demands in both rounds against the colluders' view, at one W.
+
+    Every r, demand tuple, fresh security key and second demand tuple, each
+    once, through ``place``, ``deliver``, ``update_round`` with the local
+    coefficients ``coeffs`` and ``deliver``.  The colluders (0-based) see
+    both signals, their own demands in both rounds and their caches before
+    and after the refresh; one count table with the fresh keys hidden from
+    them, and one with the keys in their view.
+    """
+    pda, n, b, q = cfg.pda, cfg.n, cfg.b, cfg.ctx.q
+    block, tuples = b // pda.f, cfg.demand_tuples()
+    others = [k for k in range(pda.k) if k not in colluders]
+    hidden, public = Counter(), Counter()
+    for r in product(range(q), repeat=Randomness.symbols(pda, n, b)):
+        state = audit.place(pda, library, Randomness.of(pda, n, b, r), cfg.mode)
+        for demands in tuples:
+            first = audit.deliver(state, demands)
+            for fresh in product(range(q), repeat=pda.s * block):
+                keys = tuple(fresh[j * block : (j + 1) * block] for j in range(pda.s))
+                refreshed = update_round(state, demands, keys, coeffs)
+                for again in tuples:
+                    second = audit.deliver(refreshed, again)
+                    others_demands = tuple((demands[k], again[k]) for k in others)
+                    seen = tuple(
+                        (demands[k], again[k], cache_key(state.caches[k]),
+                         cache_key(refreshed.caches[k]))
+                        for k in colluders
+                    )
+                    hidden[others_demands, (first, second, seen)] += 1
+                    public[others_demands, (first, second, seen, keys)] += 1
     return hidden, public
 
 

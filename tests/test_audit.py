@@ -373,7 +373,9 @@ class TestReports:
         # LFR's signal at each demand tuple is its 4 coefficient symbols, in
         # no W, and its one multicast block, in W at every tuple but the
         # all-zero one: 15 of the 80 columns vary with W, and only they are
-        # combined at each file realization
+        # combined at each file realization.  LFR has no key symbol, so its
+        # classes are its signals, which the per-W combination that the
+        # per-atom walk shares gives at r = 0
         combined = []
         kernel = FieldContext.lincomb
 
@@ -381,14 +383,82 @@ class TestReports:
             combined.append(len(vectors[0]))
             return kernel(self, coeffs, vectors)
 
-        monkeypatch.setattr(FieldContext, "lincomb", counted)
         cfg = small(mode=Mode.LFR)
-        placements = splfr.audit._placements(cfg, splfr.audit._formal_run(cfg))
+        rows, rank = splfr.audit._factored(cfg, splfr.audit._formal_run(cfg).signal)
+        assert rank == 0 and len(rows) == 5
+        monkeypatch.setattr(FieldContext, "lincomb", counted)
+        placements = splfr.audit._placements(cfg, rows)
         next(placements)  # the set-up and the first file realization
         for _ in range(3):
             combined.clear()
             files, *_ = next(placements)
             assert combined == [15], files
+
+
+def count_passes(monkeypatch) -> Counter:
+    """Count the audit's identity passes and the points its enumerations draw.
+
+    A point is one file realization at one value of r: drawn at every key
+    value by the per-atom walk, the key loop, and at r = 0 alone by the
+    count by class.
+    """
+    calls = Counter()
+    identities, placements = splfr.audit.factorization_violations, splfr.audit._placements
+
+    def counted_identities(counts):
+        calls["identity passes"] += 1
+        return identities(counts)
+
+    def counted_placements(cfg, signal, seen=(), every_key=False):
+        for point in placements(cfg, signal, seen, every_key):
+            calls["key loop" if every_key else "r = 0"] += 1
+            yield point
+
+    monkeypatch.setattr(splfr.audit, "factorization_violations", counted_identities)
+    monkeypatch.setattr(splfr.audit, "_placements", counted_placements)
+    return calls
+
+
+K3 = dict(pda=man_pda(3, 1), n=1, b=3)  # 8 file realizations
+
+
+@pytest.mark.parametrize(
+    "cfg,audit,realizations",
+    [
+        (small(mode=Mode.LFR), audit_security, 16),
+        (small(mode=Mode.SLFR), audit_security, 16),
+        (small(mode=Mode.LFR), lambda cfg: audit_privacy(cfg, [1]), 16),
+        (small(mode=Mode.SLFR), lambda cfg: audit_privacy(cfg, [2]), 16),
+        (small(mode=Mode.SLFR), audit_privacy, 16),
+        (small(mode=Mode.SLFR, demand_space="units"), audit_privacy, 16),
+        (small(mode=Mode.SLFR, ctx=FieldContext.binary(1)), audit_privacy, 16),
+        (AuditConfig(**K3, ctx=GF2, mode=Mode.LFR), audit_privacy, 8),
+        (AuditConfig(**K3, ctx=GF2, mode=Mode.SLFR), audit_privacy, 8),
+        (AuditConfig(**K3, ctx=GF2, mode=Mode.SLFR), audit_security, 8),
+    ],
+)
+def test_a_fixed_key_image_is_counted_by_class(monkeypatch, cfg, audit, realizations):
+    # under LFR and SLFR no row has a slot W_i * r_x, so the key image is
+    # one subspace at every W: each failing audit counts one point per file
+    # realization, at r = 0, with no identity pass
+    calls = count_passes(monkeypatch)
+    report = audit(cfg)
+    assert not report.verdict and report.method == "enumeration"
+    assert calls == {"r = 0": realizations}
+
+
+def test_a_moving_key_image_is_walked_atom_by_atom(monkeypatch):
+    # PLFR puts p_(k,n) * W_(n,i) in every multicast block, so the image
+    # moves with W: 16 file realizations x 2^4 privacy-key values, and one
+    # identity pass.  So does a delivery that drops the first block's key,
+    # V_1, which then reaches no signal symbol and is held at 0
+    calls = count_passes(monkeypatch)
+    assert audit_security(small(mode=Mode.PLFR)).method == "enumeration"
+    assert calls == {"key loop": 16 * 2**4, "identity passes": 1}
+    calls.clear()
+    drop_first_key(monkeypatch)
+    assert audit_security(SMALL).method == "enumeration"
+    assert calls == {"key loop": 16 * 2**4, "identity passes": 1}
 
 
 def count_calls(monkeypatch, *names: str) -> Counter:
@@ -421,6 +491,7 @@ DIFFERENTIAL_INSTANCES = {
     "p:3-allstar-N1B1": (GF3, ALL_STAR, 1, 1),
     "b:1-man:2,1-N1B2": (GF2_BYTES, man_pda(2, 1), 1, 2),
     "b:2-allstar-N1B1": (FieldContext.binary(2), ALL_STAR, 1, 1),
+    "p:2-man:3,1-N1B3": (GF2, man_pda(3, 1), 1, 3),
 }
 #: name -> (field, array, N, B), on unit demands alone, which keep N = 2 in
 #: reach over GF(3) and, on man:2,1, over GF(2) through the bytes kernel
@@ -727,8 +798,8 @@ def test_a_formal_value_refuses_its_misuse(misuse, named):
 
 @pytest.mark.parametrize("ctx,arr,n,b,demand_space,mode", differential_cases())
 def test_the_run_masks_the_keys_effective_masks(ctx, arr, n, b, demand_space, mode):
-    # the walk takes the active symbols of r off the run: a symbol of r is
-    # active iff some signal or cache row has a slot in it
+    # the walk holds at 0 each symbol of r with no slot in the rows it
+    # reads: some signal or cache row has a slot in a symbol iff it is active
     cfg = AuditConfig(pda=arr, n=n, b=b, ctx=ctx, mode=mode, demand_space=demand_space)
     model, width = splfr.audit._formal_run(cfg), splfr.audit._layout(cfg)[3]
     seen = {s % width for row in chain(model.signal, *model.caches) for s in row}

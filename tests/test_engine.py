@@ -1,6 +1,7 @@
 """Tests for placement, delivery, decoding, and key update."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from splfr.field import FieldContext, FieldError, Packed
 from splfr.pda import STAR, man_pda, memory_load, parse_pda, validate
 
 from oracle import active_symbols, combine as oracle_combine, privacy_key, split, walk_two_rounds
-from oracle import zero_randomness
+from oracle import walk_two_rounds_privacy, zero_randomness
 
 GF2 = FieldContext.prime(2)
 GF3 = FieldContext.prime(3)
@@ -688,6 +689,26 @@ class TestUpdateRound:
         assert hidden.total() == public.total() == 1024
         assert factorization_violations(hidden) == (0, None)
         assert factorization_violations(public)[0] == 2048
+
+    def test_a_refresh_shows_the_other_users_demands_with_or_without_the_fresh_keys(self):
+        # the same rounds at one W, against colluder {1}, with unit demands in
+        # both rounds: every r, demand tuple, fresh key and second demand
+        # tuple, 1,024 atoms.  User 2's coefficient vector moves by
+        # (c - 1) * d + d' = d' between the rounds, so its second demand
+        # shows, with the fresh keys hidden or public alike; the first round
+        # alone keeps the demands private.  Over GF(3) with c = (2, 2), at
+        # W = ((1, 0), (2, 1)), the walk gives 34,992 violations both ways
+        # over 11,664 atoms (0.8 s, left out of tier-1)
+        cfg = AuditConfig(pda=man_pda(2, 1), n=2, b=2, ctx=GF2, demand_space="units")
+        hidden, public = walk_two_rounds_privacy(cfg, Library(GF2, ((1, 0), (1, 1))), (1, 1))
+        assert hidden.total() == public.total() == 1024
+        assert factorization_violations(hidden)[0] == factorization_violations(public)[0] == 2048
+        first_round = Counter()
+        for (others, (first, _, seen)), count in hidden.items():
+            own = tuple((d, cache) for d, _, cache, _ in seen)
+            first_round[tuple(d for d, _ in others), (first, own)] += count
+        assert first_round.total() == 1024
+        assert factorization_violations(first_round) == (0, None)
 
 
 # -- properties over arrays x modes x fields ------------------------------
