@@ -31,7 +31,8 @@ bi-affine at the instance, and the certificates read its rows by slot:
   demand move does.
 
 A pass is a proof for the instance, resting on the premise, checked in
-the run, and on ``FieldContext.lincomb`` equalling sum c*v, which
+the run, on ``FieldContext.lincombs`` giving each row's sum c*v and on
+``FieldContext.gather`` laying out the packets it picks, which
 ``tests/test_field.py`` checks (the formal run reckons with the scalar
 ``add`` and ``mul``).  A failing security or privacy certificate is
 decided from the model, with no engine call per atom and no logarithm, by
@@ -61,6 +62,8 @@ from .field import FieldContext
 from .pda import PDA, STAR
 
 DEFAULT_BUDGET = 2**26
+#: file realizations that the enumeration combines in one kernel call
+REALIZATIONS_PER_CALL = 64
 
 
 class AuditError(ValueError):
@@ -245,34 +248,53 @@ class _Formal:
         size = len(v) // f
         return tuple(v[i * size : (i + 1) * size] for i in range(f))
 
+    def gather(self, vectors, picks, size: int) -> tuple:
+        zero = (0,) * size
+        return tuple(chain.from_iterable(
+            zero if p is None else vectors[p[0]][p[1] * size : (p[1] + 1) * size] for p in picks
+        ))
+
     def lincomb(self, coeffs, vectors) -> tuple[_Poly, ...]:
-        if len(coeffs) != len(vectors) or len(set(map(len, vectors))) != 1:
+        return self.lincombs((coeffs,), vectors)[0]
+
+    def lincombs(self, rows, vectors) -> list[tuple[_Poly, ...]]:
+        """Each row's combination, each operand symbol lifted once for all the rows."""
+        if len({len(vectors), *map(len, rows)}) != 1 or len(set(map(len, vectors))) != 1:
             raise AuditError("the engine combines vectors of unequal count or length")
-        add, mul, width = self.base.add, self.base.mul, self.width
-        out = [_Poly() for _ in vectors[0]]
-        for c, v in zip(coeffs, vectors):
-            terms = self.lift(c).items()
-            for acc, x in zip(out, v):
-                for (s1, a), (s2, b) in product(terms, self.lift(x).items()):
-                    if (s1 >= width and s2 >= width) or (s1 % width and s2 % width):
-                        raise AuditError("the engine is not bi-affine: it yields the monomial "
-                                         + _name(self.cfg, (s1, s2)))
-                    s = add(acc.pop(s1 + s2, 0), b if a == 1 else mul(a, b))
-                    if s:
-                        acc[s1 + s2] = s
-        return tuple(out)
+        add, mul, width, lift = self.base.add, self.base.mul, self.width, self.lift
+        lifted = [[x if type(x) is _Poly else lift(x) for x in v] for v in vectors]
+        out = []
+        for coeffs in rows:
+            row = [_Poly() for _ in vectors[0]]
+            for c, v in zip(coeffs, lifted):
+                for s1, a in lift(c).items():
+                    for acc, x in zip(row, v):
+                        for s2, b in x.items():
+                            # a constant, slot 0, makes no product outside the premise
+                            if s1 and ((s1 >= width and s2 >= width)
+                                       or (s1 % width and s2 % width)):
+                                raise AuditError("the engine is not bi-affine: it yields the "
+                                                 "monomial " + _name(self.cfg, (s1, s2)))
+                            s = s1 + s2
+                            if a != 1:
+                                b = mul(a, b)
+                            if s in acc:  # a sum moves its slot last, as a new slot comes
+                                b = add(acc.pop(s), b)
+                            if b:
+                                acc[s] = b
+            out.append(tuple(row))
+        return out
 
     def vec_add(self, u, w) -> tuple[_Poly, ...]:
         return self.lincomb((1, 1), (u, w))
-
-    def vec_neg(self, u) -> tuple[_Poly, ...]:
-        return self.lincomb((self.base.neg(1),), (u,))
 
     def add(self, a, b) -> _Poly:
         return self.vec_add((a,), (b,))[0]
 
     def neg(self, a) -> _Poly:
-        return self.vec_neg((a,))[0]
+        if isinstance(a, _Poly):
+            return self.lincomb((self.base.neg(1),), ((a,),))[0]
+        return self.base.neg(self.base.check(a))  # a constant stays an int
 
     def sub(self, a, b) -> _Poly:  # b first: of two bad constants, b is the one named
         return self.lincomb((1, self.base.neg(1)), ((a,), (self.lift(b),)))[0]
@@ -329,8 +351,9 @@ def _formal_run(cfg: AuditConfig) -> _Model:
     for c in state.caches:  # under stars each row's N packets, then the records, by row
         uncoded = (pkt for _, pkts in sorted(c.uncoded.items()) for pkt in pkts)
         caches.append(ctx.pack(chain(*uncoded, *(v for _, v in sorted(c.coded.items())))))
-    errors = tuple(
-        tuple(map(ctx.sub, decode(state.user_view(k), payload, d), state.library.combine(d)))
+    minus_one, combine = cfg.ctx.neg(1), state.library.combine
+    errors = tuple(  # each user's decoded vector minus the combination, in one call
+        ctx.lincomb((1, minus_one), (decode(state.user_view(k), payload, d), combine(d)))
         for k, d in enumerate(demands)
     )
     return _Model(signal, tuple(caches), errors, state, demands)
@@ -370,10 +393,8 @@ def _placements(
     per_slot = [ctx.pack(c) for c in zip(*coeffs)]  # each demand slot's coefficient by tuple
     stacked = []
     for w in range(0, (1 + nb) * width, width):  # the first slot of each W-monomial
-        symbols = []
-        for row in signal:
-            at = [row.get(w + x, 0) for x in (0, *range(1 + keys, width))]
-            symbols.append(ctx.lincomb(at, per_slot) if any(at) else (0,) * len(coeffs))
+        at = [[row.get(w + x, 0) for x in (0, *range(1 + keys, width))] for row in signal]
+        symbols = ctx.lincombs(at, per_slot)
         rows = [chain(_flat(zip(*symbols)), _column(seen, w))]
         rows += (chain(_column(signal, w + x) * len(coeffs), _column(seen, w + x))
                  for x in active)
@@ -383,17 +404,20 @@ def _placements(
     fixed, blocks = [j for j in range(span) if j not in varies], range(0, len(stacked[0]), span)
     varying = [ctx.pack(tuple(v[b + j] for b in blocks for j in varies)) for v in stacked]
     constant = [tuple(stacked[0][b + j] for j in fixed) for b in blocks]
-    keyed = list(product(range(q), repeat=len(active)))
-    fixed_rows = [ctx.lincomb((1, *r), constant) for r in keyed]
+    keyed = [(1, *r) for r in product(range(q), repeat=len(active))]
+    fixed_rows = ctx.lincombs(keyed, constant)
     order = sorted(range(span), key=(fixed + varies).__getitem__)
     pick = itemgetter(*order) if span > 1 else tuple  # a row from its fixed, then varying, values
-    for w in product(range(q), repeat=nb):
-        parts = ctx.split(ctx.lincomb((1, *w), varying), 1 + len(active))
-        files = tuple(w[f * cfg.b : (f + 1) * cfg.b] for f in range(cfg.n))
-        for r, at_fixed in zip(keyed, fixed_rows):
-            row = pick(at_fixed + (ctx.lincomb((1, *r), parts) if any(r) else parts[0]))
-            signals = [row[i : i + size] for i in range(0, len(coeffs) * size, size)]
-            yield files, row[len(coeffs) * size :], signals
+    realizations = product(range(q), repeat=nb)
+    while chunk := list(islice(realizations, REALIZATIONS_PER_CALL)):
+        for w, combined in zip(chunk, ctx.lincombs([(1, *w) for w in chunk], varying)):
+            parts = ctx.split(combined, 1 + len(active))
+            files = tuple(w[f * cfg.b : (f + 1) * cfg.b] for f in range(cfg.n))
+            at_keys = ctx.lincombs(keyed, parts) if active else parts
+            for at_fixed, at_key in zip(fixed_rows, at_keys):
+                row = pick(at_fixed + at_key)
+                signals = [row[i : i + size] for i in range(0, len(coeffs) * size, size)]
+                yield files, row[len(coeffs) * size :], signals
 
 
 def _factored(cfg: AuditConfig, view: Sequence[dict]) -> Optional[tuple[list[dict], int]]:

@@ -10,14 +10,19 @@ vector and pads each multicast block with its security key, so the signal
 is simultaneously one-time-pad secure and demand-hiding.
 
 States are immutable once placed; deliver/decode are pure, and update
-rounds produce a new state.  Each block of ``deliver`` and ``decode``, and
-each user's coded records, is one ``FieldContext.lincomb`` call; a refresh
-adds only the round's key shift.  The field owns the vector representation,
-so every stage has one path over every field: the library checks its files
-once and placement checks each security key once, both with
-``FieldContext.pack``; placement cuts the files into packets with
-``FieldContext.split``, which checks and converts nothing again; and the
-coded records and multicast blocks come out of the kernel ready for it.
+rounds produce a new state.  The kernel takes whole rows, laid out by user,
+not one call per packet: ``deliver`` makes every user's combination of the
+files in one ``FieldContext.lincombs`` call and its S blocks in one
+``lincomb``; ``decode`` makes a user's star rows and every cross term of
+the users sharing its symbols in one ``lincombs`` call, and its ordinary
+rows in one ``lincomb``; and each user's coded records are one ``lincomb``
+call, to which a refresh adds only the round's key shift.  The field owns
+the vector representation, so every stage has one path over every field:
+the library checks its files once and placement checks the security keys
+once, both with ``FieldContext.pack``; placement cuts the files into
+packets with ``FieldContext.split``, which checks and converts nothing
+again; the kernel's outputs come out ready for it, and
+``FieldContext.gather`` lays their packets out for the next call.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, zip_longest
 from typing import NamedTuple, Sequence
 
 from .field import FieldContext
@@ -163,7 +169,8 @@ class Randomness:
             len(p) != n for p in self.privacy_vectors
         ):
             raise EngineError(f"expected {pda.k} privacy vectors of length {n}")
-        v = tuple(map(ctx.pack, self.security_keys))
+        keys = ctx.pack(tuple(chain.from_iterable(self.security_keys)))
+        v = ctx.split(keys, pda.s) if pda.s else ()
         p = tuple(tuple(map(ctx.check, vec)) for vec in self.privacy_vectors)
         if not mode.security_keys_active:
             v = (ctx.pack((0,) * block),) * pda.s
@@ -178,11 +185,15 @@ class UserCache:
 
     ``uncoded[i]`` holds the i-th packet of every file (rows where the
     user's column has a star); ``coded[i]`` holds one block per ordinary
-    entry in the user's column.
+    entry in the user's column.  As ``decode`` reads them, ``starred[n]``
+    joins the uncoded packets of file n and ``records`` the coded blocks,
+    each in row order.
     """
 
     uncoded: dict[int, tuple[Vector, ...]]
     coded: dict[int, Vector]
+    starred: tuple[Vector, ...]
+    records: Vector
 
     @property
     def symbols(self) -> int:
@@ -266,13 +277,17 @@ def _fill_caches(
 
     User k's records are one kernel call over whole files, cut into packets:
     the keys laid at its packets, zero under stars, plus sum_n p_(k,n) W_n,
-    plus its old records from ``base``, the caches before a refresh.
+    plus its old records from ``base``, the caches before a refresh, which
+    leaves the uncoded packets as they are.
     """
     zero = ctx.pack((0,) * (len(files[0]) // pda.f))
     caches = []
     for k in range(pda.k):
         column = pda.column(k)
         uncoded = {i: rows[i] for i, s in enumerate(column) if s is STAR}
+        starred = base[k].starred if base else tuple(
+            ctx.join([packets[n] for packets in uncoded.values()]) for n in range(len(files))
+        )
         coded = {}
         if len(uncoded) < pda.f:  # record of row i: V_s + sum_n p_(k,n) W_(n,i) [+ old]
             laid = [ctx.join([zero if s is STAR else keys.security_keys[s - 1] for s in column])]
@@ -281,7 +296,8 @@ def _fill_caches(
             coeffs = (1,) * len(laid) + keys.privacy_vectors[k]
             packets = ctx.split(ctx.lincomb(coeffs, (*laid, *files)), pda.f)
             coded = {i: packets[i] for i, s in enumerate(column) if s is not STAR}
-        caches.append(UserCache(uncoded=uncoded, coded=coded))
+        records = ctx.join(coded.values())
+        caches.append(UserCache(uncoded=uncoded, coded=coded, starred=starred, records=records))
     return tuple(caches)
 
 
@@ -294,55 +310,66 @@ def _check_demands(state: SchemeState, demands: Sequence[Vector]) -> None:
 
 
 def deliver(state: SchemeState, demands: Sequence[Vector]) -> DeliveryPayload:
-    """Build the broadcast signal for one demand tuple."""
-    pda, ctx = state.pda, state.library.ctx
+    """Build the broadcast signal for one demand tuple.
+
+    Block s is y_s = V_s + the sum, over the positions (i, j) of s, of
+    packet i of user j's combination sum_n q_(j,n) W_n.  One ``lincombs``
+    call makes every user's combination over whole files; layer l gathers,
+    for each symbol, the packet at its l-th position; and one ``lincomb``
+    adds the joined keys and the layers, cut into the S blocks.
+    """
+    pda, ctx, lib = state.pda, state.library.ctx, state.library
     _check_demands(state, demands)
     coeffs = tuple(map(ctx.vec_add, state.randomness.privacy_vectors, demands))
-
-    blocks = []
-    for s in range(1, pda.s + 1):
-        # y_s = V_s + sum over the positions (i, j) of s of sum_n q_{j,n} W_{n,i}
-        c, v = [1], [state.randomness.security_keys[s - 1]]
-        for i, j in pda.symbol_positions(s):
-            c += coeffs[j]
-            v += state.rows[i]
-        blocks.append(ctx.lincomb(c, v))
-    return DeliveryPayload(coeff_vectors=coeffs, blocks=tuple(blocks))
+    if not pda.s:
+        return DeliveryPayload(coeff_vectors=coeffs, blocks=())
+    combos = ctx.lincombs(coeffs, lib.files)
+    positions = [pda.symbol_positions(s) for s in range(1, pda.s + 1)]
+    layers = [
+        ctx.gather(combos, [None if p is None else (p[1], p[0]) for p in layer], lib.b // pda.f)
+        for layer in zip_longest(*positions)
+    ]
+    keys = ctx.join(state.randomness.security_keys)
+    blocks = ctx.split(ctx.lincomb((1,) * (1 + len(layers)), (keys, *layers)), pda.s)
+    return DeliveryPayload(coeff_vectors=coeffs, blocks=blocks)
 
 
 def decode(view: UserView, payload: DeliveryPayload, demand: Vector) -> Vector:
     """Recover the demanded combination from the user's cache and the signal.
 
     Consumes only the user's own cache, the broadcast, and the demand;
-    returns the full-length B-symbol combination.
+    returns the full-length B-symbol combination.  Over J_n, the user's
+    star-row packets of file n joined (``UserCache.starred``), one
+    ``lincombs`` call gives sum_n q_(j,n) J_n for each user j that shares a
+    symbol with it, and sum_n demand_n J_n, its star rows.  Ordinary row h
+    of symbol s is y_s minus its coded record minus the cross term of each
+    other position (i, j) of s, packet i of j's product: one ``lincomb``
+    over the joined blocks, the joined records (``UserCache.records``) and
+    the layers of cross terms, as ``PDA.plans`` lays them out.  One
+    ``gather`` puts the rows in order.
     """
-    pda, ctx, k, cache = view.pda, view.ctx, view.user, view.cache
-    if len(payload.blocks) != pda.s or len(payload.coeff_vectors) != pda.k:
+    pda, ctx, cache = view.pda, view.ctx, view.cache
+    blocks = payload.blocks
+    if len(blocks) != pda.s or len(payload.coeff_vectors) != pda.k or len({*map(len, blocks)}) > 1:
         raise EngineError("payload shape does not match the array")
     check_demand(ctx, demand, view.n_files)
-    # -q_j is needed only for the users j sharing a symbol with user k;
-    # each is negated once, when first met
-    minus_one = ctx.neg(1)
-    minus_q: dict[int, Sequence[int]] = {}
-    out: list[int] = []
-    for h, s in enumerate(pda.column(k)):
-        if s is STAR:
-            # direct computation from the cached uncoded packets
-            out += ctx.lincomb(demand, cache.uncoded[h])
-            continue
-        # cancel the cached superposition key for this row and the cross
-        # terms of the other users sharing symbol s; the defining conditions
-        # guarantee their rows are starred here
-        c, v = [1, minus_one], [payload.blocks[s - 1], cache.coded[h]]
-        for i, j in pda.symbol_positions(s):
-            if j != k:
-                if j not in minus_q:
-                    minus_q[j] = ctx.vec_neg(payload.coeff_vectors[j])
-                c += minus_q[j]
-                v += cache.uncoded[i]
-        # what is left is sum_n q_{k,n} W_{n,h} - sum_n p_{k,n} W_{n,h}
-        out += ctx.lincomb(c, v)
-    return tuple(out)
+    plan = pda.plans[view.user]
+    *products, star_rows = ctx.lincombs(
+        [*map(payload.coeff_vectors.__getitem__, plan.sharers), demand], cache.starred
+    )
+    if not plan.symbols:  # every row a star
+        return star_rows
+    # what is left of y_s is sum_n q_(k,n) W_(n,h) - sum_n p_(k,n) W_(n,h)
+    size, minus_one = len(blocks[0]), ctx.neg(1)
+    ordinary = ctx.lincomb(
+        (1, minus_one, *[minus_one] * len(plan.cross)),
+        (
+            ctx.join([*map(blocks.__getitem__, plan.symbols)]),
+            cache.records,
+            *[ctx.gather(products, layer, size) for layer in plan.cross],
+        ),
+    )
+    return ctx.gather((star_rows, ordinary), plan.rows, size)
 
 
 def measure(state: SchemeState) -> Measure:

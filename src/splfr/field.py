@@ -8,26 +8,29 @@ so no generator is needed.  All arithmetic is exact, over plain unsigned
 integers; no floating point is used anywhere.
 
 Elements are bare ints; a FieldContext supplies the arithmetic, the
-linear-combination kernel ``lincomb`` and Gaussian elimination
-(``echelon``, ``reduce``), on which the exact audits rest.
+linear-combination kernel ``lincombs`` (many coefficient rows over one set
+of operands, each operand prepared once; ``lincomb`` is its one row) and
+Gaussian elimination (``echelon``, ``reduce``), on which the exact audits
+rest.
 
 Vectors are tuples of ints, and the context owns their representation, so
 callers never branch on the field kind: ``pack`` checks a vector and makes
 it ready for the kernel, ``split`` cuts one into ready packets, ``join``
-joins them into one, and ``vec_neg`` negates one.  Over GF(p) a ready
-vector is the vector itself.  Over GF(2^m) the kernel works on bytes, one
-per symbol, and a ready vector is a ``Packed``: a tuple that carries that
-packing, compares, hashes, slices and prints like its plain tuple, and is
-neither converted nor checked again by ``lincomb``, ``split`` or ``join``.
-A ``Packed`` records the context that checked it; another context checks
-it again.  ``lincomb`` packs (and checks) plain tuples on the fly and
-returns a ``Packed``.
+joins them into one, and ``gather`` lays picked packets of several end to
+end, zeros where none is picked.  Over GF(p) a ready vector is the vector
+itself.  Over GF(2^m) the kernel works on bytes, one per symbol, and a
+ready vector is a ``Packed``: a tuple that carries that packing, compares,
+hashes, slices and prints like its plain tuple, and is neither converted
+nor checked again by ``lincombs``, ``split``, ``join`` or ``gather``.  A
+``Packed`` records the context that checked it; another context checks it
+again.  ``lincombs`` packs (and checks) plain tuples on the fly and returns
+``Packed`` vectors.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import mul
 from sys import byteorder
 from typing import Iterable, Sequence
@@ -40,8 +43,9 @@ class FieldError(ValueError):
 class Packed(tuple):
     """A GF(2^m) vector: a tuple of ints that carries its bytes packing.
 
-    Built only by ``FieldContext.pack``, ``split`` and ``lincomb``, from
-    symbols that are checked to lie in ``field``, the context that made it.
+    Built only by ``FieldContext.pack``, ``split``, ``join``, ``gather``
+    and ``lincombs``, from symbols that are checked to lie in ``field``, the
+    context that made it.
     Each GF(2^m) context makes its vectors as its own subclass, so that the
     kernel can tell them from another context's, which it checks again, by
     their type alone.  Equality, hashing, slicing and ``repr`` are the
@@ -223,16 +227,13 @@ class FieldContext:
     def vec_add(self, u: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
         if len(u) != len(w):
             raise FieldError(f"length mismatch: {len(u)} vs {len(w)}")
-        return tuple(self.add(a, b) for a, b in zip(u, w))
+        if self.kind == "binary":
+            return tuple([a ^ b for a, b in zip(u, w)])
+        q = self.q
+        return tuple([(a + b) % q for a, b in zip(u, w)])
 
     def vec_scale(self, c: int, u: Sequence[int]) -> tuple[int, ...]:
         return tuple(self.mul(c, a) for a in u)
-
-    def vec_neg(self, u: Sequence[int]) -> Sequence[int]:
-        """-u; over GF(2^m), where negation is the identity, ``u`` itself."""
-        if self.kind == "binary":
-            return u
-        return tuple(map(self.neg, u))
 
     def pack(self, v: Sequence[int]) -> Sequence[int]:
         """``v`` checked and ready for the kernel.
@@ -241,10 +242,12 @@ class FieldContext:
         """
         if self.kind == "binary":
             return v if type(v) is self._packed else self._packed(self._packing(v))
-        ints = all(map(isinstance, v, repeat(int)))
-        if not ints or v and (min(v) < 0 or max(v) >= self.q):
-            raise FieldError(f"symbols outside [0, {self.q})")
-        return v
+        try:  # no non-int or negative symbol, and none of q or more
+            if max(array("Q", v), default=0) < self.q:
+                return v
+        except (TypeError, OverflowError):
+            pass
+        raise FieldError(f"symbols outside [0, {self.q})")
 
     def split(self, v: Sequence[int], f: int) -> tuple[Sequence[int], ...]:
         """``v`` checked and cut into f equal packets, each ready as from ``pack``.
@@ -280,26 +283,57 @@ class FieldContext:
             return own(b"".join(v.packed if type(v) is own else self._packing(v) for v in vectors))
         return tuple(chain.from_iterable(vectors))
 
+    def gather(
+        self, vectors: Sequence[Sequence[int]], picks: Iterable[tuple[int, int] | None], size: int
+    ) -> Sequence[int]:
+        """Packet x of ``vectors[a]``, of ``size`` symbols, for each (a, x) in
+        ``picks``, end to end, with zeros for None: ready for the kernel.
+
+        It is one ``join`` of the picked packets, with no ``split`` before
+        it: over GF(p) as unchecked as ``join``'s, over GF(2^m) slices of
+        the packings, this context's own operands not packed again.
+        """
+        if self.kind == "binary":
+            own = self._packed
+            packs = [v.packed if type(v) is own else self._packing(v) for v in vectors]
+            zero = bytes(size)
+            return own(b"".join([
+                zero if p is None else packs[p[0]][p[1] * size : (p[1] + 1) * size] for p in picks
+            ]))
+        zero = (0,) * size
+        return tuple(chain.from_iterable([
+            zero if p is None else vectors[p[0]][p[1] * size : (p[1] + 1) * size] for p in picks
+        ]))
+
     def lincomb(
         self, coeffs: Sequence[int], vectors: Sequence[Sequence[int]]
     ) -> tuple[int, ...]:
-        """The linear combination sum_i coeffs[i] * vectors[i]: the bulk kernel.
+        """The linear combination sum_i coeffs[i] * vectors[i]: ``lincombs``'s one row."""
+        return self.lincombs((coeffs,), vectors)[0]
+
+    def lincombs(
+        self, rows: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]
+    ) -> list[tuple[int, ...]]:
+        """[sum_i c[i] * vectors[i] for c in rows]: the bulk kernel.
 
         The vectors, zero terms included, must be nonempty in number and of
-        one length; then zero terms are dropped.  Over GF(p) it reduces once
-        per output symbol, unchecked, below ``PACK_FROM`` symbols, and else
-        packs each operand into one int, a 64-bit slot per symbol: a slot
-        holds T * (q - 1)^2 < 2^64 for any T < 2^32 terms if every coefficient
-        and symbol lies in the field, which it checks.  Over GF(2^m) it
-        rejects coefficients and symbols outside the field, and each term is
-        one ``bytes.translate`` of the vector's packing through the
-        coefficient's product row (none for a coefficient of 1), added by XOR
-        into a single Python int; the result is a ``Packed``.  A ``Packed``
-        operand made by this context was checked when it was made; one made
-        by another context is checked again.
+        one length, and each row must hold one coefficient per vector.  Each
+        operand is prepared once, for all the rows.  Over GF(p)
+        the terms that are zero in every row are dropped first, and the
+        others' coefficients must lie in the field.  Below ``PACK_FROM``
+        symbols each output symbol is one sum reduced once, and the symbols
+        are not checked; else each operand is checked and packed into one
+        int, a 64-bit slot per symbol, and each row is one sum of products:
+        a slot holds T * (q - 1)^2 < 2^64 for any T < 2^32 terms.  Over
+        GF(2^m) every coefficient and symbol must lie in the field, and each
+        nonzero term is one ``bytes.translate`` of the operand's packing
+        through the coefficient's product row (none for a coefficient of 1),
+        added by XOR into a single Python int; the results are ``Packed``.
+        A ``Packed`` operand made by this context was checked when it was
+        made; one made by another context is checked again.
         """
-        if len(coeffs) != len(vectors):
-            raise FieldError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
+        if len({len(vectors), *map(len, rows)}) != 1:
+            raise FieldError(f"a row of coefficients for {len(vectors)} vectors has another count")
         lengths = set(map(len, vectors))
         if len(lengths) != 1:
             raise FieldError(
@@ -308,35 +342,47 @@ class FieldContext:
         length = lengths.pop()
         if self.kind == "prime":
             q = self.q
-            if 0 in coeffs:
-                vectors, coeffs = [*compress(vectors, coeffs)], [*compress(coeffs, coeffs)]
-            if length < PACK_FROM:
-                out = [sum(map(mul, coeffs, col)) % q for col in zip(*vectors)]
-                return tuple(out or [0] * length)
-            # x_i >= q iff x_i >= 2^32 or x_i + 2^32 - q >= 2^32: a bit of 32-63 in its slot
-            ones = int.from_bytes(array("Q", [1]) * length, byteorder)
-            high, lift, acc = ones * (2**64 - 2**32), ones * (2**32 - q), 0
+            terms = rows[0] if len(rows) == 1 else [*map(any, zip(*rows))]
+            if not all(terms):
+                vectors, rows = [*compress(vectors, terms)], [[*compress(c, terms)] for c in rows]
+            if not vectors:
+                return [(0,) * length for _ in rows]
             try:
-                for c, v in zip(coeffs, vectors):
+                # no non-int or negative coefficient, and none of q or more
+                if max(array("Q", chain(*rows)), default=0) >= q:
+                    raise ValueError
+                if length < PACK_FROM:
+                    columns = [*zip(*vectors)]
+                    return [tuple([sum(map(mul, c, col)) % q for col in columns]) for c in rows]
+                # x_i >= q iff x_i >= 2^32 or x_i + 2^32 - q >= 2^32: a bit of 32-63 in its slot
+                ones = int.from_bytes(array("Q", [1]) * length, byteorder)
+                high, lift, ints = ones * (2**64 - 2**32), ones * (2**32 - q), []
+                for v in vectors:
                     x = int.from_bytes(array("Q", v), byteorder)  # no non-int or negative symbol
-                    if not (isinstance(c, int) and 0 <= c < q) or (x | x + lift) & high:
+                    if (x | x + lift) & high:
                         raise ValueError
-                    acc += c * x
+                    ints.append(x)
             except (TypeError, ValueError, OverflowError):
                 raise FieldError(f"coefficient or symbol outside [0, {q})") from None
-            return tuple([x % q for x in memoryview(acc.to_bytes(8 * length, byteorder)).cast("Q")])
-        rows, own = self._rows, self._packed
-        acc = 0
+            out = []
+            for c in rows:
+                acc = sum(map(mul, c, ints)).to_bytes(8 * length, byteorder)
+                out.append(tuple([x % q for x in memoryview(acc).cast("Q")]))
+            return out
+        table, own = self._rows, self._packed
+        packs = [v.packed if type(v) is own else self._packing(v) for v in vectors]
+        out = []
         try:
-            for c, v in zip(coeffs, vectors):
-                packed = v.packed if type(v) is own else self._packing(v)
-                if c:
-                    if c != 1:
-                        packed = packed.translate(rows[c])
-                    acc ^= int.from_bytes(packed, "big")
+            for coeffs in rows:
+                acc = 0
+                for c, packed in zip(coeffs, packs):
+                    if c:
+                        packed = packed if c == 1 else packed.translate(table[c])
+                        acc ^= int.from_bytes(packed, "big")
+                out.append(own(acc.to_bytes(length, "big")))
         except KeyError:
             raise FieldError(f"coefficient outside [0, {self.q})") from None
-        return own(acc.to_bytes(length, "big"))
+        return out
 
     # -- Gaussian elimination --------------------------------------------
 

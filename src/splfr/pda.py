@@ -10,13 +10,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional, Sequence
+from functools import cached_property
+from itertools import combinations, zip_longest
+from typing import NamedTuple, Optional, Sequence
 
 STAR = None
 
 Entry = Optional[int]
 Grid = tuple[tuple[Entry, ...], ...]
+
+
+class ColumnPlan(NamedTuple):
+    """One user's column as decoding reads it, built from ``PDA.index``.
+
+    ``symbols`` holds s - 1 for the symbol s of each ordinary row, top to
+    bottom, and ``sharers`` the other users with a symbol in common with
+    the user, in order.  Layer l of ``cross`` picks, for each ordinary row,
+    the l-th other position (i, j) of its symbol as (place of j among the
+    sharers, place of row i among the star rows), or None past the last.
+    ``rows`` picks each row in order: (0, place among the star rows) or
+    (1, place among the ordinary rows).
+    """
+
+    symbols: tuple[int, ...]
+    sharers: tuple[int, ...]
+    cross: tuple[tuple[Optional[tuple[int, int]], ...], ...]
+    rows: tuple[tuple[int, int], ...]
 
 
 class PdaError(ValueError):
@@ -49,7 +68,8 @@ class PDA:
 
     Immutable; construct through :func:`validate`, :func:`man_pda`, or
     :func:`parse_pda`.  ``index`` is the symbol -> positions map, row-major,
-    that ``validate`` builds; equality, hashing and ``repr`` leave it out.
+    that ``validate`` builds; equality, hashing and ``repr`` leave it out,
+    as they do ``plans``, built from it on first use.
     """
 
     k: int
@@ -66,6 +86,36 @@ class PDA:
     def symbol_positions(self, s: int) -> list[tuple[int, int]]:
         """0-based (row, col) positions where ordinary symbol s occurs."""
         return list(self.index.get(s, ()))
+
+    @cached_property
+    def plans(self) -> tuple[ColumnPlan, ...]:
+        """Each column's ``ColumnPlan``, built from ``index`` once per array.
+
+        The other positions of a symbol in column k lie in rows starred
+        there, by the defining conditions.
+        """
+        plans = []
+        for k in range(self.k):
+            stars, symbols, rows = [], [], []
+            for i, row in enumerate(self.entries):
+                if row[k] is STAR:
+                    rows.append((0, len(stars)))
+                    stars.append(i)
+                else:
+                    rows.append((1, len(symbols)))
+                    symbols.append(row[k] - 1)
+            star = {i: z for z, i in enumerate(stars)}
+            # the other positions of each ordinary row's symbol: (user, star slot)
+            others = [[(j, star[i]) for i, j in self.index[s + 1] if j != k] for s in symbols]
+            sharers = sorted({j for pos in others for j, _ in pos})
+            sharer = {j: a for a, j in enumerate(sharers)}
+            plans.append(ColumnPlan(
+                symbols=tuple(symbols),
+                sharers=tuple(sharers),
+                cross=tuple(zip_longest(*[[(sharer[j], z) for j, z in pos] for pos in others])),
+                rows=tuple(rows),
+            ))
+        return tuple(plans)
 
     @property
     def parameters(self) -> tuple[int, int, int, int]:

@@ -1,7 +1,7 @@
 """Reference implementations that the tests check the package against.
 
 The engine oracles use only the per-symbol field helpers (``vec_add``,
-``vec_scale``), never the ``FieldContext.lincomb`` kernel the engine is
+``vec_scale``), never the ``FieldContext.lincombs`` kernel the engine is
 built on, so they stay independent of the code under test.  The GF(2)
 polynomial helpers (``poly_mulmod``, ``is_irreducible``) check the field's
 product table by carry-less multiplication and trial division.  Helpers that
@@ -450,8 +450,8 @@ def privacy_key(library: Library, pda: PDA, p_j: Vector, i: int) -> Vector:
 
 
 def vec_sub(ctx, u: Sequence[int], w: Sequence[int]) -> Vector:
-    """u - w, by the context's ``vec_add`` and ``vec_neg``."""
-    return ctx.vec_add(u, ctx.vec_neg(w))
+    """u - w, by the context's ``vec_add`` and scalar ``neg``."""
+    return ctx.vec_add(u, tuple(map(ctx.neg, w)))
 
 
 def zero_randomness(pda: PDA, n: int, b: int) -> Randomness:

@@ -375,24 +375,26 @@ class TestReports:
         # all-zero one: 15 of the 80 columns vary with W, and only they are
         # combined at each file realization.  LFR has no key symbol, so its
         # classes are its signals, which the per-W combination that the
-        # per-atom walk shares gives at r = 0
+        # per-atom walk shares gives at r = 0.  The 2^4 file realizations
+        # are one kernel call of 16 rows, (1, W), over those 15 columns
         combined = []
-        kernel = FieldContext.lincomb
+        kernel = FieldContext.lincombs
 
-        def counted(self, coeffs, vectors):
-            combined.append(len(vectors[0]))
-            return kernel(self, coeffs, vectors)
+        def counted(self, rows, vectors):
+            combined.append((len(rows), len(vectors[0])))
+            return kernel(self, rows, vectors)
 
         cfg = small(mode=Mode.LFR)
         rows, rank = splfr.audit._factored(cfg, splfr.audit._formal_run(cfg).signal)
         assert rank == 0 and len(rows) == 5
-        monkeypatch.setattr(FieldContext, "lincomb", counted)
+        monkeypatch.setattr(FieldContext, "lincombs", counted)
         placements = splfr.audit._placements(cfg, rows)
-        next(placements)  # the set-up and the first file realization
+        next(placements)  # the set-up and the file realizations' one call
+        assert combined[-1] == (16, 15)
         for _ in range(3):
             combined.clear()
             files, *_ = next(placements)
-            assert combined == [15], files
+            assert combined == [], files
 
 
 def count_passes(monkeypatch) -> Counter:

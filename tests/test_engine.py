@@ -71,7 +71,7 @@ class TestSplit:
 
 
 class TestSplitOnce:
-    def test_place_splits_each_file_once_and_deliver_never(self, monkeypatch):
+    def test_place_splits_each_file_once_and_deliver_splits_none(self, monkeypatch):
         calls = []
         field_split = FieldContext.split
 
@@ -94,7 +94,7 @@ class TestSplitOnce:
         demands = unit_demands(3, 4)
         del calls[:]
         deliver(state, demands)
-        assert calls == []
+        assert calls and file_splits() == []  # deliver splits its own blocks, not a file
         zeros = tuple((0, 0) for _ in range(arr.s))
         assert update_round(state, demands, zeros, (0, 0, 0)).rows is state.rows
         assert file_splits() == []
@@ -121,13 +121,14 @@ class TestSplitOnce:
         files = list(state.library.files)
         packets = [packet for row in state.rows for packet in row]
         keys = list(state.randomness.security_keys)
-        # once per file (N, as the library is built), once per security
-        # key (S) and once for the zero packet laid under the stars; the
-        # packets are slices of the files' packings, never packed or
-        # checked again
+        # once per file (N, as the library is built), once for the S
+        # security keys joined and once for the zero packet laid under the
+        # stars; the packets are slices of the files' packings, never packed
+        # or checked again
         assert len(packets) == n * arr.f
         zero = (0,) * 2
-        assert sorted(packs) == sorted(files + keys + [zero]) == sorted(packings)
+        joined = tuple(x for key in keys for x in key)
+        assert sorted(packs) == sorted(files + [joined, zero]) == sorted(packings)
         assert all(isinstance(v, Packed) for v in files + packets + keys)
         for cache in state.caches:
             assert all(isinstance(v, Packed) for v in cache.coded.values())
@@ -143,8 +144,8 @@ class TestSplitOnce:
 
         fresh = tuple(GF256.random_vector(2, random.Random(s)) for s in range(arr.s))
         new = update_round(state, demands, fresh, (1, 2, 3))
-        # the fresh keys, and the zero packet that lays them under the stars
-        assert len(packs) == len(packings) == arr.s + 1
+        # the fresh keys joined, and the zero packet that lays them under the stars
+        assert len(packs) == len(packings) == 2
         assert packs[-1] == (0,) * 2
         assert all(isinstance(v, Packed) for v in new.randomness.security_keys)
 
@@ -169,7 +170,37 @@ class TestSplitOnce:
 
 
 class TestKernelCalls:
-    """Every cache fill takes one kernel call per user, over whole files."""
+    """Every cache fill takes one kernel call per user, over whole files, and
+    a delivery and each decoding two calls, whatever the array's F and S."""
+
+    @pytest.mark.parametrize("spec", ["p:65521", "b:8"])
+    @pytest.mark.parametrize("t, block", [(2, 2), (3, 1), (3, 4)])
+    def test_a_round_takes_two_kernel_calls_per_user_and_two_to_deliver(
+        self, monkeypatch, spec, t, block
+    ):
+        # man:10,2 has F = 45 and S = 120, man:10,3 F = 120 and S = 210
+        ctx, arr, n = FieldContext.parse(spec), man_pda(10, t), 3
+        state = make_state(arr, n, arr.f * block, ctx, seed=83)
+        demands = tuple(ctx.random_vector(n, random.Random(j)) for j in range(arr.k))
+        expected = [state.library.combine(d) for d in demands]
+        calls = []
+        kernel = FieldContext.lincombs
+
+        def counting_lincombs(self, rows, vectors):
+            calls.append((len(rows), len(vectors), len(vectors[0])))
+            return kernel(self, rows, vectors)
+
+        monkeypatch.setattr(FieldContext, "lincombs", counting_lincombs)
+        payload = deliver(state, demands)
+        # every user's combination of the files, then the keys and g layers
+        assert calls == [(arr.k, n, arr.f * block), (1, 1 + (t + 1), arr.s * block)]
+        del calls[:]
+        for k in range(arr.k):
+            assert decode(state.user_view(k), payload, demands[k]) == expected[k]
+        # the 9 other users' q_j and the demand over the Z star rows; then
+        # the block, the record and t cross terms over the F - Z others
+        per_user = [(1 + 9, n, arr.z * block), (1, 2 + t, (arr.f - arr.z) * block)]
+        assert calls == per_user * arr.k
 
     @pytest.mark.parametrize("spec", ["p:65521", "b:8"])
     def test_fills_take_one_kernel_call_per_user(self, monkeypatch, spec):
@@ -463,27 +494,27 @@ class TestDecode:
                 got = decode(state.user_view(k), payload, demands[k])
                 assert got == state.library.combine(demands[k])
 
-    def test_negates_only_the_coefficients_of_sharing_users(self, monkeypatch):
+    def test_the_multi_row_call_takes_the_demand_and_the_sharing_users_q(self, monkeypatch):
         # users 0 and 1 share symbol 1, users 2 and 3 share symbol 2
         arr = validate(((STAR, 1, STAR, 2), (1, STAR, 2, STAR)))
-        negs, vec_negs = [], []
-        neg, vec_neg = FieldContext.neg, FieldContext.vec_neg
+        negs, calls = [], []
+        neg, kernel = FieldContext.neg, FieldContext.lincombs
 
         def counting_neg(self, a):
             negs.append(a)
             return neg(self, a)
 
-        def counting_vec_neg(self, u):
-            out = vec_neg(self, u)
-            vec_negs.append((u, out))
-            return out
+        def counting_lincombs(self, rows, vectors):
+            calls.append(rows)
+            return kernel(self, rows, vectors)
 
         monkeypatch.setattr(FieldContext, "neg", counting_neg)
-        monkeypatch.setattr(FieldContext, "vec_neg", counting_vec_neg)
+        monkeypatch.setattr(FieldContext, "lincombs", counting_lincombs)
         n = 3
         for ctx in (GF256, FieldContext.prime(5)):
             state = make_state(arr, n, 4, ctx, seed=17)
             demands = tuple(ctx.random_vector(n, random.Random(j)) for j in range(arr.k))
+            expected = [state.library.combine(d) for d in demands]
             payload = deliver(state, demands)
             for k in range(arr.k):
                 symbols = {row[k] for row in arr.entries} - {STAR}
@@ -494,20 +525,18 @@ class TestDecode:
                     if e in symbols and j != k
                 }
                 assert len(sharers) == 1
-                del negs[:], vec_negs[:]
-                got = decode(state.user_view(k), payload, demands[k])
-                assert got == state.library.combine(demands[k])
-                # the coefficient vector of each sharer j, once
-                assert [u for u, _ in vec_negs] == [payload.coeff_vectors[j] for j in sharers]
-                if ctx.kind == "binary":
-                    # negation is the identity: each vector comes back as it
-                    # is, and the only scalar negated is the cached record's
-                    # coefficient 1, so no symbol of a vector is negated
-                    assert all(out is u for u, out in vec_negs)
-                    assert negs == [1]
-                else:
-                    # -1 and -q_j for each sharer j
-                    assert len(negs) == 1 + n * len(sharers)
+                del negs[:], calls[:]
+                assert decode(state.user_view(k), payload, demands[k]) == expected[k]
+                # one call of many rows: each sharer's coefficient vector, as
+                # it is, and the demand; then one row for the ordinary rows
+                multi = [rows for rows in calls if len(rows) > 1]
+                assert len(calls) == 2 and len(multi) == 1
+                rows = multi[0]
+                assert len(rows) == 1 + len(sharers) and rows[-1] is demands[k]
+                assert all(r is payload.coeff_vectors[j] for r, j in zip(rows, sorted(sharers)))
+                # no vector is negated: the one scalar negated is the 1 that
+                # subtracts the record and the cross terms
+                assert negs == [1]
 
     def test_view_withholds_global_state(self):
         # decoder isolation: the view exposes only the array, field, and
@@ -543,6 +572,29 @@ class TestDecode:
                 decode(state.user_view(0), payload, demand)
             with pytest.raises(FieldError):
                 state.library.combine(demand)
+
+
+@pytest.mark.parametrize(
+    "spec, k, t, n, b", [("p:65521", 10, 3, 10, 480), ("b:8", 6, 2, 20, 960)]
+)
+def test_the_benchmark_shapes_deliver_and_decode_like_the_scalar_oracle(spec, k, t, n, b):
+    # the shapes of rekey-narrow and serve-wide, whose long blocks take the
+    # packed GF(p) path that the property strategy's 1-3 symbols never reach
+    ctx, arr, rng = FieldContext.parse(spec), man_pda(k, t), random.Random(91)
+    lib = Library.random(ctx, n, b, rng)
+    state = place(arr, lib, Randomness.generate(arr, n, b, ctx, rng), Mode.SPLFR)
+    demands = tuple(ctx.random_vector(n, rng) for _ in range(k))
+    payload = deliver(state, demands)
+    packets = [split(file, arr.f) for file in lib.files]
+    for s in range(1, arr.s + 1):  # y_s = V_s + sum over (i, j) of sum_n q_(j,n) W_(n,i)
+        want = state.randomness.security_keys[s - 1]
+        for i, j in arr.symbol_positions(s):
+            for q_jn, file in zip(payload.coeff_vectors[j], packets):
+                want = ctx.vec_add(want, ctx.vec_scale(q_jn, file[i]))
+        assert payload.blocks[s - 1] == want
+    for user in range(k):
+        got = decode(state.user_view(user), payload, demands[user])
+        assert got == lib.combine(demands[user]) == oracle_combine(lib, demands[user])
 
 
 class TestMeasure:

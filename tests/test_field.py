@@ -222,6 +222,96 @@ class TestLincomb:
         assert ctx.lincomb((1,), (joined,)) == joined
 
 
+@st.composite
+def kernel_calls(draw, ctx):
+    """Rows of coefficients over one set of operands, each plain or packed.
+
+    Zero rows, rows of zeros, columns zero in every row and a single row
+    all come up; lengths lie on both sides of ``PACK_FROM``.
+    """
+    count = draw(st.integers(1, 8), label="count")
+    length = draw(st.integers(1, MAX_LENGTH), label="length")
+    element = st.integers(0, ctx.q - 1)
+    coeff = st.one_of(st.just(0), st.just(1), st.just(ctx.q - 1), element)
+    rows = draw(st.lists(st.tuples(*[coeff] * count), max_size=6), label="rows")
+    zero = draw(st.lists(st.booleans(), min_size=count, max_size=count), label="zero columns")
+    rows = [tuple(0 if z else c for c, z in zip(row, zero)) for row in rows]
+    vectors = draw(st.lists(st.tuples(*[element] * length), min_size=count, max_size=count))
+    packed = draw(st.lists(st.booleans(), min_size=count, max_size=count), label="packed")
+    return rows, vectors, [ctx.pack(v) if p else v for v, p in zip(vectors, packed)]
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=lambda c: c.spec)
+class TestLincombs:
+    """Many rows over one set of operands against one row at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_each_row_is_its_lincomb_and_the_scalar_oracle(self, ctx, data):
+        rows, vectors, operands = data.draw(kernel_calls(ctx))
+        out = ctx.lincombs(rows, operands)
+        assert out == [ctx.lincomb(row, operands) for row in rows]
+        assert out == [lincomb_oracle(ctx, row, vectors) for row in rows]
+        ready = type(ctx.pack(vectors[0]))  # the context's own Packed over GF(2^m)
+        assert all(type(v) is ready for v in out)
+
+    def test_no_rows_give_no_vectors(self, ctx):
+        assert ctx.lincombs((), ((1, 0), (0, 1))) == []
+
+    def test_rows_of_another_count_raise(self, ctx):
+        vectors = ((1, 0), (0, 1))
+        for rows in (((1, 1), (1,)), ((1,), (1, 1)), ((1, 1, 1),)):
+            with pytest.raises(FieldError):
+                ctx.lincombs(rows, vectors)
+
+    @pytest.mark.parametrize("length", [1, PACK_FROM - 1, PACK_FROM, MAX_LENGTH])
+    def test_rejects_input_outside_field(self, ctx, length):
+        # a term zero in every row is dropped, over GF(p), before the checks;
+        # below PACK_FROM symbols GF(p) checks the coefficients alone
+        q, ok = ctx.q, (1,) * length
+        cases = [
+            (((1,), (q,)), (ok,)),  # a coefficient outside the field, in any row
+            (((-1,), (1,)), (ok,)),
+            (((1.5,),), (ok,)),
+        ]
+        if ctx.kind == "binary" or length >= PACK_FROM:
+            cases += [
+                (((0, 1), (1, 1)), (ok, (q,) + ok[1:])),  # a symbol outside the field
+                (((1,),), ((-1,) + ok[1:],)),
+                (((1,),), ((1.5,) + ok[1:],)),
+            ]
+        for rows, vectors in cases:
+            with pytest.raises(FieldError):
+                ctx.lincombs(rows, vectors)
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=lambda c: c.spec)
+class TestGather:
+    """Picked packets laid end to end, ready for the kernel."""
+
+    def test_lays_the_picked_packets_with_zeros_for_none(self, ctx):
+        vectors = [tuple((3 * i + j) % ctx.q for j in range(6)) for i in range(3)]
+        for operands in (vectors, [ctx.pack(v) for v in vectors]):
+            got = ctx.gather(operands, [(2, 1), None, (0, 0), (2, 2)], 2)
+            assert got == vectors[2][2:4] + (0, 0) + vectors[0][0:2] + vectors[2][4:6]
+            assert type(got) is type(ctx.pack(got))
+            assert ctx.lincomb((1,), (got,)) == got
+        assert ctx.gather(vectors, [], 2) == ()
+
+    def test_packs_none_of_the_contexts_own_operands(self, ctx, monkeypatch):
+        packings = []
+        packing = FieldContext._packing
+
+        def counting_packing(self, v):
+            packings.append(v)
+            return packing(self, v)
+
+        own = [ctx.pack((1, 0, 0, 1)), ctx.lincomb((1,), ((0, 1, 1, 0),))]
+        monkeypatch.setattr(FieldContext, "_packing", counting_packing)
+        assert ctx.gather(own, [(1, 0), (0, 1)], 2) == (0, 1, 0, 1)
+        assert packings == []
+
+
 BINARY_KERNEL_FIELDS = [c for c in KERNEL_FIELDS if c.kind == "binary"]
 
 
@@ -345,6 +435,16 @@ class TestPackedPrimeKernel:
         assert ctx.lincomb((top,) * terms, vectors) == (want,) * PACK_FROM
 
 
+def test_the_short_gf_p_path_checks_every_coefficient():
+    # below PACK_FROM symbols each output symbol is one sum; the coefficients
+    # of its nonzero terms are checked all the same
+    gf5 = FieldContext.prime(5)
+    for coeffs in ((7,), (-1,), (1.5,), (1, 5)):
+        with pytest.raises(FieldError):
+            gf5.lincomb(coeffs, ((1, 2),) * len(coeffs))
+    assert gf5.lincomb((0, 1), ((1, 2), (1, 2))) == (1, 2)
+
+
 @pytest.mark.parametrize("ctx", PRIME_KERNEL_FIELDS, ids=lambda c: c.spec)
 def test_pack_is_identity_over_prime_fields(ctx):
     v = (0, ctx.q - 1)
@@ -408,16 +508,6 @@ def test_a_context_equals_no_other_kind_of_object():
     assert ctx.__eq__(5) is NotImplemented and ctx.__eq__("p:5") is NotImplemented
     assert ctx != 5 and ctx != "p:5" and ctx != None  # noqa: E711
     assert ctx == FieldContext.parse("p:5")
-
-
-@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=lambda c: c.spec)
-def test_vec_neg_is_the_additive_inverse(ctx):
-    v = tuple(range(min(ctx.q, 9))) + (ctx.q - 1,)
-    minus = ctx.vec_neg(v)
-    assert minus == tuple(map(ctx.neg, v))
-    assert ctx.vec_add(v, minus) == (0,) * len(v)
-    if ctx.kind == "binary":
-        assert minus is v  # the identity, with no copy
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,27 @@ class TestSymbolPositions:
         assert arr.symbol_positions(1) == [(0, 1), (1, 0)]
 
 
+class TestPlans:
+    def test_toy(self):
+        # column 0: row 0 starred, rows 1 and 2 of symbols 1 and 2, each
+        # shared with one other user (1, then 2) at row 0, its one star row
+        plan = validate(TOY).plans[0]
+        assert plan.symbols == (0, 1) and plan.sharers == (1, 2)
+        assert plan.cross == (((0, 0), (1, 0)),)
+        assert plan.rows == ((0, 0), (1, 0), (1, 1))
+
+    def test_a_symbol_that_occurs_once_has_no_cross_term(self):
+        arr = parse_pda("PDA K=3 F=3\n* 1 2\n1 * 3\n4 5 *\n")
+        plan = arr.plans[0]  # rows 1 and 2 hold symbols 1 and 4; 4 occurs once
+        assert plan.sharers == (1,) and plan.cross == (((0, 0), None),)
+
+    def test_built_once_and_left_out_of_equality(self):
+        arr, again = man_pda(4, 2), man_pda(4, 2)
+        assert arr.plans is arr.plans and len(arr.plans) == arr.k
+        assert arr == again and hash(arr) == hash(again) and repr(arr) == repr(again)
+        assert "plans" not in repr(arr)
+
+
 class TestMemoryLoad:
     def test_toy(self):
         assert memory_load(validate(TOY), 4) == (2, 1)
