@@ -257,6 +257,13 @@ class _Formal:
     def lincomb(self, coeffs, vectors) -> tuple[_Poly, ...]:
         return self.lincombs((coeffs,), vectors)[0]
 
+    def gathered(self, rows, vectors, layers, size: int) -> tuple:
+        """The sum of the layers gathered from the rows' combinations, as it
+        reads; a single layer is its own sum (its zeros left ints)."""
+        products = self.lincombs(rows, vectors)
+        laid = [self.gather(products, layer, size) for layer in layers]
+        return laid[0] if len(laid) == 1 else self.lincomb((1,) * len(laid), laid)
+
     def lincombs(self, rows, vectors) -> list[tuple[_Poly, ...]]:
         """Each row's combination, each operand symbol lifted once for all the rows."""
         if len({len(vectors), *map(len, rows)}) != 1 or len(set(map(len, vectors))) != 1:

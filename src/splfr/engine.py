@@ -11,17 +11,18 @@ is simultaneously one-time-pad secure and demand-hiding.
 
 States are immutable once placed; deliver/decode are pure, and update
 rounds produce a new state.  The kernel takes whole rows, laid out by user,
-not one call per packet: ``deliver`` makes every user's combination of the
-files in one ``FieldContext.lincombs`` call and its S blocks in one
-``lincomb``; ``decode`` makes a user's star rows and every cross term of
-the users sharing its symbols in one ``lincombs`` call, and its ordinary
-rows in one ``lincomb``; and each user's coded records are one ``lincomb``
-call, to which a refresh adds only the round's key shift.  The field owns
-the vector representation, so every stage has one path over every field:
-the library checks its files once and placement checks the security keys
-once, both with ``FieldContext.pack``; placement cuts the files into
-packets with ``FieldContext.split``, which checks and converts nothing
-again; the kernel's outputs come out ready for it, and
+not one call per packet: ``deliver`` sums the picked packets of every
+user's combination of the files in one ``FieldContext.gathered`` call and
+adds the keys in one ``lincomb``; ``decode`` makes a user's star rows in
+one ``lincomb``, sums every cross term of the users sharing its symbols in
+one ``gathered`` call, and makes its ordinary rows in one ``lincomb``; and
+each user's coded records are one ``lincomb`` call, to which a refresh adds
+only the round's key shift.  No row combination is made only to be picked
+from.  The field owns the vector representation, so every stage has one path
+over every field: the library checks its files once and placement checks
+the security keys once, both with ``FieldContext.pack``; placement cuts the
+files into packets with ``FieldContext.split``, which checks and converts
+nothing again; the kernel's outputs come out ready for it, and
 ``FieldContext.gather`` lays their packets out for the next call.
 """
 
@@ -35,7 +36,7 @@ from itertools import chain, zip_longest
 from typing import NamedTuple, Sequence
 
 from .field import FieldContext
-from .pda import PDA, STAR
+from .pda import PDA
 
 
 class EngineError(ValueError):
@@ -278,24 +279,25 @@ def _fill_caches(
     User k's records are one kernel call over whole files, cut into packets:
     the keys laid at its packets, zero under stars, plus sum_n p_(k,n) W_n,
     plus its old records from ``base``, the caches before a refresh, which
-    leaves the uncoded packets as they are.
+    leaves the uncoded packets as they are.  Its column's star and ordinary
+    rows, and the symbol of each, are read from ``PDA.plans``.
     """
     zero = ctx.pack((0,) * (len(files[0]) // pda.f))
     caches = []
-    for k in range(pda.k):
-        column = pda.column(k)
-        uncoded = {i: rows[i] for i, s in enumerate(column) if s is STAR}
+    for k, plan in enumerate(pda.plans):
+        uncoded = {i: rows[i] for i, (ordinary, _) in enumerate(plan.rows) if not ordinary}
         starred = base[k].starred if base else tuple(
             ctx.join([packets[n] for packets in uncoded.values()]) for n in range(len(files))
         )
         coded = {}
-        if len(uncoded) < pda.f:  # record of row i: V_s + sum_n p_(k,n) W_(n,i) [+ old]
-            laid = [ctx.join([zero if s is STAR else keys.security_keys[s - 1] for s in column])]
+        if plan.symbols:  # record of row i: V_s + sum_n p_(k,n) W_(n,i) [+ old]
+            v, symbols = keys.security_keys, plan.symbols
+            laid = [ctx.join([v[symbols[z]] if ordinary else zero for ordinary, z in plan.rows])]
             if base:
                 laid.append(ctx.join([base[k].coded.get(i, zero) for i in range(pda.f)]))
             coeffs = (1,) * len(laid) + keys.privacy_vectors[k]
             packets = ctx.split(ctx.lincomb(coeffs, (*laid, *files)), pda.f)
-            coded = {i: packets[i] for i, s in enumerate(column) if s is not STAR}
+            coded = {i: packets[i] for i, (ordinary, _) in enumerate(plan.rows) if ordinary}
         records = ctx.join(coded.values())
         caches.append(UserCache(uncoded=uncoded, coded=coded, starred=starred, records=records))
     return tuple(caches)
@@ -313,24 +315,22 @@ def deliver(state: SchemeState, demands: Sequence[Vector]) -> DeliveryPayload:
     """Build the broadcast signal for one demand tuple.
 
     Block s is y_s = V_s + the sum, over the positions (i, j) of s, of
-    packet i of user j's combination sum_n q_(j,n) W_n.  One ``lincombs``
-    call makes every user's combination over whole files; layer l gathers,
-    for each symbol, the packet at its l-th position; and one ``lincomb``
-    adds the joined keys and the layers, cut into the S blocks.
+    packet i of user j's combination sum_n q_(j,n) W_n.  Layer l picks, for
+    each symbol, the packet at its l-th position; one ``gathered`` call over
+    whole files sums the layers without making the combinations, and one
+    ``lincomb`` adds the joined keys, cut into the S blocks.
     """
     pda, ctx, lib = state.pda, state.library.ctx, state.library
     _check_demands(state, demands)
     coeffs = tuple(map(ctx.vec_add, state.randomness.privacy_vectors, demands))
     if not pda.s:
         return DeliveryPayload(coeff_vectors=coeffs, blocks=())
-    combos = ctx.lincombs(coeffs, lib.files)
     positions = [pda.symbol_positions(s) for s in range(1, pda.s + 1)]
     layers = [
-        ctx.gather(combos, [None if p is None else (p[1], p[0]) for p in layer], lib.b // pda.f)
-        for layer in zip_longest(*positions)
+        [None if p is None else (p[1], p[0]) for p in layer] for layer in zip_longest(*positions)
     ]
-    keys = ctx.join(state.randomness.security_keys)
-    blocks = ctx.split(ctx.lincomb((1,) * (1 + len(layers)), (keys, *layers)), pda.s)
+    laid = ctx.gathered(coeffs, lib.files, layers, lib.b // pda.f)
+    blocks = ctx.split(ctx.lincomb((1, 1), (ctx.join(state.randomness.security_keys), laid)), pda.s)
     return DeliveryPayload(coeff_vectors=coeffs, blocks=blocks)
 
 
@@ -340,12 +340,13 @@ def decode(view: UserView, payload: DeliveryPayload, demand: Vector) -> Vector:
     Consumes only the user's own cache, the broadcast, and the demand;
     returns the full-length B-symbol combination.  Over J_n, the user's
     star-row packets of file n joined (``UserCache.starred``), one
-    ``lincombs`` call gives sum_n q_(j,n) J_n for each user j that shares a
-    symbol with it, and sum_n demand_n J_n, its star rows.  Ordinary row h
-    of symbol s is y_s minus its coded record minus the cross term of each
-    other position (i, j) of s, packet i of j's product: one ``lincomb``
-    over the joined blocks, the joined records (``UserCache.records``) and
-    the layers of cross terms, as ``PDA.plans`` lays them out.  One
+    ``lincomb`` gives sum_n demand_n J_n, its star rows.  Ordinary row h of
+    symbol s is y_s minus its coded record minus the cross term of each
+    other position (i, j) of s, packet i of sum_n q_(j,n) J_n: one
+    ``gathered`` call over the J_n, whose rows are the q_j of the users that
+    share a symbol with it, sums those cross terms in the layers that
+    ``PDA.plans`` lays out, and one ``lincomb`` subtracts the joined records
+    (``UserCache.records``) and that sum from the joined blocks.  One
     ``gather`` puts the rows in order.
     """
     pda, ctx, cache = view.pda, view.ctx, view.cache
@@ -354,21 +355,16 @@ def decode(view: UserView, payload: DeliveryPayload, demand: Vector) -> Vector:
         raise EngineError("payload shape does not match the array")
     check_demand(ctx, demand, view.n_files)
     plan = pda.plans[view.user]
-    *products, star_rows = ctx.lincombs(
-        [*map(payload.coeff_vectors.__getitem__, plan.sharers), demand], cache.starred
-    )
+    star_rows = ctx.lincomb(demand, cache.starred)
     if not plan.symbols:  # every row a star
         return star_rows
     # what is left of y_s is sum_n q_(k,n) W_(n,h) - sum_n p_(k,n) W_(n,h)
     size, minus_one = len(blocks[0]), ctx.neg(1)
-    ordinary = ctx.lincomb(
-        (1, minus_one, *[minus_one] * len(plan.cross)),
-        (
-            ctx.join([*map(blocks.__getitem__, plan.symbols)]),
-            cache.records,
-            *[ctx.gather(products, layer, size) for layer in plan.cross],
-        ),
-    )
+    terms = [ctx.join([*map(blocks.__getitem__, plan.symbols)]), cache.records]
+    if plan.cross:  # none where each symbol has one position
+        sharers = [*map(payload.coeff_vectors.__getitem__, plan.sharers)]
+        terms.append(ctx.gathered(sharers, cache.starred, plan.cross, size))
+    ordinary = ctx.lincomb((1, *[minus_one] * (len(terms) - 1)), terms)
     return ctx.gather((star_rows, ordinary), plan.rows, size)
 
 

@@ -9,9 +9,10 @@ integers; no floating point is used anywhere.
 
 Elements are bare ints; a FieldContext supplies the arithmetic, the
 linear-combination kernel ``lincombs`` (many coefficient rows over one set
-of operands, each operand prepared once; ``lincomb`` is its one row) and
-Gaussian elimination (``echelon``, ``reduce``), on which the exact audits
-rest.
+of operands, each operand prepared once; ``lincomb`` is its one row), its
+twin ``gathered`` (the sum of layers of picked packets of the rows'
+combinations, with no combination made) and Gaussian elimination
+(``echelon``, ``reduce``), on which the exact audits rest.
 
 Vectors are tuples of ints, and the context owns their representation, so
 callers never branch on the field kind: ``pack`` checks a vector and makes
@@ -23,8 +24,8 @@ ready vector is a ``Packed``: a tuple that carries that packing, compares,
 hashes, slices and prints like its plain tuple, and is neither converted
 nor checked again by ``lincombs``, ``split``, ``join`` or ``gather``.  A
 ``Packed`` records the context that checked it; another context checks it
-again.  ``lincombs`` packs (and checks) plain tuples on the fly and returns
-``Packed`` vectors.
+again.  ``lincombs`` and ``gathered`` pack (and check) plain tuples on the
+fly and return ``Packed`` vectors.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ class FieldError(ValueError):
 class Packed(tuple):
     """A GF(2^m) vector: a tuple of ints that carries its bytes packing.
 
-    Built only by ``FieldContext.pack``, ``split``, ``join``, ``gather``
-    and ``lincombs``, from symbols that are checked to lie in ``field``, the
-    context that made it.
+    Built only by ``FieldContext.pack``, ``split``, ``join``, ``gather``,
+    ``lincombs`` and ``gathered``, from symbols that are checked to lie in
+    ``field``, the context that made it.
     Each GF(2^m) context makes its vectors as its own subclass, so that the
     kernel can tell them from another context's, which it checks again, by
     their type alone.  Equality, hashing, slicing and ``repr`` are the
@@ -94,6 +95,24 @@ def _is_prime(n: int) -> bool:
 def _pivot(row: Sequence[int]) -> int | None:
     """Index of the first nonzero entry, or None for a zero row."""
     return next((i for i, x in enumerate(row) if x), None)
+
+
+def _laid(sums: list[bytes], layers: Sequence, width: int, count: int) -> list[bytes]:
+    """Each layer of ``gathered``: the pieces of ``sums``, ``width`` bytes
+    apiece, that its picks (a, x) take, zeros for None, joined into ``count``."""
+    zero = bytes(width)
+    try:
+        out = [
+            b"".join([
+                zero if p is None else sums[p[0]][p[1] * width : (p[1] + 1) * width] for p in layer
+            ])
+            for layer in layers
+        ]
+        if len({count, *map(len, out)}) == 1:
+            return out
+    except IndexError:
+        pass
+    raise FieldError("a pick lies outside the rows' combinations")
 
 
 def _build_rows(m: int, poly: int) -> dict[int, bytes]:
@@ -318,19 +337,101 @@ class FieldContext:
 
         The vectors, zero terms included, must be nonempty in number and of
         one length, and each row must hold one coefficient per vector.  Each
-        operand is prepared once, for all the rows.  Over GF(p)
-        the terms that are zero in every row are dropped first, and the
-        others' coefficients must lie in the field.  Below ``PACK_FROM``
-        symbols each output symbol is one sum reduced once, and the symbols
-        are not checked; else each operand is checked and packed into one
-        int, a 64-bit slot per symbol, and each row is one sum of products:
-        a slot holds T * (q - 1)^2 < 2^64 for any T < 2^32 terms.  Over
-        GF(2^m) every coefficient and symbol must lie in the field, and each
-        nonzero term is one ``bytes.translate`` of the operand's packing
-        through the coefficient's product row (none for a coefficient of 1),
-        added by XOR into a single Python int; the results are ``Packed``.
-        A ``Packed`` operand made by this context was checked when it was
-        made; one made by another context is checked again.
+        operand is prepared once, for all the rows.  Over GF(p) the
+        coefficients must lie in the field.  Below ``PACK_FROM`` symbols
+        each output symbol is one sum reduced once, and the symbols are not
+        checked; else the terms that are zero in every row are dropped, each
+        other operand is checked and packed into one int, a 64-bit slot per
+        symbol, and each row is one sum of products: a slot holds
+        T * (q - 1)^2 < 2^64 for any T < 2^32 terms.  Over GF(2^m) every
+        coefficient and symbol must lie in the field, and each nonzero term
+        is one ``bytes.translate`` of the operand's packing through the
+        coefficient's product row (none for a coefficient of 1), added by
+        XOR into a single Python int; the results are ``Packed``.  A
+        ``Packed`` operand made by this context was checked when it was
+        made; one made by another context is checked again.  ``gathered``
+        takes its operands through the same checks.
+        """
+        rows, operands, length = self._operands(rows, vectors, 1)
+        if self.kind == "binary":
+            own = self._packed
+            return [own(acc.to_bytes(length, "big")) for acc in self._xor_sums(rows, operands)]
+        q = self.q
+        if not operands:
+            return [(0,) * length for _ in rows]
+        if length < PACK_FROM:
+            columns = [*zip(*operands)]
+            return [tuple([sum(map(mul, c, col)) % q for col in columns]) for c in rows]
+        out = []
+        for c in rows:
+            acc = sum(map(mul, c, operands)).to_bytes(8 * length, byteorder)
+            out.append(tuple([x % q for x in memoryview(acc).cast("Q")]))
+        return out
+
+    def gathered(
+        self,
+        rows: Sequence[Sequence[int]],
+        vectors: Sequence[Sequence[int]],
+        layers: Sequence[Sequence[tuple[int, int] | None]],
+        size: int,
+    ) -> Sequence[int]:
+        """sum_l gather(lincombs(rows, vectors), layers[l], size), ready for the kernel.
+
+        The row combinations are never made.  Over GF(p) each row's sum
+        stays an unreduced int of 64-bit slots, and over GF(2^m) its XOR
+        accumulator's bytes; each layer is a slice-and-join of those bytes,
+        and the layers are added and the result reduced once.  Over GF(p)
+        below ``PACK_FROM`` symbols each output symbol is one sum over the
+        layers' picks, reduced once.  The rows and vectors are checked as by
+        ``lincombs``; the layers must be one or more, of one count of picks,
+        and each pick (a, x) must lie inside row a's combination.  Over
+        GF(p) a slot holds L * T * (q - 1)^2 < 2^64 for L layers of T terms
+        while L * T < 2^32, which is checked.
+        """
+        if not layers or len({*map(len, layers)}) != 1:
+            raise FieldError("need one or more layers of one count of picks")
+        rows, operands, length = self._operands(rows, vectors, len(layers))
+        count = len(layers[0]) * size
+        if self.kind == "binary":
+            sums = [acc.to_bytes(length, "big") for acc in self._xor_sums(rows, operands)]
+            acc = 0
+            for joined in _laid(sums, layers, size, count):
+                acc ^= int.from_bytes(joined, "big")
+            return self._packed(acc.to_bytes(count, "big"))
+        q = self.q
+        if not operands:
+            return (0,) * count
+        if length < PACK_FROM:  # each output symbol one sum over the layers, reduced once
+            columns = [*zip(*operands)]
+            try:
+                return tuple([
+                    sum([sum(map(mul, rows[p[0]], columns[p[1] * size + o])) for p in picks if p])
+                    % q
+                    for picks in zip(*layers)
+                    for o in range(size)
+                ])
+            except IndexError:
+                raise FieldError("a pick lies outside the rows' combinations") from None
+        width = 8 * size
+        sums = [sum(map(mul, c, operands)).to_bytes(8 * length, byteorder) for c in rows]
+        acc = sum([
+            int.from_bytes(joined, byteorder)
+            for joined in _laid(sums, layers, width, 8 * count)
+        ])
+        return tuple([x % q for x in memoryview(acc.to_bytes(8 * count, byteorder)).cast("Q")])
+
+    def _operands(
+        self, rows: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]], layers: int
+    ) -> tuple[Sequence[Sequence[int]], list, int]:
+        """The kernel's one check path: (rows, operands, length) of checked terms.
+
+        Over GF(2^m) the operands are the vectors' packings, and the
+        coefficients are checked where ``_xor_sums`` reads their product
+        rows.  Over GF(p) the coefficients are checked; below ``PACK_FROM``
+        symbols the operands are the vectors, unchecked, else the terms zero
+        in every row are dropped and the others' vectors checked and packed
+        into ints of 64-bit slots, whose sums of ``layers`` layers of the
+        rows' combinations must stay in their slots.
         """
         if len({len(vectors), *map(len, rows)}) != 1:
             raise FieldError(f"a row of coefficients for {len(vectors)} vectors has another count")
@@ -340,38 +441,39 @@ class FieldContext:
                 f"need one or more vectors of one length, got lengths {sorted(lengths)}"
             )
         length = lengths.pop()
-        if self.kind == "prime":
-            q = self.q
+        if self.kind == "binary":
+            own = self._packed
+            return rows, [v.packed if type(v) is own else self._packing(v) for v in vectors], length
+        q = self.q
+        if length >= PACK_FROM:  # terms zero in every row are not packed
             terms = rows[0] if len(rows) == 1 else [*map(any, zip(*rows))]
             if not all(terms):
                 vectors, rows = [*compress(vectors, terms)], [[*compress(c, terms)] for c in rows]
             if not vectors:
-                return [(0,) * length for _ in rows]
-            try:
-                # no non-int or negative coefficient, and none of q or more
-                if max(array("Q", chain(*rows)), default=0) >= q:
+                return rows, [], length
+            if layers * len(vectors) >= 2**32:
+                raise FieldError(f"{layers} layers of {len(vectors)} terms overflow a 64-bit slot")
+        try:
+            # no non-int or negative coefficient, and none of q or more
+            if max(array("Q", rows[0] if len(rows) == 1 else [*chain(*rows)]), default=0) >= q:
+                raise ValueError
+            if length < PACK_FROM:
+                return rows, vectors, length
+            # x_i >= q iff x_i >= 2^32 or x_i + 2^32 - q >= 2^32: a bit of 32-63 in its slot
+            ones = int.from_bytes(array("Q", [1]) * length, byteorder)
+            high, lift, ints = ones * (2**64 - 2**32), ones * (2**32 - q), []
+            for v in vectors:
+                x = int.from_bytes(array("Q", v), byteorder)  # no non-int or negative symbol
+                if (x | x + lift) & high:
                     raise ValueError
-                if length < PACK_FROM:
-                    columns = [*zip(*vectors)]
-                    return [tuple([sum(map(mul, c, col)) % q for col in columns]) for c in rows]
-                # x_i >= q iff x_i >= 2^32 or x_i + 2^32 - q >= 2^32: a bit of 32-63 in its slot
-                ones = int.from_bytes(array("Q", [1]) * length, byteorder)
-                high, lift, ints = ones * (2**64 - 2**32), ones * (2**32 - q), []
-                for v in vectors:
-                    x = int.from_bytes(array("Q", v), byteorder)  # no non-int or negative symbol
-                    if (x | x + lift) & high:
-                        raise ValueError
-                    ints.append(x)
-            except (TypeError, ValueError, OverflowError):
-                raise FieldError(f"coefficient or symbol outside [0, {q})") from None
-            out = []
-            for c in rows:
-                acc = sum(map(mul, c, ints)).to_bytes(8 * length, byteorder)
-                out.append(tuple([x % q for x in memoryview(acc).cast("Q")]))
-            return out
-        table, own = self._rows, self._packed
-        packs = [v.packed if type(v) is own else self._packing(v) for v in vectors]
-        out = []
+                ints.append(x)
+        except (TypeError, ValueError, OverflowError):
+            raise FieldError(f"coefficient or symbol outside [0, {q})") from None
+        return rows, ints, length
+
+    def _xor_sums(self, rows: Sequence[Sequence[int]], packs: list[bytes]) -> list[int]:
+        """Over GF(2^m), each row's sum of ``packs`` as one big-endian int."""
+        table, out = self._rows, []
         try:
             for coeffs in rows:
                 acc = 0
@@ -379,7 +481,7 @@ class FieldContext:
                     if c:
                         packed = packed if c == 1 else packed.translate(table[c])
                         acc ^= int.from_bytes(packed, "big")
-                out.append(own(acc.to_bytes(length, "big")))
+                out.append(acc)
         except KeyError:
             raise FieldError(f"coefficient outside [0, {self.q})") from None
         return out

@@ -21,7 +21,8 @@ Grid = tuple[tuple[Entry, ...], ...]
 
 
 class ColumnPlan(NamedTuple):
-    """One user's column as decoding reads it, built from ``PDA.index``.
+    """One user's column as the cache fill and decoding read it, built from
+    ``PDA.index``.
 
     ``symbols`` holds s - 1 for the symbol s of each ordinary row, top to
     bottom, and ``sharers`` the other users with a symbol in common with

@@ -798,6 +798,24 @@ def test_a_formal_value_refuses_its_misuse(misuse, named):
         misuse(x)
 
 
+def test_the_formal_gathered_is_its_composition():
+    # the twin of FieldContext.gathered is, term by term and slot by slot,
+    # the layers gathered from lincombs and added by lincomb; a single
+    # layer's zeros stay ints, which every later call lifts
+    formal, width = splfr.audit._Formal(SMALL), splfr.audit._layout(SMALL)[3]
+    poly = splfr.audit._Poly
+    w = [poly({width * (i + 1): 1}) for i in range(4)]  # W-monomials
+    r = [poly({1: 1}), poly({2: 1, 3: 1})]  # symbols of (r, d)
+    rows = [(r[0], 1), (r[1], r[0]), (0, 0)]
+    vectors = [(w[0], w[1], 0, 1), (w[2], 1, w[3], w[0])]
+    for layers in ([[(0, 1), None]], [[(0, 1), None], [(1, 0), (0, 0)], [(2, 1), (1, 1)]]):
+        got = formal.gathered(rows, vectors, layers, 2)
+        laid = [formal.gather(formal.lincombs(rows, vectors), layer, 2) for layer in layers]
+        want = formal.lincomb((1,) * len(laid), laid)
+        assert [[*formal.lift(p).items()] for p in got] == [[*p.items()] for p in want]
+        assert any(p for p in map(dict, want))
+
+
 @pytest.mark.parametrize("ctx,arr,n,b,demand_space,mode", differential_cases())
 def test_the_run_masks_the_keys_effective_masks(ctx, arr, n, b, demand_space, mode):
     # the walk holds at 0 each symbol of r with no slot in the rows it

@@ -8,7 +8,9 @@ GF(p) and GF(2^m), so each of them has one path for every field.
 The audit's model is one formal run of the engine: only ``_formal_run``
 refers to ``place``, ``deliver`` or ``decode``, so no certificate and no
 ``enumerate_*`` function calls the engine, and no engine call per probe
-point or per atom comes back.  The certificates read the run's
+point or per atom comes back.  That run's context, ``audit._Formal``,
+defines every context method that ``engine.py`` calls, but the ones the
+run never reaches.  The certificates read the run's
 coefficients and take no differences: the decoding errors are taken once,
 in the run.
 
@@ -85,6 +87,42 @@ def test_only_the_formal_run_runs_the_engine():
         )
     ]
     assert callers == ["_formal_run"], callers
+
+
+#: context methods that ``engine.py`` calls outside the formal run: drawing
+#: random vectors, and scaling the demands of a refresh
+UNREACHED_BY_THE_FORMAL_RUN = {"random_vector", "vec_scale"}
+
+
+def test_the_formal_context_has_every_method_the_engine_calls():
+    def on_a_context(node):
+        return (isinstance(node, ast.Name) and node.id == "ctx") or (
+            isinstance(node, ast.Attribute) and node.attr == "ctx"
+        )
+
+    called = {
+        node.func.attr
+        for node in ast.walk(ast.parse((PACKAGE / "engine.py").read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and on_a_context(node.func.value)
+    }
+    formal = next(
+        node
+        for node in ast.parse((PACKAGE / "audit.py").read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "_Formal"
+    )
+    defined = {item.name for item in formal.body if isinstance(item, ast.FunctionDef)} | {
+        target.id
+        for item in formal.body
+        if isinstance(item, ast.Assign)
+        for target in item.targets
+        if isinstance(target, ast.Name)
+    }
+    assert {"lincomb", "gathered", "gather", "join", "split", "pack"} <= called
+    assert UNREACHED_BY_THE_FORMAL_RUN <= called - defined, "the exempt list is stale"
+    missing = sorted(called - defined - UNREACHED_BY_THE_FORMAL_RUN)
+    assert missing == [], f"engine.py calls context methods that _Formal lacks: {missing}"
 
 
 def test_the_audit_never_constructs_randomness():

@@ -170,12 +170,12 @@ class TestSplitOnce:
 
 
 class TestKernelCalls:
-    """Every cache fill takes one kernel call per user, over whole files, and
-    a delivery and each decoding two calls, whatever the array's F and S."""
+    """Every cache fill takes one kernel call per user, over whole files, a
+    delivery two calls and each decoding three, whatever the array's F and S."""
 
     @pytest.mark.parametrize("spec", ["p:65521", "b:8"])
     @pytest.mark.parametrize("t, block", [(2, 2), (3, 1), (3, 4)])
-    def test_a_round_takes_two_kernel_calls_per_user_and_two_to_deliver(
+    def test_a_round_takes_three_kernel_calls_per_user_and_two_to_deliver(
         self, monkeypatch, spec, t, block
     ):
         # man:10,2 has F = 45 and S = 120, man:10,3 F = 120 and S = 210
@@ -184,22 +184,32 @@ class TestKernelCalls:
         demands = tuple(ctx.random_vector(n, random.Random(j)) for j in range(arr.k))
         expected = [state.library.combine(d) for d in demands]
         calls = []
-        kernel = FieldContext.lincombs
+        lincombs, gathered = FieldContext.lincombs, FieldContext.gathered
 
         def counting_lincombs(self, rows, vectors):
             calls.append((len(rows), len(vectors), len(vectors[0])))
-            return kernel(self, rows, vectors)
+            return lincombs(self, rows, vectors)
+
+        def counting_gathered(self, rows, vectors, layers, size):
+            calls.append((len(rows), len(vectors), len(vectors[0]), len(layers), size))
+            return gathered(self, rows, vectors, layers, size)
 
         monkeypatch.setattr(FieldContext, "lincombs", counting_lincombs)
+        monkeypatch.setattr(FieldContext, "gathered", counting_gathered)
         payload = deliver(state, demands)
-        # every user's combination of the files, then the keys and g layers
-        assert calls == [(arr.k, n, arr.f * block), (1, 1 + (t + 1), arr.s * block)]
+        # the g layers of every user's combination of the files, then the keys
+        assert calls == [(arr.k, n, arr.f * block, t + 1, block), (1, 2, arr.s * block)]
         del calls[:]
         for k in range(arr.k):
             assert decode(state.user_view(k), payload, demands[k]) == expected[k]
-        # the 9 other users' q_j and the demand over the Z star rows; then
-        # the block, the record and t cross terms over the F - Z others
-        per_user = [(1 + 9, n, arr.z * block), (1, 2 + t, (arr.f - arr.z) * block)]
+        # the demand over the Z star rows; the t layers of the 9 other users'
+        # q_j over them; then the block, the record and those layers' sum over
+        # the F - Z others
+        per_user = [
+            (1, n, arr.z * block),
+            (9, n, arr.z * block, t, block),
+            (1, 3, (arr.f - arr.z) * block),
+        ]
         assert calls == per_user * arr.k
 
     @pytest.mark.parametrize("spec", ["p:65521", "b:8"])
@@ -494,22 +504,29 @@ class TestDecode:
                 got = decode(state.user_view(k), payload, demands[k])
                 assert got == state.library.combine(demands[k])
 
-    def test_the_multi_row_call_takes_the_demand_and_the_sharing_users_q(self, monkeypatch):
+    def test_the_gathered_call_takes_the_sharing_users_q_and_the_star_rows_the_demand(
+        self, monkeypatch
+    ):
         # users 0 and 1 share symbol 1, users 2 and 3 share symbol 2
         arr = validate(((STAR, 1, STAR, 2), (1, STAR, 2, STAR)))
         negs, calls = [], []
-        neg, kernel = FieldContext.neg, FieldContext.lincombs
+        neg, lincombs, gathered = FieldContext.neg, FieldContext.lincombs, FieldContext.gathered
 
         def counting_neg(self, a):
             negs.append(a)
             return neg(self, a)
 
         def counting_lincombs(self, rows, vectors):
-            calls.append(rows)
-            return kernel(self, rows, vectors)
+            calls.append(("lincombs", rows))
+            return lincombs(self, rows, vectors)
+
+        def counting_gathered(self, rows, vectors, layers, size):
+            calls.append(("gathered", rows))
+            return gathered(self, rows, vectors, layers, size)
 
         monkeypatch.setattr(FieldContext, "neg", counting_neg)
         monkeypatch.setattr(FieldContext, "lincombs", counting_lincombs)
+        monkeypatch.setattr(FieldContext, "gathered", counting_gathered)
         n = 3
         for ctx in (GF256, FieldContext.prime(5)):
             state = make_state(arr, n, 4, ctx, seed=17)
@@ -527,12 +544,13 @@ class TestDecode:
                 assert len(sharers) == 1
                 del negs[:], calls[:]
                 assert decode(state.user_view(k), payload, demands[k]) == expected[k]
-                # one call of many rows: each sharer's coefficient vector, as
-                # it is, and the demand; then one row for the ordinary rows
-                multi = [rows for rows in calls if len(rows) > 1]
-                assert len(calls) == 2 and len(multi) == 1
-                rows = multi[0]
-                assert len(rows) == 1 + len(sharers) and rows[-1] is demands[k]
+                # the demand alone makes the star rows; one gathered call takes
+                # each sharer's coefficient vector, as it is; then one row for
+                # the ordinary rows
+                assert [kind for kind, _ in calls] == ["lincombs", "gathered", "lincombs"]
+                (_, star), (_, rows), (_, ordinary) = calls
+                assert len(star) == 1 and star[0] is demands[k] and len(ordinary) == 1
+                assert len(rows) == len(sharers)
                 assert all(r is payload.coeff_vectors[j] for r, j in zip(rows, sorted(sharers)))
                 # no vector is negated: the one scalar negated is the 1 that
                 # subtracts the record and the cross terms

@@ -312,6 +312,167 @@ class TestGather:
         assert packings == []
 
 
+def gathered_oracle(ctx, rows, vectors, layers, size):
+    """Independent oracle: each row's combination from scalar add and mul, its
+    picked packets laid end to end, zeros for None, the layers added."""
+    combos = [lincomb_oracle(ctx, row, vectors) for row in rows]
+    out = [0] * (len(layers[0]) * size)
+    for layer in layers:
+        for i, p in enumerate(layer):
+            if p is not None:
+                for o in range(size):
+                    out[i * size + o] = ctx.add(out[i * size + o], combos[p[0]][p[1] * size + o])
+    return tuple(out)
+
+
+@st.composite
+def gathered_calls(draw, ctx):
+    """A ``kernel_calls`` draw, some operands another context's ``Packed``,
+    with a packet size and one or more layers of picks, None among them;
+    with no rows every pick is None."""
+    rows, vectors, operands = draw(kernel_calls(ctx))
+    # some operands, where their symbols fit, are another context's Packed
+    foreign = draw(st.lists(st.booleans(), min_size=len(vectors), max_size=len(vectors)))
+    other = FieldContext.binary(8, poly=0x11B) if ctx.q != 256 else FieldContext.binary(7)
+    operands = [
+        other.pack(v) if f and max(v) < other.q else u for u, v, f in zip(operands, vectors, foreign)
+    ]
+    length = len(vectors[0])
+    size = draw(st.integers(1, length), label="size")
+    pick = st.none()
+    if rows:
+        pick |= st.tuples(st.integers(0, len(rows) - 1), st.integers(0, length // size - 1))
+    count = draw(st.integers(0, 5), label="picks")
+    layers = draw(
+        st.lists(st.lists(pick, min_size=count, max_size=count), min_size=1, max_size=4),
+        label="layers",
+    )
+    return rows, vectors, operands, layers, size
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=lambda c: c.spec)
+class TestGathered:
+    """The layers' sum, made from unreduced row sums, against the composition
+    of ``lincombs``, ``gather`` and ``lincomb`` and against the scalar oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_is_the_sum_of_the_gathered_layers_and_the_scalar_oracle(self, ctx, data):
+        rows, vectors, operands, layers, size = data.draw(gathered_calls(ctx))
+        out = ctx.gathered(rows, operands, layers, size)
+        laid = [ctx.gather(ctx.lincombs(rows, operands), layer, size) for layer in layers]
+        assert out == ctx.lincomb((1,) * len(laid), laid)
+        assert out == gathered_oracle(ctx, rows, vectors, layers, size)
+        assert type(out) is type(ctx.pack(out))  # the context's own Packed over GF(2^m)
+
+    @pytest.mark.parametrize("length", [1, PACK_FROM - 1, PACK_FROM, MAX_LENGTH])
+    def test_lays_zeros_for_none_and_for_rows_of_zeros(self, ctx, length):
+        vectors = [tuple((3 * i + j) % ctx.q for j in range(length)) for i in range(3)]
+        rows = [(0, 0, 0), (1, ctx.q - 1, 1)]
+        for layers in ([[None, (0, 0)]], [[None, None], [(0, 0), None]]):
+            assert ctx.gathered(rows, vectors, layers, 1) == (0, 0)
+        one = ctx.gathered([(0, 0, 1)], vectors, [[None, (0, length - 1)], [(0, 0), None]], 1)
+        assert one == (vectors[2][0], vectors[2][-1])
+        assert ctx.gathered([(1, 0, 0), (0, 0, 1)], vectors, [[(0, 0)], [(1, 0)]], 1) == (
+            ctx.add(vectors[0][0], vectors[2][0]),
+        )
+
+    def test_mixes_packed_and_plain_operands_and_another_contexts(self, ctx):
+        other = FieldContext.binary(8) if ctx != FieldContext.binary(8) else FieldContext.binary(4)
+        length = MAX_LENGTH
+        vectors = [tuple((5 * i + j) % min(ctx.q, other.q) for j in range(length)) for i in range(3)]
+        rows = [(1, 2 % ctx.q, ctx.q - 1), (0, 1, 1)]
+        layers, want = [[(0, 1), (1, 0)], [None, (0, 3)]], None
+        for operands in (
+            vectors,
+            [ctx.pack(v) for v in vectors],
+            [vectors[0], ctx.pack(vectors[1]), other.pack(vectors[2])],
+            [other.pack(v) for v in vectors],
+        ):
+            got = ctx.gathered(rows, operands, layers, 8)
+            want = want or gathered_oracle(ctx, rows, vectors, layers, 8)
+            assert got == want
+        if ctx.kind == "binary" and ctx.q < other.q:  # checked again, and refused
+            with pytest.raises(FieldError):
+                ctx.gathered(rows, [*vectors[:2], other.pack((ctx.q,) * length)], layers, 8)
+
+    @pytest.mark.parametrize("length", [1, PACK_FROM - 1, PACK_FROM, MAX_LENGTH])
+    def test_rejects_input_outside_field(self, ctx, length):
+        # as ``lincombs`` checks them: a term zero in every row is dropped,
+        # over GF(p), before the checks; below PACK_FROM symbols GF(p)
+        # checks the coefficients alone
+        q, ok = ctx.q, (1,) * length
+        layers = [[(0, 0)], [None]]
+        cases = [
+            (((1,), (q,)), (ok,)),  # a coefficient outside the field, in any row
+            (((-1,), (1,)), (ok,)),
+            (((1.5,),), (ok,)),
+        ]
+        if ctx.kind == "binary" or length >= PACK_FROM:
+            cases += [
+                (((0, 1), (1, 1)), (ok, (q,) + ok[1:])),  # a symbol outside the field
+                (((1,),), ((-1,) + ok[1:],)),
+                (((1,),), ((1.5,) + ok[1:],)),
+            ]
+        for rows, vectors in cases:
+            with pytest.raises(FieldError):
+                ctx.gathered(rows, vectors, layers, 1)
+
+    @pytest.mark.parametrize("length", [1, PACK_FROM - 1, PACK_FROM, MAX_LENGTH])
+    def test_rejects_picks_and_layers_it_cannot_lay(self, ctx, length):
+        vectors, rows = [(1,) * length] * 2, [(1, 1)]
+        for layers in (
+            [],  # no layer
+            [[(0, 0)], [(0, 0), None]],  # layers of two counts of picks
+            [[(0, length)]],  # a packet past the end of the combination
+            [[(1, 0)]],  # a row past the last
+        ):
+            with pytest.raises(FieldError):
+                ctx.gathered(rows, vectors, layers, 1)
+        with pytest.raises(FieldError):  # rows of another count, as in lincombs
+            ctx.gathered([(1,)], vectors, [[(0, 0)]], 1)
+
+
+@pytest.mark.parametrize("ctx", PRIME_KERNEL_FIELDS, ids=lambda c: c.spec)
+def test_gathered_takes_the_short_and_packed_paths_alike(ctx):
+    # the same layers over operands on either side of PACK_FROM
+    rows = [(1, ctx.q - 1), (2 % ctx.q, 1)]
+    for length in (PACK_FROM - 1, PACK_FROM):
+        vectors = [tuple((7 * i + j) % ctx.q for j in range(length)) for i in range(2)]
+        layers = [[(1, 2), None, (0, 0)], [(0, 1), (1, 0), None], [None, None, (1, 4)]]
+        want = gathered_oracle(ctx, rows, vectors, layers, 3)
+        assert ctx.gathered(rows, vectors, layers, 3) == want
+
+
+class TestGatheredSlotBound:
+    """Over GF(65521) the sum of L layers of T terms stays in its 64-bit slot
+    while L * T < 2^32: at the top of that range every slot holds
+    (2^32 - 1) * (q - 1)^2, just under 2^64."""
+
+    GF = FieldContext.prime(65521)
+
+    def test_a_full_slot_of_layers_reduces_exactly(self):
+        top, q = self.GF.q - 1, self.GF.q
+        terms, layers = 2**16 + 1, 2**16 - 1  # L * T = 2^32 - 1
+        assert 0 < 2**64 - layers * terms * top * top < 2**64 // 1000  # within 0.1% of 2^64
+        vector = (top,) * PACK_FROM
+        out = self.GF.gathered(
+            [(top,) * terms], [vector] * terms, [[(0, 0), None]] * layers, PACK_FROM // 2
+        )
+        # the scalar oracle: each slot is L * T products (q - 1) * (q - 1)
+        one = self.GF.mul(self.GF.mul(layers % q, terms % q), self.GF.mul(top, top))
+        assert out == (one,) * (PACK_FROM // 2) + (0,) * (PACK_FROM // 2)
+
+    def test_layers_of_terms_that_could_overflow_a_slot_are_refused(self):
+        vector = (1,) * PACK_FROM
+        with pytest.raises(FieldError, match="overflow"):
+            self.GF.gathered([(1,) * 2**16], [vector] * 2**16, [[(0, 0)]] * 2**16, 1)
+        # terms zero in every row do not count
+        rows = [(1,) * (2**16 - 1) + (0,)]
+        out = self.GF.gathered(rows, [vector] * 2**16, [[(0, 0)]] * (2**16 + 1), 1)
+        assert out == (((2**16 + 1) * (2**16 - 1)) % self.GF.q,)
+
+
 BINARY_KERNEL_FIELDS = [c for c in KERNEL_FIELDS if c.kind == "binary"]
 
 
