@@ -257,12 +257,11 @@ class _Formal:
     def lincomb(self, coeffs, vectors) -> tuple[_Poly, ...]:
         return self.lincombs((coeffs,), vectors)[0]
 
-    def gathered(self, rows, vectors, layers, size: int) -> tuple:
-        """The sum of the layers gathered from the rows' combinations, as it
-        reads; a single layer is its own sum (its zeros left ints)."""
+    def gathered(self, rows, vectors, layers, size: int) -> tuple[_Poly, ...]:
+        """The sum of the layers gathered from the rows' combinations, as it reads."""
         products = self.lincombs(rows, vectors)
         laid = [self.gather(products, layer, size) for layer in layers]
-        return laid[0] if len(laid) == 1 else self.lincomb((1,) * len(laid), laid)
+        return self.lincomb((1,) * len(laid), laid)
 
     def lincombs(self, rows, vectors) -> list[tuple[_Poly, ...]]:
         """Each row's combination, each operand symbol lifted once for all the rows."""

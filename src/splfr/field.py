@@ -97,22 +97,22 @@ def _pivot(row: Sequence[int]) -> int | None:
     return next((i for i, x in enumerate(row) if x), None)
 
 
-def _laid(sums: list[bytes], layers: Sequence, width: int, count: int) -> list[bytes]:
+def _laid(sums: list[bytes], layers: Sequence, width: int, packets: int) -> list[bytes]:
     """Each layer of ``gathered``: the pieces of ``sums``, ``width`` bytes
-    apiece, that its picks (a, x) take, zeros for None, joined into ``count``."""
-    zero = bytes(width)
+    apiece, that its picks (a, x) take, zeros for None, joined end to end.
+
+    Each pick is looked up in dicts of the rows and of the ``packets``
+    slices, so that one outside them, negative ones included, raises.
+    """
+    zero, by_row = bytes(width), dict(enumerate(sums))
+    cuts = {x: slice(x * width, (x + 1) * width) for x in range(packets)}
     try:
-        out = [
-            b"".join([
-                zero if p is None else sums[p[0]][p[1] * width : (p[1] + 1) * width] for p in layer
-            ])
+        return [
+            b"".join([zero if p is None else by_row[p[0]][cuts[p[1]]] for p in layer])
             for layer in layers
         ]
-        if len({count, *map(len, out)}) == 1:
-            return out
-    except IndexError:
-        pass
-    raise FieldError("a pick lies outside the rows' combinations")
+    except (KeyError, IndexError, TypeError):
+        raise FieldError("a pick lies outside the rows' combinations") from None
 
 
 def _build_rows(m: int, poly: int) -> dict[int, bytes]:
@@ -384,39 +384,44 @@ class FieldContext:
         below ``PACK_FROM`` symbols each output symbol is one sum over the
         layers' picks, reduced once.  The rows and vectors are checked as by
         ``lincombs``; the layers must be one or more, of one count of picks,
-        and each pick (a, x) must lie inside row a's combination.  Over
+        and on every path, zero operands or not, each pick (a, x) must name
+        a row a and a whole packet x of its combination.  Over
         GF(p) a slot holds L * T * (q - 1)^2 < 2^64 for L layers of T terms
         while L * T < 2^32, which is checked.
         """
-        if not layers or len({*map(len, layers)}) != 1:
-            raise FieldError("need one or more layers of one count of picks")
+        if size < 1 or not layers or len({*map(len, layers)}) != 1:
+            raise FieldError("need one or more layers of one count of picks of packets")
         rows, operands, length = self._operands(rows, vectors, len(layers))
-        count = len(layers[0]) * size
+        count, packets = len(layers[0]) * size, length // size
         if self.kind == "binary":
             sums = [acc.to_bytes(length, "big") for acc in self._xor_sums(rows, operands)]
             acc = 0
-            for joined in _laid(sums, layers, size, count):
+            for joined in _laid(sums, layers, size, packets):
                 acc ^= int.from_bytes(joined, "big")
             return self._packed(acc.to_bytes(count, "big"))
         q = self.q
-        if not operands:
-            return (0,) * count
         if length < PACK_FROM:  # each output symbol one sum over the layers, reduced once
-            columns = [*zip(*operands)]
+            # dicts, not lists, so that a negative index raises as one past the end does
+            by_row, columns = dict(enumerate(rows)), dict(enumerate(zip(*operands)))
             try:
                 return tuple([
-                    sum([sum(map(mul, rows[p[0]], columns[p[1] * size + o])) for p in picks if p])
+                    sum([
+                        sum(map(mul, by_row[p[0]], columns[p[1] * size + o]))
+                        for p in picks
+                        if p is not None
+                    ])
                     % q
                     for picks in zip(*layers)
                     for o in range(size)
                 ])
-            except IndexError:
+            except (KeyError, IndexError, TypeError):
                 raise FieldError("a pick lies outside the rows' combinations") from None
         width = 8 * size
+        # with every term zero no operand is left: each row's sum is 0, and _laid still
+        # checks the picks
         sums = [sum(map(mul, c, operands)).to_bytes(8 * length, byteorder) for c in rows]
         acc = sum([
-            int.from_bytes(joined, byteorder)
-            for joined in _laid(sums, layers, width, 8 * count)
+            int.from_bytes(joined, byteorder) for joined in _laid(sums, layers, width, packets)
         ])
         return tuple([x % q for x in memoryview(acc.to_bytes(8 * count, byteorder)).cast("Q")])
 
@@ -427,11 +432,12 @@ class FieldContext:
 
         Over GF(2^m) the operands are the vectors' packings, and the
         coefficients are checked where ``_xor_sums`` reads their product
-        rows.  Over GF(p) the coefficients are checked; below ``PACK_FROM``
-        symbols the operands are the vectors, unchecked, else the terms zero
-        in every row are dropped and the others' vectors checked and packed
-        into ints of 64-bit slots, whose sums of ``layers`` layers of the
-        rows' combinations must stay in their slots.
+        rows.  Over GF(p) every coefficient is checked, at any length, zero
+        ones included; below ``PACK_FROM`` symbols the operands are the
+        vectors, unchecked, else the terms zero in every row are dropped and
+        the others' vectors checked and packed into ints of 64-bit slots,
+        whose sums of ``layers`` layers of the rows' combinations must stay
+        in their slots.
         """
         if len({len(vectors), *map(len, rows)}) != 1:
             raise FieldError(f"a row of coefficients for {len(vectors)} vectors has another count")
@@ -445,30 +451,32 @@ class FieldContext:
             own = self._packed
             return rows, [v.packed if type(v) is own else self._packing(v) for v in vectors], length
         q = self.q
-        if length >= PACK_FROM:  # terms zero in every row are not packed
-            terms = rows[0] if len(rows) == 1 else [*map(any, zip(*rows))]
-            if not all(terms):
-                vectors, rows = [*compress(vectors, terms)], [[*compress(c, terms)] for c in rows]
-            if not vectors:
-                return rows, [], length
-            if layers * len(vectors) >= 2**32:
-                raise FieldError(f"{layers} layers of {len(vectors)} terms overflow a 64-bit slot")
         try:
             # no non-int or negative coefficient, and none of q or more
             if max(array("Q", rows[0] if len(rows) == 1 else [*chain(*rows)]), default=0) >= q:
                 raise ValueError
-            if length < PACK_FROM:
-                return rows, vectors, length
-            # x_i >= q iff x_i >= 2^32 or x_i + 2^32 - q >= 2^32: a bit of 32-63 in its slot
-            ones = int.from_bytes(array("Q", [1]) * length, byteorder)
-            high, lift, ints = ones * (2**64 - 2**32), ones * (2**32 - q), []
+        except (TypeError, ValueError, OverflowError):
+            raise FieldError(f"coefficient outside [0, {q})") from None
+        if length < PACK_FROM:
+            return rows, vectors, length
+        terms = rows[0] if len(rows) == 1 else [*map(any, zip(*rows))]
+        if not all(terms):  # terms zero in every row are not packed
+            vectors, rows = [*compress(vectors, terms)], [[*compress(c, terms)] for c in rows]
+        if not vectors:
+            return rows, [], length
+        if layers * len(vectors) >= 2**32:
+            raise FieldError(f"{layers} layers of {len(vectors)} terms overflow a 64-bit slot")
+        # x_i >= q iff x_i >= 2^32 or x_i + 2^32 - q >= 2^32: a bit of 32-63 in its slot
+        ones = int.from_bytes(array("Q", [1]) * length, byteorder)
+        high, lift, ints = ones * (2**64 - 2**32), ones * (2**32 - q), []
+        try:
             for v in vectors:
                 x = int.from_bytes(array("Q", v), byteorder)  # no non-int or negative symbol
                 if (x | x + lift) & high:
                     raise ValueError
                 ints.append(x)
         except (TypeError, ValueError, OverflowError):
-            raise FieldError(f"coefficient or symbol outside [0, {q})") from None
+            raise FieldError(f"symbol outside [0, {q})") from None
         return rows, ints, length
 
     def _xor_sums(self, rows: Sequence[Sequence[int]], packs: list[bytes]) -> list[int]:

@@ -800,8 +800,7 @@ def test_a_formal_value_refuses_its_misuse(misuse, named):
 
 def test_the_formal_gathered_is_its_composition():
     # the twin of FieldContext.gathered is, term by term and slot by slot,
-    # the layers gathered from lincombs and added by lincomb; a single
-    # layer's zeros stay ints, which every later call lifts
+    # the layers gathered from lincombs and added by lincomb
     formal, width = splfr.audit._Formal(SMALL), splfr.audit._layout(SMALL)[3]
     poly = splfr.audit._Poly
     w = [poly({width * (i + 1): 1}) for i in range(4)]  # W-monomials
@@ -812,7 +811,7 @@ def test_the_formal_gathered_is_its_composition():
         got = formal.gathered(rows, vectors, layers, 2)
         laid = [formal.gather(formal.lincombs(rows, vectors), layer, 2) for layer in layers]
         want = formal.lincomb((1,) * len(laid), laid)
-        assert [[*formal.lift(p).items()] for p in got] == [[*p.items()] for p in want]
+        assert [[*p.items()] for p in got] == [[*p.items()] for p in want]
         assert any(p for p in map(dict, want))
 
 

@@ -266,14 +266,17 @@ class TestLincombs:
 
     @pytest.mark.parametrize("length", [1, PACK_FROM - 1, PACK_FROM, MAX_LENGTH])
     def test_rejects_input_outside_field(self, ctx, length):
-        # a term zero in every row is dropped, over GF(p), before the checks;
-        # below PACK_FROM symbols GF(p) checks the coefficients alone
+        # a term zero in every row is dropped, over GF(p), after the
+        # coefficient checks and before the symbol checks; below PACK_FROM
+        # symbols GF(p) checks the coefficients alone
         q, ok = ctx.q, (1,) * length
         cases = [
             (((1,), (q,)), (ok,)),  # a coefficient outside the field, in any row
             (((-1,), (1,)), (ok,)),
             (((1.5,),), (ok,)),
         ]
+        if ctx.kind == "prime":  # a float zero, at every length
+            cases += [(((0.0, 1),), (ok, ok))]
         if ctx.kind == "binary" or length >= PACK_FROM:
             cases += [
                 (((0, 1), (1, 1)), (ok, (q,) + ok[1:])),  # a symbol outside the field
@@ -399,8 +402,8 @@ class TestGathered:
     @pytest.mark.parametrize("length", [1, PACK_FROM - 1, PACK_FROM, MAX_LENGTH])
     def test_rejects_input_outside_field(self, ctx, length):
         # as ``lincombs`` checks them: a term zero in every row is dropped,
-        # over GF(p), before the checks; below PACK_FROM symbols GF(p)
-        # checks the coefficients alone
+        # over GF(p), after the coefficient checks and before the symbol
+        # checks; below PACK_FROM symbols GF(p) checks the coefficients alone
         q, ok = ctx.q, (1,) * length
         layers = [[(0, 0)], [None]]
         cases = [
@@ -408,6 +411,8 @@ class TestGathered:
             (((-1,), (1,)), (ok,)),
             (((1.5,),), (ok,)),
         ]
+        if ctx.kind == "prime":  # a float zero, at every length
+            cases += [(((0.0, 1),), (ok, ok))]
         if ctx.kind == "binary" or length >= PACK_FROM:
             cases += [
                 (((0, 1), (1, 1)), (ok, (q,) + ok[1:])),  # a symbol outside the field
@@ -420,15 +425,29 @@ class TestGathered:
 
     @pytest.mark.parametrize("length", [1, PACK_FROM - 1, PACK_FROM, MAX_LENGTH])
     def test_rejects_picks_and_layers_it_cannot_lay(self, ctx, length):
-        vectors, rows = [(1,) * length] * 2, [(1, 1)]
-        for layers in (
-            [],  # no layer
-            [[(0, 0)], [(0, 0), None]],  # layers of two counts of picks
-            [[(0, length)]],  # a packet past the end of the combination
-            [[(1, 0)]],  # a row past the last
-        ):
-            with pytest.raises(FieldError):
-                ctx.gathered(rows, vectors, layers, 1)
+        # on every path, rows of zeros included, whose sums are all zero
+        vectors = [(1,) * length] * 2
+        for rows in ([(1, 1)], [(0, 0)], [(1, 1), (0, 0)]):
+            for layers in (
+                [],  # no layer
+                [[(0, 0)], [(0, 0), None]],  # layers of two counts of picks
+                [[(0, length)]],  # a packet past the end of the combination
+                [[(len(rows), 0)]],  # a row past the last
+                [[(0, -1)]],  # negative packets and rows
+                [[(0, -2)], [None]],
+                [[(-1, 0)]],
+                [[(5, 99)]],
+                [[(0, 0.5)]],  # not an index
+                [[()]],
+            ):
+                with pytest.raises(FieldError):
+                    ctx.gathered(rows, vectors, layers, 1)
+            if length > 2:  # a packet not whole: the second of length - 1 symbols
+                with pytest.raises(FieldError):
+                    ctx.gathered(rows, vectors, [[(0, 1)]], length - 1)
+            for size in (0, -1):  # no packet size
+                with pytest.raises(FieldError):
+                    ctx.gathered(rows, vectors, [[None]], size)
         with pytest.raises(FieldError):  # rows of another count, as in lincombs
             ctx.gathered([(1,)], vectors, [[(0, 0)]], 1)
 
