@@ -30,18 +30,22 @@ bi-affine at the instance, and the certificates read its rows by slot:
   colluders' view, stacked over the W-monomials, as each other user's
   demand move does.
 
-A pass is a proof for the instance, resting on the premise, checked in
-the run, on ``FieldContext.lincombs`` giving each row's sum c*v and on
+Both rank tests, and the coset names below, are one sparse Gauss-Jordan
+elimination, ``_eliminate``, on rows by slot.  A pass is a proof for the
+instance, resting on the premise, checked in the run, on
+``FieldContext.lincombs`` giving each row's sum c*v and on
 ``FieldContext.gather`` laying out the packets it picks, which
 ``tests/test_field.py`` checks (the formal run reckons with the scalar
-``add`` and ``mul``).  A failing security or privacy certificate is
+``add`` and ``mul``), and on the eliminator's scalar ``add``, ``mul``,
+``neg`` and ``inv``.  A failing security or privacy certificate is
 decided from the model, with no engine call per atom and no logarithm, by
 the identities count(a, b) * total == count(a) * count(b) of conditions a
 and observations b, which hold for every pair iff the mutual information
 is exactly zero.  At (W, d) the observation is o(W, d) + A_W r.  Where no
 row has a slot W_i * r_x, A_W is one matrix, and each condition has a
-class: the coset of Im A_W that its observation is uniform on, named by a
-residue (with the seen demands, per files slice, in privacy).  A class of
+class: the coset of Im A_W that its observation is uniform on, named by the
+view's rows with every key slot pivoted out (with the seen demands, per
+files slice, in privacy).  A class of
 m of the |A| conditions breaks its q^rank * |A| identities iff m != |A|,
 so one point per (W, d), at r = 0, counts them.  Else, as for security
 under PLFR, each effective atom is counted once, a symbol of r that the
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, groupby, islice, product, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .engine import Library, Mode, Randomness, SchemeState, Vector, decode, deliver, place
 from .field import FieldContext
@@ -427,22 +431,18 @@ def _placements(
 
 
 def _factored(cfg: AuditConfig, view: Sequence[dict]) -> Optional[tuple[list[dict], int]]:
-    """The residue naming the coset of the key image U, as rows in (W, d), and U's rank.
+    """Rows in (W, d) whose values name the coset of the key image U, and U's rank.
 
-    One row per non-pivot symbol of U's echelon basis, each (W, d) slot
-    reduced once; None if a row has a slot W_i * r_x, so that U moves.
+    The view's rows with every key slot pivoted out: what is left is each
+    combination of view symbols that no key moves, so two observations lie
+    in one coset iff these rows agree on them.  None if a row has a slot
+    W_i * r_x, so that U moves.
     """
-    ctx, (_, keys, _, width) = cfg.ctx, _layout(cfg)
-    slots = {s for row in view for s in row}
-    keyed = {s for s in slots if 0 < s % width <= keys}
-    if any(s >= width for s in keyed):
+    _, keys, _, width = _layout(cfg)
+    if any(s >= width and 0 < s % width <= keys for row in view for s in row):
         return None
-    basis = ctx.echelon(_column(view, s) for s in sorted(keyed))
-    residues = {s: ctx.reduce(basis, _column(view, s)) for s in sorted(slots - keyed)}
-    pivots = {b.index(1) for b in basis}
-    rows = [{s: v[i] for s, v in residues.items() if v[i]}
-            for i in range(len(view)) if i not in pivots]
-    return rows or [{}], len(basis)  # a zero row where U covers the view
+    rows, pivots = _eliminate(cfg.ctx, view, range(1, 1 + keys))
+    return rows or [{}], len(pivots)  # a zero row where U covers the view
 
 
 def _signal(cfg: AuditConfig, flat: Vector) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
@@ -579,6 +579,33 @@ def correctness_certificate(cfg: AuditConfig, model: _Model) -> Optional[dict]:
     }
 
 
+def _eliminate(
+    ctx: FieldContext, rows: Iterable[dict], columns: Sequence[int], free: Optional[Callable] = None
+) -> tuple[list[dict], list[dict]]:
+    """Gauss-Jordan on sparse rows {slot: coefficient}: (rows left, pivot rows).
+
+    Each of ``columns`` that a row still holds, and that ``free(column,
+    rows left)`` allows, pivots that row out and is cleared from every row
+    left, until no column pivots.  The rows are not changed in place.
+    """
+    rows, pivots, again = list(rows), [], True
+    while again:  # only a column that ``free`` deferred can pivot on another pass
+        again = False
+        for c in columns:
+            holding = [i for i, row in enumerate(rows) if c in row]
+            if not holding or (free is not None and not free(c, rows)):
+                continue
+            pivot = rows[holding[0]]
+            scale, again = ctx.neg(ctx.inv(pivot[c])), free is not None
+            for i in holding[1:]:  # row + scale * row[c] * pivot, its zero coefficients dropped
+                a, row = ctx.mul(scale, rows[i][c]), dict(rows[i])
+                for s, x in pivot.items():
+                    row[s] = ctx.add(row.get(s, 0), ctx.mul(a, x))
+                rows[i] = {s: x for s, x in row.items() if x}
+            pivots.append(rows.pop(holding[0]))
+    return rows, pivots
+
+
 def security_certificate(cfg: AuditConfig, model: _Model) -> bool:
     """The signal's coset, offset + C_W * delta + Im(A_W), is one for every (W, d).
 
@@ -587,22 +614,12 @@ def security_certificate(cfg: AuditConfig, model: _Model) -> bool:
     row, and constant multipliers keep the rows affine in W.  The rows left
     at the end must have no slot but the constant one.
     """
-    ctx, (_, keys, _, width) = cfg.ctx, _layout(cfg)
-    rows, pivoted = list(model.signal), True
-    while pivoted:
-        pivoted = False
-        for c in range(1, 1 + keys):
-            pivot = next((i for i, row in enumerate(rows) if c in row), None)
-            if pivot is None or any(s % width == c and s > c for row in rows for s in row):
-                continue
-            pivot = rows.pop(pivot)
-            scale, pivoted = ctx.neg(ctx.inv(pivot[c])), True
-            for i, row in enumerate(rows):
-                if c in row:  # row + scale * row[c] * pivot, its zero coefficients dropped
-                    a, row = ctx.mul(scale, row[c]), dict(row)
-                    for s, x in pivot.items():
-                        row[s] = ctx.add(row.get(s, 0), ctx.mul(a, x))
-                    rows[i] = {s: x for s, x in row.items() if x}
+    _, keys, _, width = _layout(cfg)
+
+    def free(c: int, rows: list) -> bool:  # no row left has a slot W_i * r_c
+        return not any(s % width == c and s > c for row in rows for s in row)
+
+    rows, _ = _eliminate(cfg.ctx, model.signal, range(1, 1 + keys), free)
     return all(row.keys() <= {0} for row in rows)
 
 
@@ -613,20 +630,25 @@ def privacy_certificate(
 
     The view is the signal and the colluders' caches; each part of (r, d)
     moves it by its coefficients, stacked over the W-monomials, so that one
-    Delta r serves every W.  The colluders' own demands are left out: no key
-    or other user's demand moves them, so they split the view into disjoint
-    cosets without changing the test.
+    Delta r serves every W.  With one row per cell (W-monomial, view
+    symbol) over the symbols of (r, d), and every key symbol pivoted out,
+    the rows left span the combinations of cells that no key moves: the
+    moves lie in the span of the key parts iff none of them moves one.
+    The colluders' own demands are left out: no key or other user's demand
+    moves them, so they split the view into disjoint cosets without
+    changing the test.
     """
-    ctx, (_, keys, per_user, width), ok = cfg.ctx, _layout(cfg), []
+    (_, keys, per_user, width), ok = _layout(cfg), []
     for colluders in ([u - 1 for u in subset] for subset in subsets):
-        view = model.signal + _flat(model.caches[k] for k in colluders)
-        # (W-monomial's first slot, view symbol) wherever some part has a coefficient
-        cells = sorted({(s - s % width, i) for i, row in enumerate(view) for s in row if s % width})
-        parts = [tuple(view[i].get(w + x, 0) for w, i in cells) for x in range(width)]
+        cells: dict[tuple[int, int], dict[int, int]] = {}
+        for i, row in enumerate(model.signal + _flat(model.caches[k] for k in colluders)):
+            for s, c in row.items():
+                if s % width:
+                    cells.setdefault((s - s % width, i), {})[s % width] = c
         others = [k for k in range(cfg.pda.k) if k not in colluders]
-        moves = (parts[1 + keys + k * per_user + t] for k in others for t in range(per_user))
-        basis = ctx.echelon(parts[1 : 1 + keys])
-        ok.append(not any(any(ctx.reduce(basis, v)) for v in moves))
+        moves = {1 + keys + k * per_user + t for k in others for t in range(per_user)}
+        rows, _ = _eliminate(cfg.ctx, cells.values(), range(1, 1 + keys))
+        ok.append(all(moves.isdisjoint(row) for row in rows))
     return ok
 
 

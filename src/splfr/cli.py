@@ -22,6 +22,7 @@ import json
 import random
 import secrets
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__, audit, engine, pda as pda_mod, tradeoff
@@ -36,6 +37,20 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj
+
+
+@contextmanager
+def _all_digits():
+    """Ints of any length convert to str inside, as an atom count can pass
+    Python's default limit of 4,300 digits; the old limit is restored after."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def emit_report(payload: dict) -> None:
@@ -234,10 +249,10 @@ def cmd_audit(args):
         # no subset given: audit every nonempty colluding subset
         subset = None if args.subset is None else _parse_subset(args.subset)
         report = audit.audit_privacy(cfg, subset)
-    return dict(report.to_dict(), config=config), (
-        f"{args.audit_cmd}: {'PASS' if report.verdict else 'FAIL'} "
-        f"({report.atoms} atoms, {report.violations} violations, by {report.method})"
-    )
+    with _all_digits():
+        summary = (f"{args.audit_cmd}: {'PASS' if report.verdict else 'FAIL'} "
+                   f"({report.atoms} atoms, {report.violations} violations, by {report.method})")
+    return dict(report.to_dict(), config=config), summary
 
 
 def _parse_subset(text: str) -> list[int]:
@@ -463,10 +478,11 @@ def main(argv=None) -> int:
     except (pda_mod.PdaError, engine.EngineError, audit.AuditError,
             tradeoff.TradeoffError, FieldError, OSError) as exc:
         report, summary = {"verdict": "fail", "error": str(exc)}, f"error: {exc}"
-    if report is not None:
-        emit_report(report)
-    if summary is not None:
-        print(summary, file=sys.stderr)
+    with _all_digits():
+        if report is not None:
+            emit_report(report)
+        if summary is not None:
+            print(summary, file=sys.stderr)
     return 0 if report is None or report["verdict"] == "pass" else 1
 
 

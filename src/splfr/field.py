@@ -9,10 +9,11 @@ integers; no floating point is used anywhere.
 
 Elements are bare ints; a FieldContext supplies the arithmetic, the
 linear-combination kernel ``lincombs`` (many coefficient rows over one set
-of operands, each operand prepared once; ``lincomb`` is its one row), its
-twin ``gathered`` (the sum of layers of picked packets of the rows'
-combinations, with no combination made) and Gaussian elimination
-(``echelon``, ``reduce``), on which the exact audits rest.
+of operands, each operand prepared once; ``lincomb`` is its one row) and
+its twin ``gathered`` (the sum of layers of picked packets of the rows'
+combinations, with no combination made).  The field does no linear
+algebra beyond these: the exact audits eliminate with its scalar ``add``,
+``mul``, ``neg`` and ``inv``.
 
 Vectors are tuples of ints, and the context owns their representation, so
 callers never branch on the field kind: ``pack`` checks a vector and makes
@@ -90,11 +91,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def _pivot(row: Sequence[int]) -> int | None:
-    """Index of the first nonzero entry, or None for a zero row."""
-    return next((i for i, x in enumerate(row) if x), None)
 
 
 def _laid(sums: list[bytes], layers: Sequence, width: int, packets: int) -> list[bytes]:
@@ -235,7 +231,7 @@ class FieldContext:
         return self._rows[a][b]
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if self.check(a) == 0:
             raise FieldError("zero has no multiplicative inverse")
         if self.kind == "prime":
             return pow(a, self.q - 2, self.q)
@@ -493,46 +489,6 @@ class FieldContext:
         except KeyError:
             raise FieldError(f"coefficient outside [0, {self.q})") from None
         return out
-
-    # -- Gaussian elimination --------------------------------------------
-
-    def echelon(self, rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-        """The reduced row echelon basis of the span of ``rows``.
-
-        Rows are ordered by pivot column; each pivot is 1 and the only
-        nonzero entry of its column.  The basis is canonical: two row sets
-        span the same subspace iff their bases are equal, and the rank is
-        the length of the basis.
-        """
-        basis: list[tuple[int, ...]] = []
-        for row in rows:
-            row = self.reduce(basis, row)
-            pivot = _pivot(row)
-            if pivot is None:
-                continue
-            row = self.vec_scale(self.inv(row[pivot]), row)
-            # clear the new pivot column from the rows already kept
-            basis = [
-                self.lincomb((1, self.neg(b[pivot])), (b, row)) if b[pivot] else b
-                for b in basis
-            ]
-            basis.append(row)
-        return tuple(sorted(basis, key=lambda b: b.index(1)))
-
-    def reduce(
-        self, basis: Sequence[Sequence[int]], v: Sequence[int]
-    ) -> tuple[int, ...]:
-        """The residue of ``v`` against a reduced echelon ``basis``.
-
-        It is zero iff ``v`` lies in the span of the basis.  Each basis row's
-        pivot, its first nonzero entry, is 1, so ``index(1)`` finds it.
-        """
-        v = tuple(v)
-        for b in basis:
-            c = v[b.index(1)]
-            if c:
-                v = self.lincomb((1, self.neg(c)), (v, b))
-        return v
 
     def random_element(self, rng) -> int:
         return rng.randrange(self.q)

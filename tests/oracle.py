@@ -37,8 +37,10 @@ against a colluding subset's view at one W, which no audit covers yet.
 file realization W, from its probe points
 (``probe_points``: r = 0, each unit vector of r, each demand move), and
 ``per_file_correctness``, ``per_file_security`` and ``per_file_privacy``
-decide the certificates W by W on them: the references for the
-certificates read off the formal model.  ``outputs`` reads the concrete
+decide the certificates W by W on them, by dense elimination (``echelon``,
+``reduce``, ``in_span``): the references for the certificates read off
+the formal model, and ``echelon`` the reference for the audit's sparse
+eliminator.  ``outputs`` reads the concrete
 engine's signal, caches and decoding errors at one point, and
 ``evaluate`` the formal model's at the same point, the differential test
 of the premise the certificates rest on.
@@ -739,9 +741,49 @@ def per_file_correctness(cfg: audit.AuditConfig) -> bool:
     )
 
 
+def _pivot(row: Sequence[int]) -> int | None:
+    """Index of the first nonzero entry, or None for a zero row."""
+    return next((i for i, x in enumerate(row) if x), None)
+
+
+def echelon(ctx: FieldContext, rows: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
+    """The reduced row echelon basis of the span of ``rows``.
+
+    Rows are ordered by pivot column; each pivot is 1 and the only nonzero
+    entry of its column.  The basis is canonical: two row sets span the
+    same subspace iff their bases are equal, and the rank is the length of
+    the basis.
+    """
+    basis: list[Vector] = []
+    for row in rows:
+        row = reduce(ctx, basis, row)
+        pivot = _pivot(row)
+        if pivot is None:
+            continue
+        row = ctx.vec_scale(ctx.inv(row[pivot]), row)
+        # clear the new pivot column from the rows already kept
+        basis = [vec_sub(ctx, b, ctx.vec_scale(b[pivot], row)) if b[pivot] else b for b in basis]
+        basis.append(row)
+    return tuple(sorted(basis, key=lambda b: b.index(1)))
+
+
+def reduce(ctx: FieldContext, basis: Sequence[Vector], v: Sequence[int]) -> Vector:
+    """The residue of ``v`` against a reduced echelon ``basis``.
+
+    It is zero iff ``v`` lies in the span of the basis.  Each basis row's
+    pivot, its first nonzero entry, is 1, so ``index(1)`` finds it.
+    """
+    v = tuple(v)
+    for b in basis:
+        c = v[b.index(1)]
+        if c:
+            v = vec_sub(ctx, v, ctx.vec_scale(c, b))
+    return v
+
+
 def in_span(ctx: FieldContext, basis, vectors) -> bool:
     """Whether every vector lies in the span of the reduced echelon ``basis``."""
-    return not any(any(ctx.reduce(basis, v)) for v in vectors)
+    return not any(any(reduce(ctx, basis, v)) for v in vectors)
 
 
 def per_file_security(cfg: audit.AuditConfig, models) -> bool:
@@ -751,8 +793,8 @@ def per_file_security(cfg: audit.AuditConfig, models) -> bool:
     """
     ctx, first = cfg.ctx, None
     for model in models:
-        image = ctx.echelon(p[0] for p in model.keys)
-        coset = image, ctx.reduce(image, model.offset[0])
+        image = echelon(ctx, (p[0] for p in model.keys))
+        coset = image, reduce(ctx, image, model.offset[0])
         first = first or coset
         if coset != first or not in_span(ctx, image, (p[0] for _, p in model.demands)):
             return False
@@ -768,7 +810,7 @@ def per_file_privacy(cfg: audit.AuditConfig, models, subset: Sequence[int]) -> b
 
     for model in models:
         moves = (view(p) for j, p in model.demands if j not in colluders)
-        if not in_span(ctx, ctx.echelon(map(view, model.keys)), moves):
+        if not in_span(ctx, echelon(ctx, map(view, model.keys)), moves):
             return False
     return True
 

@@ -5,13 +5,16 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 from splfr import __version__, engine
-from splfr.cli import _analytic_checks, bounds_report, build_parser, golden_toy, main
+from splfr.audit import AuditConfig
+from splfr.cli import _all_digits, _analytic_checks, bounds_report, build_parser, golden_toy
+from splfr.cli import main
 from splfr.field import FieldContext
 from splfr.pda import man_pda, parse_pda
 from splfr.tradeoff import SCHEMES
@@ -289,6 +292,18 @@ class TestAudit:
         assert code == 0
         # three nonempty subsets of two users, 8192 atoms each
         assert last_json(out)["atoms"] == 3 * 8192
+
+    def test_an_atom_count_longer_than_the_default_digit_limit(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(capsys, "audit", "correctness", "--pda", "man:2,1",
+                                 "--n", "2", "--b", "450", "--field", "p:65521")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        atoms = AuditConfig(man_pda(2, 1), 2, 450, FieldContext.parse("p:65521")).atom_count
+        with _all_digits():
+            assert len(str(atoms)) > 4300
+            assert code == 0 and f"({atoms} atoms," in err
+            report = last_json(out)
+        assert report["verdict"] == "pass" and report["atoms"] == atoms
 
     @pytest.mark.parametrize("subset", ["1,x", ",1", ""])
     def test_bad_subset_fails_cleanly(self, capsys, subset):

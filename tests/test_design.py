@@ -14,6 +14,11 @@ run never reaches.  The certificates read the run's
 coefficients and take no differences: the decoding errors are taken once,
 in the run.
 
+The audit has one eliminator: only ``audit._eliminate`` calls a context's
+``inv``, so every rank test and coset name goes through it, and
+``FieldContext`` defines no dense ``echelon`` or ``reduce``; the dense
+elimination is the tests' reference (``tests/oracle.py``).
+
 ``Randomness`` owns the layout of the randomness r: the audit builds every
 value of r through ``Randomness.of``, never through the constructor.
 ``Randomness.effective`` owns the masking of r by mode: the audit reads no
@@ -87,6 +92,28 @@ def test_only_the_formal_run_runs_the_engine():
         )
     ]
     assert callers == ["_formal_run"], callers
+
+
+def test_one_eliminator():
+    def inv_callers(node, inside=None):
+        """The name of the function around each call of an ``inv`` attribute under ``node``."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                yield from inv_callers(child, getattr(child, "name", inside))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "inv"):
+                yield inside or f"line {child.lineno}"
+            yield from inv_callers(child, inside)
+
+    assert set(inv_callers(ast.parse((PACKAGE / "audit.py").read_text()))) == {"_eliminate"}
+    field = next(
+        node
+        for node in ast.parse((PACKAGE / "field.py").read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "FieldContext"
+    )
+    methods = {item.name for item in field.body if isinstance(item, ast.FunctionDef)}
+    assert not methods & {"echelon", "reduce"}, "FieldContext eliminates again"
 
 
 #: context methods that ``engine.py`` calls outside the formal run: drawing

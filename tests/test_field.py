@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from splfr.field import DEFAULT_POLYS, FieldContext, FieldError, Packed
 from splfr.field import MAX_BINARY_DEGREE, PACK_FROM
 
-from oracle import ContextMismatchError, FieldElement, dot, field_dot, split
+from splfr.audit import _eliminate
+
+from oracle import ContextMismatchError, FieldElement, dot, echelon, field_dot, reduce, split
 from oracle import is_irreducible, poly_mulmod
 
 
@@ -72,6 +74,12 @@ class TestScalars:
     def test_inv_zero_raises(self):
         with pytest.raises(FieldError):
             GF5.inv(0)
+
+    def test_inv_rejects_values_outside_the_field(self):
+        gf256 = FieldContext.binary(8)
+        for ctx, a in ((GF5, 5), (GF5, 10), (GF5, -1), (GF8, 8), (gf256, 256), (gf256, 300)):
+            with pytest.raises(FieldError, match="outside"):
+                ctx.inv(a)
 
     def test_gf8_mul_all_pairs_against_polynomial_oracle(self):
         for a in range(8):
@@ -820,7 +828,7 @@ def test_polynomial_of_another_degree_is_a_field_error(m, poly):
         FieldContext.parse(spec)
 
 
-# -- Gaussian elimination ------------------------------------------------------
+# -- Gaussian elimination: the dense reference, and the audit's sparse eliminator ---
 
 ELIMINATION_FIELDS = [FieldContext.prime(2), FieldContext.prime(3), GF5, FieldContext.binary(2)]
 
@@ -846,7 +854,7 @@ class TestElimination:
         element = st.integers(0, ctx.q - 1)
         rows = data.draw(st.lists(st.tuples(*[element] * length), max_size=5), label="rows")
         span = brute_span(ctx, rows, length)
-        basis = ctx.echelon(rows)
+        basis = echelon(ctx, rows)
         # the rank is the dimension: the span has q^rank vectors
         assert ctx.q ** len(basis) == len(span)
         # the basis spans the same space and is in reduced echelon form
@@ -858,7 +866,7 @@ class TestElimination:
             assert all(other[c] == 0 for other in basis if other is not b)
         # a vector reduces to zero iff it lies in the span
         v = data.draw(st.tuples(*[element] * length), label="v")
-        assert (not any(ctx.reduce(basis, v))) == (v in span)
+        assert (not any(reduce(ctx, basis, v))) == (v in span)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -869,9 +877,32 @@ class TestElimination:
         shuffled = data.draw(st.permutations(rows), label="order")
         coeffs = data.draw(st.lists(element, min_size=len(rows), max_size=len(rows)))
         extra = ctx.lincomb(coeffs, rows) if rows else (0, 0, 0)
-        assert ctx.echelon(shuffled + [extra]) == ctx.echelon(rows)
+        assert echelon(ctx, shuffled + [extra]) == echelon(ctx, rows)
 
     def test_full_rank_identity(self, ctx):
         identity = [tuple(int(i == j) for i in range(3)) for j in range(3)]
-        assert ctx.echelon(reversed(identity)) == tuple(identity)
-        assert ctx.echelon([]) == () and ctx.echelon([(0, 0)]) == ()
+        assert echelon(ctx, reversed(identity)) == tuple(identity)
+        assert echelon(ctx, []) == () and echelon(ctx, [(0, 0)]) == ()
+
+
+def dense(rows, columns):
+    """Sparse rows {slot: coefficient} as tuples over ``columns``."""
+    return [tuple(row.get(c, 0) for c in columns) for row in rows]
+
+
+@pytest.mark.parametrize("ctx", ELIMINATION_FIELDS, ids=lambda c: c.spec)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_the_audit_eliminator_against_the_dense_reference(ctx, data):
+    slots, element = range(6), st.integers(1, ctx.q - 1)
+    rows = data.draw(st.lists(st.dictionaries(st.sampled_from(slots), element), max_size=6))
+    columns = data.draw(st.lists(st.sampled_from(slots), unique=True), label="columns")
+    copies = [dict(row) for row in rows]
+    left, pivots = _eliminate(ctx, rows, columns)
+    assert rows == copies, "the input rows were changed"
+    # one pivot per dimension of the rows restricted to the columns
+    assert len(pivots) == len(echelon(ctx, dense(rows, columns)))
+    assert not any(c in row for row in left for c in columns)
+    assert all(all(row.values()) for row in left)  # no zero coefficient is kept
+    # the rows left and the pivot rows span what the rows span
+    assert echelon(ctx, dense(left + pivots, slots)) == echelon(ctx, dense(rows, slots))
