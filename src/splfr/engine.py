@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import chain, zip_longest
 from typing import NamedTuple, Sequence
 
-from .field import FieldContext
+from .field import FieldContext, FieldError
 from .pda import PDA
 
 
@@ -114,7 +114,14 @@ def check_demand(ctx: FieldContext, demand: Vector, n: int) -> None:
     """Reject a demand that is not a length-n vector over ``ctx``."""
     if len(demand) != n:
         raise EngineError(f"demand length {len(demand)} != N={n}")
-    for value in demand:
+    if {*map(type, demand)} == {int}:  # one pass: plain ints, the least and greatest in the field
+        try:
+            ctx.check(min(demand))
+            ctx.check(max(demand))
+            return
+        except FieldError:
+            pass
+    for value in demand:  # each symbol, so that the first outside the field is named
         ctx.check(value)
 
 

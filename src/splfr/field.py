@@ -1,11 +1,13 @@
 """Exact finite-field arithmetic in GF(q).
 
 Supports prime fields GF(p) for p up to 2^16 and binary extension fields
-GF(2^m) for 1 <= m <= 8.  Extension-field arithmetic reads one product
-table, built from the polynomial alone: the kernel's rows, one per
-coefficient, which ``mul``, ``inv`` and the irreducibility check read too,
-so no generator is needed.  All arithmetic is exact, over plain unsigned
-integers; no floating point is used anywhere.
+GF(2^m) for 1 <= m <= 8.  Extension-field arithmetic is built from the
+polynomial alone, so no generator is needed: scalar ``mul``, ``inv`` and
+the irreducibility check read a product table, one row per coefficient,
+and the kernel reads window tables, each operand's products by the
+coefficients below 16, made by doubling every symbol of it at once.  All
+arithmetic is exact, over plain unsigned integers; no floating point is
+used anywhere.
 
 Elements are bare ints; a FieldContext supplies the arithmetic, the
 linear-combination kernel ``lincombs`` (many coefficient rows over one set
@@ -26,12 +28,18 @@ hashes, slices and prints like its plain tuple, and is neither converted
 nor checked again by ``lincombs``, ``split``, ``join`` or ``gather``.  A
 ``Packed`` records the context that checked it; another context checks it
 again.  ``lincombs`` and ``gathered`` pack (and check) plain tuples on the
-fly and return ``Packed`` vectors.
+fly and return ``Packed`` vectors.  They also keep the window table of
+each of their context's own ``Packed`` operands that they multiply by a
+coefficient above 1, so that an operand multiplied round after round, such
+as a library file, builds it once.  That cache is the one state that a
+context's methods write, and it is idempotent: a table is a function of
+the vector and the context alone.
 """
 
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 from itertools import chain, compress
 from operator import mul
 from sys import byteorder
@@ -52,9 +60,13 @@ class Packed(tuple):
     kernel can tell them from another context's, which it checks again, by
     their type alone.  Equality, hashing, slicing and ``repr`` are the
     plain tuple's; a slice or a concatenation is a plain tuple again.
+    ``_table`` is the vector's window table, set by the first kernel call
+    of ``field`` that multiplies it by a coefficient above 1 and read by
+    every later one; no other context reads it.
     """
 
     field: "FieldContext"
+    _table: tuple[int, ...] | None = None
 
     def __new__(cls, packed: bytes) -> "Packed":
         self = super().__new__(cls, packed)
@@ -111,23 +123,65 @@ def _laid(sums: list[bytes], layers: Sequence, width: int, packets: int) -> list
         raise FieldError("a pick lies outside the rows' combinations") from None
 
 
-def _build_rows(m: int, poly: int) -> dict[int, bytes]:
-    """The GF(2^m) product table: row c maps each x < 2^m to c * x mod poly.
+@lru_cache(maxsize=64)
+def _times(m: int, poly: int, length: int, k: int):
+    """y -> x^k * y mod ``poly`` in each of ``length`` byte lanes of a big-endian int.
 
-    Each row is padded with zeros to the 256 bytes that ``bytes.translate``
-    needs, and the rows are keyed by the coefficients 0..2^m - 1, so that a
-    lookup also rejects a coefficient outside the field.  The product is
-    linear in c: row 2c is row c doubled through the table of x -> 2x mod
-    poly, and row 2c + 1 adds row 1 to that.  ``poly`` must have degree m.
+    For k <= m.  A lane's bits below its top k shift up by k; each of those
+    top bits, bit m - k + i, brought down to the lane's bit 0 and times
+    x^(m + i) mod ``poly``, adds its reduction.  Built once per shape, as
+    the masks cost more than a use.
+    """
+
+    def lanes(byte: int) -> int:
+        return int.from_bytes(bytes([byte]) * length, "big")
+
+    low, ones, reductions, r = lanes((1 << (m - k)) - 1), lanes(1), [], poly ^ (1 << m)
+    for bit in range(m - k, m):
+        reductions.append((bit, r))
+        r = (r << 1) ^ (poly if r >> (m - 1) else 0)
+
+    def times(y: int) -> int:
+        out = (y & low) << k
+        for bit, r in reductions:
+            out ^= ((y >> bit) & ones) * r
+        return out
+
+    return times
+
+
+def _windows(x: int, m: int, poly: int, length: int) -> tuple[int, ...]:
+    """The window table of ``x``, ``length`` lanes over GF(2^m): entry c is
+    c * x, for c < min(2^m, 16).
+
+    By linearity in c, entry c + 2^k is entry c plus 2^k * x, so the table
+    takes min(m, 4) - 1 lane-wise doublings and XORs alone.
+    """
+    double, table = _times(m, poly, length, 1), [0, x]
+    for _ in range(min(m, 4) - 1):
+        x = double(x)
+        table += [x ^ y for y in table]
+    return tuple(table)
+
+
+def _build_rows(m: int, poly: int) -> dict[int, bytes]:
+    """The GF(2^m) product table of scalar ``mul`` and ``inv``: row c maps
+    each x < 2^m to c * x mod poly.
+
+    The rows are keyed by the coefficients 0..2^m - 1, so that a lookup
+    also rejects a coefficient outside the field.  The product is linear
+    in c: row 2c is row c doubled through the table of x -> 2x mod poly,
+    padded to the 256 bytes that ``bytes.translate`` needs, and row 2c + 1
+    adds row 1 to that.  ``poly`` must have degree m.
     """
     q = 1 << m
     double = bytes((x << 1) ^ (poly if x >> (m - 1) else 0) for x in range(q)).ljust(256, b"\0")
-    rows = {0: bytes(256), 1: bytes(range(q)).ljust(256, b"\0")}
+    rows = {0: bytes(q), 1: bytes(range(q))}
     one = int.from_bytes(rows[1], "big")
     for c in range(2, q):
         row = rows[c >> 1].translate(double)
         if c & 1:
-            row = (int.from_bytes(row, "big") ^ one).to_bytes(256, "big")
+            row = (int.from_bytes(row, "big") ^ one).to_bytes(q, "big")
         rows[c] = row
     return rows
 
@@ -135,8 +189,12 @@ def _build_rows(m: int, poly: int) -> dict[int, bytes]:
 class FieldContext:
     """Descriptor of GF(q): either a prime field or a binary extension.
 
-    Immutable after construction; every method is a pure function, so a
-    context may be shared freely across threads.
+    Immutable after construction, and every method is a pure function of
+    its arguments, but for one cache: the kernel keeps the window table of
+    each of the context's own ``Packed`` operands that it multiplies by more
+    than 1 on that vector.  A table is a function of the vector and the
+    context alone, so building it twice, in two threads say, writes the
+    same value, and a context may be shared freely across threads.
     """
 
     def __init__(self, q: int, *, kind: str, m: int = 0, poly: int = 0):
@@ -340,18 +398,25 @@ class FieldContext:
         other operand is checked and packed into one int, a 64-bit slot per
         symbol, and each row is one sum of products: a slot holds
         T * (q - 1)^2 < 2^64 for any T < 2^32 terms.  Over GF(2^m) every
-        coefficient and symbol must lie in the field, and each nonzero term
-        is one ``bytes.translate`` of the operand's packing through the
-        coefficient's product row (none for a coefficient of 1), added by
-        XOR into a single Python int; the results are ``Packed``.  A
-        ``Packed`` operand made by this context was checked when it was
-        made; one made by another context is checked again.  ``gathered``
-        takes its operands through the same checks.
+        coefficient and symbol must lie in the field.  Each operand is one
+        big int, a byte lane per symbol, and one that some row multiplies by
+        more than 1 has a window table: its products by the coefficients
+        below 16, from at most three lane-wise doublings.  A nonzero term c
+        adds entry c & 15 into one XOR accumulator and entry c >> 4 into
+        another, and each row is the second times 16 plus the first, so a
+        term costs two XORs and a row one multiply by 16; the results are
+        ``Packed``.
+        A ``Packed`` operand made by this context was checked when it was
+        made, and keeps its table for later calls; one made by another
+        context is checked again, and a table built for it or for a plain
+        tuple serves this call alone.  ``gathered`` takes its operands
+        through the same checks and tables.
         """
         rows, operands, length = self._operands(rows, vectors, 1)
         if self.kind == "binary":
             own = self._packed
-            return [own(acc.to_bytes(length, "big")) for acc in self._xor_sums(rows, operands)]
+            sums = self._xor_sums(rows, operands, length)
+            return [own(acc.to_bytes(length, "big")) for acc in sums]
         q = self.q
         if not operands:
             return [(0,) * length for _ in rows]
@@ -390,7 +455,7 @@ class FieldContext:
         rows, operands, length = self._operands(rows, vectors, len(layers))
         count, packets = len(layers[0]) * size, length // size
         if self.kind == "binary":
-            sums = [acc.to_bytes(length, "big") for acc in self._xor_sums(rows, operands)]
+            sums = [acc.to_bytes(length, "big") for acc in self._xor_sums(rows, operands, length)]
             acc = 0
             for joined in _laid(sums, layers, size, packets):
                 acc ^= int.from_bytes(joined, "big")
@@ -426,14 +491,13 @@ class FieldContext:
     ) -> tuple[Sequence[Sequence[int]], list, int]:
         """The kernel's one check path: (rows, operands, length) of checked terms.
 
-        Over GF(2^m) the operands are the vectors' packings, and the
-        coefficients are checked where ``_xor_sums`` reads their product
-        rows.  Over GF(p) every coefficient is checked, at any length, zero
-        ones included; below ``PACK_FROM`` symbols the operands are the
-        vectors, unchecked, else the terms zero in every row are dropped and
-        the others' vectors checked and packed into ints of 64-bit slots,
-        whose sums of ``layers`` layers of the rows' combinations must stay
-        in their slots.
+        Every coefficient must be an int of the field, at any length and
+        over both kinds, zero ones included.  Over GF(2^m) the operands are
+        the vectors' tables (``_tables``), of checked symbols.  Over GF(p)
+        below ``PACK_FROM`` symbols the operands are the vectors, unchecked,
+        else the terms zero in every row are dropped and the others' vectors
+        checked and packed into ints of 64-bit slots, whose sums of
+        ``layers`` layers of the rows' combinations must stay in their slots.
         """
         if len({len(vectors), *map(len, rows)}) != 1:
             raise FieldError(f"a row of coefficients for {len(vectors)} vectors has another count")
@@ -442,17 +506,15 @@ class FieldContext:
             raise FieldError(
                 f"need one or more vectors of one length, got lengths {sorted(lengths)}"
             )
-        length = lengths.pop()
-        if self.kind == "binary":
-            own = self._packed
-            return rows, [v.packed if type(v) is own else self._packing(v) for v in vectors], length
-        q = self.q
+        length, q = lengths.pop(), self.q
         try:
             # no non-int or negative coefficient, and none of q or more
             if max(array("Q", rows[0] if len(rows) == 1 else [*chain(*rows)]), default=0) >= q:
                 raise ValueError
         except (TypeError, ValueError, OverflowError):
             raise FieldError(f"coefficient outside [0, {q})") from None
+        if self.kind == "binary":
+            return rows, self._tables(rows, vectors, length), length
         if length < PACK_FROM:
             return rows, vectors, length
         terms = rows[0] if len(rows) == 1 else [*map(any, zip(*rows))]
@@ -475,19 +537,51 @@ class FieldContext:
             raise FieldError(f"symbol outside [0, {q})") from None
         return rows, ints, length
 
-    def _xor_sums(self, rows: Sequence[Sequence[int]], packs: list[bytes]) -> list[int]:
-        """Over GF(2^m), each row's sum of ``packs`` as one big-endian int."""
-        table, out = self._rows, []
-        try:
-            for coeffs in rows:
-                acc = 0
-                for c, packed in zip(coeffs, packs):
-                    if c:
-                        packed = packed if c == 1 else packed.translate(table[c])
-                        acc ^= int.from_bytes(packed, "big")
-                out.append(acc)
-        except KeyError:
-            raise FieldError(f"coefficient outside [0, {self.q})") from None
+    def _tables(
+        self, rows: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]], length: int
+    ) -> list[tuple[int, ...]]:
+        """Over GF(2^m), each operand's table for ``_xor_sums``: entry c is c times it.
+
+        An operand that some row multiplies by more than 1 gets its window
+        table (``_windows``); this context's own ``Packed`` keeps it, and
+        any other operand has it for this call only.  An operand multiplied
+        by 0 and 1 alone is its int x, the table (0, x), unless it keeps a
+        table already.
+        """
+        own = self._packed
+        tables = [v._table if type(v) is own else None for v in vectors]
+        if None not in tables:
+            return tables
+        # each operand's largest coefficient, 0 with no rows
+        for i, top in enumerate(map(max, zip((0,) * len(vectors), *rows))):
+            if tables[i] is None:
+                v = vectors[i]
+                x = int.from_bytes(v.packed if type(v) is own else self._packing(v), "big")
+                tables[i] = (0, x)
+                if top > 1:
+                    tables[i] = _windows(x, self.m, self.poly, length)
+                    if type(v) is own:
+                        v._table = tables[i]
+        return tables
+
+    def _xor_sums(self, rows: Sequence[Sequence[int]], tables: list, length: int) -> list[int]:
+        """Over GF(2^m), each row's sum of the operands of ``tables`` as one big-endian int.
+
+        Each nonzero term c adds the entries c & 15 and c >> 4 of its
+        operand's table into two accumulators, and each row is the second
+        times 16 plus the first: one multiply by 16 a row, none a term.
+        """
+        out, times16 = [], self.m > 4 and _times(self.m, self.poly, length, 4)
+        for coeffs in rows:
+            hi = lo = 0
+            for c, table in zip(coeffs, tables):
+                if c:
+                    lo ^= table[c & 15]
+                    if c > 15:
+                        hi ^= table[c >> 4]
+            if hi:  # only for m > 4, where a coefficient reaches 16
+                lo ^= times16(hi)
+            out.append(lo)
         return out
 
     def random_element(self, rng) -> int:

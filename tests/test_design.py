@@ -14,6 +14,9 @@ run never reaches.  The certificates read the run's
 coefficients and take no differences: the decoding errors are taken once,
 in the run.
 
+Over GF(2^m) the kernel multiplies through window tables: only
+``field._build_rows``, the scalar product table, calls ``translate``.
+
 The audit has one eliminator: only ``audit._eliminate`` calls a context's
 ``inv``, so every rank test and coset name goes through it, and
 ``FieldContext`` defines no dense ``echelon`` or ``reduce``; the dense
@@ -94,19 +97,20 @@ def test_only_the_formal_run_runs_the_engine():
     assert callers == ["_formal_run"], callers
 
 
-def test_one_eliminator():
-    def inv_callers(node, inside=None):
-        """The name of the function around each call of an ``inv`` attribute under ``node``."""
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
-                yield from inv_callers(child, getattr(child, "name", inside))
-                continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "inv"):
-                yield inside or f"line {child.lineno}"
-            yield from inv_callers(child, inside)
+def callers(node, attr, inside=None):
+    """The name of the function around each call of an ``attr`` attribute under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            yield from callers(child, attr, getattr(child, "name", inside))
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == attr):
+            yield inside or f"line {child.lineno}"
+        yield from callers(child, attr, inside)
 
-    assert set(inv_callers(ast.parse((PACKAGE / "audit.py").read_text()))) == {"_eliminate"}
+
+def test_one_eliminator():
+    assert set(callers(ast.parse((PACKAGE / "audit.py").read_text()), "inv")) == {"_eliminate"}
     field = next(
         node
         for node in ast.parse((PACKAGE / "field.py").read_text()).body
@@ -114,6 +118,18 @@ def test_one_eliminator():
     )
     methods = {item.name for item in field.body if isinstance(item, ast.FunctionDef)}
     assert not methods & {"echelon", "reduce"}, "FieldContext eliminates again"
+
+
+def test_only_the_product_table_translates_bytes():
+    # the GF(2^m) kernel reads window tables; bytes.translate builds the
+    # product rows of scalar mul and inv, and no per-term path beside the kernel
+    translating = {
+        path.name: set(callers(ast.parse(path.read_text()), "translate"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: where for name, where in translating.items() if where} == {
+        "field.py": {"_build_rows"}
+    }
 
 
 #: context methods that ``engine.py`` calls outside the formal run: drawing

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,58 @@ class TestKernelCalls:
         assert calls == []
         new = update_round(state, unit_demands(3, 2), (), (1, 2, 0))
         assert new.caches == state.caches and len(calls) == 1  # the empty keys' sum
+
+
+def vectors_under(*roots):
+    """Every ``Packed`` vector that ``roots`` hold, through dataclass fields,
+    named tuples, tuples, lists and dict values."""
+    seen, found, todo = set(), [], list(roots)
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, Packed):
+            found.append(x)
+        elif is_dataclass(x):
+            todo.extend(getattr(x, f.name) for f in fields(x))
+        elif isinstance(x, dict):
+            todo.extend(x.values())
+        elif isinstance(x, (tuple, list)):
+            todo.extend(x)
+    return found
+
+
+def has_table(v):
+    """Whether the GF(2^m) kernel keeps a window table on ``v``."""
+    return vars(v).get("_table") is not None
+
+
+def test_only_the_files_and_the_star_packets_keep_window_tables():
+    # the operands multiplied round after round: the files by q_j in
+    # deliver (and p_k at the cache fill), each user's J_n by its demand
+    # and the sharing users' q_j in decode; everything else is multiplied
+    # by 0 and 1 only, or is a result
+    arr, n, ctx = man_pda(4, 2), 5, GF256
+    state = make_state(arr, n, 2 * arr.f, ctx, seed=64)
+    files = state.library.files
+    starred = [v for cache in state.caches for v in cache.starred]
+    assert all(map(has_table, files)) and not any(map(has_table, starred))  # none at placement
+    rng = random.Random(65)
+    demands = tuple(ctx.random_vector(n, rng) for _ in range(arr.k))
+    payload = deliver(state, demands)
+    decoded = [decode(state.user_view(k), payload, demands[k]) for k in range(arr.k)]
+    fresh = tuple(ctx.random_vector(2, rng) for _ in range(arr.s))
+    new = update_round(state, demands, fresh, (1, 2, 3, 4))
+    assert all(new.caches[k].starred is cache.starred for k, cache in enumerate(state.caches))
+    assert all(map(has_table, files)) and all(map(has_table, starred))
+    found = vectors_under(state, payload, decoded, new)
+    assert {id(v) for v in found if has_table(v)} == {id(v) for v in (*files, *starred)}
+    # so none of the blocks, packets, decoded vectors, keys or records, which the walk finds
+    results = [*payload.blocks, *decoded, *(p for row in state.rows for p in row)]
+    for s in (state, new):
+        results += [*s.randomness.security_keys, *(cache.records for cache in s.caches)]
+    assert {id(v) for v in results} <= {id(v) for v in found}
 
 
 class TestPrivacyKey:

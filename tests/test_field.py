@@ -1,5 +1,7 @@
 """Tests for exact GF(q) arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -276,15 +278,17 @@ class TestLincombs:
     def test_rejects_input_outside_field(self, ctx, length):
         # a term zero in every row is dropped, over GF(p), after the
         # coefficient checks and before the symbol checks; below PACK_FROM
-        # symbols GF(p) checks the coefficients alone
+        # symbols GF(p) checks the coefficients alone; over every field a
+        # coefficient is an int, a float of an element's value refused
         q, ok = ctx.q, (1,) * length
         cases = [
             (((1,), (q,)), (ok,)),  # a coefficient outside the field, in any row
             (((-1,), (1,)), (ok,)),
             (((1.5,),), (ok,)),
+            (((0.0, 1),), (ok, ok)),  # a float of the field's value, at every length
+            (((1.0,),), (ok,)),
+            (((2.0,),), (ok,)),
         ]
-        if ctx.kind == "prime":  # a float zero, at every length
-            cases += [(((0.0, 1),), (ok, ok))]
         if ctx.kind == "binary" or length >= PACK_FROM:
             cases += [
                 (((0, 1), (1, 1)), (ok, (q,) + ok[1:])),  # a symbol outside the field
@@ -418,9 +422,10 @@ class TestGathered:
             (((1,), (q,)), (ok,)),  # a coefficient outside the field, in any row
             (((-1,), (1,)), (ok,)),
             (((1.5,),), (ok,)),
+            (((0.0, 1),), (ok, ok)),  # a float of the field's value, at every length
+            (((1.0,),), (ok,)),
+            (((2.0,),), (ok,)),
         ]
-        if ctx.kind == "prime":  # a float zero, at every length
-            cases += [(((0.0, 1),), (ok, ok))]
         if ctx.kind == "binary" or length >= PACK_FROM:
             cases += [
                 (((0, 1), (1, 1)), (ok, (q,) + ok[1:])),  # a symbol outside the field
@@ -586,6 +591,93 @@ def test_packed_from_another_field_is_checked_again():
     fits = gf256.pack((9, 3))
     assert gf16.lincomb((1,), (fits,)).field is gf16
     assert gf16.pack(fits).field is gf16 and gf16.pack(fits) == fits
+
+
+#: lengths of the window kernel's operands: one lane, a few, a packet of
+#: ``serve-wide`` and one of its files
+WINDOW_LENGTHS = [1, 7, 64, 960]
+
+
+def combined(kernel, ctx, rows, operands):
+    """Each row's combination: from one ``lincombs`` call, or from one
+    ``gathered`` call per row that lays its whole combination as one layer."""
+    if kernel == "lincombs":
+        return ctx.lincombs(rows, operands)
+    whole = len(operands[0])
+    return [ctx.gathered(rows, operands, [[(a, 0)]], whole) for a in range(len(rows))]
+
+
+def table_of(v):
+    """The window table that the kernel keeps on ``v``, or None."""
+    return vars(v).get("_table") if isinstance(v, Packed) else None
+
+
+def another_field(ctx):
+    """A GF(2^m) context other than ``ctx`` that holds every symbol of it."""
+    return FieldContext.binary(8, poly=0x11B) if ctx.poly != 0x11B else FieldContext.binary(8)
+
+
+@pytest.mark.parametrize("kernel", ["lincombs", "gathered"])
+@pytest.mark.parametrize("ctx", BINARY_KERNEL_FIELDS, ids=lambda c: c.spec)
+class TestWindowKernel:
+    """The GF(2^m) kernel reads each operand through a table of its products
+    by the coefficients below 16.  It builds one for an operand that some
+    row multiplies by more than 1, keeps it on the context's own ``Packed``,
+    and builds it for one call on any other operand."""
+
+    def test_every_product_on_the_call_that_builds_the_table_and_after(self, ctx, kernel):
+        xs = tuple(range(ctx.q))
+        for c in range(ctx.q):
+            want = [tuple(slow_gf2m_mul(c, x, ctx.poly, ctx.m) for x in xs)]
+            v = ctx.pack(xs)
+            assert combined(kernel, ctx, [(c,)], [v]) == want  # builds the table, if c > 1
+            table = table_of(v)
+            assert (table is not None) == (c > 1)
+            assert combined(kernel, ctx, [(c,)], [v]) == want  # reads it
+            assert table_of(v) is table
+            assert combined(kernel, ctx, [(c,)], [xs]) == want  # a plain tuple, for the call
+
+    @pytest.mark.parametrize("length", WINDOW_LENGTHS)
+    def test_one_call_mixes_every_kind_of_operand(self, ctx, kernel, length):
+        rng, other = random.Random(length), another_field(ctx)
+        vectors = [ctx.random_vector(length, rng) for _ in range(4)]
+        tabled, untabled, foreign = ctx.pack(vectors[0]), ctx.pack(vectors[1]), other.pack(vectors[3])
+        ctx.lincomb((ctx.q - 1,), (tabled,))  # a table, but over GF(2)
+        other.lincomb((other.q - 1,), (foreign,))  # a table of the other field's products
+        kept, theirs = table_of(tabled), table_of(foreign)
+        assert (kept is not None) == (ctx.q > 2) and theirs is not None
+        rows = [ctx.random_vector(4, rng) for _ in range(3)] + [(1,) * 4, (ctx.q - 1,) * 4]
+        operands = [tabled, untabled, vectors[2], foreign]
+        want = [lincomb_oracle(ctx, row, vectors) for row in rows]
+        assert combined(kernel, ctx, rows, operands) == want
+        assert table_of(tabled) is kept and table_of(foreign) is theirs
+        # the untabled operand is multiplied by q - 1, more than 1 but over GF(2)
+        assert (table_of(untabled) is not None) == (ctx.q > 2)
+        assert combined(kernel, ctx, rows, operands) == want
+
+    @pytest.mark.parametrize("length", WINDOW_LENGTHS)
+    def test_rows_of_zeros_and_ones_build_no_table(self, ctx, kernel, length):
+        rng = random.Random(length)
+        vectors = [ctx.random_vector(length, rng) for _ in range(3)]
+        rows = [(1, 0, 1), (0, 1, 1), (0, 0, 0), (1, 1, 1)]
+        operands = [ctx.pack(vectors[0]), vectors[1], ctx.pack(vectors[2])]
+        want = [lincomb_oracle(ctx, row, vectors) for row in rows]
+        assert combined(kernel, ctx, rows, operands) == want
+        assert table_of(operands[0]) is None and table_of(operands[2]) is None
+
+
+@pytest.mark.parametrize("kernel", ["lincombs", "gathered"])
+def test_a_table_made_under_one_polynomial_is_not_read_under_another(kernel):
+    gf_d, gf_b = FieldContext.binary(8), FieldContext.binary(8, poly=0x11B)
+    xs = tuple(range(256))
+    v = gf_d.pack(xs)
+    assert gf_d.lincomb((2,), (v,)) == tuple(slow_gf2m_mul(2, x, 0x11D, 8) for x in xs)
+    table = table_of(v)
+    assert table is not None
+    for c in range(256):
+        want = [tuple(slow_gf2m_mul(c, x, 0x11B, 8) for x in xs)]
+        assert combined(kernel, gf_b, [(c,)], [v]) == want
+    assert table_of(v) is table
 
 
 @pytest.mark.parametrize("ctx", PRIME_KERNEL_FIELDS, ids=lambda c: c.spec)
