@@ -23,15 +23,16 @@ it ready for the kernel, ``split`` cuts one into ready packets, ``join``
 joins them into one, and ``gather`` lays picked packets of several end to
 end, zeros where none is picked.  Over GF(p) a ready vector is the vector
 itself.  Over GF(2^m) the kernel works on bytes, one per symbol, and a
-ready vector is a ``Packed``: a tuple that carries that packing, compares,
-hashes, slices and prints like its plain tuple, and is neither converted
-nor checked again by ``lincombs``, ``split``, ``join`` or ``gather``.  A
-``Packed`` records the context that checked it; another context checks it
-again.  ``lincombs`` and ``gathered`` pack (and check) plain tuples on the
-fly and return ``Packed`` vectors.  They also keep the window table of
-each of their context's own ``Packed`` operands that they multiply by a
-coefficient above 1, so that an operand multiplied round after round, such
-as a library file, builds it once.  That cache is the one state that a
+ready vector is a ``Packed``, which holds that packing alone and no tuple
+of its symbols: it reads, compares, hashes, slices and prints like its
+plain tuple, builds that tuple only where such a call needs it, and is
+neither converted nor checked again by ``lincombs``, ``split``, ``join``
+or ``gather``.  A ``Packed`` records the context that checked it; another
+context checks it again.  ``lincombs`` and ``gathered`` pack (and check)
+plain tuples on the fly and return ``Packed`` vectors.  They also keep the
+window table of each of their context's own ``Packed`` operands that they
+multiply by a coefficient above 1, so that an operand multiplied round
+after round, such as a library file, builds it once.  That cache is the one state that a
 context's methods write, and it is idempotent: a table is a function of
 the vector and the context alone.
 """
@@ -41,7 +42,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import chain, compress
-from operator import mul
+from operator import eq, ge, gt, le, lt, mul, ne
 from sys import byteorder
 from typing import Iterable, Sequence
 
@@ -50,16 +51,36 @@ class FieldError(ValueError):
     """Invalid field construction or an operation outside the field."""
 
 
-class Packed(tuple):
-    """A GF(2^m) vector: a tuple of ints that carries its bytes packing.
+def _order(compare):
+    """A ``Packed`` comparison that agrees with the plain tuple's: by the
+    bytes against another ``Packed``, as a tuple against a tuple, and
+    ``NotImplemented`` against anything else, as the tuple's."""
+
+    def method(self: "Packed", other: object):
+        if isinstance(other, Packed):
+            return compare(self.packed, other.packed)
+        if isinstance(other, tuple):
+            return compare(tuple(self.packed), other)
+        return NotImplemented
+
+    return method
+
+
+class Packed:
+    """A GF(2^m) vector held as its bytes alone, one per symbol.
 
     Built only by ``FieldContext.pack``, ``split``, ``join``, ``gather``,
     ``lincombs`` and ``gathered``, from symbols that are checked to lie in
     ``field``, the context that made it.
     Each GF(2^m) context makes its vectors as its own subclass, so that the
     kernel can tell them from another context's, which it checks again, by
-    their type alone.  Equality, hashing, slicing and ``repr`` are the
-    plain tuple's; a slice or a concatenation is a plain tuple again.
+    their type alone.  It keeps the contract of its plain tuple of ints:
+    ``len``, iteration and integer indexing read the bytes; ``==``, ``!=``,
+    ``hash``, ordering, ``repr`` and ``str`` are the tuple's (two ``Packed``
+    compare by their bytes, which order as their symbols do); a slice, and
+    ``+`` with a tuple on either side, are a plain tuple; ``in``, ``count``
+    and ``index`` are the tuple's.  A tuple is built only where one of these
+    needs it, so a vector that nothing reads symbol by symbol never has one.
     ``_table`` is the vector's window table, set by the first kernel call
     of ``field`` that multiplies it by a coefficient above 1 and read by
     every later one; no other context reads it.
@@ -68,10 +89,45 @@ class Packed(tuple):
     field: "FieldContext"
     _table: tuple[int, ...] | None = None
 
-    def __new__(cls, packed: bytes) -> "Packed":
-        self = super().__new__(cls, packed)
-        self.packed = bytes(packed)
-        return self
+    def __init__(self, packed: bytes):
+        self.packed = packed if type(packed) is bytes else bytes(packed)
+
+    __eq__, __ne__, __lt__, __le__, __gt__, __ge__ = map(_order, (eq, ne, lt, le, gt, ge))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.packed))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self.packed))
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __iter__(self):
+        return iter(self.packed)
+
+    def __bytes__(self) -> bytes:
+        return self.packed
+
+    def __getitem__(self, i):
+        item = self.packed[i]
+        return tuple(item) if type(item) is bytes else item
+
+    def __add__(self, other):
+        if isinstance(other, (tuple, Packed)):
+            return tuple(self.packed) + tuple(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, tuple):
+            return other + tuple(self.packed)
+        return NotImplemented
+
+    def count(self, x) -> int:
+        return tuple(self.packed).count(x)
+
+    def index(self, x, *bounds) -> int:
+        return tuple(self.packed).index(x, *bounds)
 
 
 #: Default irreducible polynomials for GF(2^m), as bitmasks including the
@@ -274,19 +330,24 @@ class FieldContext:
         return a
 
     def add(self, a: int, b: int) -> int:
+        """a + b, unchecked: the exact audits' elimination loop runs on it."""
         if self.kind == "prime":
             return (a + b) % self.q
         return a ^ b
 
     def neg(self, a: int) -> int:
+        """-a, unchecked: the exact audits' elimination loop runs on it."""
         if self.kind == "prime":
             return (-a) % self.q
         return a
 
     def mul(self, a: int, b: int) -> int:
+        """a * b.  Over GF(2^m) both are checked, as they index the product
+        table; over GF(p) neither, as the exact audits' elimination loop
+        runs on it."""
         if self.kind == "prime":
             return (a * b) % self.q
-        return self._rows[a][b]
+        return self._rows[self.check(a)][self.check(b)]
 
     def inv(self, a: int) -> int:
         if self.check(a) == 0:
@@ -306,7 +367,9 @@ class FieldContext:
         return tuple([(a + b) % q for a, b in zip(u, w)])
 
     def vec_scale(self, c: int, u: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.mul(c, a) for a in u)
+        """c * u, with c and every symbol of u checked to lie in the field."""
+        self.check(c)
+        return tuple([self.mul(c, a) for a in map(self.check, u)])
 
     def pack(self, v: Sequence[int]) -> Sequence[int]:
         """``v`` checked and ready for the kernel.
@@ -380,13 +443,13 @@ class FieldContext:
 
     def lincomb(
         self, coeffs: Sequence[int], vectors: Sequence[Sequence[int]]
-    ) -> tuple[int, ...]:
+    ) -> Sequence[int]:
         """The linear combination sum_i coeffs[i] * vectors[i]: ``lincombs``'s one row."""
         return self.lincombs((coeffs,), vectors)[0]
 
     def lincombs(
         self, rows: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]
-    ) -> list[tuple[int, ...]]:
+    ) -> list[Sequence[int]]:
         """[sum_i c[i] * vectors[i] for c in rows]: the bulk kernel.
 
         The vectors, zero terms included, must be nonempty in number and of

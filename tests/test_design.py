@@ -16,6 +16,9 @@ in the run.
 
 Over GF(2^m) the kernel multiplies through window tables: only
 ``field._build_rows``, the scalar product table, calls ``translate``.
+A GF(2^m) vector is its bytes alone: ``field.Packed`` subclasses no
+built-in sequence, so no kernel output builds a tuple that nothing reads,
+and no module but ``field.py`` calls a ``Packed`` constructor.
 
 The audit has one eliminator: only ``audit._eliminate`` calls a context's
 ``inv``, so every rank test and coset name goes through it, and
@@ -41,6 +44,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from splfr.field import Packed
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "splfr"
@@ -130,6 +135,21 @@ def test_only_the_product_table_translates_bytes():
     assert {name: where for name, where in translating.items() if where} == {
         "field.py": {"_build_rows"}
     }
+
+
+def test_a_packed_vector_is_its_bytes_alone():
+    assert not issubclass(Packed, (tuple, list, bytes, bytearray))
+    # a context's own subclass is ``_packed``; only the field constructs either
+    constructing = {
+        path.name: [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("Packed", "_packed")
+        ]
+        for path in MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+    }
+    assert {name: lines for name, lines in constructing.items() if lines} == {}
 
 
 #: context methods that ``engine.py`` calls outside the formal run: drawing

@@ -1,6 +1,7 @@
 """Tests for exact GF(q) arithmetic."""
 
 import random
+from operator import add, eq, ge, gt, le, lt, ne
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +83,31 @@ class TestScalars:
         for ctx, a in ((GF5, 5), (GF5, 10), (GF5, -1), (GF8, 8), (gf256, 256), (gf256, 300)):
             with pytest.raises(FieldError, match="outside"):
                 ctx.inv(a)
+
+    def test_binary_mul_rejects_operands_outside_the_field(self):
+        # the product rows are keyed by int, and 2.0 hashes as 2
+        gf256 = FieldContext.binary(8)
+        for a, b in ((2.0, 3), (-1, 3), (256, 3), ("2", 3), (3, 2.0), (3, -1), (3, 256)):
+            with pytest.raises(FieldError, match="outside"):
+                gf256.mul(a, b)
+
+    def test_vec_scale_checks_its_coefficient_and_its_symbols(self):
+        gf256 = FieldContext.binary(8)
+        for ctx in (GF5, GF8, gf256):
+            q = ctx.q
+            for c, u in (
+                (2.0, (3, 4)),  # a float coefficient
+                (q + 2, (3, 1)),  # coefficients outside the field
+                (-1, (3, 1)),
+                (2, (3, q + 4)),  # symbols outside the field
+                (2, (-1, 1)),
+                (2, (1.0, 1)),
+            ):
+                with pytest.raises(FieldError, match="outside"):
+                    ctx.vec_scale(c, u)
+            scaled = ctx.vec_scale(q - 1, (3, 1, 0))
+            assert type(scaled) is tuple and scaled == lincomb_oracle(ctx, (q - 1,), ((3, 1, 0),))
+        assert GF5.vec_scale(2, (3, 4)) == (1, 3)
 
     def test_gf8_mul_all_pairs_against_polynomial_oracle(self):
         for a in range(8):
@@ -591,6 +617,88 @@ def test_packed_from_another_field_is_checked_again():
     fits = gf256.pack((9, 3))
     assert gf16.lincomb((1,), (fits,)).field is gf16
     assert gf16.pack(fits).field is gf16 and gf16.pack(fits) == fits
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except (TypeError, ValueError, IndexError) as exc:
+        return type(exc)
+
+
+def same(got, want):
+    """``got`` equals ``want`` and has its type: a plain tuple stays a plain tuple."""
+    return type(got) is type(want) and got == want
+
+
+def symbol_tuples(ctx, max_size=70):
+    return st.lists(st.integers(0, ctx.q - 1), max_size=max_size).map(tuple)
+
+
+@pytest.mark.parametrize("ctx", BINARY_KERNEL_FIELDS, ids=lambda c: c.spec)
+class TestPackedTupleContract:
+    """A ``Packed`` behaves exactly as its plain tuple of ints: each operation
+    of the tuple's contract gives the same result of the same type, or
+    raises the same error, on the ``Packed`` and on the tuple."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_compares_and_adds_as_its_tuple(self, ctx, data):
+        v = data.draw(symbol_tuples(ctx), label="v")
+        # another vector, equal to v, a prefix of it or an extension of it too
+        w = data.draw(
+            st.one_of(
+                symbol_tuples(ctx),
+                st.just(v),
+                st.integers(0, len(v)).map(lambda n: v[:n]),
+                symbol_tuples(ctx, 4).map(lambda e: v + e),
+            ),
+            label="w",
+        )
+        other, p = another_field(ctx), ctx.pack(v)
+        # each side as a tuple, as this context's Packed and as another context's
+        peers = [w, ctx.pack(w), other.pack(w), v, ctx.pack(v), other.pack(v)]
+        for u in peers:
+            t = tuple(u)
+            for op in (eq, ne, lt, le, gt, ge, add):
+                assert same(op(p, u), op(v, t)), (op, p, u)
+                assert same(op(u, p), op(t, v)), (op, u, p)
+        assert hash(p) == hash(v) and {p: 1}[v] == 1 and {v: 1}[p] == 1
+        mixed, plain = [p, *peers], [v, *map(tuple, peers)]
+        order = range(len(mixed))
+        assert sorted(order, key=mixed.__getitem__) == sorted(order, key=plain.__getitem__)
+        # a list or bytes of the same symbols is unequal and has no order against it
+        for alien in (list(v), bytes(v)):
+            for op in (eq, ne, lt, le, gt, ge, add):
+                assert same(outcome(op, p, alien), outcome(op, v, alien)), (op, alien)
+                assert same(outcome(op, alien, p), outcome(op, alien, v)), (op, alien)
+        assert outcome(lt, p, list(v)) is TypeError and outcome(ge, bytes(v), p) is TypeError
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_reads_and_searches_as_its_tuple(self, ctx, data):
+        v = data.draw(symbol_tuples(ctx), label="v")
+        p = ctx.pack(v)
+        assert isinstance(p, Packed) and not isinstance(p, tuple)
+        assert same(repr(p), repr(v)) and same(str(p), str(v)) and same(len(p), len(v))
+        assert same(bool(p), bool(v)) and same(list(iter(p)), list(iter(v)))
+        assert same(tuple(p), v) and same(list(p), list(v)) and same(bytes(p), bytes(v))
+        for i in range(-len(v) - 2, len(v) + 2):  # out of range on both sides too
+            assert same(outcome(p.__getitem__, i), outcome(v.__getitem__, i)), i
+        bound = st.none() | st.integers(-80, 80)
+        for _ in range(5):
+            cut = slice(data.draw(bound), data.draw(bound), data.draw(bound))
+            assert same(outcome(p.__getitem__, cut), outcome(v.__getitem__, cut)), cut
+        assert outcome(p.__getitem__, "0") is TypeError is outcome(v.__getitem__, "0")
+        present = data.draw(st.sampled_from(v)) if v else 0
+        for x in (present, ctx.q - 1, 0, ctx.q, 256, -1, 1.0, True, "1", (1,)):
+            assert same(x in p, x in v) and same(x not in p, x not in v), x
+            assert same(p.count(x), v.count(x)), x
+            assert same(outcome(p.index, x), outcome(v.index, x)), x
+            start, stop = data.draw(st.integers(-75, 75)), data.draw(st.integers(-75, 75))
+            assert same(outcome(p.index, x, start), outcome(v.index, x, start)), (x, start)
+            assert same(outcome(p.index, x, start, stop), outcome(v.index, x, start, stop))
 
 
 #: lengths of the window kernel's operands: one lane, a few, a packet of
