@@ -62,7 +62,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .engine import Library, Mode, Randomness, SchemeState, Vector, decode, deliver, place
-from .field import FieldContext
+from .field import FieldContext, _gather
 from .pda import PDA, STAR
 
 DEFAULT_BUDGET = 2**26
@@ -253,10 +253,8 @@ class _Formal:
         return tuple(v[i * size : (i + 1) * size] for i in range(f))
 
     def gather(self, vectors, picks, size: int) -> tuple:
-        zero = (0,) * size
-        return tuple(chain.from_iterable(
-            zero if p is None else vectors[p[0]][p[1] * size : (p[1] + 1) * size] for p in picks
-        ))
+        """The picked packets end to end, refusing the picks that ``FieldContext.gather`` does."""
+        return _gather(vectors, picks, size, (0,))
 
     def lincomb(self, coeffs, vectors) -> tuple[_Poly, ...]:
         return self.lincombs((coeffs,), vectors)[0]

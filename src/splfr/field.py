@@ -179,6 +179,33 @@ def _laid(sums: list[bytes], layers: Sequence, width: int, packets: int) -> list
         raise FieldError("a pick lies outside the rows' combinations") from None
 
 
+def _gather(vectors: Sequence, picks: Sequence, size: int, unit: Sequence) -> Sequence:
+    """``gather`` over sequences: packet x of ``vectors[a]``, ``size`` symbols,
+    for each pick (a, x), and ``size`` copies of the zero ``unit`` for None,
+    end to end, as bytes if ``unit`` is bytes and else as a tuple.
+
+    A pick that names no whole packet raises: an index that is no int or a
+    vector past the last where it is read, and a negative packet (taken as
+    empty, not wrapped round) or one past the end or cut short by it where
+    the result's length is checked, once.
+    """
+    if not isinstance(size, int) or size < 1:
+        raise FieldError(f"packet size {size!r} is not a positive int")
+    zero, empty = unit * size, unit[:0]
+    try:
+        packets = [
+            zero if p is None
+            else vectors[p[0]][p[1] * size : (p[1] + 1) * size] if p[0] >= 0 <= p[1] else empty
+            for p in picks
+        ]
+    except (IndexError, TypeError):
+        raise FieldError("a pick lies outside the vectors' packets") from None
+    out = b"".join(packets) if type(unit) is bytes else tuple(chain.from_iterable(packets))
+    if len(out) != len(picks) * size:
+        raise FieldError("a pick lies outside the vectors' packets")
+    return out
+
+
 @lru_cache(maxsize=64)
 def _times(m: int, poly: int, length: int, k: int):
     """y -> x^k * y mod ``poly`` in each of ``length`` byte lanes of a big-endian int.
@@ -392,7 +419,7 @@ class FieldContext:
         a ``Packed`` are neither checked nor packed again.
         """
         b = len(v)
-        if f <= 0 or b % f:
+        if not isinstance(f, int) or f <= 0 or b % f:
             raise FieldError(f"packet count {f} does not divide vector length {b}")
         size = b // f
         if self.kind == "binary":
@@ -420,26 +447,22 @@ class FieldContext:
         return tuple(chain.from_iterable(vectors))
 
     def gather(
-        self, vectors: Sequence[Sequence[int]], picks: Iterable[tuple[int, int] | None], size: int
+        self, vectors: Sequence[Sequence[int]], picks: Sequence[tuple[int, int] | None], size: int
     ) -> Sequence[int]:
         """Packet x of ``vectors[a]``, of ``size`` symbols, for each (a, x) in
         ``picks``, end to end, with zeros for None: ready for the kernel.
 
         It is one ``join`` of the picked packets, with no ``split`` before
         it: over GF(p) as unchecked as ``join``'s, over GF(2^m) slices of
-        the packings, this context's own operands not packed again.
+        the packings, this context's own operands not packed again.  Each
+        pick must name a whole packet, and ``size`` be a positive int
+        (``_gather``).
         """
         if self.kind == "binary":
             own = self._packed
             packs = [v.packed if type(v) is own else self._packing(v) for v in vectors]
-            zero = bytes(size)
-            return own(b"".join([
-                zero if p is None else packs[p[0]][p[1] * size : (p[1] + 1) * size] for p in picks
-            ]))
-        zero = (0,) * size
-        return tuple(chain.from_iterable([
-            zero if p is None else vectors[p[0]][p[1] * size : (p[1] + 1) * size] for p in picks
-        ]))
+            return own(_gather(packs, picks, size, b"\0"))
+        return _gather(vectors, picks, size, (0,))
 
     def lincomb(
         self, coeffs: Sequence[int], vectors: Sequence[Sequence[int]]

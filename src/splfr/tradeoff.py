@@ -344,60 +344,40 @@ def _upper_roots(a: int, b: int, c: int) -> list[Supremum]:
             for s in (1, -1)]
 
 
-def _man_corner(n: int, k: int, t: int):
-    """Corner t of the t-subset curve as reduced (numerator, denominator) pairs."""
-    x = k + t * (n - 1)  # M = x/K
-    g, h = math.gcd(x, k), math.gcd(k - t, t + 1)
-    return (x // g, k // g), ((k - t) // h, (t + 1) // h)
+def _man_pieces(n: int, k: int, lo, hi) -> list[tuple[int, ...]]:
+    """The t-subset curve's linear pieces over [lo, hi], in flat integer theta forms.
 
-
-def _man_point(n: int, k: int, a: int, b: int):
-    """The t-subset curve's point at memory M = a/b in [1, N], reduced like a corner.
-
-    a/b must be in lowest terms with b > 0.
-    """
-    # corner t sits at (M - 1)K = t(N - 1), that is (a - b)K = t b(N - 1)
-    step = b * (n - 1)
-    t, rest = divmod((a - b) * k, step)
-    if not rest:
-        return _man_corner(n, k, t)
-    # R falls linearly by (K+1)/((t+1)(t+2)) from (K-t)/(t+1) at corner t to corner t+1
-    p, q = (k - t) * (t + 2) * step - rest * (k + 1), (t + 1) * (t + 2) * step
-    g = math.gcd(p, q)
-    return (a, b), (p // g, q // g)
-
-
-def _theta_form(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int, int]:
-    """(c0, c1, d) with a + theta*(b - a) = (c0 + c1*theta)/d and d > 0.
-
-    ``a`` and ``b`` are reduced fractions as (numerator, denominator), and d
-    is the lcm of their denominators.
-    """
-    d = math.lcm(a[1], b[1])
-    c0 = a[0] * (d // a[1])
-    return c0, b[0] * (d // b[1]) - c0, d
-
-
-def _man_segments(n: int, k: int, lo, hi):
-    """The t-subset curve's linear pieces over [lo, hi], in integer theta forms.
-
-    Yields ((m0, m1, dm), (r0, r1, dr)) with M = (m0 + m1*theta)/dm and
-    R = (r0 + r1*theta)/dr for theta in [0, 1].  Each form is taken over
-    the lcm of the piece's reduced end denominators; ``ratio_sup`` brackets
-    an irrational supremum at a fixed scale of these coefficients, so that
-    scaling is part of every reported bracket.  ``lo`` and ``hi`` are ints or
-    Fractions; every end, corner or not, is computed in integers from their
-    numerators and denominators.
+    Each is (m0, m1, dm, r0, r1, dr) with M = (m0 + m1*theta)/dm and
+    R = (r0 + r1*theta)/dr for theta in [0, 1], unreduced.  ``lo`` and ``hi``
+    are ints or Fractions, and dm is the lcm of K and their denominators, so
+    that corner t sits at dm + t*c for c = (dm/K)(N-1).  On a piece from
+    corner t the load falls by (K+1)/((t+1)(t+2)) per memory c/dm from
+    (K-t)/(t+1), so it is over dr = (t+1)(t+2)c.  ``_reduced`` gives a piece
+    at the scale that ``ratio_sup`` reports a bracket at.
     """
     _check_sizes(n, k)
-    (a, b), (c, d) = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
-    first = (a - b) * k // (b * (n - 1)) + 1  # the first corner above lo
-    last = -((d - c) * k // (d * (n - 1))) - 1  # the last corner below hi
-    pts = [_man_point(n, k, a, b)]
-    pts += [_man_corner(n, k, t) for t in range(first, last + 1)]
-    pts.append(_man_point(n, k, c, d))
-    for (am, ar), (bm, br) in zip(pts, pts[1:]):
-        yield _theta_form(am, bm), _theta_form(ar, br)
+    (a, b), (p, q) = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+    dm = math.lcm(k, b, q)
+    c, k1 = dm // k * (n - 1), k + 1
+    x0, end = a * (dm // b), p * (dm // q)
+    t, past = divmod(x0 - dm, c)  # x0 is ``past`` beyond corner t
+    pieces = []
+    while x0 < end:
+        x1, s = min(x0 - past + c, end), (t + 2) * c
+        pieces.append((x0, x1 - x0, dm, (k - t) * s - k1 * past, -k1 * (x1 - x0), (t + 1) * s))
+        x0, t, past = x1, t + 1, 0
+    return pieces
+
+
+def _reduced(piece: tuple[int, ...]) -> tuple[int, ...]:
+    """``piece`` with each form over the lcm of its two ends' reduced denominators.
+
+    ``ratio_sup`` brackets an irrational supremum at a fixed scale of the
+    coefficients, so this scale is part of every reported bracket.
+    """
+    m0, m1, dm, r0, r1, dr = piece
+    g, h = math.gcd(math.gcd(m0, dm), m0 + m1), math.gcd(math.gcd(r0, dr), r0 + r1)
+    return m0 // g, m1 // g, dm // g, r0 // h, r1 // h, dr // h
 
 
 def _cutset_pieces(n: int, k: int, lo: Fraction, hi: Fraction):
@@ -420,14 +400,15 @@ def _man_sup(n: int, k: int, lo: int, weights) -> Supremum:
 
     With M = m/dm and R = r/dr, the ratio is r(u m + v) / (dr (N dm - m)(w m + z))
     for (u, v, w, z) = ``weights(dm)``.  The pass runs on ``_man_forms``; only a
-    piece that fails the candidate is rebuilt in ``_man_segments``' reduced form.
+    piece that fails the candidate is rebuilt by ``_man_pieces``, in ``_reduced`` form.
     """
     _check_sizes(n, k)
     t0 = (lo - 1) * k // (n - 1)
 
     def reduced(i: int) -> tuple:  # piece i spans corners t0 + i and t0 + i + 1
         x0, x1 = max(lo * k, k + (t0 + i) * (n - 1)), k + (t0 + i + 1) * (n - 1)
-        (m0, m1, dm), (r0, r1, dr) = next(_man_segments(n, k, Fraction(x0, k), Fraction(x1, k)))
+        [piece] = _man_pieces(n, k, Fraction(x0, k), Fraction(x1, k))
+        m0, m1, dm, r0, r1, dr = _reduced(piece)
         u, v, w, z = weights(dm)
         e0, e1, g0, h0, h1 = u * m0 + v, u * m1, n * dm - m0, w * m0 + z, w * m1
         return ((r1 * e1, r0 * e1 + r1 * e0, r0 * e0),
@@ -440,8 +421,8 @@ def _man_forms(n: int, k: int, lo: int, u, v, w, z):
     """Yield the form of r(u m + v) / (dr (N dm - m)(w m + z)) on each t-subset piece over [lo, N).
 
     Memory m = MK runs from max(lo K, K + t(N-1)) to K + (t+1)(N-1) over dm = K,
-    and load over dr = (t+1)(t+2)(N-1), as in ``_man_point``: the expansion of
-    ``_man_sup``'s ``reduced``, straight from t and inline for speed.
+    and load over dr = (t+1)(t+2)(N-1): the forms of ``_man_pieces(n, k, lo, n)``,
+    weighted as in ``_man_sup``'s ``reduced``, straight from t and inline for speed.
     """
     n1, k1, nk = n - 1, k + 1, n * k
     x0 = lo * k
@@ -472,7 +453,7 @@ def _cutset_ratio_sup(n: int, k: int, lo: Fraction, hi: Fraction) -> Supremum:
     """Supremum of R(M) over the cut-set bound on [lo, hi), by ``_pieces_sup``."""
     pieces = []
     for u, a, b in _cutset_pieces(n, k, lo, hi):
-        for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, a, b):
+        for m0, m1, dm, r0, r1, dr in map(_reduced, _man_pieces(n, k, a, b)):
             c = (n - 1) * dm  # R/line_u = c (r0 + r1*theta) / (dr u (N dm - u (m0 + m1*theta)))
             pieces.append(((0, c * r1, c * r0), (0, -dr * u * u * m1, dr * u * (n * dm - u * m0))))
     return _pieces_sup((p + q for p, q in pieces), pieces.__getitem__)
@@ -482,9 +463,10 @@ def achievable_above_converse(n: int, k: int) -> bool:
     """Whether the t-subset curve stays on or above the array-class converse.
 
     Certified over all of [1, N]: on each piece, R(M) >= K(N-M)/(N-1+K(M-1))
-    is R(M)(N-1+K(M-1)) - K(N-M) >= 0, a quadratic in M.
+    is R(M)(N-1+K(M-1)) - K(N-M) >= 0, a quadratic in M, whose sign a positive
+    scale of a piece's forms does not change, so the pieces are not reduced.
     """
-    for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, 1, n):
+    for m0, m1, dm, r0, r1, dr in _man_pieces(n, k, 1, n):
         # times dr dm: (r0 + r1*theta)(e0 + e1*theta) - K dr (N dm - m0 - m1*theta)
         e0, e1 = dm * (n - 1 - k) + k * m0, k * m1
         c2, c1, c0 = r1 * e1, r0 * e1 + r1 * e0 + k * dr * m1, r0 * e0 - k * dr * (n * dm - m0)
@@ -535,7 +517,7 @@ def coded_uncoded_ratio_max(n: int, k: int) -> Fraction:
     # the corners in [1, N): the coded ones from t = 0, and the uncoded ones
     # from t = 1, which is at or above M = 1 because N >= K
     for x in chain(range(k, k * n, n - 1), range(n, k * n, n)):
-        t, a = divmod(x - k, n - 1)  # each load a/step past its corner t, as in _man_point
+        t, a = divmod(x - k, n - 1)  # each load a past its corner t, as in _man_pieces
         coded_p, coded_q = (k - t) * (t + 2) * (n - 1) - a * (k + 1), (t + 1) * (t + 2) * (n - 1)
         t, a = divmod(x, n)
         uncoded_p, uncoded_q = (k - t) * (t + 2) * n - a * (k + 1), (t + 1) * (t + 2) * n

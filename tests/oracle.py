@@ -64,7 +64,6 @@ from splfr.tradeoff import (
     TradeoffCurve,
     TradeoffError,
     _cutset_pieces,
-    _man_segments,
     cutset_bound,
     man_curve,
     man_points,
@@ -369,7 +368,7 @@ def evaluated_coded_uncoded_ratio_max(n: int, k: int) -> Fraction:
 
 def simple_converse_pieces(n: int, k: int):
     """(p, q) per piece of R(M)(M-1)/(N-M) over [1, N)."""
-    for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, 1, n):
+    for (m0, m1, dm), (r0, r1, dr) in hull_man_segments(n, k, 1, n):
         # R(M-1)/(N-M) = (r0 + r1*theta)(m0 - dm + m1*theta) / (dr (N dm - m0 - m1*theta))
         e0 = m0 - dm
         p = (r1 * m1, r0 * m1 + r1 * e0, r0 * e0)
@@ -378,7 +377,7 @@ def simple_converse_pieces(n: int, k: int):
 
 def smooth_bound_pieces(n: int, k: int):
     """(p, q) per piece of R(M)/f(M) over [2, N)."""
-    for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, 2, n):
+    for (m0, m1, dm), (r0, r1, dr) in hull_man_segments(n, k, 2, n):
         # R/f = 4(N-1) M R / (N^2 - M^2), both sides times dr dm^2
         c = 4 * (n - 1) * dm
         p = (c * r1 * m1, c * (r0 * m1 + r1 * m0), c * r0 * m0)
@@ -389,7 +388,7 @@ def smooth_bound_pieces(n: int, k: int):
 def cutset_ratio_pieces(n: int, k: int, lo: Fraction, hi: Fraction):
     """(p, q) per piece of R(M) over the cut-set bound on [lo, hi)."""
     for u, a, b in _cutset_pieces(n, k, lo, hi):
-        for (m0, m1, dm), (r0, r1, dr) in _man_segments(n, k, a, b):
+        for (m0, m1, dm), (r0, r1, dr) in hull_man_segments(n, k, a, b):
             # R/line_u = (N-1) dm (r0 + r1*theta) / (dr (uN dm - u^2 (m0 + m1*theta)))
             p = (0, (n - 1) * dm * r1, (n - 1) * dm * r0)
             q = (0, -dr * u * u * m1, dr * (u * n * dm - u * u * m0))

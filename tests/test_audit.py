@@ -29,7 +29,7 @@ from splfr.audit import (
 )
 from splfr.cli import TOY_GRID
 from splfr.engine import DeliveryPayload, Library, Mode, Randomness, decode, deliver, place
-from splfr.field import FieldContext
+from splfr.field import FieldContext, FieldError
 from splfr.pda import STAR, man_pda, parse_pda, validate
 
 from oracle import (
@@ -813,6 +813,26 @@ def test_the_formal_gathered_is_its_composition():
         want = formal.lincomb((1,) * len(laid), laid)
         assert [[*p.items()] for p in got] == [[*p.items()] for p in want]
         assert any(p for p in map(dict, want))
+
+
+def test_the_formal_gather_refuses_the_picks_the_field_does():
+    # the formal run models an engine as it runs: a pick or size that the
+    # field's gather refuses is refused, and any other laid out alike
+    formal, ctx = splfr.audit._Formal(SMALL), SMALL.ctx
+    vectors = [(1, 0, 1, 1), (0, 1)]
+    picks = [(a, x) for a in (-1, 0, 1, 2, 0.0) for x in (-2, -1, 0, 1, 2, 0.0)]
+    refused = 0
+    for size in (1, 2, 3, 0, -1, 2.0):
+        for pick in [*picks, (), (0,), None]:
+            outcomes = []
+            for context in (ctx, formal):
+                try:
+                    outcomes.append(tuple(context.gather(vectors, [pick, None], size)))
+                except FieldError:
+                    outcomes.append(FieldError)
+            assert outcomes[0] == outcomes[1], (pick, size)
+            refused += outcomes[0] is FieldError
+    assert 0 < refused < 6 * (len(picks) + 3)
 
 
 @pytest.mark.parametrize("ctx,arr,n,b,demand_space,mode", differential_cases())

@@ -25,6 +25,12 @@ The audit has one eliminator: only ``audit._eliminate`` calls a context's
 ``FieldContext`` defines no dense ``echelon`` or ``reduce``; the dense
 elimination is the tests' reference (``tests/oracle.py``).
 
+The t-subset curve has one general expansion: ``tradeoff._man_pieces``
+builds every piece outside the fused loop ``_man_forms``, and
+``_reduced`` alone reduces one.  No per-end helper (``_man_corner``,
+``_man_point``, ``_theta_form``) or ``_man_segments`` is left; the generic
+pieces of the hull are the tests' reference (``tests/oracle.py``).
+
 ``Randomness`` owns the layout of the randomness r: the audit builds every
 value of r through ``Randomness.of``, never through the constructor.
 ``Randomness.effective`` owns the masking of r by mode: the audit reads no
@@ -123,6 +129,13 @@ def test_one_eliminator():
     )
     methods = {item.name for item in field.body if isinstance(item, ast.FunctionDef)}
     assert not methods & {"echelon", "reduce"}, "FieldContext eliminates again"
+
+
+def test_one_expansion_of_the_t_subset_pieces():
+    tree = ast.parse((PACKAGE / "tradeoff.py").read_text())
+    names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"_man_pieces", "_reduced"} <= names
+    assert not names & {"_man_segments", "_man_point", "_man_corner", "_theta_form"}
 
 
 def test_only_the_product_table_translates_bytes():

@@ -352,6 +352,35 @@ class TestGather:
         assert ctx.gather(own, [(1, 0), (0, 1)], 2) == (0, 1, 0, 1)
         assert packings == []
 
+    def test_rejects_picks_and_sizes_it_cannot_lay(self, ctx):
+        # as gathered refuses its picks: none is wrapped round, cut short or
+        # read as another, over plain and packed operands alike
+        vectors = [(1, 0, 1, 1), (0, 1)]
+        for operands in (vectors, [ctx.pack(v) for v in vectors]):
+            for picks, size in (
+                ([(0, 2)], 2),  # a packet past the end
+                ([(1, 1)], 2),  # past the end of the shorter vector
+                ([(0, 1)], 3),  # a packet cut short by the end
+                ([(2, 0)], 2),  # a vector past the last
+                ([(0, -1)], 2),  # negative packets and vectors
+                ([(0, -2)], 2),
+                ([None, (0, -4)], 1),
+                ([(-1, 0)], 2),
+                ([(0.0, 0)], 2),  # not an index
+                ([(0, 0.0)], 2),
+                ([(0, 0.5)], 2),
+                ([(0, None)], 2),
+                ([()], 2),
+                ([(0,)], 2),
+                ([(0, 0)], 0),  # no packet size
+                ([(0, 0)], -1),
+                ([(0, 0)], 2.0),
+                ([], 0),
+            ):
+                with pytest.raises(FieldError):
+                    ctx.gather(operands, picks, size)
+            assert ctx.gather(operands, [(1, 0), None, (0, 1)], 2) == (0, 1, 0, 0, 1, 1)
+
 
 def gathered_oracle(ctx, rows, vectors, layers, size):
     """Independent oracle: each row's combination from scalar add and mul, its
@@ -867,7 +896,7 @@ class TestSplit:
 
     def test_rejects_a_count_that_does_not_divide(self, ctx):
         v = (0, 1, 0, 1)
-        for f in (3, 5, 0, -1, -4):
+        for f in (3, 5, 0, -1, -4, 2.0):
             with pytest.raises(FieldError):
                 ctx.split(v, f)
             with pytest.raises(FieldError):

@@ -43,8 +43,10 @@ from splfr.tradeoff import (
     TradeoffError,
     _cutset_pieces,
     _cutset_ratio_sup,
-    _man_segments,
+    _man_forms,
+    _man_pieces,
     _pieces_sup,
+    _reduced,
     achievable_above_converse,
     comb0,
     cutset_bound,
@@ -497,10 +499,28 @@ class TestClosedForm:
     def test_segments_match_the_generic_pieces(self):
         for n, k in SMALL_PAIRS:
             hull = hull_man_curve(n, k)
-            intervals = [(1, n)] + [(2, n)] * (n > 2)
+            intervals = [(1, n), (1, F(3, 2))] + [(2, n)] * (n > 2)
             intervals += [(a, b) for _, a, b in _cutset_pieces(n, k, F(1), F(n))]
             for lo, hi in intervals:
-                assert list(_man_segments(n, k, lo, hi)) == list(segments(hull, lo, hi))
+                generic = [(*m, *r) for m, r in segments(hull, lo, hi)]
+                assert [_reduced(p) for p in _man_pieces(n, k, lo, hi)] == generic
+
+    def test_forms_are_the_weighted_pieces(self):
+        # the fused loop of criterion 7(c) against the one general expansion:
+        # r (u m + v) / (dr (N dm - m)(w m + z)) on each piece, dm = K
+        def times(a, b):  # (a0 + a1 theta)(b0 + b1 theta), as (c2, c1, c0)
+            return a[1] * b[1], a[0] * b[1] + a[1] * b[0], a[0] * b[0]
+
+        for n, k in SMALL_PAIRS:
+            for u, v, w, z in ((1, -k, 0, 1), (4 * (n - 1) * k, 0, 1, n * k)):
+                for lo in (1, 2):
+                    pieces = _man_pieces(n, k, lo, n)
+                    assert all(dm == k for _, _, dm, *_ in pieces)
+                    assert list(_man_forms(n, k, lo, u, v, w, z)) == [
+                        times((r0, r1), (u * m0 + v, u * m1))
+                        + tuple(dr * c for c in times((n * dm - m0, -m1), (w * m0 + z, w * m1)))
+                        for m0, m1, dm, r0, r1, dr in pieces
+                    ]
 
     def test_coded_uncoded_matches_evaluation(self):
         for n, k in SMALL_PAIRS:
@@ -514,7 +534,11 @@ class TestClosedForm:
 
         closed = reports()
         monkeypatch.setattr(splfr.tradeoff, "man_curve", hull_man_curve)
-        monkeypatch.setattr(splfr.tradeoff, "_man_segments", hull_man_segments)
+        monkeypatch.setattr(
+            splfr.tradeoff,
+            "_man_pieces",
+            lambda n, k, lo, hi: [(*m, *r) for m, r in hull_man_segments(n, k, lo, hi)],
+        )
         monkeypatch.setattr(
             splfr.tradeoff, "coded_uncoded_ratio_max", evaluated_coded_uncoded_ratio_max
         )
