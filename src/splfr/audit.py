@@ -57,12 +57,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, groupby, islice, product, repeat
+from itertools import chain, combinations, compress, groupby, islice, product, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .engine import Library, Mode, Randomness, SchemeState, Vector, decode, deliver, place
-from .field import FieldContext, _gather
+from .field import FieldContext, FieldError, _gather, _packet_size
 from .pda import PDA, STAR
 
 DEFAULT_BUDGET = 2**26
@@ -249,7 +249,8 @@ class _Formal:
         return tuple(chain.from_iterable(vectors))
 
     def split(self, v, f: int) -> tuple:
-        size = len(v) // f
+        """``v`` cut into f equal packets, refusing the counts that ``FieldContext.split`` does."""
+        size = _packet_size(len(v), f)
         return tuple(v[i * size : (i + 1) * size] for i in range(f))
 
     def gather(self, vectors, picks, size: int) -> tuple:
@@ -260,10 +261,22 @@ class _Formal:
         return self.lincombs((coeffs,), vectors)[0]
 
     def gathered(self, rows, vectors, layers, size: int) -> tuple[_Poly, ...]:
-        """The sum of the layers gathered from the rows' combinations, as it reads."""
-        products = self.lincombs(rows, vectors)
-        laid = [self.gather(products, layer, size) for layer in layers]
-        return self.lincomb((1,) * len(laid), laid)
+        """The layers gathered from the rows' combinations, added in order as
+        ``lincomb`` of the gathered layers would add them, slot order too."""
+        if not layers or len({*map(len, layers)}) != 1:
+            raise FieldError("need one or more layers of one count of picks of packets")
+        products, add = self.lincombs(rows, vectors), self.base.add
+        laid = [_gather(products, layer, size, (0,)) for layer in layers]
+        out = [_Poly() for _ in laid[0]]
+        for layer in laid:
+            for acc, x in zip(out, layer):
+                if type(x) is _Poly:  # an int is the zero of a None pick
+                    for s, b in x.items():
+                        if s in acc:  # a sum moves its slot last, as a new slot comes
+                            b = add(acc.pop(s), b)
+                        if b:
+                            acc[s] = b
+        return tuple(out)
 
     def lincombs(self, rows, vectors) -> list[tuple[_Poly, ...]]:
         """Each row's combination, each operand symbol lifted once for all the rows."""
@@ -271,11 +284,16 @@ class _Formal:
             raise AuditError("the engine combines vectors of unequal count or length")
         add, mul, width, lift = self.base.add, self.base.mul, self.width, self.lift
         lifted = [[x if type(x) is _Poly else lift(x) for x in v] for v in vectors]
+        ints = {}  # each int coefficient lifted once: a float equal to one is lifted apart
         out = []
         for coeffs in rows:
             row = [_Poly() for _ in vectors[0]]
             for c, v in zip(coeffs, lifted):
-                for s1, a in lift(c).items():
+                if type(c) is int:
+                    c = ints[c] if c in ints else ints.setdefault(c, lift(c))
+                elif type(c) is not _Poly:
+                    c = lift(c)
+                for s1, a in c.items():
                     for acc, x in zip(row, v):
                         for s2, b in x.items():
                             # a constant, slot 0, makes no product outside the premise
@@ -389,8 +407,10 @@ def _placements(
     rows takes every value, r innermost, as the per-atom walk has it.  Per
     W-monomial, one row at r = 0 (the signal at each demand tuple, one
     signal symbol at a time, then the seen rows) and one per active symbol
-    of r.  The columns that no W_i reaches are combined with (1, r) once per
-    key value r; at files W only the others combine with (1, W), then (1, r).
+    of r; the signal of every W-monomial is expanded over the demand tuples
+    in one call.  The columns that no W_i reaches are combined with (1, r)
+    once per key value r; at files W only the others combine with (1, W),
+    then (1, r).
     """
     ctx, q, (nb, keys, per_user, width) = cfg.ctx, cfg.ctx.q, _layout(cfg)
     slots = {s % width for row in chain(signal, seen) for s in row} if every_key else ()
@@ -398,30 +418,34 @@ def _placements(
     demand_tuples = cfg.demand_tuples()
     moved = range(cfg.n - per_user, cfg.n)  # the files a demand move reaches
     coeffs = [(1, *(d[j][t] for j in range(cfg.pda.k) for t in moved)) for d in demand_tuples]
-    per_slot = [ctx.pack(c) for c in zip(*coeffs)]  # each demand slot's coefficient by tuple
-    stacked = []
-    for w in range(0, (1 + nb) * width, width):  # the first slot of each W-monomial
-        at = [[row.get(w + x, 0) for x in (0, *range(1 + keys, width))] for row in signal]
-        symbols = ctx.lincombs(at, per_slot)
-        rows = [chain(_flat(zip(*symbols)), _column(seen, w))]
+    monomials, terms = range(0, (1 + nb) * width, width), (0, *range(1 + keys, width))
+    symbols = ctx.lincombs(  # rows: each W-monomial's signal rows; operands: the demand slots
+        [[row.get(w + x, 0) for x in terms] for w in monomials for row in signal],
+        [ctx.pack(c) for c in zip(*coeffs)],
+    )
+    size, stacked = len(signal), []
+    for i, w in enumerate(monomials):
+        rows = [chain(_flat(zip(*symbols[i * size : (i + 1) * size])), _column(seen, w))]
         rows += (chain(_column(signal, w + x) * len(coeffs), _column(seen, w + x))
                  for x in active)
         stacked.append(_flat(rows))
-    size, span = len(signal), len(stacked[0]) // (1 + len(active))
-    varies = sorted({j % span for v in stacked[1:] for j, x in enumerate(v) if x})  # in some W_i
-    fixed, blocks = [j for j in range(span) if j not in varies], range(0, len(stacked[0]), span)
-    varying = [ctx.pack(tuple(v[b + j] for b in blocks for j in varies)) for v in stacked]
-    constant = [tuple(stacked[0][b + j] for j in fixed) for b in blocks]
+    span = len(stacked[0]) // (1 + len(active))
+    reached = {j % span for v in stacked[1:] for j in compress(range(len(v)), v)}  # by some W_i
+    varies, fixed = sorted(reached), [j for j in range(span) if j not in reached]
+    blocks = range(0, len(stacked[0]), span)
+    varying = [ctx.pack([v[b + j] for b in blocks for j in varies]) for v in stacked]
+    constant = [tuple([stacked[0][b + j] for j in fixed]) for b in blocks]
     keyed = [(1, *r) for r in product(range(q), repeat=len(active))]
-    fixed_rows = ctx.lincombs(keyed, constant)
+    fixed_rows = ctx.lincombs(keyed, constant) if active else constant
     order = sorted(range(span), key=(fixed + varies).__getitem__)
     pick = itemgetter(*order) if span > 1 else tuple  # a row from its fixed, then varying, values
     realizations = product(range(q), repeat=nb)
     while chunk := list(islice(realizations, REALIZATIONS_PER_CALL)):
         for w, combined in zip(chunk, ctx.lincombs([(1, *w) for w in chunk], varying)):
-            parts = ctx.split(combined, 1 + len(active))
             files = tuple(w[f * cfg.b : (f + 1) * cfg.b] for f in range(cfg.n))
-            at_keys = ctx.lincombs(keyed, parts) if active else parts
+            at_keys = (combined,)  # with no active symbol, r = 0 alone
+            if active:
+                at_keys = ctx.lincombs(keyed, ctx.split(combined, 1 + len(active)))
             for at_fixed, at_key in zip(fixed_rows, at_keys):
                 row = pick(at_fixed + at_key)
                 signals = [row[i : i + size] for i in range(0, len(coeffs) * size, size)]
@@ -473,7 +497,9 @@ def enumerate_security(cfg: AuditConfig, model: _Model) -> AuditReport:
         rows, rank = factored
         placements = _placements(cfg, rows, model.signal)  # seen: the signal at tuple 0, r = 0
         files, signal, signals = next(placements)
-        classes = {*signals, *(s for *_, signals in placements for s in signals)}
+        classes = set(signals)
+        for *_, signals in placements:
+            classes.update(signals)
         conditions = cfg.ctx.q ** (cfg.n * cfg.b) * len(demand_tuples)
         violations = (len(classes) > 1) * len(classes) * cfg.ctx.q**rank * conditions
         first = ((files, demand_tuples[0]), signal) if violations else None
@@ -532,8 +558,10 @@ def enumerate_privacy(
                 classes = set(zip(seen, (s[start:end] for s in signals)))
                 broken = len(classes) * reach > len(demand_tuples)  # fewer than |A| in a class
                 violations = broken * len(classes) * cfg.ctx.q**rank * reach
-                cut = tuple(at[k * size : (k + 1) * size] for k in colluders)
-                first = (hidden[0], (at[len(caches) :], seen[0], cut)) if broken else None
+                first = None
+                if broken:  # the colluders' caches are cut for the witness alone
+                    cut = tuple(at[k * size : (k + 1) * size] for k in colluders)
+                    first = hidden[0], (at[len(caches) :], seen[0], cut)
             report.violations += violations
             report.verdict = report.violations == 0
             if first is not None and report.counterexample is None:

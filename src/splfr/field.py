@@ -206,6 +206,14 @@ def _gather(vectors: Sequence, picks: Sequence, size: int, unit: Sequence) -> Se
     return out
 
 
+def _packet_size(length: int, f) -> int:
+    """The size of f equal packets of ``length`` symbols: f must be a positive
+    int that divides ``length``, or ``split`` refuses it."""
+    if not isinstance(f, int) or f <= 0 or length % f:
+        raise FieldError(f"packet count {f} does not divide vector length {length}")
+    return length // f
+
+
 @lru_cache(maxsize=64)
 def _times(m: int, poly: int, length: int, k: int):
     """y -> x^k * y mod ``poly`` in each of ``length`` byte lanes of a big-endian int.
@@ -418,10 +426,7 @@ class FieldContext:
         Over GF(2^m) they slice the packing of ``v``, so that the packets of
         a ``Packed`` are neither checked nor packed again.
         """
-        b = len(v)
-        if not isinstance(f, int) or f <= 0 or b % f:
-            raise FieldError(f"packet count {f} does not divide vector length {b}")
-        size = b // f
+        size = _packet_size(len(v), f)
         if self.kind == "binary":
             packed = v.packed if type(v) is self._packed else self._packing(v)
             return tuple(self._packed(packed[i * size : (i + 1) * size]) for i in range(f))

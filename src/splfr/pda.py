@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, zip_longest
+from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 STAR = None
@@ -92,31 +92,43 @@ class PDA:
     def plans(self) -> tuple[ColumnPlan, ...]:
         """Each column's ``ColumnPlan``, built from ``index`` once per array.
 
-        The other positions of a symbol in column k lie in rows starred
-        there, by the defining conditions.
+        One pass over the columns places each row among its column's star
+        or ordinary rows; one over ``index`` finds the users that share a
+        symbol, and one more lays each position's other positions out.  The
+        other positions of a symbol in column k lie in rows starred there,
+        by the defining conditions.
         """
-        plans = []
-        for k in range(self.k):
-            stars, symbols, rows = [], [], []
-            for i, row in enumerate(self.entries):
-                if row[k] is STAR:
-                    rows.append((0, len(stars)))
-                    stars.append(i)
-                else:
-                    rows.append((1, len(symbols)))
-                    symbols.append(row[k] - 1)
-            star = {i: z for z, i in enumerate(stars)}
-            # the other positions of each ordinary row's symbol: (user, star slot)
-            others = [[(j, star[i]) for i, j in self.index[s + 1] if j != k] for s in symbols]
-            sharers = sorted({j for pos in others for j, _ in pos})
-            sharer = {j: a for a, j in enumerate(sharers)}
-            plans.append(ColumnPlan(
-                symbols=tuple(symbols),
-                sharers=tuple(sharers),
-                cross=tuple(zip_longest(*[[(sharer[j], z) for j, z in pos] for pos in others])),
-                rows=tuple(rows),
-            ))
-        return tuple(plans)
+        places, layouts, symbols = [], [], []
+        for column in zip(*self.entries):
+            rows, ordinary = [], []
+            for e in column:  # (0, its place among the star rows) or (1, among the others)
+                rows.append((0, len(rows) - len(ordinary)) if e is STAR else (1, len(ordinary)))
+                if e is not STAR:
+                    ordinary.append(e - 1)
+            places.append([place for _, place in rows])
+            layouts.append(tuple(rows))
+            symbols.append(tuple(ordinary))
+        shared = [set() for _ in range(self.k)]
+        for positions in self.index.values():
+            users = {j for _, j in positions}
+            for j in users:
+                shared[j] |= users
+        sharers = [tuple(sorted(users - {j})) for j, users in enumerate(shared)]
+        sharer = [{u: a for a, u in enumerate(users)} for users in sharers]
+        cross = [[] for _ in range(self.k)]
+        for positions in self.index.values():
+            for i, j in positions:  # its n-th other position goes to layer n, at i's place
+                at, place, layers, n = sharer[j], places[j], cross[j], 0
+                for i2, j2 in positions:
+                    if j2 != j:
+                        if n == len(layers):
+                            layers.append([None] * len(symbols[j]))
+                        layers[n][place[i]] = (at[j2], place[i2])
+                        n += 1
+        return tuple(
+            ColumnPlan(symbols[j], sharers[j], tuple(map(tuple, cross[j])), layouts[j])
+            for j in range(self.k)
+        )
 
     @property
     def parameters(self) -> tuple[int, int, int, int]:

@@ -8,7 +8,8 @@ product table by carry-less multiplication and trial division.  Helpers that
 only the tests use (``FieldElement``, ``field_dot``, ``canonical_relabel``,
 ``min_subpacketization``, ``lsub_parameters``, ``subpacketization_compare``,
 ``restrict_corners``, ``f_bound``, ``uncoded_points``, ``vec_sub``,
-``zero_randomness``) live here too.
+``zero_randomness``) live here too.  ``column_plans`` builds ``PDA.plans``
+column by column, the reference for its one pass over the array's index.
 The tradeoff oracles build the t-subset curve as a lower convex envelope
 and read its pieces through ``TradeoffCurve.evaluate``, the generic path
 the closed form replaces; ``fraction_lower_convex_envelope``, the hull with
@@ -43,21 +44,23 @@ the formal model, and ``echelon`` the reference for the audit's sparse
 eliminator.  ``outputs`` reads the concrete
 engine's signal, caches and decoding errors at one point, and
 ``evaluate`` the formal model's at the same point, the differential test
-of the premise the certificates rest on.
+of the premise the certificates rest on.  ``composed_gathered`` is the
+formal context's ``gathered`` as a composition of its other methods, the
+reference for its direct sum of the picked slots.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby, product
+from itertools import chain, groupby, product, zip_longest
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import splfr.audit as audit
 from splfr.engine import Library, NonDivisibleB, Randomness, Vector, update_round
 from splfr.field import FieldContext, FieldError
-from splfr.pda import PDA, STAR, PdaError, validate
+from splfr.pda import PDA, STAR, ColumnPlan, PdaError, validate
 from splfr.tradeoff import (
     CurvePoint,
     Supremum,
@@ -191,6 +194,33 @@ def canonical_relabel(pda: PDA) -> PDA:
                 new_row.append(mapping[e])
         grid.append(new_row)
     return validate(grid)
+
+
+def column_plans(pda: PDA) -> tuple[ColumnPlan, ...]:
+    """``PDA.plans`` built column by column: each column's rows in order, then
+    each ordinary row's symbol looked up in ``index``."""
+    plans = []
+    for k in range(pda.k):
+        stars, symbols, rows = [], [], []
+        for i, row in enumerate(pda.entries):
+            if row[k] is STAR:
+                rows.append((0, len(stars)))
+                stars.append(i)
+            else:
+                rows.append((1, len(symbols)))
+                symbols.append(row[k] - 1)
+        star = {i: z for z, i in enumerate(stars)}
+        # the other positions of each ordinary row's symbol: (user, star slot)
+        others = [[(j, star[i]) for i, j in pda.index[s + 1] if j != k] for s in symbols]
+        sharers = sorted({j for pos in others for j, _ in pos})
+        sharer = {j: a for a, j in enumerate(sharers)}
+        plans.append(ColumnPlan(
+            symbols=tuple(symbols),
+            sharers=tuple(sharers),
+            cross=tuple(zip_longest(*[[(sharer[j], z) for j, z in pos] for pos in others])),
+            rows=tuple(rows),
+        ))
+    return tuple(plans)
 
 
 def min_subpacketization(k: int, g: int) -> int:
@@ -829,6 +859,14 @@ def outputs(state, demands) -> tuple[Vector, ...]:
         for k, d in enumerate(demands)
     )
     return (signal, *caches, *errors)
+
+
+def composed_gathered(formal, rows, vectors, layers, size: int) -> tuple:
+    """``gathered`` as the composition it sums: the rows' combinations from
+    ``lincombs``, one ``gather`` per layer, and the layers added by ``lincomb``."""
+    products = formal.lincombs(rows, vectors)
+    laid = [formal.gather(products, layer, size) for layer in layers]
+    return formal.lincomb((1,) * len(laid), laid)
 
 
 def evaluate(cfg: audit.AuditConfig, model, library: Library, randomness: Randomness, demands):

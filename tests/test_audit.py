@@ -6,6 +6,7 @@ import random
 import re
 import time
 from collections import Counter
+from functools import partial
 from itertools import chain, combinations
 
 import pytest
@@ -34,6 +35,7 @@ from splfr.pda import STAR, man_pda, parse_pda, validate
 
 from oracle import (
     active_symbols,
+    composed_gathered,
     enumerate_correctness,
     evaluate,
     file_model,
@@ -395,6 +397,33 @@ class TestReports:
             combined.clear()
             files, *_ = next(placements)
             assert combined == [], files
+
+
+def test_the_set_up_expands_every_w_monomial_in_one_call(monkeypatch):
+    # before the first file realization, the signal rows of all 1 + N*B = 5
+    # W-monomials are expanded over the 16 demand tuples in one call: 5 x 5
+    # rows over the 5 demand slots (the constant, then each user's 2 demand
+    # moves).  With no active key symbol (LFR) the other call is the file
+    # realizations' one; PLFR's 4 privacy-key symbols add the fixed columns
+    # at each of the 16 key values, and the first realization's at each
+    shapes = []
+    kernel = FieldContext.lincombs
+
+    def counted(self, rows, vectors):
+        shapes.append((len(rows), len(vectors), len(vectors[0])))
+        return kernel(self, rows, vectors)
+
+    monkeypatch.setattr(FieldContext, "lincombs", counted)
+    for mode, walk, after in (
+        (Mode.LFR, False, [(16, 5, 15)]),
+        (Mode.PLFR, True, [(16, 5, 64), (16, 5, 80), (16, 5, 16)]),
+    ):
+        cfg = small(mode=mode)
+        signal = splfr.audit._formal_run(cfg).signal
+        rows = signal if walk else splfr.audit._factored(cfg, signal)[0]
+        shapes.clear()
+        next(splfr.audit._placements(cfg, rows, every_key=walk))
+        assert len(rows) == 5 and shapes == [(25, 5, 16), *after], mode
 
 
 def count_passes(monkeypatch) -> Counter:
@@ -809,10 +838,84 @@ def test_the_formal_gathered_is_its_composition():
     vectors = [(w[0], w[1], 0, 1), (w[2], 1, w[3], w[0])]
     for layers in ([[(0, 1), None]], [[(0, 1), None], [(1, 0), (0, 0)], [(2, 1), (1, 1)]]):
         got = formal.gathered(rows, vectors, layers, 2)
-        laid = [formal.gather(formal.lincombs(rows, vectors), layer, 2) for layer in layers]
-        want = formal.lincomb((1,) * len(laid), laid)
+        want = composed_gathered(formal, rows, vectors, layers, 2)
         assert [[*p.items()] for p in got] == [[*p.items()] for p in want]
         assert any(p for p in map(dict, want))
+
+
+@pytest.mark.parametrize("ctx,arr,n,b,demand_space,mode", differential_cases())
+def test_the_formal_gathered_is_its_composition_in_every_run(
+    monkeypatch, ctx, arr, n, b, demand_space, mode
+):
+    # each gathered call of a formal run sums, slot for slot and in slot
+    # order, what lincombs, a gather per layer and lincomb would give
+    cfg = AuditConfig(pda=arr, n=n, b=b, ctx=ctx, mode=mode, demand_space=demand_space)
+    gathered, calls = splfr.audit._Formal.gathered, []
+
+    def checked(self, rows, vectors, layers, size):
+        got = gathered(self, rows, vectors, layers, size)
+        want = composed_gathered(self, rows, vectors, layers, size)
+        assert [[*p.items()] for p in got] == [[*p.items()] for p in want]
+        calls.append(len(layers))
+        return got
+
+    monkeypatch.setattr(splfr.audit._Formal, "gathered", checked)
+    splfr.audit._formal_run(cfg)
+    assert bool(calls) == (arr.s > 0)  # deliver makes one where there is a symbol
+
+
+def test_the_formal_gathered_refuses_the_picks_its_composition_does():
+    # a pick or size that the gather of a layer refuses is refused, and any
+    # other summed alike; no layers, or layers of unequal count, are refused
+    formal, poly = splfr.audit._Formal(SMALL), splfr.audit._Poly
+    width = splfr.audit._layout(SMALL)[3]
+    rows, vectors = [(poly({1: 1}), 1), (1, 1)], [(poly({width: 1}), 0, 1, 1), (0, 1, 1, 0)]
+    picks = [(a, x) for a in (-1, 0, 1, 2, 0.0) for x in (-2, -1, 0, 1, 2, 0.0)]
+    refused = 0
+    for size in (1, 2, 3, 0, -1, 2.0):
+        for pick in [*picks, (), (0,), None]:
+            outcomes = []
+            for gathered in (formal.gathered, partial(composed_gathered, formal)):
+                try:
+                    out = gathered(rows, vectors, [[pick, None], [None, (0, 0)]], size)
+                    outcomes.append([[*p.items()] for p in out])
+                except FieldError:
+                    outcomes.append(FieldError)
+            assert outcomes[0] == outcomes[1], (pick, size)
+            refused += outcomes[0] is FieldError
+    assert 0 < refused < 6 * (len(picks) + 3)
+    for layers in ([], [[(0, 0)], [(0, 0), (0, 1)]]):
+        for gathered in (formal.gathered, partial(composed_gathered, formal)):
+            with pytest.raises((FieldError, AuditError)):
+                gathered(rows, vectors, layers, 1)
+
+
+def test_the_formal_lincombs_checks_each_coefficient_it_lifts_once():
+    # an int coefficient is lifted once a call, and a float equal to it is
+    # still refused, as the field refuses it
+    formal, x = splfr.audit._Formal(SMALL), splfr.audit._Poly({1: 1})
+    same = formal.lincombs([(1, 1), (1, 0)], [(x,), (x,)])
+    assert [[[*p.items()] for p in row] for row in same] == [[[]], [[(1, 1)]]]
+    for bad in (1.0, 2, -1):
+        with pytest.raises(FieldError):
+            formal.lincombs([(1,), (bad,)], [(x,)])
+
+
+def test_the_formal_split_refuses_the_counts_the_field_does():
+    # the formal run cuts a vector into the packets the engine's context
+    # does, and refuses every count that context refuses
+    formal, ctx, v = splfr.audit._Formal(SMALL), SMALL.ctx, (1, 0, 1, 1)
+    refused = 0
+    for count in (1, 2, 4, 3, 8, 0, -1, -4, 2.0, None, "2"):
+        outcomes = []
+        for context in (ctx, formal):
+            try:
+                outcomes.append(tuple(map(tuple, context.split(v, count))))
+            except FieldError:
+                outcomes.append(FieldError)
+        assert outcomes[0] == outcomes[1], count
+        refused += outcomes[0] is FieldError
+    assert refused == 8
 
 
 def test_the_formal_gather_refuses_the_picks_the_field_does():

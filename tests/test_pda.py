@@ -23,7 +23,7 @@ from splfr.pda import (
     validate,
 )
 
-from oracle import canonical_relabel, lsub_parameters, min_subpacketization
+from oracle import canonical_relabel, column_plans, lsub_parameters, min_subpacketization
 
 TOY = (
     (STAR, 1, 2),
@@ -166,6 +166,29 @@ class TestPlans:
         arr = parse_pda("PDA K=3 F=3\n* 1 2\n1 * 3\n4 5 *\n")
         plan = arr.plans[0]  # rows 1 and 2 hold symbols 1 and 4; 4 occurs once
         assert plan.sharers == (1,) and plan.cross == (((0, 0), None),)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_one_pass_is_the_column_by_column_build(self, k):
+        # the plans from one pass over the index are those built column by
+        # column, each row in order and each symbol looked up in the index
+        for t in range(k + 1):
+            arr = man_pda(k, t)
+            assert arr.plans == column_plans(arr), t
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            TOY,
+            [[STAR, STAR, STAR, STAR]],
+            [[STAR, STAR]],
+            [[STAR, 1, 2], [1, STAR, STAR]],
+            [[STAR, 1, 2], [1, STAR, 3], [4, 5, STAR]],
+        ],
+        ids=["toy", "all-star-row", "all-star-pair", "irregular", "loose"],
+    )
+    def test_one_pass_builds_each_array_here_as_column_by_column(self, grid):
+        arr = validate(grid)
+        assert arr.plans == column_plans(arr)
 
     def test_built_once_and_left_out_of_equality(self):
         arr, again = man_pda(4, 2), man_pda(4, 2)
@@ -345,3 +368,13 @@ def test_fuzz_symbol_positions_match_grid_scan(grid):
             (i, j) for i, row in enumerate(arr.entries) for j, e in enumerate(row) if e == s
         ]
         assert arr.symbol_positions(s) == scan
+
+
+@settings(max_examples=200)
+@given(grid_strategy)
+def test_fuzz_plans_match_the_column_by_column_build(grid):
+    try:
+        arr = validate(grid)
+    except PdaError:
+        return
+    assert arr.plans == column_plans(arr)
