@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import random
-import secrets
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -191,12 +189,15 @@ def _run(arr, ctx, mode, n, b, demands, rng, key_rng):
 
 
 def cmd_sim(args):
+    # imported here so that no other command loads OpenSSL into the process
+    import hashlib
+
     arr, ctx, mode, config = _instance(args, demands=args.demands)
     rng = random.Random(args.seed)
     # keys come from the OS's secure source unless the run asks to be
     # reproducible; a seeded run draws everything from one generator
     seeded = args.seed is not None
-    key_rng = rng if seeded else secrets.SystemRandom()
+    key_rng = rng if seeded else random.SystemRandom()
     state, payload, decoded, correct = _run(
         arr, ctx, mode, args.n, args.b, args.demands, rng, key_rng
     )
@@ -399,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sim_sub.add_parser("run", parents=[instance])
     p_run.add_argument("--seed", type=int, default=None,
                        help="reproducible run; without it the keys come from "
-                            "secrets.SystemRandom")
+                            "random.SystemRandom")
     p_run.add_argument("--demands", default="units",
                        help="demands file, 'random', or 'units'")
     p_run.set_defaults(func=cmd_sim)

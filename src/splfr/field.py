@@ -165,17 +165,22 @@ def _laid(sums: list[bytes], layers: Sequence, width: int, packets: int) -> list
     """Each layer of ``gathered``: the pieces of ``sums``, ``width`` bytes
     apiece, that its picks (a, x) take, zeros for None, joined end to end.
 
-    Each pick is looked up in dicts of the rows and of the ``packets``
-    slices, so that one outside them, negative ones included, raises.
+    Each pick is looked up in lists of the rows and of the ``packets``
+    slices, so that an index that is no int, or one past the end, raises; a
+    negative one, which a list would wrap round, lays None, which the join
+    refuses.
     """
-    zero, by_row = bytes(width), dict(enumerate(sums))
-    cuts = {x: slice(x * width, (x + 1) * width) for x in range(packets)}
+    zero = bytes(width)
+    cuts = [slice(x * width, (x + 1) * width) for x in range(packets)]
     try:
         return [
-            b"".join([zero if p is None else by_row[p[0]][cuts[p[1]]] for p in layer])
+            b"".join([
+                zero if p is None else sums[p[0]][cuts[p[1]]] if p[0] >= 0 <= p[1] else None
+                for p in layer
+            ])
             for layer in layers
         ]
-    except (KeyError, IndexError, TypeError):
+    except (IndexError, TypeError):
         raise FieldError("a pick lies outside the rows' combinations") from None
 
 
@@ -535,13 +540,13 @@ class FieldContext:
         and the layers are added and the result reduced once.  Over GF(p)
         below ``PACK_FROM`` symbols each output symbol is one sum over the
         layers' picks, reduced once.  The rows and vectors are checked as by
-        ``lincombs``; the layers must be one or more, of one count of picks,
-        and on every path, zero operands or not, each pick (a, x) must name
-        a row a and a whole packet x of its combination.  Over
-        GF(p) a slot holds L * T * (q - 1)^2 < 2^64 for L layers of T terms
-        while L * T < 2^32, which is checked.
+        ``lincombs``; ``size`` must be a positive int, the layers one or
+        more, of one count of picks, and on every path, zero operands or
+        not, each pick (a, x) must name, by ints, a row a and a whole packet
+        x of its combination.  Over GF(p) a slot holds L * T * (q - 1)^2 <
+        2^64 for L layers of T terms while L * T < 2^32, which is checked.
         """
-        if size < 1 or not layers or len({*map(len, layers)}) != 1:
+        if not isinstance(size, int) or size < 1 or not layers or len({*map(len, layers)}) != 1:
             raise FieldError("need one or more layers of one count of picks of packets")
         rows, operands, length = self._operands(rows, vectors, len(layers))
         count, packets = len(layers[0]) * size, length // size
@@ -553,12 +558,13 @@ class FieldContext:
             return self._packed(acc.to_bytes(count, "big"))
         q = self.q
         if length < PACK_FROM:  # each output symbol one sum over the layers, reduced once
-            # dicts, not lists, so that a negative index raises as one past the end does
-            by_row, columns = dict(enumerate(rows)), dict(enumerate(zip(*operands)))
+            # picked as ``_laid`` picks: a negative index adds None, which sum refuses
+            columns = [*zip(*operands)]
             try:
                 return tuple([
                     sum([
-                        sum(map(mul, by_row[p[0]], columns[p[1] * size + o]))
+                        sum(map(mul, rows[p[0]], columns[p[1] * size + o]))
+                        if p[0] >= 0 <= p[1] else None
                         for p in picks
                         if p is not None
                     ])
@@ -566,7 +572,7 @@ class FieldContext:
                     for picks in zip(*layers)
                     for o in range(size)
                 ])
-            except (KeyError, IndexError, TypeError):
+            except (IndexError, TypeError):
                 raise FieldError("a pick lies outside the rows' combinations") from None
         width = 8 * size
         # with every term zero no operand is left: each row's sum is 0, and _laid still

@@ -239,6 +239,34 @@ class TestSim:
         assert report["verdict"] == "pass"
         assert report["seed"] is None and report["key_source"] == "system"
 
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_keys_come_from_the_system_source(self, capsys, monkeypatch, seeded):
+        # an unseeded run draws every key symbol, and nothing else, from one
+        # OS-backed generator; a seeded run makes none
+        made = []
+
+        class Recording(random.SystemRandom):
+            def __init__(self):
+                super().__init__()
+                self.draws = 0
+                made.append(self)
+
+            def randrange(self, *args):
+                self.draws += 1
+                return super().randrange(*args)
+
+        monkeypatch.setattr(random, "SystemRandom", Recording)
+        args = list(self.ARGS)
+        if not seeded:
+            del args[args.index("--seed") : args.index("--seed") + 2]
+        code, _, _ = run_cli(capsys, *args)
+        assert code == 0
+        if seeded:
+            assert made == []
+        else:
+            (system,) = made
+            assert system.draws == engine.Randomness.symbols(man_pda(3, 1), 4, 3)
+
     def test_non_divisible_b_fails_cleanly(self, capsys):
         args = list(self.ARGS)
         args[args.index("3")] = "4"  # b = 4 with F = 3

@@ -513,11 +513,32 @@ class TestGathered:
             if length > 2:  # a packet not whole: the second of length - 1 symbols
                 with pytest.raises(FieldError):
                     ctx.gathered(rows, vectors, [[(0, 1)]], length - 1)
-            for size in (0, -1):  # no packet size
+            for size in (0, -1, 2.0):  # no packet size
                 with pytest.raises(FieldError):
                     ctx.gathered(rows, vectors, [[None]], size)
         with pytest.raises(FieldError):  # rows of another count, as in lincombs
             ctx.gathered([(1,)], vectors, [[(0, 0)]], 1)
+
+    @pytest.mark.parametrize("length", [PACK_FROM - 2, 2 * PACK_FROM])
+    def test_refuses_the_picks_gather_refuses(self, ctx, length):
+        # below and above PACK_FROM: a pick that is no pair of ints, or that
+        # a list would wrap round or read past, names no packet
+        rows, size = [(1, 0), (0, 1)], 2
+        vectors = [tuple((i + j) % ctx.q for j in range(length)) for i in range(2)]
+        combos = ctx.lincombs(rows, vectors)
+        packets = length // size
+        for pick in (
+            (0.0, 0), (0, 0.0), (0, 1.0),  # floats of an index's value
+            (-1, 0), (0, -1),
+            # which a list padded to twice its length would still wrap round
+            (-len(rows) - 1, 0), (0, -packets - 1),
+            (len(rows), 0),  # a row past the last
+            (0, packets),  # a packet past the end
+        ):
+            with pytest.raises(FieldError):
+                ctx.gathered(rows, vectors, [[None, pick]], size)
+            with pytest.raises(FieldError):
+                ctx.gather(combos, [None, pick], size)
 
 
 @pytest.mark.parametrize("ctx", PRIME_KERNEL_FIELDS, ids=lambda c: c.spec)
