@@ -314,9 +314,6 @@ class _Formal:
     def vec_add(self, u, w) -> tuple[_Poly, ...]:
         return self.lincomb((1, 1), (u, w))
 
-    def add(self, a, b) -> _Poly:
-        return self.vec_add((a,), (b,))[0]
-
     def neg(self, a) -> _Poly:
         if isinstance(a, _Poly):
             return self.lincomb((self.base.neg(1),), ((a,),))[0]
@@ -324,9 +321,6 @@ class _Formal:
 
     def sub(self, a, b) -> _Poly:  # b first: of two bad constants, b is the one named
         return self.lincomb((1, self.base.neg(1)), ((a,), (self.lift(b),)))[0]
-
-    def mul(self, a, b) -> _Poly:
-        return self.lincomb((a,), ((b,),))[0]
 
 
 class _Model(NamedTuple):
@@ -373,16 +367,14 @@ def _formal_run(cfg: AuditConfig) -> _Model:
     demands = [d if per_user == cfg.n else (reduce(ctx.sub, d, 1), *d) for d in moved]
     state = place(cfg.pda, Library(ctx, files), randomness, cfg.mode)
     payload = deliver(state, demands)
-    signal, caches = ctx.pack(chain(*payload.coeff_vectors, *payload.blocks)), []
-    for c in state.caches:  # under stars each row's N packets, then the records, by row
-        uncoded = (pkt for _, pkts in sorted(c.uncoded.items()) for pkt in pkts)
-        caches.append(ctx.pack(chain(*uncoded, *(v for _, v in sorted(c.coded.items())))))
+    signal = ctx.pack(chain(*payload.coeff_vectors, *payload.blocks))
+    caches = tuple(ctx.pack(chain(*c.starred, c.records)) for c in state.caches)
     minus_one, combine = cfg.ctx.neg(1), state.library.combine
     errors = tuple(  # each user's decoded vector minus the combination, in one call
         ctx.lincomb((1, minus_one), (decode(state.user_view(k), payload, d), combine(d)))
         for k, d in enumerate(demands)
     )
-    return _Model(signal, tuple(caches), errors, state, demands)
+    return _Model(signal, caches, errors, state, demands)
 
 
 def _column(rows: Sequence[dict], slot: int) -> Vector:
@@ -477,11 +469,16 @@ def _signal(cfg: AuditConfig, flat: Vector) -> tuple[tuple[Vector, ...], tuple[V
 
 
 def _cache(cfg: AuditConfig, k: int, flat: Vector) -> tuple:
-    """User k's cache, cut from its flat vector: (row, packets) under stars, then (row, record)."""
-    block, column = cfg.b // cfg.pda.f, cfg.pda.column(k)
-    cut = iter([flat[i : i + block] for i in range(0, len(flat), block)])
-    uncoded = tuple((i, tuple(islice(cut, cfg.n))) for i, e in enumerate(column) if e is STAR)
-    return uncoded, tuple((i, next(cut)) for i, e in enumerate(column) if e is not STAR)
+    """User k's cache, re-laid by row from its flat vector, the joined
+    ``UserCache.starred`` then ``records``: (row, the N files' packets)
+    under stars, then (row, record)."""
+    block, z, column = cfg.b // cfg.pda.f, cfg.pda.z, cfg.pda.column(k)
+    cut = [flat[i : i + block] for i in range(0, len(flat), block)]
+    stars, records = [i for i, e in enumerate(column) if e is STAR], iter(cut[cfg.n * z :])
+    return (
+        tuple((i, tuple(cut[j : cfg.n * z : z])) for j, i in enumerate(stars)),
+        tuple((i, next(records)) for i, e in enumerate(column) if e is not STAR),
+    )
 
 
 def enumerate_security(cfg: AuditConfig, model: _Model) -> AuditReport:

@@ -336,15 +336,14 @@ def golden_toy(seed: int = 7) -> dict:
     checks: dict[str, bool] = {}
     checks["parameters"] = arr.parameters == (3, 3, 1, 3)
     checks["regularity"] = pda_mod.regularity(arr) == 2
-    # cache layout: user k holds all packets of its starred row and one
-    # superposition key per remaining row
-    layout_ok = True
-    for k in range(3):
-        cache = state.caches[k]
-        layout_ok = layout_ok and set(cache.uncoded) == {k}
-        layout_ok = layout_ok and set(cache.coded) == set(range(3)) - {k}
-        layout_ok = layout_ok and len(cache.uncoded[k]) == n
-    checks["cache_layout"] = layout_ok
+    # cache layout: user k holds packet k, its starred row, of every file
+    # and one superposition key per remaining row
+    block = b // arr.f
+    checks["cache_layout"] = all(
+        cache.starred == tuple(f[k * block : (k + 1) * block] for f in state.library.files)
+        and len(cache.records) == 2 * block
+        for k, cache in enumerate(state.caches)
+    )
     checks["decode"] = all(correct)
     meas = engine.measure(state)
     checks["memory"] = meas.m_exact == 2

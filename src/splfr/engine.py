@@ -20,10 +20,11 @@ each user's coded records are one ``lincomb`` call, to which a refresh adds
 only the round's key shift.  No row combination is made only to be picked
 from.  The field owns the vector representation, so every stage has one path
 over every field: the library checks its files once and placement checks
-the security keys once, both with ``FieldContext.pack``; placement cuts the
-files into packets with ``FieldContext.split``, which checks and converts
-nothing again; the kernel's outputs come out ready for it, and
-``FieldContext.gather`` lays their packets out for the next call.
+the security keys once, both with ``FieldContext.pack``; the kernel's
+outputs come out ready for it; and ``FieldContext.gather``, which checks
+and converts nothing again, lays out every packet that a stage picks, so
+that no file is ever cut into packets: a cache holds the star-row packets
+of each file and its coded records, each joined, and nothing else.
 """
 
 from __future__ import annotations
@@ -189,25 +190,19 @@ class Randomness:
 
 @dataclass(frozen=True)
 class UserCache:
-    """Cache of one user: uncoded packet rows plus coded superposition keys.
+    """Cache of one user, as ``decode`` reads it, each part in row order.
 
-    ``uncoded[i]`` holds the i-th packet of every file (rows where the
-    user's column has a star); ``coded[i]`` holds one block per ordinary
-    entry in the user's column.  As ``decode`` reads them, ``starred[n]``
-    joins the uncoded packets of file n and ``records`` the coded blocks,
-    each in row order.
+    ``starred[n]`` joins the packets of file n at the rows where the user's
+    column has a star; ``records`` joins the coded superposition keys, one
+    block per ordinary entry in the column.
     """
 
-    uncoded: dict[int, tuple[Vector, ...]]
-    coded: dict[int, Vector]
     starred: tuple[Vector, ...]
     records: Vector
 
     @property
     def symbols(self) -> int:
-        n_unc = sum(len(pkts[0]) * len(pkts) for pkts in self.uncoded.values())
-        n_cod = sum(len(v) for v in self.coded.values())
-        return n_unc + n_cod
+        return sum(map(len, self.starred)) + len(self.records)
 
 
 @dataclass(frozen=True)
@@ -215,35 +210,31 @@ class UserView:
     """Everything user k may consult while decoding: its cache and the array.
 
     Deliberately excludes the library, the raw randomness, and every other
-    user's cache; the file count N is public.
+    user's cache; the file count N is public, as ``len(cache.starred)``.
     """
 
     pda: PDA
     ctx: FieldContext
     user: int  # 0-based column index
     cache: UserCache
-    n_files: int
 
 
 @dataclass(frozen=True)
 class SchemeState:
     """A placed system: array, library, effective randomness, and all caches.
 
-    ``rows[i][n]`` is packet i of file n, split once at placement and ready
-    for the kernel.
     ``randomness`` is already masked for ``mode``, so the stored key values
     are exactly the ones the caches were built from.
     """
 
     pda: PDA
     library: Library
-    rows: tuple[tuple[Vector, ...], ...]
     randomness: Randomness
     mode: Mode
     caches: tuple[UserCache, ...]
 
     def user_view(self, k: int) -> UserView:
-        return UserView(self.pda, self.library.ctx, k, self.caches[k], self.library.n_files)
+        return UserView(self.pda, self.library.ctx, k, self.caches[k])
 
 
 class DeliveryPayload(NamedTuple):
@@ -267,46 +258,41 @@ def place(pda: PDA, library: Library, randomness: Randomness, mode: Mode) -> Sch
     if b % pda.f != 0:
         raise NonDivisibleB(f"F={pda.f} does not divide B={b}")
     keys = randomness.effective(pda, n, b, ctx, mode)
-    rows = tuple(zip(*(ctx.split(file, pda.f) for file in library.files)))
-    return SchemeState(
-        pda=pda,
-        library=library,
-        rows=rows,
-        randomness=keys,
-        mode=mode,
-        caches=_fill_caches(pda, ctx, rows, library.files, keys),
-    )
+    caches = _fill_caches(pda, ctx, library.files, keys)
+    return SchemeState(pda=pda, library=library, randomness=keys, mode=mode, caches=caches)
 
 
 def _fill_caches(
-    pda: PDA, ctx: FieldContext, rows: tuple, files: tuple, keys: Randomness, base: tuple = ()
+    pda: PDA, ctx: FieldContext, files: tuple, keys: Randomness, base: tuple = ()
 ) -> tuple[UserCache, ...]:
-    """Every user's cache from the packet rows, the files and the (masked) keys.
+    """Every user's cache from the files and the (masked) keys.
 
-    User k's records are one kernel call over whole files, cut into packets:
-    the keys laid at its packets, zero under stars, plus sum_n p_(k,n) W_n,
-    plus its old records from ``base``, the caches before a refresh, which
-    leaves the uncoded packets as they are.  Its column's star and ordinary
-    rows, and the symbol of each, are read from ``PDA.plans``.
+    Each ``starred[n]`` is one ``gather`` of file n's packets at the star
+    rows.  User k's records are one kernel call over whole files: the keys
+    laid at its ordinary packets by ``gather``, zero under stars, plus
+    sum_n p_(k,n) W_n, plus its old records laid the same way from
+    ``base``, the caches before a refresh, which keeps ``starred``; one
+    ``gather`` picks the ordinary packets out of that sum.  Its column's
+    star and ordinary rows, and the symbol of each, are read from
+    ``PDA.plans``.
     """
-    zero = ctx.pack((0,) * (len(files[0]) // pda.f))
-    caches = []
+    size, caches = len(files[0]) // pda.f, []
     for k, plan in enumerate(pda.plans):
-        uncoded = {i: rows[i] for i, (ordinary, _) in enumerate(plan.rows) if not ordinary}
         starred = base[k].starred if base else tuple(
-            ctx.join([packets[n] for packets in uncoded.values()]) for n in range(len(files))
+            ctx.gather(files, [(n, i) for i, (o, _) in enumerate(plan.rows) if not o], size)
+            for n in range(len(files))
         )
-        coded = {}
+        sums = ()
         if plan.symbols:  # record of row i: V_s + sum_n p_(k,n) W_(n,i) [+ old]
-            v, symbols = keys.security_keys, plan.symbols
-            laid = [ctx.join([v[symbols[z]] if ordinary else zero for ordinary, z in plan.rows])]
-            if base:
-                laid.append(ctx.join([base[k].coded.get(i, zero) for i in range(pda.f)]))
+            v, symbols, rows = keys.security_keys, plan.symbols, plan.rows
+            laid = [ctx.gather(v, [(symbols[z], 0) if o else None for o, z in rows], size)]
+            if base:  # the old records, laid the same way
+                old = [(0, z) if o else None for o, z in rows]
+                laid.append(ctx.gather((base[k].records,), old, size))
             coeffs = (1,) * len(laid) + keys.privacy_vectors[k]
-            packets = ctx.split(ctx.lincomb(coeffs, (*laid, *files)), pda.f)
-            coded = {i: packets[i] for i, (ordinary, _) in enumerate(plan.rows) if ordinary}
-        records = ctx.join(coded.values())
-        caches.append(UserCache(uncoded=uncoded, coded=coded, starred=starred, records=records))
+            sums = (ctx.lincomb(coeffs, (*laid, *files)),)
+        ordinary = [(0, i) for i, (o, _) in enumerate(plan.rows) if o]
+        caches.append(UserCache(starred=starred, records=ctx.gather(sums, ordinary, size)))
     return tuple(caches)
 
 
@@ -360,7 +346,7 @@ def decode(view: UserView, payload: DeliveryPayload, demand: Vector) -> Vector:
     blocks = payload.blocks
     if len(blocks) != pda.s or len(payload.coeff_vectors) != pda.k or len({*map(len, blocks)}) > 1:
         raise EngineError("payload shape does not match the array")
-    check_demand(ctx, demand, view.n_files)
+    check_demand(ctx, demand, len(cache.starred))
     plan = pda.plans[view.user]
     star_rows = ctx.lincomb(demand, cache.starred)
     if not plan.symbols:  # every row a star
@@ -431,5 +417,5 @@ def update_round(
         security_keys=ctx.split(joined, pda.s) if pda.s else (),
         privacy_vectors=tuple(map(ctx.vec_add, old.privacy_vectors, shift.privacy_vectors)),
     )
-    caches = _fill_caches(pda, ctx, state.rows, lib.files, shift, state.caches)
+    caches = _fill_caches(pda, ctx, lib.files, shift, state.caches)
     return replace(state, randomness=keys, caches=caches)

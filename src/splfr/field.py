@@ -488,10 +488,11 @@ class FieldContext:
         The vectors, zero terms included, must be nonempty in number and of
         one length, and each row must hold one coefficient per vector.  Each
         operand is prepared once, for all the rows.  Over GF(p) the
-        coefficients must lie in the field.  Below ``PACK_FROM`` symbols
-        each output symbol is one sum reduced once, and the symbols are not
-        checked; else the terms that are zero in every row are dropped, each
-        other operand is checked and packed into one int, a 64-bit slot per
+        coefficients must lie in the field, and so must the symbols of each
+        term that is not zero in every row, which are checked; the others
+        are not.  Below ``PACK_FROM`` symbols each output symbol is one sum
+        reduced once; else the terms that are zero in every row are dropped,
+        each other operand is packed into one int, a 64-bit slot per
         symbol, and each row is one sum of products: a slot holds
         T * (q - 1)^2 < 2^64 for any T < 2^32 terms.  Over GF(2^m) every
         coefficient and symbol must lie in the field.  Each operand is one
@@ -591,10 +592,12 @@ class FieldContext:
         Every coefficient must be an int of the field, at any length and
         over both kinds, zero ones included.  Over GF(2^m) the operands are
         the vectors' tables (``_tables``), of checked symbols.  Over GF(p)
-        below ``PACK_FROM`` symbols the operands are the vectors, unchecked,
-        else the terms zero in every row are dropped and the others' vectors
-        checked and packed into ints of 64-bit slots, whose sums of
-        ``layers`` layers of the rows' combinations must stay in their slots.
+        the symbols of the terms not zero in every row are checked, and no
+        others: below ``PACK_FROM`` symbols in the coefficients' one pass,
+        the operands being the vectors; else the terms zero in every row are
+        dropped and the others' vectors checked and packed into ints of
+        64-bit slots, whose sums of ``layers`` layers of the rows'
+        combinations must stay in their slots.
         """
         if len({len(vectors), *map(len, rows)}) != 1:
             raise FieldError(f"a row of coefficients for {len(vectors)} vectors has another count")
@@ -603,16 +606,23 @@ class FieldContext:
             raise FieldError(
                 f"need one or more vectors of one length, got lengths {sorted(lengths)}"
             )
-        length, q = lengths.pop(), self.q
+        length, q, what = lengths.pop(), self.q, "coefficient"
+        short = self.kind == "prime" and length < PACK_FROM
+        # every coefficient, and on the short GF(p) path, in the same pass, each
+        # symbol of a term not zero in every row: no non-int or negative one,
+        # and none of q or more
+        checked = rows[0] if len(rows) == 1 else [*chain(*rows)]
+        if short:
+            used = compress(vectors, rows[0] if len(rows) == 1 else map(any, zip(*rows)))
+            checked, what = [*checked, *chain(*used)], "coefficient or symbol"
         try:
-            # no non-int or negative coefficient, and none of q or more
-            if max(array("Q", rows[0] if len(rows) == 1 else [*chain(*rows)]), default=0) >= q:
+            if max(array("Q", checked), default=0) >= q:
                 raise ValueError
         except (TypeError, ValueError, OverflowError):
-            raise FieldError(f"coefficient outside [0, {q})") from None
+            raise FieldError(f"{what} outside [0, {q})") from None
         if self.kind == "binary":
             return rows, self._tables(rows, vectors, length), length
-        if length < PACK_FROM:
+        if short:
             return rows, vectors, length
         terms = rows[0] if len(rows) == 1 else [*map(any, zip(*rows))]
         if not all(terms):  # terms zero in every row are not packed

@@ -569,9 +569,20 @@ def pairwise_violations(counts: Counter) -> tuple[int, tuple | None]:
     return violations, first
 
 
-def cache_key(cache) -> tuple:
-    """A cache as sorted (row, packets) pairs under stars, then (row, record) pairs."""
-    return tuple(sorted(cache.uncoded.items())), tuple(sorted(cache.coded.items()))
+def cache_key(cfg: audit.AuditConfig, k: int, cache) -> tuple:
+    """User k's cache re-laid by row, as the audit reports it: (row, the N
+    files' packets) pairs under stars, then (row, record) pairs, in row order."""
+    block, column = cfg.b // cfg.pda.f, cfg.pda.column(k)
+
+    def packets(v) -> list[Vector]:
+        return [tuple(v[i : i + block]) for i in range(0, len(v), block)]
+
+    starred, records = [packets(v) for v in cache.starred], iter(packets(cache.records))
+    stars = [i for i, e in enumerate(column) if e is STAR]
+    return (
+        tuple((i, tuple(p[j] for p in starred)) for j, i in enumerate(stars)),
+        tuple((i, next(records)) for i, e in enumerate(column) if e is not STAR),
+    )
 
 
 def walk_security(cfg: audit.AuditConfig, atoms) -> audit.AuditReport:
@@ -605,7 +616,7 @@ def walk_privacy(cfg: audit.AuditConfig, subsets, atoms) -> list:
             for (colluders, others), table in zip(cuts, tables):
                 hidden = tuple(demands[k] for k in others)
                 seen = tuple(demands[k] for k in colluders)
-                caches = tuple(cache_key(state.caches[k]) for k in colluders)
+                caches = tuple(cache_key(cfg, k, state.caches[k]) for k in colluders)
                 table[hidden, (payload.coeff_vectors, payload.blocks, seen, caches)] += weight
         for report, table in zip(reports, tables):
             violations, first = pairwise_violations(table)
@@ -692,8 +703,8 @@ def walk_two_rounds_privacy(
                     second = audit.deliver(refreshed, again)
                     others_demands = tuple((demands[k], again[k]) for k in others)
                     seen = tuple(
-                        (demands[k], again[k], cache_key(state.caches[k]),
-                         cache_key(refreshed.caches[k]))
+                        (demands[k], again[k], cache_key(cfg, k, state.caches[k]),
+                         cache_key(cfg, k, refreshed.caches[k]))
                         for k in colluders
                     )
                     hidden[others_demands, (first, second, seen)] += 1
@@ -849,11 +860,7 @@ def outputs(state, demands) -> tuple[Vector, ...]:
     ctx, library = state.library.ctx, state.library
     payload = audit.deliver(state, demands)
     signal = tuple(x for v in (*payload.coeff_vectors, *payload.blocks) for x in v)
-    caches = tuple(
-        tuple(x for _, pkts in sorted(c.uncoded.items()) for pkt in pkts for x in pkt)
-        + tuple(x for _, v in sorted(c.coded.items()) for x in v)
-        for c in state.caches
-    )
+    caches = tuple(tuple(x for v in (*c.starred, c.records) for x in v) for c in state.caches)
     errors = tuple(
         vec_sub(ctx, audit.decode(state.user_view(k), payload, d), combine(library, d))
         for k, d in enumerate(demands)

@@ -77,16 +77,16 @@ def test_01_toy_walkthrough_replication(capsys):
     meas = measure(state)
     ok = ok and (meas.m_exact, meas.r_asymptotic) == (2, 1)
 
-    # structural cache check: user k holds the uncoded packets of its
-    # starred row and, per remaining row, the sum of the matching security
-    # key and its own privacy key
+    # structural cache check: user k holds the packets of its starred row,
+    # one of each file, and, per remaining row in order, the sum of the
+    # matching security key and its own privacy key
     packets = [split(f, 3) for f in library.files]
     for k in range(3):
         cache = state.caches[k]
-        ok = ok and set(cache.uncoded) == {k}
-        ok = ok and cache.uncoded.get(k) == tuple(packets[nn][k] for nn in range(n))
-        ok = ok and set(cache.coded) == set(range(3)) - {k}
-        for i, block in cache.coded.items():
+        ok = ok and cache.starred == tuple(packets[nn][k] for nn in range(n))
+        ordinary = [i for i in range(3) if i != k]
+        ok = ok and len(cache.records) == len(ordinary)
+        for i, block in zip(ordinary, split(cache.records, len(ordinary))):
             entry = arr.entries[i][k]
             t_block = privacy_key(library, arr, randomness.privacy_vectors[k], i)
             ok = ok and block == GF2.vec_add(

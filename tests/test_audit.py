@@ -669,6 +669,16 @@ def test_dropped_security_key_is_caught(monkeypatch):
     assert report.counterexample == enumerate_correctness(SMALL).counterexample
 
 
+def plus(ctx, a, b):
+    """a + b through the kernel: over a field, or over the audit's formal context."""
+    return ctx.lincomb((1, 1), ((a,), (b,)))[0]
+
+
+def times(ctx, a, b):
+    """a * b through the kernel, a as the coefficient, as ``plus`` adds."""
+    return ctx.lincomb((a,), ((b,),))[0]
+
+
 def add_w_times_d(monkeypatch):
     """Patch the audit's delivery to add W_1 * d_(K,N) to the first multicast block."""
     deliver_ = splfr.audit.deliver
@@ -676,7 +686,7 @@ def add_w_times_d(monkeypatch):
     def faulty(state, demands):
         payload = deliver_(state, demands)
         ctx, (first, *rest) = state.library.ctx, payload.blocks[0]
-        first = ctx.add(first, ctx.mul(state.library.files[0][0], demands[-1][-1]))
+        first = plus(ctx, first, times(ctx, state.library.files[0][0], demands[-1][-1]))
         return payload._replace(blocks=((first, *rest),) + payload.blocks[1:])
 
     monkeypatch.setattr(splfr.audit, "deliver", faulty)
@@ -951,16 +961,16 @@ def test_the_run_masks_the_keys_effective_masks(ctx, arr, n, b, demand_space, mo
 
 def _v1_p11(state, demands):
     keys = state.randomness
-    return state.library.ctx.mul(keys.security_keys[0][0], keys.privacy_vectors[0][0])
+    return times(state.library.ctx, keys.security_keys[0][0], keys.privacy_vectors[0][0])
 
 
 def _d11_p11(state, demands):
-    return state.library.ctx.mul(demands[0][0], state.randomness.privacy_vectors[0][0])
+    return times(state.library.ctx, demands[0][0], state.randomness.privacy_vectors[0][0])
 
 
 def _w1_w2(state, demands):
     (w1, w2), _ = state.library.files
-    return state.library.ctx.mul(w1, w2)
+    return times(state.library.ctx, w1, w2)
 
 
 @pytest.mark.parametrize(
@@ -977,7 +987,7 @@ def test_a_monomial_past_the_premise_is_refused(monkeypatch, term, monomial):
     def faulty(state, demands):
         payload = deliver_(state, demands)
         ctx, (first, *rest) = state.library.ctx, payload.blocks[0]
-        block = (ctx.add(first, term(state, demands)), *rest)
+        block = (plus(ctx, first, term(state, demands)), *rest)
         return payload._replace(blocks=(block,) + payload.blocks[1:])
 
     monkeypatch.setattr(splfr.audit, "deliver", faulty)
@@ -998,8 +1008,8 @@ def test_a_key_that_some_files_cancel_is_caught(monkeypatch):
         payload = deliver_(state, demands)
         ctx, ((w1,), (w2,)) = state.library.ctx, state.library.files
         first, second = payload.coeff_vectors
-        f_less_1, p_2 = ctx.add(w1, w2), state.randomness.privacy_vectors[1]
-        second = tuple(ctx.add(x, ctx.mul(f_less_1, p)) for x, p in zip(second, p_2))
+        f_less_1, p_2 = plus(ctx, w1, w2), state.randomness.privacy_vectors[1]
+        second = tuple(plus(ctx, x, times(ctx, f_less_1, p)) for x, p in zip(second, p_2))
         return payload._replace(coeff_vectors=(first, second))
 
     monkeypatch.setattr(splfr.audit, "deliver", scaled)

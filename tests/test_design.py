@@ -10,7 +10,8 @@ refers to ``place``, ``deliver`` or ``decode``, so no certificate and no
 ``enumerate_*`` function calls the engine, and no engine call per probe
 point or per atom comes back.  That run's context, ``audit._Formal``,
 defines every context method that ``engine.py`` calls, but the ones the
-run never reaches.  The certificates read the run's
+run never reaches, and nothing more: each name it defines is read off the
+formal context in ``engine.py`` or ``audit.py``.  The certificates read the run's
 coefficients and take no differences: the decoding errors are taken once,
 in the run.
 
@@ -170,23 +171,33 @@ def test_a_packed_vector_is_its_bytes_alone():
 UNREACHED_BY_THE_FORMAL_RUN = {"random_vector", "vec_scale"}
 
 
-def test_the_formal_context_has_every_method_the_engine_calls():
-    def on_a_context(node):
-        return (isinstance(node, ast.Name) and node.id == "ctx") or (
-            isinstance(node, ast.Attribute) and node.attr == "ctx"
-        )
+def on_a_context(node):
+    return (isinstance(node, ast.Name) and node.id == "ctx") or (
+        isinstance(node, ast.Attribute) and node.attr == "ctx"
+    )
 
+
+def read_off(root, context=on_a_context):
+    """The attribute names read off a context anywhere under ``root``."""
+    return {
+        node.attr
+        for node in ast.walk(root)
+        if isinstance(node, ast.Attribute) and context(node.value)
+    }
+
+
+def test_the_formal_context_has_every_method_the_engine_calls():
+    engine = ast.parse((PACKAGE / "engine.py").read_text())
     called = {
         node.func.attr
-        for node in ast.walk(ast.parse((PACKAGE / "engine.py").read_text()))
+        for node in ast.walk(engine)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and on_a_context(node.func.value)
     }
+    audit = ast.parse((PACKAGE / "audit.py").read_text())
     formal = next(
-        node
-        for node in ast.parse((PACKAGE / "audit.py").read_text()).body
-        if isinstance(node, ast.ClassDef) and node.name == "_Formal"
+        node for node in audit.body if isinstance(node, ast.ClassDef) and node.name == "_Formal"
     )
     defined = {item.name for item in formal.body if isinstance(item, ast.FunctionDef)} | {
         target.id
@@ -199,6 +210,18 @@ def test_the_formal_context_has_every_method_the_engine_calls():
     assert UNREACHED_BY_THE_FORMAL_RUN <= called - defined, "the exempt list is stale"
     missing = sorted(called - defined - UNREACHED_BY_THE_FORMAL_RUN)
     assert missing == [], f"engine.py calls context methods that _Formal lacks: {missing}"
+    # the formal context in audit.py: ``self`` in _Formal, the ``ctx`` of the
+    # run and the library's; elsewhere ``ctx`` is the audit's field
+    def named(name):
+        return lambda node: isinstance(node, ast.Name) and node.id == name
+
+    run = next(node for node in audit.body if getattr(node, "name", None) == "_formal_run")
+    read = read_off(engine) | read_off(run, named("ctx")) | read_off(formal, named("self"))
+    read |= read_off(audit, lambda node: (
+        getattr(node, "attr", None) == "ctx" and getattr(node.value, "attr", None) == "library"
+    ))
+    unread = sorted(name for name in defined - read if not name.startswith("__"))
+    assert unread == [], f"_Formal defines names that no context read reaches: {unread}"
 
 
 def test_the_audit_never_constructs_randomness():

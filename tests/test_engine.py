@@ -71,8 +71,14 @@ class TestSplit:
         assert tuple(x for pkt in packets for x in pkt) == file
 
 
+def star_packets(arr, k, files):
+    """User k's ``starred``: each file's packets at the star rows of column k, joined."""
+    rows = [i for i, e in enumerate(arr.column(k)) if e is STAR]
+    return tuple(tuple(x for i in rows for x in split(f, arr.f)[i]) for f in files)
+
+
 class TestSplitOnce:
-    def test_place_splits_each_file_once_and_deliver_splits_none(self, monkeypatch):
+    def test_no_stage_splits_a_file(self, monkeypatch):
         calls = []
         field_split = FieldContext.split
 
@@ -88,19 +94,19 @@ class TestSplitOnce:
         def file_splits():  # the calls that split a library file, told apart by identity
             return [v for v in calls if any(v is f for f in files)]
 
-        assert file_splits() == list(files)
-        for i, row in enumerate(state.rows):
-            for n, packet in enumerate(row):
-                assert packet == split(files[n], arr.f)[i]
+        assert file_splits() == []  # the fill gathers the star packets instead
+        for k, cache in enumerate(state.caches):
+            assert cache.starred == star_packets(arr, k, files)
         demands = unit_demands(3, 4)
         del calls[:]
         deliver(state, demands)
         assert calls and file_splits() == []  # deliver splits its own blocks, not a file
         zeros = tuple((0, 0) for _ in range(arr.s))
-        assert update_round(state, demands, zeros, (0, 0, 0)).rows is state.rows
+        new = update_round(state, demands, zeros, (0, 0, 0))
+        assert all(c.starred is cache.starred for c, cache in zip(new.caches, state.caches))
         assert file_splits() == []
 
-    def test_place_packs_each_packet_once_and_deliver_decode_never(self, monkeypatch):
+    def test_place_packs_the_files_and_keys_once_and_deliver_decode_never(self, monkeypatch):
         # over GF(2^8) the kernel reads each vector's bytes packing; every
         # packing goes through FieldContext._packing, whether asked for with
         # pack or made on the fly by lincomb for a plain tuple
@@ -120,19 +126,15 @@ class TestSplitOnce:
         arr, n = man_pda(3, 1), 4
         state = make_state(arr, n, 6, GF256, seed=62)
         files = list(state.library.files)
-        packets = [packet for row in state.rows for packet in row]
         keys = list(state.randomness.security_keys)
-        # once per file (N, as the library is built), once for the S
-        # security keys joined and once for the zero packet laid under the
-        # stars; the packets are slices of the files' packings, never packed
-        # or checked again
-        assert len(packets) == n * arr.f
-        zero = (0,) * 2
+        # once per file (N, as the library is built) and once for the S
+        # security keys joined; the star packets and the laid keys are
+        # slices of those packings, never packed or checked again
         joined = tuple(x for key in keys for x in key)
-        assert sorted(packs) == sorted(files + [joined, zero]) == sorted(packings)
-        assert all(isinstance(v, Packed) for v in files + packets + keys)
+        assert sorted(packs) == sorted(files + [joined]) == sorted(packings)
+        assert all(isinstance(v, Packed) for v in files + keys)
         for cache in state.caches:
-            assert all(isinstance(v, Packed) for v in cache.coded.values())
+            assert all(isinstance(v, Packed) for v in (*cache.starred, cache.records))
         demands = tuple(GF256.random_vector(n, random.Random(k)) for k in range(arr.k))
         expected = [state.library.combine(d) for d in demands]
         del packs[:], packings[:]
@@ -145,9 +147,8 @@ class TestSplitOnce:
 
         fresh = tuple(GF256.random_vector(2, random.Random(s)) for s in range(arr.s))
         new = update_round(state, demands, fresh, (1, 2, 3))
-        # the fresh keys joined, and the zero packet that lays them under the stars
-        assert len(packs) == len(packings) == 2
-        assert packs[-1] == (0,) * 2
+        # the fresh keys joined, and nothing else
+        assert packs == packings == [tuple(x for key in fresh for x in key)]
         assert all(isinstance(v, Packed) for v in new.randomness.security_keys)
 
 
@@ -300,8 +301,8 @@ def test_only_the_files_and_the_star_packets_keep_window_tables():
     assert all(map(has_table, files)) and all(map(has_table, starred))
     found = vectors_under(state, payload, decoded, new)
     assert {id(v) for v in found if has_table(v)} == {id(v) for v in (*files, *starred)}
-    # so none of the blocks, packets, decoded vectors, keys or records, which the walk finds
-    results = [*payload.blocks, *decoded, *(p for row in state.rows for p in row)]
+    # so none of the blocks, decoded vectors, keys or records, which the walk finds
+    results = [*payload.blocks, *decoded]
     for s in (state, new):
         results += [*s.randomness.security_keys, *(cache.records for cache in s.caches)]
     assert {id(v) for v in results} <= {id(v) for v in found}
@@ -336,17 +337,17 @@ class TestPlace:
         for k in range(3):
             cache = state.caches[k]
             # one starred row holding all four packets, two superposition keys
-            assert set(cache.uncoded) == {k}
-            assert len(cache.uncoded[k]) == 4
-            assert set(cache.coded) == set(range(3)) - {k}
+            assert cache.starred == star_packets(TOY, k, state.library.files)
+            assert len(cache.starred) == 4 and len(cache.records) == 2
 
     def test_toy_superposition_values(self):
         state = make_state(TOY, 4, 3, GF2, seed=1)
         lib, rnd = state.library, state.randomness
-        # user 1, row 2 carries symbol 1: record must equal V_1 + T_{2,1}
+        # user 1, row 2 carries symbol 1: its first record, as row 1 is
+        # starred, must equal V_1 + T_{2,1}
         t_block = privacy_key(lib, TOY, rnd.privacy_vectors[0], 1)
         want = GF2.vec_add(rnd.security_keys[0], t_block)
-        assert state.caches[0].coded[1] == want
+        assert state.caches[0].records[:1] == want
 
     def test_all_star_caches_everything(self):
         arr = validate([[STAR, STAR]])
@@ -359,8 +360,7 @@ class TestPlace:
     def test_lfr_mode_records_are_zero(self):
         state = make_state(TOY, 4, 3, GF2, seed=5, mode=Mode.LFR)
         for cache in state.caches:
-            for block in cache.coded.values():
-                assert all(v == 0 for v in block)
+            assert len(cache.records) == 2 and all(v == 0 for v in cache.records)
 
     def test_cache_budget_exact(self):
         for k, t, n, b in [(3, 1, 4, 3), (4, 2, 3, 12), (4, 0, 2, 1)]:
@@ -902,15 +902,15 @@ def test_property_decode_after_deliver_is_combine(instance):
 def test_property_cache_records_are_superposed_keys(instance):
     state, _, _, _ = build(instance)
     arr, keys = state.pda, state.randomness
-    packets = [split(f, arr.f) for f in state.library.files]
+    block = state.library.b // arr.f
     for k, cache in enumerate(state.caches):
-        for i, entry in enumerate(arr.column(k)):
-            if entry is STAR:
-                assert cache.uncoded[i] == tuple(p[i] for p in packets)
-            else:
-                t_block = privacy_key(state.library, arr, keys.privacy_vectors[k], i)
-                want = state.library.ctx.vec_add(keys.security_keys[entry - 1], t_block)
-                assert cache.coded[i] == want
+        assert cache.starred == star_packets(arr, k, state.library.files)
+        ordinary = [(i, e) for i, e in enumerate(arr.column(k)) if e is not STAR]
+        assert len(cache.records) == len(ordinary) * block
+        for z, (i, entry) in enumerate(ordinary):
+            t_block = privacy_key(state.library, arr, keys.privacy_vectors[k], i)
+            want = state.library.ctx.vec_add(keys.security_keys[entry - 1], t_block)
+            assert cache.records[z * block : (z + 1) * block] == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -954,12 +954,14 @@ def test_property_update_round_is_local_to_each_user(instance):
         view = state.user_view(k)
         c = coeffs[k] if mode.privacy_keys_active else 0
         packets = split(decode(view, payload, demands[k]), view.pda.f)
-        new = updated.caches[k]
-        assert new.uncoded == view.cache.uncoded
-        assert new.coded.keys() == view.cache.coded.keys()
-        for i, old in view.cache.coded.items():
-            pad = ctx.vec_add(old, fresh[view.pda.entries[i][k] - 1])
-            assert new.coded[i] == ctx.vec_add(pad, ctx.vec_scale(c, packets[i]))
+        new, old = updated.caches[k], view.cache
+        assert new.starred == old.starred
+        ordinary = [(i, e) for i, e in enumerate(view.pda.column(k)) if e is not STAR]
+        assert len(new.records) == len(old.records) == len(ordinary) * block
+        for z, (i, entry) in enumerate(ordinary):
+            cut = slice(z * block, (z + 1) * block)
+            pad = ctx.vec_add(old.records[cut], fresh[entry - 1])
+            assert new.records[cut] == ctx.vec_add(pad, ctx.vec_scale(c, packets[i]))
 
 
 @settings(max_examples=150, deadline=None)

@@ -303,9 +303,9 @@ class TestLincombs:
     @pytest.mark.parametrize("length", [1, PACK_FROM - 1, PACK_FROM, MAX_LENGTH])
     def test_rejects_input_outside_field(self, ctx, length):
         # a term zero in every row is dropped, over GF(p), after the
-        # coefficient checks and before the symbol checks; below PACK_FROM
-        # symbols GF(p) checks the coefficients alone; over every field a
-        # coefficient is an int, a float of an element's value refused
+        # coefficient checks and before the symbol checks, at every length;
+        # over every field a coefficient is an int, a float of an element's
+        # value refused
         q, ok = ctx.q, (1,) * length
         cases = [
             (((1,), (q,)), (ok,)),  # a coefficient outside the field, in any row
@@ -314,13 +314,10 @@ class TestLincombs:
             (((0.0, 1),), (ok, ok)),  # a float of the field's value, at every length
             (((1.0,),), (ok,)),
             (((2.0,),), (ok,)),
+            (((0, 1), (1, 1)), (ok, (q,) + ok[1:])),  # a symbol outside the field
+            (((1,),), ((-1,) + ok[1:],)),
+            (((1,),), ((1.5,) + ok[1:],)),
         ]
-        if ctx.kind == "binary" or length >= PACK_FROM:
-            cases += [
-                (((0, 1), (1, 1)), (ok, (q,) + ok[1:])),  # a symbol outside the field
-                (((1,),), ((-1,) + ok[1:],)),
-                (((1,),), ((1.5,) + ok[1:],)),
-            ]
         for rows, vectors in cases:
             with pytest.raises(FieldError):
                 ctx.lincombs(rows, vectors)
@@ -470,7 +467,7 @@ class TestGathered:
     def test_rejects_input_outside_field(self, ctx, length):
         # as ``lincombs`` checks them: a term zero in every row is dropped,
         # over GF(p), after the coefficient checks and before the symbol
-        # checks; below PACK_FROM symbols GF(p) checks the coefficients alone
+        # checks, at every length
         q, ok = ctx.q, (1,) * length
         layers = [[(0, 0)], [None]]
         cases = [
@@ -480,13 +477,10 @@ class TestGathered:
             (((0.0, 1),), (ok, ok)),  # a float of the field's value, at every length
             (((1.0,),), (ok,)),
             (((2.0,),), (ok,)),
+            (((0, 1), (1, 1)), (ok, (q,) + ok[1:])),  # a symbol outside the field
+            (((1,),), ((-1,) + ok[1:],)),
+            (((1,),), ((1.5,) + ok[1:],)),
         ]
-        if ctx.kind == "binary" or length >= PACK_FROM:
-            cases += [
-                (((0, 1), (1, 1)), (ok, (q,) + ok[1:])),  # a symbol outside the field
-                (((1,),), ((-1,) + ok[1:],)),
-                (((1,),), ((1.5,) + ok[1:],)),
-            ]
         for rows, vectors in cases:
             with pytest.raises(FieldError):
                 ctx.gathered(rows, vectors, layers, 1)
@@ -881,6 +875,19 @@ def test_the_short_gf_p_path_checks_every_coefficient():
         with pytest.raises(FieldError):
             gf5.lincomb(coeffs, ((1, 2),) * len(coeffs))
     assert gf5.lincomb((0, 1), ((1, 2), (1, 2))) == (1, 2)
+
+
+@pytest.mark.parametrize("length", [2, PACK_FROM])
+def test_a_gf_p_term_zero_in_every_row_goes_unchecked(length):
+    # on both GF(p) paths, as the packed one drops such a term before its
+    # symbol checks; a symbol outside the field in a term used is refused
+    gf5, ok, layers = FieldContext.prime(5), (1,) * length, [[(0, 0)]]
+    for bad in (1.5, 9, -1, 5):
+        vectors = ((bad,) + ok[1:], ok)
+        assert gf5.lincombs([(0, 1), (0, 2)], vectors) == [ok, (2,) * length]
+        assert gf5.gathered([(0, 1)], vectors, layers, 1) == (1,)
+        with pytest.raises(FieldError):
+            gf5.lincombs([(0, 1), (1, 0)], vectors)
 
 
 @pytest.mark.parametrize("ctx", PRIME_KERNEL_FIELDS, ids=lambda c: c.spec)
