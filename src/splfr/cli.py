@@ -325,13 +325,15 @@ def golden_toy(seed: int = 7) -> dict:
 
     Uses the 2-regular (3,3,1,3) array; checks the cache layout shape,
     decoding for unit demands by all users, and the measured pair
-    (M, R) = (2, 1) with 15 transmitted symbols at B = 3.
+    (M, R) = (2, 1) with 15 transmitted symbols at B = 3, the load and the
+    symbols counted in the delivered payload (``_analytic_checks``).
     """
     arr = pda_mod.validate(TOY_GRID)
     rng = random.Random(seed)
     n, b = 4, 3
-    state, _, _, correct = _run(arr, FieldContext.prime(2), engine.Mode.SPLFR, n, b, "units",
-                                rng, rng)
+    state, payload, _, correct = _run(
+        arr, FieldContext.prime(2), engine.Mode.SPLFR, n, b, "units", rng, rng
+    )
 
     checks: dict[str, bool] = {}
     checks["parameters"] = arr.parameters == (3, 3, 1, 3)
@@ -345,10 +347,9 @@ def golden_toy(seed: int = 7) -> dict:
         for k, cache in enumerate(state.caches)
     )
     checks["decode"] = all(correct)
-    meas = engine.measure(state)
-    checks["memory"] = meas.m_exact == 2
-    checks["load"] = meas.r_asymptotic == 1
-    checks["tx_symbols"] = meas.tx_symbols == 15
+    measured = _analytic_checks(arr, n, b, engine.measure(state), payload)
+    for name, value in (("memory", 2), ("load", 1), ("tx_symbols", 15)):
+        checks[name] = measured[name]["measured"] == value
 
     return {"seed": seed, "checks": checks, "ok": all(checks.values())}
 

@@ -27,14 +27,14 @@ ready vector is a ``Packed``, which holds that packing alone and no tuple
 of its symbols: it reads, compares, hashes, slices and prints like its
 plain tuple, builds that tuple only where such a call needs it, and is
 neither converted nor checked again by ``lincombs``, ``split``, ``join``
-or ``gather``.  A ``Packed`` records the context that checked it; another
-context checks it again.  ``lincombs`` and ``gathered`` pack (and check)
-plain tuples on the fly and return ``Packed`` vectors.  They also keep the
-window table of each of their context's own ``Packed`` operands that they
-multiply by a coefficient above 1, so that an operand multiplied round
-after round, such as a library file, builds it once.  That cache is the one state that a
-context's methods write, and it is idempotent: a table is a function of
-the vector and the context alone.
+or ``gather``.  Each context makes its ``Packed`` vectors as its own
+subclass, and checks another context's again.  ``lincombs`` and
+``gathered`` pack (and check) plain tuples on the fly and return ``Packed``
+vectors.  They also keep the window table of each of their context's own
+``Packed`` operands that they multiply by a coefficient above 1, so that an
+operand multiplied round after round, such as a library file, builds it
+once.  That cache is the one state that a context's methods write, and it
+is idempotent: a table is a function of the vector and the context alone.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class Packed:
 
     Built only by ``FieldContext.pack``, ``split``, ``join``, ``gather``,
     ``lincombs`` and ``gathered``, from symbols that are checked to lie in
-    ``field``, the context that made it.
+    the field of the context that made it.
     Each GF(2^m) context makes its vectors as its own subclass, so that the
     kernel can tell them from another context's, which it checks again, by
     their type alone.  It keeps the contract of its plain tuple of ints:
@@ -82,11 +82,10 @@ class Packed:
     and ``index`` are the tuple's.  A tuple is built only where one of these
     needs it, so a vector that nothing reads symbol by symbol never has one.
     ``_table`` is the vector's window table, set by the first kernel call
-    of ``field`` that multiplies it by a coefficient above 1 and read by
+    of that context that multiplies it by a coefficient above 1 and read by
     every later one; no other context reads it.
     """
 
-    field: "FieldContext"
     _table: tuple[int, ...] | None = None
 
     def __init__(self, packed: bytes):
@@ -159,29 +158,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def _laid(sums: list[bytes], layers: Sequence, width: int, packets: int) -> list[bytes]:
-    """Each layer of ``gathered``: the pieces of ``sums``, ``width`` bytes
-    apiece, that its picks (a, x) take, zeros for None, joined end to end.
-
-    Each pick is looked up in lists of the rows and of the ``packets``
-    slices, so that an index that is no int, or one past the end, raises; a
-    negative one, which a list would wrap round, lays None, which the join
-    refuses.
-    """
-    zero = bytes(width)
-    cuts = [slice(x * width, (x + 1) * width) for x in range(packets)]
-    try:
-        return [
-            b"".join([
-                zero if p is None else sums[p[0]][cuts[p[1]]] if p[0] >= 0 <= p[1] else None
-                for p in layer
-            ])
-            for layer in layers
-        ]
-    except (IndexError, TypeError):
-        raise FieldError("a pick lies outside the rows' combinations") from None
 
 
 def _gather(vectors: Sequence, picks: Sequence, size: int, unit: Sequence) -> Sequence:
@@ -320,7 +296,7 @@ class FieldContext:
         self.m = m
         self.poly = poly
         if kind == "binary":
-            self._packed = type("Packed", (Packed,), {"field": self})
+            self._packed = type("Packed", (Packed,), {})
 
     # -- constructors -----------------------------------------------------
 
@@ -433,7 +409,7 @@ class FieldContext:
         """
         size = _packet_size(len(v), f)
         if self.kind == "binary":
-            packed = v.packed if type(v) is self._packed else self._packing(v)
+            packed = self._bytes(v)
             return tuple(self._packed(packed[i * size : (i + 1) * size]) for i in range(f))
         v = self.pack(v)
         return tuple([tuple(v[i * size : (i + 1) * size]) for i in range(f)])
@@ -448,12 +424,16 @@ class FieldContext:
             raise FieldError(f"symbols outside [0, {self.q})") from None
         return packed
 
+    def _bytes(self, v: Sequence[int]) -> bytes:
+        """The bytes of a vector over GF(2^m): this context's own ``Packed``'s
+        as they are, any other vector's checked (``_packing``)."""
+        return v.packed if type(v) is self._packed else self._packing(v)
+
     def join(self, vectors: Iterable[Sequence[int]]) -> Sequence[int]:
         """The concatenation of ``vectors``, ready for the kernel (as unchecked
         over GF(p) as ``pack``'s; over GF(2^m) this context's own not again)."""
         if self.kind == "binary":
-            own = self._packed
-            return own(b"".join(v.packed if type(v) is own else self._packing(v) for v in vectors))
+            return self._packed(b"".join(map(self._bytes, vectors)))
         return tuple(chain.from_iterable(vectors))
 
     def gather(
@@ -469,9 +449,7 @@ class FieldContext:
         (``_gather``).
         """
         if self.kind == "binary":
-            own = self._packed
-            packs = [v.packed if type(v) is own else self._packing(v) for v in vectors]
-            return own(_gather(packs, picks, size, b"\0"))
+            return self._packed(_gather([*map(self._bytes, vectors)], picks, size, b"\0"))
         return _gather(vectors, picks, size, (0,))
 
     def lincomb(
@@ -488,13 +466,13 @@ class FieldContext:
         The vectors, zero terms included, must be nonempty in number and of
         one length, and each row must hold one coefficient per vector.  Each
         operand is prepared once, for all the rows.  Over GF(p) the
-        coefficients must lie in the field, and so must the symbols of each
-        term that is not zero in every row, which are checked; the others
-        are not.  Below ``PACK_FROM`` symbols each output symbol is one sum
-        reduced once; else the terms that are zero in every row are dropped,
-        each other operand is packed into one int, a 64-bit slot per
-        symbol, and each row is one sum of products: a slot holds
-        T * (q - 1)^2 < 2^64 for any T < 2^32 terms.  Over GF(2^m) every
+        coefficients must lie in the field; the terms that are zero in every
+        row are dropped, their symbols unchecked, and the symbols of each
+        other term must lie in the field too.  Below ``PACK_FROM`` symbols
+        each output symbol is one sum reduced once; else each operand is
+        packed into one int, a 64-bit slot per symbol, and each row is one
+        sum of products: a slot holds T * (q - 1)^2 < 2^64 for any T < 2^32
+        terms.  Over GF(2^m) every
         coefficient and symbol must lie in the field.  Each operand is one
         big int, a byte lane per symbol, and one that some row multiplies by
         more than 1 has a window table: its products by the coefficients
@@ -535,54 +513,38 @@ class FieldContext:
     ) -> Sequence[int]:
         """sum_l gather(lincombs(rows, vectors), layers[l], size), ready for the kernel.
 
-        The row combinations are never made.  Over GF(p) each row's sum
-        stays an unreduced int of 64-bit slots, and over GF(2^m) its XOR
-        accumulator's bytes; each layer is a slice-and-join of those bytes,
-        and the layers are added and the result reduced once.  Over GF(p)
-        below ``PACK_FROM`` symbols each output symbol is one sum over the
-        layers' picks, reduced once.  The rows and vectors are checked as by
-        ``lincombs``; ``size`` must be a positive int, the layers one or
-        more, of one count of picks, and on every path, zero operands or
-        not, each pick (a, x) must name, by ints, a row a and a whole packet
-        x of its combination.  Over GF(p) a slot holds L * T * (q - 1)^2 <
-        2^64 for L layers of T terms while L * T < 2^32, which is checked.
+        The row combinations are never made.  Each row's sum stays
+        unreduced: over GF(2^m) its XOR accumulator's bytes, over GF(p) its
+        int of 64-bit slots, and below ``PACK_FROM`` symbols a tuple of one
+        sum per symbol.  Each layer is laid from those sums by ``_gather``,
+        as ``gather`` lays it, and the layers are added and the result
+        reduced once.  The rows and vectors are checked as by ``lincombs``,
+        the layers must be one or more, of one count of picks, and ``size``
+        and each pick are refused as ``gather`` refuses them, on every path.
+        Over GF(p) a slot holds L * T * (q - 1)^2 < 2^64 for L layers of T
+        terms while L * T < 2^32, which is checked.
         """
-        if not isinstance(size, int) or size < 1 or not layers or len({*map(len, layers)}) != 1:
-            raise FieldError("need one or more layers of one count of picks of packets")
+        if not layers or len({*map(len, layers)}) != 1:
+            raise FieldError("need one or more layers of one count of picks")
         rows, operands, length = self._operands(rows, vectors, len(layers))
-        count, packets = len(layers[0]) * size, length // size
         if self.kind == "binary":
             sums = [acc.to_bytes(length, "big") for acc in self._xor_sums(rows, operands, length)]
             acc = 0
-            for joined in _laid(sums, layers, size, packets):
-                acc ^= int.from_bytes(joined, "big")
-            return self._packed(acc.to_bytes(count, "big"))
+            for layer in layers:
+                acc ^= int.from_bytes(_gather(sums, layer, size, b"\0"), "big")
+            return self._packed(acc.to_bytes(len(layers[0]) * size, "big"))
         q = self.q
-        if length < PACK_FROM:  # each output symbol one sum over the layers, reduced once
-            # picked as ``_laid`` picks: a negative index adds None, which sum refuses
-            columns = [*zip(*operands)]
-            try:
-                return tuple([
-                    sum([
-                        sum(map(mul, rows[p[0]], columns[p[1] * size + o]))
-                        if p[0] >= 0 <= p[1] else None
-                        for p in picks
-                        if p is not None
-                    ])
-                    % q
-                    for picks in zip(*layers)
-                    for o in range(size)
-                ])
-            except (IndexError, TypeError):
-                raise FieldError("a pick lies outside the rows' combinations") from None
-        width = 8 * size
-        # with every term zero no operand is left: each row's sum is 0, and _laid still
-        # checks the picks
+        if length < PACK_FROM:
+            columns = [*zip(*operands)] or [()] * length
+            sums = [tuple([sum(map(mul, c, col)) for col in columns]) for c in rows]
+            laid = [_gather(sums, layer, size, (0,)) for layer in layers]
+            return tuple([sum(x) % q for x in zip(*laid)])
         sums = [sum(map(mul, c, operands)).to_bytes(8 * length, byteorder) for c in rows]
         acc = sum([
-            int.from_bytes(joined, byteorder) for joined in _laid(sums, layers, width, packets)
+            int.from_bytes(_gather(sums, layer, 8 * size, b"\0"), byteorder) for layer in layers
         ])
-        return tuple([x % q for x in memoryview(acc.to_bytes(8 * count, byteorder)).cast("Q")])
+        out = acc.to_bytes(8 * len(layers[0]) * size, byteorder)
+        return tuple([x % q for x in memoryview(out).cast("Q")])
 
     def _operands(
         self, rows: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]], layers: int
@@ -592,12 +554,12 @@ class FieldContext:
         Every coefficient must be an int of the field, at any length and
         over both kinds, zero ones included.  Over GF(2^m) the operands are
         the vectors' tables (``_tables``), of checked symbols.  Over GF(p)
-        the symbols of the terms not zero in every row are checked, and no
-        others: below ``PACK_FROM`` symbols in the coefficients' one pass,
-        the operands being the vectors; else the terms zero in every row are
-        dropped and the others' vectors checked and packed into ints of
-        64-bit slots, whose sums of ``layers`` layers of the rows'
-        combinations must stay in their slots.
+        the terms zero in every row are dropped, on both paths, and the
+        symbols of the others are checked, and no others: below
+        ``PACK_FROM`` symbols in the coefficients' one pass, the operands
+        being the vectors; else packed into ints of 64-bit slots, whose sums
+        of ``layers`` layers of the rows' combinations must stay in their
+        slots.
         """
         if len({len(vectors), *map(len, rows)}) != 1:
             raise FieldError(f"a row of coefficients for {len(vectors)} vectors has another count")
@@ -607,14 +569,16 @@ class FieldContext:
                 f"need one or more vectors of one length, got lengths {sorted(lengths)}"
             )
         length, q, what = lengths.pop(), self.q, "coefficient"
-        short = self.kind == "prime" and length < PACK_FROM
         # every coefficient, and on the short GF(p) path, in the same pass, each
         # symbol of a term not zero in every row: no non-int or negative one,
         # and none of q or more
         checked = rows[0] if len(rows) == 1 else [*chain(*rows)]
-        if short:
-            used = compress(vectors, rows[0] if len(rows) == 1 else map(any, zip(*rows)))
-            checked, what = [*checked, *chain(*used)], "coefficient or symbol"
+        if self.kind == "prime":
+            terms = rows[0] if len(rows) == 1 else [*map(any, zip(*rows))]
+            if not all(terms):  # terms zero in every row are dropped
+                vectors, rows = [*compress(vectors, terms)], [[*compress(c, terms)] for c in rows]
+            if length < PACK_FROM:
+                checked, what = [*checked, *chain(*vectors)], "coefficient or symbol"
         try:
             if max(array("Q", checked), default=0) >= q:
                 raise ValueError
@@ -622,13 +586,8 @@ class FieldContext:
             raise FieldError(f"{what} outside [0, {q})") from None
         if self.kind == "binary":
             return rows, self._tables(rows, vectors, length), length
-        if short:
+        if length < PACK_FROM:
             return rows, vectors, length
-        terms = rows[0] if len(rows) == 1 else [*map(any, zip(*rows))]
-        if not all(terms):  # terms zero in every row are not packed
-            vectors, rows = [*compress(vectors, terms)], [[*compress(c, terms)] for c in rows]
-        if not vectors:
-            return rows, [], length
         if layers * len(vectors) >= 2**32:
             raise FieldError(f"{layers} layers of {len(vectors)} terms overflow a 64-bit slot")
         # x_i >= q iff x_i >= 2^32 or x_i + 2^32 - q >= 2^32: a bit of 32-63 in its slot
@@ -663,7 +622,7 @@ class FieldContext:
         for i, top in enumerate(map(max, zip((0,) * len(vectors), *rows))):
             if tables[i] is None:
                 v = vectors[i]
-                x = int.from_bytes(v.packed if type(v) is own else self._packing(v), "big")
+                x = int.from_bytes(self._bytes(v), "big")
                 tables[i] = (0, x)
                 if top > 1:
                     tables[i] = _windows(x, self.m, self.poly, length)

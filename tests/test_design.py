@@ -17,6 +17,8 @@ in the run.
 
 Over GF(2^m) the kernel multiplies through window tables: only
 ``field._build_rows``, the scalar product table, calls ``translate``.
+The kernel has one pick rule: in ``field.py`` only ``_gather`` indexes a
+pick, so ``gather`` and every layer of ``gathered`` refuse the same picks.
 A GF(2^m) vector is its bytes alone: ``field.Packed`` subclasses no
 built-in sequence, so no kernel output builds a tuple that nothing reads,
 and no module but ``field.py`` calls a ``Packed`` constructor.
@@ -149,6 +151,37 @@ def test_only_the_product_table_translates_bytes():
     assert {name: where for name, where in translating.items() if where} == {
         "field.py": {"_build_rows"}
     }
+
+
+#: the names that ``field.py`` gives a sequence of picks: ``gather``'s
+#: ``picks`` and each ``layer`` of ``gathered``
+PICK_SEQUENCES = {"picks", "layer"}
+
+
+def pick_readers(tree):
+    """The functions of ``tree`` that index a pick or unpack one: a target of
+    a loop or comprehension over a name of ``PICK_SEQUENCES``."""
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        targets = [
+            node.target
+            for node in ast.walk(function)
+            if isinstance(node, (ast.For, ast.comprehension))
+            and isinstance(node.iter, ast.Name)
+            and node.iter.id in PICK_SEQUENCES
+        ]
+        picks = {target.id for target in targets if isinstance(target, ast.Name)}
+        if len(picks) < len(targets) or any(
+            isinstance(node, ast.Subscript) and getattr(node.value, "id", None) in picks
+            for node in ast.walk(function)
+        ):
+            yield function.name
+
+
+def test_only_the_gather_helper_reads_a_pick():
+    readers = set(pick_readers(ast.parse((PACKAGE / "field.py").read_text())))
+    assert readers == {"_gather"}, f"{sorted(readers - {'_gather'})} read picks beside _gather"
 
 
 def test_a_packed_vector_is_its_bytes_alone():

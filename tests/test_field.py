@@ -1,6 +1,7 @@
 """Tests for exact GF(q) arithmetic."""
 
 import random
+from itertools import chain
 from operator import add, eq, ge, gt, le, lt, ne
 
 import pytest
@@ -658,9 +659,11 @@ def test_packed_from_another_field_is_checked_again():
         gf16.lincomb((1,), (foreign,))
     with pytest.raises(FieldError):
         gf16.pack(foreign)
-    fits = gf256.pack((9, 3))
-    assert gf16.lincomb((1,), (fits,)).field is gf16
-    assert gf16.pack(fits).field is gf16 and gf16.pack(fits) == fits
+    # made again as gf16's own, whose type the kernel tells contexts apart by
+    fits, own = gf256.pack((9, 3)), type(gf16.pack(()))
+    assert type(fits) is not own
+    assert type(gf16.lincomb((1,), (fits,))) is own
+    assert type(gf16.pack(fits)) is own and gf16.pack(fits) == fits
 
 
 def outcome(f, *args):
@@ -879,13 +882,16 @@ def test_the_short_gf_p_path_checks_every_coefficient():
 
 @pytest.mark.parametrize("length", [2, PACK_FROM])
 def test_a_gf_p_term_zero_in_every_row_goes_unchecked(length):
-    # on both GF(p) paths, as the packed one drops such a term before its
-    # symbol checks; a symbol outside the field in a term used is refused
+    # on both GF(p) paths such a term is dropped before the symbol checks, so
+    # its symbols neither raise nor reach the output; a symbol outside the
+    # field in a term used is refused
     gf5, ok, layers = FieldContext.prime(5), (1,) * length, [[(0, 0)]]
     for bad in (1.5, 9, -1, 5):
         vectors = ((bad,) + ok[1:], ok)
-        assert gf5.lincombs([(0, 1), (0, 2)], vectors) == [ok, (2,) * length]
-        assert gf5.gathered([(0, 1)], vectors, layers, 1) == (1,)
+        combos = gf5.lincombs([(0, 1), (0, 2)], vectors)
+        gathered = gf5.gathered([(0, 1)], vectors, layers, 1)
+        assert combos == [ok, (2,) * length] and gathered == (1,)
+        assert all(type(x) is int for x in chain(gathered, *combos))
         with pytest.raises(FieldError):
             gf5.lincombs([(0, 1), (1, 0)], vectors)
 
